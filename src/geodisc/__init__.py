@@ -11,7 +11,6 @@ from .convex_geometry import (
     HalfspaceIntersection,
     Polydisc,
     boundary_distance,
-    boundary_distance_sampled,
     boundary_frame,
     domain_from_json,
     exit_time,

@@ -1,20 +1,23 @@
 """Convex domain models in C^n and their boundary geometry.
 
-Domains are immutable models with a membership predicate; on top of that
-sit exit times along real rays, the Euclidean boundary distance, the radius
-of the largest complex-affine disc through a point, the flatness functions
-e^{-1/x^alpha} with their inverses and root equations, and the normalized
-boundary frames of the flat model domain.
+Domains are immutable intersections of convex constraints (discs over
+coordinate blocks, real half-spaces and the flatness graph).  Exit times
+along real rays, the Euclidean boundary distance and the radius of the
+largest complex-affine disc through a point are minima over the
+constraints.  Alongside sit the flatness functions e^{-1/x^alpha} with
+their inverses and root equations, and the normalized boundary frames of
+the flat model domain.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import combinations, islice
 
 import numpy as np
 
-from .numerics import minimize_on_circle, solve_monotone
+from .numerics import golden_section, minimize_on_circle, solve_monotone
 
 MEMBERSHIP_TOL = 1e-12
 
@@ -100,6 +103,132 @@ def rho_triangle(d: float, slope: float, C: float, alpha: float) -> float:
     return res.root
 
 
+# --- convex constraints --------------------------------------------------------
+#
+# Each constraint answers: gap(z), negative inside; exit(z, u, within), the
+# smaller of ``within`` and the last t >= 0 with z + t u on its side (unit
+# u); distance(z) to its boundary from inside; and disc_radius(z, v), the
+# largest rho with z + rho e^{i theta} v on its side for every theta, or
+# None where it has no closed form.
+
+@dataclass(frozen=True)
+class DiscConstraint:
+    """|z[coords] - center| <= radius over a block of coordinates."""
+
+    coords: slice
+    radius: float
+    center: np.ndarray | complex = 0.0
+
+    def gap(self, z: np.ndarray) -> float:
+        return float(np.linalg.norm(z[self.coords] - self.center)) - self.radius
+
+    def exit(self, z: np.ndarray, u: np.ndarray, within: float) -> float:
+        p = z[self.coords] - self.center
+        w = u[self.coords]
+        ww = float(np.vdot(w, w).real)
+        if ww == 0.0:
+            return within
+        dot = float(np.vdot(p, w).real)
+        norm = float(np.linalg.norm(p))
+        slack = (self.radius - norm) * (self.radius + norm)
+        root = math.sqrt(max(dot * dot + ww * slack, 0.0))
+        # the positive root of ww t^2 + 2 dot t - slack, without cancellation
+        t = slack / (dot + root) if dot > 0.0 else (root - dot) / ww
+        return min(within, t)
+
+    def distance(self, z: np.ndarray) -> float:
+        return -self.gap(z)
+
+    def disc_radius(self, z: np.ndarray, v: np.ndarray) -> float:
+        # the circle first leaves along the phase that makes Re<p, w> = |<p, w>|
+        inner = np.vdot(z[self.coords] - self.center, v[self.coords])
+        phase = inner.conjugate() / abs(inner) if inner != 0.0 else 1.0
+        return self.exit(z, phase * v, math.inf)
+
+
+@dataclass(frozen=True)
+class HalfspaceConstraint:
+    """Re<a, z> <= b, stored with a unit normal a so the gap is a distance."""
+
+    normal: np.ndarray
+    offset: float
+
+    def gap(self, z: np.ndarray) -> float:
+        return float(np.vdot(self.normal, z).real) - self.offset
+
+    def exit(self, z: np.ndarray, u: np.ndarray, within: float) -> float:
+        rate = float(np.vdot(self.normal, u).real)
+        return min(within, -self.gap(z) / rate) if rate > 0.0 else within
+
+    def distance(self, z: np.ndarray) -> float:
+        return -self.gap(z)
+
+    def disc_radius(self, z: np.ndarray, v: np.ndarray) -> float:
+        # Re<a, e^{i theta} v> peaks at |<a, v>|
+        rate = abs(np.vdot(self.normal, v))
+        return -self.gap(z) / rate if rate > 0.0 else math.inf
+
+
+@dataclass(frozen=True)
+class GraphConstraint:
+    """The flatness graph C phi_alpha(||z'||) <= Im z_n, z' = z[:-1].  Its gap
+    is convex only while ||z'|| <= R0, so ``exit`` needs ``within`` from
+    constraints that keep the ray inside that cylinder."""
+
+    support: FlatSupport
+
+    def height(self, rho: float) -> float:
+        return self.support.C * phi_alpha(rho, self.support.alpha)
+
+    def gap(self, z: np.ndarray) -> float:
+        return self.height(float(np.linalg.norm(z[:-1]))) - float(z[-1].imag)
+
+    def exit(self, z: np.ndarray, u: np.ndarray, within: float) -> float:
+        p, w = z[:-1], u[:-1]
+        pp = float(np.vdot(p, p).real)
+        pw = float(np.vdot(p, w).real)
+        ww = float(np.vdot(w, w).real)
+        y, dy = float(z[-1].imag), float(u[-1].imag)
+        if ww == 0.0:
+            # ||z'|| stays fixed, so the gap is affine in t
+            slack = y - self.height(math.sqrt(pp))
+            return min(within, slack / -dy) if dy < 0.0 else within
+
+        def gap(t: float) -> float:
+            rho = math.sqrt(max(pp + t * (2.0 * pw + t * ww), 0.0))
+            return self.height(rho) - (y + t * dy)
+
+        # A base point on the graph counts as inside up to the membership
+        # tolerance, as it does for the base check; the convex gap then
+        # changes sign once on [0, within].
+        g0 = gap(0.0)
+        level = 0.0 if g0 < 0.0 else MEMBERSHIP_TOL
+        if gap(within) <= level:
+            return within
+        return solve_monotone(gap, 0.0, within, level, 1e-15).root
+
+    def distance(self, z: np.ndarray) -> float:
+        """Distance to {Im z_n = C phi_alpha(||z'||), ||z'|| <= R0}.
+
+        By rotation invariance this is a 1-d problem in the radial profile;
+        the profile is convex on [0, R0], so the squared distance along it
+        is unimodal and golden-section is safe after a coarse scan.
+        """
+        R0 = self.support.R0
+        rho = float(np.linalg.norm(z[:-1]))
+        y = float(z[-1].imag)
+        dist2 = lambda t: (t - rho) ** 2 + (y - self.height(t)) ** 2
+        ts = np.linspace(0.0, R0, 65)
+        best = min(range(65), key=lambda i: dist2(float(ts[i])))
+        lo = float(ts[max(0, best - 1)])
+        hi = float(ts[min(64, best + 1)])
+        _, value = golden_section(dist2, lo, hi, 1e-14 * max(1.0, R0))
+        return math.sqrt(value)
+
+    def disc_radius(self, z: np.ndarray, v: np.ndarray) -> None:
+        return None
+
+
 # --- domain models -----------------------------------------------------------
 
 def _as_point(z) -> np.ndarray:
@@ -107,14 +236,18 @@ def _as_point(z) -> np.ndarray:
 
 
 class ConvexDomainModel:
-    """Base interface: membership classification plus a bounding radius."""
+    """A closed convex set in C^n: the intersection of the convex constraints
+    in ``pieces``, which subclasses set in ``__post_init__``."""
 
     kind: str = "abstract"
     dimension: int
+    pieces: tuple
 
     def signed_gap(self, z: np.ndarray) -> float:
         """Negative inside, positive outside; magnitude is a gap proxy."""
-        raise NotImplementedError
+        if len(z) != self.dimension:
+            raise ValueError("point has wrong dimension")
+        return max(piece.gap(z) for piece in self.pieces)
 
     def membership(self, z, tol: float = MEMBERSHIP_TOL) -> str:
         gap = self.signed_gap(_as_point(z))
@@ -126,9 +259,6 @@ class ConvexDomainModel:
 
     def contains(self, z, tol: float = MEMBERSHIP_TOL) -> bool:
         return self.membership(z, tol) != "outside"
-
-    def bounding_radius(self) -> float:
-        raise NotImplementedError
 
     def reference_interior_point(self) -> np.ndarray:
         raise NotImplementedError
@@ -143,16 +273,14 @@ class Polydisc(ConvexDomainModel):
         object.__setattr__(self, "radii", tuple(float(r) for r in self.radii))
         if not self.radii or any(r <= 0.0 for r in self.radii):
             raise ValueError("polydisc radii must be positive")
+        object.__setattr__(self, "pieces", tuple(
+            DiscConstraint(slice(k, k + 1), r)
+            for k, r in enumerate(self.radii)
+        ))
 
     @property
     def dimension(self) -> int:
         return len(self.radii)
-
-    def signed_gap(self, z: np.ndarray) -> float:
-        return float(np.max(np.abs(z) - np.asarray(self.radii)))
-
-    def bounding_radius(self) -> float:
-        return float(np.linalg.norm(self.radii))
 
     def reference_interior_point(self) -> np.ndarray:
         return np.zeros(self.dimension, dtype=complex)
@@ -168,40 +296,70 @@ class Ball(ConvexDomainModel):
         object.__setattr__(self, "center", _as_point(self.center))
         if self.radius <= 0.0:
             raise ValueError("ball radius must be positive")
+        pieces = (DiscConstraint(slice(None), self.radius, self.center),)
+        object.__setattr__(self, "pieces", pieces)
 
     @property
     def dimension(self) -> int:
         return len(self.center)
 
-    def signed_gap(self, z: np.ndarray) -> float:
-        return float(np.linalg.norm(z - self.center)) - self.radius
-
-    def bounding_radius(self) -> float:
-        return float(np.linalg.norm(self.center)) + self.radius
-
     def reference_interior_point(self) -> np.ndarray:
         return self.center.copy()
 
 
+# For unit normals: rows are dependent below this volume, and a ray recedes
+# while it breaks no constraint by more than this rate.
+_RANK_TOL = _RAY_TOL = 1e-12
+
+
+def _is_bounded(normals: np.ndarray) -> bool:
+    """Whether {z : Re<a_j, z> <= b_j} is bounded, for unit normals a_j: iff
+    no real d != 0 has A d <= 0, the rows of A being (Re a_j, Im a_j).  A
+    rank deficit gives such a d; at full rank the cone {A d <= 0} is pointed
+    and nonzero iff it has an extreme ray, the null line of 2n - 1
+    independent rows on a side where A d <= 0.  Every such row set is tried."""
+    A = np.hstack([normals.real, normals.imag])
+    m, dim = A.shape
+    if np.linalg.matrix_rank(A, tol=_RANK_TOL) < dim:
+        return False
+    minor_cols = np.array([[c for c in range(dim) if c != j] for j in range(dim)])
+    row_sets = combinations(range(m), dim - 1)
+    while batch := list(islice(row_sets, 4096)):
+        rows = A[np.array(batch)]
+        # the generalized cross product of the rows spans their null line;
+        # its norm is the volume they span
+        minors = np.linalg.det(np.moveaxis(rows[:, :, minor_cols], 2, 1))
+        rays = minors * (-1.0) ** np.arange(dim)
+        volumes = np.linalg.norm(rays, axis=1)
+        keep = volumes > _RANK_TOL
+        rates = rays[keep] @ A.T / volumes[keep, None]
+        if np.any(np.all(rates <= _RAY_TOL, axis=1) | np.all(rates >= -_RAY_TOL, axis=1)):
+            return False
+    return True
+
+
 @dataclass(frozen=True)
 class HalfspaceIntersection(ConvexDomainModel):
-    """Intersection of Re<z, a_j> <= b_j; must contain the interior point and
-    be bounded (checked by probing exit rays)."""
+    """Intersection of Re<a_j, z> <= b_j; must contain the interior point and
+    be bounded (checked exactly on the recession cone)."""
 
     constraints: tuple[tuple[np.ndarray, float], ...]
     interior_point: np.ndarray = None
     kind: str = field(default="halfspace_intersection", init=False)
 
     def __post_init__(self):
-        cons = tuple(
-            (_as_point(a), float(b)) for a, b in self.constraints
-        )
+        cons = tuple((_as_point(a), float(b)) for a, b in self.constraints)
         if not cons:
             raise ValueError("need at least one halfspace")
         dim = len(cons[0][0])
         if any(len(a) != dim for a, _ in cons):
             raise ValueError("inconsistent constraint dimensions")
         object.__setattr__(self, "constraints", cons)
+        norms = [float(np.linalg.norm(a)) for a, _ in cons]
+        if 0.0 in norms:
+            raise ValueError("halfspace normal must be nonzero")
+        pieces = tuple(HalfspaceConstraint(a / r, b / r) for (a, b), r in zip(cons, norms))
+        object.__setattr__(self, "pieces", pieces)
         anchor = (
             np.zeros(dim, dtype=complex)
             if self.interior_point is None
@@ -210,48 +368,15 @@ class HalfspaceIntersection(ConvexDomainModel):
         object.__setattr__(self, "interior_point", anchor)
         if self.signed_gap(anchor) >= 0.0:
             raise ValueError("interior point is not inside")
-        object.__setattr__(self, "_bound", self._probe_bound())
+        if not _is_bounded(np.array([piece.normal for piece in pieces])):
+            raise ValueError("halfspace intersection is unbounded")
 
     @property
     def dimension(self) -> int:
         return len(self.constraints[0][0])
 
-    def signed_gap(self, z: np.ndarray) -> float:
-        worst = -math.inf
-        for a, b in self.constraints:
-            norm = float(np.linalg.norm(a))
-            worst = max(worst, (float(np.real(np.vdot(a, z))) - b) / norm)
-        return worst
-
-    def _probe_bound(self) -> float:
-        # exit along all +-real/imag axis rays from the anchor; a bounded
-        # convex polytope exits along every coordinate direction
-        worst = 0.0
-        n = self.dimension
-        for k in range(n):
-            for u0 in (1.0, -1.0, 1.0j, -1.0j):
-                u = np.zeros(n, dtype=complex)
-                u[k] = u0
-                t = _halfspace_exit(self, self.interior_point, u)
-                if not math.isfinite(t):
-                    raise ValueError("halfspace intersection is unbounded")
-                worst = max(worst, t)
-        return float(np.linalg.norm(self.interior_point)) + worst * math.sqrt(n) * 2.0
-
-    def bounding_radius(self) -> float:
-        return self._bound
-
     def reference_interior_point(self) -> np.ndarray:
         return self.interior_point.copy()
-
-
-def _halfspace_exit(domain: HalfspaceIntersection, z: np.ndarray, u: np.ndarray) -> float:
-    t = math.inf
-    for a, b in domain.constraints:
-        rate = float(np.real(np.vdot(a, u)))
-        if rate > 0.0:
-            t = min(t, (b - float(np.real(np.vdot(a, z)))) / rate)
-    return t
 
 
 @dataclass(frozen=True)
@@ -288,7 +413,8 @@ class FlatModelDomain(ConvexDomainModel):
 
     The boundary is the flatness graph near the origin with box caps added
     for boundedness; it is not C^1 where the caps meet, so boundary frames
-    are only defined on the graph zone.
+    are only defined on the graph zone.  The pieces are the cylinder, the
+    three caps and, last, the graph, whose exit is bracketed by the others.
     """
 
     support: FlatSupport
@@ -298,27 +424,18 @@ class FlatModelDomain(ConvexDomainModel):
     def __post_init__(self):
         if self.dimension < 2:
             raise ValueError("flat model needs dimension at least 2")
+        s = self.support
+        last = np.eye(self.dimension, dtype=complex)[-1]
+        object.__setattr__(self, "pieces", (
+            DiscConstraint(slice(0, -1), s.R0),
+            HalfspaceConstraint(last, s.s0),  # Re z_n <= s0
+            HalfspaceConstraint(-last, s.s0),  # -Re z_n <= s0
+            HalfspaceConstraint(1j * last, s.s0),  # Im z_n <= s0
+            GraphConstraint(s),
+        ))
 
     def graph_height(self, rho: float) -> float:
-        return self.support.C * phi_alpha(rho, self.support.alpha)
-
-    def signed_gap(self, z: np.ndarray) -> float:
-        if len(z) != self.dimension:
-            raise ValueError("point has wrong dimension")
-        s = self.support
-        rho = float(np.linalg.norm(z[:-1]))
-        x = float(z[-1].real)
-        y = float(z[-1].imag)
-        return max(
-            rho - s.R0,
-            abs(x) - s.s0,
-            y - s.s0,
-            self.graph_height(rho) - y,
-        )
-
-    def bounding_radius(self) -> float:
-        s = self.support
-        return math.hypot(s.R0, math.hypot(s.s0, s.s0)) + 1.0e-9
+        return self.pieces[-1].height(rho)
 
     def reference_interior_point(self) -> np.ndarray:
         z = np.zeros(self.dimension, dtype=complex)
@@ -326,35 +443,8 @@ class FlatModelDomain(ConvexDomainModel):
         return z
 
     def graph_distance(self, z: np.ndarray) -> float:
-        """Distance to the boundary piece {Im z_n = C phi_alpha(||z'||)}.
-
-        By rotation invariance this is a 1-d problem in the radial profile;
-        the profile is convex on [0, R0], so the squared distance along it
-        is unimodal and golden-section is safe after a coarse scan.
-        """
-        rho = float(np.linalg.norm(z[:-1]))
-        y = float(z[-1].imag)
-        dist2 = lambda t: (t - rho) ** 2 + (y - self.graph_height(t)) ** 2
-        ts = np.linspace(0.0, self.support.R0, 65)
-        best = min(range(65), key=lambda i: dist2(float(ts[i])))
-        lo = float(ts[max(0, best - 1)])
-        hi = float(ts[min(64, best + 1)])
-        invphi = (math.sqrt(5.0) - 1.0) / 2.0
-        c = hi - invphi * (hi - lo)
-        d = lo + invphi * (hi - lo)
-        fc, fd = dist2(c), dist2(d)
-        for _ in range(120):
-            if hi - lo <= 1e-14 * max(1.0, self.support.R0):
-                break
-            if fc < fd:
-                hi, d, fd = d, c, fc
-                c = hi - invphi * (hi - lo)
-                fc = dist2(c)
-            else:
-                lo, c, fc = c, d, fd
-                d = lo + invphi * (hi - lo)
-                fd = dist2(d)
-        return math.sqrt(min(fc, fd, dist2(0.5 * (lo + hi))))
+        """Distance to the boundary piece {Im z_n = C phi_alpha(||z'||)}."""
+        return self.pieces[-1].distance(z)
 
 
 def domain_from_json(spec: dict) -> ConvexDomainModel:
@@ -391,135 +481,36 @@ def domain_from_json(spec: dict) -> ConvexDomainModel:
 
 # --- geometric queries -------------------------------------------------------
 
-def exit_time(domain: ConvexDomainModel, z, u) -> float:
-    """sup{ t >= 0 : z + t u in closure of the domain } for a unit real ray.
-
-    Closed forms for the polydisc and ball; half-space intersections are a
-    linear program over active constraints; everything else brackets the
-    boundary by doubling and bisects membership.
-    """
+def _check_base(domain: ConvexDomainModel, z) -> np.ndarray:
     z = _as_point(z)
+    if domain.membership(z) == "outside":
+        raise ValueError("base point outside domain")
+    return z
+
+
+def _check_ray(domain: ConvexDomainModel, z, u) -> tuple[np.ndarray, np.ndarray]:
     u = _as_point(u)
     norm = float(np.linalg.norm(u))
     if norm == 0.0:
         raise ValueError("direction must be nonzero")
-    u = u / norm
-    if domain.membership(z) == "outside":
-        raise ValueError("base point outside domain")
-
-    if isinstance(domain, Polydisc):
-        return min(
-            _circle_exit(zi, ui, r)
-            for zi, ui, r in zip(z, u, domain.radii)
-            if abs(ui) > 0.0
-        )
-    if isinstance(domain, Ball):
-        return _circle_exit(
-            complex(0, 0), 1.0 + 0j, domain.radius, offset=z - domain.center, direction=u
-        )
-    if isinstance(domain, HalfspaceIntersection):
-        return _halfspace_exit(domain, z, u)
-
-    t_hi = 1.0
-    cap = 4.0 * domain.bounding_radius() + 4.0
-    while domain.contains(z + t_hi * u) and t_hi < cap:
-        t_hi *= 2.0
-    if domain.contains(z + t_hi * u):
-        raise ValueError("ray does not exit the domain")
-    t_lo = 0.0
-    for _ in range(100):
-        mid = 0.5 * (t_lo + t_hi)
-        if domain.contains(z + mid * u):
-            t_lo = mid
-        else:
-            t_hi = mid
-        if t_hi - t_lo <= 1e-13 * max(1.0, t_hi):
-            break
-    return 0.5 * (t_lo + t_hi)
+    return _check_base(domain, z), u / norm
 
 
-def _circle_exit(zi, ui, radius, offset=None, direction=None) -> float:
-    """Largest t with |p + t v| <= radius along one coordinate (or in full)."""
-    if offset is None:
-        p, v = zi, ui
-        dot = (p.conjugate() * v).real
-        vv = abs(v) ** 2
-        pp = abs(p) ** 2
-    else:
-        dot = float(np.real(np.vdot(offset, direction)))
-        vv = float(np.real(np.vdot(direction, direction)))
-        pp = float(np.real(np.vdot(offset, offset)))
-    disc = dot * dot + vv * (radius * radius - pp)
-    if disc < 0.0:
-        disc = 0.0
-    return (-dot + math.sqrt(disc)) / vv
+def exit_time(domain: ConvexDomainModel, z, u) -> float:
+    """sup{ t >= 0 : z + t u in closure of the domain } for a unit real ray:
+    the smallest exit over the constraints, each bounding the next."""
+    z, u = _check_ray(domain, z, u)
+    t = math.inf
+    for piece in domain.pieces:
+        t = piece.exit(z, u, t)
+    return t
 
 
 def boundary_distance(domain: ConvexDomainModel, z) -> float:
-    """Euclidean distance to the boundary, exactly per constraint family.
-
-    For an intersection of convex constraints the inscribed ball radius is
-    the minimum of the distances to the individual constraint boundaries.
-    """
-    z = _as_point(z)
-    if domain.membership(z) == "outside":
-        raise ValueError("base point outside domain")
-    if isinstance(domain, Polydisc):
-        return float(np.min(np.asarray(domain.radii) - np.abs(z)))
-    if isinstance(domain, Ball):
-        return domain.radius - float(np.linalg.norm(z - domain.center))
-    if isinstance(domain, HalfspaceIntersection):
-        return -domain.signed_gap(z)
-    if isinstance(domain, FlatModelDomain):
-        s = domain.support
-        rho = float(np.linalg.norm(z[:-1]))
-        x = float(z[-1].real)
-        y = float(z[-1].imag)
-        return min(
-            s.R0 - rho,
-            s.s0 - abs(x),
-            s.s0 - y,
-            domain.graph_distance(z),
-        )
-    return boundary_distance_sampled(domain, z)
-
-
-def boundary_distance_sampled(
-    domain: ConvexDomainModel,
-    z,
-    n_coarse: int = 512,
-    rounds: int = 3,
-    seed: int = 0,
-) -> float:
-    """min over unit directions of the exit time, by coarse sphere sampling
-    plus local spherical-cap refinement.  Deterministic for a fixed seed."""
-    z = _as_point(z)
-    rng = np.random.default_rng(seed)
-    n = len(z)
-
-    def sample(center: np.ndarray | None, spread: float, count: int) -> np.ndarray:
-        raw = rng.standard_normal((count, 2 * n))
-        dirs = raw / np.linalg.norm(raw, axis=1, keepdims=True)
-        if center is not None:
-            flat = np.concatenate([center.real, center.imag])
-            dirs = flat[None, :] + spread * dirs
-            dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        return dirs[:, :n] + 1j * dirs[:, n:]
-
-    best_t = math.inf
-    best_dir = None
-    for u in sample(None, 1.0, n_coarse):
-        t = exit_time(domain, z, u)
-        if t < best_t:
-            best_t, best_dir = t, u
-    spread = 0.5
-    for _ in range(rounds):
-        for u in sample(best_dir, spread, 192):
-            t = exit_time(domain, z, u)
-            if t < best_t:
-                best_t, best_dir = t, u
-        spread *= 0.1
-    return best_t
+    """Euclidean distance to the boundary: for an intersection of convex
+    constraints, the smallest distance to a constraint boundary."""
+    z = _check_base(domain, z)
+    return min(piece.distance(z) for piece in domain.pieces)
 
 
 def inscribed_disc_radius(domain: ConvexDomainModel, z, v) -> float:
@@ -528,14 +519,15 @@ def inscribed_disc_radius(domain: ConvexDomainModel, z, v) -> float:
 
     For a convex domain the closed disc lies in the closure iff its boundary
     circle does, so the radius is the minimum over the circle parameter of
-    the exit time along e^{i theta} v.
+    the exit time along e^{i theta} v.  That minimum commutes with the
+    minimum over constraints, so closed-form constraint radii settle it
+    unless a constraint has none; then the exit time is minimised over the
+    circle numerically.
     """
-    z = _as_point(z)
-    v = _as_point(v)
-    norm = float(np.linalg.norm(v))
-    if norm == 0.0:
-        raise ValueError("direction must be nonzero")
-    v = v / norm
+    z, v = _check_ray(domain, z, v)
+    radii = [piece.disc_radius(z, v) for piece in domain.pieces]
+    if None not in radii:
+        return min(radii)
     objective = lambda theta: exit_time(domain, z, v * complex(math.cos(theta), math.sin(theta)))
     _, radius = minimize_on_circle(objective, coarse_n=64, refine_tol=1e-12)
     return radius

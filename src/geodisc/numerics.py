@@ -1,9 +1,9 @@
 """Shared numeric kernels.
 
-Three primitives used everywhere else in the package: composite quadrature
+The primitives used everywhere else in the package: composite quadrature
 with divergence detection near an endpoint singularity, bisection for
-monotone root problems, and minimization of a periodic objective over the
-circle parameter.
+monotone root problems, golden-section search for unimodal minima, and
+minimization of a periodic objective over the circle parameter.
 """
 
 from __future__ import annotations
@@ -194,6 +194,31 @@ def solve_monotone(
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
+def golden_section(
+    f: Callable[[float], float], lo: float, hi: float, tol: float
+) -> tuple[float, float]:
+    """Minimize a unimodal f on [lo, hi] by golden-section search down to a
+    bracket ``tol`` wide; returns (x, f(x)) for the best of the last two
+    interior points and the midpoint, ties toward the lower point."""
+    c = hi - _INVPHI * (hi - lo)
+    d = lo + _INVPHI * (hi - lo)
+    fc, fd = f(c), f(d)
+    for _ in range(200):
+        if hi - lo <= tol:
+            break
+        if fc < fd:
+            hi, d, fd = d, c, fc
+            c = hi - _INVPHI * (hi - lo)
+            fc = f(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + _INVPHI * (hi - lo)
+            fd = f(d)
+    mid = 0.5 * (lo + hi)
+    value, x = min([(fc, c), (fd, d), (f(mid), mid)], key=lambda p: p[0])
+    return x, value
+
+
 def minimize_on_circle(
     h: Callable[[float], float],
     coarse_n: int = 64,
@@ -215,27 +240,10 @@ def minimize_on_circle(
     theta_best = float(thetas[best])
     value_best = float(values[best])
 
-    lo = theta_best - step
-    hi = theta_best + step
     wrapped = lambda t: _finite_objective(h, t % (2.0 * math.pi))
-    c = hi - _INVPHI * (hi - lo)
-    d = lo + _INVPHI * (hi - lo)
-    fc, fd = wrapped(c), wrapped(d)
-    for _ in range(200):
-        if hi - lo <= refine_tol:
-            break
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            c = hi - _INVPHI * (hi - lo)
-            fc = wrapped(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + _INVPHI * (hi - lo)
-            fd = wrapped(d)
-    theta_ref = 0.5 * (lo + hi)
-    candidates = [(fc, c), (fd, d), (wrapped(theta_ref), theta_ref)]
-    value_ref, theta_ref = min(candidates, key=lambda p: p[0])
-
+    theta_ref, value_ref = golden_section(
+        wrapped, theta_best - step, theta_best + step, refine_tol
+    )
     if value_ref < value_best:
         return theta_ref % (2.0 * math.pi), value_ref
     return theta_best, value_best

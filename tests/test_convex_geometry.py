@@ -14,7 +14,6 @@ from geodisc.convex_geometry import (
     HalfspaceIntersection,
     Polydisc,
     boundary_distance,
-    boundary_distance_sampled,
     boundary_frame,
     domain_from_json,
     exit_time,
@@ -144,26 +143,71 @@ def test_exit_time_ball_shifted():
     assert abs(exit_time(ball, [1.0, 0.0], [1.0, 0.0]) - 1.0) < 1e-14
 
 
-def test_exit_time_polydisc_matches_membership_bisection():
-    square = Polydisc((1.0, 0.7))
+def halfspace_box(extra=()) -> HalfspaceIntersection:
+    # |Re z_k| <= 1, |Im z_k| <= 1 in C^2 via eight halfspaces
+    cons = []
+    for k in range(2):
+        for a0 in (1.0, -1.0, 1.0j, -1.0j):
+            a = np.zeros(2, dtype=complex)
+            a[k] = a0
+            cons.append((a, 1.0))
+    return HalfspaceIntersection(tuple(cons) + tuple(extra))
+
+
+def membership_bisection(domain, z, u) -> float:
+    """Exit time by bisecting membership along the ray: the reference for
+    the per-constraint exits."""
+    lo, hi = 0.0, 8.0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if domain.contains(z + mid * u):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize(
+    "domain",
+    [
+        Polydisc((1.0, 0.7)),
+        Ball(np.array([0.1, -0.2j]), 1.3),
+        halfspace_box([(np.array([0.6 - 0.3j, 0.5j]), 0.4)]),
+        flat_domain(),
+    ],
+    ids=["polydisc", "ball", "halfspace", "flat_model"],
+)
+def test_exit_time_matches_membership_bisection(domain):
     rng = np.random.default_rng(2)
+    anchor = domain.reference_interior_point()
     for _ in range(20):
-        z = np.array([0.3 * rng.standard_normal() + 0.1j * rng.standard_normal(),
-                      0.2 * rng.standard_normal()])
-        if square.membership(z) != "inside":
-            continue
         raw = rng.standard_normal(4)
         u = raw[:2] + 1j * raw[2:]
         u /= np.linalg.norm(u)
-        t = exit_time(square, z, u)
-        lo, hi = 0.0, 8.0
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if square.contains(z + mid * u):
-                lo = mid
-            else:
-                hi = mid
-        assert abs(t - 0.5 * (lo + hi)) < 1e-9
+        z = anchor + 0.9 * rng.random() * membership_bisection(domain, anchor, u) * u
+        raw = rng.standard_normal(4)
+        u = raw[:2] + 1j * raw[2:]
+        u /= np.linalg.norm(u)
+        assert abs(exit_time(domain, z, u) - membership_bisection(domain, z, u)) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "u",
+    [[-0.99, 0.1j], [1.0, -0.5j]],
+    ids=["inward", "outward"],
+)
+def test_exit_time_from_graph_point_matches_membership_bisection(u):
+    # a base point exactly on the graph (real z' makes the gap exactly 0);
+    # the inward ray crosses the axis and leaves through the graph again,
+    # the outward one leaves at once
+    domain = flat_domain()
+    rho = domain.support.R0 / 2.0
+    z = np.array([rho, 1j * domain.graph_height(rho)])
+    assert domain.membership(z) == "boundary"
+    u = np.array(u) / np.linalg.norm(u)
+    t = exit_time(domain, z, u)
+    assert abs(t - membership_bisection(domain, z, u)) < 1e-9
+    assert (t > 0.1) == (u[0].real < 0.0)
 
 
 def test_exit_time_flat_model_graph_intersection():
@@ -201,19 +245,48 @@ def test_boundary_distance_polydisc():
 
 
 def test_boundary_distance_halfspace_box():
-    # |Re z_k| <= 1, |Im z_k| <= 1 in C^2 via eight halfspaces
-    cons = []
-    for k in range(2):
-        for a0 in (1.0, -1.0, 1.0j, -1.0j):
-            a = np.zeros(2, dtype=complex)
-            a[k] = a0
-            cons.append((a, 1.0))
-    box = HalfspaceIntersection(tuple(cons))
+    box = halfspace_box()
     z = np.array([0.2 + 0.1j, -0.4j])
     assert abs(boundary_distance(box, z) - 0.6) < 1e-12
-    sampled = boundary_distance_sampled(box, z, seed=3)
-    assert boundary_distance(box, z) <= sampled + 1e-9
-    assert sampled - boundary_distance(box, z) < 5e-4
+
+
+def test_halfspace_intersection_rejects_unbounded_sets():
+    # the strip |Re z + Im z| <= 1 in C^1 exits every coordinate ray, but
+    # it is unbounded along 1 - i
+    strip = ((np.array([1.0 + 1.0j]), 1.0), (np.array([-1.0 - 1.0j]), 1.0))
+    with pytest.raises(ValueError, match="unbounded"):
+        HalfspaceIntersection(strip)
+    # three normals that positively span the plane bound a triangle; two of
+    # them leave a wedge
+    normals = [np.array([complex(math.cos(a), math.sin(a))]) for a in (0.0, 2.0, 4.0)]
+    triangle = HalfspaceIntersection(tuple((a, 1.0) for a in normals))
+    assert abs(boundary_distance(triangle, [0.0]) - 1.0) < 1e-12
+    with pytest.raises(ValueError, match="unbounded"):
+        HalfspaceIntersection(tuple((a, 1.0) for a in normals[:2]))
+
+
+def test_halfspace_boundedness_matches_linear_programming():
+    # the set {Re<a_j, z> <= 1} is bounded iff every coordinate of R^{2n}
+    # has a finite max and min over it
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(4)
+    for trial in range(50):
+        n, m = int(rng.integers(1, 3)), int(rng.integers(1, 9))
+        normals = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+        if trial % 2:  # normals in a half-plane of the first coordinate
+            normals[:, 0] = abs(normals[:, 0].real) + 1j * normals[:, 0].imag
+        A = np.hstack([normals.real, normals.imag])
+        bounded = all(
+            optimize.linprog(sign * np.eye(2 * n)[k], A_ub=A, b_ub=np.ones(m),
+                             bounds=(None, None)).status != 3
+            for k in range(2 * n) for sign in (1.0, -1.0)
+        )
+        cons = tuple((a, 1.0) for a in normals)
+        if bounded:
+            HalfspaceIntersection(cons)
+        else:
+            with pytest.raises(ValueError, match="unbounded"):
+                HalfspaceIntersection(cons)
 
 
 def test_boundary_distance_flat_model_against_dense_sampling():
@@ -292,6 +365,37 @@ def test_inscribed_radius_dominates_boundary_distance_and_phase_invariant():
 def test_inscribed_radius_rejects_zero_direction():
     with pytest.raises(ValueError, match="direction must be nonzero"):
         inscribed_disc_radius(Polydisc((1.0,)), [0.0], [0.0])
+
+
+def test_inscribed_radius_halfspace_global_minimum():
+    # exit times over the circle have several basins here; the 64-point
+    # scan of the circle settled in a non-global one (radius 1.0606845)
+    cons = [
+        ([1.0, 0.0], 1.0761741505738809),
+        ([-1.0, 0.0], 1.297764831964868),
+        ([1.0j, 0.0], 0.8738057691178961),
+        ([-1.0j, 0.0], 1.2832987701614358),
+        ([0.0, 1.0], 0.616836074989609),
+        ([0.0, -1.0], 0.8420158055347601),
+        ([0.0, 1.0j], 0.6579872703383238),
+        ([0.0, -1.0j], 0.8856698339232816),
+        ([0.5437776069049303 + 0.757069298406832j,
+          -0.30316602126033243 - 0.19809683286643917j], 0.6374434556365712),
+        ([-0.0047217455235123475 - 0.2561925619005207j,
+          0.0817214504767356 - 0.963153508469983j], 1.0508665661443708),
+    ]
+    cons = [(np.array(a, dtype=complex), b) for a, b in cons]
+    z = np.array([0.03288561723482896 - 0.00029674189969169034j,
+                  -0.03311015778239491 - 0.053622263913944215j])
+    v = np.array([0.18728226753965213 + 0.8025300129391199j,
+                  0.3707055309014534 + 0.4283086970354603j])
+    # Re<a, z + rho e^{i theta} v> peaks at Re<a, z> + rho |<a, v>|
+    closed_form = min(
+        (b - np.vdot(a, z).real) / abs(np.vdot(a, v)) for a, b in cons
+    )
+    assert abs(closed_form - 1.0606631109242757) < 1e-12
+    r = inscribed_disc_radius(HalfspaceIntersection(tuple(cons)), z, v)
+    assert abs(r - closed_form) < 1e-12
 
 
 # --- convexity spot checks ---------------------------------------------------
