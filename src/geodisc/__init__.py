@@ -12,7 +12,6 @@ from .convex_geometry import (
     Polydisc,
     boundary_distance,
     boundary_frame,
-    domain_from_json,
     exit_time,
     inscribed_disc_radius,
     phi_alpha,

@@ -1,10 +1,11 @@
 """Batch front end.
 
-Loads a JSON run configuration, dispatches exactly one library operation,
-and writes a machine-readable report (JSON or CSV).  Exit codes: 0 on
-success, 2 when a check command reports a failing/divergent verdict, 1 on
-configuration or execution errors.  No numerics live here: every command is
-a thin wrapper over one public library operation.
+Loads a JSON run configuration, reads it through one typed schema,
+dispatches exactly one library operation, and writes a machine-readable
+report (JSON or CSV).  Exit codes: 0 on success, 2 when a check command
+reports a failing/divergent verdict, 1 on configuration or execution
+errors.  No numerics live here: every command is a thin wrapper over one
+public library operation.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import math
 import os
 import sys
 import tempfile
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -29,130 +31,194 @@ class ConfigError(ValueError):
     pass
 
 
-def _as_complex(value) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(float(value[0]), float(value[1]))
-    raise ConfigError(f"expected [re, im] pair, got {value!r}")
+# --- config schema -----------------------------------------------------------
+#
+# A schema is a Scalar; a one-item list [item] for a list of items; a record
+# {key: schema or Opt}, read into keyword arguments; or Kinds, a record picked
+# by its "kind" key and built into a library object.  `parse` is the only
+# reader of config values.
 
 
-def _as_vector(value) -> np.ndarray:
-    return np.array([_as_complex(v) for v in value], dtype=complex)
+@dataclass(frozen=True)
+class Scalar:
+    """One JSON value: ``accepts`` tests its type, ``convert`` reads it."""
+
+    expected: str
+    accepts: Callable[[object], bool]
+    convert: Callable
 
 
-def function_from_spec(spec: dict) -> da.UnitDiscFunction:
-    spec = dict(spec)
-    kind = spec.pop("kind", None)
-    if kind == "identity":
-        out = da.identity_map()
-    elif kind == "constant":
-        out = da.constant_map(_as_vector(spec.pop("values")))
-    elif kind == "automorphism":
-        out = kb.disc_automorphism(
-            _as_complex(spec.pop("a")), float(spec.pop("phi", 0.0))
-        )
-    elif kind == "monomial":
-        degree = int(spec.pop("degree"))
-        coeff = _as_complex(spec.pop("coefficient", 1.0))
-        if degree < 0:
-            raise ConfigError("monomial degree must be nonnegative")
-        out = da.scalar_function(
-            lambda z: coeff * z**degree,
-            lambda z: coeff * degree * z ** (degree - 1) if degree else 0.0j,
-        )
-    elif kind == "pair_identity_zero":
-        out = da.vector_function(
-            [lambda z: z, lambda z: 0.0 * z],
-            [lambda z: 1.0 + 0.0j, lambda z: 0.0j],
-        )
-    elif kind == "nonextending":
-        out = kb.nonextending_geodesic().map
-    elif kind is None:
-        raise ConfigError("function spec needs a 'kind'")
-    else:
-        raise ConfigError(f"unknown function kind {kind!r}")
-    _reject_unknown(spec, context=f"function '{kind}'")
-    return out
+@dataclass(frozen=True)
+class Opt:
+    """An optional record field.  When it is absent, ``default`` is passed;
+    without a default nothing is, so the library's own default applies."""
+
+    schema: object
+    default: object = None
 
 
-def majorant_from_spec(spec: dict):
-    spec = dict(spec)
-    kind = spec.pop("kind", None)
-    if kind == "family":
-        out = hl.DerivMajorantFamily(
-            K1=float(spec.pop("K1")),
-            K2=float(spec.pop("K2")),
-            alpha=float(spec.pop("alpha")),
-            r0=float(spec.pop("r0")),
-        )
-    elif kind == "power":
-        coeff = float(spec.pop("coefficient", 1.0))
-        exponent = float(spec.pop("exponent", 0.0))
-        r0 = float(spec.pop("r0"))
-        out = hl.Majorant(
-            lambda x: coeff * x**exponent,
-            r0,
-            lambda u: coeff * math.exp(-(exponent + 1.0) * u),
-            lambda u: math.log(coeff) - (exponent + 1.0) * u if coeff > 0 else -math.inf,
-        )
-    elif kind is None:
-        raise ConfigError("majorant spec needs a 'kind'")
-    else:
-        raise ConfigError(f"unknown majorant kind {kind!r}")
-    _reject_unknown(spec, context=f"majorant '{kind}'")
-    return out
+@dataclass(frozen=True)
+class Kinds:
+    """Specs told apart by their "kind": kind -> (builder, record); the
+    builder takes the parsed record as keyword arguments."""
+
+    name: str
+    kinds: dict[str, tuple[Callable, dict]]
 
 
-def modulus_from_spec(spec: dict) -> da.ModulusFamily:
-    spec = dict(spec)
-    kind = spec.pop("kind", None)
-    if kind == "holder":
-        out = da.ModulusFamily.holder(float(spec.pop("a")))
-    elif kind == "log_reciprocal":
-        out = da.ModulusFamily.log_reciprocal()
-    elif kind == "stretched_exponential":
-        out = da.ModulusFamily.stretched_exponential(
-            float(spec.pop("coeff")), float(spec.pop("eps"))
-        )
-    elif kind is None:
-        raise ConfigError("modulus spec needs a 'kind'")
-    else:
-        raise ConfigError(f"unknown modulus kind {kind!r}")
-    _reject_unknown(spec, context=f"modulus '{kind}'")
-    return out
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def candidate_from_spec(spec: dict) -> kb.GeodesicCandidate:
-    spec = dict(spec)
-    kind = spec.pop("kind", None)
-    if kind == "nonextending":
-        out = kb.nonextending_geodesic()
-    elif kind == "flat_slice":
-        domain = cg.domain_from_json(spec.pop("domain"))
-        if not isinstance(domain, cg.FlatModelDomain):
-            raise ConfigError("flat_slice candidates need a flat_model domain")
-        out = kb.flat_slice_candidate(
-            domain, _as_complex(spec.pop("center")), float(spec.pop("radius"))
-        )
-    elif kind == "map":
-        out = kb.GeodesicCandidate(
-            function_from_spec(spec.pop("map")),
-            cg.domain_from_json(spec.pop("domain")),
-            str(spec.pop("construction", "custom")),
-        )
-    elif kind is None:
-        raise ConfigError("candidate spec needs a 'kind'")
-    else:
-        raise ConfigError(f"unknown candidate kind {kind!r}")
-    _reject_unknown(spec, context=f"candidate '{kind}'")
-    return out
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _reject_unknown(leftover: dict, context: str) -> None:
-    if leftover:
-        key = sorted(leftover)[0]
-        raise ConfigError(f"unknown key '{key}' in {context}")
+def _is_complex(value) -> bool:
+    if isinstance(value, (list, tuple)):
+        return len(value) == 2 and _is_real(value[0]) and _is_real(value[1])
+    return _is_real(value)
+
+
+def _to_complex(value) -> complex:
+    return complex(*value) if isinstance(value, (list, tuple)) else complex(value)
+
+
+NUMBER = Scalar("a number", _is_real, float)
+COUNT = Scalar("an integer", _is_count, int)
+BOOLEAN = Scalar("true or false", lambda v: isinstance(v, bool), bool)
+TEXT = Scalar("a string", lambda v: isinstance(v, str), str)
+FORMAT = Scalar("'json' or 'csv'", lambda v: v in ("json", "csv"), str)
+COMPLEX = Scalar("a number or an [re, im] pair", _is_complex, _to_complex)
+VECTOR = [COMPLEX]
+
+
+def parse(schema, value, path: str = ""):
+    """``value`` checked against ``schema`` and converted.  The ConfigError
+    for an unknown, missing or mistyped value, or one the library rejects,
+    names its key path, e.g. ``domain.constraints[0].b``."""
+    where = path or "config"
+    if isinstance(schema, Scalar):
+        if not schema.accepts(value):
+            raise ConfigError(f"{where}: expected {schema.expected}, got {value!r}")
+        return schema.convert(value)
+    if isinstance(schema, list):
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{where}: expected a list, got {value!r}")
+        return [parse(schema[0], item, f"{path}[{i}]") for i, item in enumerate(value)]
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where}: expected an object, got {value!r}")
+    prefix = f"{path}." if path else ""
+    if isinstance(schema, Kinds):
+        if "kind" not in value:
+            raise ConfigError(f"{prefix}kind: missing key")
+        kind = value["kind"]
+        if not isinstance(kind, str) or kind not in schema.kinds:
+            raise ConfigError(
+                f"{prefix}kind: unknown {schema.name} kind {kind!r}, "
+                f"expected one of {', '.join(schema.kinds)}"
+            )
+        build, record = schema.kinds[kind]
+        args = parse(record, {k: v for k, v in value.items() if k != "kind"}, path)
+        try:
+            return build(**args)
+        except ValueError as exc:
+            raise ConfigError(f"{where}: {exc}") from exc
+    for key in value:
+        if key not in schema:
+            raise ConfigError(f"{prefix}{key}: unknown key")
+    args = {}
+    for key, field in schema.items():
+        optional = isinstance(field, Opt)
+        if key in value:
+            args[key] = parse(field.schema if optional else field, value[key], prefix + key)
+        elif not optional:
+            raise ConfigError(f"{prefix}{key}: missing key")
+        elif field.default is not None:
+            args[key] = field.default
+    return args
+
+
+# --- spec kinds --------------------------------------------------------------
+
+def _monomial(degree: int, coefficient: complex) -> da.UnitDiscFunction:
+    if degree < 0:
+        raise ValueError("monomial degree must be nonnegative")
+    return da.scalar_function(
+        lambda z: coefficient * z**degree,
+        lambda z: coefficient * degree * z ** (degree - 1) if degree else 0.0j,
+    )
+
+
+def _pair_identity_zero() -> da.UnitDiscFunction:
+    return da.vector_function(
+        [lambda z: z, lambda z: 0.0 * z],
+        [lambda z: 1.0 + 0.0j, lambda z: 0.0j],
+    )
+
+
+def _power_majorant(r0: float, coefficient: float, exponent: float) -> hl.Majorant:
+    """Phi(x) = coefficient * x**exponent."""
+    return hl.Majorant(
+        lambda x: coefficient * x**exponent,
+        r0,
+        lambda u: coefficient * math.exp(-(exponent + 1.0) * u),
+        lambda u: (
+            math.log(coefficient) - (exponent + 1.0) * u if coefficient > 0 else -math.inf
+        ),
+    )
+
+
+def _halfspace_intersection(constraints: list[dict], **options) -> cg.HalfspaceIntersection:
+    pairs = tuple((c["a"], c["b"]) for c in constraints)
+    return cg.HalfspaceIntersection(pairs, **options)
+
+
+def _flat_model(C: float, alpha: float, R0: float, s0: float, **options) -> cg.FlatModelDomain:
+    return cg.FlatModelDomain(cg.FlatSupport(C, alpha, R0, s0), **options)
+
+
+FUNCTION = Kinds("function", {
+    "identity": (da.identity_map, {}),
+    "constant": (da.constant_map, {"values": VECTOR}),
+    "automorphism": (kb.disc_automorphism, {"a": COMPLEX, "phi": Opt(NUMBER)}),
+    "monomial": (_monomial, {"degree": COUNT, "coefficient": Opt(COMPLEX, 1 + 0j)}),
+    "pair_identity_zero": (_pair_identity_zero, {}),
+    "nonextending": (lambda: kb.nonextending_geodesic().map, {}),
+})
+MAJORANT = Kinds("majorant", {
+    "family": (hl.DerivMajorantFamily,
+               {"K1": NUMBER, "K2": NUMBER, "alpha": NUMBER, "r0": NUMBER}),
+    "power": (_power_majorant,
+              {"r0": NUMBER, "coefficient": Opt(NUMBER, 1.0), "exponent": Opt(NUMBER, 0.0)}),
+})
+MODULUS = Kinds("modulus", {
+    "holder": (da.ModulusFamily.holder, {"a": NUMBER}),
+    "log_reciprocal": (da.ModulusFamily.log_reciprocal, {}),
+    "stretched_exponential": (da.ModulusFamily.stretched_exponential,
+                              {"coeff": NUMBER, "eps": NUMBER}),
+})
+DOMAIN = Kinds("domain", {
+    "polydisc": (cg.Polydisc, {"radii": [NUMBER]}),
+    "ball": (cg.Ball, {"center": VECTOR, "radius": NUMBER}),
+    "halfspace_intersection": (_halfspace_intersection, {
+        "constraints": [{"a": VECTOR, "b": NUMBER}],
+        "interior_point": Opt(VECTOR),
+    }),
+    "flat_model": (_flat_model, {
+        "C": NUMBER, "alpha": NUMBER, "R0": NUMBER, "s0": NUMBER,
+        "dimension": Opt(COUNT),
+    }),
+})
+# for the operations defined only near a flat boundary point
+FLAT_MODEL = Kinds("domain", {"flat_model": DOMAIN.kinds["flat_model"]})
+CANDIDATE = Kinds("candidate", {
+    "nonextending": (kb.nonextending_geodesic, {}),
+    "flat_slice": (kb.flat_slice_candidate,
+                   {"domain": FLAT_MODEL, "center": COMPLEX, "radius": NUMBER}),
+    "map": (kb.GeodesicCandidate,
+            {"map": FUNCTION, "domain": DOMAIN, "construction": Opt(TEXT)}),
+})
 
 
 def _complex_pair(z: complex) -> list[float]:
@@ -161,10 +227,8 @@ def _complex_pair(z: complex) -> list[float]:
 
 # --- command handlers: each returns (result_payload, csv_rows, verdict_ok) ---
 
-def _cmd_hl_verify(cfg: dict):
-    report = hl.verify_majorant(
-        function_from_spec(cfg["function"]), majorant_from_spec(cfg["majorant"])
-    )
+def _cmd_hl_verify(function, majorant):
+    report = hl.verify_majorant(function, majorant)
     ok = report.verified()
     payload = {
         "max_violation": report.max_violation,
@@ -175,14 +239,14 @@ def _cmd_hl_verify(cfg: dict):
     return payload, [payload], ok
 
 
-def _cmd_hl_bound(cfg: dict):
-    value = hl.omega_bound(majorant_from_spec(cfg["majorant"]), float(cfg["delta"]))
+def _cmd_hl_bound(majorant, delta):
+    value = hl.omega_bound(majorant, delta)
     payload = {"omega_bound": value}
     return payload, [payload], math.isfinite(value)
 
 
-def _cmd_hl_l1(cfg: dict):
-    res = hl.phi_log_l1(majorant_from_spec(cfg["majorant"]), int(cfg.get("n", 0)))
+def _cmd_hl_l1(majorant, n):
+    res = hl.phi_log_l1(majorant, n)
     payload = {
         "value": res.value if res.converged else None,
         "verdict": "converged" if res.converged else "diverged",
@@ -192,14 +256,11 @@ def _cmd_hl_l1(cfg: dict):
     return payload, [payload], res.converged
 
 
-def _cmd_mod_cont(cfg: dict):
-    samples = da.boundary_samples(
-        function_from_spec(cfg["function"]), int(cfg.get("n", 512))
-    )
-    deltas = cfg.get("deltas")
-    if deltas is None:
-        deltas = [float(cfg["delta"])]
-    profile = da.modulus_profile(samples, [float(d) for d in deltas])
+def _cmd_mod_cont(function, n, delta=None, deltas=None):
+    if (delta is None) == (deltas is None):
+        raise ConfigError("delta, deltas: give exactly one of the two")
+    samples = da.boundary_samples(function, n)
+    profile = da.modulus_profile(samples, [delta] if deltas is None else deltas)
     rows = [
         {"delta": d, "omega": w} for d, w in zip(profile.deltas, profile.omegas)
     ]
@@ -211,11 +272,9 @@ def _cmd_mod_cont(cfg: dict):
     return payload, rows, None
 
 
-def _cmd_conjugate(cfg: dict):
-    samples = da.boundary_samples(
-        function_from_spec(cfg["function"]), int(cfg.get("n", 512))
-    )
-    if cfg.get("real_part", False):
+def _cmd_conjugate(function, n, real_part):
+    samples = da.boundary_samples(function, n)
+    if real_part:
         samples = da.BoundarySamples(
             samples.n,
             samples.values[:, 0].real.astype(complex),
@@ -231,19 +290,15 @@ def _cmd_conjugate(cfg: dict):
     return payload, rows, None
 
 
-def _cmd_pz_bound(cfg: dict):
-    value = da.pz_bound(
-        modulus_from_spec(cfg["modulus"]), float(cfg["delta"]), float(cfg.get("K", 1.0))
-    )
+def _cmd_pz_bound(modulus, delta, K):
+    value = da.pz_bound(modulus, delta, K)
     payload = {"pz_bound": value if math.isfinite(value) else None,
                "finite": math.isfinite(value)}
     return payload, [payload], math.isfinite(value)
 
 
-def _cmd_log_dini(cfg: dict):
-    report = da.log_dini_test(
-        modulus_from_spec(cfg["modulus"]), int(cfg.get("n_max", 6))
-    )
+def _cmd_log_dini(modulus, **options):
+    report = da.log_dini_test(modulus, **options)
     rows = [
         {"n": n, "verdict": verdict, "value": res.value if res.converged else None}
         for n, (verdict, res) in enumerate(zip(report.verdicts, report.results))
@@ -257,47 +312,32 @@ def _cmd_log_dini(cfg: dict):
     return payload, rows, report.log_dini
 
 
-def _cmd_domain_distance(cfg: dict):
-    domain = cg.domain_from_json(cfg["domain"])
-    value = cg.boundary_distance(domain, _as_vector(cfg["point"]))
+def _cmd_domain_distance(domain, point):
+    value = cg.boundary_distance(domain, point)
     payload = {"distance": value}
     return payload, [payload], None
 
 
-def _cmd_domain_radius(cfg: dict):
-    domain = cg.domain_from_json(cfg["domain"])
-    value = cg.inscribed_disc_radius(
-        domain, _as_vector(cfg["point"]), _as_vector(cfg["direction"])
-    )
+def _cmd_domain_radius(domain, point, direction):
+    value = cg.inscribed_disc_radius(domain, point, direction)
     payload = {"radius": value}
     return payload, [payload], None
 
 
-def _cmd_flat_x0(cfg: dict):
-    value = cg.x0_cap(
-        float(cfg["C"]), float(cfg["alpha"]), int(cfg.get("scan_n", 100_000))
-    )
+def _cmd_flat_x0(C, alpha, **options):
+    value = cg.x0_cap(C, alpha, **options)
     payload = {"x0": value}
     return payload, [payload], None
 
 
-def _cmd_flat_rho(cfg: dict):
-    value = cg.rho_triangle(
-        float(cfg["d"]), float(cfg["slope"]), float(cfg["C"]), float(cfg["alpha"])
-    )
+def _cmd_flat_rho(d, slope, C, alpha):
+    value = cg.rho_triangle(d, slope, C, alpha)
     payload = {"rho": value}
     return payload, [payload], None
 
 
-def _cmd_rest_check(cfg: dict):
-    domain = cg.domain_from_json(cfg["domain"])
-    if not isinstance(domain, cg.FlatModelDomain):
-        raise ConfigError("rest-check needs a flat_model domain")
-    point = _as_vector(cfg["point"])
-    direction = _as_vector(cfg["direction"])
-    report = cg.rest_bound_check(
-        domain, point, direction, float(cfg.get("tol", 1e-6))
-    )
+def _cmd_rest_check(domain, point, direction, **options):
+    report = cg.rest_bound_check(domain, point, direction, **options)
     payload = {
         "z": [_complex_pair(z) for z in point],
         "v": [_complex_pair(v) for v in direction],
@@ -313,31 +353,20 @@ def _cmd_rest_check(cfg: dict):
     return payload, [row], report.satisfied
 
 
-def _cmd_graham(cfg: dict):
-    domain = cg.domain_from_json(cfg["domain"])
-    bounds = kb.graham_bounds(
-        domain, _as_vector(cfg["point"]), _as_vector(cfg["direction"])
-    )
+def _cmd_graham(domain, point, direction):
+    bounds = kb.graham_bounds(domain, point, direction)
     payload = {"lower": bounds.lower, "upper": bounds.upper}
     return payload, [payload], None
 
 
-def _cmd_geodesic_defect(cfg: dict):
-    candidate = candidate_from_spec(cfg["candidate"])
-    value = kb.geodesic_defect(
-        candidate, _as_complex(cfg["zeta1"]), _as_complex(cfg["zeta2"])
-    )
+def _cmd_geodesic_defect(candidate, zeta1, zeta2):
+    value = kb.geodesic_defect(candidate, zeta1, zeta2)
     payload = {"defect": value}
     return payload, [payload], None
 
 
-def _cmd_geodesic_probe(cfg: dict):
-    candidate = candidate_from_spec(cfg["candidate"])
-    report = kb.boundary_extension_probe(
-        candidate,
-        n_theta=int(cfg.get("n_theta", 8192)),
-        tol_ext=float(cfg.get("tol_ext", 1e-3)),
-    )
+def _cmd_geodesic_probe(candidate, **options):
+    report = kb.boundary_extension_probe(candidate, **options)
     rows = [
         {"delta": d, "omega": w}
         for d, w in zip(report.profile.deltas, report.profile.omegas)
@@ -350,9 +379,8 @@ def _cmd_geodesic_probe(cfg: dict):
     return payload, rows, report.verdict != "fails"
 
 
-def _cmd_mercer_fit(cfg: dict):
-    candidate = candidate_from_spec(cfg["candidate"])
-    fit = kb.mercer_fit(candidate, theta=float(cfg.get("theta", 0.0)))
+def _cmd_mercer_fit(candidate, **options):
+    fit = kb.mercer_fit(candidate, **options)
     payload = {
         "C1": fit.C1,
         "C2": fit.C2,
@@ -363,67 +391,65 @@ def _cmd_mercer_fit(cfg: dict):
     return payload, [payload], None
 
 
-def _cmd_pipeline(cfg: dict):
-    domain = cg.domain_from_json(cfg["domain"])
-    if not isinstance(domain, cg.FlatModelDomain):
-        raise ConfigError("pipeline needs a flat_model domain")
-    candidate = candidate_from_spec(cfg["candidate"])
-    params = kb.PipelineParams(
-        properness_threshold=float(cfg.get("properness_threshold", 0.05)),
-        majorant_alpha_override=cfg.get("majorant_alpha_override"),
-        probe_n_theta=int(cfg.get("probe_n_theta", 4096)),
-    )
-    report = kb.theorem_pipeline(domain, candidate, params)
+def _cmd_pipeline(domain, candidate, **params):
+    report = kb.theorem_pipeline(domain, candidate, kb.PipelineParams(**params))
     rows = [
         {"stage": s.name, "status": s.status} for s in report.stages
     ]
     return report.to_payload(), rows, report.ok
 
 
-_COMMANDS: dict[str, tuple[Callable, set[str], set[str]]] = {
-    # name -> (handler, required keys, optional keys)
-    "hl-verify": (_cmd_hl_verify, {"function", "majorant"}, set()),
-    "hl-bound": (_cmd_hl_bound, {"majorant", "delta"}, set()),
-    "hl-l1": (_cmd_hl_l1, {"majorant"}, {"n"}),
-    "mod-cont": (_cmd_mod_cont, {"function"}, {"n", "delta", "deltas"}),
-    "conjugate": (_cmd_conjugate, {"function"}, {"n", "real_part"}),
-    "pz-bound": (_cmd_pz_bound, {"modulus", "delta"}, {"K"}),
-    "log-dini": (_cmd_log_dini, {"modulus"}, {"n_max"}),
-    "domain-distance": (_cmd_domain_distance, {"domain", "point"}, set()),
-    "domain-radius": (_cmd_domain_radius, {"domain", "point", "direction"}, set()),
-    "flat-x0": (_cmd_flat_x0, {"C", "alpha"}, {"scan_n"}),
-    "flat-rho": (_cmd_flat_rho, {"d", "slope", "C", "alpha"}, set()),
-    "rest-check": (_cmd_rest_check, {"domain", "point", "direction"}, {"tol"}),
-    "graham": (_cmd_graham, {"domain", "point", "direction"}, set()),
-    "geodesic-defect": (_cmd_geodesic_defect, {"candidate", "zeta1", "zeta2"}, set()),
-    "geodesic-probe": (_cmd_geodesic_probe, {"candidate"}, {"n_theta", "tol_ext"}),
-    "mercer-fit": (_cmd_mercer_fit, {"candidate"}, {"theta"}),
-    "pipeline": (
-        _cmd_pipeline,
-        {"domain", "candidate"},
-        {"properness_threshold", "majorant_alpha_override", "probe_n_theta"},
-    ),
+_POINT_AND_DIRECTION = {"point": VECTOR, "direction": VECTOR}
+
+# name -> (handler, record of the handler's keyword arguments)
+COMMANDS: dict[str, tuple[Callable, dict]] = {
+    "hl-verify": (_cmd_hl_verify, {"function": FUNCTION, "majorant": MAJORANT}),
+    "hl-bound": (_cmd_hl_bound, {"majorant": MAJORANT, "delta": NUMBER}),
+    "hl-l1": (_cmd_hl_l1, {"majorant": MAJORANT, "n": Opt(COUNT, 0)}),
+    "mod-cont": (_cmd_mod_cont, {
+        "function": FUNCTION, "n": Opt(COUNT, 512),
+        "delta": Opt(NUMBER), "deltas": Opt([NUMBER]),
+    }),
+    "conjugate": (_cmd_conjugate, {
+        "function": FUNCTION, "n": Opt(COUNT, 512), "real_part": Opt(BOOLEAN, False),
+    }),
+    "pz-bound": (_cmd_pz_bound, {"modulus": MODULUS, "delta": NUMBER, "K": Opt(NUMBER, 1.0)}),
+    "log-dini": (_cmd_log_dini, {"modulus": MODULUS, "n_max": Opt(COUNT)}),
+    "domain-distance": (_cmd_domain_distance, {"domain": DOMAIN, "point": VECTOR}),
+    "domain-radius": (_cmd_domain_radius, {"domain": DOMAIN, **_POINT_AND_DIRECTION}),
+    "flat-x0": (_cmd_flat_x0, {"C": NUMBER, "alpha": NUMBER, "scan_n": Opt(COUNT)}),
+    "flat-rho": (_cmd_flat_rho, {"d": NUMBER, "slope": NUMBER, "C": NUMBER, "alpha": NUMBER}),
+    "rest-check": (_cmd_rest_check, {
+        "domain": FLAT_MODEL, **_POINT_AND_DIRECTION, "tol": Opt(NUMBER),
+    }),
+    "graham": (_cmd_graham, {"domain": DOMAIN, **_POINT_AND_DIRECTION}),
+    "geodesic-defect": (_cmd_geodesic_defect, {
+        "candidate": CANDIDATE, "zeta1": COMPLEX, "zeta2": COMPLEX,
+    }),
+    "geodesic-probe": (_cmd_geodesic_probe, {
+        "candidate": CANDIDATE, "n_theta": Opt(COUNT), "tol_ext": Opt(NUMBER),
+    }),
+    "mercer-fit": (_cmd_mercer_fit, {"candidate": CANDIDATE, "theta": Opt(NUMBER)}),
+    "pipeline": (_cmd_pipeline, {
+        "domain": FLAT_MODEL, "candidate": CANDIDATE,
+        "properness_threshold": Opt(NUMBER), "majorant_alpha_override": Opt(NUMBER),
+        "probe_n_theta": Opt(COUNT),
+    }),
 }
 
-_GLOBAL_KEYS = {"command", "seed", "format", "out"}
+_GLOBAL_FIELDS = {"command": Opt(TEXT), "format": Opt(FORMAT, "json"), "out": Opt(TEXT)}
 
 
-def validate_config(command: str, cfg: dict) -> None:
-    handler = _COMMANDS.get(command)
-    if handler is None:
+def parse_config(command: str, cfg: dict) -> dict:
+    """The keyword arguments of ``command``'s handler, plus the global
+    ``format`` and ``out``, read from ``cfg``."""
+    if command not in COMMANDS:
         raise ConfigError(f"unknown command '{command}'")
-    _, required, optional = handler
-    allowed = required | optional | _GLOBAL_KEYS
-    for key in cfg:
-        if key not in allowed:
-            raise ConfigError(f"unknown key '{key}' for command '{command}'")
-    for key in required:
-        if key not in cfg:
-            raise ConfigError(f"missing key '{key}' for command '{command}'")
-    if "command" in cfg and cfg["command"] != command:
-        raise ConfigError(
-            f"config command '{cfg['command']}' does not match '{command}'"
-        )
+    args = parse({**COMMANDS[command][1], **_GLOBAL_FIELDS}, cfg)
+    named = args.pop("command", command)
+    if named != command:
+        raise ConfigError(f"command: config command '{named}' does not match '{command}'")
+    return args
 
 
 def _sanitize(obj):
@@ -469,25 +495,17 @@ def _render_csv(rows: list[dict]) -> str:
 
 
 def run(command: str, cfg: dict) -> int:
-    """Validate, dispatch, write the report; returns the process exit code."""
-    validate_config(command, cfg)
-    handler, _, _ = _COMMANDS[command]
-    payload, rows, verdict_ok = handler(cfg)
+    """Parse, dispatch, write the report; returns the process exit code."""
+    args = parse_config(command, cfg)
+    fmt, out = args.pop("format"), args.pop("out", None)
+    payload, rows, verdict_ok = COMMANDS[command][0](**args)
     payload, rows = _sanitize(payload), _sanitize(rows)
-    report = {
-        "command": command,
-        "seed": int(cfg.get("seed", 0)),
-        "result": payload,
-    }
-    fmt = cfg.get("format", "json")
-    if fmt not in ("json", "csv"):
-        raise ConfigError(f"unknown format '{fmt}'")
+    report = {"command": command, "result": payload}
     text = (
         json.dumps(report, sort_keys=True, indent=2) + "\n"
         if fmt == "json"
         else _render_csv(rows)
     )
-    out = cfg.get("out")
     if out:
         _write_atomic(out, text)
     else:
@@ -501,11 +519,10 @@ def main(argv: list[str] | None = None) -> int:
         description="Boundary-regularity toolkit for holomorphic discs in "
         "convex domains",
     )
-    parser.add_argument("command", choices=sorted(_COMMANDS))
+    parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--config", help="JSON run configuration")
     parser.add_argument("--out", help="report path (stdout when omitted)")
     parser.add_argument("--format", choices=("csv", "json"), default=None)
-    parser.add_argument("--seed", type=int, default=None)
     args = parser.parse_args(argv)
 
     cfg: dict = {}
@@ -519,8 +536,6 @@ def main(argv: list[str] | None = None) -> int:
             cfg["out"] = args.out
         if args.format is not None:
             cfg["format"] = args.format
-        if args.seed is not None:
-            cfg["seed"] = args.seed
         return run(args.command, cfg)
     except (ConfigError, ValueError, KeyError, OSError) as exc:
         print(f"geodisc: error: {exc}", file=sys.stderr)

@@ -447,38 +447,6 @@ class FlatModelDomain(ConvexDomainModel):
         return self.pieces[-1].distance(z)
 
 
-def domain_from_json(spec: dict) -> ConvexDomainModel:
-    """Build a domain model from {kind, params...} (complex entries as
-    [re, im] pairs)."""
-    spec = dict(spec)
-    kind = spec.pop("kind", None)
-    if kind == "polydisc":
-        return Polydisc(tuple(spec.pop("radii")))
-    if kind == "ball":
-        center = [complex(re, im) for re, im in spec.pop("center")]
-        return Ball(np.array(center), float(spec.pop("radius")))
-    if kind == "halfspace_intersection":
-        cons = []
-        for item in spec.pop("constraints"):
-            a = np.array([complex(re, im) for re, im in item["a"]])
-            cons.append((a, float(item["b"])))
-        interior = spec.pop("interior_point", None)
-        if interior is not None:
-            interior = np.array([complex(re, im) for re, im in interior])
-        return HalfspaceIntersection(tuple(cons), interior)
-    if kind == "flat_model":
-        support = FlatSupport(
-            C=float(spec.pop("C")),
-            alpha=float(spec.pop("alpha")),
-            R0=float(spec.pop("R0")),
-            s0=float(spec.pop("s0")),
-        )
-        return FlatModelDomain(support, int(spec.pop("dimension", 2)))
-    if kind is None:
-        raise ValueError("domain spec needs a 'kind'")
-    raise ValueError(f"unknown domain kind {kind!r}")
-
-
 # --- geometric queries -------------------------------------------------------
 
 def _check_base(domain: ConvexDomainModel, z) -> np.ndarray:

@@ -8,8 +8,6 @@ log-weighted Dini integrals.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -111,32 +109,6 @@ class BoundarySamples:
     def dimension(self) -> int:
         return self.values.shape[1]
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "n": self.n,
-                "radius_used": self.radius_used,
-                "cauchy_fraction": self.cauchy_fraction,
-                "values": [
-                    [[v.real, v.imag] for v in row] for row in self.values
-                ],
-            },
-            sort_keys=True,
-        )
-
-    def write_csv(self, path: str) -> None:
-        header = ["theta"]
-        for j in range(self.dimension):
-            header += [f"re_{j}", f"im_{j}"]
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for theta, row in zip(self.thetas, self.values):
-                out = [repr(float(theta))]
-                for v in row:
-                    out += [repr(float(v.real)), repr(float(v.imag))]
-                writer.writerow(out)
-
 
 @dataclass(frozen=True)
 class ModulusProfile:
@@ -166,19 +138,6 @@ class ModulusProfile:
             lam = self.deltas / x
             worst = max(worst, float(np.max(self.omegas - (lam + 1.0) * wx)))
         return worst
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"deltas": self.deltas.tolist(), "omegas": self.omegas.tolist()},
-            sort_keys=True,
-        )
-
-    def write_csv(self, path: str) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["delta", "omega"])
-            for d, w in zip(self.deltas, self.omegas):
-                writer.writerow([repr(float(d)), repr(float(w))])
 
 
 @dataclass(frozen=True)

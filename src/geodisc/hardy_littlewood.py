@@ -10,7 +10,6 @@ makes the inversion work.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -94,26 +93,6 @@ class DerivMajorantFamily:
         return Majorant(self.evaluate, self.r0, self.log_density, self.log_log_density)
 
 
-def operation_report(
-    op: str,
-    inputs: dict,
-    value_or_verdict,
-    tolerance: float | None = None,
-    grid: dict | None = None,
-) -> str:
-    """Uniform JSON report shape for the operations in this module."""
-    return json.dumps(
-        {
-            "op": op,
-            "inputs": inputs,
-            "value_or_verdict": value_or_verdict,
-            "tolerance": tolerance,
-            "grid": grid,
-        },
-        sort_keys=True,
-    )
-
-
 @dataclass(frozen=True)
 class MajorantReport:
     max_violation: float
@@ -122,13 +101,6 @@ class MajorantReport:
 
     def verified(self, slack: float = 1e-12) -> bool:
         return self.max_violation <= slack
-
-    def to_json(self) -> str:
-        return operation_report(
-            "verify_majorant",
-            {"worst_r": self.worst_r, "worst_theta": self.worst_theta},
-            self.max_violation,
-        )
 
 
 def _majorant_parts(phi) -> tuple[Callable[[float], float], float, Callable | None]:

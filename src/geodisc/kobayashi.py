@@ -422,6 +422,11 @@ class PipelineParams:
     probe_n_theta: int = 4096
     probe_tol_ext: float = 1e-3
 
+    def __post_init__(self):
+        alpha = self.majorant_alpha_override
+        if alpha is not None and not alpha > 0.0:
+            raise ValueError("majorant_alpha_override must be positive")
+
 
 def theorem_pipeline(
     domain: FlatModelDomain,
@@ -491,7 +496,9 @@ def theorem_pipeline(
     # ray where the image actually approaches the boundary
     theta_star = 2.0 * math.pi * int(order[0]) / params.n_theta
     fit = mercer_fit(candidate, theta=theta_star)
-    alpha = params.majorant_alpha_override or s.alpha
+    alpha = params.majorant_alpha_override
+    if alpha is None:
+        alpha = s.alpha
     K1 = 4.0 * fit.beta ** (1.0 / alpha)
     K2 = (s.C / fit.C2) ** fit.beta
     r0 = min(params.majorant_r0, 0.9 * K2)

@@ -4,8 +4,22 @@ from __future__ import annotations
 
 import json
 import math
+import re
+from pathlib import Path
 
-from geodisc.cli import main
+import pytest
+
+from geodisc import cli
+from geodisc.cli import ConfigError, main, parse
+from geodisc.convex_geometry import (
+    Ball,
+    FlatModelDomain,
+    HalfspaceIntersection,
+    Polydisc,
+    boundary_distance,
+)
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(tmp_path, command, cfg, fmt="json", name="report.json"):
@@ -186,3 +200,182 @@ def test_mod_cont_profile_csv(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "delta,omega"
     assert len(lines) == 4
+
+
+# --- config schema -----------------------------------------------------------
+
+BOX = [
+    {"a": [[1.0, 0.0]], "b": 1.0},
+    {"a": [[-1.0, 0.0]], "b": 1.0},
+    {"a": [[0.0, 1.0]], "b": 1.0},
+    {"a": [[0.0, -1.0]], "b": 1.0},
+]
+FLAT = {"kind": "flat_model", "C": 1.0, "alpha": 0.5, "R0": 0.111, "s0": 0.08}
+FLAT_SLICE = {"kind": "flat_slice", "domain": FLAT, "center": [0.0, 0.04], "radius": 0.04}
+ORIGIN = [[0.0, 0.0], [0.0, 0.0]]
+
+
+def test_domain_specs_build_domains():
+    poly = parse(cli.DOMAIN, {"kind": "polydisc", "radii": [1.0, 0.5]}, "domain")
+    assert isinstance(poly, Polydisc) and poly.radii == (1.0, 0.5)
+
+    ball = parse(
+        cli.DOMAIN,
+        {"kind": "ball", "center": [[0.0, 0.0], [0.1, -0.2]], "radius": 2.0},
+        "domain",
+    )
+    assert isinstance(ball, Ball) and ball.radius == 2.0
+
+    flat = parse(
+        cli.DOMAIN,
+        {"kind": "flat_model", "C": 1.0, "alpha": 0.5, "R0": 0.1, "s0": 0.1},
+        "domain",
+    )
+    assert isinstance(flat, FlatModelDomain)
+
+    box = parse(cli.DOMAIN, {"kind": "halfspace_intersection", "constraints": BOX}, "domain")
+    assert isinstance(box, HalfspaceIntersection)
+    assert abs(boundary_distance(box, [0.0]) - 1.0) < 1e-12
+
+    with pytest.raises(ConfigError, match="unknown domain kind"):
+        parse(cli.DOMAIN, {"kind": "torus"}, "domain")
+    with pytest.raises(ConfigError, match="domain.banana: unknown key"):
+        parse(cli.DOMAIN, {"kind": "polydisc", "radii": [1, 1], "banana": 1}, "domain")
+
+
+# Each config was read wrongly without an error, or escaped as a traceback.
+BAD_CONFIGS = {
+    "list for a number": (
+        "hl-bound",
+        {"majorant": {"kind": "power", "r0": 0.5}, "delta": [0.1]},
+        "delta:",
+    ),
+    "number for a list": (
+        "domain-distance",
+        {"domain": {"kind": "polydisc", "radii": 3}, "point": [[0.0, 0.0]]},
+        "domain.radii:",
+    ),
+    "unknown domain key": (
+        "domain-distance",
+        {"domain": {"kind": "polydisc", "radii": [1, 1], "banana": 1}, "point": ORIGIN},
+        "domain.banana:",
+    ),
+    "unknown constraint key": (
+        "domain-distance",
+        {
+            "domain": {
+                "kind": "halfspace_intersection",
+                "constraints": [dict(BOX[0], c=5), *BOX[1:]],
+            },
+            "point": [[0.0, 0.0]],
+        },
+        "domain.constraints[0].c:",
+    ),
+    "string for a boolean": (
+        "conjugate",
+        {"function": {"kind": "identity"}, "n": 64, "real_part": "no"},
+        "real_part:",
+    ),
+    "fraction for a count": (
+        "geodesic-probe",
+        {"candidate": {"kind": "nonextending"}, "n_theta": 2048.7},
+        "n_theta:",
+    ),
+    "boolean for a count": (
+        "hl-l1",
+        {"majorant": {"kind": "family", "K1": 1.0, "K2": math.e, "alpha": 0.5, "r0": 0.5},
+         "n": True},
+        "n:",
+    ),
+    "neither delta nor deltas": (
+        "mod-cont",
+        {"function": {"kind": "identity"}, "n": 64},
+        "delta, deltas:",
+    ),
+    "both delta and deltas": (
+        "mod-cont",
+        {"function": {"kind": "identity"}, "n": 64, "delta": 0.5, "deltas": [1.0]},
+        "delta, deltas:",
+    ),
+    "zero alpha override": (
+        "pipeline",
+        {"domain": FLAT, "candidate": FLAT_SLICE, "majorant_alpha_override": 0},
+        "majorant_alpha_override must be positive",
+    ),
+    "string alpha override": (
+        "pipeline",
+        {"domain": FLAT, "candidate": FLAT_SLICE, "majorant_alpha_override": "x"},
+        "majorant_alpha_override:",
+    ),
+    "triple for a complex number": (
+        "domain-distance",
+        {"domain": {"kind": "ball", "center": [[0, 0, 1], [0, 0]], "radius": 1.0},
+         "point": ORIGIN},
+        "domain.center[0]:",
+    ),
+    "string for a spec": (
+        "domain-distance",
+        {"domain": "polydisc", "point": [[0.0, 0.0]]},
+        "domain:",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
+def test_bad_config_exits_one_naming_the_key(tmp_path, capsys, case):
+    command, cfg, key = BAD_CONFIGS[case]
+    code, out = run_cli(tmp_path, command, cfg)
+    assert code == 1
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_flat_model_fields_reject_other_domains(tmp_path, capsys):
+    cfg = {
+        "candidate": dict(FLAT_SLICE, domain={"kind": "polydisc", "radii": [1.0, 1.0]}),
+        "zeta1": [0.0, 0.0],
+        "zeta2": [0.5, 0.0],
+    }
+    code, _ = run_cli(tmp_path, "geodesic-defect", cfg)
+    assert code == 1
+    assert "candidate.domain.kind: unknown domain kind 'polydisc'" in capsys.readouterr().err
+
+
+def test_readme_configs_parse():
+    text = README.read_text()
+    blocks = re.findall(
+        r"cat > (\S+) <<'JSON'\n(.*?)\nJSON\n.*?geodisc (\S+) --config \1", text, re.S
+    )
+    assert blocks and len(blocks) == text.count("<<'JSON'")
+    for _, body, command in blocks:
+        cli.parse_config(command, json.loads(body))
+
+
+def readme_key_lists() -> dict[tuple[str, str], str]:
+    """(list title, name) -> text of each "- `name`: ..." item in the lists
+    of the README's config conventions."""
+    text = README.read_text()
+    text = text[text.index("### Config conventions"):text.index("### Examples")]
+    items, title, name = {}, None, None
+    for line in text.splitlines():
+        item = re.match(r"- `([\w-]+)`:(.*)", line)
+        if item:
+            name = item.group(1)
+            items[title, name] = item.group(2)
+        elif line.startswith("  ") and name:
+            items[title, name] += line
+        elif line.endswith(":"):
+            title, name = line[:-1], None
+    return items
+
+
+def test_readme_lists_every_config_key():
+    expected = {("Command keys", name): record for name, (_, record) in cli.COMMANDS.items()}
+    for spec in (cli.FUNCTION, cli.MAJORANT, cli.MODULUS, cli.DOMAIN, cli.CANDIDATE):
+        for kind, (_, record) in spec.kinds.items():
+            expected[f"{spec.name} specs", kind] = record
+    items = readme_key_lists()
+    assert set(items) == set(expected)
+    for entry, record in expected.items():
+        for key in record:
+            assert f"`{key}`" in items[entry], (entry, key)

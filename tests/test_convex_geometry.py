@@ -15,7 +15,6 @@ from geodisc.convex_geometry import (
     Polydisc,
     boundary_distance,
     boundary_frame,
-    domain_from_json,
     exit_time,
     inscribed_disc_radius,
     midpoint_convexity_failures,
@@ -491,37 +490,3 @@ def test_rest_bound_rejects_point_outside_zone():
     )
     with pytest.raises(ValueError, match="point not in the boundary zone"):
         rest_bound_check(domain, [0.0, 5e-5j], [1.0, 0.0])
-
-
-# --- serialization -----------------------------------------------------------
-
-def test_domain_from_json_round_trips():
-    poly = domain_from_json({"kind": "polydisc", "radii": [1.0, 0.5]})
-    assert isinstance(poly, Polydisc) and poly.radii == (1.0, 0.5)
-
-    ball = domain_from_json(
-        {"kind": "ball", "center": [[0.0, 0.0], [0.1, -0.2]], "radius": 2.0}
-    )
-    assert isinstance(ball, Ball) and ball.radius == 2.0
-
-    flat = domain_from_json(
-        {"kind": "flat_model", "C": 1.0, "alpha": 0.5, "R0": 0.1, "s0": 0.1}
-    )
-    assert isinstance(flat, FlatModelDomain)
-
-    box = domain_from_json(
-        {
-            "kind": "halfspace_intersection",
-            "constraints": [
-                {"a": [[1.0, 0.0]], "b": 1.0},
-                {"a": [[-1.0, 0.0]], "b": 1.0},
-                {"a": [[0.0, 1.0]], "b": 1.0},
-                {"a": [[0.0, -1.0]], "b": 1.0},
-            ],
-        }
-    )
-    assert isinstance(box, HalfspaceIntersection)
-    assert abs(boundary_distance(box, [0.0]) - 1.0) < 1e-12
-
-    with pytest.raises(ValueError, match="unknown domain kind"):
-        domain_from_json({"kind": "torus"})

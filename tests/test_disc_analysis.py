@@ -308,40 +308,6 @@ def test_log_dini_accepts_plain_callable():
     assert report.log_dini
 
 
-# --- serialization -----------------------------------------------------------
-
-def test_boundary_samples_serialization(tmp_path):
-    import json
-
-    samples = boundary_samples(identity_map(), 8)
-    payload = json.loads(samples.to_json())
-    assert payload["n"] == 8
-    assert len(payload["values"]) == 8
-
-    path = tmp_path / "samples.csv"
-    samples.write_csv(str(path))
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "theta,re_0,im_0"
-    assert len(lines) == 9
-    theta, re, im = (float(x) for x in lines[2].split(","))
-    assert abs(complex(re, im) - samples.values[1, 0]) < 1e-15
-
-
-def test_modulus_profile_serialization(tmp_path):
-    import json
-
-    samples = boundary_samples(identity_map(), 64)
-    profile = modulus_profile(samples, [0.5, 1.0, 2.0])
-    payload = json.loads(profile.to_json())
-    assert len(payload["deltas"]) == len(payload["omegas"]) == 3
-
-    path = tmp_path / "profile.csv"
-    profile.write_csv(str(path))
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "delta,omega"
-    assert len(lines) == 4
-
-
 def test_modulus_families_nondecreasing_and_vanishing_at_zero():
     families = [
         ModulusFamily.holder(0.5),

@@ -206,21 +206,3 @@ def test_round_trip_polynomial_pair():
     for delta in np.linspace(0.02, 0.45, 12):
         measured = modulus_of_continuity(samples, float(delta))
         assert measured <= omega_bound(phi, float(delta)) + 1e-6
-
-
-def test_operation_report_shape():
-    import json
-
-    from geodisc.hardy_littlewood import operation_report
-
-    report = json.loads(
-        operation_report("omega_bound", {"delta": 0.1}, 0.3, tolerance=1e-10,
-                         grid={"points": 64})
-    )
-    assert set(report) == {"op", "inputs", "value_or_verdict", "tolerance", "grid"}
-    assert report["op"] == "omega_bound"
-
-    report = json.loads(
-        verify_majorant(identity_map(), Majorant.constant(1.0, 0.5)).to_json()
-    )
-    assert report["value_or_verdict"] == 0.0
