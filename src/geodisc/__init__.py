@@ -72,7 +72,7 @@ from .numerics import (
     QuadratureResult,
     RootResult,
     integrate_endpoint,
-    integrate_semiinfinite,
+    integrate_log_moment,
     minimize_on_circle,
     solve_monotone,
 )

@@ -159,13 +159,11 @@ def _pair_identity_zero() -> da.UnitDiscFunction:
 
 def _power_majorant(r0: float, coefficient: float, exponent: float) -> hl.Majorant:
     """Phi(x) = coefficient * x**exponent."""
+    log_coefficient = math.log(coefficient) if coefficient > 0.0 else -math.inf
     return hl.Majorant(
         lambda x: coefficient * x**exponent,
         r0,
-        lambda u: coefficient * math.exp(-(exponent + 1.0) * u),
-        lambda u: (
-            math.log(coefficient) - (exponent + 1.0) * u if coefficient > 0 else -math.inf
-        ),
+        lambda u: log_coefficient - (exponent + 1.0) * u,
     )
 
 
@@ -324,8 +322,8 @@ def _cmd_domain_radius(domain, point, direction):
     return payload, [payload], None
 
 
-def _cmd_flat_x0(C, alpha, **options):
-    value = cg.x0_cap(C, alpha, **options)
+def _cmd_flat_x0(C, alpha):
+    value = cg.x0_cap(C, alpha)
     payload = {"x0": value}
     return payload, [payload], None
 
@@ -417,7 +415,7 @@ COMMANDS: dict[str, tuple[Callable, dict]] = {
     "log-dini": (_cmd_log_dini, {"modulus": MODULUS, "n_max": Opt(COUNT)}),
     "domain-distance": (_cmd_domain_distance, {"domain": DOMAIN, "point": VECTOR}),
     "domain-radius": (_cmd_domain_radius, {"domain": DOMAIN, **_POINT_AND_DIRECTION}),
-    "flat-x0": (_cmd_flat_x0, {"C": NUMBER, "alpha": NUMBER, "scan_n": Opt(COUNT)}),
+    "flat-x0": (_cmd_flat_x0, {"C": NUMBER, "alpha": NUMBER}),
     "flat-rho": (_cmd_flat_rho, {"d": NUMBER, "slope": NUMBER, "C": NUMBER, "alpha": NUMBER}),
     "rest-check": (_cmd_rest_check, {
         "domain": FLAT_MODEL, **_POINT_AND_DIRECTION, "tol": Opt(NUMBER),

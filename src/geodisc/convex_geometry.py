@@ -44,39 +44,30 @@ def phi_alpha_inv(d: float, C: float, alpha: float) -> float:
     return math.log(C / d) ** (-1.0 / alpha)
 
 
-def _bisect_sign_change(g, lo: float, hi: float, iters: int = 100) -> float:
-    glo = g(lo)
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if glo * g(mid) <= 0.0:
-            hi = mid
-        else:
-            lo = mid
-            glo = g(lo)
-    return 0.5 * (lo + hi)
-
-
-def x0_cap(C: float, alpha: float, scan_n: int = 100_000) -> float:
+def x0_cap(C: float, alpha: float, scan_n: int | None = None) -> float:
     """min of {C/2} and the solutions of x = [log(C/x)]^{-1/alpha} in (0, C).
 
-    The crossings can sit many decades below C, so the sign scan runs on a
-    log-spaced grid over (1e-12 C, C); each bracket is polished by bisection.
+    In s = log x the solutions are the zeros of h(s) = e^{-alpha s} + s -
+    log C, which falls and then rises with its minimum at s* = log(alpha) /
+    alpha.  So there are none when s* >= log C or h(s*) > 0, and otherwise
+    the smaller one lies left of s*, where it is bisected on the log scale:
+    it can sit hundreds of decades below C.  ``scan_n`` is accepted and
+    ignored; it sized the log-spaced sign scan this bracket replaced, and
+    existing callers still pass it.
     """
     if C <= 0.0 or alpha <= 0.0:
         raise ValueError("C and alpha must be positive")
-    xs = np.geomspace(C * 1e-12, C * (1.0 - 1e-9), scan_n)
-    with np.errstate(all="ignore"):
-        vals = xs - np.log(C / xs) ** (-1.0 / alpha)
-    g = lambda x: x - math.log(C / x) ** (-1.0 / alpha)
-    candidates = [C / 2.0]
-    signs = np.sign(vals)
-    flips = np.nonzero(signs[:-1] * signs[1:] < 0)[0]
-    for i in flips:
-        candidates.append(_bisect_sign_change(g, float(xs[i]), float(xs[i + 1])))
-    candidates.extend(float(x) for x in xs[signs == 0.0])
-    return min(candidates)
+    log_C = math.log(C)
+    h = lambda s: math.exp(-alpha * s) + s - log_C
+    s_star = math.log(alpha) / alpha
+    h_star = h(s_star)
+    if s_star >= log_C or h_star > 0.0:
+        return C / 2.0
+    # e^{alpha w} > 1 + alpha w + (alpha w)^2 / 2 gives h(s* - w) > 0 once
+    # alpha w^2 / 2 >= -h(s*)
+    lo = s_star - math.sqrt(-2.0 * h_star / alpha) - 1.0
+    root = solve_monotone(h, lo, s_star, 0.0, 0.0).root
+    return min(C / 2.0, math.exp(root))
 
 
 def rho_triangle(d: float, slope: float, C: float, alpha: float) -> float:
@@ -294,6 +285,8 @@ class Ball(ConvexDomainModel):
 
     def __post_init__(self):
         object.__setattr__(self, "center", _as_point(self.center))
+        if self.center.size == 0:
+            raise ValueError("ball center must have at least one coordinate")
         if self.radius <= 0.0:
             raise ValueError("ball radius must be positive")
         pieces = (DiscConstraint(slice(None), self.radius, self.center),)

@@ -14,17 +14,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .numerics import (
-    QuadratureResult,
-    integrate_endpoint,
-    integrate_semiinfinite,
-)
+from .numerics import QuadratureResult, integrate_endpoint, integrate_log_moment, log_scale
 
 # Geometric approach to the boundary resolves exponential behaviour there.
 DEFAULT_RADIAL_SCHEDULE = tuple(1.0 - 2.0 ** (-j) for j in range(1, 25))
-
-# Smallest positive double; stands in for exp(-u) once that underflows.
-_TINY = 5e-324
 
 
 @dataclass(frozen=True)
@@ -76,6 +69,8 @@ def identity_map() -> UnitDiscFunction:
 
 def constant_map(values: Sequence[complex]) -> UnitDiscFunction:
     vals = np.asarray(values, dtype=complex)
+    if vals.size == 0:
+        raise ValueError("constant map needs at least one component")
     zero = np.zeros_like(vals)
     return UnitDiscFunction(lambda z: vals.copy(), len(vals), lambda z: zero.copy())
 
@@ -144,10 +139,11 @@ class ModulusProfile:
 class ModulusFamily:
     """Parametric modulus-of-continuity models.
 
-    Each evaluator is nondecreasing, tends to 0 at 0+, and is capped at 1
-    away from 0 so that integrals against it over (delta, pi] make sense.
-    ``log_eval(u)`` evaluates omega(e^-u) without forming e^-u, which keeps
-    the log-scale quadratures exact far beyond the double-precision floor.
+    Each model is one formula on the scale u = log(1/x): ``log_form(u)`` is
+    log omega(e^-u), exact far beyond where e^-u underflows, and omega(x)
+    is read off it.  Each omega is nondecreasing and tends to 0 at 0+; on
+    (1, pi] the Hoelder model stays x^a and the others are capped at 1, so
+    that integrals against them over (delta, pi] make sense.
     """
 
     kind: str
@@ -172,30 +168,16 @@ class ModulusFamily:
         return cls("stretched_exponential", coeff=coeff, eps=eps)
 
     def __call__(self, x: float) -> float:
-        if x <= 0.0:
-            return 0.0
-        if self.kind == "holder":
-            return x**self.a  # genuinely a power law on all of (0, pi]
-        return self.log_eval(math.log(1.0 / x)) if x < 1.0 else self.log_eval(0.0)
+        return math.exp(self.log_form(-math.log(x))) if x > 0.0 else 0.0
 
-    def log_eval(self, u: float) -> float:
-        """omega at x = e^-u, for u >= 0."""
-        if self.kind == "holder":
-            return math.exp(-self.a * u)
-        if self.kind == "log_reciprocal":
-            return min(1.0 / u, 1.0) if u > 0.0 else 1.0
-        if self.kind == "stretched_exponential":
-            return math.exp(-self.coeff * u ** (1.0 - self.eps))
-        raise ValueError(f"unknown modulus family {self.kind!r}")
-
-    def log_log_eval(self, u: float) -> float:
-        """log(omega(e^-u)); stays finite long after log_eval underflows."""
+    def log_form(self, u: float) -> float:
+        """log omega(e^-u), for every real u."""
         if self.kind == "holder":
             return -self.a * u
         if self.kind == "log_reciprocal":
             return -math.log(u) if u > 1.0 else 0.0
         if self.kind == "stretched_exponential":
-            return -self.coeff * u ** (1.0 - self.eps)
+            return -self.coeff * u ** (1.0 - self.eps) if u > 0.0 else 0.0
         raise ValueError(f"unknown modulus family {self.kind!r}")
 
 
@@ -293,6 +275,8 @@ def boundary_samples(
 ) -> BoundarySamples:
     """Radial limits at every grid node; the Cauchy-flag fraction is the
     uniformity diagnostic."""
+    if n < 8:
+        raise ValueError("grid size must be at least 8")
     schedule = _validated_schedule(r_schedule)
     values = np.empty((n, f.dimension), dtype=complex)
     ok = 0
@@ -370,14 +354,6 @@ def conjugate_function(samples: BoundarySamples) -> BoundarySamples:
                            samples.cauchy_fraction)
 
 
-def _as_log_evaluator(omega) -> Callable[[float], float]:
-    """u -> omega(e^-u); families evaluate natively on the log scale."""
-    log_eval = getattr(omega, "log_eval", None)
-    if log_eval is not None:
-        return log_eval
-    return lambda u: omega(max(math.exp(-u), _TINY))
-
-
 def pz_bound(
     omega,
     delta: float,
@@ -389,20 +365,21 @@ def pz_bound(
 
         K * [ int_0^delta omega(x)/x dx + delta * int_delta^pi omega(x)/x^2 dx ].
 
-    Returns +inf when the first integral diverges.
+    Returns +inf when either integral does not converge.
     """
     if not 0.0 < delta < math.pi:
         raise ValueError("delta out of range")
     if K <= 0.0:
         raise ValueError("K must be positive")
-    log_omega = _as_log_evaluator(omega)
     # first integral in u = log(1/x): int_{log(1/delta)}^inf omega(e^-u) du
-    near = integrate_semiinfinite(log_omega, math.log(1.0 / delta), tol, max_levels)
+    near = integrate_log_moment(log_scale(omega), 0, math.log(1.0 / delta), tol, max_levels)
     if not near.converged:
         return math.inf
     far = integrate_endpoint(
         lambda x: omega(x) / (x * x), delta, math.pi, tol, max_levels
     )
+    if not far.converged:
+        return math.inf
     return K * (near.value + delta * far.value)
 
 
@@ -440,19 +417,8 @@ def log_dini_test(
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    log_omega = _as_log_evaluator(omega)
-    log_log = getattr(omega, "log_log_eval", None)
-    results = []
-    for n in range(n_max + 1):
-        if log_log is not None:
-            # u^n omega(e^-u) assembled in log space: immune to intermediate
-            # underflow of the tiny modulus factor against the huge power
-            integrand = lambda u, n=n: (
-                math.exp((n * math.log(u) if n else 0.0) + log_log(u))
-                if u > 0.0
-                else (log_omega(0.0) if n == 0 else 0.0)
-            )
-        else:
-            integrand = lambda u, n=n: (u**n) * log_omega(u)
-        results.append(integrate_semiinfinite(integrand, 0.0, tol, max_levels))
-    return LogDiniReport(n_max, tuple(results))
+    log_form = log_scale(omega)
+    results = tuple(
+        integrate_log_moment(log_form, n, 0.0, tol, max_levels) for n in range(n_max + 1)
+    )
+    return LogDiniReport(n_max, results)

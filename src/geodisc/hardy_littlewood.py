@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .disc_analysis import UnitDiscFunction, derivative_at
-from .numerics import QuadratureResult, integrate_endpoint, integrate_semiinfinite
+from .numerics import QuadratureResult, integrate_endpoint, integrate_log_moment, log_scale
 
 _MONOTONICITY_GRID = 256
 
@@ -29,14 +29,15 @@ class Majorant:
     Monotonicity is verified on a log grid at construction, not assumed;
     a failure only clears the flag.  Phi may return math.inf at arguments
     approaching 0 -- all integrals here treat 0 as an open endpoint.
-    ``log_density``, when given, evaluates Phi(e^-u) * e^-u directly and
-    lets the integrality tests run on the log scale without underflow.
+    Every integral of Phi runs on the scale u = log(1/x) through
+    ``log_form(u) = log(Phi(e^-u) e^-u)``; a closed form keeps it exact far
+    beyond where e^-u underflows, and without one it is read off
+    ``evaluate``.
     """
 
     evaluate: Callable[[float], float]
     r0: float
-    log_density: Callable[[float], float] | None = None
-    log_log_density: Callable[[float], float] | None = None
+    log_form: Callable[[float], float] | None = None
     nonincreasing: bool = field(init=False)
 
     def __post_init__(self):
@@ -50,13 +51,16 @@ class Majorant:
             if math.isfinite(a) and math.isfinite(b)
         )
         object.__setattr__(self, "nonincreasing", ok)
+        if self.log_form is None:
+            object.__setattr__(self, "log_form", log_scale(self.evaluate, 1))
 
     def __call__(self, x: float) -> float:
         return self.evaluate(x)
 
     @classmethod
     def constant(cls, value: float, r0: float) -> "Majorant":
-        return cls(lambda x: value, r0, lambda u: value * math.exp(-u))
+        log_value = math.log(value) if value > 0.0 else -math.inf
+        return cls(lambda x: value, r0, lambda u: log_value - u)
 
 
 @dataclass(frozen=True)
@@ -81,16 +85,9 @@ class DerivMajorantFamily:
             raise ValueError("argument outside majorant domain")
         return (self.K1 / x) * math.log(self.K2 / x) ** (-1.0 / self.alpha)
 
-    def log_density(self, u: float) -> float:
-        # Phi(e^-u) e^-u without forming e^-u
-        return self.K1 * (math.log(self.K2) + u) ** (-1.0 / self.alpha)
-
-    def log_log_density(self, u: float) -> float:
-        # log of the above; finite far beyond where log_density underflows
+    def log_form(self, u: float) -> float:
+        # log(Phi(e^-u) e^-u) without forming e^-u
         return math.log(self.K1) - math.log(math.log(self.K2) + u) / self.alpha
-
-    def majorant(self) -> Majorant:
-        return Majorant(self.evaluate, self.r0, self.log_density, self.log_log_density)
 
 
 @dataclass(frozen=True)
@@ -101,14 +98,6 @@ class MajorantReport:
 
     def verified(self, slack: float = 1e-12) -> bool:
         return self.max_violation <= slack
-
-
-def _majorant_parts(phi) -> tuple[Callable[[float], float], float, Callable | None]:
-    evaluate = phi.evaluate if hasattr(phi, "evaluate") else phi
-    r0 = getattr(phi, "r0", None)
-    if r0 is None:
-        raise ValueError("majorant must carry r0")
-    return evaluate, float(r0), getattr(phi, "log_density", None)
 
 
 def verify_majorant(
@@ -122,7 +111,7 @@ def verify_majorant(
     A nonpositive ``max_violation`` means the majorant hypothesis holds on
     the grid.  Radii must satisfy 1 - r0 < r < 1.
     """
-    evaluate, r0, _ = _majorant_parts(phi)
+    r0 = phi.r0
     if r_grid is None:
         r_grid = 1.0 - np.geomspace(r0 * 0.999, r0 * 1e-4, 24)
     if theta_grid is None:
@@ -132,7 +121,7 @@ def verify_majorant(
         r = float(r)
         if not 1.0 - r0 < r < 1.0:
             raise ValueError("radius outside majorant window")
-        cap = evaluate(1.0 - r)
+        cap = phi.evaluate(1.0 - r)
         for theta in theta_grid:
             theta = float(theta)
             zeta = r * complex(math.cos(theta), math.sin(theta))
@@ -150,40 +139,21 @@ def phi_log_l1(
 ) -> QuadratureResult:
     """int_0^{r0} (log(1/x))^n Phi(x) dx with the divergence verdict.
 
-    Majorants carrying a log-scale density integrate as int u^n density(u) du
-    over (log(1/r0), inf), which resolves power-law log tails; plain
-    callables fall back to the x-scale endpoint quadrature.
+    On the log scale this is int u^n e^{log_form(u)} du over
+    (log(1/r0), inf), which resolves power-law log tails.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    evaluate, r0, log_density = _majorant_parts(phi)
-    log_log = getattr(phi, "log_log_density", None)
-    u0 = math.log(1.0 / r0)
-    if log_log is not None:
-        # assemble u^n * density(u) in log space so the tiny density cannot
-        # underflow against the huge power at extreme depths
-        integrand = lambda u: math.exp((n * math.log(u) if n else 0.0) + log_log(u))
-        return integrate_semiinfinite(integrand, u0, tol, max_levels)
-    if log_density is not None:
-        return integrate_semiinfinite(
-            lambda u: u**n * log_density(u), u0, tol, max_levels
-        )
-    return integrate_endpoint(
-        lambda x: math.log(1.0 / x) ** n * evaluate(x), 0.0, r0, tol, max_levels
-    )
+    return integrate_log_moment(phi.log_form, n, math.log(1.0 / phi.r0), tol, max_levels)
 
 
 def omega_bound(phi, delta: float, tol: float = 1e-10, max_levels: int = 400) -> float:
     """The modulus bound 3 * int_0^delta Phi(x) dx; inf when divergent."""
-    evaluate, r0, log_density = _majorant_parts(phi)
-    if not 0.0 <= delta < r0:
+    if not 0.0 <= delta < phi.r0:
         raise ValueError("delta must lie in [0, r0)")
     if delta == 0.0:
         return 0.0
-    if log_density is not None:
-        res = integrate_semiinfinite(log_density, math.log(1.0 / delta), tol, max_levels)
-    else:
-        res = integrate_endpoint(evaluate, 0.0, delta, tol, max_levels)
+    res = integrate_log_moment(phi.log_form, 0, math.log(1.0 / delta), tol, max_levels)
     return 3.0 * res.value if res.converged else math.inf
 
 
@@ -199,8 +169,7 @@ def varpi(
         raise ValueError("boundary_sup must be nonnegative")
     if not 0.0 <= delta <= math.pi:
         raise ValueError("delta out of range")
-    _, r0, _ = _majorant_parts(phi)
-    if delta < r0:
+    if delta < phi.r0:
         return omega_bound(phi, delta, tol)
     return 2.0 * boundary_sup
 
@@ -215,18 +184,20 @@ def majorant_from_modulus(
 
     This is the majorant value Phi(1 - r) reconstructed from a boundary
     modulus of continuity.  The kernel peaks at width 1 - r near tau = 0,
-    which the endpoint-refined panels resolve.
+    which the endpoint-refined panels resolve; inf when they do not
+    converge within ``max_levels``.
     """
     if not 0.25 < r < 1.0:
         raise ValueError("outside validity region")
+    # r^2 - 2 r cos(tau) + 1 in the form without cancellation at r ~ 1, tau ~ 0
     res = integrate_endpoint(
-        lambda tau: omega(tau) / (r * r - 2.0 * r * math.cos(tau) + 1.0),
+        lambda tau: omega(tau) / ((1.0 - r) ** 2 + 4.0 * r * math.sin(0.5 * tau) ** 2),
         0.0,
         math.pi,
         tol,
         max_levels,
     )
-    return res.value / math.pi
+    return res.value / math.pi if res.converged else math.inf
 
 
 def kernel_bound_check(r: float, tau: float) -> bool:

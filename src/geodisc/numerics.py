@@ -1,7 +1,8 @@
 """Shared numeric kernels.
 
 The primitives used everywhere else in the package: composite quadrature
-with divergence detection near an endpoint singularity, bisection for
+with divergence detection near an endpoint singularity, the same on the
+log scale u = log(1/x) for radial integrals near 0, bisection for
 monotone root problems, golden-section search for unimodal minima, and
 minimization of a periodic objective over the circle parameter.
 """
@@ -25,6 +26,9 @@ _CONVERGENCE_RUN = 3
 # No quantity in this package legitimately integrates to anything near this;
 # refining past it only risks overflow, so the verdict is settled already.
 _VALUE_CAP = 1e50
+
+# Smallest positive double; stands in for e^-u once that underflows.
+_TINY = 5e-324
 
 
 @dataclass(frozen=True)
@@ -74,7 +78,9 @@ def integrate_endpoint(
     cutoff.  The result converges once the last few halvings each changed the
     running value by less than ``tol`` (relative to max(1, |value|)).  An
     integrand whose halvings keep growing the value past the whole level
-    budget is reported with ``converged=False``: the divergence verdict.
+    budget, or until the cutoff reaches floating-point resolution above a
+    positive ``a``, is reported with ``converged=False``: the divergence
+    verdict.
     """
     if not (b > a):
         raise ValueError("empty interval")
@@ -89,6 +95,8 @@ def integrate_endpoint(
     levels = 0
     for level in range(max_levels):
         lo = a + span * 0.5 ** (level + 1)
+        if not a < lo < hi:
+            break  # the cutoff is at floating-point resolution without a limit
         inc = _panel(f, lo, hi)
         total += inc
         hi = lo
@@ -118,26 +126,37 @@ def _tail_estimate(inc: float, prev_inc: float) -> float:
     return 2.0 * inc
 
 
-def integrate_semiinfinite(
-    g: Callable[[float], float],
+def integrate_log_moment(
+    log_f: Callable[[float], float],
+    n: int,
     lower: float,
     tol: float,
     max_levels: int = 400,
 ) -> QuadratureResult:
-    """Integrate g >= 0 over (lower, infinity).
+    """int_lower^inf u^n e^{log_f(u)} du for a log density ``log_f``.
 
     The head piece handles a possible blow-up at ``lower``; the tail is
-    mapped onto a lower-endpoint singularity by u -> 1/u, so each cutoff
-    halving doubles the reach toward infinity.  Verdicts combine as in
-    :func:`integrate_endpoint`.  The larger default budget lets barely
-    integrable power tails (exponents just below -1) reach their limits.
+    mapped onto a lower-endpoint singularity by u -> 1/t, so each cutoff
+    halving doubles the reach toward infinity.  Both integrands are built in
+    log space, so a tiny density cannot underflow against a huge u^n.
+    Verdicts combine as in :func:`integrate_endpoint`.  The larger default
+    budget lets barely integrable power tails (exponents just below -1)
+    reach their limits.
     """
     if lower < 0:
         raise ValueError("lower endpoint must be nonnegative")
     split = max(2.0 * lower, lower + 1.0)
-    head = integrate_endpoint(g, lower, split, tol, max_levels)
+    if n:
+        head_f = lambda u: math.exp(n * math.log(u) + log_f(u))
+    else:  # spares a log per evaluation on the common n = 0
+        head_f = lambda u: math.exp(log_f(u))
+    head = integrate_endpoint(head_f, lower, split, tol, max_levels)
     tail = integrate_endpoint(
-        lambda t: g(1.0 / t) / (t * t), 0.0, 1.0 / split, tol, max_levels
+        lambda t: math.exp(log_f(1.0 / t) - (n + 2) * math.log(t)),
+        0.0,
+        1.0 / split,
+        tol,
+        max_levels,
     )
     return QuadratureResult(
         head.value + tail.value,
@@ -145,6 +164,28 @@ def integrate_semiinfinite(
         max(head.refinement_levels, tail.refinement_levels),
         head.estimated_error + tail.estimated_error,
     )
+
+
+def log_scale(f: Callable[[float], float], power: int = 0) -> Callable[[float], float]:
+    """The log form u -> log(f(x) x^power), x = e^-u, of a radial f >= 0.
+
+    It is the log density in u of int f(x) x^(power - 1) dx: power 0 for a
+    modulus (int omega(x)/x dx), 1 for a majorant (int Phi(x) dx).  An f
+    that carries its own ``log_form``, the density of its own integral, is
+    returned as it is.  Otherwise f is evaluated at max(e^-u, 5e-324), so it
+    never sees 0 once e^-u underflows, and log 0 is -inf.  Past u ~ 745 f
+    is then read at that one point, so a density decaying too slowly to
+    have settled by then needs its own ``log_form``.
+    """
+    own = getattr(f, "log_form", None)
+    if own is not None:
+        return own
+
+    def log_form(u: float) -> float:
+        y = f(max(math.exp(-u), _TINY))
+        return (math.log(y) if y > 0.0 else -math.inf) - power * u
+
+    return log_form
 
 
 def solve_monotone(

@@ -318,6 +318,32 @@ BAD_CONFIGS = {
         {"domain": "polydisc", "point": [[0.0, 0.0]]},
         "domain:",
     ),
+    "zero conjugate grid": (
+        "conjugate",
+        {"function": {"kind": "identity"}, "n": 0},
+        "grid size must be at least 8",
+    ),
+    "zero probe grid": (
+        "geodesic-probe",
+        {"candidate": {"kind": "nonextending"}, "n_theta": 0},
+        "grid size must be at least 8",
+    ),
+    "negative modulus grid": (
+        "mod-cont",
+        {"function": {"kind": "identity"}, "n": -1, "delta": 0.5},
+        "grid size must be at least 8",
+    ),
+    "empty ball center": (
+        "domain-distance",
+        {"domain": {"kind": "ball", "center": [], "radius": 1.0}, "point": []},
+        "domain:",
+    ),
+    "empty constant map": (
+        "hl-verify",
+        {"function": {"kind": "constant", "values": []},
+         "majorant": {"kind": "power", "r0": 0.5}},
+        "function:",
+    ),
 }
 
 

@@ -89,7 +89,23 @@ def test_x0_cap_never_exceeds_half_C():
     for _ in range(25):
         C = float(rng.uniform(0.2, 3.0))
         alpha = float(rng.uniform(0.1, 1.5))
-        assert x0_cap(C, alpha, scan_n=20000) <= C / 2.0 + 1e-15
+        assert x0_cap(C, alpha) <= C / 2.0 + 1e-15
+
+
+def test_x0_cap_finds_roots_far_below_C():
+    # with t = log(1/x) the crossings solve t = 10 log t; the larger root
+    # t2 ~ 35.77 gives x0 = e^{-t2} ~ 2.915e-16, below any scan floor of
+    # 1e-12 C (the crossing near x ~ 0.78 is the other root)
+    lo, hi = 20.0, 60.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid - 10.0 * math.log(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    oracle = math.exp(-0.5 * (lo + hi))
+    assert abs(oracle - 2.915e-16) < 1e-19
+    assert x0_cap(1.0, 0.1) == pytest.approx(oracle, rel=1e-12)
 
 
 def test_rho_triangle_reduces_to_inverse_at_zero_slope():

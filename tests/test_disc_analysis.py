@@ -279,6 +279,12 @@ def test_pz_bound_diverges_for_log_reciprocal():
     assert pz_bound(ModulusFamily.log_reciprocal(), 0.1, 1.0) == math.inf
 
 
+def test_pz_bound_divergent_far_integral_is_infinite():
+    # the near integral is 0, but int_delta (x - delta)^-1.5 / x^2 dx diverges
+    omega = lambda x: 0.0 if x <= 0.1 else (x - 0.1) ** -1.5
+    assert pz_bound(omega, 0.1, 1.0) == math.inf
+
+
 # --- log-Dini classification -----------------------------------------------
 
 def test_log_dini_linear_modulus():
@@ -306,6 +312,16 @@ def test_log_dini_log_reciprocal_diverges_at_zero():
 def test_log_dini_accepts_plain_callable():
     report = log_dini_test(lambda x: x, n_max=3)
     assert report.log_dini
+
+
+def test_log_dini_plain_callable_keeps_divergence():
+    # read through a plain callable, 1/log(1/x) is sampled down to x ~ 5e-324;
+    # a modulus that read 0 at subnormal x would end the divergent tail
+    # there and report a converged partial sum
+    omega = ModulusFamily.log_reciprocal()
+    assert omega(1e-320) > 0.0
+    report = log_dini_test(lambda x: omega(x), n_max=1)
+    assert report.verdicts == ("diverged", "diverged")
 
 
 def test_modulus_families_nondecreasing_and_vanishing_at_zero():

@@ -157,6 +157,19 @@ def test_kernel_inversion_monotone_for_nondecreasing_modulus():
     assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
 
+def test_kernel_inversion_unconverged_is_infinite():
+    # the true value is 1 / (1 - r^2) ~ 5.0e5; three levels cannot resolve
+    # the kernel peak of width 1e-6 and must not return their partial sum
+    assert majorant_from_modulus(lambda t: 1.0, 0.999999, max_levels=3) == math.inf
+
+
+def test_kernel_inversion_poisson_identity_near_the_boundary():
+    # at r = 1 - 1e-6 the kernel's denominator is ~1e-12 near tau = 0, far
+    # below the rounding error of r^2 - 2 r cos(tau) + 1 evaluated as written
+    r = 0.999999
+    assert majorant_from_modulus(lambda t: 1.0, r) == pytest.approx(1.0 / (1.0 - r * r), rel=1e-8)
+
+
 def test_kernel_inversion_rejects_out_of_range_radius():
     with pytest.raises(ValueError, match="outside validity region"):
         majorant_from_modulus(lambda t: t, 0.2)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from geodisc.numerics import (
     integrate_endpoint,
-    integrate_semiinfinite,
+    integrate_log_moment,
     minimize_on_circle,
     solve_monotone,
 )
@@ -66,16 +66,23 @@ def test_nonfinite_integrand_rejected():
         integrate_endpoint(lambda x: math.inf, 0.0, 1.0, 1e-8)
 
 
-def test_semiinfinite_gamma_values():
+def test_singularity_at_positive_endpoint_diverges():
+    # int_a (x - a)^-1.5 dx diverges; once the cutoff reaches the spacing of
+    # doubles at a, further panels are empty and prove nothing
+    res = integrate_endpoint(lambda x: (x - 0.1) ** -1.5 if x > 0.1 else 0.0, 0.1, 1.0, 1e-9, 400)
+    assert not res.converged
+
+
+def test_log_moment_gamma_values():
     # int_0^inf u^n e^-u du = n!
     for n in (0, 1, 3, 6):
-        res = integrate_semiinfinite(lambda u, n=n: u**n * math.exp(-u), 0.0, 1e-10)
+        res = integrate_log_moment(lambda u: -u, n, 0.0, 1e-10)
         assert res.converged
         assert abs(res.value - math.factorial(n)) < 1e-7 * math.factorial(n)
 
 
-def test_semiinfinite_harmonic_diverges():
-    res = integrate_semiinfinite(lambda u: 1.0 / (1.0 + u), 0.0, 1e-9)
+def test_log_moment_harmonic_diverges():
+    res = integrate_log_moment(lambda u: -math.log(1.0 + u), 0, 0.0, 1e-9)
     assert not res.converged
 
 
