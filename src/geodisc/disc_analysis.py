@@ -139,8 +139,8 @@ class ModulusProfile:
 class ModulusFamily:
     """Parametric modulus-of-continuity models.
 
-    Each model is one formula on the scale u = log(1/x): ``log_form(u)`` is
-    log omega(e^-u), exact far beyond where e^-u underflows, and omega(x)
+    Each model is one formula on the scale u = log(1/x): ``log_modulus(u)``
+    is log omega(e^-u), exact far beyond where e^-u underflows, and omega(x)
     is read off it.  Each omega is nondecreasing and tends to 0 at 0+; on
     (1, pi] the Hoelder model stays x^a and the others are capped at 1, so
     that integrals against them over (delta, pi] make sense.
@@ -168,9 +168,9 @@ class ModulusFamily:
         return cls("stretched_exponential", coeff=coeff, eps=eps)
 
     def __call__(self, x: float) -> float:
-        return math.exp(self.log_form(-math.log(x))) if x > 0.0 else 0.0
+        return math.exp(self.log_modulus(-math.log(x))) if x > 0.0 else 0.0
 
-    def log_form(self, u: float) -> float:
+    def log_modulus(self, u: float) -> float:
         """log omega(e^-u), for every real u."""
         if self.kind == "holder":
             return -self.a * u
@@ -179,6 +179,13 @@ class ModulusFamily:
         if self.kind == "stretched_exponential":
             return -self.coeff * u ** (1.0 - self.eps) if u > 0.0 else 0.0
         raise ValueError(f"unknown modulus family {self.kind!r}")
+
+
+def _log_modulus(omega) -> Callable[[float], float]:
+    """u -> log omega(e^-u): omega's own ``log_modulus`` when it has one,
+    else read off omega by :func:`log_scale`."""
+    own = getattr(omega, "log_modulus", None)
+    return own if own is not None else log_scale(omega)
 
 
 def derivative_cauchy(
@@ -372,7 +379,7 @@ def pz_bound(
     if K <= 0.0:
         raise ValueError("K must be positive")
     # first integral in u = log(1/x): int_{log(1/delta)}^inf omega(e^-u) du
-    near = integrate_log_moment(log_scale(omega), 0, math.log(1.0 / delta), tol, max_levels)
+    near = integrate_log_moment(_log_modulus(omega), 0, math.log(1.0 / delta), tol, max_levels)
     if not near.converged:
         return math.inf
     far = integrate_endpoint(
@@ -417,8 +424,8 @@ def log_dini_test(
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    log_form = log_scale(omega)
+    log_omega = _log_modulus(omega)
     results = tuple(
-        integrate_log_moment(log_form, n, 0.0, tol, max_levels) for n in range(n_max + 1)
+        integrate_log_moment(log_omega, n, 0.0, tol, max_levels) for n in range(n_max + 1)
     )
     return LogDiniReport(n_max, results)

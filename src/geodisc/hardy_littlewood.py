@@ -32,7 +32,7 @@ class Majorant:
     Every integral of Phi runs on the scale u = log(1/x) through
     ``log_form(u) = log(Phi(e^-u) e^-u)``; a closed form keeps it exact far
     beyond where e^-u underflows, and without one it is read off
-    ``evaluate``.
+    ``evaluate`` by :func:`numerics.log_scale`.
     """
 
     evaluate: Callable[[float], float]

@@ -10,6 +10,7 @@ minimization of a periodic objective over the circle parameter.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -27,8 +28,9 @@ _CONVERGENCE_RUN = 3
 # refining past it only risks overflow, so the verdict is settled already.
 _VALUE_CAP = 1e50
 
-# Smallest positive double; stands in for e^-u once that underflows.
-_TINY = 5e-324
+# Past this u, e^-u leaves the normal double range: x^-1 overflows there
+# and f(x) loses its precision, so a callable is not read beyond it.
+_U_MAX = -math.log(sys.float_info.min)
 
 
 @dataclass(frozen=True)
@@ -146,11 +148,9 @@ def integrate_log_moment(
     if lower < 0:
         raise ValueError("lower endpoint must be nonnegative")
     split = max(2.0 * lower, lower + 1.0)
-    if n:
-        head_f = lambda u: math.exp(n * math.log(u) + log_f(u))
-    else:  # spares a log per evaluation on the common n = 0
-        head_f = lambda u: math.exp(log_f(u))
-    head = integrate_endpoint(head_f, lower, split, tol, max_levels)
+    head = integrate_endpoint(
+        lambda u: math.exp(n * math.log(u) + log_f(u)), lower, split, tol, max_levels
+    )
     tail = integrate_endpoint(
         lambda t: math.exp(log_f(1.0 / t) - (n + 2) * math.log(t)),
         0.0,
@@ -170,20 +170,22 @@ def log_scale(f: Callable[[float], float], power: int = 0) -> Callable[[float], 
     """The log form u -> log(f(x) x^power), x = e^-u, of a radial f >= 0.
 
     It is the log density in u of int f(x) x^(power - 1) dx: power 0 for a
-    modulus (int omega(x)/x dx), 1 for a majorant (int Phi(x) dx).  An f
-    that carries its own ``log_form``, the density of its own integral, is
-    returned as it is.  Otherwise f is evaluated at max(e^-u, 5e-324), so it
-    never sees 0 once e^-u underflows, and log 0 is -inf.  Past u ~ 745 f
-    is then read at that one point, so a density decaying too slowly to
-    have settled by then needs its own ``log_form``.
+    modulus (int omega(x)/x dx), 1 for a majorant (int Phi(x) dx).  log 0
+    is -inf, and a value that overflows counts as the largest double.  Past
+    u = -log(smallest normal double) ~ 708 the form is held at its value
+    there, with no further decay: a density that has not died out by then
+    reads as a constant, so its integral is reported divergent rather than
+    truncated.  A function needing more reach should supply its log form
+    in closed form.
     """
-    own = getattr(f, "log_form", None)
-    if own is not None:
-        return own
 
     def log_form(u: float) -> float:
-        y = f(max(math.exp(-u), _TINY))
-        return (math.log(y) if y > 0.0 else -math.inf) - power * u
+        u = min(u, _U_MAX)
+        try:
+            y = min(f(math.exp(-u)), sys.float_info.max)
+        except OverflowError:
+            y = sys.float_info.max
+        return (math.log(y) if y != 0.0 else -math.inf) - power * u
 
     return log_form
 

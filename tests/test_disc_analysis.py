@@ -26,6 +26,7 @@ from geodisc.disc_analysis import (
     scalar_function,
     vector_function,
 )
+from geodisc.hardy_littlewood import Majorant
 
 
 def half_exp_blaschke_exponent():
@@ -315,13 +316,24 @@ def test_log_dini_accepts_plain_callable():
 
 
 def test_log_dini_plain_callable_keeps_divergence():
-    # read through a plain callable, 1/log(1/x) is sampled down to x ~ 5e-324;
-    # a modulus that read 0 at subnormal x would end the divergent tail
-    # there and report a converged partial sum
+    # read through a plain callable, 1/log(1/x) is sampled down to the
+    # smallest normal double and held there; a modulus that read 0 at tiny
+    # x would end the divergent tail and report a converged partial sum
     omega = ModulusFamily.log_reciprocal()
     assert omega(1e-320) > 0.0
     report = log_dini_test(lambda x: omega(x), n_max=1)
     assert report.verdicts == ("diverged", "diverged")
+
+
+def test_majorant_object_as_modulus():
+    # omega is read through its values; a Majorant's log form, the density
+    # of int Phi dx, must not stand in for log omega(e^-u)
+    maj = Majorant(lambda x: math.sqrt(x), 0.5)
+    report = log_dini_test(maj, n_max=3)
+    for n, res in enumerate(report.results):
+        # int_0^inf u^n e^{-u/2} du
+        assert res.value == pytest.approx(math.factorial(n) * 2 ** (n + 1), rel=1e-8)
+    assert pz_bound(maj, 0.1, 1.0) == pz_bound(lambda x: math.sqrt(x), 0.1, 1.0)
 
 
 def test_modulus_families_nondecreasing_and_vanishing_at_zero():

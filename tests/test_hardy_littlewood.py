@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from geodisc.disc_analysis import (
+    ModulusFamily,
     boundary_samples,
     identity_map,
     modulus_of_continuity,
@@ -90,13 +91,43 @@ def test_family_log_weighted_classification(alpha, n):
 
 
 def test_majorant_generic_callable_route():
-    # no log-scale density: x-space quadrature still gets exponential decay
+    # no closed log form: numerics.log_scale reads it off evaluate
     phi = Majorant(lambda x: math.exp(-1.0 / x), 0.5)
     res = phi_log_l1(phi, 1)
     assert res.converged
     dense = np.geomspace(1e-8, 0.5, 400000)
     oracle = np.trapezoid(np.log(1.0 / dense) * np.exp(-1.0 / dense), dense)
     assert abs(res.value - oracle) < 1e-6
+
+
+@pytest.mark.parametrize(
+    "phi",
+    [
+        lambda x: 1.0 / (x * math.log(1.0 / x)),
+        lambda x: (1.0 / x) / math.log(1.0 / x),  # 1/x overflows near x = 5e-324
+        lambda x: x**-1.01,  # overflows a double well before x underflows
+    ],
+    ids=["x_log", "x_then_log", "power_1.01"],
+)
+def test_divergent_plain_callable_majorant(phi):
+    # on the log scale the densities are 1/u and e^{0.01 u}: not integrable
+    maj = Majorant(phi, 0.5)
+    assert not phi_log_l1(maj, 0).converged
+    assert omega_bound(maj, 0.1) == math.inf
+
+
+def test_barely_integrable_plain_callable_majorant():
+    # x^-0.96 reaches e^680 at the smallest normal double; its log-scale
+    # density e^{-0.04 u} has died out to 5e-13 there
+    maj = Majorant(lambda x: x**-0.96, 0.5)
+    assert omega_bound(maj, 0.1) == pytest.approx(3.0 * 0.1**0.04 / 0.04, rel=1e-8)
+
+
+def test_modulus_family_as_majorant():
+    # Phi is read off evaluate; the modulus's own log form (of omega, not of
+    # omega(x) x) must not stand in for it
+    maj = Majorant(ModulusFamily.holder(0.5), 0.5)
+    assert omega_bound(maj, 0.1) == pytest.approx(3.0 * (2.0 / 3.0) * 0.1**1.5, rel=1e-8)
 
 
 # --- omega_bound / varpi ----------------------------------------------------

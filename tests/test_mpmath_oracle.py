@@ -88,8 +88,8 @@ class HeldModulus:
     def __call__(self, x: float) -> float:
         return self.omega(min(x, self.delta))
 
-    def log_form(self, u: float) -> float:
-        return self.omega.log_form(max(u, -math.log(self.delta)))
+    def log_modulus(self, u: float) -> float:
+        return self.omega.log_modulus(max(u, -math.log(self.delta)))
 
 
 @pytest.mark.parametrize("name", ["stretched 1, 0.5", "stretched 2, 0.3"])
