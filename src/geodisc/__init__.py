@@ -29,7 +29,6 @@ from .disc_analysis import (
     conjugate_function,
     constant_map,
     derivative_at,
-    derivative_cauchy,
     derivative_centered,
     identity_map,
     log_dini_test,

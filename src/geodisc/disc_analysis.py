@@ -1,9 +1,9 @@
 """Holomorphic-function machinery on the unit disc.
 
-Derivatives through the Cauchy integral on an interior circle, radial
-boundary limits, uniform boundary sampling, moduli of continuity, the
-discrete conjugate function, and the continuity classes built from
-log-weighted Dini integrals.
+Derivatives through the Cauchy integral on a circle centred at the point,
+radial boundary limits along a fixed tail of radii, uniform boundary
+sampling, moduli of continuity, the discrete conjugate function, and the
+continuity classes built from log-weighted Dini integrals.
 """
 
 from __future__ import annotations
@@ -16,8 +16,14 @@ import numpy as np
 
 from .numerics import QuadratureResult, integrate_endpoint, integrate_log_moment, log_scale
 
-# Geometric approach to the boundary resolves exponential behaviour there.
-DEFAULT_RADIAL_SCHEDULE = tuple(1.0 - 2.0 ** (-j) for j in range(1, 25))
+# The radii a radial limit reads: the end of the geometric approach
+# r = 1 - 2^-j, which resolves exponential behaviour at the boundary.
+RADIAL_TAIL = tuple(1.0 - 2.0 ** (-j) for j in range(21, 25))
+# A radial limit is Cauchy when each step of the tail moves it by less.
+_RADIAL_TOL = 1e-6
+# Nodes of the centred Cauchy circle; their count does not grow toward the
+# boundary because the circle shrinks with the distance to it.
+_CAUCHY_NODES = 64
 
 
 @dataclass(frozen=True)
@@ -188,52 +194,21 @@ def _log_modulus(omega) -> Callable[[float], float]:
     return own if own is not None else log_scale(omega)
 
 
-def derivative_cauchy(
-    f: UnitDiscFunction,
-    zeta: complex,
-    circle_radius: float | None = None,
-    n_nodes: int = 128,
-) -> np.ndarray:
-    """f'(zeta) from the Cauchy integral over an interior circle.
-
-    The circle must enclose zeta and stay inside the disc; f need not extend
-    to the boundary, which is why the default radius is (1 + |zeta|) / 2.
-    Trapezoidal on the circle, hence spectrally accurate for analytic f.
-    """
-    if circle_radius is None:
-        circle_radius = 0.5 * (1.0 + abs(zeta))
-    if n_nodes < 16:
-        raise ValueError("need at least 16 nodes")
-    if abs(zeta) >= circle_radius:
-        raise ValueError("evaluation circle too small")
-    if circle_radius >= 1.0:
-        raise ValueError("evaluation circle must stay inside the disc")
-    nodes = circle_radius * np.exp(2j * math.pi * np.arange(n_nodes) / n_nodes)
-    acc = np.zeros(f.dimension, dtype=complex)
-    for w in nodes:
-        acc += f(w) * w / (w - zeta) ** 2
-    return acc / n_nodes
-
-
-def derivative_centered(
-    f: UnitDiscFunction,
-    zeta: complex,
-    n_nodes: int = 64,
-) -> np.ndarray:
+def derivative_centered(f: UnitDiscFunction, zeta: complex) -> np.ndarray:
     """f'(zeta) from the Cauchy integral over a circle centered at zeta.
 
-    The radius is half the distance to the boundary, so the node count
-    needed for spectral accuracy does not grow as zeta approaches the
-    boundary -- unlike the origin-centered circle of derivative_cauchy.
+    The radius is half the distance to the boundary, so f need not extend
+    to the boundary.  Trapezoidal on the circle, hence spectrally accurate
+    for analytic f.
     """
     if abs(zeta) >= 1.0:
         raise ValueError("point outside unit disc")
     rho = 0.5 * (1.0 - abs(zeta))
-    phases = np.exp(2j * math.pi * np.arange(n_nodes) / n_nodes)
+    phases = np.exp(2j * math.pi * np.arange(_CAUCHY_NODES) / _CAUCHY_NODES)
     acc = np.zeros(f.dimension, dtype=complex)
     for phase in phases:
         acc += f(zeta + rho * phase) / phase
-    return acc / (n_nodes * rho)
+    return acc / (_CAUCHY_NODES * rho)
 
 
 def derivative_at(f: UnitDiscFunction, zeta: complex) -> np.ndarray:
@@ -243,55 +218,31 @@ def derivative_at(f: UnitDiscFunction, zeta: complex) -> np.ndarray:
     return derivative_centered(f, zeta)
 
 
-def radial_limit(
-    f: UnitDiscFunction,
-    theta: float,
-    r_schedule: Sequence[float] | None = None,
-    tol: float = 1e-6,
-) -> tuple[np.ndarray, bool]:
-    """Last iterate of f(r e^{i theta}) along the schedule, with a Cauchy flag.
-
-    The flag is true iff the values moved by less than tol over each of the
-    final three steps.
+def radial_limit(f: UnitDiscFunction, theta: float) -> tuple[np.ndarray, bool]:
+    """f(r e^{i theta}) at the last radius of ``RADIAL_TAIL``, with a Cauchy
+    flag: true iff the values moved by less than 1e-6 over each step of the
+    tail.
     """
-    schedule = _validated_schedule(r_schedule)
     direction = complex(math.cos(theta), math.sin(theta))
-    tail = [f(r * direction) for r in schedule[-4:]]
+    tail = [f(r * direction) for r in RADIAL_TAIL]
     cauchy_ok = all(
-        float(np.linalg.norm(b - a)) < tol for a, b in zip(tail, tail[1:])
+        float(np.linalg.norm(b - a)) < _RADIAL_TOL for a, b in zip(tail, tail[1:])
     )
     return tail[-1], cauchy_ok
 
 
-def _validated_schedule(r_schedule: Sequence[float] | None) -> tuple[float, ...]:
-    if r_schedule is None:
-        return DEFAULT_RADIAL_SCHEDULE
-    schedule = tuple(float(r) for r in r_schedule)
-    if len(schedule) < 4:
-        raise ValueError("radial schedule needs at least 4 steps")
-    if any(b <= a for a, b in zip(schedule, schedule[1:])) or schedule[-1] >= 1.0:
-        raise ValueError("radial schedule must increase strictly below 1")
-    return schedule
-
-
-def boundary_samples(
-    f: UnitDiscFunction,
-    n: int,
-    r_schedule: Sequence[float] | None = None,
-    tol: float = 1e-6,
-) -> BoundarySamples:
+def boundary_samples(f: UnitDiscFunction, n: int) -> BoundarySamples:
     """Radial limits at every grid node; the Cauchy-flag fraction is the
     uniformity diagnostic."""
     if n < 8:
         raise ValueError("grid size must be at least 8")
-    schedule = _validated_schedule(r_schedule)
     values = np.empty((n, f.dimension), dtype=complex)
     ok = 0
     for k in range(n):
-        value, flag = radial_limit(f, 2.0 * math.pi * k / n, schedule, tol)
+        value, flag = radial_limit(f, 2.0 * math.pi * k / n)
         values[k] = value
         ok += flag
-    return BoundarySamples(n, values, schedule[-1], ok / n)
+    return BoundarySamples(n, values, RADIAL_TAIL[-1], ok / n)
 
 
 def _lag_maxima(samples: BoundarySamples, max_lag: int) -> np.ndarray:
@@ -304,15 +255,17 @@ def _lag_maxima(samples: BoundarySamples, max_lag: int) -> np.ndarray:
     return out
 
 
+def _lag(delta: float, n: int) -> int:
+    """Grid steps of an n-point circle within circular distance delta."""
+    return min(int(math.floor(delta * n / (2.0 * math.pi) + 1e-12)), n // 2)
+
+
 def modulus_of_continuity(samples: BoundarySamples, delta: float) -> float:
-    """Sup of value differences over grid pairs at circular distance <= delta."""
+    """Sup of value differences over grid pairs at circular distance <= delta;
+    0 below the grid step."""
     if delta < 0.0 or delta > math.pi:
         raise ValueError("delta out of range")
-    max_lag = min(int(math.floor(delta * samples.n / (2.0 * math.pi) + 1e-12)),
-                  samples.n // 2)
-    if max_lag == 0:
-        return 0.0
-    return float(np.max(_lag_maxima(samples, max_lag)))
+    return float(np.max(_lag_maxima(samples, _lag(delta, samples.n))))
 
 
 def modulus_profile(
@@ -323,10 +276,7 @@ def modulus_profile(
     req = np.sort(np.asarray(list(deltas), dtype=float))
     if req.size == 0 or req[0] < 0.0 or req[-1] > math.pi:
         raise ValueError("delta out of range")
-    lags = np.minimum(
-        np.floor(req * samples.n / (2.0 * math.pi) + 1e-12).astype(int),
-        samples.n // 2,
-    )
+    lags = np.array([_lag(d, samples.n) for d in req])
     lags = np.unique(lags[lags >= 1])
     if lags.size == 0:
         raise ValueError("all deltas below grid resolution")
@@ -372,22 +322,36 @@ def pz_bound(
 
         K * [ int_0^delta omega(x)/x dx + delta * int_delta^pi omega(x)/x^2 dx ].
 
-    Returns +inf when either integral does not converge.
+    The first integral runs on the log scale below min(delta, 1).  The
+    rest is split at x = 1, where the capped models have a cusp, and each
+    piece is refined toward delta and toward 1.  Returns +inf when any
+    piece does not converge.
     """
     if not 0.0 < delta < math.pi:
         raise ValueError("delta out of range")
     if K <= 0.0:
         raise ValueError("K must be positive")
-    # first integral in u = log(1/x): int_{log(1/delta)}^inf omega(e^-u) du
-    near = integrate_log_moment(_log_modulus(omega), 0, math.log(1.0 / delta), tol, max_levels)
-    if not near.converged:
+
+    far_density = lambda x: omega(x) / (x * x)
+    # int_0^min(delta, 1) omega(x)/x dx = int_{log(1/min(delta, 1))}^inf omega(e^-u) du
+    near = [integrate_log_moment(
+        _log_modulus(omega), 0, math.log(1.0 / min(delta, 1.0)), tol, max_levels
+    )]
+    if delta > 1.0:
+        near.append(integrate_endpoint(lambda x: omega(x) / x, 1.0, delta, tol, max_levels))
+    if delta < 1.0:
+        mid = 0.5 * (delta + 1.0)
+        far = [
+            integrate_endpoint(far_density, delta, mid, tol, max_levels),
+            # toward 1 from below, through x = 1 - t
+            integrate_endpoint(lambda t: far_density(1.0 - t), 0.0, 1.0 - mid, tol, max_levels),
+            integrate_endpoint(far_density, 1.0, math.pi, tol, max_levels),
+        ]
+    else:
+        far = [integrate_endpoint(far_density, delta, math.pi, tol, max_levels)]
+    if not all(res.converged for res in near + far):
         return math.inf
-    far = integrate_endpoint(
-        lambda x: omega(x) / (x * x), delta, math.pi, tol, max_levels
-    )
-    if not far.converged:
-        return math.inf
-    return K * (near.value + delta * far.value)
+    return K * (sum(res.value for res in near) + delta * sum(res.value for res in far))
 
 
 @dataclass(frozen=True)

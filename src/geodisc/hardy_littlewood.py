@@ -20,6 +20,8 @@ from .disc_analysis import UnitDiscFunction, derivative_at
 from .numerics import QuadratureResult, integrate_endpoint, integrate_log_moment, log_scale
 
 _MONOTONICITY_GRID = 256
+# verify_majorant's angles; its radii depend on the majorant window r0.
+_VERIFY_THETAS = 2.0 * math.pi * np.arange(32) / 32
 
 
 @dataclass(frozen=True)
@@ -77,6 +79,8 @@ class DerivMajorantFamily:
             raise ValueError("K1, K2, alpha must be positive")
         if not 0.0 < self.r0 < min(1.0, self.K2):
             raise ValueError("need r0 in (0, min(1, K2))")
+        object.__setattr__(self, "_log_K1", math.log(self.K1))
+        object.__setattr__(self, "_log_K2", math.log(self.K2))
 
     def evaluate(self, x: float) -> float:
         if x <= 0.0:
@@ -87,7 +91,7 @@ class DerivMajorantFamily:
 
     def log_form(self, u: float) -> float:
         # log(Phi(e^-u) e^-u) without forming e^-u
-        return math.log(self.K1) - math.log(math.log(self.K2) + u) / self.alpha
+        return self._log_K1 - math.log(self._log_K2 + u) / self.alpha
 
 
 @dataclass(frozen=True)
@@ -100,29 +104,21 @@ class MajorantReport:
         return self.max_violation <= slack
 
 
-def verify_majorant(
-    f: UnitDiscFunction,
-    phi,
-    r_grid=None,
-    theta_grid=None,
-) -> MajorantReport:
+def verify_majorant(f: UnitDiscFunction, phi) -> MajorantReport:
     """Max over the grid of ||f'(r e^{i theta})|| - Phi(1 - r).
 
-    A nonpositive ``max_violation`` means the majorant hypothesis holds on
-    the grid.  Radii must satisfy 1 - r0 < r < 1.
+    The grid is 24 radii with 1 - r geometric from 0.999 r0 down to
+    1e-4 r0, times 32 equispaced angles.  A nonpositive ``max_violation``
+    means the majorant hypothesis holds on the grid.
     """
     r0 = phi.r0
-    if r_grid is None:
-        r_grid = 1.0 - np.geomspace(r0 * 0.999, r0 * 1e-4, 24)
-    if theta_grid is None:
-        theta_grid = 2.0 * math.pi * np.arange(32) / 32
     worst = (-math.inf, 0.0, 0.0)
-    for r in r_grid:
+    for r in 1.0 - np.geomspace(r0 * 0.999, r0 * 1e-4, 24):
         r = float(r)
         if not 1.0 - r0 < r < 1.0:
             raise ValueError("radius outside majorant window")
         cap = phi.evaluate(1.0 - r)
-        for theta in theta_grid:
+        for theta in _VERIFY_THETAS:
             theta = float(theta)
             zeta = r * complex(math.cos(theta), math.sin(theta))
             violation = float(np.linalg.norm(derivative_at(f, zeta))) - cap

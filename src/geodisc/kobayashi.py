@@ -39,6 +39,8 @@ from .hardy_littlewood import DerivMajorantFamily, phi_log_l1
 from .numerics import QuadratureResult
 
 _GL8_NODES, _GL8_WEIGHTS = np.polynomial.legendre.leggauss(8)
+# geodesic_defect integrates the metric bounds with 4 panels of GL-8.
+_DEFECT_PANELS = 4
 
 
 # --- Poincare geometry -------------------------------------------------------
@@ -66,7 +68,7 @@ def disc_automorphism(a: complex, phi: float = 0.0) -> UnitDiscFunction:
     if abs(a) >= 1.0:
         raise ValueError("automorphism parameter must lie inside the disc")
     rot = cmath.exp(1j * phi)
-    abar = a.conjugate() if isinstance(a, complex) else complex(a).conjugate()
+    abar = complex(a).conjugate()
     return scalar_function(
         lambda z: rot * (z - a) / (1.0 - abar * z),
         lambda z: rot * (1.0 - abs(a) ** 2) / (1.0 - abar * z) ** 2,
@@ -130,11 +132,12 @@ class GeodesicCandidate:
         if self.map.dimension != self.domain.dimension:
             raise ValueError("map dimension does not match domain")
 
-    def image_inside(self, samples: int = 64, radius: float = 0.999,
-                     seed: int = 0) -> bool:
-        rng = np.random.default_rng(seed)
-        for _ in range(samples):
-            zeta = radius * math.sqrt(rng.random()) * cmath.exp(
+    def image_inside(self) -> bool:
+        """No image point outside the domain among 64 seeded points drawn
+        uniformly from the disc of radius 0.999."""
+        rng = np.random.default_rng(0)
+        for _ in range(64):
+            zeta = 0.999 * math.sqrt(rng.random()) * cmath.exp(
                 2j * math.pi * rng.random()
             )
             if self.domain.membership(self.map(zeta)) == "outside":
@@ -183,7 +186,7 @@ def flat_slice_candidate(domain: FlatModelDomain, center: complex,
 # --- geodesic defect ---------------------------------------------------------
 
 def geodesic_defect(candidate: GeodesicCandidate, zeta1: complex,
-                    zeta2: complex, n_panels: int = 4) -> float:
+                    zeta2: complex) -> float:
     """Deviation of the candidate from the isometry identity.
 
     On a polydisc this is |p(zeta1, zeta2) - K(f(zeta1), f(zeta2))| with the
@@ -206,23 +209,26 @@ def geodesic_defect(candidate: GeodesicCandidate, zeta1: complex,
     length = float(np.linalg.norm(direction))
     if length == 0.0:
         return p
-    lower = upper = 0.0
-    for k in range(n_panels):
-        lo = k / n_panels
-        hi = (k + 1) / n_panels
+    lower = 0.0
+    for k in range(_DEFECT_PANELS):
+        lo = k / _DEFECT_PANELS
+        hi = (k + 1) / _DEFECT_PANELS
         mid = 0.5 * (lo + hi)
         half = 0.5 * (hi - lo)
         for node, weight in zip(_GL8_NODES, _GL8_WEIGHTS):
             t = mid + half * node
             bounds = graham_bounds(candidate.domain, z1 + t * direction, direction)
             lower += weight * half * bounds.lower
-            upper += weight * half * bounds.upper
+    upper = 2.0 * lower  # each upper bound is exactly twice its lower bound
     if lower <= p <= upper:
         return 0.0
     return min(abs(p - lower), abs(p - upper))
 
 
 # --- boundary-extension probe ------------------------------------------------
+
+_PROBE_DELTAS = tuple(math.pi * 2.0 ** (-j) for j in range(13))
+
 
 @dataclass(frozen=True)
 class ProbeReport:
@@ -239,12 +245,11 @@ class ProbeReport:
 def boundary_extension_probe(
     candidate: GeodesicCandidate,
     n_theta: int = 8192,
-    r_schedule: Sequence[float] | None = None,
-    deltas: Sequence[float] | None = None,
     tol_ext: float = 1e-3,
 ) -> ProbeReport:
     """Empirical continuous-extension verdict from boundary samples.
 
+    The empirical modulus is read at the deltas pi 2^-j, j = 0..12.
     "extends (numerically)": the empirical modulus at the smallest delta is
     below tol_ext and decreases monotonically over the last four deltas.
     "fails": the modulus plateaus above 10 * tol_ext.  Anything else is
@@ -252,10 +257,8 @@ def boundary_extension_probe(
     function oscillates, so the verdict inspects the modulus, not pointwise
     convergence.
     """
-    if deltas is None:
-        deltas = [math.pi * 2.0 ** (-j) for j in range(13)]
-    samples = boundary_samples(candidate.map, n_theta, r_schedule, tol=1e-6)
-    profile = modulus_profile(samples, deltas)
+    samples = boundary_samples(candidate.map, n_theta)
+    profile = modulus_profile(samples, _PROBE_DELTAS)
     smallest = profile.omegas[:4]
     verdict = "inconclusive"
     if profile.omegas[0] < tol_ext and np.all(np.diff(smallest) >= -1e-15):
@@ -284,7 +287,6 @@ def derivative_growth_profile(
     candidate: GeodesicCandidate,
     r_grid: Sequence[float] | None = None,
     n_theta: int = 64,
-    with_radius_bound: bool = True,
 ) -> GrowthProfile:
     """max over theta of ||f'(r e^{i theta})|| per radius, with the pointwise
     inscribed-radius bound 4 r_Omega / (1 - r) at the maximizing angle."""
@@ -303,7 +305,7 @@ def derivative_growth_profile(
                 best, best_zeta, best_grad = size, zeta, grad
         xs.append(1.0 - r)
         tops.append(best)
-        if with_radius_bound and best > 0.0:
+        if best > 0.0:
             radius = inscribed_disc_radius(
                 candidate.domain, f(best_zeta), best_grad
             )
@@ -411,16 +413,21 @@ class PipelineReport:
         }
 
 
+# Fixed rules of the pipeline: the properness circle and its angle grid,
+# the number of boundary-zone points checked against the rest bound, the
+# majorant window cap, and the extension probe's tolerance.
+_PROPERNESS_RADIUS = 0.999
+_PROPERNESS_N_THETA = 64
+_REST_POINTS = 4
+_MAJORANT_R0 = 0.25
+_PROBE_TOL_EXT = 1e-3
+
+
 @dataclass(frozen=True)
 class PipelineParams:
-    properness_radius: float = 0.999
     properness_threshold: float = 0.05
-    n_theta: int = 64
-    rest_points: int = 4
-    majorant_r0: float = 0.25
     majorant_alpha_override: float | None = None
     probe_n_theta: int = 4096
-    probe_tol_ext: float = 1e-3
 
     def __post_init__(self):
         alpha = self.majorant_alpha_override
@@ -436,24 +443,26 @@ def theorem_pipeline(
     """Chain the stages of the continuous-extension argument on a flat model.
 
     (i) properness diagnostic: the image must approach the boundary along
-    the whole circle of radius ``properness_radius``; (ii) the inscribed-
-    radius bound in the boundary zone; (iii) a derivative majorant
+    the whole circle of radius 0.999; (ii) the inscribed-radius bound in
+    the boundary zone; (iii) a derivative majorant
     (K1/x)(log(K2/x))^{-1/alpha} with K1 = 4 beta^{1/alpha} and
     K2 = (C/C2)^beta from the distance-decay fit; (iv) integrability of the
     majorant; (v) the boundary-extension probe.  A properness failure aborts
     the remaining stages; a divergent majorant is reported and the probe
-    still runs.
+    still runs.  ``candidate`` must map into ``domain`` itself.
     """
+    if candidate.domain != domain:
+        raise ValueError("candidate domain does not match the pipeline domain")
     params = params or PipelineParams()
     s = domain.support
     stages: list[PipelineStage] = []
 
     # (i) properness
     f = candidate.map
-    r = params.properness_radius
+    r = _PROPERNESS_RADIUS
     ds = []
-    for k in range(params.n_theta):
-        zeta = r * cmath.exp(2j * math.pi * k / params.n_theta)
+    for k in range(_PROPERNESS_N_THETA):
+        zeta = r * cmath.exp(2j * math.pi * k / _PROPERNESS_N_THETA)
         ds.append(boundary_distance(domain, f(zeta)))
     worst = float(np.max(ds))
     proper = worst < params.properness_threshold
@@ -474,9 +483,9 @@ def theorem_pipeline(
     order = np.argsort(ds)
     checked, ok_rest, rest_rows = 0, True, []
     for idx in order:
-        if checked >= params.rest_points:
+        if checked >= _REST_POINTS:
             break
-        zeta = r * cmath.exp(2j * math.pi * int(idx) / params.n_theta)
+        zeta = r * cmath.exp(2j * math.pi * int(idx) / _PROPERNESS_N_THETA)
         z = f(zeta)
         d = ds[int(idx)]
         if not 0.0 < d < zone:
@@ -494,14 +503,14 @@ def theorem_pipeline(
 
     # (iii) majorant constants from the distance-decay fit, taken along the
     # ray where the image actually approaches the boundary
-    theta_star = 2.0 * math.pi * int(order[0]) / params.n_theta
+    theta_star = 2.0 * math.pi * int(order[0]) / _PROPERNESS_N_THETA
     fit = mercer_fit(candidate, theta=theta_star)
     alpha = params.majorant_alpha_override
     if alpha is None:
         alpha = s.alpha
     K1 = 4.0 * fit.beta ** (1.0 / alpha)
     K2 = (s.C / fit.C2) ** fit.beta
-    r0 = min(params.majorant_r0, 0.9 * K2)
+    r0 = min(_MAJORANT_R0, 0.9 * K2)
     family = DerivMajorantFamily(K1=K1, K2=K2, alpha=alpha, r0=r0)
     stages.append(
         PipelineStage(
@@ -535,7 +544,7 @@ def theorem_pipeline(
 
     # (v) boundary-extension probe
     probe = boundary_extension_probe(
-        candidate, n_theta=params.probe_n_theta, tol_ext=params.probe_tol_ext
+        candidate, n_theta=params.probe_n_theta, tol_ext=_PROBE_TOL_EXT
     )
     stages.append(
         PipelineStage(

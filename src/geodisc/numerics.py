@@ -32,6 +32,9 @@ _VALUE_CAP = 1e50
 # and f(x) loses its precision, so a callable is not read beyond it.
 _U_MAX = -math.log(sys.float_info.min)
 
+# Iteration cap shared by bisection and golden-section search.
+_MAX_ITER = 200
+
 
 @dataclass(frozen=True)
 class QuadratureResult:
@@ -196,13 +199,12 @@ def solve_monotone(
     hi: float,
     target: float,
     tol: float,
-    max_iter: int = 200,
 ) -> RootResult:
     """Bisect a monotone g on [lo, hi] for g(x) = target.
 
     Requires a sign change of g - target across the bracket.  Iterates until
-    the bracket width is <= tol, then keeps halving (up to ``max_iter``)
-    while the residual exceeds tol.
+    the bracket width is <= tol, then keeps halving (up to 200 halvings in
+    all) while the residual exceeds tol.
     """
     if not (hi > lo):
         raise ValueError("empty interval")
@@ -216,7 +218,7 @@ def solve_monotone(
         raise ValueError("target not bracketed")
 
     fmid = math.inf
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break  # bracket at floating-point resolution
@@ -246,7 +248,7 @@ def golden_section(
     c = hi - _INVPHI * (hi - lo)
     d = lo + _INVPHI * (hi - lo)
     fc, fd = f(c), f(d)
-    for _ in range(200):
+    for _ in range(_MAX_ITER):
         if hi - lo <= tol:
             break
         if fc < fd:

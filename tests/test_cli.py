@@ -117,6 +117,14 @@ def test_log_dini_divergent_exit_two(tmp_path):
     assert code == 2
 
 
+def test_pz_bound_delta_above_one(tmp_path):
+    cfg = {"modulus": {"kind": "holder", "a": 1.0}, "delta": 1.5}
+    code, out = run_cli(tmp_path, "pz-bound", cfg)
+    assert code == 0
+    value = json.loads(out.read_text())["result"]["pz_bound"]
+    assert value == pytest.approx(1.5 * (1.0 + math.log(math.pi / 1.5)), rel=1e-10)
+
+
 def test_conjugate_round_trip(tmp_path):
     cfg = {"function": {"kind": "identity"}, "n": 64, "real_part": True}
     code, out = run_cli(tmp_path, "conjugate", cfg)
@@ -306,6 +314,11 @@ BAD_CONFIGS = {
         "pipeline",
         {"domain": FLAT, "candidate": FLAT_SLICE, "majorant_alpha_override": "x"},
         "majorant_alpha_override:",
+    ),
+    "pipeline domain mismatch": (
+        "pipeline",
+        {"domain": FLAT, "candidate": dict(FLAT_SLICE, domain=dict(FLAT, C=2.0))},
+        "candidate domain does not match the pipeline domain",
     ),
     "triple for a complex number": (
         "domain-distance",

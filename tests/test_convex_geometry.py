@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geodisc.convex_geometry import (
     Ball,
@@ -411,6 +413,72 @@ def test_inscribed_radius_halfspace_global_minimum():
     assert abs(closed_form - 1.0606631109242757) < 1e-12
     r = inscribed_disc_radius(HalfspaceIntersection(tuple(cons)), z, v)
     assert abs(r - closed_form) < 1e-12
+
+
+# --- symmetry properties -----------------------------------------------------
+#
+# A linear map that carries a domain onto itself preserves exit times,
+# boundary distances and inscribed radii: unitary maps of a centred ball,
+# coordinate phases of a polydisc, and coordinate permutations of a polydisc
+# with equal radii.
+
+SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
+DIMENSIONS = st.integers(min_value=1, max_value=4)
+
+
+def _complex_gaussian(rng, *shape) -> np.ndarray:
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _point_in_disc(rng, radius: float) -> complex:
+    return radius * math.sqrt(rng.uniform(0.0, 0.8)) * complex(np.exp(2j * math.pi * rng.random()))
+
+
+def assert_same_geometry(domain, z, u, v, image):
+    """exit_time, boundary_distance and inscribed_disc_radius agree at
+    (z, u, v) and at their images to 1e-12 relative."""
+    pairs = [
+        (exit_time(domain, z, u), exit_time(domain, image(z), image(u))),
+        (boundary_distance(domain, z), boundary_distance(domain, image(z))),
+        (inscribed_disc_radius(domain, z, v), inscribed_disc_radius(domain, image(z), image(v))),
+    ]
+    for before, after in pairs:
+        assert after == pytest.approx(before, rel=1e-12, abs=0.0)
+
+
+@given(SEEDS, DIMENSIONS)
+@settings(max_examples=40, deadline=None)
+def test_centred_ball_unitary_invariance(seed, n):
+    rng = np.random.default_rng(seed)
+    radius = rng.uniform(0.5, 2.0)
+    ball = Ball(np.zeros(n), radius)
+    z = _complex_gaussian(rng, n)
+    z *= abs(_point_in_disc(rng, radius)) / np.linalg.norm(z)
+    u, v = _complex_gaussian(rng, n), _complex_gaussian(rng, n)
+    unitary, _ = np.linalg.qr(_complex_gaussian(rng, n, n))
+    assert_same_geometry(ball, z, u, v, lambda w: unitary @ w)
+
+
+@given(SEEDS, DIMENSIONS)
+@settings(max_examples=40, deadline=None)
+def test_polydisc_coordinate_phase_invariance(seed, n):
+    rng = np.random.default_rng(seed)
+    radii = rng.uniform(0.5, 2.0, n)
+    z = np.array([_point_in_disc(rng, r) for r in radii])
+    u, v = _complex_gaussian(rng, n), _complex_gaussian(rng, n)
+    phases = np.exp(2j * math.pi * rng.random(n))
+    assert_same_geometry(Polydisc(tuple(radii)), z, u, v, lambda w: phases * w)
+
+
+@given(SEEDS, DIMENSIONS)
+@settings(max_examples=40, deadline=None)
+def test_equal_radius_polydisc_permutation_invariance(seed, n):
+    rng = np.random.default_rng(seed)
+    radius = rng.uniform(0.5, 2.0)
+    z = np.array([_point_in_disc(rng, radius) for _ in range(n)])
+    u, v = _complex_gaussian(rng, n), _complex_gaussian(rng, n)
+    order = rng.permutation(n)
+    assert_same_geometry(Polydisc((radius,) * n), z, u, v, lambda w: w[order])
 
 
 # --- convexity spot checks ---------------------------------------------------

@@ -406,6 +406,13 @@ def test_pipeline_flags_noninteg_majorant_at_alpha_one():
     assert not report.ok
 
 
+def test_pipeline_rejects_candidate_on_another_domain():
+    domain = pipeline_domain()
+    other = FlatModelDomain(FlatSupport(2.0, 0.5, 1.0 / 9.0, 0.08))
+    with pytest.raises(ValueError, match="candidate domain does not match"):
+        theorem_pipeline(domain, flat_slice_candidate(other, 0.04j, 0.04))
+
+
 def test_pipeline_aborts_for_constant_map():
     # a roomier model: the constant image sits 0.15 > 0.05 from the boundary
     domain = FlatModelDomain(FlatSupport(1.0, 0.5, 1.0 / 9.0, 0.3))

@@ -68,13 +68,27 @@ def test_log_dini_plain_callable_matches_mpmath():
 
 
 @pytest.mark.parametrize("a", [1.0, 0.4])
-@pytest.mark.parametrize("delta", [0.01, 0.3])
+@pytest.mark.parametrize("delta", [0.01, 0.3, 1.5])
 def test_pz_bound_holder_matches_mpmath(a, delta):
     near = log_moment(lambda u: -a * u, 0, mp.log(1 / mp.mpf(delta)))
     far = float(mp.quad(lambda x: x ** (a - 2), [delta, 1, mp.pi]))
     K = 1.5
     expected = K * (near + delta * far)
     assert pz_bound(ModulusFamily.holder(a), delta, K) == pytest.approx(expected, rel=REL)
+
+
+@pytest.mark.parametrize("name", ["stretched 1, 0.5", "stretched 2, 0.3"])
+@pytest.mark.parametrize("delta", [0.01, 0.3, 0.9, 1.5])
+def test_pz_bound_stretched_matches_mpmath(name, delta):
+    # the capped models have a cusp at x = 1, omega ~ 1 - c sqrt(1 - x), and
+    # are 1 above it
+    omega, log_omega = MODULI[name]
+    edge = min(delta, 1.0)
+    near = log_moment(log_omega, 0, mp.log(1 / mp.mpf(edge))) + mp.log(delta / edge)
+    breaks = [delta, 1, mp.pi] if delta < 1 else [delta, mp.pi]
+    far = mp.quad(lambda x: mp.exp(log_omega(-mp.log(x))) / x**2, breaks)
+    expected = float(near + delta * far)
+    assert pz_bound(omega, delta, 1.0) == pytest.approx(expected, rel=REL)
 
 
 @dataclass(frozen=True)
