@@ -41,7 +41,8 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class Scalar:
-    """One JSON value: ``accepts`` tests its type, ``convert`` reads it."""
+    """One JSON value: ``accepts`` tests its type, ``convert`` reads it and
+    raises ValueError for a value out of range."""
 
     expected: str
     accepts: Callable[[object], bool]
@@ -93,6 +94,24 @@ COMPLEX = Scalar("a number or an [re, im] pair", _is_complex, _to_complex)
 VECTOR = [COMPLEX]
 
 
+def _grid(n: int) -> int:
+    if n < 8:
+        raise ValueError("grid size must be at least 8")
+    return n
+
+
+def _dyadic_grid(n: int) -> int:
+    n = _grid(n)
+    if n & (n - 1):
+        raise ValueError("grid size must be a power of two")
+    return n
+
+
+# sizes of uniform grids on the circle
+GRID = Scalar("an integer", _is_count, _grid)
+DYADIC_GRID = Scalar("an integer", _is_count, _dyadic_grid)
+
+
 def parse(schema, value, path: str = ""):
     """``value`` checked against ``schema`` and converted.  The ConfigError
     for an unknown, missing or mistyped value, or one the library rejects,
@@ -101,7 +120,10 @@ def parse(schema, value, path: str = ""):
     if isinstance(schema, Scalar):
         if not schema.accepts(value):
             raise ConfigError(f"{where}: expected {schema.expected}, got {value!r}")
-        return schema.convert(value)
+        try:
+            return schema.convert(value)
+        except ValueError as exc:
+            raise ConfigError(f"{where}: {exc}") from exc
     if isinstance(schema, list):
         if not isinstance(value, (list, tuple)):
             raise ConfigError(f"{where}: expected a list, got {value!r}")
@@ -144,16 +166,20 @@ def parse(schema, value, path: str = ""):
 def _monomial(degree: int, coefficient: complex) -> da.UnitDiscFunction:
     if degree < 0:
         raise ValueError("monomial degree must be nonnegative")
-    return da.scalar_function(
-        lambda z: coefficient * z**degree,
-        lambda z: coefficient * degree * z ** (degree - 1) if degree else 0.0j,
+    return da.UnitDiscFunction(
+        lambda z: da.stack_components(z, da.cmul(coefficient, da.cpow(z, degree))),
+        1,
+        lambda z: da.stack_components(
+            z, da.cmul(coefficient * degree, da.cpow(z, degree - 1)) if degree else 0.0
+        ),
     )
 
 
 def _pair_identity_zero() -> da.UnitDiscFunction:
-    return da.vector_function(
-        [lambda z: z, lambda z: 0.0 * z],
-        [lambda z: 1.0 + 0.0j, lambda z: 0.0j],
+    return da.UnitDiscFunction(
+        lambda z: da.stack_components(z, z, 0.0),
+        2,
+        lambda z: da.stack_components(z, 1.0, 0.0),
     )
 
 
@@ -405,11 +431,11 @@ COMMANDS: dict[str, tuple[Callable, dict]] = {
     "hl-bound": (_cmd_hl_bound, {"majorant": MAJORANT, "delta": NUMBER}),
     "hl-l1": (_cmd_hl_l1, {"majorant": MAJORANT, "n": Opt(COUNT, 0)}),
     "mod-cont": (_cmd_mod_cont, {
-        "function": FUNCTION, "n": Opt(COUNT, 512),
+        "function": FUNCTION, "n": Opt(GRID, 512),
         "delta": Opt(NUMBER), "deltas": Opt([NUMBER]),
     }),
     "conjugate": (_cmd_conjugate, {
-        "function": FUNCTION, "n": Opt(COUNT, 512), "real_part": Opt(BOOLEAN, False),
+        "function": FUNCTION, "n": Opt(DYADIC_GRID, 512), "real_part": Opt(BOOLEAN, False),
     }),
     "pz-bound": (_cmd_pz_bound, {"modulus": MODULUS, "delta": NUMBER, "K": Opt(NUMBER, 1.0)}),
     "log-dini": (_cmd_log_dini, {"modulus": MODULUS, "n_max": Opt(COUNT)}),
@@ -425,13 +451,13 @@ COMMANDS: dict[str, tuple[Callable, dict]] = {
         "candidate": CANDIDATE, "zeta1": COMPLEX, "zeta2": COMPLEX,
     }),
     "geodesic-probe": (_cmd_geodesic_probe, {
-        "candidate": CANDIDATE, "n_theta": Opt(COUNT), "tol_ext": Opt(NUMBER),
+        "candidate": CANDIDATE, "n_theta": Opt(GRID), "tol_ext": Opt(NUMBER),
     }),
     "mercer-fit": (_cmd_mercer_fit, {"candidate": CANDIDATE, "theta": Opt(NUMBER)}),
     "pipeline": (_cmd_pipeline, {
         "domain": FLAT_MODEL, "candidate": CANDIDATE,
         "properness_threshold": Opt(NUMBER), "majorant_alpha_override": Opt(NUMBER),
-        "probe_n_theta": Opt(COUNT),
+        "probe_n_theta": Opt(GRID),
     }),
 }
 

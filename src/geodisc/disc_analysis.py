@@ -28,57 +28,141 @@ _CAUCHY_NODES = 64
 
 @dataclass(frozen=True)
 class UnitDiscFunction:
-    """Evaluator for a holomorphic map of the unit disc into C^m.
+    """A holomorphic map of the unit disc into C^m, evaluated on arrays.
 
-    ``evaluate`` must return a length-``dimension`` complex vector for every
-    queried point with |zeta| < 1.  ``derivative``, when supplied, is the
-    analytic derivative and is cross-checked against the Cauchy integral in
-    the test suite.
+    ``evaluate`` takes an array of points with |zeta| < 1, shape (N,), and
+    returns their values, shape (N, m) with m = ``dimension``; like a numpy
+    ufunc it keeps any other shape of points, S -> S + (m,), a single point
+    included.  ``derivative``, when supplied, is the analytic derivative
+    under the same contract and is cross-checked against the Cauchy
+    integral in the test suite.  Calling the map at one point gives its
+    value there, shape (m,).  :func:`scalar_function` and
+    :func:`vector_function` adapt plain per-point callables to this
+    contract.
     """
 
-    evaluate: Callable[[complex], np.ndarray]
+    evaluate: Callable[[np.ndarray], np.ndarray]
     dimension: int
-    derivative: Callable[[complex], np.ndarray] | None = None
+    derivative: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __call__(self, zeta: complex) -> np.ndarray:
-        value = np.atleast_1d(np.asarray(self.evaluate(zeta), dtype=complex))
-        if value.shape != (self.dimension,):
-            raise ValueError("evaluator returned wrong dimension")
-        return value
+        return self.values(np.array([zeta], dtype=complex))[0]
+
+    def values(self, zeta: np.ndarray) -> np.ndarray:
+        """``evaluate`` at an array of points, with its shape checked."""
+        return _checked(self.evaluate(zeta), zeta, self.dimension)
+
+
+def _checked(values, zeta: np.ndarray, dimension: int) -> np.ndarray:
+    values = np.asarray(values, dtype=complex)
+    if values.shape != np.shape(zeta) + (dimension,):
+        raise ValueError("evaluator returned wrong dimension")
+    return values
+
+
+def stack_components(zeta, *parts) -> np.ndarray:
+    """The component values ``parts``, each broadcast to the shape S of the
+    points ``zeta``, stacked into shape S + (m,): the value array of a map
+    written on arrays."""
+    shape = np.shape(zeta)
+    return np.stack([np.broadcast_to(p, shape) for p in parts], axis=-1).astype(
+        complex, copy=False
+    )
+
+
+# Complex products, quotients and powers of arrays, rounded step for step
+# as Python's complex type rounds them (each real product and sum on its
+# own, Smith's quotient, binary powering).  numpy's vector loops for the
+# complex product and quotient may round differently (fused multiply-adds,
+# a reciprocal), and near the circle 1 - |f| magnifies a
+# last-bit difference a millionfold; the built-in maps use these so that
+# their values on arrays are those of the same formula on Python complex
+# numbers, bit for bit.
+
+def _join(re, im) -> np.ndarray:
+    out = np.empty(np.broadcast_shapes(np.shape(re), np.shape(im)), dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
+def cmul(a, b) -> np.ndarray:
+    """a * b."""
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    return _join(a.real * b.real - a.imag * b.imag, a.real * b.imag + a.imag * b.real)
+
+
+def cdiv(a, b) -> np.ndarray:
+    """a / b for b != 0, scaling by the larger part of b."""
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    real_wide = np.abs(b.real) >= np.abs(b.imag)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(real_wide, b.imag / b.real, b.real / b.imag)
+        denom = np.where(real_wide, b.real + b.imag * ratio, b.real * ratio + b.imag)
+        re = np.where(real_wide, a.real + a.imag * ratio, a.real * ratio + a.imag)
+        im = np.where(real_wide, a.imag - a.real * ratio, a.imag * ratio - a.real)
+    return _join(re / denom, im / denom)
+
+
+def cpow(z, n: int) -> np.ndarray:
+    """z**n for an integer n >= 0, by squaring (as Python does for n <= 100)."""
+    result, power, bit = np.ones(np.shape(z), dtype=complex), np.asarray(z, dtype=complex), 1
+    while bit <= n:
+        if n & bit:
+            result = cmul(result, power)
+        bit <<= 1
+        if bit <= n:
+            power = cmul(power, power)
+    return result
+
+
+def _per_point(functions: Sequence[Callable[[complex], complex]]):
+    """Array evaluator over plain callables: each is called once per point,
+    on a Python complex, so scalar-only code such as ``cmath`` works."""
+    functions = list(functions)
+
+    def evaluate(zeta) -> np.ndarray:
+        zeta = np.asarray(zeta, dtype=complex)
+        rows = [[fn(z) for fn in functions] for z in zeta.ravel().tolist()]
+        return np.array(rows, dtype=complex).reshape(zeta.shape + (len(functions),))
+
+    return evaluate
 
 
 def scalar_function(
     f: Callable[[complex], complex],
     df: Callable[[complex], complex] | None = None,
 ) -> UnitDiscFunction:
-    deriv = None if df is None else (lambda z: np.array([df(z)], dtype=complex))
-    return UnitDiscFunction(lambda z: np.array([f(z)], dtype=complex), 1, deriv)
+    """A map into C from a per-point callable and, optionally, its derivative."""
+    return UnitDiscFunction(_per_point([f]), 1, None if df is None else _per_point([df]))
 
 
 def vector_function(
     components: Sequence[Callable[[complex], complex]],
     derivatives: Sequence[Callable[[complex], complex]] | None = None,
 ) -> UnitDiscFunction:
+    """A map into C^m from m per-point callables and, optionally, their
+    derivatives."""
     comps = list(components)
-    deriv = None
-    if derivatives is not None:
-        dcomps = list(derivatives)
-        deriv = lambda z: np.array([d(z) for d in dcomps], dtype=complex)
-    return UnitDiscFunction(
-        lambda z: np.array([c(z) for c in comps], dtype=complex), len(comps), deriv
-    )
+    deriv = None if derivatives is None else _per_point(derivatives)
+    return UnitDiscFunction(_per_point(comps), len(comps), deriv)
 
 
 def identity_map() -> UnitDiscFunction:
-    return scalar_function(lambda z: z, lambda z: 1.0 + 0.0j)
+    return UnitDiscFunction(
+        lambda z: stack_components(z, z), 1, lambda z: stack_components(z, 1.0)
+    )
 
 
 def constant_map(values: Sequence[complex]) -> UnitDiscFunction:
     vals = np.asarray(values, dtype=complex)
     if vals.size == 0:
         raise ValueError("constant map needs at least one component")
-    zero = np.zeros_like(vals)
-    return UnitDiscFunction(lambda z: vals.copy(), len(vals), lambda z: zero.copy())
+    zeros = np.zeros_like(vals)
+    return UnitDiscFunction(
+        lambda z: stack_components(z, *vals),
+        len(vals),
+        lambda z: stack_components(z, *zeros),
+    )
 
 
 @dataclass(frozen=True)
@@ -194,28 +278,52 @@ def _log_modulus(omega) -> Callable[[float], float]:
     return own if own is not None else log_scale(omega)
 
 
-def derivative_centered(f: UnitDiscFunction, zeta: complex) -> np.ndarray:
+def row_norms(values: np.ndarray) -> np.ndarray:
+    """Euclidean norms over the last axis, summed as ``np.linalg.norm``
+    sums a single complex vector."""
+    return np.sqrt(np.sum(values.real**2, axis=-1) + np.sum(values.imag**2, axis=-1))
+
+
+def derivative_centered(f: UnitDiscFunction, zeta) -> np.ndarray:
     """f'(zeta) from the Cauchy integral over a circle centered at zeta.
 
     The radius is half the distance to the boundary, so f need not extend
     to the boundary.  Trapezoidal on the circle, hence spectrally accurate
-    for analytic f.
+    for analytic f.  ``zeta`` is one point or an array of points of shape
+    S; the result has shape S + (m,), from one evaluation of f on all
+    64 nodes of every circle.
     """
-    if abs(zeta) >= 1.0:
+    zeta = np.asarray(zeta, dtype=complex)
+    if np.any(np.abs(zeta) >= 1.0):
         raise ValueError("point outside unit disc")
-    rho = 0.5 * (1.0 - abs(zeta))
+    rho = 0.5 * (1.0 - np.abs(zeta))
     phases = np.exp(2j * math.pi * np.arange(_CAUCHY_NODES) / _CAUCHY_NODES)
-    acc = np.zeros(f.dimension, dtype=complex)
-    for phase in phases:
-        acc += f(zeta + rho * phase) / phase
-    return acc / (_CAUCHY_NODES * rho)
+    nodes = zeta[..., None] + rho[..., None] * phases
+    values = f.values(nodes.ravel()).reshape(nodes.shape + (f.dimension,))
+    total = np.sum(values / phases[:, None], axis=-2)
+    return total / (_CAUCHY_NODES * rho)[..., None]
 
 
-def derivative_at(f: UnitDiscFunction, zeta: complex) -> np.ndarray:
-    """Analytic derivative when supplied, else the centered Cauchy integral."""
-    if f.derivative is not None:
-        return np.atleast_1d(np.asarray(f.derivative(zeta), dtype=complex))
-    return derivative_centered(f, zeta)
+def derivative_at(f: UnitDiscFunction, zeta) -> np.ndarray:
+    """Analytic derivative when supplied, else the centered Cauchy integral;
+    shape S + (m,) for points of shape S."""
+    if f.derivative is None:
+        return derivative_centered(f, zeta)
+    zeta = np.asarray(zeta, dtype=complex)
+    return _checked(f.derivative(zeta), zeta, f.dimension)
+
+
+def _radial_tails(f: UnitDiscFunction, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """f at the last radius of ``RADIAL_TAIL`` on each ray e^{i theta},
+    shape (n, m), and the Cauchy flags, shape (n,): true where each step of
+    the tail moved the value by less than 1e-6.  One evaluation of f on the
+    whole (n, 4) grid of rays and radii."""
+    zeta = np.empty((len(thetas), len(RADIAL_TAIL)), dtype=complex)
+    zeta.real = np.multiply.outer(np.cos(thetas), RADIAL_TAIL)
+    zeta.imag = np.multiply.outer(np.sin(thetas), RADIAL_TAIL)
+    tails = f.values(zeta.ravel()).reshape(zeta.shape + (f.dimension,))
+    moves = row_norms(np.diff(tails, axis=1))
+    return tails[:, -1], np.all(moves < _RADIAL_TOL, axis=1)
 
 
 def radial_limit(f: UnitDiscFunction, theta: float) -> tuple[np.ndarray, bool]:
@@ -223,12 +331,8 @@ def radial_limit(f: UnitDiscFunction, theta: float) -> tuple[np.ndarray, bool]:
     flag: true iff the values moved by less than 1e-6 over each step of the
     tail.
     """
-    direction = complex(math.cos(theta), math.sin(theta))
-    tail = [f(r * direction) for r in RADIAL_TAIL]
-    cauchy_ok = all(
-        float(np.linalg.norm(b - a)) < _RADIAL_TOL for a, b in zip(tail, tail[1:])
-    )
-    return tail[-1], cauchy_ok
+    values, flags = _radial_tails(f, np.array([theta], dtype=float))
+    return values[0], bool(flags[0])
 
 
 def boundary_samples(f: UnitDiscFunction, n: int) -> BoundarySamples:
@@ -236,23 +340,35 @@ def boundary_samples(f: UnitDiscFunction, n: int) -> BoundarySamples:
     uniformity diagnostic."""
     if n < 8:
         raise ValueError("grid size must be at least 8")
-    values = np.empty((n, f.dimension), dtype=complex)
-    ok = 0
-    for k in range(n):
-        value, flag = radial_limit(f, 2.0 * math.pi * k / n)
-        values[k] = value
-        ok += flag
-    return BoundarySamples(n, values, RADIAL_TAIL[-1], ok / n)
+    values, flags = _radial_tails(f, 2.0 * math.pi * np.arange(n) / n)
+    return BoundarySamples(n, values, RADIAL_TAIL[-1], int(np.count_nonzero(flags)) / n)
 
 
 def _lag_maxima(samples: BoundarySamples, max_lag: int) -> np.ndarray:
-    """lag_maxima[l] = max_k ||g(theta_{k+l}) - g(theta_k)|| for l = 0..max_lag."""
-    values = samples.values
-    out = np.zeros(max_lag + 1)
+    """lag_maxima[l] = max_k ||g(theta_{k+l}) - g(theta_k)|| for l = 0..max_lag.
+
+    A column sweep: the real and imaginary part of each component is one
+    contiguous column, extended circularly by max_lag entries, and each lag
+    sums the squared column differences into a preallocated buffer.  Every
+    pair (k, k + l) is visited once per lag, in O(n) memory.
+    """
+    n = samples.n
+    columns = [
+        np.concatenate([part, part[:max_lag]])
+        for component in samples.values.T
+        for part in (component.real, component.imag)
+    ]
+    total, term = np.empty(n), np.empty(n)
+    squares = np.zeros(max_lag + 1)
     for lag in range(1, max_lag + 1):
-        diff = values - np.roll(values, lag, axis=0)
-        out[lag] = math.sqrt(float(np.max(np.sum(np.abs(diff) ** 2, axis=1))))
-    return out
+        for j, column in enumerate(columns):
+            out = term if j else total
+            np.subtract(column[lag:lag + n], column[:n], out=out)
+            np.multiply(out, out, out=out)
+            if j:
+                np.add(total, term, out=total)
+        squares[lag] = total.max()
+    return np.sqrt(squares)
 
 
 def _lag(delta: float, n: int) -> int:

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .disc_analysis import UnitDiscFunction, derivative_at
+from .disc_analysis import UnitDiscFunction, derivative_at, row_norms
 from .numerics import QuadratureResult, integrate_endpoint, integrate_log_moment, log_scale
 
 _MONOTONICITY_GRID = 256
@@ -108,23 +108,27 @@ def verify_majorant(f: UnitDiscFunction, phi) -> MajorantReport:
     """Max over the grid of ||f'(r e^{i theta})|| - Phi(1 - r).
 
     The grid is 24 radii with 1 - r geometric from 0.999 r0 down to
-    1e-4 r0, times 32 equispaced angles.  A nonpositive ``max_violation``
-    means the majorant hypothesis holds on the grid.
+    1e-4 r0, times 32 equispaced angles; a radius that rounds to 1 or out
+    of the window (1 - r0, 1) is left out, and a window with no radius
+    left is rejected.  A nonpositive ``max_violation`` means the majorant
+    hypothesis holds on the grid.
     """
     r0 = phi.r0
-    worst = (-math.inf, 0.0, 0.0)
-    for r in 1.0 - np.geomspace(r0 * 0.999, r0 * 1e-4, 24):
-        r = float(r)
-        if not 1.0 - r0 < r < 1.0:
-            raise ValueError("radius outside majorant window")
-        cap = phi.evaluate(1.0 - r)
-        for theta in _VERIFY_THETAS:
-            theta = float(theta)
-            zeta = r * complex(math.cos(theta), math.sin(theta))
-            violation = float(np.linalg.norm(derivative_at(f, zeta))) - cap
-            if violation > worst[0]:
-                worst = (violation, r, theta)
-    return MajorantReport(*worst)
+    radii = 1.0 - np.geomspace(r0 * 0.999, r0 * 1e-4, 24)
+    radii = radii[(1.0 - r0 < radii) & (radii < 1.0)]
+    if radii.size == 0:
+        raise ValueError(f"majorant window r0 = {r0!r} is too narrow to sample below 1")
+    caps = np.array([phi.evaluate(1.0 - float(r)) for r in radii])
+    zeta = np.multiply.outer(radii, np.cos(_VERIFY_THETAS) + 1j * np.sin(_VERIFY_THETAS))
+    violations = row_norms(derivative_at(f, zeta.ravel())) - np.repeat(caps, len(_VERIFY_THETAS))
+    # the first largest violation in grid order; none when all are -inf or nan
+    worst = int(np.argmax(np.where(np.isnan(violations), -np.inf, violations)))
+    if not violations[worst] > -math.inf:
+        return MajorantReport(-math.inf, 0.0, 0.0)
+    r, theta = divmod(worst, len(_VERIFY_THETAS))
+    return MajorantReport(
+        float(violations[worst]), float(radii[r]), float(_VERIFY_THETAS[theta])
+    )
 
 
 def phi_log_l1(

@@ -30,10 +30,12 @@ from .disc_analysis import (
     ModulusProfile,
     UnitDiscFunction,
     boundary_samples,
+    cdiv,
+    cmul,
+    cpow,
     derivative_at,
     modulus_profile,
-    scalar_function,
-    vector_function,
+    stack_components,
 )
 from .hardy_littlewood import DerivMajorantFamily, phi_log_l1
 from .numerics import QuadratureResult
@@ -69,9 +71,11 @@ def disc_automorphism(a: complex, phi: float = 0.0) -> UnitDiscFunction:
         raise ValueError("automorphism parameter must lie inside the disc")
     rot = cmath.exp(1j * phi)
     abar = complex(a).conjugate()
-    return scalar_function(
-        lambda z: rot * (z - a) / (1.0 - abar * z),
-        lambda z: rot * (1.0 - abs(a) ** 2) / (1.0 - abar * z) ** 2,
+    scale = rot * (1.0 - abs(a) ** 2)
+    return UnitDiscFunction(
+        lambda z: stack_components(z, cdiv(cmul(rot, z - a), 1.0 - cmul(abar, z))),
+        1,
+        lambda z: stack_components(z, cdiv(scale, cpow(1.0 - cmul(abar, z), 2))),
     )
 
 
@@ -135,14 +139,11 @@ class GeodesicCandidate:
     def image_inside(self) -> bool:
         """No image point outside the domain among 64 seeded points drawn
         uniformly from the disc of radius 0.999."""
-        rng = np.random.default_rng(0)
-        for _ in range(64):
-            zeta = 0.999 * math.sqrt(rng.random()) * cmath.exp(
-                2j * math.pi * rng.random()
-            )
-            if self.domain.membership(self.map(zeta)) == "outside":
-                return False
-        return True
+        radii, angles = np.random.default_rng(0).random((64, 2)).T
+        zeta = 0.999 * np.sqrt(radii) * np.exp(2j * math.pi * angles)
+        return all(
+            self.domain.membership(z) != "outside" for z in self.map.values(zeta)
+        )
 
 
 def nonextending_geodesic() -> GeodesicCandidate:
@@ -155,11 +156,13 @@ def nonextending_geodesic() -> GeodesicCandidate:
     limit 0 at theta = 0 but unimodular oscillation (1/2) e^{-i cot(theta/2)}
     elsewhere.
     """
-    f2 = lambda z: 0.5 * cmath.exp((1.0 + z) / (z - 1.0))
-    df2 = lambda z: f2(z) * (-2.0) / (z - 1.0) ** 2
-    mapping = vector_function(
-        [lambda z: z, f2],
-        [lambda z: 1.0 + 0.0j, df2],
+    def f2(z):
+        return 0.5 * np.exp(cdiv(1.0 + z, z - 1.0))
+
+    mapping = UnitDiscFunction(
+        lambda z: stack_components(z, z, f2(z)),
+        2,
+        lambda z: stack_components(z, 1.0, cdiv(f2(z) * (-2.0), cpow(z - 1.0, 2))),
     )
     return GeodesicCandidate(mapping, Polydisc((1.0, 1.0)), "polydisc_explicit")
 
@@ -167,19 +170,12 @@ def nonextending_geodesic() -> GeodesicCandidate:
 def flat_slice_candidate(domain: FlatModelDomain, center: complex,
                          radius: float) -> GeodesicCandidate:
     """Affine disc in the last-coordinate slice: zeta -> (0', center + radius zeta)."""
-    n = domain.dimension
-
-    def evaluate(z: complex) -> np.ndarray:
-        out = np.zeros(n, dtype=complex)
-        out[-1] = center + radius * z
-        return out
-
-    def derivative(z: complex) -> np.ndarray:
-        out = np.zeros(n, dtype=complex)
-        out[-1] = radius
-        return out
-
-    mapping = UnitDiscFunction(evaluate, n, derivative)
+    flat = (0.0,) * (domain.dimension - 1)
+    mapping = UnitDiscFunction(
+        lambda z: stack_components(z, *flat, center + radius * z),
+        domain.dimension,
+        lambda z: stack_components(z, *flat, radius),
+    )
     return GeodesicCandidate(mapping, domain, "custom")
 
 
@@ -352,11 +348,9 @@ def mercer_fit(
     rs = np.asarray(list(r_grid), dtype=float)
     if len(rs) < 8:
         raise ValueError("need at least 8 grid radii")
-    f = candidate.map
-    phase = cmath.exp(1j * theta)
     ds = []
-    for r in rs:
-        d = boundary_distance(candidate.domain, f(phase * r))
+    for z in candidate.map.values(cmath.exp(1j * theta) * rs):
+        d = boundary_distance(candidate.domain, z)
         if d <= 0.0:
             raise ValueError("image touches boundary")
         ds.append(d)
@@ -459,11 +453,11 @@ def theorem_pipeline(
 
     # (i) properness
     f = candidate.map
-    r = _PROPERNESS_RADIUS
-    ds = []
-    for k in range(_PROPERNESS_N_THETA):
-        zeta = r * cmath.exp(2j * math.pi * k / _PROPERNESS_N_THETA)
-        ds.append(boundary_distance(domain, f(zeta)))
+    ring = _PROPERNESS_RADIUS * np.exp(
+        2j * math.pi * np.arange(_PROPERNESS_N_THETA) / _PROPERNESS_N_THETA
+    )
+    images = f.values(ring)
+    ds = [boundary_distance(domain, z) for z in images]
     worst = float(np.max(ds))
     proper = worst < params.properness_threshold
     stages.append(
@@ -485,13 +479,11 @@ def theorem_pipeline(
     for idx in order:
         if checked >= _REST_POINTS:
             break
-        zeta = r * cmath.exp(2j * math.pi * int(idx) / _PROPERNESS_N_THETA)
-        z = f(zeta)
-        d = ds[int(idx)]
+        d = ds[idx]
         if not 0.0 < d < zone:
             continue
         checked += 1
-        report = rest_bound_check(domain, z, derivative_at(f, zeta))
+        report = rest_bound_check(domain, images[idx], derivative_at(f, ring[idx]))
         ok_rest &= report.satisfied
         rest_rows.append(
             {"d": report.d, "radius": report.radius, "bound": report.bound}

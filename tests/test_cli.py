@@ -346,6 +346,31 @@ BAD_CONFIGS = {
         {"function": {"kind": "identity"}, "n": -1, "delta": 0.5},
         "grid size must be at least 8",
     ),
+    "small modulus grid": (
+        "mod-cont",
+        {"function": {"kind": "identity"}, "n": 4, "delta": 0.5},
+        "n: grid size must be at least 8",
+    ),
+    "small conjugate grid": (
+        "conjugate",
+        {"function": {"kind": "identity"}, "n": 4},
+        "n: grid size must be at least 8",
+    ),
+    "conjugate grid not a power of two": (
+        "conjugate",
+        {"function": {"kind": "identity"}, "n": 96},
+        "n: grid size must be a power of two",
+    ),
+    "small probe grid": (
+        "geodesic-probe",
+        {"candidate": {"kind": "nonextending"}, "n_theta": 7},
+        "n_theta: grid size must be at least 8",
+    ),
+    "small pipeline probe grid": (
+        "pipeline",
+        {"domain": FLAT, "candidate": FLAT_SLICE, "probe_n_theta": 4},
+        "probe_n_theta: grid size must be at least 8",
+    ),
     "empty ball center": (
         "domain-distance",
         {"domain": {"kind": "ball", "center": [], "radius": 1.0}, "point": []},

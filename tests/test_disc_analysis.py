@@ -10,12 +10,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from geodisc import cli
+from geodisc.convex_geometry import FlatModelDomain, FlatSupport
 from geodisc.disc_analysis import (
     BoundarySamples,
     ModulusFamily,
+    UnitDiscFunction,
     boundary_samples,
     conjugate_function,
     constant_map,
+    derivative_at,
     derivative_centered,
     identity_map,
     log_dini_test,
@@ -27,6 +31,7 @@ from geodisc.disc_analysis import (
     vector_function,
 )
 from geodisc.hardy_littlewood import Majorant
+from geodisc.kobayashi import flat_slice_candidate
 
 
 def half_exp_blaschke_exponent():
@@ -124,6 +129,71 @@ def test_boundary_samples_nonextending_pair_moduli():
         assert abs(second[k] - oracle) < 1e-5
 
 
+def _built_in_maps():
+    """Every built-in map kind: the CLI function specs and the flat slice."""
+    specs = [
+        {"kind": "identity"},
+        {"kind": "constant", "values": [[2.0, -1.0], 0.5]},
+        {"kind": "automorphism", "a": [0.3, -0.6], "phi": 0.7},
+        {"kind": "monomial", "degree": 0, "coefficient": [0.5, 0.2]},
+        {"kind": "monomial", "degree": 2, "coefficient": [0.5, 0.2]},
+        {"kind": "monomial", "degree": 5, "coefficient": [-0.3, 0.9]},
+        {"kind": "pair_identity_zero"},
+        {"kind": "nonextending"},
+    ]
+    maps = {f"{spec['kind']}{i}": cli.parse(cli.FUNCTION, spec) for i, spec in enumerate(specs)}
+    flat = FlatModelDomain(FlatSupport(1.0, 0.5, 0.111, 0.08))
+    maps["flat_slice"] = flat_slice_candidate(flat, 0.04j, 0.04).map
+    maps["cmath_callable"] = vector_function(
+        [lambda z: cmath.exp(z) * cmath.sin(z), lambda z: 0.5 * cmath.exp((1.0 + z) / (z - 1.0))]
+    )
+    return maps
+
+
+@pytest.mark.parametrize("name", sorted(_built_in_maps()))
+def test_batched_samples_equal_per_point_radial_limits(name):
+    f = _built_in_maps()[name]
+    n = 96
+    samples = boundary_samples(f, n)
+    flags = 0
+    for k in range(n):
+        value, flag = radial_limit(f, 2.0 * math.pi * k / n)
+        scale = np.maximum(np.abs(value), 1e-300)
+        assert np.all(np.abs(samples.values[k] - value) <= 1e-15 * scale)
+        flags += flag
+    assert samples.cauchy_fraction == flags / n
+
+
+@pytest.mark.parametrize("name", sorted(_built_in_maps()))
+def test_array_evaluation_equals_one_point_calls(name):
+    f = _built_in_maps()[name]
+    rng = np.random.default_rng(5)
+    zeta = 0.99 * np.sqrt(rng.random(40)) * np.exp(2j * math.pi * rng.random(40))
+    values = f.values(zeta)
+    assert values.shape == (40, f.dimension)
+    for z, row in zip(zeta, values):
+        assert np.array_equal(f(complex(z)), row)
+    if f.derivative is not None:
+        assert np.array_equal(
+            derivative_at(f, zeta), np.array([derivative_at(f, complex(z)) for z in zeta])
+        )
+
+
+def test_cauchy_derivative_on_an_array_equals_per_point_calls():
+    f = scalar_function(lambda z: cmath.exp(z) / (2.0 - z))
+    zeta = np.array([0.0, 0.3 + 0.2j, -0.55j, 0.9, -0.7 + 0.1j])
+    batched = derivative_centered(f, zeta)
+    assert batched.shape == (5, 1)
+    for z, row in zip(zeta, batched):
+        assert np.array_equal(derivative_centered(f, complex(z)), row)
+
+
+def test_evaluator_of_wrong_dimension_is_rejected():
+    f = UnitDiscFunction(lambda z: np.zeros((len(z), 3), dtype=complex), 2)
+    with pytest.raises(ValueError, match="wrong dimension"):
+        f(0.5)
+
+
 # --- modulus of continuity -------------------------------------------------
 
 def _brute_force_modulus(samples: BoundarySamples, delta: float) -> float:
@@ -138,6 +208,46 @@ def _brute_force_modulus(samples: BoundarySamples, delta: float) -> float:
                 worst = max(worst,
                             float(np.linalg.norm(samples.values[j] - samples.values[k])))
     return worst
+
+
+def _all_pairs_profile(values: np.ndarray, deltas) -> list[float]:
+    """For each delta, the max of ||g_j - g_k|| over all pairs at circular
+    index distance up to floor(delta n / 2 pi)."""
+    n = len(values)
+    index = np.arange(n)
+    gaps = np.abs(index[:, None] - index[None, :])
+    gaps = np.minimum(gaps, n - gaps)
+    diffs = values[:, None, :] - values[None, :, :]
+    dist = np.sqrt(np.sum(np.abs(diffs) ** 2, axis=-1))
+    return [
+        float(np.max(dist[gaps <= math.floor(d * n / (2.0 * math.pi) + 1e-12)]))
+        for d in deltas
+    ]
+
+
+@given(
+    n=st.integers(min_value=8, max_value=300),
+    dimension=st.integers(min_value=1, max_value=3),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    fractions=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=0, max_size=6),
+    anchor=st.floats(min_value=0.0, max_value=1.0),
+)
+@settings(max_examples=60, deadline=None)
+def test_modulus_profile_equals_all_pairs_reference(n, dimension, seed, fractions, anchor):
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal((n, dimension)) + 1j * rng.standard_normal((n, dimension))
+    samples = BoundarySamples(n, values, 1.0)
+    step = 2.0 * math.pi / n
+    # deltas from a tenth of the grid step up to pi; one at least a step
+    deltas = [0.1 * step + u * (math.pi - 0.1 * step) for u in fractions]
+    deltas.append(step + anchor * (math.pi - step))
+    profile = modulus_profile(samples, deltas)
+    for delta, expected in zip(deltas, _all_pairs_profile(values, deltas)):
+        if delta < step:
+            continue
+        lag = min(math.floor(delta * n / (2.0 * math.pi) + 1e-12), n // 2)
+        got = profile.omegas[list(np.round(profile.deltas / step)).index(lag)]
+        assert abs(got - expected) <= 1e-15 * max(1.0, expected)
 
 
 def test_modulus_constant_is_zero():

@@ -57,6 +57,36 @@ def test_verify_majorant_uses_cauchy_derivative_without_analytic_one():
     assert report.max_violation <= 1e-10
 
 
+def test_verify_majorant_tiny_window_stays_inside_disc():
+    # 1 - 1e-4 r0 rounds to 1 for r0 below about 1e-12; such radii are left
+    # out instead of rejecting the window
+    report = verify_majorant(identity_map(), Majorant.constant(1.0, 1e-13))
+    assert report.max_violation == 0.0
+    assert 1.0 - 1e-13 < report.worst_r < 1.0
+
+
+def test_verify_majorant_rejects_window_below_double_resolution():
+    with pytest.raises(ValueError, match="r0 = 1e-17"):
+        verify_majorant(identity_map(), Majorant.constant(1.0, 1e-17))
+
+
+def test_verify_majorant_matches_per_point_grid_scan():
+    # the first largest violation in grid order, radii outer, angles inner
+    f = scalar_function(lambda z: z**3 + 0.2 * z, lambda z: 3.0 * z**2 + 0.2)
+    phi = Majorant.constant(2.5, 0.4)
+    worst = (-math.inf, 0.0, 0.0)
+    for x in np.geomspace(0.4 * 0.999, 0.4 * 1e-4, 24):
+        r = float(1.0 - x)
+        for k in range(32):
+            theta = 2.0 * math.pi * k / 32
+            zeta = r * complex(math.cos(theta), math.sin(theta))
+            violation = float(np.linalg.norm(f.derivative(zeta))) - phi(1.0 - r)
+            if violation > worst[0]:
+                worst = (violation, r, theta)
+    report = verify_majorant(f, phi)
+    assert (report.max_violation, report.worst_r, report.worst_theta) == worst
+
+
 # --- phi_log_l1 -------------------------------------------------------------
 
 def test_constant_majorant_l1():
