@@ -4,14 +4,12 @@ bounds from inscribed discs, and empirical extension probes."""
 
 from .convex_geometry import (
     Ball,
-    BoundaryFrame,
     ConvexDomainModel,
     FlatModelDomain,
     FlatSupport,
     HalfspaceIntersection,
     Polydisc,
     boundary_distance,
-    boundary_frame,
     exit_time,
     inscribed_disc_radius,
     phi_alpha,
@@ -35,7 +33,6 @@ from .disc_analysis import (
     modulus_of_continuity,
     modulus_profile,
     pz_bound,
-    radial_limit,
     scalar_function,
     vector_function,
 )
@@ -43,10 +40,8 @@ from .hardy_littlewood import (
     DerivMajorantFamily,
     Majorant,
     kernel_bound_check,
-    majorant_from_modulus,
     omega_bound,
     phi_log_l1,
-    varpi,
     verify_majorant,
 )
 from .kobayashi import (
@@ -55,7 +50,6 @@ from .kobayashi import (
     MetricBounds,
     PipelineParams,
     boundary_extension_probe,
-    derivative_growth_profile,
     disc_automorphism,
     flat_slice_candidate,
     geodesic_defect,
@@ -63,7 +57,6 @@ from .kobayashi import (
     mercer_fit,
     nonextending_geodesic,
     poincare_distance,
-    poincare_metric,
     polydisc_distance,
     theorem_pipeline,
 )

@@ -240,8 +240,7 @@ CANDIDATE = Kinds("candidate", {
     "nonextending": (kb.nonextending_geodesic, {}),
     "flat_slice": (kb.flat_slice_candidate,
                    {"domain": FLAT_MODEL, "center": COMPLEX, "radius": NUMBER}),
-    "map": (kb.GeodesicCandidate,
-            {"map": FUNCTION, "domain": DOMAIN, "construction": Opt(TEXT)}),
+    "map": (kb.GeodesicCandidate, {"map": FUNCTION, "domain": DOMAIN}),
 })
 
 

@@ -5,8 +5,8 @@ coordinate blocks, real half-spaces and the flatness graph).  Exit times
 along real rays, the Euclidean boundary distance and the radius of the
 largest complex-affine disc through a point are minima over the
 constraints.  Alongside sit the flatness functions e^{-1/x^alpha} with
-their inverses and root equations, and the normalized boundary frames of
-the flat model domain.
+their inverses and root equations, and the inscribed-radius bound of the
+flatness lemma.
 """
 
 from __future__ import annotations
@@ -248,12 +248,6 @@ class ConvexDomainModel:
             return "outside"
         return "boundary"
 
-    def contains(self, z, tol: float = MEMBERSHIP_TOL) -> bool:
-        return self.membership(z, tol) != "outside"
-
-    def reference_interior_point(self) -> np.ndarray:
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class Polydisc(ConvexDomainModel):
@@ -272,9 +266,6 @@ class Polydisc(ConvexDomainModel):
     @property
     def dimension(self) -> int:
         return len(self.radii)
-
-    def reference_interior_point(self) -> np.ndarray:
-        return np.zeros(self.dimension, dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -295,9 +286,6 @@ class Ball(ConvexDomainModel):
     @property
     def dimension(self) -> int:
         return len(self.center)
-
-    def reference_interior_point(self) -> np.ndarray:
-        return self.center.copy()
 
 
 # For unit normals: rows are dependent below this volume, and a ray recedes
@@ -368,9 +356,6 @@ class HalfspaceIntersection(ConvexDomainModel):
     def dimension(self) -> int:
         return len(self.constraints[0][0])
 
-    def reference_interior_point(self) -> np.ndarray:
-        return self.interior_point.copy()
-
 
 @dataclass(frozen=True)
 class FlatSupport:
@@ -405,9 +390,9 @@ class FlatModelDomain(ConvexDomainModel):
         { z : ||z'|| < R0, |Re z_n| < s0, C phi_alpha(||z'||) < Im z_n < s0 }.
 
     The boundary is the flatness graph near the origin with box caps added
-    for boundedness; it is not C^1 where the caps meet, so boundary frames
-    are only defined on the graph zone.  The pieces are the cylinder, the
-    three caps and, last, the graph, whose exit is bracketed by the others.
+    for boundedness; it is not C^1 where the caps meet.  The pieces are the
+    cylinder, the three caps and, last, the graph, whose exit is bracketed
+    by the others.
     """
 
     support: FlatSupport
@@ -426,14 +411,6 @@ class FlatModelDomain(ConvexDomainModel):
             HalfspaceConstraint(1j * last, s.s0),  # Im z_n <= s0
             GraphConstraint(s),
         ))
-
-    def graph_height(self, rho: float) -> float:
-        return self.pieces[-1].height(rho)
-
-    def reference_interior_point(self) -> np.ndarray:
-        z = np.zeros(self.dimension, dtype=complex)
-        z[-1] = 0.5j * self.support.s0
-        return z
 
     def graph_distance(self, z: np.ndarray) -> float:
         """Distance to the boundary piece {Im z_n = C phi_alpha(||z'||)}."""
@@ -492,91 +469,6 @@ def inscribed_disc_radius(domain: ConvexDomainModel, z, v) -> float:
     objective = lambda theta: exit_time(domain, z, v * complex(math.cos(theta), math.sin(theta)))
     _, radius = minimize_on_circle(objective, coarse_n=64, refine_tol=1e-12)
     return radius
-
-
-def midpoint_convexity_failures(
-    domain: ConvexDomainModel, trials: int = 1000, seed: int = 0
-) -> int:
-    """Random midpoint-convexity check: both endpoints inside must imply the
-    midpoint inside (up to membership tolerance)."""
-    rng = np.random.default_rng(seed)
-    anchor = domain.reference_interior_point()
-    n = domain.dimension
-
-    def random_inside() -> np.ndarray:
-        raw = rng.standard_normal(2 * n)
-        u = raw / np.linalg.norm(raw)
-        u = u[:n] + 1j * u[n:]
-        t = exit_time(domain, anchor, u)
-        return anchor + (0.999 * rng.random() * t) * u
-
-    failures = 0
-    for _ in range(trials):
-        z1, z2 = random_inside(), random_inside()
-        if domain.membership(0.5 * (z1 + z2), 1e-9) == "outside":
-            failures += 1
-    return failures
-
-
-# --- boundary frames on the flat model ---------------------------------------
-
-@dataclass(frozen=True)
-class BoundaryFrame:
-    """Unitary normalization at a graph point: U maps the complex tangent
-    space onto {v_n = 0} and the inward normal to (0, ..., 0, i)."""
-
-    w: np.ndarray
-    inward_normal: np.ndarray
-    matrix: np.ndarray
-
-    def affine(self, v) -> np.ndarray:
-        return self.matrix @ (_as_point(v) - self.w)
-
-    def apply(self, v) -> np.ndarray:
-        return self.matrix @ _as_point(v)
-
-
-def boundary_frame(domain: FlatModelDomain, w) -> BoundaryFrame:
-    """Frame at a boundary point on the graph part of the flat model.
-
-    The defining function is G = C phi_alpha(||z'||) - Im z_n; its complex
-    gradient gives the normal, and the frame completes the normal to a
-    unitary by Gram-Schmidt over the standard basis.
-    """
-    w = _as_point(w)
-    s = domain.support
-    n = domain.dimension
-    rho = float(np.linalg.norm(w[:-1]))
-    on_graph = (
-        abs(w[-1].imag - domain.graph_height(rho)) <= 1e-10
-        and rho < s.R0
-        and abs(w[-1].real) < s.s0
-    )
-    if not on_graph:
-        raise ValueError("frame undefined off the graph")
-
-    gradient = np.zeros(n, dtype=complex)
-    if rho > 0.0:
-        slope = s.C * s.alpha * rho ** (-s.alpha - 1.0) * phi_alpha(rho, s.alpha)
-        gradient[:-1] = slope * w[:-1] / rho
-    gradient[-1] = -1j
-    normal = -gradient / np.linalg.norm(gradient)
-
-    basis = [normal]
-    for k in range(n):
-        e = np.zeros(n, dtype=complex)
-        e[k] = 1.0
-        for b in basis:
-            e = e - np.vdot(b, e) * b
-        norm = float(np.linalg.norm(e))
-        if norm > 1e-8:
-            basis.append(e / norm)
-        if len(basis) == n:
-            break
-    tangent_basis = basis[1:]
-    rows = [np.conj(b) for b in tangent_basis] + [np.conj(-1j * normal)]
-    matrix = np.vstack(rows)
-    return BoundaryFrame(w, normal, matrix)
 
 
 # --- the inscribed-radius bound of the flatness lemma ------------------------

@@ -216,14 +216,6 @@ class ModulusProfile:
         object.__setattr__(self, "deltas", deltas)
         object.__setattr__(self, "omegas", omegas)
 
-    def standard_inequality_violation(self) -> float:
-        """Max over grid pairs of omega(lam*x) - (lam+1)*omega(x)."""
-        worst = 0.0
-        for i, (x, wx) in enumerate(zip(self.deltas, self.omegas)):
-            lam = self.deltas / x
-            worst = max(worst, float(np.max(self.omegas - (lam + 1.0) * wx)))
-        return worst
-
 
 @dataclass(frozen=True)
 class ModulusFamily:
@@ -324,15 +316,6 @@ def _radial_tails(f: UnitDiscFunction, thetas: np.ndarray) -> tuple[np.ndarray, 
     tails = f.values(zeta.ravel()).reshape(zeta.shape + (f.dimension,))
     moves = row_norms(np.diff(tails, axis=1))
     return tails[:, -1], np.all(moves < _RADIAL_TOL, axis=1)
-
-
-def radial_limit(f: UnitDiscFunction, theta: float) -> tuple[np.ndarray, bool]:
-    """f(r e^{i theta}) at the last radius of ``RADIAL_TAIL``, with a Cauchy
-    flag: true iff the values moved by less than 1e-6 over each step of the
-    tail.
-    """
-    values, flags = _radial_tails(f, np.array([theta], dtype=float))
-    return values[0], bool(flags[0])
 
 
 def boundary_samples(f: UnitDiscFunction, n: int) -> BoundarySamples:

@@ -3,9 +3,7 @@
 A majorant is a nonincreasing radial bound Phi with |f'(r e^{i theta})| <=
 Phi(1 - r) near the boundary.  This module verifies such bounds on grids,
 tests the log-weighted integrability conditions, produces the 3 * int Phi
-modulus bound and its piecewise extension, inverts a modulus into a
-majorant through the Cauchy kernel, and checks the kernel inequality that
-makes the inversion work.
+modulus bound, and checks the Poisson-kernel inequality of the lemma.
 """
 
 from __future__ import annotations
@@ -17,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .disc_analysis import UnitDiscFunction, derivative_at, row_norms
-from .numerics import QuadratureResult, integrate_endpoint, integrate_log_moment, log_scale
+from .numerics import QuadratureResult, integrate_log_moment, log_scale
 
 _MONOTONICITY_GRID = 256
 # verify_majorant's angles; its radii depend on the majorant window r0.
@@ -155,49 +153,6 @@ def omega_bound(phi, delta: float, tol: float = 1e-10, max_levels: int = 400) ->
         return 0.0
     res = integrate_log_moment(phi.log_form, 0, math.log(1.0 / delta), tol, max_levels)
     return 3.0 * res.value if res.converged else math.inf
-
-
-def varpi(
-    phi,
-    boundary_sup: float,
-    delta: float,
-    tol: float = 1e-10,
-) -> float:
-    """Piecewise modulus majorant: 3 int_0^delta Phi below r0, else twice the
-    boundary sup.  Need not be continuous at r0."""
-    if boundary_sup < 0.0:
-        raise ValueError("boundary_sup must be nonnegative")
-    if not 0.0 <= delta <= math.pi:
-        raise ValueError("delta out of range")
-    if delta < phi.r0:
-        return omega_bound(phi, delta, tol)
-    return 2.0 * boundary_sup
-
-
-def majorant_from_modulus(
-    omega: Callable[[float], float],
-    r: float,
-    tol: float = 1e-10,
-    max_levels: int = 80,
-) -> float:
-    """(1/pi) int_0^pi omega(tau) / (r^2 - 2 r cos(tau) + 1) dtau.
-
-    This is the majorant value Phi(1 - r) reconstructed from a boundary
-    modulus of continuity.  The kernel peaks at width 1 - r near tau = 0,
-    which the endpoint-refined panels resolve; inf when they do not
-    converge within ``max_levels``.
-    """
-    if not 0.25 < r < 1.0:
-        raise ValueError("outside validity region")
-    # r^2 - 2 r cos(tau) + 1 in the form without cancellation at r ~ 1, tau ~ 0
-    res = integrate_endpoint(
-        lambda tau: omega(tau) / ((1.0 - r) ** 2 + 4.0 * r * math.sin(0.5 * tau) ** 2),
-        0.0,
-        math.pi,
-        tol,
-        max_levels,
-    )
-    return res.value / math.pi if res.converged else math.inf
 
 
 def kernel_bound_check(r: float, tau: float) -> bool:

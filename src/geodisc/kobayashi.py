@@ -38,11 +38,11 @@ from .disc_analysis import (
     stack_components,
 )
 from .hardy_littlewood import DerivMajorantFamily, phi_log_l1
-from .numerics import QuadratureResult
+from .numerics import QuadratureResult, gauss_panel
 
-_GL8_NODES, _GL8_WEIGHTS = np.polynomial.legendre.leggauss(8)
 # geodesic_defect integrates the metric bounds with 4 panels of GL-8.
 _DEFECT_PANELS = 4
+_DEFECT_ORDER = 8
 
 
 # --- Poincare geometry -------------------------------------------------------
@@ -57,12 +57,6 @@ def poincare_distance(z1: complex, z2: complex) -> float:
     """artanh of the Mobius pseudodistance |(z1 - z2) / (1 - conj(z2) z1)|."""
     _require_in_disc(z1, z2)
     return math.atanh(abs((z1 - z2) / (1.0 - z2.conjugate() * z1)))
-
-
-def poincare_metric(zeta: complex, v: complex) -> float:
-    """Infinitesimal normalization |v| / (1 - |zeta|^2)."""
-    _require_in_disc(zeta)
-    return abs(v) / (1.0 - abs(zeta) ** 2)
 
 
 def disc_automorphism(a: complex, phi: float = 0.0) -> UnitDiscFunction:
@@ -205,16 +199,13 @@ def geodesic_defect(candidate: GeodesicCandidate, zeta1: complex,
     length = float(np.linalg.norm(direction))
     if length == 0.0:
         return p
-    lower = 0.0
-    for k in range(_DEFECT_PANELS):
-        lo = k / _DEFECT_PANELS
-        hi = (k + 1) / _DEFECT_PANELS
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        for node, weight in zip(_GL8_NODES, _GL8_WEIGHTS):
-            t = mid + half * node
-            bounds = graham_bounds(candidate.domain, z1 + t * direction, direction)
-            lower += weight * half * bounds.lower
+    lower_metric = lambda t: graham_bounds(
+        candidate.domain, z1 + t * direction, direction
+    ).lower
+    lower = sum(
+        gauss_panel(lower_metric, k / _DEFECT_PANELS, (k + 1) / _DEFECT_PANELS, _DEFECT_ORDER)
+        for k in range(_DEFECT_PANELS)
+    )
     upper = 2.0 * lower  # each upper bound is exactly twice its lower bound
     if lower <= p <= upper:
         return 0.0
@@ -267,50 +258,6 @@ def boundary_extension_probe(
     return ProbeReport(verdict, profile, samples.cauchy_fraction, tol_ext)
 
 
-# --- derivative growth profile ------------------------------------------------
-
-@dataclass(frozen=True)
-class GrowthProfile:
-    one_minus_r: np.ndarray
-    max_derivative: np.ndarray
-    radius_bound: np.ndarray  # 4 r(f(zeta); f'(zeta)) / (1 - |zeta|) at the max
-
-    def rows(self):
-        return zip(self.one_minus_r, self.max_derivative, self.radius_bound)
-
-
-def derivative_growth_profile(
-    candidate: GeodesicCandidate,
-    r_grid: Sequence[float] | None = None,
-    n_theta: int = 64,
-) -> GrowthProfile:
-    """max over theta of ||f'(r e^{i theta})|| per radius, with the pointwise
-    inscribed-radius bound 4 r_Omega / (1 - r) at the maximizing angle."""
-    if r_grid is None:
-        r_grid = 1.0 - np.geomspace(0.5, 1e-4, 12)
-    f = candidate.map
-    xs, tops, bounds = [], [], []
-    for r in r_grid:
-        r = float(r)
-        best, best_zeta, best_grad = -math.inf, None, None
-        for k in range(n_theta):
-            zeta = r * cmath.exp(2j * math.pi * k / n_theta)
-            grad = derivative_at(f, zeta)
-            size = float(np.linalg.norm(grad))
-            if size > best:
-                best, best_zeta, best_grad = size, zeta, grad
-        xs.append(1.0 - r)
-        tops.append(best)
-        if best > 0.0:
-            radius = inscribed_disc_radius(
-                candidate.domain, f(best_zeta), best_grad
-            )
-            bounds.append(4.0 * radius / (1.0 - abs(best_zeta)))
-        else:
-            bounds.append(math.nan)
-    return GrowthProfile(np.array(xs), np.array(tops), np.array(bounds))
-
-
 # --- distance decay fit -------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -322,12 +269,6 @@ class MercerFit:
     beta: float
     residual: float
     clamped: bool = False
-
-    def lower(self, one_minus_r: float) -> float:
-        return self.C1 * one_minus_r
-
-    def upper(self, one_minus_r: float) -> float:
-        return self.C2 * one_minus_r ** (1.0 / self.beta)
 
 
 def mercer_fit(

@@ -9,6 +9,7 @@ minimization of a periodic objective over the circle parameter.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -16,8 +17,8 @@ from typing import Callable
 
 import numpy as np
 
+# integrate_endpoint's panel rule
 _GAUSS_ORDER = 16
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GAUSS_ORDER)
 
 # A limit is accepted once this many consecutive halvings look Cauchy;
 # anything that never manages that within the level budget is reported as
@@ -57,12 +58,20 @@ class RootResult:
     bracket_width: float
 
 
-def _panel(f: Callable[[float], float], lo: float, hi: float) -> float:
-    """Fixed-order Gauss-Legendre on one panel; nodes are strictly interior."""
+@functools.cache
+def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    return np.polynomial.legendre.leggauss(order)
+
+
+def gauss_panel(
+    f: Callable[[float], float], lo: float, hi: float, order: int = _GAUSS_ORDER
+) -> float:
+    """Gauss-Legendre of the given order on one panel; nodes are strictly
+    interior."""
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     total = 0.0
-    for node, weight in zip(_GL_NODES, _GL_WEIGHTS):
+    for node, weight in zip(*_gauss_legendre(order)):
         y = f(mid + half * node)
         if not math.isfinite(y):
             raise ValueError("integrand not finite")
@@ -102,7 +111,7 @@ def integrate_endpoint(
         lo = a + span * 0.5 ** (level + 1)
         if not a < lo < hi:
             break  # the cutoff is at floating-point resolution without a limit
-        inc = _panel(f, lo, hi)
+        inc = gauss_panel(f, lo, hi)
         total += inc
         hi = lo
         levels = level + 1

@@ -295,6 +295,17 @@ BAD_CONFIGS = {
          "n": True},
         "n:",
     ),
+    "construction on a map candidate": (
+        "geodesic-defect",
+        {
+            "candidate": {"kind": "map", "map": {"kind": "identity"},
+                          "domain": {"kind": "polydisc", "radii": [1.0]},
+                          "construction": "custom"},
+            "zeta1": 0.0,
+            "zeta2": 0.5,
+        },
+        "candidate.construction:",
+    ),
     "neither delta nor deltas": (
         "mod-cont",
         {"function": {"kind": "identity"}, "n": 64},
@@ -443,3 +454,13 @@ def test_readme_lists_every_config_key():
     for entry, record in expected.items():
         for key in record:
             assert f"`{key}`" in items[entry], (entry, key)
+        # and every key the item describes is one the schema reads
+        for key in re.findall(r"`([^`]+)`\s+\(", items[entry]):
+            assert key in record, (entry, key)
+
+
+def test_readme_python_blocks_run():
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), {})

@@ -1,4 +1,4 @@
-"""Domain geometry: flatness functions, root equations, distances, frames."""
+"""Domain geometry: flatness functions, root equations, distances, radii."""
 
 from __future__ import annotations
 
@@ -16,10 +16,8 @@ from geodisc.convex_geometry import (
     HalfspaceIntersection,
     Polydisc,
     boundary_distance,
-    boundary_frame,
     exit_time,
     inscribed_disc_radius,
-    midpoint_convexity_failures,
     phi_alpha,
     phi_alpha_inv,
     rest_bound_check,
@@ -30,6 +28,17 @@ from geodisc.convex_geometry import (
 
 def flat_domain(C=1.0, alpha=0.5, s0=0.1) -> FlatModelDomain:
     return FlatModelDomain(FlatSupport(C, alpha, FlatSupport.convexity_cap(alpha), s0))
+
+
+def interior_anchor(domain) -> np.ndarray:
+    """A point well inside each test domain: the ball's center, the middle
+    of the flat model's box, the origin otherwise."""
+    if isinstance(domain, Ball):
+        return domain.center.copy()
+    z = np.zeros(domain.dimension, dtype=complex)
+    if isinstance(domain, FlatModelDomain):
+        z[-1] = 0.5j * domain.support.s0
+    return z
 
 
 # --- flatness functions ------------------------------------------------------
@@ -177,7 +186,7 @@ def membership_bisection(domain, z, u) -> float:
     lo, hi = 0.0, 8.0
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if domain.contains(z + mid * u):
+        if domain.membership(z + mid * u) != "outside":
             lo = mid
         else:
             hi = mid
@@ -196,7 +205,7 @@ def membership_bisection(domain, z, u) -> float:
 )
 def test_exit_time_matches_membership_bisection(domain):
     rng = np.random.default_rng(2)
-    anchor = domain.reference_interior_point()
+    anchor = interior_anchor(domain)
     for _ in range(20):
         raw = rng.standard_normal(4)
         u = raw[:2] + 1j * raw[2:]
@@ -218,8 +227,9 @@ def test_exit_time_from_graph_point_matches_membership_bisection(u):
     # the inward ray crosses the axis and leaves through the graph again,
     # the outward one leaves at once
     domain = flat_domain()
-    rho = domain.support.R0 / 2.0
-    z = np.array([rho, 1j * domain.graph_height(rho)])
+    s = domain.support
+    rho = s.R0 / 2.0
+    z = np.array([rho, 1j * s.C * phi_alpha(rho, s.alpha)])
     assert domain.membership(z) == "boundary"
     u = np.array(u) / np.linalg.norm(u)
     t = exit_time(domain, z, u)
@@ -328,7 +338,7 @@ def test_boundary_distance_flat_model_against_dense_sampling():
 
 def test_boundary_distance_below_exit_times():
     domain = flat_domain()
-    z = domain.reference_interior_point()
+    z = interior_anchor(domain)
     rng = np.random.default_rng(7)
     d = boundary_distance(domain, z)
     for _ in range(50):
@@ -488,48 +498,28 @@ def test_equal_radius_polydisc_permutation_invariance(seed, n):
     [
         Polydisc((1.0, 0.5)),
         Ball(np.array([0.1, -0.2j]), 1.3),
+        halfspace_box([(np.array([0.6 - 0.3j, 0.5j]), 0.4)]),
         flat_domain(),
     ],
-    ids=["polydisc", "ball", "flat_model"],
+    ids=["polydisc", "ball", "halfspace", "flat_model"],
 )
 def test_midpoint_convexity(domain):
-    assert midpoint_convexity_failures(domain, trials=1000, seed=0) == 0
+    # membership of the midpoint of two seeded points inside, each drawn on
+    # a random real ray from the anchor short of its exit time
+    rng = np.random.default_rng(0)
+    anchor = interior_anchor(domain)
+    n = domain.dimension
 
+    def random_inside() -> np.ndarray:
+        raw = rng.standard_normal(2 * n)
+        u = raw[:n] + 1j * raw[n:]
+        u /= np.linalg.norm(u)
+        return anchor + 0.999 * rng.random() * exit_time(domain, anchor, u) * u
 
-# --- boundary frames ---------------------------------------------------------
-
-def test_boundary_frame_at_origin_is_identity():
-    domain = flat_domain()
-    frame = boundary_frame(domain, [0.0, 0.0])
-    assert np.allclose(frame.matrix, np.eye(2), atol=1e-14)
-    assert np.allclose(frame.inward_normal, [0.0, 1.0j], atol=1e-14)
-    assert np.allclose(frame.affine([0.0, 0.0]), 0.0, atol=1e-14)
-
-
-def test_boundary_frame_off_axis_properties():
-    domain = flat_domain()
-    s = domain.support
-    rho = s.R0 / 2.0
-    w = np.array([rho * complex(math.cos(0.7), math.sin(0.7)),
-                  1j * domain.graph_height(rho)])
-    frame = boundary_frame(domain, w)
-
-    U = frame.matrix
-    assert np.max(np.abs(U @ U.conj().T - np.eye(2))) < 1e-12
-    assert np.max(np.abs(U @ frame.inward_normal - np.array([0.0, 1.0j]))) < 1e-10
-    assert np.max(np.abs(frame.affine(w))) < 1e-14
-
-    # the complex tangent space maps onto {v_n = 0}
-    nu = frame.inward_normal
-    tangent = np.array([-np.conj(nu[1]), np.conj(nu[0])])
-    assert abs(np.vdot(nu, tangent)) < 1e-14
-    assert abs((U @ tangent)[-1]) < 1e-10
-
-
-def test_boundary_frame_rejects_off_graph_points():
-    domain = flat_domain()
-    with pytest.raises(ValueError, match="frame undefined off the graph"):
-        boundary_frame(domain, [0.0, 0.05j])  # interior, not on the graph
+    for _ in range(1000):
+        z1, z2 = random_inside(), random_inside()
+        assert domain.membership(z1) != "outside"
+        assert domain.membership(0.5 * (z1 + z2), 1e-9) != "outside"
 
 
 # --- flatness bound checks ---------------------------------------------------

@@ -18,10 +18,8 @@ from geodisc.hardy_littlewood import (
     DerivMajorantFamily,
     Majorant,
     kernel_bound_check,
-    majorant_from_modulus,
     omega_bound,
     phi_log_l1,
-    varpi,
     verify_majorant,
 )
 
@@ -160,7 +158,7 @@ def test_modulus_family_as_majorant():
     assert omega_bound(maj, 0.1) == pytest.approx(3.0 * (2.0 / 3.0) * 0.1**1.5, rel=1e-8)
 
 
-# --- omega_bound / varpi ----------------------------------------------------
+# --- omega_bound -------------------------------------------------------------
 
 def test_omega_bound_constant():
     assert abs(omega_bound(Majorant.constant(1.0, 0.5), 0.1) - 0.3) < 1e-10
@@ -181,59 +179,6 @@ def test_omega_bound_family_antiderivative():
 def test_omega_bound_divergent_family_is_infinite():
     fam = DerivMajorantFamily(K1=1.0, K2=math.e, alpha=1.5, r0=0.5)
     assert omega_bound(fam, 0.1) == math.inf
-
-
-def test_varpi_piecewise():
-    phi = Majorant.constant(1.0, 0.5)
-    assert varpi(phi, 1.0, 0.0) == 0.0
-    assert varpi(phi, 1.0, math.pi) == 2.0
-    assert abs(varpi(phi, 7.0, 0.1) - 0.3) < 1e-10  # below r0: 3 * int
-    assert varpi(phi, 7.0, 0.6) == 14.0  # above r0: 2 * sup
-
-
-# --- majorant_from_modulus --------------------------------------------------
-
-def test_kernel_inversion_zero_modulus():
-    assert majorant_from_modulus(lambda t: 0.0, 0.5) == 0.0
-
-
-def test_kernel_inversion_constant_modulus_poisson_identity():
-    # int_0^pi dtau / (1 - 2 r cos tau + r^2) = pi / (1 - r^2)
-    for r in (0.3, 0.6, 0.9):
-        value = majorant_from_modulus(lambda t: 2.0, r)
-        assert abs(value - 2.0 / (1.0 - r * r)) < 1e-9
-
-
-def test_kernel_inversion_linear_modulus_two_resolutions():
-    coarse = majorant_from_modulus(lambda t: t, 0.9, tol=1e-8)
-    fine = majorant_from_modulus(lambda t: t, 0.9, tol=1e-12)
-    assert abs(coarse - fine) < 1e-8
-    assert math.isfinite(fine)
-
-
-def test_kernel_inversion_monotone_for_nondecreasing_modulus():
-    omega = lambda t: math.sqrt(t)
-    values = [majorant_from_modulus(omega, r) for r in np.linspace(0.3, 0.95, 14)]
-    # Phi(1 - r): nonincreasing in 1 - r means nondecreasing in r
-    assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
-
-
-def test_kernel_inversion_unconverged_is_infinite():
-    # the true value is 1 / (1 - r^2) ~ 5.0e5; three levels cannot resolve
-    # the kernel peak of width 1e-6 and must not return their partial sum
-    assert majorant_from_modulus(lambda t: 1.0, 0.999999, max_levels=3) == math.inf
-
-
-def test_kernel_inversion_poisson_identity_near_the_boundary():
-    # at r = 1 - 1e-6 the kernel's denominator is ~1e-12 near tau = 0, far
-    # below the rounding error of r^2 - 2 r cos(tau) + 1 evaluated as written
-    r = 0.999999
-    assert majorant_from_modulus(lambda t: 1.0, r) == pytest.approx(1.0 / (1.0 - r * r), rel=1e-8)
-
-
-def test_kernel_inversion_rejects_out_of_range_radius():
-    with pytest.raises(ValueError, match="outside validity region"):
-        majorant_from_modulus(lambda t: t, 0.2)
 
 
 # --- kernel inequality ------------------------------------------------------
