@@ -31,10 +31,13 @@ def flat_domain(C=1.0, alpha=0.5, s0=0.1) -> FlatModelDomain:
 
 
 def interior_anchor(domain) -> np.ndarray:
-    """A point well inside each test domain: the ball's center, the middle
-    of the flat model's box, the origin otherwise."""
+    """A point well inside each test domain: the ball's center, the
+    halfspace intersection's checked interior point, the middle of the flat
+    model's box, the origin of the polydisc."""
     if isinstance(domain, Ball):
         return domain.center.copy()
+    if isinstance(domain, HalfspaceIntersection):
+        return domain.interior_point.copy()
     z = np.zeros(domain.dimension, dtype=complex)
     if isinstance(domain, FlatModelDomain):
         z[-1] = 0.5j * domain.support.s0

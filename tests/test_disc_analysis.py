@@ -34,13 +34,6 @@ from geodisc.hardy_littlewood import Majorant
 from geodisc.kobayashi import flat_slice_candidate
 
 
-def half_exp_blaschke_exponent():
-    """The bounded component of the non-extending geodesic: |f| < 1/2 on D."""
-    f = lambda z: 0.5 * cmath.exp((1.0 + z) / (z - 1.0))
-    df = lambda z: f(z) * (-2.0) / (z - 1.0) ** 2
-    return scalar_function(f, df)
-
-
 # --- derivative via the Cauchy integral -----------------------------------
 
 def test_cauchy_derivative_square():
@@ -158,6 +151,10 @@ def test_array_evaluation_equals_one_point_calls(name):
     assert values.shape == (40, f.dimension)
     for z, row in zip(zeta, values):
         assert np.array_equal(f(complex(z)), row)
+    if f.derivative is not None:
+        assert np.array_equal(
+            derivative_at(f, zeta), np.array([derivative_at(f, complex(z)) for z in zeta])
+        )
 
 
 @pytest.mark.parametrize(
@@ -170,10 +167,6 @@ def test_analytic_derivative_matches_cauchy_integral(name):
     analytic, cauchy = derivative_at(f, zeta), derivative_centered(f, zeta)
     scale = np.maximum(np.abs(cauchy), 1.0)
     assert np.all(np.abs(analytic - cauchy) <= 1e-13 * scale)
-    if f.derivative is not None:
-        assert np.array_equal(
-            derivative_at(f, zeta), np.array([derivative_at(f, complex(z)) for z in zeta])
-        )
 
 
 def test_cauchy_derivative_on_an_array_equals_per_point_calls():
