@@ -96,11 +96,11 @@ def rho_triangle(d: float, slope: float, C: float, alpha: float) -> float:
 
 # --- convex constraints --------------------------------------------------------
 #
-# Each constraint answers: gap(z), negative inside; exit(z, u, within), the
-# smaller of ``within`` and the last t >= 0 with z + t u on its side (unit
-# u); distance(z) to its boundary from inside; and disc_radius(z, v), the
-# largest rho with z + rho e^{i theta} v on its side for every theta, or
-# None where it has no closed form.
+# Each constraint is a closed convex set and answers: gap(z), negative
+# inside; exit(z, u), the last t >= 0 with z + t u in it (unit u), or inf
+# when the ray never leaves; distance(z) to its boundary from inside; and
+# disc_radius(z, v), the largest rho with z + rho e^{i theta} v in it for
+# every theta.
 
 @dataclass(frozen=True)
 class DiscConstraint:
@@ -113,19 +113,18 @@ class DiscConstraint:
     def gap(self, z: np.ndarray) -> float:
         return float(np.linalg.norm(z[self.coords] - self.center)) - self.radius
 
-    def exit(self, z: np.ndarray, u: np.ndarray, within: float) -> float:
+    def exit(self, z: np.ndarray, u: np.ndarray) -> float:
         p = z[self.coords] - self.center
         w = u[self.coords]
         ww = float(np.vdot(w, w).real)
         if ww == 0.0:
-            return within
+            return math.inf
         dot = float(np.vdot(p, w).real)
         norm = float(np.linalg.norm(p))
         slack = (self.radius - norm) * (self.radius + norm)
         root = math.sqrt(max(dot * dot + ww * slack, 0.0))
         # the positive root of ww t^2 + 2 dot t - slack, without cancellation
-        t = slack / (dot + root) if dot > 0.0 else (root - dot) / ww
-        return min(within, t)
+        return slack / (dot + root) if dot > 0.0 else (root - dot) / ww
 
     def distance(self, z: np.ndarray) -> float:
         return -self.gap(z)
@@ -134,7 +133,7 @@ class DiscConstraint:
         # the circle first leaves along the phase that makes Re<p, w> = |<p, w>|
         inner = np.vdot(z[self.coords] - self.center, v[self.coords])
         phase = inner.conjugate() / abs(inner) if inner != 0.0 else 1.0
-        return self.exit(z, phase * v, math.inf)
+        return self.exit(z, phase * v)
 
 
 @dataclass(frozen=True)
@@ -147,9 +146,9 @@ class HalfspaceConstraint:
     def gap(self, z: np.ndarray) -> float:
         return float(np.vdot(self.normal, z).real) - self.offset
 
-    def exit(self, z: np.ndarray, u: np.ndarray, within: float) -> float:
+    def exit(self, z: np.ndarray, u: np.ndarray) -> float:
         rate = float(np.vdot(self.normal, u).real)
-        return min(within, -self.gap(z) / rate) if rate > 0.0 else within
+        return -self.gap(z) / rate if rate > 0.0 else math.inf
 
     def distance(self, z: np.ndarray) -> float:
         return -self.gap(z)
@@ -162,19 +161,23 @@ class HalfspaceConstraint:
 
 @dataclass(frozen=True)
 class GraphConstraint:
-    """The flatness graph C phi_alpha(||z'||) <= Im z_n, z' = z[:-1].  Its gap
-    is convex only while ||z'|| <= R0, so ``exit`` needs ``within`` from
-    constraints that keep the ray inside that cylinder."""
+    """The flatness graph C phi_alpha(||z'||) <= Im z_n over the cylinder
+    ||z'|| <= R0, z' = z[:-1], where the graph's profile is convex."""
 
     support: FlatSupport
+    cylinder: DiscConstraint = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "cylinder", DiscConstraint(slice(0, -1), self.support.R0))
 
     def height(self, rho: float) -> float:
         return self.support.C * phi_alpha(rho, self.support.alpha)
 
     def gap(self, z: np.ndarray) -> float:
-        return self.height(float(np.linalg.norm(z[:-1]))) - float(z[-1].imag)
+        rho = float(np.linalg.norm(z[:-1]))
+        return max(rho - self.support.R0, self.height(rho) - float(z[-1].imag))
 
-    def exit(self, z: np.ndarray, u: np.ndarray, within: float) -> float:
+    def exit(self, z: np.ndarray, u: np.ndarray) -> float:
         p, w = z[:-1], u[:-1]
         pp = float(np.vdot(p, p).real)
         pw = float(np.vdot(p, w).real)
@@ -183,27 +186,32 @@ class GraphConstraint:
         if ww == 0.0:
             # ||z'|| stays fixed, so the gap is affine in t
             slack = y - self.height(math.sqrt(pp))
-            return min(within, slack / -dy) if dy < 0.0 else within
+            return slack / -dy if dy < 0.0 else math.inf
 
         def gap(t: float) -> float:
             rho = math.sqrt(max(pp + t * (2.0 * pw + t * ww), 0.0))
             return self.height(rho) - (y + t * dy)
 
+        within = self.cylinder.exit(z, u)
+        if dy < 0.0:
+            # the graph is >= 0, so a falling ray is below it once Im z_n < 0
+            within = min(within, max(y, 0.0) / -dy)
         # A base point on the graph counts as inside up to the membership
-        # tolerance, as it does for the base check; the convex gap then
-        # changes sign once on [0, within].
-        g0 = gap(0.0)
-        level = 0.0 if g0 < 0.0 else MEMBERSHIP_TOL
+        # tolerance, as it does for the base check; the gap is convex inside
+        # the cylinder, so it changes sign once on [0, within].
+        level = 0.0 if gap(0.0) < 0.0 else MEMBERSHIP_TOL
         if gap(within) <= level:
             return within
         return solve_monotone(gap, 0.0, within, level, 1e-15).root
 
     def distance(self, z: np.ndarray) -> float:
-        """Distance to {Im z_n = C phi_alpha(||z'||), ||z'|| <= R0}.
+        """Distance to the cylinder wall or to the surface {Im z_n = C
+        phi_alpha(||z'||), ||z'|| <= R0}, whichever is nearer.
 
-        By rotation invariance this is a 1-d problem in the radial profile;
-        the profile is convex on [0, R0], so the squared distance along it
-        is unimodal and golden-section is safe after a coarse scan.
+        By rotation invariance the surface distance is a 1-d problem in the
+        radial profile; the profile is convex on [0, R0], so the squared
+        distance along it is unimodal and golden-section is safe after a
+        coarse scan.
         """
         R0 = self.support.R0
         rho = float(np.linalg.norm(z[:-1]))
@@ -214,10 +222,17 @@ class GraphConstraint:
         lo = float(ts[max(0, best - 1)])
         hi = float(ts[min(64, best + 1)])
         _, value = golden_section(dist2, lo, hi, 1e-14 * max(1.0, R0))
-        return math.sqrt(value)
+        return min(self.cylinder.distance(z), math.sqrt(value))
 
-    def disc_radius(self, z: np.ndarray, v: np.ndarray) -> None:
-        return None
+    def disc_radius(self, z: np.ndarray, v: np.ndarray) -> float:
+        w = v[:-1]
+        if float(np.vdot(w, w).real) == 0.0:
+            # ||z'|| stays fixed and Im z_n falls by at most |v_n| per unit
+            return (float(z[-1].imag) - self.height(float(np.linalg.norm(z[:-1])))) / abs(v[-1])
+        # a closed disc lies in a convex set iff its boundary circle does
+        objective = lambda theta: self.exit(z, v * complex(math.cos(theta), math.sin(theta)))
+        _, radius = minimize_on_circle(objective, coarse_n=64, refine_tol=1e-12)
+        return radius
 
 
 # --- domain models -----------------------------------------------------------
@@ -391,8 +406,8 @@ class FlatModelDomain(ConvexDomainModel):
 
     The boundary is the flatness graph near the origin with box caps added
     for boundedness; it is not C^1 where the caps meet.  The pieces are the
-    cylinder, the three caps and, last, the graph, whose exit is bracketed
-    by the others.
+    three caps and, last, the graph over its cylinder; each is a closed
+    convex set by itself, so their order changes no minimum.
     """
 
     support: FlatSupport
@@ -405,7 +420,6 @@ class FlatModelDomain(ConvexDomainModel):
         s = self.support
         last = np.eye(self.dimension, dtype=complex)[-1]
         object.__setattr__(self, "pieces", (
-            DiscConstraint(slice(0, -1), s.R0),
             HalfspaceConstraint(last, s.s0),  # Re z_n <= s0
             HalfspaceConstraint(-last, s.s0),  # -Re z_n <= s0
             HalfspaceConstraint(1j * last, s.s0),  # Im z_n <= s0
@@ -413,7 +427,7 @@ class FlatModelDomain(ConvexDomainModel):
         ))
 
     def graph_distance(self, z: np.ndarray) -> float:
-        """Distance to the boundary piece {Im z_n = C phi_alpha(||z'||)}."""
+        """Distance to the boundary of the graph piece over its cylinder."""
         return self.pieces[-1].distance(z)
 
 
@@ -436,12 +450,9 @@ def _check_ray(domain: ConvexDomainModel, z, u) -> tuple[np.ndarray, np.ndarray]
 
 def exit_time(domain: ConvexDomainModel, z, u) -> float:
     """sup{ t >= 0 : z + t u in closure of the domain } for a unit real ray:
-    the smallest exit over the constraints, each bounding the next."""
+    the smallest exit over the constraints."""
     z, u = _check_ray(domain, z, u)
-    t = math.inf
-    for piece in domain.pieces:
-        t = piece.exit(z, u, t)
-    return t
+    return min(piece.exit(z, u) for piece in domain.pieces)
 
 
 def boundary_distance(domain: ConvexDomainModel, z) -> float:
@@ -455,20 +466,11 @@ def inscribed_disc_radius(domain: ConvexDomainModel, z, v) -> float:
     """Radius of the largest complex-affine closed disc centered at z,
     tangent to v, inside the closure.
 
-    For a convex domain the closed disc lies in the closure iff its boundary
-    circle does, so the radius is the minimum over the circle parameter of
-    the exit time along e^{i theta} v.  That minimum commutes with the
-    minimum over constraints, so closed-form constraint radii settle it
-    unless a constraint has none; then the exit time is minimised over the
-    circle numerically.
+    A closed disc lies in an intersection of closed convex sets iff it lies
+    in each, so the radius is the smallest constraint radius.
     """
     z, v = _check_ray(domain, z, v)
-    radii = [piece.disc_radius(z, v) for piece in domain.pieces]
-    if None not in radii:
-        return min(radii)
-    objective = lambda theta: exit_time(domain, z, v * complex(math.cos(theta), math.sin(theta)))
-    _, radius = minimize_on_circle(objective, coarse_n=64, refine_tol=1e-12)
-    return radius
+    return min(piece.disc_radius(z, v) for piece in domain.pieces)
 
 
 # --- the inscribed-radius bound of the flatness lemma ------------------------

@@ -327,6 +327,15 @@ def boundary_samples(f: UnitDiscFunction, n: int) -> BoundarySamples:
     return BoundarySamples(n, values, RADIAL_TAIL[-1], int(np.count_nonzero(flags)) / n)
 
 
+def _aligned_empty(n: int) -> np.ndarray:
+    """An uninitialised float64 array of n entries starting on a 64-byte
+    boundary.  A plain ``np.empty`` lands wherever the heap's history puts
+    it, and the column sweep ran about 1.4x slower off that boundary."""
+    raw = np.empty(n + 8)
+    start = (-raw.ctypes.data % 64) // raw.itemsize
+    return raw[start:start + n]
+
+
 def _lag_maxima(samples: BoundarySamples, max_lag: int) -> np.ndarray:
     """lag_maxima[l] = max_k ||g(theta_{k+l}) - g(theta_k)|| for l = 0..max_lag.
 
@@ -341,7 +350,7 @@ def _lag_maxima(samples: BoundarySamples, max_lag: int) -> np.ndarray:
         for component in samples.values.T
         for part in (component.real, component.imag)
     ]
-    total, term = np.empty(n), np.empty(n)
+    total, term = _aligned_empty(n), _aligned_empty(n)
     squares = np.zeros(max_lag + 1)
     for lag in range(1, max_lag + 1):
         for j, column in enumerate(columns):

@@ -110,8 +110,6 @@ def graham_bounds(domain: ConvexDomainModel, z, v) -> MetricBounds:
     norm = float(np.linalg.norm(v))
     if norm == 0.0:
         return MetricBounds(0.0, 0.0)
-    if domain.membership(z) == "outside":
-        raise ValueError("base point outside domain")
     radius = inscribed_disc_radius(domain, z, v)
     return MetricBounds(norm / (2.0 * radius), norm / radius)
 

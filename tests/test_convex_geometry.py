@@ -256,6 +256,15 @@ def test_exit_time_flat_model_graph_intersection():
     assert abs(t - 0.5 * (lo + hi)) < 1e-9
 
 
+def test_exit_time_falling_ray_that_barely_moves_off_axis():
+    # ||z'|| grows by 1e-150 per unit length, so the cylinder alone puts the
+    # exit bracket near 1e149, and 200 halvings of it never reach the graph
+    # crossing at Im z_n = 0; a falling ray is below the graph by then
+    domain = flat_domain()
+    assert abs(exit_time(domain, [0.0, 0.01j], [1e-150, -1.0j]) - 0.01) < 1e-15
+    assert abs(inscribed_disc_radius(domain, [0.0, 0.01j], [1e-150, 1.0]) - 0.01) < 1e-15
+
+
 def test_exit_time_rejects_outside_base():
     with pytest.raises(ValueError, match="base point outside domain"):
         exit_time(Polydisc((1.0,)), [2.0], [1.0])
@@ -390,6 +399,43 @@ def test_inscribed_radius_dominates_boundary_distance_and_phase_invariant():
         assert r >= d - 1e-9
         phase = complex(math.cos(1.1), math.sin(1.1))
         assert abs(inscribed_disc_radius(domain, z, phase * v) - r) < 1e-9
+
+
+def grid_radius(domain, z, v, n=64) -> float:
+    """The smallest membership-bisection exit over n circle angles, then
+    over n + 1 angles across the best one's two neighbouring cells: an upper
+    bound on the inscribed radius, within about 1e-6 of it here."""
+    v = v / np.linalg.norm(v)
+    exit_at = lambda t: membership_bisection(domain, z, complex(math.cos(t), math.sin(t)) * v)
+    step = 2.0 * math.pi / n
+    best = min(step * np.arange(n), key=exit_at)
+    return min(exit_at(t) for t in best + step * np.linspace(-1.0, 1.0, n + 1))
+
+
+@pytest.mark.parametrize("tangential", [None, 1e-12, 1e-150, 1e-200],
+                         ids=["tilted", "v'=1e-12", "v'=1e-150", "v'=1e-200"])
+def test_flat_inscribed_radius_matches_membership_grid(tangential):
+    # off-axis points at heights across the lower part of the box; the
+    # nearly normal directions keep ||z'|| (almost) fixed around the circle,
+    # and 1e-200 squares to 0
+    domain = flat_domain()
+    s = domain.support
+    rng = np.random.default_rng(17)
+    for _ in range(2):
+        rho = rng.uniform(0.1, 0.4) * s.R0
+        height = s.C * phi_alpha(rho, s.alpha)
+        z = np.array([rho * np.exp(2j * math.pi * rng.random()),
+                      complex(rng.uniform(-0.3, 0.3) * s.s0,
+                              height + rng.uniform(0.05, 0.3) * (s.s0 - height))])
+        phases = np.exp(2j * math.pi * rng.random(2))
+        if tangential is None:
+            v = rng.uniform(0.2, 1.0, 2) * phases
+        else:
+            v = np.array([tangential, 1.0]) * phases
+        r = inscribed_disc_radius(domain, z, v)
+        oracle = grid_radius(domain, z, v)
+        assert r <= oracle + 1e-10
+        assert oracle - r <= 1e-5 * oracle
 
 
 def test_inscribed_radius_rejects_zero_direction():

@@ -17,6 +17,7 @@ from geodisc.disc_analysis import (
     BoundarySamples,
     ModulusFamily,
     UnitDiscFunction,
+    _aligned_empty,
     boundary_samples,
     conjugate_function,
     constant_map,
@@ -238,6 +239,16 @@ def test_modulus_profile_equals_all_pairs_reference(n, dimension, seed, fraction
         lag = min(math.floor(delta * n / (2.0 * math.pi) + 1e-12), n // 2)
         got = profile.omegas[list(np.round(profile.deltas / step)).index(lag)]
         assert abs(got - expected) <= 1e-15 * max(1.0, expected)
+
+
+def test_sweep_buffers_start_on_a_cache_line():
+    # arrays still held move where the heap puts the next ones
+    held = []
+    for n in (8, 1000, 8192, 8193):
+        held.append(np.empty(n // 3 + 1))
+        buf = _aligned_empty(n)
+        assert buf.shape == (n,) and buf.dtype == np.float64
+        assert buf.ctypes.data % 64 == 0
 
 
 def test_modulus_constant_is_zero():

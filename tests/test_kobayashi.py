@@ -148,6 +148,14 @@ def test_graham_bounds_zero_direction():
     assert bounds.lower == bounds.upper == 0.0
 
 
+def test_graham_bounds_reject_outside_base():
+    flat = FlatModelDomain(FlatSupport(1.0, 0.5, 1.0 / 9.0, 0.1))
+    for domain, z, v in ((Polydisc((1.0, 1.0)), [1.5, 0.0], [1.0, 0.0]),
+                         (flat, [0.0, -0.01j], [0.0, 1.0])):
+        with pytest.raises(ValueError, match="base point outside domain"):
+            graham_bounds(domain, z, v)
+
+
 def test_graham_sandwich_polydisc_random_directions():
     square = Polydisc((1.0, 1.0))
     rng = np.random.default_rng(21)
