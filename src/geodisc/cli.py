@@ -68,7 +68,14 @@ class Kinds:
 
 
 def _is_real(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A finite JSON number: ``json`` also reads NaN and Infinity, and an
+    integer too large for a double has no float value."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def _is_count(value) -> bool:
@@ -85,12 +92,12 @@ def _to_complex(value) -> complex:
     return complex(*value) if isinstance(value, (list, tuple)) else complex(value)
 
 
-NUMBER = Scalar("a number", _is_real, float)
+NUMBER = Scalar("a finite number", _is_real, float)
 COUNT = Scalar("an integer", _is_count, int)
 BOOLEAN = Scalar("true or false", lambda v: isinstance(v, bool), bool)
 TEXT = Scalar("a string", lambda v: isinstance(v, str), str)
 FORMAT = Scalar("'json' or 'csv'", lambda v: v in ("json", "csv"), str)
-COMPLEX = Scalar("a number or an [re, im] pair", _is_complex, _to_complex)
+COMPLEX = Scalar("a finite number or an [re, im] pair of them", _is_complex, _to_complex)
 VECTOR = [COMPLEX]
 
 

@@ -231,7 +231,7 @@ class GraphConstraint:
             return (float(z[-1].imag) - self.height(float(np.linalg.norm(z[:-1])))) / abs(v[-1])
         # a closed disc lies in a convex set iff its boundary circle does
         objective = lambda theta: self.exit(z, v * complex(math.cos(theta), math.sin(theta)))
-        _, radius = minimize_on_circle(objective, coarse_n=64, refine_tol=1e-12)
+        _, radius = minimize_on_circle(objective)
         return radius
 
 
@@ -255,11 +255,11 @@ class ConvexDomainModel:
             raise ValueError("point has wrong dimension")
         return max(piece.gap(z) for piece in self.pieces)
 
-    def membership(self, z, tol: float = MEMBERSHIP_TOL) -> str:
+    def membership(self, z) -> str:
         gap = self.signed_gap(_as_point(z))
-        if gap < -tol:
+        if gap < -MEMBERSHIP_TOL:
             return "inside"
-        if gap > tol:
+        if gap > MEMBERSHIP_TOL:
             return "outside"
         return "boundary"
 

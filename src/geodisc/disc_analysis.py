@@ -225,42 +225,31 @@ class ModulusFamily:
     is log omega(e^-u), exact far beyond where e^-u underflows, and omega(x)
     is read off it.  Each omega is nondecreasing and tends to 0 at 0+; on
     (1, pi] the Hoelder model stays x^a and the others are capped at 1, so
-    that integrals against them over (delta, pi] make sense.
+    that integrals against them over (delta, pi] make sense.  The
+    classmethods check their parameters; ``ModulusFamily(log_modulus)``
+    takes any closed form as given.
     """
 
-    kind: str
-    a: float = 0.0
-    coeff: float = 0.0
-    eps: float = 0.0
+    log_modulus: Callable[[float], float]
 
     @classmethod
     def holder(cls, a: float) -> "ModulusFamily":
         if not 0.0 < a <= 1.0:
             raise ValueError("holder exponent must lie in (0, 1]")
-        return cls("holder", a=a)
+        return cls(lambda u: -a * u)
 
     @classmethod
     def log_reciprocal(cls) -> "ModulusFamily":
-        return cls("log_reciprocal")
+        return cls(lambda u: -math.log(u) if u > 1.0 else 0.0)
 
     @classmethod
     def stretched_exponential(cls, coeff: float, eps: float) -> "ModulusFamily":
         if coeff <= 0.0 or not 0.0 < eps < 1.0:
             raise ValueError("need coeff > 0 and eps in (0, 1)")
-        return cls("stretched_exponential", coeff=coeff, eps=eps)
+        return cls(lambda u: -coeff * u ** (1.0 - eps) if u > 0.0 else 0.0)
 
     def __call__(self, x: float) -> float:
         return math.exp(self.log_modulus(-math.log(x))) if x > 0.0 else 0.0
-
-    def log_modulus(self, u: float) -> float:
-        """log omega(e^-u), for every real u."""
-        if self.kind == "holder":
-            return -self.a * u
-        if self.kind == "log_reciprocal":
-            return -math.log(u) if u > 1.0 else 0.0
-        if self.kind == "stretched_exponential":
-            return -self.coeff * u ** (1.0 - self.eps) if u > 0.0 else 0.0
-        raise ValueError(f"unknown modulus family {self.kind!r}")
 
 
 def _log_modulus(omega) -> Callable[[float], float]:
@@ -419,13 +408,11 @@ def conjugate_function(samples: BoundarySamples) -> BoundarySamples:
                            samples.cauchy_fraction)
 
 
-def pz_bound(
-    omega,
-    delta: float,
-    K: float,
-    tol: float = 1e-11,
-    max_levels: int = 400,
-) -> float:
+# Relative increment tolerance of every piece of pz_bound
+_PZ_TOL = 1e-11
+
+
+def pz_bound(omega, delta: float, K: float) -> float:
     """Conjugate-function modulus bound
 
         K * [ int_0^delta omega(x)/x dx + delta * int_delta^pi omega(x)/x^2 dx ].
@@ -443,20 +430,20 @@ def pz_bound(
     far_density = lambda x: omega(x) / (x * x)
     # int_0^min(delta, 1) omega(x)/x dx = int_{log(1/min(delta, 1))}^inf omega(e^-u) du
     near = [integrate_log_moment(
-        _log_modulus(omega), 0, math.log(1.0 / min(delta, 1.0)), tol, max_levels
+        _log_modulus(omega), 0, math.log(1.0 / min(delta, 1.0)), _PZ_TOL
     )]
     if delta > 1.0:
-        near.append(integrate_endpoint(lambda x: omega(x) / x, 1.0, delta, tol, max_levels))
+        near.append(integrate_endpoint(lambda x: omega(x) / x, 1.0, delta, _PZ_TOL))
     if delta < 1.0:
         mid = 0.5 * (delta + 1.0)
         far = [
-            integrate_endpoint(far_density, delta, mid, tol, max_levels),
+            integrate_endpoint(far_density, delta, mid, _PZ_TOL),
             # toward 1 from below, through x = 1 - t
-            integrate_endpoint(lambda t: far_density(1.0 - t), 0.0, 1.0 - mid, tol, max_levels),
-            integrate_endpoint(far_density, 1.0, math.pi, tol, max_levels),
+            integrate_endpoint(lambda t: far_density(1.0 - t), 0.0, 1.0 - mid, _PZ_TOL),
+            integrate_endpoint(far_density, 1.0, math.pi, _PZ_TOL),
         ]
     else:
-        far = [integrate_endpoint(far_density, delta, math.pi, tol, max_levels)]
+        far = [integrate_endpoint(far_density, delta, math.pi, _PZ_TOL)]
     if not all(res.converged for res in near + far):
         return math.inf
     return K * (sum(res.value for res in near) + delta * sum(res.value for res in far))
@@ -483,12 +470,11 @@ class LogDiniReport:
         object.__setattr__(self, "log_dini", all(r.converged for r in self.results))
 
 
-def log_dini_test(
-    omega,
-    n_max: int = 6,
-    tol: float = 1e-9,
-    max_levels: int = 400,
-) -> LogDiniReport:
+# Relative increment tolerance of each log-Dini integral
+_LOG_DINI_TOL = 1e-9
+
+
+def log_dini_test(omega, n_max: int = 6) -> LogDiniReport:
     """Classify int_0^1 (log(1/x))^n omega(x)/x dx for n = 0..n_max.
 
     Computed on the log scale, where the integral is int_0^inf u^n
@@ -498,6 +484,6 @@ def log_dini_test(
         raise ValueError("n_max must be nonnegative")
     log_omega = _log_modulus(omega)
     results = tuple(
-        integrate_log_moment(log_omega, n, 0.0, tol, max_levels) for n in range(n_max + 1)
+        integrate_log_moment(log_omega, n, 0.0, _LOG_DINI_TOL) for n in range(n_max + 1)
     )
     return LogDiniReport(n_max, results)

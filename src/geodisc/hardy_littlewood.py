@@ -9,7 +9,7 @@ modulus bound, and checks the Poisson-kernel inequality of the lemma.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -17,7 +17,6 @@ import numpy as np
 from .disc_analysis import UnitDiscFunction, derivative_at, row_norms
 from .numerics import QuadratureResult, integrate_log_moment, log_scale
 
-_MONOTONICITY_GRID = 256
 # verify_majorant's angles; its radii depend on the majorant window r0.
 _VERIFY_THETAS = 2.0 * math.pi * np.arange(32) / 32
 
@@ -26,31 +25,22 @@ _VERIFY_THETAS = 2.0 * math.pi * np.arange(32) / 32
 class Majorant:
     """Nonincreasing Phi: (0, r0) -> [0, inf].
 
-    Monotonicity is verified on a log grid at construction, not assumed;
-    a failure only clears the flag.  Phi may return math.inf at arguments
-    approaching 0 -- all integrals here treat 0 as an open endpoint.
-    Every integral of Phi runs on the scale u = log(1/x) through
-    ``log_form(u) = log(Phi(e^-u) e^-u)``; a closed form keeps it exact far
-    beyond where e^-u underflows, and without one it is read off
+    Monotonicity is the lemma's hypothesis and the caller's to ensure; no
+    computation here reads it, so it is not checked.  Phi may return
+    math.inf at arguments approaching 0 -- all integrals here treat 0 as an
+    open endpoint.  Every integral of Phi runs on the scale u = log(1/x)
+    through ``log_form(u) = log(Phi(e^-u) e^-u)``; a closed form keeps it
+    exact far beyond where e^-u underflows, and without one it is read off
     ``evaluate`` by :func:`numerics.log_scale`.
     """
 
     evaluate: Callable[[float], float]
     r0: float
     log_form: Callable[[float], float] | None = None
-    nonincreasing: bool = field(init=False)
 
     def __post_init__(self):
         if not 0.0 < self.r0 < 1.0:
             raise ValueError("r0 must lie in (0, 1)")
-        xs = np.geomspace(self.r0 * 1e-6, self.r0 * (1.0 - 1e-9), _MONOTONICITY_GRID)
-        values = [self.evaluate(float(x)) for x in xs]
-        ok = all(
-            a >= b - 1e-12 * max(1.0, abs(b))
-            for a, b in zip(values, values[1:])
-            if math.isfinite(a) and math.isfinite(b)
-        )
-        object.__setattr__(self, "nonincreasing", ok)
         if self.log_form is None:
             object.__setattr__(self, "log_form", log_scale(self.evaluate, 1))
 
@@ -129,12 +119,12 @@ def verify_majorant(f: UnitDiscFunction, phi) -> MajorantReport:
     )
 
 
-def phi_log_l1(
-    phi,
-    n: int,
-    tol: float = 1e-9,
-    max_levels: int = 400,
-) -> QuadratureResult:
+# The relative increment tolerances of phi_log_l1 and of omega_bound
+_L1_TOL = 1e-9
+_BOUND_TOL = 1e-10
+
+
+def phi_log_l1(phi, n: int) -> QuadratureResult:
     """int_0^{r0} (log(1/x))^n Phi(x) dx with the divergence verdict.
 
     On the log scale this is int u^n e^{log_form(u)} du over
@@ -142,16 +132,16 @@ def phi_log_l1(
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return integrate_log_moment(phi.log_form, n, math.log(1.0 / phi.r0), tol, max_levels)
+    return integrate_log_moment(phi.log_form, n, math.log(1.0 / phi.r0), _L1_TOL)
 
 
-def omega_bound(phi, delta: float, tol: float = 1e-10, max_levels: int = 400) -> float:
+def omega_bound(phi, delta: float) -> float:
     """The modulus bound 3 * int_0^delta Phi(x) dx; inf when divergent."""
     if not 0.0 <= delta < phi.r0:
         raise ValueError("delta must lie in [0, r0)")
     if delta == 0.0:
         return 0.0
-    res = integrate_log_moment(phi.log_form, 0, math.log(1.0 / delta), tol, max_levels)
+    res = integrate_log_moment(phi.log_form, 0, math.log(1.0 / delta), _BOUND_TOL)
     return 3.0 * res.value if res.converged else math.inf
 
 

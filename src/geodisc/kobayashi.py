@@ -73,13 +73,11 @@ def disc_automorphism(a: complex, phi: float = 0.0) -> UnitDiscFunction:
     )
 
 
-def polydisc_distance(z, w, radii: Sequence[float] | None = None) -> float:
+def polydisc_distance(z, w, radii: Sequence[float]) -> float:
     """Kobayashi distance of a polydisc: max over coordinates of the
     Poincare distance of the rescaled entries."""
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     w = np.atleast_1d(np.asarray(w, dtype=complex))
-    if radii is None:
-        radii = np.ones(len(z))
     radii = np.asarray(radii, dtype=float)
     if np.any(np.abs(z) >= radii) or np.any(np.abs(w) >= radii):
         raise ValueError("point outside polydisc")
@@ -242,6 +240,8 @@ def boundary_extension_probe(
     function oscillates, so the verdict inspects the modulus, not pointwise
     convergence.
     """
+    if not tol_ext > 0.0:
+        raise ValueError("tol_ext must be positive")
     samples = boundary_samples(candidate.map, n_theta)
     profile = modulus_profile(samples, _PROBE_DELTAS)
     smallest = profile.omegas[:4]
@@ -266,15 +266,15 @@ class MercerFit:
     C2: float
     beta: float
     residual: float
-    clamped: bool = False
+    clamped: bool
 
 
-def mercer_fit(
-    candidate: GeodesicCandidate,
-    r_grid: Sequence[float] | None = None,
-    theta: float = 0.0,
-) -> MercerFit:
-    """Fit the two-sided boundary-distance decay along the ray e^{i theta} r.
+_MERCER_RADII = 1.0 - np.geomspace(0.5, 1e-6, 25)
+
+
+def mercer_fit(candidate: GeodesicCandidate, theta: float = 0.0) -> MercerFit:
+    """Fit the two-sided boundary-distance decay along the ray e^{i theta} r
+    at the 25 radii with 1 - r geometric from 1/2 down to 1e-6.
 
     C1 is the smallest observed d / (1 - r).  beta comes from the slope of
     log d against log(1 - r) (clamped to >= 1 and flagged when the raw slope
@@ -282,11 +282,7 @@ def mercer_fit(
     constraint hold on the whole grid, so the reported residual is the
     violation of the fitted constraints, zero by construction up to rounding.
     """
-    if r_grid is None:
-        r_grid = 1.0 - np.geomspace(0.5, 1e-6, 25)
-    rs = np.asarray(list(r_grid), dtype=float)
-    if len(rs) < 8:
-        raise ValueError("need at least 8 grid radii")
+    rs = _MERCER_RADII
     ds = []
     for z in candidate.map.values(cmath.exp(1j * theta) * rs):
         d = boundary_distance(candidate.domain, z)

@@ -36,6 +36,11 @@ _U_MAX = -math.log(sys.float_info.min)
 # Iteration cap shared by bisection and golden-section search.
 _MAX_ITER = 200
 
+# Halvings of the lower cutoff before an endpoint integral is called
+# divergent; barely integrable power tails (exponents just below -1) need
+# hundreds to reach their limits.
+_MAX_LEVELS = 400
+
 
 @dataclass(frozen=True)
 class QuadratureResult:
@@ -84,17 +89,16 @@ def integrate_endpoint(
     a: float,
     b: float,
     tol: float,
-    max_levels: int = 80,
 ) -> QuadratureResult:
     """Integrate f over (a, b] where f may blow up as x -> a+.
 
     Panels shrink geometrically toward ``a``; each new panel halves the lower
     cutoff.  The result converges once the last few halvings each changed the
     running value by less than ``tol`` (relative to max(1, |value|)).  An
-    integrand whose halvings keep growing the value past the whole level
-    budget, or until the cutoff reaches floating-point resolution above a
-    positive ``a``, is reported with ``converged=False``: the divergence
-    verdict.
+    integrand whose halvings keep growing the value past the whole budget
+    of 400 halvings, or until the cutoff reaches floating-point resolution
+    above a positive ``a``, is reported with ``converged=False``: the
+    divergence verdict.
     """
     if not (b > a):
         raise ValueError("empty interval")
@@ -107,7 +111,7 @@ def integrate_endpoint(
     small_run = 0
     last_inc = math.inf
     levels = 0
-    for level in range(max_levels):
+    for level in range(_MAX_LEVELS):
         lo = a + span * 0.5 ** (level + 1)
         if not a < lo < hi:
             break  # the cutoff is at floating-point resolution without a limit
@@ -145,7 +149,6 @@ def integrate_log_moment(
     n: int,
     lower: float,
     tol: float,
-    max_levels: int = 400,
 ) -> QuadratureResult:
     """int_lower^inf u^n e^{log_f(u)} du for a log density ``log_f``.
 
@@ -153,22 +156,16 @@ def integrate_log_moment(
     mapped onto a lower-endpoint singularity by u -> 1/t, so each cutoff
     halving doubles the reach toward infinity.  Both integrands are built in
     log space, so a tiny density cannot underflow against a huge u^n.
-    Verdicts combine as in :func:`integrate_endpoint`.  The larger default
-    budget lets barely integrable power tails (exponents just below -1)
-    reach their limits.
+    Verdicts combine as in :func:`integrate_endpoint`.
     """
     if lower < 0:
         raise ValueError("lower endpoint must be nonnegative")
     split = max(2.0 * lower, lower + 1.0)
     head = integrate_endpoint(
-        lambda u: math.exp(n * math.log(u) + log_f(u)), lower, split, tol, max_levels
+        lambda u: math.exp(n * math.log(u) + log_f(u)), lower, split, tol
     )
     tail = integrate_endpoint(
-        lambda t: math.exp(log_f(1.0 / t) - (n + 2) * math.log(t)),
-        0.0,
-        1.0 / split,
-        tol,
-        max_levels,
+        lambda t: math.exp(log_f(1.0 / t) - (n + 2) * math.log(t)), 0.0, 1.0 / split, tol
     )
     return QuadratureResult(
         head.value + tail.value,
@@ -273,21 +270,22 @@ def golden_section(
     return x, value
 
 
-def minimize_on_circle(
-    h: Callable[[float], float],
-    coarse_n: int = 64,
-    refine_tol: float = 1e-10,
-) -> tuple[float, float]:
-    """Minimize a 2*pi-periodic h: coarse grid scan, then golden-section.
+# minimize_on_circle's coarse grid and the bracket width of its refinement
+_CIRCLE_GRID = 64
+_CIRCLE_REFINE_TOL = 1e-12
 
-    Deterministic for fixed ``coarse_n``; grid ties break toward the
-    smallest theta, and the refined point only wins on a strict improvement.
+
+def minimize_on_circle(h: Callable[[float], float]) -> tuple[float, float]:
+    """Minimize a 2*pi-periodic h: a 64-point grid scan, then golden-section
+    search within a grid step of the best grid point, down to a bracket
+    1e-12 wide.
+
+    Deterministic; grid ties break toward the smallest theta, and the
+    refined point only wins on a strict improvement.
     """
-    if coarse_n < 8:
-        raise ValueError("coarse_n must be at least 8")
-    step = 2.0 * math.pi / coarse_n
-    thetas = step * np.arange(coarse_n)
-    values = np.empty(coarse_n)
+    step = 2.0 * math.pi / _CIRCLE_GRID
+    thetas = step * np.arange(_CIRCLE_GRID)
+    values = np.empty(_CIRCLE_GRID)
     for i, theta in enumerate(thetas):
         values[i] = _finite_objective(h, theta)
     best = int(np.argmin(values))  # first occurrence: smallest theta wins
@@ -296,7 +294,7 @@ def minimize_on_circle(
 
     wrapped = lambda t: _finite_objective(h, t % (2.0 * math.pi))
     theta_ref, value_ref = golden_section(
-        wrapped, theta_best - step, theta_best + step, refine_tol
+        wrapped, theta_best - step, theta_best + step, _CIRCLE_REFINE_TOL
     )
     if value_ref < value_best:
         return theta_ref % (2.0 * math.pi), value_ref

@@ -387,6 +387,34 @@ BAD_CONFIGS = {
         {"domain": {"kind": "ball", "center": [], "radius": 1.0}, "point": []},
         "domain:",
     ),
+    "NaN polydisc radius": (
+        "domain-distance",
+        {"domain": {"kind": "polydisc", "radii": [math.nan, 1]}, "point": ORIGIN},
+        "domain.radii[0]: expected a finite number, got nan",
+    ),
+    "infinite ball radius": (
+        "domain-radius",
+        {"domain": {"kind": "ball", "center": ORIGIN, "radius": math.inf},
+         "point": ORIGIN, "direction": [1, 0]},
+        "domain.radius: expected a finite number, got inf",
+    ),
+    "NaN imaginary part": (
+        "domain-distance",
+        {"domain": {"kind": "polydisc", "radii": [1, 1]}, "point": [[0.0, math.nan], 0.0]},
+        "point[0]:",
+    ),
+    "integer beyond the double range": (
+        "hl-bound",
+        {"majorant": {"kind": "power", "r0": 0.5}, "delta": 10**400},
+        "delta: expected a finite number",
+    ),
+    "zero extension tolerance": (
+        "geodesic-probe",
+        {"candidate": {"kind": "map", "map": {"kind": "constant", "values": [0.1, 0.2]},
+                       "domain": {"kind": "polydisc", "radii": [1, 1]}},
+         "n_theta": 64, "tol_ext": 0},
+        "tol_ext must be positive",
+    ),
     "empty constant map": (
         "hl-verify",
         {"function": {"kind": "constant", "values": []},

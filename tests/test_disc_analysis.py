@@ -378,11 +378,6 @@ def test_pz_bound_stretched_exponential_finite_and_dominated():
     near = pz_bound(omega, delta, 1.0) - delta * _far_integral_oracle(omega, delta)
     assert near <= dyadic_sum * math.exp(-root_half * 2.0) + 1e-9
 
-    # two-resolution quadrature oracle for the whole bound
-    coarse = pz_bound(omega, delta, 1.0, tol=1e-9)
-    fine = pz_bound(omega, delta, 1.0, tol=1e-12)
-    assert abs(coarse - fine) < 1e-8
-
 
 def _far_integral_oracle(omega, delta, n=400000):
     xs = np.linspace(delta, math.pi, n)

@@ -165,8 +165,7 @@ def test_omega_bound_constant():
 
 
 def test_omega_bound_linear_phi():
-    phi = Majorant(lambda x: x, 0.5)  # monotone flag clears, bound still works
-    assert not phi.nonincreasing
+    phi = Majorant(lambda x: x, 0.5)  # not monotone; the bound still works
     assert abs(omega_bound(phi, 0.2) - 0.06) < 1e-9
 
 

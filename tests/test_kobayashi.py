@@ -15,7 +15,7 @@ from geodisc.convex_geometry import (
     Polydisc,
     boundary_distance,
 )
-from geodisc.disc_analysis import scalar_function, vector_function
+from geodisc.disc_analysis import constant_map, scalar_function, vector_function
 from geodisc.hardy_littlewood import DerivMajorantFamily
 from geodisc.kobayashi import (
     GeodesicCandidate,
@@ -103,20 +103,21 @@ def test_automorphism_is_poincare_isometry():
 # --- polydisc distance -------------------------------------------------------
 
 def test_polydisc_distance_basics():
-    assert polydisc_distance([0.1, 0.2j], [0.1, 0.2j]) == 0.0
-    assert abs(polydisc_distance([0.0, 0.0], [0.5, 0.0]) - 0.5 * math.log(3.0)) < 1e-15
+    unit = (1.0, 1.0)
+    assert polydisc_distance([0.1, 0.2j], [0.1, 0.2j], unit) == 0.0
+    assert abs(polydisc_distance([0.0, 0.0], [0.5, 0.0], unit) - 0.5 * math.log(3.0)) < 1e-15
 
 
 def test_polydisc_distance_coordinate_max():
     z = np.array([0.5, 0.3])
     w = np.array([0.5, 0.3j])
     per_coord = [poincare_distance(a, b) for a, b in zip(z, w)]
-    assert abs(polydisc_distance(z, w) - max(per_coord)) < 1e-15
+    assert abs(polydisc_distance(z, w, (1.0, 1.0)) - max(per_coord)) < 1e-15
 
 
 def test_polydisc_distance_rejects_outside():
     with pytest.raises(ValueError, match="outside polydisc"):
-        polydisc_distance([1.5, 0.0], [0.0, 0.0])
+        polydisc_distance([1.5, 0.0], [0.0, 0.0], (1.0, 1.0))
 
 
 # --- Graham bounds -----------------------------------------------------------
@@ -257,6 +258,15 @@ def test_probe_extends_for_constant_second_coordinate():
     assert report.verdict == "extends (numerically)"
 
 
+@pytest.mark.parametrize("tol_ext", [0.0, -1e-3])
+def test_probe_rejects_nonpositive_tolerance(tol_ext):
+    # a constant map trivially extends, but with no positive tolerance the
+    # verdict would read "fails"
+    candidate = GeodesicCandidate(constant_map([0.1, 0.2j]), Polydisc((1.0, 1.0)))
+    with pytest.raises(ValueError, match="tol_ext"):
+        boundary_extension_probe(candidate, n_theta=64, tol_ext=tol_ext)
+
+
 def test_probe_fails_for_nonextending_geodesic():
     report = boundary_extension_probe(
         nonextending_geodesic(), n_theta=2048, tol_ext=1e-3
@@ -301,22 +311,15 @@ def test_mercer_fit_pair_identity_zero():
 
 def test_mercer_fit_nonextending_constraints_hold():
     candidate = nonextending_geodesic()
-    rs = 1.0 - np.geomspace(0.4, 1e-6, 20)
-    fit = mercer_fit(candidate, r_grid=rs)
+    fit = mercer_fit(candidate)
     assert fit.residual <= 1e-6
-    for r in rs:
-        # closed-form distance for the bidisc: min(1 - r, 1/2 - |f2(r)|)
+    for r in 1.0 - np.geomspace(0.5, 1e-6, 25):  # the fit's radii
+        # closed-form distance for the unit bidisc: min(1 - r, 1 - |f2(r)|)
         f2 = 0.5 * cmath.exp((1.0 + r) / (r - 1.0))
-        d = min(1.0 - r, 0.5 - abs(f2))
+        d = min(1.0 - r, 1.0 - abs(f2))
         assert fit.C1 * (1.0 - r) <= d + 1e-12
         assert d <= fit.C2 * (1.0 - r) ** (1.0 / fit.beta) + 1e-12
         assert abs(d - boundary_distance(candidate.domain, candidate.map(complex(r)))) < 1e-14
-
-
-def test_mercer_fit_requires_enough_radii():
-    candidate = GeodesicCandidate(scalar_function(lambda z: z), Polydisc((1.0,)))
-    with pytest.raises(ValueError, match="at least 8"):
-        mercer_fit(candidate, r_grid=[0.5, 0.6, 0.7])
 
 
 # --- pipeline -------------------------------------------------------------------

@@ -78,7 +78,7 @@ def test_pz_bound_holder_matches_mpmath(a, delta):
 
 
 @pytest.mark.parametrize("name", ["stretched 1, 0.5", "stretched 2, 0.3"])
-@pytest.mark.parametrize("delta", [0.01, 0.3, 0.9, 1.5])
+@pytest.mark.parametrize("delta", [math.exp(-4.0), 0.01, 0.3, 0.9, 1.5])
 def test_pz_bound_stretched_matches_mpmath(name, delta):
     # the capped models have a cusp at x = 1, omega ~ 1 - c sqrt(1 - x), and
     # are 1 above it

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from geodisc import numerics
 from geodisc.numerics import (
     integrate_endpoint,
     integrate_log_moment,
@@ -31,7 +32,16 @@ def test_log_singularity_integrates_to_one():
     assert abs(res.value - 1.0) < 1e-9
 
 
-def test_log_divergent_integrand_flagged():
+def partial_sums(monkeypatch, f, a, b, budgets) -> list[float]:
+    """The values integrate_endpoint returns under each level budget."""
+    values = []
+    for levels in budgets:
+        monkeypatch.setattr(numerics, "_MAX_LEVELS", levels)
+        values.append(integrate_endpoint(f, a, b, 1e-30).value)
+    return values
+
+
+def test_log_divergent_integrand_flagged(monkeypatch):
     # int_0 dx / (x log(1/x)) diverges like log log; partial sums keep
     # growing monotonically without Cauchy behaviour.
     f = lambda x: 1.0 / (x * math.log(1.0 / x))
@@ -40,19 +50,13 @@ def test_log_divergent_integrand_flagged():
 
     # doubling-refinement oracle: partial values grow monotonically with the
     # refinement budget
-    partials = [
-        integrate_endpoint(f, 0.0, 0.5, 1e-30, max_levels=lv).value
-        for lv in (10, 20, 40, 80)
-    ]
+    partials = partial_sums(monkeypatch, f, 0.0, 0.5, (10, 20, 40, 80))
     assert all(b > a for a, b in zip(partials, partials[1:]))
 
 
-def test_partial_sums_nondecreasing_for_nonnegative_integrand():
+def test_partial_sums_nondecreasing_for_nonnegative_integrand(monkeypatch):
     f = lambda x: 1.0 / math.sqrt(x)
-    values = [
-        integrate_endpoint(f, 0.0, 1.0, 1e-30, max_levels=lv).value
-        for lv in range(4, 40, 4)
-    ]
+    values = partial_sums(monkeypatch, f, 0.0, 1.0, range(4, 40, 4))
     assert all(b >= a for a, b in zip(values, values[1:]))
 
 
@@ -69,7 +73,7 @@ def test_nonfinite_integrand_rejected():
 def test_singularity_at_positive_endpoint_diverges():
     # int_a (x - a)^-1.5 dx diverges; once the cutoff reaches the spacing of
     # doubles at a, further panels are empty and prove nothing
-    res = integrate_endpoint(lambda x: (x - 0.1) ** -1.5 if x > 0.1 else 0.0, 0.1, 1.0, 1e-9, 400)
+    res = integrate_endpoint(lambda x: (x - 0.1) ** -1.5 if x > 0.1 else 0.0, 0.1, 1.0, 1e-9)
     assert not res.converged
 
 
@@ -128,20 +132,20 @@ def test_bisection_residual_on_monotone_cubics(scale, shift):
 
 
 def test_minimize_cosine_well():
-    theta, value = minimize_on_circle(lambda t: 2.0 + math.cos(t), coarse_n=64)
+    theta, value = minimize_on_circle(lambda t: 2.0 + math.cos(t))
     assert abs(theta - math.pi) < 1e-8
     assert abs(value - 1.0) < 1e-12
 
 
 def test_minimize_constant_tie_breaks_to_zero():
-    theta, value = minimize_on_circle(lambda t: 5.0, coarse_n=64)
+    theta, value = minimize_on_circle(lambda t: 5.0)
     assert theta == 0.0
     assert value == 5.0
 
 
 def test_minimize_taxicab_norm_tie_break():
     h = lambda t: abs(math.cos(t)) + abs(math.sin(t))
-    theta, value = minimize_on_circle(h, coarse_n=64)
+    theta, value = minimize_on_circle(h)
 
     # dense scan oracle: minima at multiples of pi/2, all with value 1
     dense = np.linspace(0.0, 2.0 * math.pi, 100001)
@@ -152,11 +156,11 @@ def test_minimize_taxicab_norm_tie_break():
 
 def test_minimize_beats_coarse_grid():
     h = lambda t: (t - 1.234) ** 2 if t < math.pi else (2.0 * math.pi - t + 0.1) ** 2
-    theta, value = minimize_on_circle(h, coarse_n=32)
-    grid = 2.0 * math.pi * np.arange(32) / 32
+    theta, value = minimize_on_circle(h)
+    grid = 2.0 * math.pi * np.arange(64) / 64
     assert value <= min(h(t) for t in grid) + 1e-15
 
 
 def test_minimize_rejects_nonfinite():
     with pytest.raises(ValueError, match="objective not finite"):
-        minimize_on_circle(lambda t: math.nan, coarse_n=8)
+        minimize_on_circle(lambda t: math.nan)
