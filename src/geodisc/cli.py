@@ -173,11 +173,13 @@ def parse(schema, value, path: str = ""):
 def _monomial(degree: int, coefficient: complex) -> da.UnitDiscFunction:
     if degree < 0:
         raise ValueError("monomial degree must be nonnegative")
+    if not _is_real(degree):
+        raise ValueError("monomial degree must be finite as a double")
     return da.UnitDiscFunction(
-        lambda z: da.stack_components(z, da.cmul(coefficient, da.cpow(z, degree))),
+        lambda z: da.stack_components(z, coefficient * z**degree),
         1,
         lambda z: da.stack_components(
-            z, da.cmul(coefficient * degree, da.cpow(z, degree - 1)) if degree else 0.0
+            z, coefficient * degree * z ** (degree - 1) if degree else 0.0
         ),
     )
 
@@ -192,6 +194,8 @@ def _pair_identity_zero() -> da.UnitDiscFunction:
 
 def _power_majorant(r0: float, coefficient: float, exponent: float) -> hl.Majorant:
     """Phi(x) = coefficient * x**exponent."""
+    if coefficient < 0.0:
+        raise ValueError("power majorant coefficient must be nonnegative")
     log_coefficient = math.log(coefficient) if coefficient > 0.0 else -math.inf
     return hl.Majorant(
         lambda x: coefficient * x**exponent,

@@ -30,34 +30,38 @@ _CAUCHY_NODES = 64
 class UnitDiscFunction:
     """A holomorphic map of the unit disc into C^m, evaluated on arrays.
 
-    ``evaluate`` takes an array of points with |zeta| < 1, shape (N,), and
-    returns their values, shape (N, m) with m = ``dimension``; like a numpy
-    ufunc it keeps any other shape of points, S -> S + (m,), a single point
-    included.  ``derivative``, when supplied, is the analytic derivative
-    under the same contract and is cross-checked against the Cauchy
-    integral in the test suite.  Calling the map at one point gives its
-    value there, shape (m,).  :func:`scalar_function` and
-    :func:`vector_function` adapt plain per-point callables to this
-    contract.
+    ``evaluate`` takes a 1-d array of points with |zeta| < 1, shape (N,),
+    and returns their values, shape (N, m) with m = ``dimension``.
+    ``derivative``, when supplied, is the analytic derivative under the same
+    contract and is cross-checked against the Cauchy integral in the test
+    suite.  ``values`` evaluates points of any shape S, a single point
+    included, as S + (m,), and calling the map is the same.
+    :func:`scalar_function` and :func:`vector_function` adapt plain
+    per-point callables to this contract.
     """
 
     evaluate: Callable[[np.ndarray], np.ndarray]
     dimension: int
     derivative: Callable[[np.ndarray], np.ndarray] | None = None
 
-    def __call__(self, zeta: complex) -> np.ndarray:
-        return self.values(np.array([zeta], dtype=complex))[0]
+    def values(self, zeta) -> np.ndarray:
+        """``evaluate`` at points of shape S, as shape S + (m,)."""
+        return _on_points(self.evaluate, zeta, self.dimension)
 
-    def values(self, zeta: np.ndarray) -> np.ndarray:
-        """``evaluate`` at an array of points, with its shape checked."""
-        return _checked(self.evaluate(zeta), zeta, self.dimension)
+    __call__ = values
 
 
-def _checked(values, zeta: np.ndarray, dimension: int) -> np.ndarray:
-    values = np.asarray(values, dtype=complex)
-    if values.shape != np.shape(zeta) + (dimension,):
+def _on_points(fn, zeta, dimension: int) -> np.ndarray:
+    """``fn``, which maps points of shape (N,) to values of shape (N, m),
+    at points of any shape S, as S + (m,).  The points always reach ``fn``
+    flattened: numpy's complex scalars round products and powers otherwise
+    than its array loops, so a single point must be an array of one."""
+    zeta = np.asarray(zeta, dtype=complex)
+    flat = zeta.reshape(-1)
+    values = np.asarray(fn(flat), dtype=complex)
+    if values.shape != (flat.size, dimension):
         raise ValueError("evaluator returned wrong dimension")
-    return values
+    return values.reshape(zeta.shape + (dimension,))
 
 
 def stack_components(zeta, *parts) -> np.ndarray:
@@ -68,51 +72,6 @@ def stack_components(zeta, *parts) -> np.ndarray:
     return np.stack([np.broadcast_to(p, shape) for p in parts], axis=-1).astype(
         complex, copy=False
     )
-
-
-# Complex products, quotients and powers of arrays, rounded step for step
-# as Python's complex type rounds them (each real product and sum on its
-# own, Smith's quotient, binary powering).  numpy's vector loops for the
-# complex product and quotient may round differently (fused multiply-adds,
-# a reciprocal), and near the circle 1 - |f| magnifies a
-# last-bit difference a millionfold; the built-in maps use these so that
-# their values on arrays are those of the same formula on Python complex
-# numbers, bit for bit.
-
-def _join(re, im) -> np.ndarray:
-    out = np.empty(np.broadcast_shapes(np.shape(re), np.shape(im)), dtype=complex)
-    out.real, out.imag = re, im
-    return out
-
-
-def cmul(a, b) -> np.ndarray:
-    """a * b."""
-    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
-    return _join(a.real * b.real - a.imag * b.imag, a.real * b.imag + a.imag * b.real)
-
-
-def cdiv(a, b) -> np.ndarray:
-    """a / b for b != 0, scaling by the larger part of b."""
-    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
-    real_wide = np.abs(b.real) >= np.abs(b.imag)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(real_wide, b.imag / b.real, b.real / b.imag)
-        denom = np.where(real_wide, b.real + b.imag * ratio, b.real * ratio + b.imag)
-        re = np.where(real_wide, a.real + a.imag * ratio, a.real * ratio + a.imag)
-        im = np.where(real_wide, a.imag - a.real * ratio, a.imag * ratio - a.real)
-    return _join(re / denom, im / denom)
-
-
-def cpow(z, n: int) -> np.ndarray:
-    """z**n for an integer n >= 0, by squaring (as Python does for n <= 100)."""
-    result, power, bit = np.ones(np.shape(z), dtype=complex), np.asarray(z, dtype=complex), 1
-    while bit <= n:
-        if n & bit:
-            result = cmul(result, power)
-        bit <<= 1
-        if bit <= n:
-            power = cmul(power, power)
-    return result
 
 
 def _per_point(functions: Sequence[Callable[[complex], complex]]):
@@ -280,8 +239,7 @@ def derivative_centered(f: UnitDiscFunction, zeta) -> np.ndarray:
     rho = 0.5 * (1.0 - np.abs(zeta))
     phases = np.exp(2j * math.pi * np.arange(_CAUCHY_NODES) / _CAUCHY_NODES)
     nodes = zeta[..., None] + rho[..., None] * phases
-    values = f.values(nodes.ravel()).reshape(nodes.shape + (f.dimension,))
-    total = np.sum(values / phases[:, None], axis=-2)
+    total = np.sum(f.values(nodes) / phases[:, None], axis=-2)
     return total / (_CAUCHY_NODES * rho)[..., None]
 
 
@@ -290,8 +248,7 @@ def derivative_at(f: UnitDiscFunction, zeta) -> np.ndarray:
     shape S + (m,) for points of shape S."""
     if f.derivative is None:
         return derivative_centered(f, zeta)
-    zeta = np.asarray(zeta, dtype=complex)
-    return _checked(f.derivative(zeta), zeta, f.dimension)
+    return _on_points(f.derivative, zeta, f.dimension)
 
 
 def _radial_tails(f: UnitDiscFunction, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -302,7 +259,7 @@ def _radial_tails(f: UnitDiscFunction, thetas: np.ndarray) -> tuple[np.ndarray, 
     zeta = np.empty((len(thetas), len(RADIAL_TAIL)), dtype=complex)
     zeta.real = np.multiply.outer(np.cos(thetas), RADIAL_TAIL)
     zeta.imag = np.multiply.outer(np.sin(thetas), RADIAL_TAIL)
-    tails = f.values(zeta.ravel()).reshape(zeta.shape + (f.dimension,))
+    tails = f.values(zeta)
     moves = row_norms(np.diff(tails, axis=1))
     return tails[:, -1], np.all(moves < _RADIAL_TOL, axis=1)
 

@@ -30,9 +30,6 @@ from .disc_analysis import (
     ModulusProfile,
     UnitDiscFunction,
     boundary_samples,
-    cdiv,
-    cmul,
-    cpow,
     derivative_at,
     modulus_profile,
     stack_components,
@@ -67,9 +64,9 @@ def disc_automorphism(a: complex, phi: float = 0.0) -> UnitDiscFunction:
     abar = complex(a).conjugate()
     scale = rot * (1.0 - abs(a) ** 2)
     return UnitDiscFunction(
-        lambda z: stack_components(z, cdiv(cmul(rot, z - a), 1.0 - cmul(abar, z))),
+        lambda z: stack_components(z, rot * (z - a) / (1.0 - abar * z)),
         1,
-        lambda z: stack_components(z, cdiv(scale, cpow(1.0 - cmul(abar, z), 2))),
+        lambda z: stack_components(z, scale / (1.0 - abar * z) ** 2),
     )
 
 
@@ -147,12 +144,12 @@ def nonextending_geodesic() -> GeodesicCandidate:
     elsewhere.
     """
     def f2(z):
-        return 0.5 * np.exp(cdiv(1.0 + z, z - 1.0))
+        return 0.5 * np.exp((1.0 + z) / (z - 1.0))
 
     mapping = UnitDiscFunction(
         lambda z: stack_components(z, z, f2(z)),
         2,
-        lambda z: stack_components(z, 1.0, cdiv(f2(z) * (-2.0), cpow(z - 1.0, 2))),
+        lambda z: stack_components(z, 1.0, -2.0 * f2(z) / (z - 1.0) ** 2),
     )
     return GeodesicCandidate(mapping, Polydisc((1.0, 1.0)), "polydisc_explicit")
 

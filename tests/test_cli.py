@@ -421,6 +421,22 @@ BAD_CONFIGS = {
          "majorant": {"kind": "power", "r0": 0.5}},
         "function:",
     ),
+    "monomial degree beyond the double range": (
+        "hl-verify",
+        {"function": {"kind": "monomial", "degree": 10**400},
+         "majorant": {"kind": "power", "r0": 0.5}},
+        "function:",
+    ),
+    "negative power majorant for hl-bound": (
+        "hl-bound",
+        {"majorant": {"kind": "power", "r0": 0.5, "coefficient": -1}, "delta": 0.1},
+        "majorant:",
+    ),
+    "negative power majorant for hl-l1": (
+        "hl-l1",
+        {"majorant": {"kind": "power", "r0": 0.5, "coefficient": -1}},
+        "majorant:",
+    ),
 }
 
 
@@ -444,14 +460,19 @@ def test_flat_model_fields_reject_other_domains(tmp_path, capsys):
     assert "candidate.domain.kind: unknown domain kind 'polydisc'" in capsys.readouterr().err
 
 
-def test_readme_configs_parse():
+def test_readme_configs_parse(tmp_path):
+    # each shell example parses and runs with the exit code its comment states
     text = README.read_text()
     blocks = re.findall(
-        r"cat > (\S+) <<'JSON'\n(.*?)\nJSON\n.*?geodisc (\S+) --config \1", text, re.S
+        r"cat > (\S+) <<'JSON'\n(.*?)\nJSON\n.*?geodisc (\S+) --config \1([^\n]*)", text, re.S
     )
     assert blocks and len(blocks) == text.count("<<'JSON'")
-    for _, body, command in blocks:
-        cli.parse_config(command, json.loads(body))
+    for name, body, command, rest in blocks:
+        cfg = json.loads(body)
+        cli.parse_config(command, cfg)
+        stated = re.search(r"# .*\bexits? (\d)", rest)
+        assert stated, rest
+        assert cli.run(command, dict(cfg, out=str(tmp_path / name))) == int(stated.group(1))
 
 
 def readme_key_lists() -> dict[tuple[str, str], str]:

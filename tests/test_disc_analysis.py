@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geodisc import cli
-from geodisc.convex_geometry import FlatModelDomain, FlatSupport
+from geodisc.convex_geometry import FlatModelDomain, FlatSupport, Polydisc
 from geodisc.disc_analysis import (
     RADIAL_TAIL,
     BoundarySamples,
@@ -31,8 +32,8 @@ from geodisc.disc_analysis import (
     scalar_function,
     vector_function,
 )
-from geodisc.hardy_littlewood import Majorant
-from geodisc.kobayashi import flat_slice_candidate
+from geodisc.hardy_littlewood import Majorant, verify_majorant
+from geodisc.kobayashi import GeodesicCandidate, flat_slice_candidate, mercer_fit
 
 
 # --- derivative via the Cauchy integral -----------------------------------
@@ -168,6 +169,43 @@ def test_analytic_derivative_matches_cauchy_integral(name):
     analytic, cauchy = derivative_at(f, zeta), derivative_centered(f, zeta)
     scale = np.maximum(np.abs(cauchy), 1.0)
     assert np.all(np.abs(analytic - cauchy) <= 1e-13 * scale)
+
+
+def recording_map(shapes: list) -> UnitDiscFunction:
+    """zeta -> (zeta / 2, zeta^2 / 2) with its derivative; both evaluators
+    assert that they get a 1-d complex array and record its shape."""
+    def checked(fn):
+        def evaluate(z):
+            assert isinstance(z, np.ndarray) and z.ndim == 1 and z.dtype == complex, z
+            shapes.append(z.shape)
+            return fn(z)
+        return evaluate
+
+    return UnitDiscFunction(
+        checked(lambda z: np.stack([0.5 * z, 0.5 * z * z], axis=-1)),
+        2,
+        checked(lambda z: np.stack([np.full_like(z, 0.5), z], axis=-1)),
+    )
+
+
+def test_evaluators_only_receive_one_dimensional_points():
+    shapes = []
+    f = recording_map(shapes)
+    boundary_samples(f, 16)
+    derivative_centered(f, np.array([0.1, 0.2j]))
+    verify_majorant(f, Majorant.constant(2.0, 0.5))
+    candidate = GeodesicCandidate(f, Polydisc((1.0, 1.0)))
+    mercer_fit(candidate)
+    assert candidate.image_inside()
+    grid = np.array([[0.1, 0.2j, -0.3], [0.4, 0.5 - 0.1j, 0.0]])
+    for g in (f, dataclasses.replace(f, derivative=None)):
+        for points in (0.3 + 0.1j, grid[1], grid):
+            shape = np.shape(points) + (2,)
+            assert g.values(points).shape == g(points).shape == shape
+            assert derivative_at(g, points).shape == shape
+    assert np.array_equal(f.values(grid)[1], f.values(grid[1]))
+    assert np.array_equal(derivative_at(f, grid)[1, 0], derivative_at(f, grid[1, 0]))
+    assert len(shapes) > 10
 
 
 def test_cauchy_derivative_on_an_array_equals_per_point_calls():
