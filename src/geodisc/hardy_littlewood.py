@@ -19,6 +19,9 @@ from .numerics import QuadratureResult, integrate_log_moment, log_scale
 
 # verify_majorant's angles; its radii depend on the majorant window r0.
 _VERIFY_THETAS = 2.0 * math.pi * np.arange(32) / 32
+# verify_majorant's worst point is the first one this close, relative to
+# max(1, |max violation|), to the max violation.
+_TIE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -109,14 +112,17 @@ def verify_majorant(f: UnitDiscFunction, phi) -> MajorantReport:
     caps = np.array([phi.evaluate(1.0 - float(r)) for r in radii])
     zeta = np.multiply.outer(radii, np.cos(_VERIFY_THETAS) + 1j * np.sin(_VERIFY_THETAS))
     violations = row_norms(derivative_at(f, zeta.ravel())) - np.repeat(caps, len(_VERIFY_THETAS))
-    # the first largest violation in grid order; none when all are -inf or nan
-    worst = int(np.argmax(np.where(np.isnan(violations), -np.inf, violations)))
-    if not violations[worst] > -math.inf:
+    # none when all are -inf or nan
+    violations = np.where(np.isnan(violations), -np.inf, violations)
+    largest = float(np.max(violations))
+    if not largest > -math.inf:
         return MajorantReport(-math.inf, 0.0, 0.0)
+    # the first grid point within a rounding tie of the largest, so that
+    # last-bit noise on a circle where |f'| is constant cannot move it
+    floor = largest - _TIE_TOL * max(1.0, abs(largest)) if largest < math.inf else largest
+    worst = int(np.argmax(violations >= floor))
     r, theta = divmod(worst, len(_VERIFY_THETAS))
-    return MajorantReport(
-        float(violations[worst]), float(radii[r]), float(_VERIFY_THETAS[theta])
-    )
+    return MajorantReport(largest, float(radii[r]), float(_VERIFY_THETAS[theta]))
 
 
 # The relative increment tolerances of phi_log_l1 and of omega_bound

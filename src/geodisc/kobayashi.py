@@ -29,6 +29,7 @@ from .convex_geometry import (
 from .disc_analysis import (
     ModulusProfile,
     UnitDiscFunction,
+    _lag,
     boundary_samples,
     derivative_at,
     modulus_profile,
@@ -229,25 +230,28 @@ def boundary_extension_probe(
 ) -> ProbeReport:
     """Empirical continuous-extension verdict from boundary samples.
 
-    The empirical modulus is read at the deltas pi 2^-j, j = 0..12.
-    "extends (numerically)": the empirical modulus at the smallest delta is
-    below tol_ext and decreases monotonically over the last four deltas.
-    "fails": the modulus plateaus above 10 * tol_ext.  Anything else is
-    "inconclusive".  Radial limits may exist pointwise while the boundary
-    function oscillates, so the verdict inspects the modulus, not pointwise
-    convergence.
+    The empirical modulus is read at the four smallest deltas pi 2^-j,
+    j <= 12, that resolve on the grid (at least one grid step; fewer than
+    four on a grid of under 16 nodes), so only lags up to the largest of
+    them are swept.  "extends (numerically)": the modulus at the smallest
+    of them is below tol_ext.  "fails": the modulus plateaus above
+    10 * tol_ext over them.  Anything else is "inconclusive".  Radial
+    limits may exist pointwise while the boundary function oscillates, so
+    the verdict inspects the modulus, not pointwise convergence.
     """
     if not tol_ext > 0.0:
         raise ValueError("tol_ext must be positive")
     samples = boundary_samples(candidate.map, n_theta)
-    profile = modulus_profile(samples, _PROBE_DELTAS)
-    smallest = profile.omegas[:4]
+    # _PROBE_DELTAS decreases, so the last four that resolve are the judged ones
+    judged = [d for d in _PROBE_DELTAS if _lag(d, n_theta) >= 1][-4:]
+    profile = modulus_profile(samples, judged)
+    omegas = profile.omegas
     verdict = "inconclusive"
-    if profile.omegas[0] < tol_ext and np.all(np.diff(smallest) >= -1e-15):
+    if omegas[0] < tol_ext:
         verdict = "extends (numerically)"
     elif (
-        float(np.min(smallest)) >= 10.0 * tol_ext
-        and float(np.max(smallest) - np.min(smallest)) <= 0.1 * float(np.max(smallest))
+        float(np.min(omegas)) >= 10.0 * tol_ext
+        and float(np.max(omegas) - np.min(omegas)) <= 0.1 * float(np.max(omegas))
     ):
         verdict = "fails"
     return ProbeReport(verdict, profile, samples.cauchy_fraction, tol_ext)

@@ -94,7 +94,9 @@ def integrate_endpoint(
 
     Panels shrink geometrically toward ``a``; each new panel halves the lower
     cutoff.  The result converges once the last few halvings each changed the
-    running value by less than ``tol`` (relative to max(1, |value|)).  An
+    running value by less than ``tol`` (relative to max(1, |value|)); the
+    value then includes the geometric tail inc r / (1 - r) of the last
+    increment inc, with r its ratio to the one before, when 0 < r < 1.  An
     integrand whose halvings keep growing the value past the whole budget
     of 400 halvings, or until the cutoff reaches floating-point resolution
     above a positive ``a``, is reported with ``converged=False``: the
@@ -124,6 +126,9 @@ def integrate_endpoint(
         if abs(inc) < tol * scale:
             small_run += 1
             if small_run >= _CONVERGENCE_RUN:
+                ratio = inc / last_inc if last_inc else 0.0
+                if 0.0 < ratio < 1.0:
+                    total += inc * ratio / (1.0 - ratio)  # the geometric tail
                 return QuadratureResult(total, True, levels, _tail_estimate(inc, last_inc))
         else:
             small_run = 0

@@ -397,6 +397,17 @@ def test_pz_bound_linear_modulus_closed_form():
         assert abs(pz_bound(omega, delta, 1.0) - expected) < 1e-8
 
 
+def test_pz_bound_holder_closed_form_to_rounding():
+    # K [delta^a / a + delta (pi^(a-1) - delta^(a-1)) / (a-1)]; converged
+    # values carry their geometric tail, so they are not biased low
+    rng = np.random.default_rng(7)
+    for a, delta in zip(rng.uniform(0.05, 1.0, 200), rng.uniform(1e-4, 3.0, 200)):
+        far = (math.pi ** (a - 1.0) - delta ** (a - 1.0)) / (a - 1.0)
+        expected = delta**a / a + delta * far
+        value = pz_bound(ModulusFamily.holder(float(a)), float(delta), 1.0)
+        assert abs(value - expected) <= 1e-13 * expected
+
+
 def test_pz_bound_zero_modulus():
     assert pz_bound(lambda x: 0.0, 0.1, 1.0) == 0.0
 

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from geodisc import hardy_littlewood
 from geodisc.disc_analysis import (
     ModulusFamily,
     boundary_samples,
@@ -85,6 +86,24 @@ def test_verify_majorant_matches_per_point_grid_scan():
     assert (report.max_violation, report.worst_r, report.worst_theta) == worst
 
 
+def test_verify_majorant_worst_point_survives_last_bit_noise(monkeypatch):
+    # |f'| = 2r on each circle, so the 32 angles of the worst radius tie up
+    # to rounding; the first of them is reported however the noise falls
+    f = scalar_function(lambda z: z * z, lambda z: 2.0 * z)
+    phi = Majorant.constant(1.0, 0.5)
+    assert verify_majorant(f, phi).worst_theta == 0.0
+    norms = hardy_littlewood.row_norms
+    rng = np.random.default_rng(1)
+
+    def noisy(values):
+        exact = norms(values)
+        return exact * (1.0 + 5e-16 * rng.choice([-1.0, 1.0], exact.shape))
+
+    monkeypatch.setattr(hardy_littlewood, "row_norms", noisy)
+    for _ in range(10):
+        assert verify_majorant(f, phi).worst_theta == 0.0
+
+
 # --- phi_log_l1 -------------------------------------------------------------
 
 def test_constant_majorant_l1():
@@ -100,6 +119,15 @@ def test_family_l1_value_matches_antiderivative():
     oracle = family_integral_oracle(fam)  # = 1 / (1 + log 2)
     assert abs(oracle - 1.0 / (1.0 + math.log(2.0))) < 1e-15
     assert abs(res.value - oracle) < 1e-8
+
+
+def test_family_l1_near_alpha_one_includes_the_tail():
+    # int_0^(1/2) (1/x) (log(e/x))^(-1/0.9) dx = 9 (1 + log 2)^(-1/9); the
+    # partial sum without its geometric tail reads 1e-8 low
+    res = phi_log_l1(DerivMajorantFamily(K1=1.0, K2=math.e, alpha=0.9, r0=0.5), 0)
+    assert res.converged
+    oracle = 9.0 * (1.0 + math.log(2.0)) ** (-1.0 / 9.0)
+    assert abs(res.value - oracle) <= 1e-13 * oracle
 
 
 def test_family_l1_diverges_at_alpha_one():
@@ -173,6 +201,13 @@ def test_omega_bound_family_antiderivative():
     fam = DerivMajorantFamily(K1=1.0, K2=math.e, alpha=0.5, r0=0.5)
     expected = 3.0 / (1.0 + math.log(10.0))  # 3 (log(e/0.1))^{-1}
     assert abs(omega_bound(fam, 0.1) - expected) < 1e-8
+
+
+def test_omega_bound_power_majorant_closed_form():
+    # 3 int_0^delta x^(-1/2) / 2 dx = 3 sqrt(delta)
+    phi = Majorant(lambda x: 0.5 / math.sqrt(x), 0.5, lambda u: math.log(0.5) - 0.5 * u)
+    expected = 3.0 * math.sqrt(1e-3)
+    assert abs(omega_bound(phi, 1e-3) - expected) <= 1e-13 * expected
 
 
 def test_omega_bound_divergent_family_is_infinite():

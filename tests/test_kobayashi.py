@@ -15,9 +15,17 @@ from geodisc.convex_geometry import (
     Polydisc,
     boundary_distance,
 )
-from geodisc.disc_analysis import constant_map, scalar_function, vector_function
+from geodisc import disc_analysis
+from geodisc.disc_analysis import (
+    boundary_samples,
+    constant_map,
+    modulus_profile,
+    scalar_function,
+    vector_function,
+)
 from geodisc.hardy_littlewood import DerivMajorantFamily
 from geodisc.kobayashi import (
+    _PROBE_DELTAS,
     GeodesicCandidate,
     PipelineParams,
     boundary_extension_probe,
@@ -244,9 +252,7 @@ def test_kappa_along_polydisc_geodesic_matches_disc_metric():
 # --- boundary-extension probe --------------------------------------------------
 
 def test_probe_extends_for_identity_pair():
-    mapping = vector_function([lambda z: z, lambda z: 0.0 * z])
-    candidate = GeodesicCandidate(mapping, Polydisc((1.0, 1.0)), "polydisc_explicit")
-    report = boundary_extension_probe(candidate, n_theta=2048, tol_ext=5e-3)
+    report = boundary_extension_probe(_pair_identity_zero(), n_theta=2048, tol_ext=5e-3)
     assert report.verdict == "extends (numerically)"
     assert report.omega_min < 5e-3
 
@@ -274,6 +280,40 @@ def test_probe_fails_for_nonextending_geodesic():
     assert report.verdict == "fails"
     # oscillation of (1/2) e^{-i cot(theta/2)} realizes diameter ~1 near 0
     assert float(np.min(report.profile.omegas[:4])) >= 0.9
+
+
+def _pair_identity_zero() -> GeodesicCandidate:
+    mapping = vector_function([lambda z: z, lambda z: 0.0 * z])
+    return GeodesicCandidate(mapping, Polydisc((1.0, 1.0)), "polydisc_explicit")
+
+
+@pytest.mark.parametrize("n", [8, 9, 2048, 4096, 8192, 12000, 16384])
+@pytest.mark.parametrize("make", [nonextending_geodesic, _pair_identity_zero])
+def test_probe_profile_is_the_judged_prefix_of_the_full_ladder(make, n):
+    # the probe reads the four smallest resolving deltas of pi 2^-j, j <= 12
+    # (three on grids under 16 nodes), bit for bit as the full ladder has them
+    candidate = make()
+    full = modulus_profile(boundary_samples(candidate.map, n), _PROBE_DELTAS)
+    report = boundary_extension_probe(candidate, n_theta=n)
+    judged = min(4, full.deltas.size)
+    assert judged == (3 if n < 16 else 4)
+    assert report.profile.deltas.tolist() == full.deltas[:judged].tolist()
+    assert report.profile.omegas.tolist() == full.omegas[:judged].tolist()
+
+
+def test_probe_sweeps_only_the_judged_lags(monkeypatch):
+    # at 65536 nodes the largest judged delta, pi 2^-9, is 64 grid steps
+    swept = []
+    lag_maxima = disc_analysis._lag_maxima
+
+    def recording(samples, max_lag):
+        swept.append(max_lag)
+        return lag_maxima(samples, max_lag)
+
+    monkeypatch.setattr(disc_analysis, "_lag_maxima", recording)
+    report = boundary_extension_probe(nonextending_geodesic(), n_theta=65536)
+    assert report.verdict == "fails"
+    assert swept and max(swept) <= 64
 
 
 def test_probe_oscillation_oracle_dyadic_refinement():
