@@ -48,7 +48,6 @@ from .kobayashi import (
     GeodesicCandidate,
     MercerFit,
     MetricBounds,
-    PipelineParams,
     boundary_extension_probe,
     disc_automorphism,
     flat_slice_candidate,

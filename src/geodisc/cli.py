@@ -425,12 +425,13 @@ def _cmd_mercer_fit(candidate, **options):
     return payload, [payload], None
 
 
-def _cmd_pipeline(domain, candidate, **params):
-    report = kb.theorem_pipeline(domain, candidate, kb.PipelineParams(**params))
-    rows = [
-        {"stage": s.name, "status": s.status} for s in report.stages
+def _cmd_pipeline(domain, candidate, **options):
+    report = kb.theorem_pipeline(domain, candidate, **options)
+    stages = [
+        {"name": s.name, "status": s.status, "details": s.details} for s in report.stages
     ]
-    return report.to_payload(), rows, report.ok
+    rows = [{"stage": s["name"], "status": s["status"]} for s in stages]
+    return {"ok": report.ok, "stages": stages}, rows, report.ok
 
 
 _POINT_AND_DIRECTION = {"point": VECTOR, "direction": VECTOR}
@@ -573,6 +574,9 @@ def main(argv: list[str] | None = None) -> int:
         return run(args.command, cfg)
     except (ConfigError, ValueError, KeyError, OSError) as exc:
         print(f"geodisc: error: {exc}", file=sys.stderr)
+        return 1
+    except ArithmeticError as exc:
+        print(f"geodisc: error: numeric overflow ({exc})", file=sys.stderr)
         return 1
 
 

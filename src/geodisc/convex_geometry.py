@@ -397,6 +397,12 @@ class FlatSupport:
     def convexity_cap(alpha: float) -> float:
         return (alpha / (alpha + 1.0)) ** (1.0 / alpha)
 
+    @property
+    def zone(self) -> float:
+        """Depth of the boundary zone, min(s0, x0_cap(C, alpha)): the
+        compact-set condition under which the flatness estimate applies."""
+        return min(self.s0, x0_cap(self.C, self.alpha))
+
 
 @dataclass(frozen=True)
 class FlatModelDomain(ConvexDomainModel):
@@ -445,7 +451,10 @@ def _check_ray(domain: ConvexDomainModel, z, u) -> tuple[np.ndarray, np.ndarray]
     norm = float(np.linalg.norm(u))
     if norm == 0.0:
         raise ValueError("direction must be nonzero")
-    return _check_base(domain, z), u / norm
+    z = _check_base(domain, z)
+    if len(u) != domain.dimension:
+        raise ValueError("direction has wrong dimension")
+    return z, u / norm
 
 
 def exit_time(domain: ConvexDomainModel, z, u) -> float:
@@ -487,15 +496,11 @@ class RestBoundReport:
 def rest_bound_check(
     domain: FlatModelDomain, z, v, tol: float = 1e-6
 ) -> RestBoundReport:
-    """Check r_Omega(z; v) <= 2 [log(C/d)]^{-1/alpha} in the boundary zone.
-
-    The zone is d < min(s0, x0_cap), exactly the compact-set condition under
-    which the flatness estimate applies.
-    """
+    """Check r_Omega(z; v) <= 2 [log(C/d)]^{-1/alpha} in the boundary zone
+    0 < d < ``FlatSupport.zone``."""
     s = domain.support
     d = boundary_distance(domain, z)
-    zone = min(s.s0, x0_cap(s.C, s.alpha))
-    if not 0.0 < d < zone:
+    if not 0.0 < d < s.zone:
         raise ValueError("point not in the boundary zone")
     radius = inscribed_disc_radius(domain, z, v)
     bound = 2.0 * phi_alpha_inv(d, s.C, s.alpha)

@@ -24,7 +24,6 @@ from .convex_geometry import (
     boundary_distance,
     inscribed_disc_radius,
     rest_bound_check,
-    x0_cap,
 )
 from .disc_analysis import (
     ModulusProfile,
@@ -216,7 +215,6 @@ class ProbeReport:
     verdict: str
     profile: ModulusProfile
     cauchy_fraction: float
-    tol_ext: float
 
     @property
     def omega_min(self) -> float:
@@ -254,7 +252,7 @@ def boundary_extension_probe(
         and float(np.max(omegas) - np.min(omegas)) <= 0.1 * float(np.max(omegas))
     ):
         verdict = "fails"
-    return ProbeReport(verdict, profile, samples.cauchy_fraction, tol_ext)
+    return ProbeReport(verdict, profile, samples.cauchy_fraction)
 
 
 # --- distance decay fit -------------------------------------------------------
@@ -333,42 +331,23 @@ class PipelineReport:
                 return stage
         raise KeyError(name)
 
-    def to_payload(self) -> dict:
-        return {
-            "ok": self.ok,
-            "stages": [
-                {"name": s.name, "status": s.status, "details": s.details}
-                for s in self.stages
-            ],
-        }
-
 
 # Fixed rules of the pipeline: the properness circle and its angle grid,
-# the number of boundary-zone points checked against the rest bound, the
-# majorant window cap, and the extension probe's tolerance.
+# the number of boundary-zone points checked against the rest bound and the
+# majorant window cap.
 _PROPERNESS_RADIUS = 0.999
 _PROPERNESS_N_THETA = 64
 _REST_POINTS = 4
 _MAJORANT_R0 = 0.25
-_PROBE_TOL_EXT = 1e-3
-
-
-@dataclass(frozen=True)
-class PipelineParams:
-    properness_threshold: float = 0.05
-    majorant_alpha_override: float | None = None
-    probe_n_theta: int = 4096
-
-    def __post_init__(self):
-        alpha = self.majorant_alpha_override
-        if alpha is not None and not alpha > 0.0:
-            raise ValueError("majorant_alpha_override must be positive")
 
 
 def theorem_pipeline(
     domain: FlatModelDomain,
     candidate: GeodesicCandidate,
-    params: PipelineParams | None = None,
+    *,
+    properness_threshold: float = 0.05,
+    majorant_alpha_override: float | None = None,
+    probe_n_theta: int = 4096,
 ) -> PipelineReport:
     """Chain the stages of the continuous-extension argument on a flat model.
 
@@ -380,10 +359,12 @@ def theorem_pipeline(
     majorant; (v) the boundary-extension probe.  A properness failure aborts
     the remaining stages; a divergent majorant is reported and the probe
     still runs.  ``candidate`` must map into ``domain`` itself.
+    ``majorant_alpha_override`` replaces the model's alpha in the majorant.
     """
+    if majorant_alpha_override is not None and not majorant_alpha_override > 0.0:
+        raise ValueError("majorant_alpha_override must be positive")
     if candidate.domain != domain:
         raise ValueError("candidate domain does not match the pipeline domain")
-    params = params or PipelineParams()
     s = domain.support
     stages: list[PipelineStage] = []
 
@@ -395,12 +376,12 @@ def theorem_pipeline(
     images = f.values(ring)
     ds = [boundary_distance(domain, z) for z in images]
     worst = float(np.max(ds))
-    proper = worst < params.properness_threshold
+    proper = worst < properness_threshold
     stages.append(
         PipelineStage(
             "properness",
             "pass" if proper else "fail",
-            {"max_distance": worst, "threshold": params.properness_threshold},
+            {"max_distance": worst, "threshold": properness_threshold},
         )
     )
     if not proper:
@@ -409,33 +390,21 @@ def theorem_pipeline(
         return PipelineReport(tuple(stages), False)
 
     # (ii) inscribed-radius bound at the deepest boundary-zone samples
-    zone = min(s.s0, x0_cap(s.C, s.alpha))
+    zone = s.zone
     order = np.argsort(ds)
-    checked, ok_rest, rest_rows = 0, True, []
-    for idx in order:
-        if checked >= _REST_POINTS:
-            break
-        d = ds[idx]
-        if not 0.0 < d < zone:
-            continue
-        checked += 1
-        report = rest_bound_check(domain, images[idx], derivative_at(f, ring[idx]))
-        ok_rest &= report.satisfied
-        rest_rows.append(
-            {"d": report.d, "radius": report.radius, "bound": report.bound}
-        )
-    status = "pass" if (checked > 0 and ok_rest) else "fail"
+    deepest = [i for i in order if 0.0 < ds[i] < zone][:_REST_POINTS]
+    checks = [rest_bound_check(domain, images[i], derivative_at(f, ring[i])) for i in deepest]
+    rows = [{"d": c.d, "radius": c.radius, "bound": c.bound} for c in checks]
+    status = "pass" if checks and all(c.satisfied for c in checks) else "fail"
     stages.append(
-        PipelineStage("rest_bound", status, {"points": checked, "rows": rest_rows})
+        PipelineStage("rest_bound", status, {"points": len(checks), "rows": rows})
     )
 
     # (iii) majorant constants from the distance-decay fit, taken along the
     # ray where the image actually approaches the boundary
     theta_star = 2.0 * math.pi * int(order[0]) / _PROPERNESS_N_THETA
     fit = mercer_fit(candidate, theta=theta_star)
-    alpha = params.majorant_alpha_override
-    if alpha is None:
-        alpha = s.alpha
+    alpha = s.alpha if majorant_alpha_override is None else majorant_alpha_override
     K1 = 4.0 * fit.beta ** (1.0 / alpha)
     K2 = (s.C / fit.C2) ** fit.beta
     r0 = min(_MAJORANT_R0, 0.9 * K2)
@@ -471,9 +440,7 @@ def theorem_pipeline(
     )
 
     # (v) boundary-extension probe
-    probe = boundary_extension_probe(
-        candidate, n_theta=params.probe_n_theta, tol_ext=_PROBE_TOL_EXT
-    )
+    probe = boundary_extension_probe(candidate, n_theta=probe_n_theta)
     stages.append(
         PipelineStage(
             "extension_probe",

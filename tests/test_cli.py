@@ -437,6 +437,45 @@ BAD_CONFIGS = {
         {"majorant": {"kind": "power", "r0": 0.5, "coefficient": -1}},
         "majorant:",
     ),
+    "overflowing majorant for hl-verify": (
+        "hl-verify",
+        {"function": {"kind": "identity"},
+         "majorant": {"kind": "power", "r0": 0.5, "exponent": -800}},
+        "numeric overflow",
+    ),
+    "overflowing majorant for hl-bound": (
+        "hl-bound",
+        {"majorant": {"kind": "power", "r0": 0.5, "exponent": -800}, "delta": 0.1},
+        "numeric overflow",
+    ),
+    "overflowing log moment": (
+        "hl-l1",
+        {"majorant": {"kind": "family", "K1": 1, "K2": 2, "alpha": 0.5, "r0": 0.5},
+         "n": 100000},
+        "numeric overflow",
+    ),
+    "overflowing flatness exponent": (
+        "flat-rho",
+        {"d": 0.5, "slope": 1, "C": 1, "alpha": 800},
+        "numeric overflow",
+    ),
+    "short direction": (
+        "domain-radius",
+        {"domain": {"kind": "ball", "center": ORIGIN, "radius": 1}, "point": ORIGIN,
+         "direction": [1]},
+        "direction",
+    ),
+    "long direction for graham": (
+        "graham",
+        {"domain": {"kind": "ball", "center": ORIGIN, "radius": 1}, "point": ORIGIN,
+         "direction": [1, 0, 0]},
+        "direction",
+    ),
+    "long direction for rest-check": (
+        "rest-check",
+        {"domain": FLAT, "point": [0, [0, 0.01]], "direction": [1, 0, 0]},
+        "direction",
+    ),
 }
 
 

@@ -454,12 +454,29 @@ def test_log_dini_linear_modulus():
         assert abs(res.value - math.factorial(n)) < 1e-6 * math.factorial(n)
 
 
-def test_log_dini_stretched_exponential():
-    report = log_dini_test(
-        ModulusFamily.stretched_exponential(1.0, 0.5), n_max=6
-    )
+@pytest.mark.parametrize("c, eps", [(1.0, 0.5), (2.0, 0.3), (0.5, 0.8)])
+def test_log_dini_stretched_exponential(c, eps):
+    report = log_dini_test(ModulusFamily.stretched_exponential(c, eps), n_max=6)
     assert report.log_dini
     assert all(v == "converged" for v in report.verdicts)
+    # int_0^inf u^n e^{-c u^q} du = Gamma((n + 1)/q) / (q c^{(n + 1)/q})
+    q = 1.0 - eps
+    for n, res in enumerate(report.results):
+        oracle = math.gamma((n + 1) / q) / (q * c ** ((n + 1) / q))
+        assert abs(res.value - oracle) <= 1e-12 * oracle, n
+
+
+@pytest.mark.parametrize("eta", [-0.25, -0.1, 0.1, 0.25])
+@pytest.mark.parametrize("n", [0, 2])
+def test_log_dini_verdict_on_both_sides_of_the_threshold(n, eta):
+    # omega(e^-u) = u^-p above u = 1: int u^n omega du is finite iff
+    # p > n + 1.  Closer to the threshold the 400 halvings of the
+    # integrator stop short: at eta = 0.02 they reach u ~ 2^400, where
+    # u^-eta is still 0.004, and the verdict reads "diverged".
+    p = n + 1 + eta
+    omega = ModulusFamily(lambda u: -p * math.log(u) if u > 1.0 else 0.0)
+    report = log_dini_test(omega, n_max=n)
+    assert report.verdicts[n] == ("converged" if eta > 0.0 else "diverged")
 
 
 def test_log_dini_log_reciprocal_diverges_at_zero():

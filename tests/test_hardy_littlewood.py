@@ -146,6 +146,26 @@ def test_family_log_weighted_classification(alpha, n):
     assert phi_log_l1(fam, n).converged == expected
 
 
+@pytest.mark.parametrize("eta", [-0.25, -0.1, 0.1, 0.25, 0.5])
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_family_l1_on_both_sides_of_the_threshold(n, eta):
+    # alpha = 1/p: in w = 1 + log(1/x) the integral is int (w - 1)^n w^-p dw
+    # over (1 + log 2, inf), finite iff p > n + 1, and binomial expansion
+    # gives its closed form
+    p = n + 1 + eta
+    res = phi_log_l1(DerivMajorantFamily(K1=1.0, K2=math.e, alpha=1.0 / p, r0=0.5), n)
+    if eta < 0.0:
+        assert not res.converged
+        return
+    assert res.converged
+    w0 = 1.0 + math.log(2.0)
+    oracle = sum(
+        math.comb(n, k) * (-1) ** (n - k) * w0 ** (k + 1 - p) / (p - k - 1)
+        for k in range(n + 1)
+    )
+    assert abs(res.value - oracle) <= 1e-13 * oracle
+
+
 def test_majorant_generic_callable_route():
     # no closed log form: numerics.log_scale reads it off evaluate
     phi = Majorant(lambda x: math.exp(-1.0 / x), 0.5)

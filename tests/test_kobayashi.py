@@ -27,7 +27,6 @@ from geodisc.hardy_littlewood import DerivMajorantFamily
 from geodisc.kobayashi import (
     _PROBE_DELTAS,
     GeodesicCandidate,
-    PipelineParams,
     boundary_extension_probe,
     disc_automorphism,
     flat_slice_candidate,
@@ -393,9 +392,7 @@ def test_pipeline_end_to_end_flat_slice():
 def test_pipeline_flags_noninteg_majorant_at_alpha_one():
     domain = pipeline_domain()
     candidate = flat_slice_candidate(domain, 0.04j, 0.04)
-    report = theorem_pipeline(
-        domain, candidate, PipelineParams(majorant_alpha_override=1.0)
-    )
+    report = theorem_pipeline(domain, candidate, majorant_alpha_override=1.0)
     stage = report.stage("majorant_integrable")
     assert stage.status == "fail"
     assert stage.details["note"] == "majorant not integrable"

@@ -37,10 +37,9 @@ SETTABLE = {
     "kobayashi:boundary_extension_probe.n_theta",
     "kobayashi:boundary_extension_probe.tol_ext",
     "kobayashi:mercer_fit.theta",
-    "kobayashi:PipelineParams.properness_threshold",
-    "kobayashi:PipelineParams.majorant_alpha_override",
-    "kobayashi:PipelineParams.probe_n_theta",
-    "kobayashi:theorem_pipeline.params",
+    "kobayashi:theorem_pipeline.properness_threshold",
+    "kobayashi:theorem_pipeline.majorant_alpha_override",
+    "kobayashi:theorem_pipeline.probe_n_theta",
     "numerics:gauss_panel.order",
     "numerics:log_scale.power",
 }
