@@ -5,7 +5,15 @@ dispatches exactly one library operation, and writes a machine-readable
 report (JSON or CSV).  Exit codes: 0 on success, 2 when a check command
 reports a failing/divergent verdict, 1 on configuration or execution
 errors.  No numerics live here: every command is a thin wrapper over one
-public library operation.
+public library operation, whose parameters are named as the config keys.
+
+Eight commands report that operation's result as it is, through one of two
+rules: ``_value`` writes a number as ``{key: number}`` and ``_record`` writes
+a result dataclass's fields in their declared order.  The rules look the
+operation up on its module when the command runs, not when this module is
+imported, so a wrapper installed on the module attribute afterwards (the
+benchmark tracer patches them) still sees every call.  The other commands
+reshape their results by hand.
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -192,18 +200,6 @@ def _pair_identity_zero() -> da.UnitDiscFunction:
     )
 
 
-def _power_majorant(r0: float, coefficient: float, exponent: float) -> hl.Majorant:
-    """Phi(x) = coefficient * x**exponent."""
-    if coefficient < 0.0:
-        raise ValueError("power majorant coefficient must be nonnegative")
-    log_coefficient = math.log(coefficient) if coefficient > 0.0 else -math.inf
-    return hl.Majorant(
-        lambda x: coefficient * x**exponent,
-        r0,
-        lambda u: log_coefficient - (exponent + 1.0) * u,
-    )
-
-
 def _halfspace_intersection(constraints: list[dict], **options) -> cg.HalfspaceIntersection:
     pairs = tuple((c["a"], c["b"]) for c in constraints)
     return cg.HalfspaceIntersection(pairs, **options)
@@ -224,7 +220,7 @@ FUNCTION = Kinds("function", {
 MAJORANT = Kinds("majorant", {
     "family": (hl.DerivMajorantFamily,
                {"K1": NUMBER, "K2": NUMBER, "alpha": NUMBER, "r0": NUMBER}),
-    "power": (_power_majorant,
+    "power": (hl.Majorant.power,
               {"r0": NUMBER, "coefficient": Opt(NUMBER, 1.0), "exponent": Opt(NUMBER, 0.0)}),
 })
 MODULUS = Kinds("modulus", {
@@ -260,6 +256,30 @@ def _complex_pair(z: complex) -> list[float]:
 
 
 # --- command handlers: each returns (result_payload, csv_rows, verdict_ok) ---
+#
+# _value and _record build the handlers that report a result as it is; they
+# bind their operation late, as the module docstring explains.
+
+def _value(module, name: str, key: str, ok):
+    """The handler reporting the number ``module.name(**args)`` as
+    ``{key: number}``; ``ok`` reads the verdict off the number, or is None
+    for a command without one."""
+    def handler(**args):
+        value = getattr(module, name)(**args)
+        payload = {key: value}
+        return payload, [payload], None if ok is None else ok(value)
+
+    return handler
+
+
+def _record(module, name: str):
+    """The handler reporting the fields of the dataclass ``module.name(**args)``."""
+    def handler(**args):
+        payload = asdict(getattr(module, name)(**args))
+        return payload, [payload], None
+
+    return handler
+
 
 def _cmd_hl_verify(function, majorant):
     report = hl.verify_majorant(function, majorant)
@@ -271,12 +291,6 @@ def _cmd_hl_verify(function, majorant):
         "verified": ok,
     }
     return payload, [payload], ok
-
-
-def _cmd_hl_bound(majorant, delta):
-    value = hl.omega_bound(majorant, delta)
-    payload = {"omega_bound": value}
-    return payload, [payload], math.isfinite(value)
 
 
 def _cmd_hl_l1(majorant, n):
@@ -346,30 +360,6 @@ def _cmd_log_dini(modulus, **options):
     return payload, rows, report.log_dini
 
 
-def _cmd_domain_distance(domain, point):
-    value = cg.boundary_distance(domain, point)
-    payload = {"distance": value}
-    return payload, [payload], None
-
-
-def _cmd_domain_radius(domain, point, direction):
-    value = cg.inscribed_disc_radius(domain, point, direction)
-    payload = {"radius": value}
-    return payload, [payload], None
-
-
-def _cmd_flat_x0(C, alpha):
-    value = cg.x0_cap(C, alpha)
-    payload = {"x0": value}
-    return payload, [payload], None
-
-
-def _cmd_flat_rho(d, slope, C, alpha):
-    value = cg.rho_triangle(d, slope, C, alpha)
-    payload = {"rho": value}
-    return payload, [payload], None
-
-
 def _cmd_rest_check(domain, point, direction, **options):
     report = cg.rest_bound_check(domain, point, direction, **options)
     payload = {
@@ -387,18 +377,6 @@ def _cmd_rest_check(domain, point, direction, **options):
     return payload, [row], report.satisfied
 
 
-def _cmd_graham(domain, point, direction):
-    bounds = kb.graham_bounds(domain, point, direction)
-    payload = {"lower": bounds.lower, "upper": bounds.upper}
-    return payload, [payload], None
-
-
-def _cmd_geodesic_defect(candidate, zeta1, zeta2):
-    value = kb.geodesic_defect(candidate, zeta1, zeta2)
-    payload = {"defect": value}
-    return payload, [payload], None
-
-
 def _cmd_geodesic_probe(candidate, **options):
     report = kb.boundary_extension_probe(candidate, **options)
     rows = [
@@ -411,18 +389,6 @@ def _cmd_geodesic_probe(candidate, **options):
         "cauchy_fraction": report.cauchy_fraction,
     }
     return payload, rows, report.verdict != "fails"
-
-
-def _cmd_mercer_fit(candidate, **options):
-    fit = kb.mercer_fit(candidate, **options)
-    payload = {
-        "C1": fit.C1,
-        "C2": fit.C2,
-        "beta": fit.beta,
-        "residual": fit.residual,
-        "clamped": fit.clamped,
-    }
-    return payload, [payload], None
 
 
 def _cmd_pipeline(domain, candidate, **options):
@@ -439,7 +405,8 @@ _POINT_AND_DIRECTION = {"point": VECTOR, "direction": VECTOR}
 # name -> (handler, record of the handler's keyword arguments)
 COMMANDS: dict[str, tuple[Callable, dict]] = {
     "hl-verify": (_cmd_hl_verify, {"function": FUNCTION, "majorant": MAJORANT}),
-    "hl-bound": (_cmd_hl_bound, {"majorant": MAJORANT, "delta": NUMBER}),
+    "hl-bound": (_value(hl, "omega_bound", "omega_bound", math.isfinite),
+                 {"majorant": MAJORANT, "delta": NUMBER}),
     "hl-l1": (_cmd_hl_l1, {"majorant": MAJORANT, "n": Opt(COUNT, 0)}),
     "mod-cont": (_cmd_mod_cont, {
         "function": FUNCTION, "n": Opt(GRID, 512),
@@ -450,21 +417,24 @@ COMMANDS: dict[str, tuple[Callable, dict]] = {
     }),
     "pz-bound": (_cmd_pz_bound, {"modulus": MODULUS, "delta": NUMBER, "K": Opt(NUMBER, 1.0)}),
     "log-dini": (_cmd_log_dini, {"modulus": MODULUS, "n_max": Opt(COUNT)}),
-    "domain-distance": (_cmd_domain_distance, {"domain": DOMAIN, "point": VECTOR}),
-    "domain-radius": (_cmd_domain_radius, {"domain": DOMAIN, **_POINT_AND_DIRECTION}),
-    "flat-x0": (_cmd_flat_x0, {"C": NUMBER, "alpha": NUMBER}),
-    "flat-rho": (_cmd_flat_rho, {"d": NUMBER, "slope": NUMBER, "C": NUMBER, "alpha": NUMBER}),
+    "domain-distance": (_value(cg, "boundary_distance", "distance", None),
+                        {"domain": DOMAIN, "point": VECTOR}),
+    "domain-radius": (_value(cg, "inscribed_disc_radius", "radius", None),
+                      {"domain": DOMAIN, **_POINT_AND_DIRECTION}),
+    "flat-x0": (_value(cg, "x0_cap", "x0", None), {"C": NUMBER, "alpha": NUMBER}),
+    "flat-rho": (_value(cg, "rho_triangle", "rho", None),
+                 {"d": NUMBER, "slope": NUMBER, "C": NUMBER, "alpha": NUMBER}),
     "rest-check": (_cmd_rest_check, {
         "domain": FLAT_MODEL, **_POINT_AND_DIRECTION, "tol": Opt(NUMBER),
     }),
-    "graham": (_cmd_graham, {"domain": DOMAIN, **_POINT_AND_DIRECTION}),
-    "geodesic-defect": (_cmd_geodesic_defect, {
+    "graham": (_record(kb, "graham_bounds"), {"domain": DOMAIN, **_POINT_AND_DIRECTION}),
+    "geodesic-defect": (_value(kb, "geodesic_defect", "defect", None), {
         "candidate": CANDIDATE, "zeta1": COMPLEX, "zeta2": COMPLEX,
     }),
     "geodesic-probe": (_cmd_geodesic_probe, {
         "candidate": CANDIDATE, "n_theta": Opt(GRID), "tol_ext": Opt(NUMBER),
     }),
-    "mercer-fit": (_cmd_mercer_fit, {"candidate": CANDIDATE, "theta": Opt(NUMBER)}),
+    "mercer-fit": (_record(kb, "mercer_fit"), {"candidate": CANDIDATE, "theta": Opt(NUMBER)}),
     "pipeline": (_cmd_pipeline, {
         "domain": FLAT_MODEL, "candidate": CANDIDATE,
         "properness_threshold": Opt(NUMBER), "majorant_alpha_override": Opt(NUMBER),
@@ -577,6 +547,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except ArithmeticError as exc:
         print(f"geodisc: error: numeric overflow ({exc})", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"geodisc: error: out of memory ({exc})", file=sys.stderr)
         return 1
 
 

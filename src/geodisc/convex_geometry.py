@@ -464,21 +464,21 @@ def exit_time(domain: ConvexDomainModel, z, u) -> float:
     return min(piece.exit(z, u) for piece in domain.pieces)
 
 
-def boundary_distance(domain: ConvexDomainModel, z) -> float:
+def boundary_distance(domain: ConvexDomainModel, point) -> float:
     """Euclidean distance to the boundary: for an intersection of convex
     constraints, the smallest distance to a constraint boundary."""
-    z = _check_base(domain, z)
+    z = _check_base(domain, point)
     return min(piece.distance(z) for piece in domain.pieces)
 
 
-def inscribed_disc_radius(domain: ConvexDomainModel, z, v) -> float:
-    """Radius of the largest complex-affine closed disc centered at z,
-    tangent to v, inside the closure.
+def inscribed_disc_radius(domain: ConvexDomainModel, point, direction) -> float:
+    """Radius of the largest complex-affine closed disc centered at
+    ``point``, tangent to ``direction``, inside the closure.
 
     A closed disc lies in an intersection of closed convex sets iff it lies
     in each, so the radius is the smallest constraint radius.
     """
-    z, v = _check_ray(domain, z, v)
+    z, v = _check_ray(domain, point, direction)
     return min(piece.disc_radius(z, v) for piece in domain.pieces)
 
 

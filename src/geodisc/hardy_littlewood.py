@@ -51,9 +51,16 @@ class Majorant:
         return self.evaluate(x)
 
     @classmethod
-    def constant(cls, value: float, r0: float) -> "Majorant":
-        log_value = math.log(value) if value > 0.0 else -math.inf
-        return cls(lambda x: value, r0, lambda u: log_value - u)
+    def power(cls, r0: float, coefficient: float, exponent: float) -> "Majorant":
+        """Phi(x) = coefficient * x**exponent; exponent 0 is a constant."""
+        if coefficient < 0.0:
+            raise ValueError("power majorant coefficient must be nonnegative")
+        log_coefficient = math.log(coefficient) if coefficient > 0.0 else -math.inf
+        return cls(
+            lambda x: coefficient * x**exponent,
+            r0,
+            lambda u: log_coefficient - (exponent + 1.0) * u,
+        )
 
 
 @dataclass(frozen=True)
@@ -141,13 +148,13 @@ def phi_log_l1(phi, n: int) -> QuadratureResult:
     return integrate_log_moment(phi.log_form, n, math.log(1.0 / phi.r0), _L1_TOL)
 
 
-def omega_bound(phi, delta: float) -> float:
+def omega_bound(majorant, delta: float) -> float:
     """The modulus bound 3 * int_0^delta Phi(x) dx; inf when divergent."""
-    if not 0.0 <= delta < phi.r0:
+    if not 0.0 <= delta < majorant.r0:
         raise ValueError("delta must lie in [0, r0)")
     if delta == 0.0:
         return 0.0
-    res = integrate_log_moment(phi.log_form, 0, math.log(1.0 / delta), _BOUND_TOL)
+    res = integrate_log_moment(majorant.log_form, 0, math.log(1.0 / delta), _BOUND_TOL)
     return 3.0 * res.value if res.converged else math.inf
 
 

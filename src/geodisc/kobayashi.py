@@ -50,6 +50,13 @@ def _require_in_disc(*points: complex) -> None:
             raise ValueError("point outside unit disc")
 
 
+def _require_image_inside(domain: ConvexDomainModel, images) -> None:
+    """Reject image points of a candidate map that leave its domain."""
+    for z in images:
+        if domain.membership(z) == "outside":
+            raise ValueError("image point outside domain")
+
+
 def poincare_distance(z1: complex, z2: complex) -> float:
     """artanh of the Mobius pseudodistance |(z1 - z2) / (1 - conj(z2) z1)|."""
     _require_in_disc(z1, z2)
@@ -98,14 +105,15 @@ class MetricBounds:
             raise ValueError("bounds must satisfy 0 <= lower <= upper")
 
 
-def graham_bounds(domain: ConvexDomainModel, z, v) -> MetricBounds:
-    """||v|| / (2 r) <= kappa(z; v) <= ||v|| / r with r the inscribed disc
-    radius; degenerate (0, 0) for v = 0."""
-    v = np.atleast_1d(np.asarray(v, dtype=complex))
+def graham_bounds(domain: ConvexDomainModel, point, direction) -> MetricBounds:
+    """||v|| / (2 r) <= kappa(z; v) <= ||v|| / r at z = ``point``, v =
+    ``direction``, with r the inscribed disc radius; degenerate (0, 0) for
+    v = 0."""
+    v = np.atleast_1d(np.asarray(direction, dtype=complex))
     norm = float(np.linalg.norm(v))
     if norm == 0.0:
         return MetricBounds(0.0, 0.0)
-    radius = inscribed_disc_radius(domain, z, v)
+    radius = inscribed_disc_radius(domain, point, v)
     return MetricBounds(norm / (2.0 * radius), norm / radius)
 
 
@@ -181,9 +189,7 @@ def geodesic_defect(candidate: GeodesicCandidate, zeta1: complex,
     _require_in_disc(zeta1, zeta2)
     f = candidate.map
     z1, z2 = f(zeta1), f(zeta2)
-    for z in (z1, z2):
-        if candidate.domain.membership(z) == "outside":
-            raise ValueError("image point outside domain")
+    _require_image_inside(candidate.domain, (z1, z2))
     p = poincare_distance(zeta1, zeta2)
     if isinstance(candidate.domain, Polydisc):
         return abs(p - polydisc_distance(z1, z2, candidate.domain.radii))
@@ -282,8 +288,10 @@ def mercer_fit(candidate: GeodesicCandidate, theta: float = 0.0) -> MercerFit:
     violation of the fitted constraints, zero by construction up to rounding.
     """
     rs = _MERCER_RADII
+    images = candidate.map.values(cmath.exp(1j * theta) * rs)
+    _require_image_inside(candidate.domain, images)
     ds = []
-    for z in candidate.map.values(cmath.exp(1j * theta) * rs):
+    for z in images:
         d = boundary_distance(candidate.domain, z)
         if d <= 0.0:
             raise ValueError("image touches boundary")
@@ -374,6 +382,7 @@ def theorem_pipeline(
         2j * math.pi * np.arange(_PROPERNESS_N_THETA) / _PROPERNESS_N_THETA
     )
     images = f.values(ring)
+    _require_image_inside(domain, images)
     ds = [boundary_distance(domain, z) for z in images]
     worst = float(np.max(ds))
     proper = worst < properness_threshold

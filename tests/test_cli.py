@@ -4,7 +4,11 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
+import resource
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -208,6 +212,100 @@ def test_mod_cont_profile_csv(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "delta,omega"
     assert len(lines) == 4
+
+
+# The eight commands whose handlers a report rule builds, each with one
+# config and its exact JSON and CSV reports.  The CSV headers of `graham` and
+# `mercer-fit` follow the field order of their result dataclasses.
+PINNED_REPORTS = {
+    "hl-bound": (
+        {"majorant": {"kind": "power", "r0": 0.5}, "delta": 0.1},
+        '{\n  "command": "hl-bound",\n  "result": {\n    "omega_bound": 0.30000000000000016\n  }\n}\n',
+        "omega_bound\n0.30000000000000016\n",
+    ),
+    "domain-distance": (
+        {"domain": {"kind": "polydisc", "radii": [1.0, 0.5]}, "point": [0.25, [0.0, 0.125]]},
+        '{\n  "command": "domain-distance",\n  "result": {\n    "distance": 0.375\n  }\n}\n',
+        "distance\n0.375\n",
+    ),
+    "domain-radius": (
+        {"domain": {"kind": "polydisc", "radii": [1.0, 1.0]}, "point": [0.5, 0.0],
+         "direction": [1.0, 0.0]},
+        '{\n  "command": "domain-radius",\n  "result": {\n    "radius": 0.5\n  }\n}\n',
+        "radius\n0.5\n",
+    ),
+    "flat-x0": (
+        {"C": 1.0, "alpha": 1.0},
+        '{\n  "command": "flat-x0",\n  "result": {\n    "x0": 0.5\n  }\n}\n',
+        "x0\n0.5\n",
+    ),
+    "flat-rho": (
+        {"d": 0.1, "slope": 1.0, "C": 1.0, "alpha": 1.0},
+        '{\n  "command": "flat-rho",\n  "result": {\n    "rho": 0.09995480488512999\n  }\n}\n',
+        "rho\n0.09995480488512999\n",
+    ),
+    "geodesic-defect": (
+        {"candidate": {"kind": "map", "map": {"kind": "pair_identity_zero"},
+                       "domain": {"kind": "polydisc", "radii": [1.0, 1.0]}},
+         "zeta1": 0.0, "zeta2": 0.5},
+        '{\n  "command": "geodesic-defect",\n  "result": {\n    "defect": 0.0\n  }\n}\n',
+        "defect\n0.0\n",
+    ),
+    "graham": (
+        {"domain": {"kind": "ball", "center": [0.0, 0.0], "radius": 1.0},
+         "point": [0.0, 0.0], "direction": [1.0, 0.0]},
+        '{\n  "command": "graham",\n  "result": {\n    "lower": 0.5,\n    "upper": 1.0\n'
+        '  }\n}\n',
+        "lower,upper\n0.5,1.0\n",
+    ),
+    "mercer-fit": (
+        {"candidate": {"kind": "map", "map": {"kind": "identity"},
+                       "domain": {"kind": "polydisc", "radii": [1.0]}}},
+        '{\n  "command": "mercer-fit",\n  "result": {\n    "C1": 1.0,\n    "C2": 1.0,\n'
+        '    "beta": 1.0,\n    "clamped": false,\n    "residual": 0.0\n  }\n}\n',
+        "C1,C2,beta,residual,clamped\n1.0,1.0,1.0,0.0,False\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_REPORTS))
+def test_rule_built_reports_are_pinned(tmp_path, command):
+    cfg, json_text, csv_text = PINNED_REPORTS[command]
+    for fmt, expected in (("json", json_text), ("csv", csv_text)):
+        code, out = run_cli(tmp_path, command, cfg, fmt=fmt, name=f"report.{fmt}")
+        assert code == 0
+        assert out.read_text() == expected
+
+
+def test_oversized_grid_exits_one_out_of_memory(tmp_path):
+    # address space capped at 2 GiB in the child, so the 2**40-node grids
+    # fail at allocation and nothing large is ever touched
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = [src, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+
+    def cap_memory():
+        limit = 2 * 1024**3
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit if hard < 0 else min(limit, hard)))
+
+    ops = [
+        ("mod-cont", {"function": {"kind": "identity"}, "n": 2**40, "delta": 0.5}),
+        ("geodesic-probe", {"candidate": {"kind": "nonextending"}, "n_theta": 2**40}),
+    ]
+    for command, cfg in ops:
+        config = tmp_path / f"{command}.json"
+        config.write_text(json.dumps(cfg))
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys; from geodisc.cli import main; sys.exit(main())",
+             command, "--config", str(config)],
+            env=env, capture_output=True, text=True, timeout=120, preexec_fn=cap_memory,
+        )
+        assert done.returncode == 1, done.stderr
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("geodisc: error: out of memory ("), lines
+        assert done.stdout == ""
 
 
 # --- config schema -----------------------------------------------------------
@@ -475,6 +573,17 @@ BAD_CONFIGS = {
         "rest-check",
         {"domain": FLAT, "point": [0, [0, 0.01]], "direction": [1, 0, 0]},
         "direction",
+    ),
+    "mercer-fit image outside the domain": (
+        "mercer-fit",
+        {"candidate": {"kind": "map", "map": {"kind": "monomial", "degree": 2, "coefficient": 2},
+                       "domain": {"kind": "polydisc", "radii": [1.0]}}},
+        "image point outside domain",
+    ),
+    "pipeline image outside the domain": (
+        "pipeline",
+        {"domain": FLAT, "candidate": dict(FLAT_SLICE, radius=0.5)},
+        "image point outside domain",
     ),
 }
 

@@ -193,7 +193,7 @@ def test_evaluators_only_receive_one_dimensional_points():
     f = recording_map(shapes)
     boundary_samples(f, 16)
     derivative_centered(f, np.array([0.1, 0.2j]))
-    verify_majorant(f, Majorant.constant(2.0, 0.5))
+    verify_majorant(f, Majorant.power(0.5, 2.0, 0.0))
     candidate = GeodesicCandidate(f, Polydisc((1.0, 1.0)))
     mercer_fit(candidate)
     assert candidate.image_inside()

@@ -40,39 +40,39 @@ def family_integral_oracle(fam: DerivMajorantFamily) -> float:
 # --- verify_majorant --------------------------------------------------------
 
 def test_identity_against_unit_majorant():
-    report = verify_majorant(identity_map(), Majorant.constant(1.0, 0.5))
+    report = verify_majorant(identity_map(), Majorant.power(0.5, 1.0, 0.0))
     assert report.max_violation == 0.0  # |f'| = 1 = Phi everywhere
 
 
 def test_identity_against_half_majorant():
-    report = verify_majorant(identity_map(), Majorant.constant(0.5, 0.5))
+    report = verify_majorant(identity_map(), Majorant.power(0.5, 0.5, 0.0))
     assert abs(report.max_violation - 0.5) < 1e-12
     assert not report.verified()
 
 
 def test_verify_majorant_uses_cauchy_derivative_without_analytic_one():
     f = scalar_function(lambda z: z * z)  # no derivative supplied
-    report = verify_majorant(f, Majorant.constant(2.0, 0.5))
+    report = verify_majorant(f, Majorant.power(0.5, 2.0, 0.0))
     assert report.max_violation <= 1e-10
 
 
 def test_verify_majorant_tiny_window_stays_inside_disc():
     # 1 - 1e-4 r0 rounds to 1 for r0 below about 1e-12; such radii are left
     # out instead of rejecting the window
-    report = verify_majorant(identity_map(), Majorant.constant(1.0, 1e-13))
+    report = verify_majorant(identity_map(), Majorant.power(1e-13, 1.0, 0.0))
     assert report.max_violation == 0.0
     assert 1.0 - 1e-13 < report.worst_r < 1.0
 
 
 def test_verify_majorant_rejects_window_below_double_resolution():
     with pytest.raises(ValueError, match="r0 = 1e-17"):
-        verify_majorant(identity_map(), Majorant.constant(1.0, 1e-17))
+        verify_majorant(identity_map(), Majorant.power(1e-17, 1.0, 0.0))
 
 
 def test_verify_majorant_matches_per_point_grid_scan():
     # the first largest violation in grid order, radii outer, angles inner
     f = scalar_function(lambda z: z**3 + 0.2 * z, lambda z: 3.0 * z**2 + 0.2)
-    phi = Majorant.constant(2.5, 0.4)
+    phi = Majorant.power(0.4, 2.5, 0.0)
     worst = (-math.inf, 0.0, 0.0)
     for x in np.geomspace(0.4 * 0.999, 0.4 * 1e-4, 24):
         r = float(1.0 - x)
@@ -90,7 +90,7 @@ def test_verify_majorant_worst_point_survives_last_bit_noise(monkeypatch):
     # |f'| = 2r on each circle, so the 32 angles of the worst radius tie up
     # to rounding; the first of them is reported however the noise falls
     f = scalar_function(lambda z: z * z, lambda z: 2.0 * z)
-    phi = Majorant.constant(1.0, 0.5)
+    phi = Majorant.power(0.5, 1.0, 0.0)
     assert verify_majorant(f, phi).worst_theta == 0.0
     norms = hardy_littlewood.row_norms
     rng = np.random.default_rng(1)
@@ -107,7 +107,7 @@ def test_verify_majorant_worst_point_survives_last_bit_noise(monkeypatch):
 # --- phi_log_l1 -------------------------------------------------------------
 
 def test_constant_majorant_l1():
-    res = phi_log_l1(Majorant.constant(1.0, 0.5), 0)
+    res = phi_log_l1(Majorant.power(0.5, 1.0, 0.0), 0)
     assert res.converged
     assert abs(res.value - 0.5) < 1e-9
 
@@ -209,7 +209,7 @@ def test_modulus_family_as_majorant():
 # --- omega_bound -------------------------------------------------------------
 
 def test_omega_bound_constant():
-    assert abs(omega_bound(Majorant.constant(1.0, 0.5), 0.1) - 0.3) < 1e-10
+    assert abs(omega_bound(Majorant.power(0.5, 1.0, 0.0), 0.1) - 0.3) < 1e-10
 
 
 def test_omega_bound_linear_phi():
@@ -225,7 +225,7 @@ def test_omega_bound_family_antiderivative():
 
 def test_omega_bound_power_majorant_closed_form():
     # 3 int_0^delta x^(-1/2) / 2 dx = 3 sqrt(delta)
-    phi = Majorant(lambda x: 0.5 / math.sqrt(x), 0.5, lambda u: math.log(0.5) - 0.5 * u)
+    phi = Majorant.power(0.5, 0.5, -0.5)
     expected = 3.0 * math.sqrt(1e-3)
     assert abs(omega_bound(phi, 1e-3) - expected) <= 1e-13 * expected
 
@@ -261,7 +261,7 @@ def test_kernel_bound_rejects_outside_region():
 # --- round-trip consistency -------------------------------------------------
 
 def test_round_trip_identity_unit_majorant():
-    phi = Majorant.constant(1.0, 0.5)
+    phi = Majorant.power(0.5, 1.0, 0.0)
     assert verify_majorant(identity_map(), phi).verified()
     samples = boundary_samples(identity_map(), 512)
     for delta in np.linspace(0.02, 0.45, 12):

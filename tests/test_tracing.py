@@ -2,10 +2,12 @@
 
 ``benchmarks/tracing.py`` wraps geodisc functions and methods by name, so a
 rename in the package would break ``--trace 1`` without failing any other
-test.  Here a flat ``domain-radius`` op and a 64-node ``geodesic-probe`` op
-run through ``cli.run`` inside a ``Tracer``: every traced name must exist,
-the spans and work counts must be recorded, and every patched attribute
-must be back afterwards.  The benchmark files are only read.
+test.  Here a 64-node ``geodesic-probe`` op and one op of each command
+whose handler a report rule builds around a spanned function run through
+``cli.run`` inside a ``Tracer``: every traced name must exist, the spans and
+work counts must be recorded, each rule-built command's operation must show
+a span (the rules look it up when the command runs), and every patched
+attribute must be back afterwards.  The benchmark files are only read.
 """
 
 from __future__ import annotations
@@ -20,6 +22,24 @@ from geodisc import cli, convex_geometry, disc_analysis, hardy_littlewood, kobay
 TRACING = Path(__file__).resolve().parent.parent / "benchmarks" / "tracing.py"
 MODULES = (geodisc, cli, convex_geometry, disc_analysis, hardy_littlewood, kobayashi, numerics)
 FLAT = {"kind": "flat_model", "C": 1.0, "alpha": 0.5, "R0": 0.111, "s0": 0.08}
+ON_FLAT = {"domain": FLAT, "point": [[0.0, 0.0], [0.0, 0.01]],
+           "direction": [[0.6, 0.0], [0.0, 0.8]]}
+SQUARE = {"kind": "polydisc", "radii": [1.0, 1.0]}
+
+# rule-built command -> (config, the span of the operation it calls)
+RULE_BUILT_OPS = {
+    "hl-bound": ({"majorant": {"kind": "power", "r0": 0.5}, "delta": 0.1},
+                 "hardy_littlewood.omega_bound"),
+    "domain-distance": ({"domain": FLAT, "point": ON_FLAT["point"]},
+                        "convex_geometry.boundary_distance"),
+    "domain-radius": (ON_FLAT, "convex_geometry.inscribed_disc_radius"),
+    "flat-x0": ({"C": 1.0, "alpha": 0.5}, "convex_geometry.x0_cap"),
+    "graham": (ON_FLAT, "kobayashi.graham_bounds"),
+    "geodesic-defect": ({"candidate": {"kind": "map", "map": {"kind": "pair_identity_zero"},
+                                       "domain": SQUARE},
+                         "zeta1": 0.0, "zeta2": 0.5}, "kobayashi.geodesic_defect"),
+    "mercer-fit": ({"candidate": {"kind": "nonextending"}}, "kobayashi.mercer_fit"),
+}
 
 
 def load_tracing(monkeypatch):
@@ -35,14 +55,17 @@ def test_tracer_counts_cli_ops_and_restores_every_patch(monkeypatch, tmp_path):
     assert {f"geodisc.{name}" for name in tracing.SPANNED} <= {m.__name__ for m in MODULES}
     before = {m.__name__: dict(vars(m)) for m in MODULES}
     ops = [
-        ("domain-radius", {"domain": FLAT, "point": [[0.0, 0.0], [0.0, 0.01]],
-                           "direction": [[0.6, 0.0], [0.0, 0.8]]}),
-        ("geodesic-probe", {"candidate": {"kind": "nonextending"}, "n_theta": 64}),
+        ("geodesic-probe", {"candidate": {"kind": "nonextending"}, "n_theta": 64}, None),
+        *((command, cfg, span) for command, (cfg, span) in RULE_BUILT_OPS.items()),
     ]
     with tracing.Tracer() as tracer:
         patches = list(tracer._patches)
-        for command, cfg in ops:
+        for command, cfg, span in ops:
+            calls = tracer.layer_metrics().get(f"{span}.calls", 0)
             assert cli.run(command, dict(cfg, out=str(tmp_path / "report.json"))) in (0, 2)
+            if span is not None:
+                # the op itself reached the wrapper, not an earlier one
+                assert tracer.layer_metrics().get(f"{span}.calls", 0) > calls, command
 
     assert patches
     for owner, attr, original in patches:
@@ -50,8 +73,7 @@ def test_tracer_counts_cli_ops_and_restores_every_patch(monkeypatch, tmp_path):
     assert {m.__name__: dict(vars(m)) for m in MODULES} == before
 
     metrics = tracer.layer_metrics()
-    assert metrics["cli.run.calls"] == 2
-    assert metrics["convex_geometry.inscribed_disc_radius.calls"] == 1
+    assert metrics["cli.run.calls"] == len(ops)
     assert metrics["convex_geometry.signed_gap.flat_model.calls"] >= 1
     assert metrics["disc_analysis.boundary_samples.nodes"] == 64
     assert metrics["disc_analysis.modulus_profile.lag_pairs"] > 0
