@@ -50,11 +50,14 @@ def _require_in_disc(*points: complex) -> None:
             raise ValueError("point outside unit disc")
 
 
-def _require_image_inside(domain: ConvexDomainModel, images) -> None:
-    """Reject image points of a candidate map that leave its domain."""
-    for z in images:
-        if domain.membership(z) == "outside":
-            raise ValueError("image point outside domain")
+def _image_distances(domain: ConvexDomainModel, images) -> list[float]:
+    """Boundary distances of a candidate map's image points.  The map has the
+    domain's dimension, so the only image ``boundary_distance`` rejects is
+    one outside the domain, and it is reported as such."""
+    try:
+        return [boundary_distance(domain, z) for z in images]
+    except ValueError:
+        raise ValueError("image point outside domain") from None
 
 
 def poincare_distance(z1: complex, z2: complex) -> float:
@@ -189,7 +192,9 @@ def geodesic_defect(candidate: GeodesicCandidate, zeta1: complex,
     _require_in_disc(zeta1, zeta2)
     f = candidate.map
     z1, z2 = f(zeta1), f(zeta2)
-    _require_image_inside(candidate.domain, (z1, z2))
+    for z in (z1, z2):
+        if candidate.domain.membership(z) == "outside":
+            raise ValueError("image point outside domain")
     p = poincare_distance(zeta1, zeta2)
     if isinstance(candidate.domain, Polydisc):
         return abs(p - polydisc_distance(z1, z2, candidate.domain.radii))
@@ -288,15 +293,10 @@ def mercer_fit(candidate: GeodesicCandidate, theta: float = 0.0) -> MercerFit:
     violation of the fitted constraints, zero by construction up to rounding.
     """
     rs = _MERCER_RADII
-    images = candidate.map.values(cmath.exp(1j * theta) * rs)
-    _require_image_inside(candidate.domain, images)
-    ds = []
-    for z in images:
-        d = boundary_distance(candidate.domain, z)
-        if d <= 0.0:
-            raise ValueError("image touches boundary")
-        ds.append(d)
-    ds = np.array(ds)
+    ds = np.array(_image_distances(candidate.domain,
+                                   candidate.map.values(cmath.exp(1j * theta) * rs)))
+    if np.any(ds <= 0.0):
+        raise ValueError("image touches boundary")
     one_minus = 1.0 - rs
 
     C1 = float(np.min(ds / one_minus))
@@ -382,8 +382,7 @@ def theorem_pipeline(
         2j * math.pi * np.arange(_PROPERNESS_N_THETA) / _PROPERNESS_N_THETA
     )
     images = f.values(ring)
-    _require_image_inside(domain, images)
-    ds = [boundary_distance(domain, z) for z in images]
+    ds = _image_distances(domain, images)
     worst = float(np.max(ds))
     proper = worst < properness_threshold
     stages.append(

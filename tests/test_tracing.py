@@ -5,8 +5,9 @@ rename in the package would break ``--trace 1`` without failing any other
 test.  Here a 64-node ``geodesic-probe`` op and one op of each command
 whose handler a report rule builds around a spanned function run through
 ``cli.run`` inside a ``Tracer``: every traced name must exist, the spans and
-work counts must be recorded, each rule-built command's operation must show
-a span (the rules look it up when the command runs), and every patched
+work counts must be recorded, each rule-built command must call its
+operation exactly once through the tracer's wrapper (the rules look it up
+when the command runs), and every patched
 attribute must be back afterwards.  The benchmark files are only read.
 """
 
@@ -64,8 +65,8 @@ def test_tracer_counts_cli_ops_and_restores_every_patch(monkeypatch, tmp_path):
             calls = tracer.layer_metrics().get(f"{span}.calls", 0)
             assert cli.run(command, dict(cfg, out=str(tmp_path / "report.json"))) in (0, 2)
             if span is not None:
-                # the op itself reached the wrapper, not an earlier one
-                assert tracer.layer_metrics().get(f"{span}.calls", 0) > calls, command
+                # the op called its operation once, through the wrapper
+                assert tracer.layer_metrics()[f"{span}.calls"] == calls + 1, command
 
     assert patches
     for owner, attr, original in patches:
@@ -74,6 +75,8 @@ def test_tracer_counts_cli_ops_and_restores_every_patch(monkeypatch, tmp_path):
 
     metrics = tracer.layer_metrics()
     assert metrics["cli.run.calls"] == len(ops)
+    # domain-radius and graham are its only callers among these ops
+    assert metrics["convex_geometry.inscribed_disc_radius.calls"] == 2
     assert metrics["convex_geometry.signed_gap.flat_model.calls"] >= 1
     assert metrics["disc_analysis.boundary_samples.nodes"] == 64
     assert metrics["disc_analysis.modulus_profile.lag_pairs"] > 0
