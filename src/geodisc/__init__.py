@@ -61,7 +61,6 @@ from .kobayashi import (
 )
 from .numerics import (
     QuadratureResult,
-    RootResult,
     integrate_endpoint,
     integrate_log_moment,
     minimize_on_circle,

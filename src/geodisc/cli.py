@@ -457,19 +457,12 @@ def parse_config(command: str, cfg: dict) -> dict:
     return args
 
 
-def _sanitize(obj):
-    """Plain-Python copy of a report tree: numpy scalars become floats/ints."""
-    if isinstance(obj, dict):
-        return {k: _sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, float):
-        return float(obj)
-    return obj
+def _json_scalar(value):
+    """``json.dumps``'s hook for what it cannot write: a numpy scalar as the
+    Python value it holds (np.float64 is a float, and written as one)."""
+    if isinstance(value, np.generic):
+        return value.item()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def _write_atomic(path: str, text: str) -> None:
@@ -494,7 +487,7 @@ def _render_csv(rows: list[dict]) -> str:
         cells = []
         for key in header:
             value = row.get(key)
-            cells.append(repr(value) if isinstance(value, float) else str(value))
+            cells.append(float.__repr__(value) if isinstance(value, float) else str(value))
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
@@ -504,10 +497,9 @@ def run(command: str, cfg: dict) -> int:
     args = parse_config(command, cfg)
     fmt, out = args.pop("format"), args.pop("out", None)
     payload, rows, verdict_ok = COMMANDS[command][0](**args)
-    payload, rows = _sanitize(payload), _sanitize(rows)
     report = {"command": command, "result": payload}
     text = (
-        json.dumps(report, sort_keys=True, indent=2) + "\n"
+        json.dumps(report, sort_keys=True, indent=2, default=_json_scalar) + "\n"
         if fmt == "json"
         else _render_csv(rows)
     )

@@ -66,8 +66,7 @@ def x0_cap(C: float, alpha: float, scan_n: int | None = None) -> float:
     # e^{alpha w} > 1 + alpha w + (alpha w)^2 / 2 gives h(s* - w) > 0 once
     # alpha w^2 / 2 >= -h(s*)
     lo = s_star - math.sqrt(-2.0 * h_star / alpha) - 1.0
-    root = solve_monotone(h, lo, s_star, 0.0, 0.0).root
-    return min(C / 2.0, math.exp(root))
+    return min(C / 2.0, math.exp(solve_monotone(h, lo, s_star, 0.0, 0.0)))
 
 
 def rho_triangle(d: float, slope: float, C: float, alpha: float) -> float:
@@ -90,8 +89,7 @@ def rho_triangle(d: float, slope: float, C: float, alpha: float) -> float:
     hi = d / slope
     if d < C:
         hi = min(hi, phi_alpha_inv(d, C, alpha))
-    res = solve_monotone(lhs, 0.0, hi * (1.0 + 1e-12), d, 1e-14)
-    return res.root
+    return solve_monotone(lhs, 0.0, hi * (1.0 + 1e-12), d, 1e-14)
 
 
 # --- convex constraints --------------------------------------------------------
@@ -202,7 +200,7 @@ class GraphConstraint:
         level = 0.0 if gap(0.0) < 0.0 else MEMBERSHIP_TOL
         if gap(within) <= level:
             return within
-        return solve_monotone(gap, 0.0, within, level, 1e-15).root
+        return solve_monotone(gap, 0.0, within, level, 1e-15)
 
     def distance(self, z: np.ndarray) -> float:
         """Distance to the cylinder wall or to the surface {Im z_n = C
@@ -221,7 +219,7 @@ class GraphConstraint:
         best = min(range(65), key=lambda i: dist2(float(ts[i])))
         lo = float(ts[max(0, best - 1)])
         hi = float(ts[min(64, best + 1)])
-        _, value = golden_section(dist2, lo, hi, 1e-14 * max(1.0, R0))
+        value = golden_section(dist2, lo, hi, 1e-14 * max(1.0, R0))
         return min(self.cylinder.distance(z), math.sqrt(value))
 
     def disc_radius(self, z: np.ndarray, v: np.ndarray) -> float:
@@ -231,8 +229,7 @@ class GraphConstraint:
             return (float(z[-1].imag) - self.height(float(np.linalg.norm(z[:-1])))) / abs(v[-1])
         # a closed disc lies in a convex set iff its boundary circle does
         objective = lambda theta: self.exit(z, v * complex(math.cos(theta), math.sin(theta)))
-        _, radius = minimize_on_circle(objective)
-        return radius
+        return minimize_on_circle(objective)
 
 
 # --- domain models -----------------------------------------------------------

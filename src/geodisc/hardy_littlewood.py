@@ -49,9 +49,6 @@ class Majorant:
         if self.log_form is None:
             object.__setattr__(self, "log_form", log_scale(self.evaluate, 1))
 
-    def __call__(self, x: float) -> float:
-        return self.evaluate(x)
-
     @classmethod
     def power(cls, r0: float, coefficient: float, exponent: float) -> "Majorant":
         """Phi(x) = coefficient * x**exponent; exponent 0 is a constant."""
@@ -96,12 +93,18 @@ class DerivMajorantFamily:
 
 @dataclass(frozen=True)
 class MajorantReport:
+    """The largest violation ||f'|| - Phi(1 - r) on the grid and its point;
+    ``scaled_violation`` is the largest violation divided by max(1, Phi) at
+    its own point."""
+
     max_violation: float
     worst_r: float
     worst_theta: float
+    scaled_violation: float
 
     def verified(self, slack: float = 1e-12) -> bool:
-        return self.max_violation <= slack
+        """Each grid point's violation is at most slack * max(1, Phi) there."""
+        return self.scaled_violation <= slack
 
 
 def verify_majorant(f: UnitDiscFunction, phi) -> MajorantReport:
@@ -118,20 +121,24 @@ def verify_majorant(f: UnitDiscFunction, phi) -> MajorantReport:
     radii = radii[(1.0 - r0 < radii) & (radii < 1.0)]
     if radii.size == 0:
         raise ValueError(f"majorant window r0 = {r0!r} is too narrow to sample below 1")
-    caps = np.array([phi.evaluate(1.0 - float(r)) for r in radii])
+    caps = np.repeat([phi.evaluate(1.0 - float(r)) for r in radii], len(_VERIFY_THETAS))
     zeta = np.multiply.outer(radii, np.cos(_VERIFY_THETAS) + 1j * np.sin(_VERIFY_THETAS))
-    violations = row_norms(derivative_at(f, zeta.ravel())) - np.repeat(caps, len(_VERIFY_THETAS))
-    # none when all are -inf or nan
-    violations = np.where(np.isnan(violations), -np.inf, violations)
+    violations = row_norms(derivative_at(f, zeta.ravel())) - caps
+    with np.errstate(invalid="ignore"):  # -inf / inf where Phi is inf
+        scaled = violations / np.maximum(1.0, caps)
+    # a nan is no violation; there are none when all are -inf or nan
+    violations, scaled = (np.where(np.isnan(v), -np.inf, v) for v in (violations, scaled))
     largest = float(np.max(violations))
     if not largest > -math.inf:
-        return MajorantReport(-math.inf, 0.0, 0.0)
+        return MajorantReport(-math.inf, 0.0, 0.0, -math.inf)
     # the first grid point within a rounding tie of the largest, so that
     # last-bit noise on a circle where |f'| is constant cannot move it
     floor = largest - _TIE_TOL * max(1.0, abs(largest)) if largest < math.inf else largest
     worst = int(np.argmax(violations >= floor))
     r, theta = divmod(worst, len(_VERIFY_THETAS))
-    return MajorantReport(largest, float(radii[r]), float(_VERIFY_THETAS[theta]))
+    return MajorantReport(
+        largest, float(radii[r]), float(_VERIFY_THETAS[theta]), float(np.max(scaled))
+    )
 
 
 # The relative increment tolerances of phi_log_l1 and of omega_bound

@@ -134,15 +134,6 @@ class GeodesicCandidate:
         if self.map.dimension != self.domain.dimension:
             raise ValueError("map dimension does not match domain")
 
-    def image_inside(self) -> bool:
-        """No image point outside the domain among 64 seeded points drawn
-        uniformly from the disc of radius 0.999."""
-        radii, angles = np.random.default_rng(0).random((64, 2)).T
-        zeta = 0.999 * np.sqrt(radii) * np.exp(2j * math.pi * angles)
-        return all(
-            self.domain.membership(z) != "outside" for z in self.map.values(zeta)
-        )
-
 
 def nonextending_geodesic() -> GeodesicCandidate:
     """The explicit bidisc geodesic whose second component has no continuous
@@ -333,12 +324,6 @@ class PipelineStage:
 class PipelineReport:
     stages: tuple[PipelineStage, ...]
     ok: bool
-
-    def stage(self, name: str) -> PipelineStage:
-        for stage in self.stages:
-            if stage.name == name:
-                return stage
-        raise KeyError(name)
 
 
 # Fixed rules of the pipeline: the properness circle and its angle grid,

@@ -63,13 +63,6 @@ class QuadratureResult:
     estimated_error: float
 
 
-@dataclass(frozen=True)
-class RootResult:
-    root: float
-    residual: float
-    bracket_width: float
-
-
 @functools.cache
 def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(order)
@@ -281,32 +274,33 @@ def solve_monotone(
     hi: float,
     target: float,
     tol: float,
-) -> RootResult:
-    """Bisect a monotone g on [lo, hi] for g(x) = target.
+) -> float:
+    """Bisect a monotone g on [lo, hi] for g(x) = target; returns the root.
 
     Requires a sign change of g - target across the bracket.  Iterates until
     the bracket width is <= tol, then keeps halving (up to 200 halvings in
-    all) while the residual exceeds tol.
+    all) while the residual at the midpoint exceeds tol; the root is the
+    midpoint of the last bracket.  g is called once at each end of the
+    bracket and once per halving.
     """
     if not (hi > lo):
         raise ValueError("empty interval")
     flo = g(lo) - target
     fhi = g(hi) - target
     if flo == 0.0:
-        return RootResult(lo, 0.0, 0.0)
+        return lo
     if fhi == 0.0:
-        return RootResult(hi, 0.0, 0.0)
+        return hi
     if flo * fhi > 0.0:
         raise ValueError("target not bracketed")
 
-    fmid = math.inf
     for _ in range(_MAX_ITER):
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break  # bracket at floating-point resolution
         fmid = g(mid) - target
         if fmid == 0.0:
-            return RootResult(mid, 0.0, hi - lo)
+            return mid
         if flo * fmid < 0.0:
             hi = mid
         else:
@@ -314,19 +308,16 @@ def solve_monotone(
         if hi - lo <= tol and abs(fmid) <= tol:
             break
 
-    root = 0.5 * (lo + hi)
-    return RootResult(root, g(root) - target, hi - lo)
+    return 0.5 * (lo + hi)
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def golden_section(
-    f: Callable[[float], float], lo: float, hi: float, tol: float
-) -> tuple[float, float]:
+def golden_section(f: Callable[[float], float], lo: float, hi: float, tol: float) -> float:
     """Minimize a unimodal f on [lo, hi] by golden-section search down to a
-    bracket ``tol`` wide; returns (x, f(x)) for the best of the last two
-    interior points and the midpoint, ties toward the lower point."""
+    bracket ``tol`` wide; returns the least of f at the last two interior
+    points and at the midpoint."""
     c = hi - _INVPHI * (hi - lo)
     d = lo + _INVPHI * (hi - lo)
     fc, fd = f(c), f(d)
@@ -341,9 +332,7 @@ def golden_section(
             lo, c, fc = c, d, fd
             d = lo + _INVPHI * (hi - lo)
             fd = f(d)
-    mid = 0.5 * (lo + hi)
-    value, x = min([(fc, c), (fd, d), (f(mid), mid)], key=lambda p: p[0])
-    return x, value
+    return min(fc, fd, f(0.5 * (lo + hi)))
 
 
 # minimize_on_circle's coarse grid and the bracket width of its refinement
@@ -351,30 +340,23 @@ _CIRCLE_GRID = 64
 _CIRCLE_REFINE_TOL = 1e-12
 
 
-def minimize_on_circle(h: Callable[[float], float]) -> tuple[float, float]:
-    """Minimize a 2*pi-periodic h: a 64-point grid scan, then golden-section
-    search within a grid step of the best grid point, down to a bracket
-    1e-12 wide.
-
-    Deterministic; grid ties break toward the smallest theta, and the
-    refined point only wins on a strict improvement.
+def minimize_on_circle(h: Callable[[float], float]) -> float:
+    """The minimum of a 2*pi-periodic h: a 64-point grid scan, then
+    golden-section search within a grid step of the best grid point, down
+    to a bracket 1e-12 wide.  Deterministic; the least value either step
+    found is returned.
     """
     step = 2.0 * math.pi / _CIRCLE_GRID
     thetas = step * np.arange(_CIRCLE_GRID)
     values = np.empty(_CIRCLE_GRID)
     for i, theta in enumerate(thetas):
         values[i] = _finite_objective(h, theta)
-    best = int(np.argmin(values))  # first occurrence: smallest theta wins
+    best = int(np.argmin(values))
     theta_best = float(thetas[best])
-    value_best = float(values[best])
 
     wrapped = lambda t: _finite_objective(h, t % (2.0 * math.pi))
-    theta_ref, value_ref = golden_section(
-        wrapped, theta_best - step, theta_best + step, _CIRCLE_REFINE_TOL
-    )
-    if value_ref < value_best:
-        return theta_ref % (2.0 * math.pi), value_ref
-    return theta_best, value_best
+    refined = golden_section(wrapped, theta_best - step, theta_best + step, _CIRCLE_REFINE_TOL)
+    return min(float(values[best]), refined)
 
 
 def _finite_objective(h: Callable[[float], float], theta: float) -> float:

@@ -11,6 +11,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from geodisc import cli
@@ -214,9 +215,13 @@ def test_mod_cont_profile_csv(tmp_path):
     assert len(lines) == 4
 
 
-# The eight commands whose handlers a report rule builds, each with one
-# config and its exact JSON and CSV reports.  The CSV headers of `graham` and
-# `mercer-fit` follow the field order of their result dataclasses.
+FLAT = {"kind": "flat_model", "C": 1.0, "alpha": 0.5, "R0": 0.111, "s0": 0.08}
+FLAT_SLICE = {"kind": "flat_slice", "domain": FLAT, "center": [0.0, 0.04], "radius": 0.04}
+
+# Every command with one config and its exact JSON and CSV reports.  The CSV
+# headers of `graham` and `mercer-fit` follow the field order of their result
+# dataclasses.  The `delta`, `omega` and `theta` cells of `mod-cont`,
+# `conjugate` and `geodesic-probe` are numpy floats, written as plain floats.
 PINNED_REPORTS = {
     "hl-bound": (
         {"majorant": {"kind": "power", "r0": 0.5}, "delta": 0.1},
@@ -265,16 +270,145 @@ PINNED_REPORTS = {
         '    "beta": 1.0,\n    "clamped": false,\n    "residual": 0.0\n  }\n}\n',
         "C1,C2,beta,residual,clamped\n1.0,1.0,1.0,0.0,False\n",
     ),
+    "hl-verify": (
+        {"function": {"kind": "monomial", "degree": 2},
+         "majorant": {"kind": "power", "r0": 0.5, "coefficient": 2.0}},
+        '{\n  "command": "hl-verify",\n  "result": {\n'
+        '    "max_violation": -9.999999999976694e-05,\n    "verified": true,\n'
+        '    "worst_r": 0.99995,\n    "worst_theta": 0.0\n  }\n}\n',
+        "max_violation,worst_r,worst_theta,verified\n"
+        "-9.999999999976694e-05,0.99995,0.0,True\n",
+    ),
+    "hl-l1": (
+        {"majorant": {"kind": "family", "K1": 1.0, "K2": math.e, "alpha": 0.5, "r0": 0.5}},
+        '{\n  "command": "hl-l1",\n  "result": {\n'
+        '    "estimated_error": 5.998978791403409e-10,\n    "refinement_levels": 32,\n'
+        '    "value": 0.5906161091496412,\n    "verdict": "converged"\n  }\n}\n',
+        "value,verdict,refinement_levels,estimated_error\n"
+        "0.5906161091496412,converged,32,5.998978791403409e-10\n",
+    ),
+    "mod-cont": (
+        {"function": {"kind": "identity"}, "n": 32, "deltas": [0.4, 1.0]},
+        '{\n  "command": "mod-cont",\n  "result": {\n    "cauchy_fraction": 1.0,\n'
+        '    "deltas": [\n      0.39269908169872414,\n      0.9817477042468103\n    ],\n'
+        '    "omegas": [\n      0.3901806207756785,\n      0.9427934174571257\n    ]\n  }\n'
+        "}\n",
+        "delta,omega\n0.39269908169872414,0.3901806207756785\n"
+        "0.9817477042468103,0.9427934174571257\n",
+    ),
+    "conjugate": (
+        {"function": {"kind": "identity"}, "n": 8, "real_part": True},
+        '{\n  "command": "conjugate",\n  "result": {\n    "n": 8,\n    "values": [\n'
+        "      [\n        -1.570092458683775e-16,\n        0.0\n      ],\n      [\n"
+        "        0.707106739039699,\n        0.0\n      ],\n      [\n"
+        "        0.9999999403953554,\n        0.0\n      ],\n      [\n"
+        "        0.7071067390396991,\n        0.0\n      ],\n      [\n"
+        "        1.570092458683775e-16,\n        0.0\n      ],\n      [\n"
+        "        -0.707106739039699,\n        0.0\n      ],\n      [\n"
+        "        -0.9999999403953554,\n        0.0\n      ],\n      [\n"
+        "        -0.7071067390396991,\n        0.0\n      ]\n    ]\n  }\n}\n",
+        "theta,re,im\n0.0,-1.570092458683775e-16,0.0\n"
+        "0.7853981633974483,0.707106739039699,0.0\n"
+        "1.5707963267948966,0.9999999403953554,0.0\n"
+        "2.356194490192345,0.7071067390396991,0.0\n"
+        "3.141592653589793,1.570092458683775e-16,0.0\n"
+        "3.9269908169872414,-0.707106739039699,0.0\n"
+        "4.71238898038469,-0.9999999403953554,0.0\n"
+        "5.497787143782138,-0.7071067390396991,0.0\n",
+    ),
+    "pz-bound": (
+        {"modulus": {"kind": "holder", "a": 0.5}, "delta": 0.25},
+        '{\n  "command": "pz-bound",\n  "result": {\n    "finite": true,\n'
+        '    "pz_bound": 1.7179052082261215\n  }\n}\n',
+        "pz_bound,finite\n1.7179052082261215,True\n",
+    ),
+    "log-dini": (
+        {"modulus": {"kind": "holder", "a": 1.0}, "n_max": 2},
+        '{\n  "command": "log-dini",\n  "result": {\n    "log_dini": true,\n'
+        '    "n_max": 2,\n    "note": "finite surrogate: tested n <= n_max only",\n'
+        '    "verdicts": [\n      "converged",\n      "converged",\n      "converged"\n'
+        "    ]\n  }\n}\n",
+        "n,verdict,value\n0,converged,1.0\n1,converged,0.9999999999999999\n"
+        "2,converged,2.0\n",
+    ),
+    "rest-check": (
+        {"domain": dict(FLAT, s0=0.1), "point": [0.0, [0.0, 0.01]], "direction": [1.0, 0.0]},
+        '{\n  "command": "rest-check",\n  "result": {\n    "bound": 0.09430584850580695,\n'
+        '    "d": 0.01,\n    "margin": 0.047153924252903275,\n'
+        '    "radius": 0.047152924252903676,\n    "satisfied": true,\n    "v": [\n      [\n'
+        "        1.0,\n        0.0\n      ],\n      [\n        0.0,\n        0.0\n      ]\n"
+        '    ],\n    "z": [\n      [\n        0.0,\n        0.0\n      ],\n      [\n'
+        "        0.0,\n        0.01\n      ]\n    ]\n  }\n}\n",
+        "z,v,d,radius,bound,margin,satisfied\n"
+        "0.0+0.0j;0.0+0.01j,1.0+0.0j;0.0+0.0j,0.01,0.047152924252903676,"
+        "0.09430584850580695,0.047153924252903275,True\n",
+    ),
+    "geodesic-probe": (
+        {"candidate": {"kind": "map", "map": {"kind": "identity"},
+                       "domain": {"kind": "polydisc", "radii": [1.0]}}, "n_theta": 16},
+        '{\n  "command": "geodesic-probe",\n  "result": {\n    "cauchy_fraction": 1.0,\n'
+        '    "omega_min": 0.3901806207756785,\n    "verdict": "inconclusive"\n  }\n}\n',
+        "delta,omega\n0.39269908169872414,0.3901806207756785\n"
+        "0.7853981633974483,0.7653668191107602\n1.5707963267948966,1.4142134780793985\n"
+        "3.141592653589793,1.9999998807907107\n",
+    ),
+    "pipeline": (
+        {"domain": FLAT, "candidate": FLAT_SLICE, "probe_n_theta": 256},
+        '{\n  "command": "pipeline",\n  "result": {\n    "ok": true,\n    "stages": [\n'
+        '      {\n        "details": {\n          "max_distance": 0.04,\n'
+        '          "threshold": 0.05\n        },\n        "name": "properness",\n'
+        '        "status": "pass"\n      },\n      {\n        "details": {\n'
+        '          "points": 4,\n          "rows": [\n            {\n'
+        '              "bound": 0.019502936932521975,\n'
+        '              "d": 3.999999999999837e-05,\n'
+        '              "radius": 3.999999999999837e-05\n            },\n            {\n'
+        '              "bound": 0.019502936932521975,\n'
+        '              "d": 3.999999999999837e-05,\n'
+        '              "radius": 3.999999999999837e-05\n            },\n            {\n'
+        '              "bound": 0.028568891906741348,\n'
+        '              "d": 0.00023241832217900382,\n'
+        '              "radius": 0.00023241832217900382\n            },\n            {\n'
+        '              "bound": 0.028568891906741348,\n'
+        '              "d": 0.00023241832217900382,\n'
+        '              "radius": 0.00023241832217900382\n            }\n          ]\n'
+        '        },\n        "name": "rest_bound",\n        "status": "pass"\n      },\n'
+        '      {\n        "details": {\n          "C1": 0.03999999999167333,\n'
+        '          "C2": 0.04000000000105926,\n          "K1": 4.0,\n'
+        '          "K2": 24.999999999337962,\n          "alpha": 0.5,\n'
+        '          "beta": 1.0,\n          "r0": 0.25\n        },\n'
+        '        "name": "majorant_fit",\n        "status": "pass"\n      },\n      {\n'
+        '        "details": {\n          "converged": true,\n          "note": null,\n'
+        '          "value": 0.8685889638114987\n        },\n'
+        '        "name": "majorant_integrable",\n        "status": "pass"\n      },\n'
+        '      {\n        "details": {\n          "omega_min": 0.0009817230043423733,\n'
+        '          "verdict": "extends (numerically)"\n        },\n'
+        '        "name": "extension_probe",\n        "status": "pass"\n      }\n    ]\n'
+        "  }\n}\n",
+        "stage,status\nproperness,pass\nrest_bound,pass\nmajorant_fit,pass\n"
+        "majorant_integrable,pass\nextension_probe,pass\n",
+    ),
 }
 
 
 @pytest.mark.parametrize("command", sorted(PINNED_REPORTS))
-def test_rule_built_reports_are_pinned(tmp_path, command):
+def test_reports_are_pinned(tmp_path, command):
     cfg, json_text, csv_text = PINNED_REPORTS[command]
     for fmt, expected in (("json", json_text), ("csv", csv_text)):
         code, out = run_cli(tmp_path, command, cfg, fmt=fmt, name=f"report.{fmt}")
         assert code == 0
         assert out.read_text() == expected
+
+
+@pytest.mark.parametrize("value, text", [
+    (np.float64(0.1), "0.1"), (np.int64(3), "3"), (np.bool_(True), "true"),
+])
+def test_numpy_scalars_are_written_as_python_values(tmp_path, monkeypatch, value, text):
+    monkeypatch.setattr(cli.cg, "x0_cap", lambda **args: value)
+    code, out = run_cli(tmp_path, "flat-x0", {"C": 1.0, "alpha": 1.0})
+    assert code == 0
+    assert out.read_text() == '{\n  "command": "flat-x0",\n  "result": {\n    "x0": %s\n  }\n}\n' % text
+    code, out = run_cli(tmp_path, "flat-x0", {"C": 1.0, "alpha": 1.0}, fmt="csv")
+    assert out.read_text() == f"x0\n{value.item()}\n"
 
 
 def test_oversized_grid_exits_one_out_of_memory(tmp_path):
@@ -316,8 +450,6 @@ BOX = [
     {"a": [[0.0, 1.0]], "b": 1.0},
     {"a": [[0.0, -1.0]], "b": 1.0},
 ]
-FLAT = {"kind": "flat_model", "C": 1.0, "alpha": 0.5, "R0": 0.111, "s0": 0.08}
-FLAT_SLICE = {"kind": "flat_slice", "domain": FLAT, "center": [0.0, 0.04], "radius": 0.04}
 ORIGIN = [[0.0, 0.0], [0.0, 0.0]]
 
 

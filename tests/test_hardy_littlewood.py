@@ -10,10 +10,12 @@ import pytest
 from geodisc import hardy_littlewood
 from geodisc.disc_analysis import (
     ModulusFamily,
+    UnitDiscFunction,
     boundary_samples,
     identity_map,
     modulus_of_continuity,
     scalar_function,
+    stack_components,
 )
 from geodisc.hardy_littlewood import (
     DerivMajorantFamily,
@@ -50,6 +52,25 @@ def test_identity_against_half_majorant():
     assert not report.verified()
 
 
+def test_verified_slack_scales_with_phi_at_each_point():
+    # |f'| = Phi on the ray theta = 0 of (1 - z)^s, up to rounding relative
+    # to Phi: about 1e-12 where Phi ~ 114, which an absolute slack rejected
+    s = 0.125
+    f = UnitDiscFunction(
+        lambda z: stack_components(z, (1.0 - z) ** s),
+        1,
+        lambda z: stack_components(z, -s * (1.0 - z) ** (s - 1.0)),
+    )
+    phi = Majorant(lambda x: s * x ** (s - 1.0), 0.25, lambda u: math.log(s) - s * u)
+    report = verify_majorant(f, phi)
+    assert report.max_violation > 1e-12
+    assert report.verified()
+    # where Phi < 1 the slack stays absolute
+    report = verify_majorant(identity_map(), Majorant.power(0.5, 1.0 - 1e-11, 0.0))
+    assert not report.verified()
+    assert report.verified(slack=2e-11)
+
+
 def test_verify_majorant_uses_cauchy_derivative_without_analytic_one():
     f = scalar_function(lambda z: z * z)  # no derivative supplied
     report = verify_majorant(f, Majorant.power(0.5, 2.0, 0.0))
@@ -79,7 +100,7 @@ def test_verify_majorant_matches_per_point_grid_scan():
         for k in range(32):
             theta = 2.0 * math.pi * k / 32
             zeta = r * complex(math.cos(theta), math.sin(theta))
-            violation = float(np.linalg.norm(f.derivative(zeta))) - phi(1.0 - r)
+            violation = float(np.linalg.norm(f.derivative(zeta))) - phi.evaluate(1.0 - r)
             if violation > worst[0]:
                 worst = (violation, r, theta)
     report = verify_majorant(f, phi)

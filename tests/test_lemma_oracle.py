@@ -113,10 +113,8 @@ def test_holder_power_obeys_the_lemma(s, r0, data):
         lambda z: stack_components(z, -s * (1.0 - z) ** (s - 1.0)),
     )
     phi = Majorant(lambda x: s * x ** (s - 1.0), r0, lambda u: math.log(s) - s * u)
-    # |f'| = Phi exactly on the ray theta = 0, where rounding leaves a
-    # violation of about 1e-15 relative to Phi; the default slack is an
-    # absolute 1e-12, so it is scaled by the largest Phi on the grid
-    assert verify_majorant(f, phi).verified(slack=1e-12 * phi(1e-4 * r0))
+    # |f'| = Phi exactly on the ray theta = 0, up to rounding relative to Phi
+    assert verify_majorant(f, phi).verified()
     # at least one grid step of the 8192-node circle, 2 pi / 8192 ~ 0.00077
     deltas = data.draw(
         st.lists(st.floats(0.001, r0, exclude_max=True), min_size=5, max_size=5)

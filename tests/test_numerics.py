@@ -242,15 +242,24 @@ def test_log_moment_harmonic_diverges():
 
 
 def test_bisection_square_root():
-    res = solve_monotone(lambda x: x * x, 0.0, 3.0, 4.0, 1e-12)
-    assert abs(res.root - 2.0) < 1e-11
-    assert res.bracket_width <= 2e-12
+    # g is called at the two bracket ends, then once per halving at the
+    # bracket's midpoint; the root is the midpoint of the last bracket
+    calls = []
+    root = solve_monotone(lambda x: calls.append(x) or x * x, 0.0, 3.0, 4.0, 1e-12)
+    assert calls[:2] == [0.0, 3.0]
+    lo, hi = 0.0, 3.0
+    for x in calls[2:]:
+        assert x == 0.5 * (lo + hi)
+        lo, hi = (x, hi) if x * x < 4.0 else (lo, x)
+    assert root == 0.5 * (lo + hi)
+    assert hi - lo <= 2e-12
+    assert abs(root - 2.0) < 1e-11
 
 
 def test_bisection_exp_shift():
     # g(x) = e^{-1/x} + x is strictly increasing on (0, 0.2]
     g = lambda x: math.exp(-1.0 / x) + x
-    res = solve_monotone(g, 1e-6, 0.2, 0.1, 1e-12)
+    root = solve_monotone(g, 1e-6, 0.2, 0.1, 1e-12)
 
     # independent bisection oracle
     lo, hi = 1e-6, 0.2
@@ -260,8 +269,8 @@ def test_bisection_exp_shift():
             lo = mid
         else:
             hi = mid
-    assert abs(res.root - 0.5 * (lo + hi)) < 1e-10
-    assert abs(res.root - 0.09995) < 1e-4
+    assert abs(root - 0.5 * (lo + hi)) < 1e-10
+    assert abs(root - 0.09995) < 1e-4
 
 
 def test_bisection_requires_bracket():
@@ -277,37 +286,32 @@ def test_bisection_requires_bracket():
 def test_bisection_residual_on_monotone_cubics(scale, shift):
     g = lambda x: scale * x**3 + x + shift
     target = g(0.3)
-    res = solve_monotone(g, -1.0, 1.0, target, 1e-11)
-    assert abs(res.root - 0.3) < 1e-9
-    assert abs(res.residual) <= 1e-10
+    root = solve_monotone(g, -1.0, 1.0, target, 1e-11)
+    assert abs(root - 0.3) < 1e-9
+    assert abs(g(root) - target) <= 1e-10
 
 
 def test_minimize_cosine_well():
-    theta, value = minimize_on_circle(lambda t: 2.0 + math.cos(t))
-    assert abs(theta - math.pi) < 1e-8
-    assert abs(value - 1.0) < 1e-12
+    assert abs(minimize_on_circle(lambda t: 2.0 + math.cos(t)) - 1.0) < 1e-12
 
 
-def test_minimize_constant_tie_breaks_to_zero():
-    theta, value = minimize_on_circle(lambda t: 5.0)
-    assert theta == 0.0
-    assert value == 5.0
+def test_minimize_constant():
+    assert minimize_on_circle(lambda t: 5.0) == 5.0
 
 
-def test_minimize_taxicab_norm_tie_break():
+def test_minimize_taxicab_norm():
     h = lambda t: abs(math.cos(t)) + abs(math.sin(t))
-    theta, value = minimize_on_circle(h)
+    value = minimize_on_circle(h)
 
     # dense scan oracle: minima at multiples of pi/2, all with value 1
     dense = np.linspace(0.0, 2.0 * math.pi, 100001)
     oracle = min(abs(np.cos(dense)) + abs(np.sin(dense)))
     assert abs(value - oracle) < 1e-9
-    assert theta == 0.0  # smallest-theta tie break
 
 
 def test_minimize_beats_coarse_grid():
     h = lambda t: (t - 1.234) ** 2 if t < math.pi else (2.0 * math.pi - t + 0.1) ** 2
-    theta, value = minimize_on_circle(h)
+    value = minimize_on_circle(h)
     grid = 2.0 * math.pi * np.arange(64) / 64
     assert value <= min(h(t) for t in grid) + 1e-15
 
