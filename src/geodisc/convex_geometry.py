@@ -50,7 +50,7 @@ def x0_cap(C: float, alpha: float, scan_n: int | None = None) -> float:
     In s = log x the solutions are the zeros of h(s) = e^{-alpha s} + s -
     log C, which falls and then rises with its minimum at s* = log(alpha) /
     alpha.  So there are none when s* >= log C or h(s*) > 0, and otherwise
-    the smaller one lies left of s*, where it is bisected on the log scale:
+    the smaller one lies left of s*, where it is solved for on the log scale:
     it can sit hundreds of decades below C.  ``scan_n`` is accepted and
     ignored; it sized the log-spaced sign scan this bracket replaced, and
     existing callers still pass it.
@@ -100,6 +100,15 @@ def rho_triangle(d: float, slope: float, C: float, alpha: float) -> float:
 # disc_radius(z, v), the largest rho with z + rho e^{i theta} v in it for
 # every theta.
 
+def _disc_exit(norm: float, dot: float, ww: float, radius: float) -> float:
+    """The last t >= 0 with ||p + t w|| <= radius, for ||p|| = norm,
+    Re<p, w> = dot and ||w||^2 = ww > 0: the positive root of
+    ww t^2 + 2 dot t - slack, taken without cancellation."""
+    slack = (radius - norm) * (radius + norm)
+    root = math.sqrt(max(dot * dot + ww * slack, 0.0))
+    return slack / (dot + root) if dot > 0.0 else (root - dot) / ww
+
+
 @dataclass(frozen=True)
 class DiscConstraint:
     """|z[coords] - center| <= radius over a block of coordinates."""
@@ -117,12 +126,7 @@ class DiscConstraint:
         ww = float(np.vdot(w, w).real)
         if ww == 0.0:
             return math.inf
-        dot = float(np.vdot(p, w).real)
-        norm = float(np.linalg.norm(p))
-        slack = (self.radius - norm) * (self.radius + norm)
-        root = math.sqrt(max(dot * dot + ww * slack, 0.0))
-        # the positive root of ww t^2 + 2 dot t - slack, without cancellation
-        return slack / (dot + root) if dot > 0.0 else (root - dot) / ww
+        return _disc_exit(float(np.linalg.norm(p)), float(np.vdot(p, w).real), ww, self.radius)
 
     def distance(self, z: np.ndarray) -> float:
         return -self.gap(z)
@@ -177,10 +181,15 @@ class GraphConstraint:
 
     def exit(self, z: np.ndarray, u: np.ndarray) -> float:
         p, w = z[:-1], u[:-1]
-        pp = float(np.vdot(p, p).real)
-        pw = float(np.vdot(p, w).real)
-        ww = float(np.vdot(w, w).real)
-        y, dy = float(z[-1].imag), float(u[-1].imag)
+        return self._exit(
+            float(np.vdot(p, p).real), float(np.vdot(p, w).real),
+            float(np.vdot(w, w).real), float(z[-1].imag), float(u[-1].imag),
+        )
+
+    def _exit(self, pp: float, pw: float, ww: float, y: float, dy: float) -> float:
+        """The exit along z + t u from ||z'||^2 = pp, Re<z', u'> = pw,
+        ||u'||^2 = ww, Im z_n = y and Im u_n = dy: all the ray's data the
+        graph piece reads."""
         if ww == 0.0:
             # ||z'|| stays fixed, so the gap is affine in t
             slack = y - self.height(math.sqrt(pp))
@@ -190,7 +199,7 @@ class GraphConstraint:
             rho = math.sqrt(max(pp + t * (2.0 * pw + t * ww), 0.0))
             return self.height(rho) - (y + t * dy)
 
-        within = self.cylinder.exit(z, u)
+        within = _disc_exit(math.sqrt(pp), pw, ww, self.support.R0)
         if dy < 0.0:
             # the graph is >= 0, so a falling ray is below it once Im z_n < 0
             within = min(within, max(y, 0.0) / -dy)
@@ -223,12 +232,33 @@ class GraphConstraint:
         return min(self.cylinder.distance(z), math.sqrt(value))
 
     def disc_radius(self, z: np.ndarray, v: np.ndarray) -> float:
-        w = v[:-1]
-        if float(np.vdot(w, w).real) == 0.0:
+        p, w = z[:-1], v[:-1]
+        ww = float(np.vdot(w, w).real)
+        y, vn = float(z[-1].imag), complex(v[-1])
+        if ww == 0.0:
             # ||z'|| stays fixed and Im z_n falls by at most |v_n| per unit
-            return (float(z[-1].imag) - self.height(float(np.linalg.norm(z[:-1])))) / abs(v[-1])
-        # a closed disc lies in a convex set iff its boundary circle does
-        objective = lambda theta: self.exit(z, v * complex(math.cos(theta), math.sin(theta)))
+            return (y - self.height(float(np.linalg.norm(p)))) / abs(vn)
+        if vn == 0.0:
+            # Im z_n stays at y, so the graph piece is the cylinder where
+            # C phi_alpha(||z'||) <= y (up to the membership tolerance for a
+            # base point on the graph, as in exit)
+            s = self.support
+            if self.height(float(np.linalg.norm(p))) >= y:
+                y += MEMBERSHIP_TOL
+            if y <= 0.0:
+                return 0.0
+            radius = s.R0 if y >= s.C else min(s.R0, phi_alpha_inv(y, s.C, s.alpha))
+            return DiscConstraint(slice(0, -1), radius).disc_radius(z, v)
+        # a closed disc lies in a convex set iff its boundary circle does;
+        # along v e^{i theta} only Re<z', v'> e^{i theta} and Im v_n e^{i theta}
+        # change
+        pp = float(np.vdot(p, p).real)
+        pv = complex(np.vdot(p, w))
+
+        def objective(theta: float) -> float:
+            turn = complex(math.cos(theta), math.sin(theta))
+            return self._exit(pp, (pv * turn).real, ww, y, (vn * turn).imag)
+
         return minimize_on_circle(objective)
 
 

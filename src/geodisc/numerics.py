@@ -2,9 +2,9 @@
 
 The primitives used everywhere else in the package: composite quadrature
 with divergence detection near an endpoint singularity, the same on the
-log scale u = log(1/x) for radial integrals near 0, bisection for
-monotone root problems, golden-section search for unimodal minima, and
-minimization of a periodic objective over the circle parameter.
+log scale u = log(1/x) for radial integrals near 0, bracketed false
+position for monotone root problems, golden-section search for unimodal
+minima, and minimization of a periodic objective over the circle parameter.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ _VALUE_CAP = 1e50
 # and f(x) loses its precision, so a callable is not read beyond it.
 _U_MAX = -math.log(sys.float_info.min)
 
-# Iteration cap shared by bisection and golden-section search.
+# Iteration cap shared by root finding and golden-section search.
 _MAX_ITER = 200
 
 # Halvings of the lower cutoff before an endpoint integral is called
@@ -275,13 +275,20 @@ def solve_monotone(
     target: float,
     tol: float,
 ) -> float:
-    """Bisect a monotone g on [lo, hi] for g(x) = target; returns the root.
+    """Root of a monotone g on [lo, hi] for g(x) = target, by Illinois false
+    position (Dowell & Jarratt, BIT 11, 1971) kept inside the bracket.
 
-    Requires a sign change of g - target across the bracket.  Iterates until
-    the bracket width is <= tol, then keeps halving (up to 200 halvings in
-    all) while the residual at the midpoint exceeds tol; the root is the
-    midpoint of the last bracket.  g is called once at each end of the
-    bracket and once per halving.
+    Requires a sign change of g - target across the bracket.  g is called
+    once at each end, then once per step, always strictly inside the
+    current bracket.  A step is the false-position point of the two ends,
+    with the residual of an end kept twice in a row halved (the Illinois
+    rule); while the bracket is wider than tol, the step stays at least
+    tol/2 from either end, so that a step landing on the root closes the
+    bracket.  After two steps in a row that fail to halve the bracket, the
+    next step bisects.  It stops once the bracket is
+    <= tol wide and the smaller end residual |g - target| is <= tol, or at
+    floating-point resolution (tol = 0 runs there), or after 200 steps, and
+    returns the end with the smaller residual.
     """
     if not (hi > lo):
         raise ValueError("empty interval")
@@ -294,21 +301,39 @@ def solve_monotone(
     if flo * fhi > 0.0:
         raise ValueError("target not bracketed")
 
+    wlo, whi = flo, fhi  # the residuals the false-position steps weigh
+    kept = 0  # -1 or +1 when the last step kept lo or hi, else 0
+    slow = 0  # steps in a row that did not halve the bracket
     for _ in range(_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break  # bracket at floating-point resolution
-        fmid = g(mid) - target
-        if fmid == 0.0:
-            return mid
-        if flo * fmid < 0.0:
-            hi = mid
-        else:
-            lo, flo = mid, fmid
-        if hi - lo <= tol and abs(fmid) <= tol:
+        width = hi - lo
+        if width <= tol and min(abs(flo), abs(fhi)) <= tol:
             break
+        bisect = slow >= 2
+        if not bisect:
+            x = lo + (hi - lo) * (wlo / (wlo - whi))
+            if width > tol:
+                x = min(max(x, lo + 0.5 * tol), hi - 0.5 * tol)
+            bisect = not lo < x < hi  # also when x is nan
+        if bisect:
+            x = 0.5 * (lo + hi)
+            if not lo < x < hi:
+                break  # bracket at floating-point resolution
+        fx = g(x) - target
+        if fx == 0.0:
+            return x
+        if (fx < 0.0) == (flo < 0.0):
+            lo, flo, wlo = x, fx, fx
+            if kept == 1:
+                whi *= 0.5
+            kept = 1
+        else:
+            hi, fhi, whi = x, fx, fx
+            if kept == -1:
+                wlo *= 0.5
+            kept = -1
+        slow = 0 if bisect or 2.0 * (hi - lo) <= width else slow + 1
 
-    return 0.5 * (lo + hi)
+    return lo if abs(flo) <= abs(fhi) else hi
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0

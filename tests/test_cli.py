@@ -71,6 +71,15 @@ def test_flat_rho_value(tmp_path):
     assert abs(json.loads(out.read_text())["result"]["rho"] - 0.09995) < 1e-4
 
 
+def test_flat_rho_root_where_the_flatness_term_is_nil(tmp_path):
+    # C phi_alpha(0.5) = e^{-2^800} is 0, so rho = d; the solver's steps
+    # stay where rho^-800 is finite
+    cfg = {"d": 0.5, "slope": 1, "C": 1, "alpha": 800}
+    code, out = run_cli(tmp_path, "flat-rho", cfg)
+    assert code == 0
+    assert json.loads(out.read_text())["result"]["rho"] == 0.5
+
+
 def test_geodesic_probe_fails_exit_two(tmp_path):
     cfg = {"candidate": {"kind": "nonextending"}, "n_theta": 2048}
     code, out = run_cli(tmp_path, "geodesic-probe", cfg)
@@ -246,8 +255,8 @@ PINNED_REPORTS = {
     ),
     "flat-rho": (
         {"d": 0.1, "slope": 1.0, "C": 1.0, "alpha": 1.0},
-        '{\n  "command": "flat-rho",\n  "result": {\n    "rho": 0.09995480488512999\n  }\n}\n',
-        "rho\n0.09995480488512999\n",
+        '{\n  "command": "flat-rho",\n  "result": {\n    "rho": 0.09995480488512751\n  }\n}\n',
+        "rho\n0.09995480488512751\n",
     ),
     "geodesic-defect": (
         {"candidate": {"kind": "map", "map": {"kind": "pair_identity_zero"},
@@ -334,14 +343,14 @@ PINNED_REPORTS = {
     "rest-check": (
         {"domain": dict(FLAT, s0=0.1), "point": [0.0, [0.0, 0.01]], "direction": [1.0, 0.0]},
         '{\n  "command": "rest-check",\n  "result": {\n    "bound": 0.09430584850580695,\n'
-        '    "d": 0.01,\n    "margin": 0.047153924252903275,\n'
-        '    "radius": 0.047152924252903676,\n    "satisfied": true,\n    "v": [\n      [\n'
+        '    "d": 0.01,\n    "margin": 0.047153924252903476,\n'
+        '    "radius": 0.047152924252903475,\n    "satisfied": true,\n    "v": [\n      [\n'
         "        1.0,\n        0.0\n      ],\n      [\n        0.0,\n        0.0\n      ]\n"
         '    ],\n    "z": [\n      [\n        0.0,\n        0.0\n      ],\n      [\n'
         "        0.0,\n        0.01\n      ]\n    ]\n  }\n}\n",
         "z,v,d,radius,bound,margin,satisfied\n"
-        "0.0+0.0j;0.0+0.01j,1.0+0.0j;0.0+0.0j,0.01,0.047152924252903676,"
-        "0.09430584850580695,0.047153924252903275,True\n",
+        "0.0+0.0j;0.0+0.01j,1.0+0.0j;0.0+0.0j,0.01,0.047152924252903475,"
+        "0.09430584850580695,0.047153924252903476,True\n",
     ),
     "geodesic-probe": (
         {"candidate": {"kind": "map", "map": {"kind": "identity"},
@@ -686,7 +695,7 @@ BAD_CONFIGS = {
     ),
     "overflowing flatness exponent": (
         "flat-rho",
-        {"d": 0.5, "slope": 1, "C": 1, "alpha": 800},
+        {"d": 0.1, "slope": 1, "C": 1, "alpha": 800},
         "numeric overflow",
     ),
     "short direction": (

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geodisc.convex_geometry import (
+    MEMBERSHIP_TOL,
     Ball,
     FlatModelDomain,
     FlatSupport,
@@ -26,8 +27,10 @@ from geodisc.convex_geometry import (
 )
 
 
-def flat_domain(C=1.0, alpha=0.5, s0=0.1) -> FlatModelDomain:
-    return FlatModelDomain(FlatSupport(C, alpha, FlatSupport.convexity_cap(alpha), s0))
+def flat_domain(C=1.0, alpha=0.5, s0=0.1, dimension=2) -> FlatModelDomain:
+    return FlatModelDomain(
+        FlatSupport(C, alpha, FlatSupport.convexity_cap(alpha), s0), dimension
+    )
 
 
 def interior_anchor(domain) -> np.ndarray:
@@ -142,6 +145,16 @@ def test_rho_triangle_bisection_oracle():
     assert abs(value - oracle) < 1e-10
     assert abs(value - 0.09995) < 1e-4
     assert abs(phi_alpha(value, 1.0) - 4.5e-5) < 1e-6  # flatness term size
+
+
+def test_rho_triangle_steep_root_to_relative_precision():
+    # a root of 4.2e-9 where the left side climbs ~4e4 per unit of rho:
+    # the absolute tolerance 1e-14 alone would allow a relative error of
+    # 1e-6, and bisection's midpoint came back 1.5e-11 off
+    rho = rho_triangle(
+        0.00040177438830700166, 2.3027151609485634, 1.1655324051827958, 0.10768541579207838
+    )
+    assert abs(rho / 4.2398652366628161e-9 - 1.0) < 1e-12  # mpmath, 40 digits
 
 
 def test_rho_triangle_below_inverse_on_random_draws():
@@ -412,30 +425,64 @@ def grid_radius(domain, z, v, n=64) -> float:
     return min(exit_at(t) for t in best + step * np.linspace(-1.0, 1.0, n + 1))
 
 
-@pytest.mark.parametrize("tangential", [None, 1e-12, 1e-150, 1e-200],
-                         ids=["tilted", "v'=1e-12", "v'=1e-150", "v'=1e-200"])
-def test_flat_inscribed_radius_matches_membership_grid(tangential):
-    # off-axis points at heights across the lower part of the box; the
-    # nearly normal directions keep ||z'|| (almost) fixed around the circle,
-    # and 1e-200 squares to 0
-    domain = flat_domain()
+def unit_vector(rng, n: int) -> np.ndarray:
+    raw = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return raw / np.linalg.norm(raw)
+
+
+@pytest.mark.parametrize(
+    "v_prime, v_n, dimension, on_graph",
+    [
+        (None, None, 2, False),
+        (1e-12, 1.0, 2, False),
+        (1e-150, 1.0, 2, False),
+        (1e-200, 1.0, 2, False),
+        (1.0, 0.0, 2, False),
+        (1.0, 0.0, 3, False),
+        (1.0, 0.0, 3, True),
+    ],
+    ids=["tilted", "v'=1e-12", "v'=1e-150", "v'=1e-200", "v_n=0", "v_n=0 in C^3",
+         "v_n=0 on the graph"],
+)
+def test_flat_inscribed_radius_matches_membership_grid(v_prime, v_n, dimension, on_graph):
+    # off-axis points at heights across the lower part of the box, or just
+    # below the graph within the membership tolerance; the nearly normal
+    # directions keep ||z'|| (almost) fixed around the circle, 1e-200
+    # squares to 0, and tangential ones (v_n = 0) keep Im z_n fixed
+    domain = flat_domain(dimension=dimension)
     s = domain.support
     rng = np.random.default_rng(17)
     for _ in range(2):
         rho = rng.uniform(0.1, 0.4) * s.R0
         height = s.C * phi_alpha(rho, s.alpha)
-        z = np.array([rho * np.exp(2j * math.pi * rng.random()),
-                      complex(rng.uniform(-0.3, 0.3) * s.s0,
-                              height + rng.uniform(0.05, 0.3) * (s.s0 - height))])
-        phases = np.exp(2j * math.pi * rng.random(2))
-        if tangential is None:
-            v = rng.uniform(0.2, 1.0, 2) * phases
+        lift = -0.5 * MEMBERSHIP_TOL if on_graph else rng.uniform(0.05, 0.3) * (s.s0 - height)
+        z = np.append(rho * unit_vector(rng, dimension - 1),
+                      complex(rng.uniform(-0.3, 0.3) * s.s0, height + lift))
+        phase = np.exp(2j * math.pi * rng.random())
+        if v_prime is None:
+            v = np.append(rng.uniform(0.2, 1.0) * unit_vector(rng, dimension - 1),
+                          rng.uniform(0.2, 1.0) * phase)
         else:
-            v = np.array([tangential, 1.0]) * phases
+            v = np.append(v_prime * unit_vector(rng, dimension - 1), v_n * phase)
+        assert domain.membership(z) == ("boundary" if on_graph else "inside")
         r = inscribed_disc_radius(domain, z, v)
         oracle = grid_radius(domain, z, v)
         assert r <= oracle + 1e-10
         assert oracle - r <= 1e-5 * oracle
+
+
+@pytest.mark.parametrize("dimension", [2, 3])
+@pytest.mark.parametrize("d", [1e-6, 1e-3, 0.01, 0.07])
+def test_flat_tangential_radius_on_the_axis(dimension, d):
+    # at (0', i d) a tangential disc stays at height d, so its radius is the
+    # cylinder's where C phi_alpha reaches d, or R0 (d = 0.07 is above
+    # C phi_alpha(R0))
+    domain = flat_domain(dimension=dimension)
+    s = domain.support
+    z = np.append(np.zeros(dimension - 1), 1j * d)
+    v = np.append(unit_vector(np.random.default_rng(3), dimension - 1), 0.0)
+    expected = min(s.R0, phi_alpha_inv(d, s.C, s.alpha))
+    assert inscribed_disc_radius(domain, z, v) == pytest.approx(expected, rel=1e-15, abs=0.0)
 
 
 def test_inscribed_radius_rejects_zero_direction():

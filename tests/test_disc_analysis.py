@@ -430,7 +430,7 @@ def test_pz_bound_stretched_exponential_finite_and_dominated():
 
 def _far_integral_oracle(omega, delta, n=400000):
     xs = np.linspace(delta, math.pi, n)
-    ys = np.array([omega(x) / (x * x) for x in xs])
+    ys = omega(xs) / (xs * xs)
     return float(np.trapezoid(ys, xs))
 
 
