@@ -232,12 +232,15 @@ class GraphConstraint:
         return min(self.cylinder.distance(z), math.sqrt(value))
 
     def disc_radius(self, z: np.ndarray, v: np.ndarray) -> float:
+        """The largest rho with z + rho e^{i theta} v in the graph piece for
+        every theta.  Three cases need no circle search: tangential discs
+        (v_n = 0: the cylinder where C phi_alpha <= Im z_n), normal ones
+        (v' = 0) and those with <z', v'> = 0, which include every disc
+        centred on the axis z' = 0 (one exit along the fastest fall).  The
+        rest take ``minimize_on_circle`` over the exits."""
         p, w = z[:-1], v[:-1]
         ww = float(np.vdot(w, w).real)
         y, vn = float(z[-1].imag), complex(v[-1])
-        if ww == 0.0:
-            # ||z'|| stays fixed and Im z_n falls by at most |v_n| per unit
-            return (y - self.height(float(np.linalg.norm(p)))) / abs(vn)
         if vn == 0.0:
             # Im z_n stays at y, so the graph piece is the cylinder where
             # C phi_alpha(||z'||) <= y (up to the membership tolerance for a
@@ -254,6 +257,10 @@ class GraphConstraint:
         # change
         pp = float(np.vdot(p, p).real)
         pv = complex(np.vdot(p, w))
+        if ww == 0.0 or pv == 0.0:
+            # only Im(v_n e^{i theta}) changes, and a ray that falls faster
+            # leaves no later: the circle first leaves where it is -|v_n|
+            return self._exit(pp, 0.0, ww, y, -abs(vn))
 
         def objective(theta: float) -> float:
             turn = complex(math.cos(theta), math.sin(theta))
@@ -486,16 +493,18 @@ def _check_ray(domain: ConvexDomainModel, z, u) -> tuple[np.ndarray, np.ndarray]
 
 def exit_time(domain: ConvexDomainModel, z, u) -> float:
     """sup{ t >= 0 : z + t u in closure of the domain } for a unit real ray:
-    the smallest exit over the constraints."""
+    the smallest exit over the constraints, or 0 from a boundary point up
+    to the membership tolerance outside."""
     z, u = _check_ray(domain, z, u)
-    return min(piece.exit(z, u) for piece in domain.pieces)
+    return max(min(piece.exit(z, u) for piece in domain.pieces), 0.0)
 
 
 def boundary_distance(domain: ConvexDomainModel, point) -> float:
     """Euclidean distance to the boundary: for an intersection of convex
-    constraints, the smallest distance to a constraint boundary."""
+    constraints, the smallest distance to a constraint boundary (0 at a
+    boundary point outside by up to the membership tolerance)."""
     z = _check_base(domain, point)
-    return min(piece.distance(z) for piece in domain.pieces)
+    return max(min(piece.distance(z) for piece in domain.pieces), 0.0)
 
 
 def inscribed_disc_radius(domain: ConvexDomainModel, point, direction) -> float:
@@ -503,10 +512,11 @@ def inscribed_disc_radius(domain: ConvexDomainModel, point, direction) -> float:
     ``point``, tangent to ``direction``, inside the closure.
 
     A closed disc lies in an intersection of closed convex sets iff it lies
-    in each, so the radius is the smallest constraint radius.
+    in each, so the radius is the smallest constraint radius; it is 0 at a
+    boundary point outside by up to the membership tolerance.
     """
     z, v = _check_ray(domain, point, direction)
-    return min(piece.disc_radius(z, v) for piece in domain.pieces)
+    return max(min(piece.disc_radius(z, v) for piece in domain.pieces), 0.0)
 
 
 # --- the inscribed-radius bound of the flatness lemma ------------------------

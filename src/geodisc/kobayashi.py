@@ -111,12 +111,14 @@ class MetricBounds:
 def graham_bounds(domain: ConvexDomainModel, point, direction) -> MetricBounds:
     """||v|| / (2 r) <= kappa(z; v) <= ||v|| / r at z = ``point``, v =
     ``direction``, with r the inscribed disc radius; degenerate (0, 0) for
-    v = 0."""
+    v = 0.  A boundary point (r = 0) has no finite bounds and is rejected."""
     v = np.atleast_1d(np.asarray(direction, dtype=complex))
     norm = float(np.linalg.norm(v))
     if norm == 0.0:
         return MetricBounds(0.0, 0.0)
     radius = inscribed_disc_radius(domain, point, v)
+    if radius == 0.0:
+        raise ValueError("point on the boundary: the inscribed disc radius is 0")
     return MetricBounds(norm / (2.0 * radius), norm / radius)
 
 

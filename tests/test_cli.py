@@ -115,6 +115,16 @@ def test_domain_radius_csv_output(tmp_path):
     assert abs(float(lines[1]) - 0.5) < 1e-9
 
 
+def test_domain_radius_at_a_boundary_point_outside_is_zero(tmp_path):
+    # membership counts a point 5e-13 outside as on the boundary; the radius
+    # there read -5e-13
+    cfg = {"domain": {"kind": "polydisc", "radii": [1, 1]},
+           "point": [[1.0000000000005, 0], 0], "direction": [1, 0]}
+    code, out = run_cli(tmp_path, "domain-radius", cfg)
+    assert code == 0
+    assert json.loads(out.read_text())["result"]["radius"] == 0.0
+
+
 def test_log_dini_check_and_rerun_reproducibility(tmp_path):
     cfg = {"modulus": {"kind": "holder", "a": 1.0}, "n_max": 3}
     code, out = run_cli(tmp_path, "log-dini", cfg)
@@ -714,6 +724,12 @@ BAD_CONFIGS = {
         "rest-check",
         {"domain": FLAT, "point": [0, [0, 0.01]], "direction": [1, 0, 0]},
         "direction",
+    ),
+    "graham at a boundary point": (
+        "graham",
+        {"domain": {"kind": "polydisc", "radii": [1, 1]}, "point": [[1.0000000000005, 0], 0],
+         "direction": [1, 0]},
+        "point on the boundary",
     ),
     "mercer-fit image outside the domain": (
         "mercer-fit",

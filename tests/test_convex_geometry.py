@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from geodisc import convex_geometry
 from geodisc.convex_geometry import (
     MEMBERSHIP_TOL,
     Ball,
@@ -372,6 +373,31 @@ def test_boundary_distance_below_exit_times():
         assert d <= exit_time(domain, z, u / np.linalg.norm(u)) + 1e-10
 
 
+def boundary_points_outside():
+    """Points half the membership tolerance outside one constraint, which
+    membership calls "boundary", each with the outward direction there."""
+    flat = flat_domain()
+    s = flat.support
+    rho = 0.5 * s.R0
+    below_graph = 1j * (s.C * phi_alpha(rho, s.alpha) - 0.5 * MEMBERSHIP_TOL)
+    return {
+        "polydisc": (Polydisc((1.0, 0.7)), [1.0 + 0.5 * MEMBERSHIP_TOL, 0.0], [1.0, 0.0]),
+        "flat cap": (flat, [0.0, 1j * (s.s0 + 0.5 * MEMBERSHIP_TOL)], [0.0, 1.0j]),
+        "flat graph": (flat, [rho, below_graph], [0.0, -1.0j]),
+        "flat cylinder": (flat, [s.R0 + 0.5 * MEMBERSHIP_TOL, 0.05j], [1.0, 0.0]),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(boundary_points_outside()))
+def test_queries_at_a_boundary_point_outside_are_zero(case):
+    # the constraint's own answer there is minus its gap, about -5e-13
+    domain, z, u = boundary_points_outside()[case]
+    assert domain.membership(z) == "boundary"
+    assert exit_time(domain, z, u) == 0.0
+    assert inscribed_disc_radius(domain, z, u) == 0.0
+    assert 0.0 <= boundary_distance(domain, z) <= MEMBERSHIP_TOL
+
+
 # --- inscribed disc radius ---------------------------------------------------
 
 def test_inscribed_radius_ball_center():
@@ -472,6 +498,31 @@ def test_flat_inscribed_radius_matches_membership_grid(v_prime, v_n, dimension, 
 
 
 @pytest.mark.parametrize("dimension", [2, 3])
+def test_off_axis_tilted_radii_match_membership_grid(dimension):
+    # the circle search's own inputs: off-axis bases with <z', v'> != 0, 48
+    # seeded draws per dimension over three flatness exponents, bases from
+    # near the axis to near the cylinder wall and from just above the graph
+    # to halfway up the box
+    rng = np.random.default_rng(29 + dimension)
+    for alpha in (0.3, 0.5, 0.8):
+        domain = flat_domain(alpha=alpha, dimension=dimension)
+        s = domain.support
+        for _ in range(16):
+            rho = rng.uniform(0.02, 0.9) * s.R0
+            height = s.C * phi_alpha(rho, s.alpha)
+            z = np.append(rho * unit_vector(rng, dimension - 1),
+                          complex(rng.uniform(-0.3, 0.3) * s.s0,
+                                  height + rng.uniform(0.01, 0.5) * (s.s0 - height)))
+            v = np.append(rng.uniform(0.1, 1.0) * unit_vector(rng, dimension - 1),
+                          rng.uniform(0.1, 1.0) * np.exp(2j * math.pi * rng.random()))
+            assert np.vdot(z[:-1], v[:-1]) != 0.0
+            r = inscribed_disc_radius(domain, z, v)
+            oracle = grid_radius(domain, z, v)
+            assert r <= oracle + 1e-10
+            assert oracle - r <= 1e-5 * oracle
+
+
+@pytest.mark.parametrize("dimension", [2, 3])
 @pytest.mark.parametrize("d", [1e-6, 1e-3, 0.01, 0.07])
 def test_flat_tangential_radius_on_the_axis(dimension, d):
     # at (0', i d) a tangential disc stays at height d, so its radius is the
@@ -483,6 +534,70 @@ def test_flat_tangential_radius_on_the_axis(dimension, d):
     v = np.append(unit_vector(np.random.default_rng(3), dimension - 1), 0.0)
     expected = min(s.R0, phi_alpha_inv(d, s.C, s.alpha))
     assert inscribed_disc_radius(domain, z, v) == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+
+def mp_orthogonal_flat_radius(support, z, v) -> float:
+    """The flat model's inscribed radius when <z', v'> = 0, from mpmath at 50
+    digits.  On the circle |t| = rho, ||z' + t v'||^2 = ||z'||^2 + rho^2
+    ||v'||^2 at every angle while Im z_n dips to Im z_n - rho |v_n|, so the
+    graph caps rho at the root of C phi_alpha(||z' + t v'||) + rho |v_n| =
+    Im z_n (by bisection), the cylinder where ||z' + t v'|| = R0, and the box
+    at (s0 - |Re z_n|) / |v_n| and (s0 - Im z_n) / |v_n|."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        norm = mp.sqrt(sum(abs(mp.mpc(x)) ** 2 for x in v))
+        pp = sum(abs(mp.mpc(x)) ** 2 for x in z[:-1])
+        ww = sum(abs(mp.mpc(x)) ** 2 for x in v[:-1]) / norm**2
+        b = abs(mp.mpc(v[-1])) / norm
+        x, y = mp.mpf(z[-1].real), mp.mpf(z[-1].imag)
+        C, alpha, R0, s0 = (mp.mpf(t) for t in (support.C, support.alpha, support.R0, support.s0))
+        height = lambda r2: C * mp.exp(-r2 ** (-alpha / 2)) if r2 > 0 else 0
+        lhs = lambda rho: height(pp + rho**2 * ww) + rho * b
+        lo, hi = mp.mpf(0), y / b
+        for _ in range(200):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if lhs(mid) < y else (lo, mid)
+        caps = [lo, (s0 - abs(x)) / b, (s0 - y) / b]
+        if ww > 0:
+            caps.append(mp.sqrt((R0**2 - pp) / ww))
+        return float(min(caps))
+
+
+ORTHOGONAL_DISCS = {
+    # axis points (0', i d), tilted and normal directions
+    "axis C^2": (np.array([0.0, 0.01j]), np.array([0.6, 0.8j])),
+    "deep axis C^2": (np.array([0.0, 1e-4j]), np.array([0.3 - 0.2j, -0.5 + 0.4j])),
+    "normal axis C^2": (np.array([0.0, 0.01j]), np.array([0.0, 1.0])),
+    "axis C^3": (np.array([0.0, 0.0, 0.02j]), np.array([0.2j, -0.3, 0.5 + 0.1j])),
+    "shallow v_n axis C^3": (np.array([0.0, 0.0, 0.005j]), np.array([0.7, 0.5j, 0.05j])),
+    # off-axis: in C^2 only v' = 0 gives <z', v'> = 0; in C^3 v' can lie
+    # in the other coordinate
+    "normal off-axis C^2": (np.array([0.04 * np.exp(0.7j), 0.003 + 0.02j]), np.array([0.0, 1.0j])),
+    "off-axis C^3": (np.array([0.03 * np.exp(2.1j), 0.0, -0.01 + 0.015j]),
+                     np.array([0.0, 0.4 - 0.3j, 0.6j])),
+    "near the wall C^3": (np.array([0.0, 0.1, 0.05j]), np.array([0.5j, 0.0, -0.2 + 0.1j])),
+    "normal off-axis C^3": (np.array([0.02, 0.05j, 0.04j]), np.array([0.0, 0.0, 1.0])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORTHOGONAL_DISCS))
+def test_flat_radius_with_orthogonal_directions_is_the_closed_form(case, monkeypatch):
+    # with <z', v'> = 0 the exit depends on the angle only through
+    # Im(v_n e^{i theta}); the disc leaves where that is -|v_n|, with no
+    # circle search
+    def no_circle_search(h):
+        raise AssertionError("circle search called")
+
+    monkeypatch.setattr(convex_geometry, "minimize_on_circle", no_circle_search)
+    z, v = ORTHOGONAL_DISCS[case]
+    domain = flat_domain(dimension=len(z))
+    assert domain.membership(z) == "inside"
+    assert np.vdot(z[:-1], v[:-1]) == 0.0
+    r = inscribed_disc_radius(domain, z, v)
+    assert r == pytest.approx(mp_orthogonal_flat_radius(domain.support, z, v), rel=1e-12, abs=0.0)
+    for theta in (0.4, 2.0, -2.9):
+        turned = complex(math.cos(theta), math.sin(theta)) * v
+        assert inscribed_disc_radius(domain, z, turned) == pytest.approx(r, rel=1e-14, abs=0.0)
 
 
 def test_inscribed_radius_rejects_zero_direction():

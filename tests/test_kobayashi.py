@@ -164,6 +164,17 @@ def test_graham_bounds_reject_outside_base():
             graham_bounds(domain, z, v)
 
 
+def test_graham_bounds_reject_boundary_points():
+    # on the boundary, or up to the membership tolerance outside it, the
+    # inscribed radius is 0 and no finite bound exists; the radius read
+    # -5e-13 just outside and the bounds check failed, and exactly on the
+    # boundary the division by 0 escaped as ZeroDivisionError
+    square = Polydisc((1.0, 1.0))
+    for z in ([1.0, 0.0], [1.0 + 5e-13, 0.0], [0.3, -1.0j]):
+        with pytest.raises(ValueError, match="point on the boundary"):
+            graham_bounds(square, z, [1.0, 1.0])
+
+
 def test_graham_sandwich_polydisc_random_directions():
     square = Polydisc((1.0, 1.0))
     rng = np.random.default_rng(21)

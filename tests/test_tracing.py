@@ -4,7 +4,8 @@
 rename in the package would break ``--trace 1`` without failing any other
 test.  Here a 64-node ``geodesic-probe`` op and one op of each command
 whose handler a report rule builds around a spanned function run through
-``cli.run`` inside a ``Tracer``: every traced name must exist, the spans and
+``cli.run`` inside a ``Tracer``, with an off-axis tilted ``domain-radius``
+op for the circle-minimum kernel: every traced name must exist, the spans and
 work counts must be recorded, each rule-built command must call its
 operation exactly once through the tracer's wrapper (the rules look it up
 when the command runs), and every patched
@@ -25,6 +26,8 @@ MODULES = (geodisc, cli, convex_geometry, disc_analysis, hardy_littlewood, kobay
 FLAT = {"kind": "flat_model", "C": 1.0, "alpha": 0.5, "R0": 0.111, "s0": 0.08}
 ON_FLAT = {"domain": FLAT, "point": [[0.0, 0.0], [0.0, 0.01]],
            "direction": [[0.6, 0.0], [0.0, 0.8]]}
+# off the axis <z', v'> != 0, so the tilted radius takes the circle search
+OFF_AXIS = dict(ON_FLAT, point=[[0.03, 0.0], [0.0, 0.03]])
 SQUARE = {"kind": "polydisc", "radii": [1.0, 1.0]}
 
 # rule-built command -> (config, the span of the operation it calls)
@@ -58,6 +61,7 @@ def test_tracer_counts_cli_ops_and_restores_every_patch(monkeypatch, tmp_path):
     ops = [
         ("geodesic-probe", {"candidate": {"kind": "nonextending"}, "n_theta": 64}, None),
         *((command, cfg, span) for command, (cfg, span) in RULE_BUILT_OPS.items()),
+        ("domain-radius", OFF_AXIS, "convex_geometry.inscribed_disc_radius"),
     ]
     with tracing.Tracer() as tracer:
         patches = list(tracer._patches)
@@ -75,8 +79,10 @@ def test_tracer_counts_cli_ops_and_restores_every_patch(monkeypatch, tmp_path):
 
     metrics = tracer.layer_metrics()
     assert metrics["cli.run.calls"] == len(ops)
-    # domain-radius and graham are its only callers among these ops
-    assert metrics["convex_geometry.inscribed_disc_radius.calls"] == 2
+    # domain-radius (twice) and graham are its only callers among these ops
+    assert metrics["convex_geometry.inscribed_disc_radius.calls"] == 3
+    assert metrics["numerics.minimize_on_circle.calls"] >= 1
+    assert metrics["numerics.minimize_on_circle.objective_evals"] > 0
     assert metrics["convex_geometry.signed_gap.flat_model.calls"] >= 1
     assert metrics["disc_analysis.boundary_samples.nodes"] == 64
     assert metrics["disc_analysis.modulus_profile.lag_pairs"] > 0
