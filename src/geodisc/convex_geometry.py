@@ -121,21 +121,24 @@ class DiscConstraint:
         return float(np.linalg.norm(z[self.coords] - self.center)) - self.radius
 
     def exit(self, z: np.ndarray, u: np.ndarray) -> float:
-        p = z[self.coords] - self.center
-        w = u[self.coords]
-        ww = float(np.vdot(w, w).real)
-        if ww == 0.0:
-            return math.inf
-        return _disc_exit(float(np.linalg.norm(p)), float(np.vdot(p, w).real), ww, self.radius)
+        return self._exit(z, u, worst_phase=False)
 
     def distance(self, z: np.ndarray) -> float:
         return -self.gap(z)
 
     def disc_radius(self, z: np.ndarray, v: np.ndarray) -> float:
-        # the circle first leaves along the phase that makes Re<p, w> = |<p, w>|
-        inner = np.vdot(z[self.coords] - self.center, v[self.coords])
-        phase = inner.conjugate() / abs(inner) if inner != 0.0 else 1.0
-        return self.exit(z, phase * v)
+        return self._exit(z, v, worst_phase=True)
+
+    def _exit(self, z: np.ndarray, u: np.ndarray, worst_phase: bool) -> float:
+        """The exit along u, or along the e^{i theta} u that leaves first."""
+        p = z[self.coords] - self.center
+        w = u[self.coords]
+        ww = float(np.vdot(w, w).real)
+        if ww == 0.0:
+            return math.inf
+        inner = complex(np.vdot(p, w))
+        dot = abs(inner) if worst_phase else inner.real  # max of Re e^{i theta} inner
+        return _disc_exit(float(np.linalg.norm(p)), dot, ww, self.radius)
 
 
 @dataclass(frozen=True)
@@ -167,10 +170,6 @@ class GraphConstraint:
     ||z'|| <= R0, z' = z[:-1], where the graph's profile is convex."""
 
     support: FlatSupport
-    cylinder: DiscConstraint = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "cylinder", DiscConstraint(slice(0, -1), self.support.R0))
 
     def height(self, rho: float) -> float:
         return self.support.C * phi_alpha(rho, self.support.alpha)
@@ -189,7 +188,7 @@ class GraphConstraint:
     def _exit(self, pp: float, pw: float, ww: float, y: float, dy: float) -> float:
         """The exit along z + t u from ||z'||^2 = pp, Re<z', u'> = pw,
         ||u'||^2 = ww, Im z_n = y and Im u_n = dy: all the ray's data the
-        graph piece reads."""
+        graph piece reads.  It comes no later as pw grows or as dy falls."""
         if ww == 0.0:
             # ||z'|| stays fixed, so the gap is affine in t
             slack = y - self.height(math.sqrt(pp))
@@ -199,14 +198,23 @@ class GraphConstraint:
             rho = math.sqrt(max(pp + t * (2.0 * pw + t * ww), 0.0))
             return self.height(rho) - (y + t * dy)
 
-        within = _disc_exit(math.sqrt(pp), pw, ww, self.support.R0)
+        # A base point on the graph counts as inside up to the membership
+        # tolerance, as it does for the base check.
+        level = 0.0 if gap(0.0) < 0.0 else MEMBERSHIP_TOL
+        s = self.support
+        if dy == 0.0:
+            # Im z_n stays at y, so the ray leaves the cylinder where
+            # C phi_alpha(||z'||) <= y + level
+            top = y + level
+            if top <= 0.0:
+                return 0.0
+            radius = s.R0 if top >= s.C else min(s.R0, phi_alpha_inv(top, s.C, s.alpha))
+            return _disc_exit(math.sqrt(pp), pw, ww, radius)
+        within = _disc_exit(math.sqrt(pp), pw, ww, s.R0)
         if dy < 0.0:
             # the graph is >= 0, so a falling ray is below it once Im z_n < 0
             within = min(within, max(y, 0.0) / -dy)
-        # A base point on the graph counts as inside up to the membership
-        # tolerance, as it does for the base check; the gap is convex inside
-        # the cylinder, so it changes sign once on [0, within].
-        level = 0.0 if gap(0.0) < 0.0 else MEMBERSHIP_TOL
+        # the gap is convex in the cylinder: one sign change on [0, within]
         if gap(within) <= level:
             return within
         return solve_monotone(gap, 0.0, within, level, 1e-15)
@@ -229,38 +237,23 @@ class GraphConstraint:
         lo = float(ts[max(0, best - 1)])
         hi = float(ts[min(64, best + 1)])
         value = golden_section(dist2, lo, hi, 1e-14 * max(1.0, R0))
-        return min(self.cylinder.distance(z), math.sqrt(value))
+        return min(R0 - rho, math.sqrt(value))
 
     def disc_radius(self, z: np.ndarray, v: np.ndarray) -> float:
         """The largest rho with z + rho e^{i theta} v in the graph piece for
-        every theta.  Three cases need no circle search: tangential discs
-        (v_n = 0: the cylinder where C phi_alpha <= Im z_n), normal ones
-        (v' = 0) and those with <z', v'> = 0, which include every disc
-        centred on the axis z' = 0 (one exit along the fastest fall).  The
-        rest take ``minimize_on_circle`` over the exits."""
+        every theta: the smallest exit over the boundary circle.  Around it
+        only Re<z', v'> e^{i theta} and Im v_n e^{i theta} change, and the
+        exit falls as the first grows and as the second falls.  If <z', v'>
+        = 0 (every disc centred on the axis z' = 0), v_n = 0 (tangential
+        discs) or ||v'||^2 = 0 (the exit then reads only Im v_n e^{i theta}),
+        the exit at |<z', v'>| and -|v_n| is the radius.  The rest take
+        ``minimize_on_circle`` over the exits."""
         p, w = z[:-1], v[:-1]
-        ww = float(np.vdot(w, w).real)
-        y, vn = float(z[-1].imag), complex(v[-1])
-        if vn == 0.0:
-            # Im z_n stays at y, so the graph piece is the cylinder where
-            # C phi_alpha(||z'||) <= y (up to the membership tolerance for a
-            # base point on the graph, as in exit)
-            s = self.support
-            if self.height(float(np.linalg.norm(p))) >= y:
-                y += MEMBERSHIP_TOL
-            if y <= 0.0:
-                return 0.0
-            radius = s.R0 if y >= s.C else min(s.R0, phi_alpha_inv(y, s.C, s.alpha))
-            return DiscConstraint(slice(0, -1), radius).disc_radius(z, v)
-        # a closed disc lies in a convex set iff its boundary circle does;
-        # along v e^{i theta} only Re<z', v'> e^{i theta} and Im v_n e^{i theta}
-        # change
-        pp = float(np.vdot(p, p).real)
-        pv = complex(np.vdot(p, w))
-        if ww == 0.0 or pv == 0.0:
-            # only Im(v_n e^{i theta}) changes, and a ray that falls faster
-            # leaves no later: the circle first leaves where it is -|v_n|
-            return self._exit(pp, 0.0, ww, y, -abs(vn))
+        pp, ww = float(np.vdot(p, p).real), float(np.vdot(w, w).real)
+        pv, vn = complex(np.vdot(p, w)), complex(v[-1])
+        y = float(z[-1].imag)
+        if pv == 0.0 or vn == 0.0 or ww == 0.0:
+            return self._exit(pp, abs(pv), ww, y, -abs(vn))
 
         def objective(theta: float) -> float:
             turn = complex(math.cos(theta), math.sin(theta))
@@ -480,14 +473,20 @@ def _check_base(domain: ConvexDomainModel, z) -> np.ndarray:
     return z
 
 
-def _check_ray(domain: ConvexDomainModel, z, u) -> tuple[np.ndarray, np.ndarray]:
+def _check_vector(domain: ConvexDomainModel, z, u) -> tuple[np.ndarray, np.ndarray]:
+    """The base point and a direction of its dimension, which may be 0."""
+    z = _check_base(domain, z)
     u = _as_point(u)
+    if len(u) != domain.dimension:
+        raise ValueError("direction has wrong dimension")
+    return z, u
+
+
+def _check_ray(domain: ConvexDomainModel, z, u) -> tuple[np.ndarray, np.ndarray]:
+    z, u = _check_vector(domain, z, u)
     norm = float(np.linalg.norm(u))
     if norm == 0.0:
         raise ValueError("direction must be nonzero")
-    z = _check_base(domain, z)
-    if len(u) != domain.dimension:
-        raise ValueError("direction has wrong dimension")
     return z, u / norm
 
 

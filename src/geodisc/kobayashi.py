@@ -21,6 +21,7 @@ from .convex_geometry import (
     ConvexDomainModel,
     FlatModelDomain,
     Polydisc,
+    _check_vector,
     boundary_distance,
     inscribed_disc_radius,
     rest_bound_check,
@@ -86,6 +87,8 @@ def polydisc_distance(z, w, radii: Sequence[float]) -> float:
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     w = np.atleast_1d(np.asarray(w, dtype=complex))
     radii = np.asarray(radii, dtype=float)
+    if not z.shape == w.shape == radii.shape:
+        raise ValueError("z, w and radii differ in length")
     if np.any(np.abs(z) >= radii) or np.any(np.abs(w) >= radii):
         raise ValueError("point outside polydisc")
     return max(
@@ -111,10 +114,12 @@ class MetricBounds:
 def graham_bounds(domain: ConvexDomainModel, point, direction) -> MetricBounds:
     """||v|| / (2 r) <= kappa(z; v) <= ||v|| / r at z = ``point``, v =
     ``direction``, with r the inscribed disc radius; degenerate (0, 0) for
-    v = 0.  A boundary point (r = 0) has no finite bounds and is rejected."""
+    v = 0, after the radius's checks of the base point and the direction's
+    length.  A boundary point (r = 0) has no finite bounds and is rejected."""
     v = np.atleast_1d(np.asarray(direction, dtype=complex))
     norm = float(np.linalg.norm(v))
     if norm == 0.0:
+        _check_vector(domain, point, v)
         return MetricBounds(0.0, 0.0)
     radius = inscribed_disc_radius(domain, point, v)
     if radius == 0.0:

@@ -725,6 +725,17 @@ BAD_CONFIGS = {
         {"domain": FLAT, "point": [0, [0, 0.01]], "direction": [1, 0, 0]},
         "direction",
     ),
+    "graham zero direction outside": (
+        "graham",
+        {"domain": {"kind": "polydisc", "radii": [1, 1]}, "point": [5, 5], "direction": [0, 0]},
+        "base point outside domain",
+    ),
+    "graham long zero direction": (
+        "graham",
+        {"domain": {"kind": "polydisc", "radii": [1, 1]}, "point": ORIGIN,
+         "direction": [0, 0, 0]},
+        "direction has wrong dimension",
+    ),
     "graham at a boundary point": (
         "graham",
         {"domain": {"kind": "polydisc", "radii": [1, 1]}, "point": [[1.0000000000005, 0], 0],

@@ -426,6 +426,25 @@ def test_inscribed_radius_bidisc_offset_axis():
     assert abs(inscribed_disc_radius(square, [0.5, 0.0], [1.0, 0.0]) - 0.5) < 1e-10
 
 
+def test_off_centre_disc_radii_take_the_worst_phase():
+    # off the centre, with <p, v> not real, the disc leaves first along the
+    # phase that makes Re<p, e^{i theta} v> = |<p, v>|: for unit v the ball
+    # gives -b + sqrt(b^2 + R^2 - ||p||^2) with b = |<z - c, v>|, and each
+    # coordinate disc of the polydisc (r_k - |z_k|) / |v_k|
+    rng = np.random.default_rng(41)
+    for _ in range(10):
+        center, v = unit_vector(rng, 2), unit_vector(rng, 2)
+        p = rng.uniform(0.1, 0.8) * unit_vector(rng, 2)
+        b = abs(np.vdot(p, v))
+        expected = -b + math.sqrt(b * b + 1.0 - float(np.vdot(p, p).real))
+        r = inscribed_disc_radius(Ball(center, 1.0), center + p, v)
+        assert r == pytest.approx(expected, rel=1e-12)
+        radii = rng.uniform(0.5, 2.0, 2)
+        z = rng.uniform(0.1, 0.8) * radii * np.exp(2j * math.pi * rng.random(2))
+        expected = min((radii - abs(z)) / abs(v))
+        assert inscribed_disc_radius(Polydisc(tuple(radii)), z, v) == pytest.approx(expected, rel=1e-12)
+
+
 def test_inscribed_radius_dominates_boundary_distance_and_phase_invariant():
     domain = flat_domain()
     rng = np.random.default_rng(13)
@@ -522,18 +541,53 @@ def test_off_axis_tilted_radii_match_membership_grid(dimension):
             assert oracle - r <= 1e-5 * oracle
 
 
+def mp_level_radius(support, d):
+    """min(R0, phi_alpha^{-1}(d)), the radius where C phi_alpha reaches d
+    inside the cylinder, from mpmath at 50 digits."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        C, alpha, R0 = (mp.mpf(t) for t in (support.C, support.alpha, support.R0))
+        return min(R0, mp.log(C / mp.mpf(d)) ** (-1 / alpha))
+
+
 @pytest.mark.parametrize("dimension", [2, 3])
 @pytest.mark.parametrize("d", [1e-6, 1e-3, 0.01, 0.07])
-def test_flat_tangential_radius_on_the_axis(dimension, d):
-    # at (0', i d) a tangential disc stays at height d, so its radius is the
-    # cylinder's where C phi_alpha reaches d, or R0 (d = 0.07 is above
-    # C phi_alpha(R0))
+@pytest.mark.parametrize("offset", [0.0, 0.5], ids=["axis", "off-axis"])
+def test_flat_tangential_radius_is_the_level_cylinder_exit(dimension, d, offset):
+    # a tangential disc at (z', i d) stays at height d, so its radius is
+    # the exit from the cylinder ||z'|| <= R where C phi_alpha reaches d, or
+    # R = R0 (d = 0.07 is above C phi_alpha(R0)); the circle leaves it first
+    # where Re<z', e^{i theta} v'> = |<z', v'>| = b, at -b + sqrt(b^2 + R^2 -
+    # ||z'||^2).  The off-axis bases sit at R / 2.
+    mp = pytest.importorskip("mpmath")
     domain = flat_domain(dimension=dimension)
-    s = domain.support
-    z = np.append(np.zeros(dimension - 1), 1j * d)
-    v = np.append(unit_vector(np.random.default_rng(3), dimension - 1), 0.0)
-    expected = min(s.R0, phi_alpha_inv(d, s.C, s.alpha))
+    rng = np.random.default_rng(3)
+    level = mp_level_radius(domain.support, d)
+    z = np.append(offset * float(level) * unit_vector(rng, dimension - 1), 1j * d)
+    v = np.append(unit_vector(rng, dimension - 1), 0.0)
+    with mp.workdps(50):
+        b = abs(mp.fsum(mp.conj(mp.mpc(x)) * mp.mpc(y) for x, y in zip(z[:-1], v[:-1])))
+        pp = mp.fsum(abs(mp.mpc(x)) ** 2 for x in z[:-1])
+        expected = float(-b + mp.sqrt(b**2 + level**2 - pp))
     assert inscribed_disc_radius(domain, z, v) == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("dimension", [2, 3])
+@pytest.mark.parametrize("d", [1e-6, 1e-3, 0.01, 0.07])
+def test_flat_level_ray_exit_is_the_tangential_radius(dimension, d, monkeypatch):
+    # along u = (1, 0') from (0', i d) Im z_n stays at d, so the exit is the
+    # level cylinder's radius in closed form, with no root solve, and the
+    # same float as the radius of the tangential disc with v = u
+    def no_root_solve(*args):
+        raise AssertionError("root solve called")
+
+    monkeypatch.setattr(convex_geometry, "solve_monotone", no_root_solve)
+    domain = flat_domain(dimension=dimension)
+    z = np.append(np.zeros(dimension - 1), 1j * d)
+    u = np.eye(dimension)[0]
+    t = exit_time(domain, z, u)
+    assert t == inscribed_disc_radius(domain, z, u)
+    assert t == pytest.approx(float(mp_level_radius(domain.support, d)), rel=2e-16, abs=0.0)
 
 
 def mp_orthogonal_flat_radius(support, z, v) -> float:
@@ -598,6 +652,47 @@ def test_flat_radius_with_orthogonal_directions_is_the_closed_form(case, monkeyp
     for theta in (0.4, 2.0, -2.9):
         turned = complex(math.cos(theta), math.sin(theta)) * v
         assert inscribed_disc_radius(domain, z, turned) == pytest.approx(r, rel=1e-14, abs=0.0)
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from([2, 3]),
+       st.sampled_from([0.3, 0.5, 0.8]), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_flat_one_exit_radius_is_the_worst_phase_exit(seed, dimension, alpha, tangential):
+    # tangential discs (v_n = 0) and discs with <z', v'> = 0 (z' = 0, v' =
+    # 0, or in C^3 the two in different coordinates): the radius is at most
+    # the exit along e^{i theta} v at every theta, and it is the exit at the
+    # worst phase.  That is the graph's, where Re<z', e^{i theta} v'> =
+    # |<z', v'>| and Im(e^{i theta} v_n) = -|v_n|, or one of the box caps',
+    # where Re(e^{i theta} v_n) = +-|v_n| or Im(e^{i theta} v_n) = |v_n|.
+    rng = np.random.default_rng(seed)
+    domain = flat_domain(alpha=alpha, dimension=dimension)
+    s = domain.support
+    rho = rng.choice([0.0, rng.uniform(0.02, 0.9) * s.R0])
+    height = s.C * phi_alpha(rho, s.alpha)
+    z = np.append(rho * unit_vector(rng, dimension - 1),
+                  complex(rng.uniform(-0.3, 0.3) * s.s0,
+                          height + rng.uniform(0.01, 0.5) * (s.s0 - height)))
+    v = np.append(rng.uniform(0.1, 1.0) * unit_vector(rng, dimension - 1),
+                  rng.uniform(0.1, 1.0) * np.exp(2j * math.pi * rng.random()))
+    if tangential:
+        v[-1] = 0.0
+    elif rho > 0.0 and (dimension == 2 or rng.random() < 0.3):
+        v[:-1] = 0.0
+    elif rho > 0.0:
+        k = rng.integers(2)
+        z[k], v[1 - k] = 0.0, 0.0
+    pv, vn = complex(np.vdot(z[:-1], v[:-1])), complex(v[-1])
+    assert pv == 0.0 or vn == 0.0
+    r = inscribed_disc_radius(domain, z, v)
+    for theta in 2.0 * math.pi * np.arange(64) / 64:
+        # up to rounding, where theta hits the worst phase
+        assert r <= exit_time(domain, z, np.exp(1j * theta) * v) * (1.0 + 1e-12)
+    if vn == 0.0:
+        phases = [pv.conjugate() / abs(pv) if pv != 0.0 else 1.0]
+    else:
+        phases = [vn.conjugate() / abs(vn) * turn for turn in (1.0, 1j, -1.0, -1j)]
+    worst = min(exit_time(domain, z, phase * v) for phase in phases)
+    assert r == pytest.approx(worst, rel=1e-12, abs=0.0)
 
 
 def test_inscribed_radius_rejects_zero_direction():

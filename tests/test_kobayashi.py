@@ -127,6 +127,14 @@ def test_polydisc_distance_rejects_outside():
         polydisc_distance([1.5, 0.0], [0.0, 0.0], (1.0, 1.0))
 
 
+def test_polydisc_distance_rejects_mismatched_lengths():
+    # numpy broadcast the one-entry argument and zip dropped the rest, so
+    # both read 0.0
+    for z, w, radii in (([0.1], [0.1, 0.5], (1.0, 1.0)), ([0.1, 0.2], [0.1, 0.5], (1.0,))):
+        with pytest.raises(ValueError, match="differ in length"):
+            polydisc_distance(z, w, radii)
+
+
 # --- Graham bounds -----------------------------------------------------------
 
 def test_graham_bounds_ball_center():
@@ -154,6 +162,15 @@ def test_graham_bounds_bidisc_center_axis():
 def test_graham_bounds_zero_direction():
     bounds = graham_bounds(Polydisc((1.0,)), [0.0], [0.0])
     assert bounds.lower == bounds.upper == 0.0
+
+
+def test_graham_bounds_zero_direction_checks_base_and_length():
+    # the v = 0 shortcut returned (0, 0) before any check
+    square = Polydisc((1.0, 1.0))
+    with pytest.raises(ValueError, match="base point outside domain"):
+        graham_bounds(square, [5.0, 5.0], [0.0, 0.0])
+    with pytest.raises(ValueError, match="direction has wrong dimension"):
+        graham_bounds(square, [0.0, 0.0], [0.0, 0.0, 0.0])
 
 
 def test_graham_bounds_reject_outside_base():
