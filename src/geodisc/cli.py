@@ -526,7 +526,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.config:
             with open(args.config) as fh:
-                cfg = json.load(fh)
+                try:
+                    cfg = json.load(fh)
+                except RecursionError:
+                    raise ConfigError("config nested too deeply to read") from None
             if not isinstance(cfg, dict):
                 raise ConfigError("config must be a JSON object")
         if args.out is not None:

@@ -53,7 +53,7 @@ def x0_cap(C: float, alpha: float, scan_n: int | None = None) -> float:
     the smaller one lies left of s*, where it is solved for on the log scale:
     it can sit hundreds of decades below C.  ``scan_n`` is accepted and
     ignored; it sized the log-spaced sign scan this bracket replaced, and
-    existing callers still pass it.
+    the acceptance gate still passes it.
     """
     if C <= 0.0 or alpha <= 0.0:
         raise ValueError("C and alpha must be positive")
@@ -66,7 +66,7 @@ def x0_cap(C: float, alpha: float, scan_n: int | None = None) -> float:
     # e^{alpha w} > 1 + alpha w + (alpha w)^2 / 2 gives h(s* - w) > 0 once
     # alpha w^2 / 2 >= -h(s*)
     lo = s_star - math.sqrt(-2.0 * h_star / alpha) - 1.0
-    return min(C / 2.0, math.exp(solve_monotone(h, lo, s_star, 0.0, 0.0)))
+    return min(C / 2.0, math.exp(solve_monotone(h, lo, s_star, 0.0)))
 
 
 def rho_triangle(d: float, slope: float, C: float, alpha: float) -> float:
@@ -74,6 +74,8 @@ def rho_triangle(d: float, slope: float, C: float, alpha: float) -> float:
 
     The left side is strictly increasing, so this is a bracketed monotone
     solve; slope is the ratio V_n / ||V'|| of the tilted disc direction.
+    A root past the largest double, when d >= C and d / slope overflows,
+    raises ``OverflowError``.
     """
     if d <= 0.0:
         raise ValueError("d must be positive")
@@ -89,7 +91,10 @@ def rho_triangle(d: float, slope: float, C: float, alpha: float) -> float:
     hi = d / slope
     if d < C:
         hi = min(hi, phi_alpha_inv(d, C, alpha))
-    return solve_monotone(lhs, 0.0, hi * (1.0 + 1e-12), d, 1e-14)
+    hi *= 1.0 + 1e-12
+    if hi == math.inf:
+        raise OverflowError("the root d / slope exceeds the largest double")
+    return solve_monotone(lhs, 0.0, hi, d)
 
 
 # --- convex constraints --------------------------------------------------------
@@ -217,7 +222,7 @@ class GraphConstraint:
         # the gap is convex in the cylinder: one sign change on [0, within]
         if gap(within) <= level:
             return within
-        return solve_monotone(gap, 0.0, within, level, 1e-15)
+        return solve_monotone(gap, 0.0, within, level)
 
     def distance(self, z: np.ndarray) -> float:
         """Distance to the cylinder wall or to the surface {Im z_n = C
@@ -451,7 +456,8 @@ class FlatModelDomain(ConvexDomainModel):
         if self.dimension < 2:
             raise ValueError("flat model needs dimension at least 2")
         s = self.support
-        last = np.eye(self.dimension, dtype=complex)[-1]
+        last = np.zeros(self.dimension, dtype=complex)
+        last[-1] = 1.0
         object.__setattr__(self, "pieces", (
             HalfspaceConstraint(last, s.s0),  # Re z_n <= s0
             HalfspaceConstraint(-last, s.s0),  # -Re z_n <= s0
@@ -482,12 +488,35 @@ def _check_vector(domain: ConvexDomainModel, z, u) -> tuple[np.ndarray, np.ndarr
     return z, u
 
 
+# A norm in this range lost nothing to squares that under- or overflowed.
+_NORM_SAFE = (2.0**-480, 2.0**480)
+
+
+def _scaled_norm(u: np.ndarray) -> tuple[np.ndarray, float, int]:
+    """(w, ||w||, e) with u = w 2^e exactly: w = u where ||u|| is in the
+    safe range (or u is 0 or not finite), else u scaled by the exact power
+    of two that brings its largest entry into [1/2, 1), whose squares then
+    neither underflow nor overflow.  The scaling takes two steps, as 2^-e
+    alone overflows for a subnormal entry 2^e."""
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(u))
+    if _NORM_SAFE[0] <= norm <= _NORM_SAFE[1]:
+        return u, norm, 0
+    top = float(np.abs(u).max(initial=0.0))
+    if not 0.0 < top < math.inf:
+        return u, norm, 0
+    e = math.frexp(top)[1]
+    half = e // 2
+    w = u * 2.0**-half * 2.0 ** (half - e)
+    return w, float(np.linalg.norm(w)), e
+
+
 def _check_ray(domain: ConvexDomainModel, z, u) -> tuple[np.ndarray, np.ndarray]:
     z, u = _check_vector(domain, z, u)
-    norm = float(np.linalg.norm(u))
+    w, norm, _ = _scaled_norm(u)
     if norm == 0.0:
         raise ValueError("direction must be nonzero")
-    return z, u / norm
+    return z, w / norm
 
 
 def exit_time(domain: ConvexDomainModel, z, u) -> float:

@@ -22,6 +22,7 @@ from .convex_geometry import (
     FlatModelDomain,
     Polydisc,
     _check_vector,
+    _scaled_norm,
     boundary_distance,
     inscribed_disc_radius,
     rest_bound_check,
@@ -115,9 +116,11 @@ def graham_bounds(domain: ConvexDomainModel, point, direction) -> MetricBounds:
     """||v|| / (2 r) <= kappa(z; v) <= ||v|| / r at z = ``point``, v =
     ``direction``, with r the inscribed disc radius; degenerate (0, 0) for
     v = 0, after the radius's checks of the base point and the direction's
-    length.  A boundary point (r = 0) has no finite bounds and is rejected."""
+    length.  A boundary point (r = 0) has no finite bounds and is rejected;
+    a v longer than the largest double raises ``OverflowError``."""
     v = np.atleast_1d(np.asarray(direction, dtype=complex))
-    norm = float(np.linalg.norm(v))
+    _, norm, e = _scaled_norm(v)
+    norm = math.ldexp(norm, e)
     if norm == 0.0:
         _check_vector(domain, point, v)
         return MetricBounds(0.0, 0.0)

@@ -273,7 +273,6 @@ def solve_monotone(
     lo: float,
     hi: float,
     target: float,
-    tol: float,
 ) -> float:
     """Root of a monotone g on [lo, hi] for g(x) = target, by Illinois false
     position (Dowell & Jarratt, BIT 11, 1971) kept inside the bracket.
@@ -282,13 +281,12 @@ def solve_monotone(
     once at each end, then once per step, always strictly inside the
     current bracket.  A step is the false-position point of the two ends,
     with the residual of an end kept twice in a row halved (the Illinois
-    rule); while the bracket is wider than tol, the step stays at least
-    tol/2 from either end, so that a step landing on the root closes the
-    bracket.  After two steps in a row that fail to halve the bracket, the
-    next step bisects.  It stops once the bracket is
-    <= tol wide and the smaller end residual |g - target| is <= tol, or at
-    floating-point resolution (tol = 0 runs there), or after 200 steps, and
-    returns the end with the smaller residual.
+    rule); a step that rounds onto an end moves to the adjacent float
+    inside, so that a root within rounding of an end closes the bracket in
+    one step.  After two steps in a row that fail to halve the bracket, the
+    next step bisects.  It stops at an exact root, or once no float lies
+    strictly inside the bracket, or after 200 steps, and returns the end
+    with the smaller residual |g - target|.
     """
     if not (hi > lo):
         raise ValueError("empty interval")
@@ -306,13 +304,11 @@ def solve_monotone(
     slow = 0  # steps in a row that did not halve the bracket
     for _ in range(_MAX_ITER):
         width = hi - lo
-        if width <= tol and min(abs(flo), abs(fhi)) <= tol:
-            break
         bisect = slow >= 2
         if not bisect:
             x = lo + (hi - lo) * (wlo / (wlo - whi))
-            if width > tol:
-                x = min(max(x, lo + 0.5 * tol), hi - 0.5 * tol)
+            # x first, so that nan stays nan
+            x = min(max(x, math.nextafter(lo, hi)), math.nextafter(hi, lo))
             bisect = not lo < x < hi  # also when x is nan
         if bisect:
             x = 0.5 * (lo + hi)

@@ -265,8 +265,8 @@ PINNED_REPORTS = {
     ),
     "flat-rho": (
         {"d": 0.1, "slope": 1.0, "C": 1.0, "alpha": 1.0},
-        '{\n  "command": "flat-rho",\n  "result": {\n    "rho": 0.09995480488512751\n  }\n}\n',
-        "rho\n0.09995480488512751\n",
+        '{\n  "command": "flat-rho",\n  "result": {\n    "rho": 0.09995480488512752\n  }\n}\n',
+        "rho\n0.09995480488512752\n",
     ),
     "geodesic-defect": (
         {"candidate": {"kind": "map", "map": {"kind": "pair_identity_zero"},
@@ -708,6 +708,11 @@ BAD_CONFIGS = {
         {"d": 0.1, "slope": 1, "C": 1, "alpha": 800},
         "numeric overflow",
     ),
+    "overflowing flat root": (
+        "flat-rho",
+        {"d": 1e3, "slope": 1e-306, "C": 1, "alpha": 0.5},
+        "numeric overflow",
+    ),
     "short direction": (
         "domain-radius",
         {"domain": {"kind": "ball", "center": ORIGIN, "radius": 1}, "point": ORIGIN,
@@ -754,6 +759,17 @@ BAD_CONFIGS = {
         "image point outside domain",
     ),
 }
+
+
+def test_config_nested_past_the_recursion_limit_exits_one(tmp_path, capsys):
+    # json.load raised RecursionError with a traceback; the text is written
+    # as is, since json.dumps of so deep a value recurses too
+    config = tmp_path / "config.json"
+    config.write_text("[" * 100000 + "]" * 100000)
+    out = tmp_path / "report.json"
+    assert main(["flat-rho", "--config", str(config), "--out", str(out)]) == 1
+    assert "config nested too deeply" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("case", sorted(BAD_CONFIGS))

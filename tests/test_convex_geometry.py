@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -149,13 +150,35 @@ def test_rho_triangle_bisection_oracle():
 
 
 def test_rho_triangle_steep_root_to_relative_precision():
-    # a root of 4.2e-9 where the left side climbs ~4e4 per unit of rho:
-    # the absolute tolerance 1e-14 alone would allow a relative error of
-    # 1e-6, and bisection's midpoint came back 1.5e-11 off
+    # a root of 4.2e-9 where the left side climbs ~4e4 per unit of rho: a
+    # stop at an absolute tolerance of 1e-14 came back 1.5e-14 off, where
+    # closing the bracket at floating-point resolution is within rounding
     rho = rho_triangle(
         0.00040177438830700166, 2.3027151609485634, 1.1655324051827958, 0.10768541579207838
     )
-    assert abs(rho / 4.2398652366628161e-9 - 1.0) < 1e-12  # mpmath, 40 digits
+    assert abs(rho / 4.2398652366628161e-9 - 1.0) < 1e-15  # mpmath, 40 digits
+
+
+def test_rho_triangle_matches_mpmath_on_random_draws():
+    mp = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(11)
+    with mp.workdps(50):
+        for _ in range(50):
+            alpha = float(rng.uniform(0.05, 0.95))
+            C = float(rng.uniform(0.5, 2.0))
+            d = float(rng.uniform(1e-4, C / 2.0))
+            slope = float(rng.uniform(0.1, 5.0))
+            lhs = lambda r: C * mp.exp(-(r ** -alpha)) + r * slope - d
+            # lhs < 0 at 2^-1000 and > 0 at d / slope bracket the root
+            exact = mp.findroot(lhs, (mp.mpf(2) ** -1000, mp.mpf(d) / slope), solver="anderson")
+            rho = rho_triangle(d, slope, C, alpha)
+            assert abs(rho / exact - 1) < 2e-15, (d, slope, C, alpha)
+
+
+def test_rho_triangle_overflowing_root_raises():
+    # d >= C leaves d / slope as the only upper bound, and it overflows
+    with pytest.raises(OverflowError):
+        rho_triangle(1e3, 1e-306, 1.0, 0.5)
 
 
 def test_rho_triangle_below_inverse_on_random_draws():
@@ -700,6 +723,22 @@ def test_inscribed_radius_rejects_zero_direction():
         inscribed_disc_radius(Polydisc((1.0,)), [0.0], [0.0])
 
 
+@pytest.mark.parametrize("u, unit", [
+    ([1e-160, 1e-160], [1.0, 1.0]),
+    ([1e-200, 0.0], [1.0, 0.0]),
+    ([1e200, 0.0], [1.0, 0.0]),
+    ([5e-324, 0.0], [1.0, 0.0]),
+])
+def test_ray_queries_read_only_the_direction_of_extreme_lengths(u, unit):
+    # the squares of these entries underflow or overflow: the radius along
+    # 1e-160 (1, 1) came back 5.6e-6 short of sqrt 2, a length of 1e-200
+    # read as a zero direction and one of 1e200 gave an infinite radius
+    square = Polydisc((1.0, 1.0))
+    expected = math.hypot(*unit)
+    assert inscribed_disc_radius(square, [0.0, 0.0], u) == pytest.approx(expected, rel=1e-15)
+    assert exit_time(square, [0.0, 0.0], u) == pytest.approx(expected, rel=1e-15)
+
+
 def test_inscribed_radius_halfspace_global_minimum():
     # exit times over the circle have several basins here; the 64-point
     # scan of the circle settled in a non-global one (radius 1.0606845)
@@ -860,6 +899,19 @@ def test_rest_bound_phase_invariance():
     r2 = rest_bound_check(domain, z, v * complex(math.cos(2.2), math.sin(2.2)))
     assert abs(r1.radius - r2.radius) < 1e-9
     assert r1.d == r2.d
+
+
+def test_flat_model_construction_memory_does_not_grow_with_the_square_of_dimension():
+    # an n x n identity built for its last row peaked at 137 MB at this
+    # dimension
+    support = FlatSupport(1.0, 0.5, FlatSupport.convexity_cap(0.5), 0.1)
+    tracemalloc.start()
+    try:
+        FlatModelDomain(support, dimension=3000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_rest_bound_rejects_point_outside_zone():

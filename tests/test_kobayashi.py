@@ -159,6 +159,21 @@ def test_graham_bounds_bidisc_center_axis():
     assert abs(bounds.upper - 1.0) < 1e-10  # exact metric = 1 sits inside
 
 
+@pytest.mark.parametrize("v, length", [
+    ([1e-160, 1e-160], math.sqrt(2.0) * 1e-160),
+    ([1e-200, 0.0], 1e-200),
+    ([1e200, 0.0], 1e200),
+])
+def test_graham_bounds_at_extreme_direction_lengths(v, length):
+    # ||v||^2 underflows or overflows for these: 1e-200 gave (0, 0) and
+    # 1e200 gave (nan, nan); the radius is sqrt 2 along (1, 1), else 1
+    square = Polydisc((1.0, 1.0))
+    radius = math.sqrt(2.0) if v[1] else 1.0
+    bounds = graham_bounds(square, [0.0, 0.0], v)
+    assert bounds.lower == pytest.approx(length / (2.0 * radius), rel=1e-15, abs=0.0)
+    assert bounds.upper == pytest.approx(length / radius, rel=1e-15, abs=0.0)
+
+
 def test_graham_bounds_zero_direction():
     bounds = graham_bounds(Polydisc((1.0,)), [0.0], [0.0])
     assert bounds.lower == bounds.upper == 0.0

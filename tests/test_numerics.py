@@ -243,23 +243,33 @@ def test_log_moment_harmonic_diverges():
 
 def test_root_square_root_calls_and_steps_inside_the_bracket():
     # g is called at the two ends, then only strictly inside the bracket
-    # that the calls so far leave; false-position steps take 18 calls
-    # where bisection took 44
+    # that the calls so far leave; false-position steps reach the exact
+    # root in 19 calls, where bisection to 1e-12 took 44
     calls = []
-    root = solve_monotone(lambda x: calls.append(x) or x * x, 0.0, 3.0, 4.0, 1e-12)
+    root = solve_monotone(lambda x: calls.append(x) or x * x, 0.0, 3.0, 4.0)
     assert calls[:2] == [0.0, 3.0]
     lo, hi = 0.0, 3.0
     for x in calls[2:]:
         assert lo < x < hi
         lo, hi = (x, hi) if x * x < 4.0 else (lo, x)
-    assert abs(root - 2.0) < 1e-11
+    assert root == 2.0
     assert len(calls) <= 20
+
+
+def test_root_within_rounding_of_an_end_takes_one_step():
+    # g(1) = 1e-30: the false-position point rounds onto 1.0, moves to the
+    # float just below it, and that closes the bracket; without that move
+    # the solve bisected down to floating-point resolution in 55 calls
+    calls = []
+    root = solve_monotone(lambda x: calls.append(x) or x - 1.0 + 1e-30 * x * x, 0.0, 1.0, 0.0)
+    assert root == 1.0
+    assert len(calls) <= 4
 
 
 def test_bisection_exp_shift():
     # g(x) = e^{-1/x} + x is strictly increasing on (0, 0.2]
     g = lambda x: math.exp(-1.0 / x) + x
-    root = solve_monotone(g, 1e-6, 0.2, 0.1, 1e-12)
+    root = solve_monotone(g, 1e-6, 0.2, 0.1)
 
     # independent bisection oracle
     lo, hi = 1e-6, 0.2
@@ -275,7 +285,7 @@ def test_bisection_exp_shift():
 
 def test_bisection_requires_bracket():
     with pytest.raises(ValueError, match="target not bracketed"):
-        solve_monotone(lambda x: x, 0.0, 1.0, 5.0, 1e-10)
+        solve_monotone(lambda x: x, 0.0, 1.0, 5.0)
 
 
 @given(
@@ -286,7 +296,7 @@ def test_bisection_requires_bracket():
 def test_bisection_residual_on_monotone_cubics(scale, shift):
     g = lambda x: scale * x**3 + x + shift
     target = g(0.3)
-    root = solve_monotone(g, -1.0, 1.0, target, 1e-11)
+    root = solve_monotone(g, -1.0, 1.0, target)
     assert abs(root - 0.3) < 1e-9
     assert abs(g(root) - target) <= 1e-10
 
