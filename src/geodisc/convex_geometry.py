@@ -383,10 +383,7 @@ class HalfspaceIntersection(ConvexDomainModel):
         if any(len(a) != dim for a, _ in cons):
             raise ValueError("inconsistent constraint dimensions")
         object.__setattr__(self, "constraints", cons)
-        norms = [float(np.linalg.norm(a)) for a, _ in cons]
-        if 0.0 in norms:
-            raise ValueError("halfspace normal must be nonzero")
-        pieces = tuple(HalfspaceConstraint(a / r, b / r) for (a, b), r in zip(cons, norms))
+        pieces = tuple(_unit_halfspace(a, b) for a, b in cons)
         object.__setattr__(self, "pieces", pieces)
         anchor = (
             np.zeros(dim, dtype=complex)
@@ -509,6 +506,16 @@ def _scaled_norm(u: np.ndarray) -> tuple[np.ndarray, float, int]:
     half = e // 2
     w = u * 2.0**-half * 2.0 ** (half - e)
     return w, float(np.linalg.norm(w)), e
+
+
+def _unit_halfspace(a: np.ndarray, b: float) -> HalfspaceConstraint:
+    """Re<a, z> <= b with its normal scaled to unit length; the norm of a is
+    taken through :func:`_scaled_norm`, so tiny and huge normals neither
+    under- nor overflow."""
+    w, norm, e = _scaled_norm(a)
+    if norm == 0.0:
+        raise ValueError("halfspace normal must be nonzero")
+    return HalfspaceConstraint(w / norm, math.ldexp(b / norm, -e))
 
 
 def _check_ray(domain: ConvexDomainModel, z, u) -> tuple[np.ndarray, np.ndarray]:

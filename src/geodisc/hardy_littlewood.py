@@ -141,11 +141,6 @@ def verify_majorant(f: UnitDiscFunction, phi) -> MajorantReport:
     )
 
 
-# The relative increment tolerances of phi_log_l1 and of omega_bound
-_L1_TOL = 1e-9
-_BOUND_TOL = 1e-10
-
-
 def phi_log_l1(phi, n: int) -> QuadratureResult:
     """int_0^{r0} (log(1/x))^n Phi(x) dx with the divergence verdict.
 
@@ -154,7 +149,7 @@ def phi_log_l1(phi, n: int) -> QuadratureResult:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return integrate_log_moment(phi.log_form, n, math.log(1.0 / phi.r0), _L1_TOL)
+    return integrate_log_moment(phi.log_form, n, math.log(1.0 / phi.r0))
 
 
 def omega_bound(majorant, delta: float) -> float:
@@ -163,7 +158,7 @@ def omega_bound(majorant, delta: float) -> float:
         raise ValueError("delta must lie in [0, r0)")
     if delta == 0.0:
         return 0.0
-    res = integrate_log_moment(majorant.log_form, 0, math.log(1.0 / delta), _BOUND_TOL)
+    res = integrate_log_moment(majorant.log_form, 0, math.log(1.0 / delta))
     return 3.0 * res.value if res.converged else math.inf
 
 

@@ -26,6 +26,10 @@ _GAUSS_ORDER = 16
 # not converged (the divergence verdict).
 _CONVERGENCE_RUN = 3
 
+# A halving looks Cauchy when it changes the running value by at most this
+# fraction of it; the one quadrature tolerance of the package.
+_QUAD_TOL = 1e-9
+
 # No quantity in this package legitimately integrates to anything near this;
 # refining past it only risks overflow, so the verdict is settled already.
 _VALUE_CAP = 1e50
@@ -140,20 +144,21 @@ def integrate_endpoint(
     f: Callable[[np.ndarray], np.ndarray],
     a: float,
     b: float,
-    tol: float,
 ) -> QuadratureResult:
     """Integrate f over (a, b] where f may blow up as x -> a+.
 
     ``f`` takes a 1-d float array of points and returns their values, an
     array of the same shape.  Panels shrink geometrically toward ``a``;
-    each new panel halves the lower cutoff.  The result converges once the
-    last few halvings each changed the running value by less than ``tol``
-    (relative to max(1, |value|)); the value then includes the geometric
-    tail inc r / (1 - r) of the last increment inc, with r its ratio to the
-    one before, when 0 < r < 1.  An integrand whose halvings keep growing
-    the value past the whole budget of 400 halvings, or until the cutoff
-    reaches floating-point resolution above a positive ``a``, is reported
-    with ``converged=False``: the divergence verdict.
+    each new panel halves the lower cutoff.  The result converges once
+    three halvings in a row each changed the running value by at most 1e-9
+    of its size.  The rule has no absolute floor, so scaling ``f`` does not
+    move the verdict, and an integral that is exactly 0 converges.  The
+    value then includes the geometric tail inc r / (1 - r) of the last
+    increment inc, with r its ratio to the one before, when 0 < r < 1.  An
+    integrand whose halvings keep growing the value past the whole budget
+    of 400 halvings, past 1e50, or until the cutoff reaches floating-point
+    resolution above a positive ``a``, is reported with
+    ``converged=False``: the divergence verdict.
 
     ``f`` sees the panels of 16 upcoming halvings at once, then 32, 64 and
     128 at a time, and the stopping rule reads them one halving after
@@ -175,8 +180,7 @@ def integrate_endpoint(
         total += inc
         levels += 1
 
-        scale = max(1.0, abs(total))
-        if abs(inc) < tol * scale:
+        if abs(inc) <= _QUAD_TOL * abs(total):
             small_run += 1
             if small_run >= _CONVERGENCE_RUN:
                 ratio = inc / last_inc if last_inc else 0.0
@@ -206,7 +210,6 @@ def integrate_log_moment(
     log_f: Callable[[np.ndarray], np.ndarray],
     n: int,
     lower: float,
-    tol: float,
 ) -> QuadratureResult:
     """int_lower^inf u^n e^{log_f(u)} du for a log density ``log_f``.
 
@@ -216,16 +219,15 @@ def integrate_log_moment(
     a lower-endpoint singularity by u -> 1/t, so each cutoff halving
     doubles the reach toward infinity.  Both integrands are built in log
     space, so a tiny density cannot underflow against a huge u^n.
-    Verdicts combine as in :func:`integrate_endpoint`.
+    Each piece stops by the rule of :func:`integrate_endpoint`, relative
+    to its own value; the result converges when both pieces do.
     """
     if lower < 0:
         raise ValueError("lower endpoint must be nonnegative")
     split = max(2.0 * lower, lower + 1.0)
-    head = integrate_endpoint(
-        lambda u: np.exp(n * np.log(u) + log_f(u)), lower, split, tol
-    )
+    head = integrate_endpoint(lambda u: np.exp(n * np.log(u) + log_f(u)), lower, split)
     tail = integrate_endpoint(
-        lambda t: np.exp(log_f(1.0 / t) - (n + 2) * np.log(t)), 0.0, 1.0 / split, tol
+        lambda t: np.exp(log_f(1.0 / t) - (n + 2) * np.log(t)), 0.0, 1.0 / split
     )
     return QuadratureResult(
         head.value + tail.value,

@@ -301,10 +301,10 @@ PINNED_REPORTS = {
     "hl-l1": (
         {"majorant": {"kind": "family", "K1": 1.0, "K2": math.e, "alpha": 0.5, "r0": 0.5}},
         '{\n  "command": "hl-l1",\n  "result": {\n'
-        '    "estimated_error": 5.998978791403409e-10,\n    "refinement_levels": 32,\n'
+        '    "estimated_error": 2.1873123420791273e-10,\n    "refinement_levels": 33,\n'
         '    "value": 0.5906161091496412,\n    "verdict": "converged"\n  }\n}\n',
         "value,verdict,refinement_levels,estimated_error\n"
-        "0.5906161091496412,converged,32,5.998978791403409e-10\n",
+        "0.5906161091496412,converged,33,2.1873123420791273e-10\n",
     ),
     "mod-cont": (
         {"function": {"kind": "identity"}, "n": 32, "deltas": [0.4, 1.0]},
@@ -338,8 +338,8 @@ PINNED_REPORTS = {
     "pz-bound": (
         {"modulus": {"kind": "holder", "a": 0.5}, "delta": 0.25},
         '{\n  "command": "pz-bound",\n  "result": {\n    "finite": true,\n'
-        '    "pz_bound": 1.7179052082261215\n  }\n}\n',
-        "pz_bound,finite\n1.7179052082261215,True\n",
+        '    "pz_bound": 1.7179052082261217\n  }\n}\n',
+        "pz_bound,finite\n1.7179052082261217,True\n",
     ),
     "log-dini": (
         {"modulus": {"kind": "holder", "a": 1.0}, "n_max": 2},
@@ -348,7 +348,7 @@ PINNED_REPORTS = {
         '    "verdicts": [\n      "converged",\n      "converged",\n      "converged"\n'
         "    ]\n  }\n}\n",
         "n,verdict,value\n0,converged,1.0\n1,converged,0.9999999999999999\n"
-        "2,converged,2.0\n",
+        "2,converged,1.9999999999999998\n",
     ),
     "rest-check": (
         {"domain": dict(FLAT, s0=0.1), "point": [0.0, [0.0, 0.01]], "direction": [1.0, 0.0]},
@@ -397,7 +397,7 @@ PINNED_REPORTS = {
         '          "beta": 1.0,\n          "r0": 0.25\n        },\n'
         '        "name": "majorant_fit",\n        "status": "pass"\n      },\n      {\n'
         '        "details": {\n          "converged": true,\n          "note": null,\n'
-        '          "value": 0.8685889638114987\n        },\n'
+        '          "value": 0.868588963811499\n        },\n'
         '        "name": "majorant_integrable",\n        "status": "pass"\n      },\n'
         '      {\n        "details": {\n          "omega_min": 0.0009817230043423733,\n'
         '          "verdict": "extends (numerically)"\n        },\n'
@@ -701,6 +701,11 @@ BAD_CONFIGS = {
         "hl-l1",
         {"majorant": {"kind": "family", "K1": 1, "K2": 2, "alpha": 0.5, "r0": 0.5},
          "n": 100000},
+        "numeric overflow",
+    ),
+    "overflowing pz bound": (
+        "pz-bound",
+        {"modulus": {"kind": "holder", "a": 1.0}, "delta": 3.0, "K": 1e308},
         "numeric overflow",
     ),
     "overflowing flatness exponent": (

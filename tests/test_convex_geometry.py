@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -209,13 +210,14 @@ def test_exit_time_ball_shifted():
     assert abs(exit_time(ball, [1.0, 0.0], [1.0, 0.0]) - 1.0) < 1e-14
 
 
-def halfspace_box(extra=()) -> HalfspaceIntersection:
-    # |Re z_k| <= 1, |Im z_k| <= 1 in C^2 via eight halfspaces
+def halfspace_box(extra=(), scale: float = 1.0) -> HalfspaceIntersection:
+    # |Re z_k| <= 1/scale, |Im z_k| <= 1/scale in C^2 via eight halfspaces
+    # with normals of length scale
     cons = []
     for k in range(2):
         for a0 in (1.0, -1.0, 1.0j, -1.0j):
             a = np.zeros(2, dtype=complex)
-            a[k] = a0
+            a[k] = scale * a0
             cons.append((a, 1.0))
     return HalfspaceIntersection(tuple(cons) + tuple(extra))
 
@@ -324,6 +326,28 @@ def test_boundary_distance_halfspace_box():
     box = halfspace_box()
     z = np.array([0.2 + 0.1j, -0.4j])
     assert abs(boundary_distance(box, z) - 0.6) < 1e-12
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e200])
+def test_halfspace_normals_that_under_or_overflow(scale):
+    # the squares of the normals' entries under- or overflow; the pieces
+    # still get unit normals and the offsets 1/scale
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        box = halfspace_box(scale=scale)
+        assert boundary_distance(box, [0.0, 0.0]) == pytest.approx(1.0 / scale, rel=1e-15)
+        radius = inscribed_disc_radius(box, [0.0, 0.0], [1.0, 0.0])
+        assert radius == pytest.approx(1.0 / scale, rel=1e-15)
+    for piece in box.pieces:
+        assert np.linalg.norm(piece.normal) == pytest.approx(1.0, rel=1e-15)
+
+
+def test_halfspace_ordinary_normals_keep_their_bits():
+    a = np.array([0.6 - 0.3j, 0.5j])
+    piece = halfspace_box([(a, 0.4)]).pieces[-1]
+    norm = float(np.linalg.norm(a))
+    assert np.array_equal(piece.normal, a / norm)
+    assert piece.offset == 0.4 / norm
 
 
 def test_halfspace_intersection_rejects_unbounded_sets():

@@ -431,11 +431,28 @@ def test_pz_bound_stretched_exponential_finite_and_dominated():
 def _far_integral_oracle(omega, delta, n=400000):
     xs = np.linspace(delta, math.pi, n)
     ys = omega(xs) / (xs * xs)
-    return float(np.trapezoid(ys, xs))
+    return float(np.sum(0.5 * (ys[1:] + ys[:-1]) * np.diff(xs)))  # trapezoid rule
 
 
 def test_pz_bound_diverges_for_log_reciprocal():
     assert pz_bound(ModulusFamily.log_reciprocal(), 0.1, 1.0) == math.inf
+
+
+def test_tiny_log_reciprocal_modulus_stays_divergent():
+    # 1e-20 / log(1/x): scaling omega moves neither integral's verdict; a
+    # stopping rule with an absolute floor called both convergent
+    omega = ModulusFamily(lambda u: math.log(1e-20) - np.log(np.maximum(u, 1.0)))
+    report = log_dini_test(omega, n_max=1)
+    assert report.verdicts == ("diverged", "diverged")
+    assert not report.log_dini
+    assert pz_bound(omega, 0.25, 1.0) == math.inf
+
+
+def test_pz_bound_overflow_of_convergent_integrals_raises():
+    # every piece converges (about 3.14 in all), but K times it overflows:
+    # an overflow, not the divergence verdict
+    with pytest.raises(OverflowError):
+        pz_bound(ModulusFamily.holder(1.0), 3.0, 1e308)
 
 
 def test_pz_bound_divergent_far_integral_is_infinite():

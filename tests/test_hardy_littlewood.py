@@ -133,6 +133,20 @@ def test_constant_majorant_l1():
     assert abs(res.value - 0.5) < 1e-9
 
 
+@pytest.mark.parametrize("c", [1e-300, 1e-20, 1e-12, 1.0, 1e40])
+def test_l1_value_does_not_depend_on_the_scale_of_phi(c):
+    # int_0^(1/2) c x^(-1/2) dx = c sqrt(2); a stopping rule with an
+    # absolute floor stopped early below a value of 1
+    res = phi_log_l1(Majorant.power(0.5, c, -0.5), 0)
+    assert res.converged
+    assert abs(res.value - c * math.sqrt(2.0)) <= 1e-13 * c * math.sqrt(2.0)
+
+
+def test_tiny_divergent_majorant_diverges():
+    # 1e-20 x^(-3/2) is not integrable at 0, however small the coefficient
+    assert not phi_log_l1(Majorant.power(0.5, 1e-20, -1.5), 0).converged
+
+
 def test_family_l1_value_matches_antiderivative():
     fam = DerivMajorantFamily(K1=1.0, K2=math.e, alpha=0.5, r0=0.5)
     res = phi_log_l1(fam, 0)
@@ -193,7 +207,8 @@ def test_majorant_generic_callable_route():
     res = phi_log_l1(phi, 1)
     assert res.converged
     dense = np.geomspace(1e-8, 0.5, 400000)
-    oracle = np.trapezoid(np.log(1.0 / dense) * np.exp(-1.0 / dense), dense)
+    ys = np.log(1.0 / dense) * np.exp(-1.0 / dense)
+    oracle = float(np.sum(0.5 * (ys[1:] + ys[:-1]) * np.diff(dense)))  # trapezoid rule
     assert abs(res.value - oracle) < 1e-6
 
 
@@ -249,6 +264,34 @@ def test_omega_bound_power_majorant_closed_form():
     phi = Majorant.power(0.5, 0.5, -0.5)
     expected = 3.0 * math.sqrt(1e-3)
     assert abs(omega_bound(phi, 1e-3) - expected) <= 1e-13 * expected
+
+
+def test_omega_bound_power_majorants_match_closed_form():
+    # 3 int_0^delta c x^e dx = 3 c delta^(e+1) / (e+1)
+    rng = np.random.default_rng(11)
+    for _ in range(100):
+        c = float(10.0 ** rng.uniform(-6.0, 6.0))
+        e = float(rng.uniform(-0.95, 2.0))
+        r0 = float(rng.uniform(0.05, 0.9))
+        delta = float(r0 * rng.uniform(0.01, 0.99))
+        expected = 3.0 * c * delta ** (e + 1.0) / (e + 1.0)
+        value = omega_bound(Majorant.power(r0, c, e), delta)
+        assert abs(value - expected) <= 1e-14 * expected, (c, e, r0, delta)
+
+
+def test_omega_bound_families_match_closed_form():
+    # 3 int_0^delta Phi = 3 K1 (log(K2/delta))^(1 - 1/alpha) / (1/alpha - 1)
+    rng = np.random.default_rng(12)
+    for _ in range(100):
+        K1 = float(10.0 ** rng.uniform(-3.0, 3.0))
+        K2 = float(rng.uniform(0.6, 5.0))
+        alpha = float(rng.uniform(0.1, 0.9))
+        r0 = float(rng.uniform(0.05, min(0.9, 0.9 * K2)))
+        delta = float(r0 * rng.uniform(0.01, 0.99))
+        p = 1.0 / alpha - 1.0
+        expected = 3.0 * K1 * math.log(K2 / delta) ** (-p) / p
+        value = omega_bound(DerivMajorantFamily(K1, K2, alpha, r0), delta)
+        assert abs(value - expected) <= 1e-14 * expected, (K1, K2, alpha, r0, delta)
 
 
 def test_omega_bound_divergent_family_is_infinite():

@@ -89,7 +89,7 @@ def test_pz_bound_stretched_matches_mpmath(name, delta):
     breaks = [delta, 1, mp.pi] if delta < 1 else [delta, mp.pi]
     far = mp.quad(lambda x: mp.exp(log_omega(-mp.log(x))) / x**2, breaks)
     expected = float(near + delta * far)
-    assert pz_bound(omega, delta, 1.0) == pytest.approx(expected, rel=REL)
+    assert pz_bound(omega, delta, 1.0) == pytest.approx(expected, rel=1e-13)
 
 
 @dataclass(frozen=True)
