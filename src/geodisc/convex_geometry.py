@@ -17,7 +17,7 @@ from itertools import combinations, islice
 
 import numpy as np
 
-from .numerics import golden_section, minimize_on_circle, solve_monotone
+from .numerics import minimize_on_circle, solve_monotone
 
 MEMBERSHIP_TOL = 1e-12
 
@@ -229,20 +229,23 @@ class GraphConstraint:
         phi_alpha(||z'||), ||z'|| <= R0}, whichever is nearer.
 
         By rotation invariance the surface distance is a 1-d problem in the
-        radial profile; the profile is convex on [0, R0], so the squared
-        distance along it is unimodal and golden-section is safe after a
-        coarse scan.
+        radial profile t.  Searching t in [rho, R0], rho = ||z'||, is exact:
+        the profile rises and Im z_n >= C phi_alpha(rho) inside, so t < rho
+        is farther than t = rho in both terms.  ``minimize_on_circle`` takes
+        t = rho + (R0 - rho) sin^2(psi/2).  The squared distance is not
+        unimodal (near the axis the flat vertex makes a second basin), so
+        the grid picks the basin; it picked the farther one at 4 of 5511
+        seeded points with alpha >= 0.3, by up to 4.3%.
         """
         R0 = self.support.R0
         rho = float(np.linalg.norm(z[:-1]))
         y = float(z[-1].imag)
-        dist2 = lambda t: (t - rho) ** 2 + (y - self.height(t)) ** 2
-        ts = np.linspace(0.0, R0, 65)
-        best = min(range(65), key=lambda i: dist2(float(ts[i])))
-        lo = float(ts[max(0, best - 1)])
-        hi = float(ts[min(64, best + 1)])
-        value = golden_section(dist2, lo, hi, 1e-14 * max(1.0, R0))
-        return min(R0 - rho, math.sqrt(value))
+
+        def dist2(psi: float) -> float:
+            t = rho + (R0 - rho) * math.sin(0.5 * psi) ** 2
+            return (t - rho) ** 2 + (y - self.height(t)) ** 2
+
+        return min(R0 - rho, math.sqrt(minimize_on_circle(dist2)))
 
     def disc_radius(self, z: np.ndarray, v: np.ndarray) -> float:
         """The largest rho with z + rho e^{i theta} v in the graph piece for
@@ -419,7 +422,7 @@ class FlatSupport:
             raise ValueError("C, R0, s0 must be positive")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
-        if self.R0 > self.convexity_cap(self.alpha) + 1e-12:
+        if self.R0 > self.convexity_cap(self.alpha) * (1.0 + 1e-12):
             raise ValueError("R0 exceeds the convexity cap of the graph")
 
     @staticmethod

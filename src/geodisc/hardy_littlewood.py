@@ -94,8 +94,8 @@ class DerivMajorantFamily:
 @dataclass(frozen=True)
 class MajorantReport:
     """The largest violation ||f'|| - Phi(1 - r) on the grid and its point;
-    ``scaled_violation`` is the largest violation divided by max(1, Phi) at
-    its own point."""
+    ``scaled_violation`` is the largest violation divided by Phi at its own
+    point, so that scaling f and Phi together does not move the verdict."""
 
     max_violation: float
     worst_r: float
@@ -103,7 +103,7 @@ class MajorantReport:
     scaled_violation: float
 
     def verified(self, slack: float = 1e-12) -> bool:
-        """Each grid point's violation is at most slack * max(1, Phi) there."""
+        """Each grid point's violation is at most slack * Phi there."""
         return self.scaled_violation <= slack
 
 
@@ -124,8 +124,8 @@ def verify_majorant(f: UnitDiscFunction, phi) -> MajorantReport:
     caps = np.repeat([phi.evaluate(1.0 - float(r)) for r in radii], len(_VERIFY_THETAS))
     zeta = np.multiply.outer(radii, np.cos(_VERIFY_THETAS) + 1j * np.sin(_VERIFY_THETAS))
     violations = row_norms(derivative_at(f, zeta.ravel())) - caps
-    with np.errstate(invalid="ignore"):  # -inf / inf where Phi is inf
-        scaled = violations / np.maximum(1.0, caps)
+    with np.errstate(divide="ignore", invalid="ignore"):  # Phi 0 or inf
+        scaled = violations / caps
     # a nan is no violation; there are none when all are -inf or nan
     violations, scaled = (np.where(np.isnan(v), -np.inf, v) for v in (violations, scaled))
     largest = float(np.max(violations))

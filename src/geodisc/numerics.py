@@ -3,8 +3,9 @@
 The primitives used everywhere else in the package: composite quadrature
 with divergence detection near an endpoint singularity, the same on the
 log scale u = log(1/x) for radial integrals near 0, bracketed false
-position for monotone root problems, golden-section search for unimodal
-minima, and minimization of a periodic objective over the circle parameter.
+position for monotone root problems, and the one minimiser: a grid scan
+and golden-section search for a periodic objective over the circle
+parameter, to which interval problems are mapped.
 """
 
 from __future__ import annotations
@@ -38,7 +39,8 @@ _VALUE_CAP = 1e50
 # and f(x) loses its precision, so a callable is not read beyond it.
 _U_MAX = -math.log(sys.float_info.min)
 
-# Iteration cap shared by root finding and golden-section search.
+# Step cap of solve_monotone; minimize_on_circle's golden-section search
+# shares it, though its 1e-12 bracket is reached in 55 steps.
 _MAX_ITER = 200
 
 # Halvings of the lower cutoff before an endpoint integral is called
@@ -334,18 +336,37 @@ def solve_monotone(
     return lo if abs(flo) <= abs(fhi) else hi
 
 
+# minimize_on_circle's grid, golden ratio and final bracket in the angle
+_CIRCLE_GRID = 64
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_CIRCLE_REFINE_TOL = 1e-12
 
 
-def golden_section(f: Callable[[float], float], lo: float, hi: float, tol: float) -> float:
-    """Minimize a unimodal f on [lo, hi] by golden-section search down to a
-    bracket ``tol`` wide; returns the least of f at the last two interior
-    points and at the midpoint."""
+def minimize_on_circle(h: Callable[[float], float]) -> float:
+    """The minimum of a 2*pi-periodic h, the package's one minimiser: a
+    64-point grid, then golden-section search within a grid step of the
+    first best grid point down to a bracket 1e-12 wide in the angle, which
+    is scale-free.  h is read 122 times, at angles reduced mod 2*pi; the
+    least value read is returned.  The grid alone picks the basin.  A value
+    that is not finite raises "objective not finite".
+    """
+
+    def f(theta: float) -> float:
+        y = h(theta % (2.0 * math.pi))
+        if not math.isfinite(y):
+            raise ValueError("objective not finite")
+        return y
+
+    step = 2.0 * math.pi / _CIRCLE_GRID
+    values = [f(step * k) for k in range(_CIRCLE_GRID)]
+    best = min(range(_CIRCLE_GRID), key=values.__getitem__)
+
+    lo, hi = step * best - step, step * best + step
     c = hi - _INVPHI * (hi - lo)
     d = lo + _INVPHI * (hi - lo)
     fc, fd = f(c), f(d)
     for _ in range(_MAX_ITER):
-        if hi - lo <= tol:
+        if hi - lo <= _CIRCLE_REFINE_TOL:
             break
         if fc < fd:
             hi, d, fd = d, c, fc
@@ -355,35 +376,4 @@ def golden_section(f: Callable[[float], float], lo: float, hi: float, tol: float
             lo, c, fc = c, d, fd
             d = lo + _INVPHI * (hi - lo)
             fd = f(d)
-    return min(fc, fd, f(0.5 * (lo + hi)))
-
-
-# minimize_on_circle's coarse grid and the bracket width of its refinement
-_CIRCLE_GRID = 64
-_CIRCLE_REFINE_TOL = 1e-12
-
-
-def minimize_on_circle(h: Callable[[float], float]) -> float:
-    """The minimum of a 2*pi-periodic h: a 64-point grid scan, then
-    golden-section search within a grid step of the best grid point, down
-    to a bracket 1e-12 wide.  Deterministic; the least value either step
-    found is returned.
-    """
-    step = 2.0 * math.pi / _CIRCLE_GRID
-    thetas = step * np.arange(_CIRCLE_GRID)
-    values = np.empty(_CIRCLE_GRID)
-    for i, theta in enumerate(thetas):
-        values[i] = _finite_objective(h, theta)
-    best = int(np.argmin(values))
-    theta_best = float(thetas[best])
-
-    wrapped = lambda t: _finite_objective(h, t % (2.0 * math.pi))
-    refined = golden_section(wrapped, theta_best - step, theta_best + step, _CIRCLE_REFINE_TOL)
-    return min(float(values[best]), refined)
-
-
-def _finite_objective(h: Callable[[float], float], theta: float) -> float:
-    y = h(theta)
-    if not math.isfinite(y):
-        raise ValueError("objective not finite")
-    return y
+    return min(values[best], fc, fd, f(0.5 * (lo + hi)))

@@ -718,6 +718,12 @@ BAD_CONFIGS = {
         {"d": 1e3, "slope": 1e-306, "C": 1, "alpha": 0.5},
         "numeric overflow",
     ),
+    "flat model past the convexity cap": (
+        "domain-distance",
+        {"domain": {"kind": "flat_model", "C": 1.0, "alpha": 0.05, "R0": 1e-12, "s0": 0.05},
+         "point": [0, [0, 0.01]]},
+        "R0 exceeds the convexity cap",
+    ),
     "short direction": (
         "domain-radius",
         {"domain": {"kind": "ball", "center": ORIGIN, "radius": 1}, "point": ORIGIN,

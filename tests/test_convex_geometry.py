@@ -420,6 +420,109 @@ def test_boundary_distance_below_exit_times():
         assert d <= exit_time(domain, z, u / np.linalg.norm(u)) + 1e-10
 
 
+def test_flat_distance_on_a_tiny_model_matches_mpmath():
+    # at alpha = 0.1 the convexity cap is 3.9e-11, so the whole model fits
+    # in a 1e-11 cylinder; an absolute 1e-14 search bracket returned the
+    # cylinder wall, 5e-12, for a graph 3.7e-14 away
+    domain = FlatModelDomain(FlatSupport(1.0, 0.1, 1e-11, 0.05))
+    d = boundary_distance(domain, np.array([5e-12, 1.3946e-06j]))
+    assert abs(d / 3.6930102455107835e-14 - 1.0) < 1e-9  # mpmath, 40 digits
+
+
+def flat_axis_draw(rng: np.random.Generator):
+    """A flat model and a depth d on its axis at which the vertex is the
+    nearest graph point: t^2 + (d - C phi(t))^2 >= d^2 for every radius t
+    once d <= min_t t^2 / (2 C phi(t)).  alpha in [0.3, 0.95), R0 from 0.5
+    to 1 times the cap and d log-uniform from 1e-6 up to 0.9 times the
+    least of s0 / 2, R0, x0_cap and half that bound."""
+    alpha = rng.uniform(0.3, 0.95)
+    C = math.exp(rng.uniform(math.log(0.5), math.log(2.0)))
+    R0 = FlatSupport.convexity_cap(alpha) * rng.uniform(0.5, 1.0)
+    s0 = rng.uniform(0.05, 0.1)
+    ts = np.geomspace(1e-3 * R0, R0, 512)
+    with np.errstate(over="ignore"):
+        vertex_nearest = float(np.min(ts**2 * np.exp(ts**-alpha) / (2.0 * C)))
+    top = 0.9 * min(0.5 * s0, R0, x0_cap(C, alpha), 0.5 * vertex_nearest)
+    d = math.exp(rng.uniform(math.log(1e-6), math.log(top)))
+    return FlatModelDomain(FlatSupport(C, alpha, R0, s0)), d
+
+
+def test_flat_axis_distance_is_the_depth_where_the_vertex_is_nearest():
+    # psi = 0 puts the vertex on the search's grid and the least value read
+    # is returned, so the distance is sqrt(d * d) = d exactly
+    rng = np.random.default_rng(21)
+    for _ in range(60):
+        domain, d = flat_axis_draw(rng)
+        assert boundary_distance(domain, np.array([0.0, 1j * d])) == d
+
+
+def dense_graph_distance(support, rho, y) -> float:
+    """The least distance from (rho, y) to the profile over [0, R0], or to
+    the wall: a 200001-point scan, polished by golden-section search in a
+    float bracket on the best scan interval."""
+    C, alpha, R0 = support.C, support.alpha, support.R0
+    ts = np.linspace(0.0, R0, 200001)
+    with np.errstate(divide="ignore"):
+        d2 = (ts - rho) ** 2 + (y - C * np.exp(-ts**-alpha)) ** 2
+    dist2 = lambda t: (t - rho) ** 2 + (y - C * phi_alpha(t, alpha)) ** 2
+    k = int(np.argmin(d2))
+    lo, hi = float(ts[max(k - 1, 0)]), float(ts[min(k + 1, ts.size - 1)])
+    best = float(d2[k])
+    ratio = (math.sqrt(5.0) - 1.0) / 2.0
+    while hi - lo > 1e-15 * R0:
+        c, e = hi - ratio * (hi - lo), lo + ratio * (hi - lo)
+        fc, fe = dist2(c), dist2(e)
+        best = min(best, fc, fe)
+        lo, hi = (lo, e) if fc < fe else (c, hi)
+    return min(R0 - rho, math.sqrt(best))
+
+
+def test_flat_distance_at_small_alpha_against_dense_reference():
+    # below alpha = 0.3 the convexity cap falls under 1e-2 (3.9e-11 at
+    # alpha = 0.1), where a search bracket absolute in t stopped short
+    rng = np.random.default_rng(19)
+    for _ in range(40):
+        alpha = rng.uniform(0.1, 0.3)
+        C = math.exp(rng.uniform(math.log(1e-2), math.log(1e3)))
+        support = FlatSupport(C, alpha, FlatSupport.convexity_cap(alpha) * rng.uniform(0.3, 1.0),
+                              0.05)
+        rho = support.R0 * rng.random()
+        y = C * phi_alpha(rho, alpha) + support.R0 * 10.0 ** rng.uniform(-3.0, 0.0)
+        d = FlatModelDomain(support).graph_distance(np.array([rho, 1j * y]))
+        assert d == pytest.approx(dense_graph_distance(support, rho, y), rel=1e-6, abs=0.0)
+
+
+def test_flat_distance_two_basins_against_mpmath():
+    # near the axis the squared distance has a local minimum by the flat
+    # vertex, 2.8695e-10 at t = 1.58e-11, and the global one, 2.8498e-10 at
+    # t = 2.17e-10; a 65-point scan of [0, R0] picked the vertex basin
+    domain = FlatModelDomain(FlatSupport(0.03, 0.134, 4.6e-8, 0.05))
+    d = domain.graph_distance(np.array([1.44e-11, 2.85e-10j]))
+    assert abs(d / 2.8498298982521769e-10 - 1.0) < 1e-12  # mpmath, 40 digits
+
+
+@pytest.mark.xfail(strict=True, reason="the circle grid picks the basin; "
+                   "a certified search would not")
+def test_flat_distance_two_near_tied_basins_against_mpmath():
+    # the same geometry at C = 0.0315: the vertex basin at 2.8798e-10 is
+    # 0.7% farther than the global minimum, 2.8599e-10 at t = 2.29e-10,
+    # yet wins on the grid
+    domain = FlatModelDomain(FlatSupport(0.0315, 0.134, 4.6e-8, 0.05))
+    d = domain.graph_distance(np.array([1.44e-11, 2.88e-10j]))
+    assert abs(d / 2.8599338417889738e-10 - 1.0) < 1e-12  # mpmath, 40 digits
+
+
+def test_flat_support_rejects_R0_past_the_convexity_cap_at_any_scale():
+    # an absolute 1e-12 allowance let R0 = 1e-12 through at alpha = 0.05,
+    # 2.8e14 times the cap 3.6e-27, and 1.026 times the cap at alpha = 0.1
+    with pytest.raises(ValueError, match="R0 exceeds the convexity cap"):
+        FlatSupport(1.0, 0.05, 1e-12, 0.05)
+    cap = FlatSupport.convexity_cap(0.1)
+    with pytest.raises(ValueError, match="R0 exceeds the convexity cap"):
+        FlatSupport(1.0, 0.1, 1.02 * cap, 0.05)
+    assert FlatSupport(1.0, 0.1, cap, 0.05).R0 == cap
+
+
 def boundary_points_outside():
     """Points half the membership tolerance outside one constraint, which
     membership calls "boundary", each with the outward direction there."""

@@ -65,10 +65,19 @@ def test_verified_slack_scales_with_phi_at_each_point():
     report = verify_majorant(f, phi)
     assert report.max_violation > 1e-12
     assert report.verified()
-    # where Phi < 1 the slack stays absolute
+    # where Phi < 1 the slack is relative to Phi as well
     report = verify_majorant(identity_map(), Majorant.power(0.5, 1.0 - 1e-11, 0.0))
     assert not report.verified()
     assert report.verified(slack=2e-11)
+
+
+@pytest.mark.parametrize("scale", [1e-13, 1.0, 1e13])
+def test_verified_verdict_does_not_depend_on_scale(scale):
+    # |f'| = 1e7 Phi everywhere: a slack floored at max(1, Phi) verified it
+    # at scale 1e-13, where the whole violation is below 1e-12
+    f = scalar_function(lambda z: scale * z, lambda z: scale)
+    assert not verify_majorant(f, Majorant.power(0.5, 1e-7 * scale, 0.0)).verified()
+    assert verify_majorant(f, Majorant.power(0.5, scale, 0.0)).verified()
 
 
 def test_verify_majorant_uses_cauchy_derivative_without_analytic_one():
