@@ -7,7 +7,7 @@ reports a failing/divergent verdict, 1 on configuration or execution
 errors.  No numerics live here: every command is a thin wrapper over one
 public library operation, whose parameters are named as the config keys.
 
-Eight commands report that operation's result as it is, through one of two
+Nine commands report that operation's result as it is, through one of two
 rules: ``_value`` writes a number as ``{key: number}`` and ``_record`` writes
 a result dataclass's fields in their declared order.  The rules look the
 operation up on its module when the command runs, not when this module is
@@ -272,11 +272,14 @@ def _value(module, name: str, key: str, ok):
     return handler
 
 
-def _record(module, name: str):
-    """The handler reporting the fields of the dataclass ``module.name(**args)``."""
+def _record(module, name: str, ok):
+    """The handler reporting the fields of the dataclass ``module.name(**args)``;
+    ``ok`` reads the verdict off the dataclass, or is None for a command
+    without one."""
     def handler(**args):
-        payload = asdict(getattr(module, name)(**args))
-        return payload, [payload], None
+        record = getattr(module, name)(**args)
+        payload = asdict(record)
+        return payload, [payload], None if ok is None else ok(record)
 
     return handler
 
@@ -304,11 +307,9 @@ def _cmd_hl_l1(majorant, n):
     return payload, [payload], res.converged
 
 
-def _cmd_mod_cont(function, n, delta=None, deltas=None):
-    if (delta is None) == (deltas is None):
-        raise ConfigError("delta, deltas: give exactly one of the two")
+def _cmd_mod_cont(function, n, deltas):
     samples = da.boundary_samples(function, n)
-    profile = da.modulus_profile(samples, [delta] if deltas is None else deltas)
+    profile = da.modulus_profile(samples, deltas)
     rows = [
         {"delta": d, "omega": w} for d, w in zip(profile.deltas, profile.omegas)
     ]
@@ -360,23 +361,6 @@ def _cmd_log_dini(modulus, **options):
     return payload, rows, report.log_dini
 
 
-def _cmd_rest_check(domain, point, direction, **options):
-    report = cg.rest_bound_check(domain, point, direction, **options)
-    payload = {
-        "z": [_complex_pair(z) for z in point],
-        "v": [_complex_pair(v) for v in direction],
-        "d": report.d,
-        "radius": report.radius,
-        "bound": report.bound,
-        "margin": report.margin,
-        "satisfied": report.satisfied,
-    }
-    row = dict(payload)
-    row["z"] = ";".join(f"{z.real}{z.imag:+}j" for z in point)
-    row["v"] = ";".join(f"{v.real}{v.imag:+}j" for v in direction)
-    return payload, [row], report.satisfied
-
-
 def _cmd_geodesic_probe(candidate, **options):
     report = kb.boundary_extension_probe(candidate, **options)
     rows = [
@@ -409,8 +393,7 @@ COMMANDS: dict[str, tuple[Callable, dict]] = {
                  {"majorant": MAJORANT, "delta": NUMBER}),
     "hl-l1": (_cmd_hl_l1, {"majorant": MAJORANT, "n": Opt(COUNT, 0)}),
     "mod-cont": (_cmd_mod_cont, {
-        "function": FUNCTION, "n": Opt(GRID, 512),
-        "delta": Opt(NUMBER), "deltas": Opt([NUMBER]),
+        "function": FUNCTION, "n": Opt(GRID, 512), "deltas": [NUMBER],
     }),
     "conjugate": (_cmd_conjugate, {
         "function": FUNCTION, "n": Opt(DYADIC_GRID, 512), "real_part": Opt(BOOLEAN, False),
@@ -424,21 +407,19 @@ COMMANDS: dict[str, tuple[Callable, dict]] = {
     "flat-x0": (_value(cg, "x0_cap", "x0", None), {"C": NUMBER, "alpha": NUMBER}),
     "flat-rho": (_value(cg, "rho_triangle", "rho", None),
                  {"d": NUMBER, "slope": NUMBER, "C": NUMBER, "alpha": NUMBER}),
-    "rest-check": (_cmd_rest_check, {
-        "domain": FLAT_MODEL, **_POINT_AND_DIRECTION, "tol": Opt(NUMBER),
-    }),
-    "graham": (_record(kb, "graham_bounds"), {"domain": DOMAIN, **_POINT_AND_DIRECTION}),
+    "rest-check": (_record(cg, "rest_bound_check", lambda r: r.satisfied),
+                   {"domain": FLAT_MODEL, **_POINT_AND_DIRECTION}),
+    "graham": (_record(kb, "graham_bounds", None), {"domain": DOMAIN, **_POINT_AND_DIRECTION}),
     "geodesic-defect": (_value(kb, "geodesic_defect", "defect", None), {
         "candidate": CANDIDATE, "zeta1": COMPLEX, "zeta2": COMPLEX,
     }),
     "geodesic-probe": (_cmd_geodesic_probe, {
-        "candidate": CANDIDATE, "n_theta": Opt(GRID), "tol_ext": Opt(NUMBER),
+        "candidate": CANDIDATE, "n_theta": Opt(GRID),
     }),
-    "mercer-fit": (_record(kb, "mercer_fit"), {"candidate": CANDIDATE, "theta": Opt(NUMBER)}),
+    "mercer-fit": (_record(kb, "mercer_fit", None),
+                   {"candidate": CANDIDATE, "theta": Opt(NUMBER)}),
     "pipeline": (_cmd_pipeline, {
-        "domain": FLAT_MODEL, "candidate": CANDIDATE,
-        "properness_threshold": Opt(NUMBER), "majorant_alpha_override": Opt(NUMBER),
-        "probe_n_theta": Opt(GRID),
+        "domain": FLAT_MODEL, "candidate": CANDIDATE, "majorant_alpha_override": Opt(NUMBER),
     }),
 }
 

@@ -165,7 +165,7 @@ class HalfspaceConstraint:
 
     def disc_radius(self, z: np.ndarray, v: np.ndarray) -> float:
         # Re<a, e^{i theta} v> peaks at |<a, v>|
-        rate = abs(np.vdot(self.normal, v))
+        rate = abs(complex(np.vdot(self.normal, v)))
         return -self.gap(z) / rate if rate > 0.0 else math.inf
 
 
@@ -568,21 +568,24 @@ class RestBoundReport:
     margin: float
 
 
-def rest_bound_check(
-    domain: FlatModelDomain, z, v, tol: float = 1e-6
-) -> RestBoundReport:
-    """Check r_Omega(z; v) <= 2 [log(C/d)]^{-1/alpha} in the boundary zone
-    0 < d < ``FlatSupport.zone``."""
+# how far the radius may exceed the flatness bound, absolutely
+_REST_TOL = 1e-6
+
+
+def rest_bound_check(domain: FlatModelDomain, point, direction) -> RestBoundReport:
+    """Check r_Omega(z; v) <= 2 [log(C/d)]^{-1/alpha} + 1e-6 at z = ``point``,
+    v = ``direction`` in the boundary zone 0 < d < ``FlatSupport.zone``; the
+    1e-6 is a fixed rule, and ``margin`` is the slack in the inequality."""
     s = domain.support
-    d = boundary_distance(domain, z)
+    d = boundary_distance(domain, point)
     if not 0.0 < d < s.zone:
         raise ValueError("point not in the boundary zone")
-    radius = inscribed_disc_radius(domain, z, v)
+    radius = inscribed_disc_radius(domain, point, direction)
     bound = 2.0 * phi_alpha_inv(d, s.C, s.alpha)
     return RestBoundReport(
         d=d,
         radius=radius,
         bound=bound,
-        satisfied=radius <= bound + tol,
-        margin=bound + tol - radius,
+        satisfied=radius <= bound + _REST_TOL,
+        margin=bound + _REST_TOL - radius,
     )

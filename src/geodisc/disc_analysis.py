@@ -9,7 +9,7 @@ continuity classes built from log-weighted Dini integrals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -425,15 +425,14 @@ class LogDiniReport:
 
     n_max: int
     results: tuple[QuadratureResult, ...]
-    verdicts: tuple[str, ...] = field(init=False)
-    log_dini: bool = field(init=False)
 
-    def __post_init__(self):
-        verdicts = tuple(
-            "converged" if r.converged else "diverged" for r in self.results
-        )
-        object.__setattr__(self, "verdicts", verdicts)
-        object.__setattr__(self, "log_dini", all(r.converged for r in self.results))
+    @property
+    def verdicts(self) -> tuple[str, ...]:
+        return tuple("converged" if r.converged else "diverged" for r in self.results)
+
+    @property
+    def log_dini(self) -> bool:
+        return all(r.converged for r in self.results)
 
 
 def log_dini_test(omega, n_max: int = 6) -> LogDiniReport:

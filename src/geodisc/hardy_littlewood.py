@@ -76,8 +76,6 @@ class DerivMajorantFamily:
             raise ValueError("K1, K2, alpha must be positive")
         if not 0.0 < self.r0 < min(1.0, self.K2):
             raise ValueError("need r0 in (0, min(1, K2))")
-        object.__setattr__(self, "_log_K1", math.log(self.K1))
-        object.__setattr__(self, "_log_K2", math.log(self.K2))
 
     def evaluate(self, x: float) -> float:
         if x <= 0.0:
@@ -88,7 +86,7 @@ class DerivMajorantFamily:
 
     def log_form(self, u: np.ndarray) -> np.ndarray:
         # log(Phi(e^-u) e^-u) without forming e^-u
-        return self._log_K1 - np.log(self._log_K2 + u) / self.alpha
+        return math.log(self.K1) - np.log(math.log(self.K2) + u) / self.alpha
 
 
 @dataclass(frozen=True)

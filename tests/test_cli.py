@@ -184,7 +184,6 @@ def test_pipeline_command(tmp_path):
             "center": [0.0, 0.04],
             "radius": 0.04,
         },
-        "probe_n_theta": 2048,
     }
     code, out = run_cli(tmp_path, "pipeline", cfg)
     assert code == 0
@@ -238,9 +237,10 @@ FLAT = {"kind": "flat_model", "C": 1.0, "alpha": 0.5, "R0": 0.111, "s0": 0.08}
 FLAT_SLICE = {"kind": "flat_slice", "domain": FLAT, "center": [0.0, 0.04], "radius": 0.04}
 
 # Every command with one config and its exact JSON and CSV reports.  The CSV
-# headers of `graham` and `mercer-fit` follow the field order of their result
-# dataclasses.  The `delta`, `omega` and `theta` cells of `mod-cont`,
-# `conjugate` and `geodesic-probe` are numpy floats, written as plain floats.
+# headers of `graham`, `mercer-fit` and `rest-check` follow the field order of
+# their result dataclasses.  The `delta`, `omega` and `theta` cells of
+# `mod-cont`, `conjugate` and `geodesic-probe` are numpy floats, written as
+# plain floats.
 PINNED_REPORTS = {
     "hl-bound": (
         {"majorant": {"kind": "power", "r0": 0.5}, "delta": 0.1},
@@ -354,13 +354,9 @@ PINNED_REPORTS = {
         {"domain": dict(FLAT, s0=0.1), "point": [0.0, [0.0, 0.01]], "direction": [1.0, 0.0]},
         '{\n  "command": "rest-check",\n  "result": {\n    "bound": 0.09430584850580695,\n'
         '    "d": 0.01,\n    "margin": 0.047153924252903476,\n'
-        '    "radius": 0.047152924252903475,\n    "satisfied": true,\n    "v": [\n      [\n'
-        "        1.0,\n        0.0\n      ],\n      [\n        0.0,\n        0.0\n      ]\n"
-        '    ],\n    "z": [\n      [\n        0.0,\n        0.0\n      ],\n      [\n'
-        "        0.0,\n        0.01\n      ]\n    ]\n  }\n}\n",
-        "z,v,d,radius,bound,margin,satisfied\n"
-        "0.0+0.0j;0.0+0.01j,1.0+0.0j;0.0+0.0j,0.01,0.047152924252903475,"
-        "0.09430584850580695,0.047153924252903476,True\n",
+        '    "radius": 0.047152924252903475,\n    "satisfied": true\n  }\n}\n',
+        "d,radius,bound,satisfied,margin\n"
+        "0.01,0.047152924252903475,0.09430584850580695,True,0.047153924252903476\n",
     ),
     "geodesic-probe": (
         {"candidate": {"kind": "map", "map": {"kind": "identity"},
@@ -372,7 +368,7 @@ PINNED_REPORTS = {
         "3.141592653589793,1.9999998807907107\n",
     ),
     "pipeline": (
-        {"domain": FLAT, "candidate": FLAT_SLICE, "probe_n_theta": 256},
+        {"domain": FLAT, "candidate": FLAT_SLICE},
         '{\n  "command": "pipeline",\n  "result": {\n    "ok": true,\n    "stages": [\n'
         '      {\n        "details": {\n          "max_distance": 0.04,\n'
         '          "threshold": 0.05\n        },\n        "name": "properness",\n'
@@ -399,7 +395,7 @@ PINNED_REPORTS = {
         '        "details": {\n          "converged": true,\n          "note": null,\n'
         '          "value": 0.868588963811499\n        },\n'
         '        "name": "majorant_integrable",\n        "status": "pass"\n      },\n'
-        '      {\n        "details": {\n          "omega_min": 0.0009817230043423733,\n'
+        '      {\n        "details": {\n          "omega_min": 6.135922184214123e-05,\n'
         '          "verdict": "extends (numerically)"\n        },\n'
         '        "name": "extension_probe",\n        "status": "pass"\n      }\n    ]\n'
         "  }\n}\n",
@@ -444,7 +440,7 @@ def test_oversized_grid_exits_one_out_of_memory(tmp_path):
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit if hard < 0 else min(limit, hard)))
 
     ops = [
-        ("mod-cont", {"function": {"kind": "identity"}, "n": 2**40, "delta": 0.5}),
+        ("mod-cont", {"function": {"kind": "identity"}, "n": 2**40, "deltas": [0.5]}),
         ("geodesic-probe", {"candidate": {"kind": "nonextending"}, "n_theta": 2**40}),
     ]
     for command, cfg in ops:
@@ -555,15 +551,35 @@ BAD_CONFIGS = {
         },
         "candidate.construction:",
     ),
-    "neither delta nor deltas": (
+    "mod-cont without deltas": (
         "mod-cont",
         {"function": {"kind": "identity"}, "n": 64},
-        "delta, deltas:",
+        "deltas: missing key",
     ),
-    "both delta and deltas": (
+    "mod-cont scalar delta": (
         "mod-cont",
-        {"function": {"kind": "identity"}, "n": 64, "delta": 0.5, "deltas": [1.0]},
-        "delta, deltas:",
+        {"function": {"kind": "identity"}, "n": 64, "delta": 0.5},
+        "delta: unknown key",
+    ),
+    "rest-check tolerance": (
+        "rest-check",
+        {"domain": FLAT, "point": [0, [0, 0.01]], "direction": [1, 0], "tol": 1e-6},
+        "tol: unknown key",
+    ),
+    "geodesic-probe extension tolerance": (
+        "geodesic-probe",
+        {"candidate": {"kind": "nonextending"}, "n_theta": 64, "tol_ext": 1e-3},
+        "tol_ext: unknown key",
+    ),
+    "pipeline properness threshold": (
+        "pipeline",
+        {"domain": FLAT, "candidate": FLAT_SLICE, "properness_threshold": 0.05},
+        "properness_threshold: unknown key",
+    ),
+    "pipeline probe grid": (
+        "pipeline",
+        {"domain": FLAT, "candidate": FLAT_SLICE, "probe_n_theta": 4096},
+        "probe_n_theta: unknown key",
     ),
     "zero alpha override": (
         "pipeline",
@@ -603,12 +619,12 @@ BAD_CONFIGS = {
     ),
     "negative modulus grid": (
         "mod-cont",
-        {"function": {"kind": "identity"}, "n": -1, "delta": 0.5},
+        {"function": {"kind": "identity"}, "n": -1, "deltas": [0.5]},
         "grid size must be at least 8",
     ),
     "small modulus grid": (
         "mod-cont",
-        {"function": {"kind": "identity"}, "n": 4, "delta": 0.5},
+        {"function": {"kind": "identity"}, "n": 4, "deltas": [0.5]},
         "n: grid size must be at least 8",
     ),
     "small conjugate grid": (
@@ -625,11 +641,6 @@ BAD_CONFIGS = {
         "geodesic-probe",
         {"candidate": {"kind": "nonextending"}, "n_theta": 7},
         "n_theta: grid size must be at least 8",
-    ),
-    "small pipeline probe grid": (
-        "pipeline",
-        {"domain": FLAT, "candidate": FLAT_SLICE, "probe_n_theta": 4},
-        "probe_n_theta: grid size must be at least 8",
     ),
     "empty ball center": (
         "domain-distance",
@@ -656,13 +667,6 @@ BAD_CONFIGS = {
         "hl-bound",
         {"majorant": {"kind": "power", "r0": 0.5}, "delta": 10**400},
         "delta: expected a finite number",
-    ),
-    "zero extension tolerance": (
-        "geodesic-probe",
-        {"candidate": {"kind": "map", "map": {"kind": "constant", "values": [0.1, 0.2]},
-                       "domain": {"kind": "polydisc", "radii": [1, 1]}},
-         "n_theta": 64, "tol_ext": 0},
-        "tol_ext must be positive",
     ),
     "empty constant map": (
         "hl-verify",

@@ -1028,6 +1028,16 @@ def test_rest_bound_phase_invariance():
     assert r1.d == r2.d
 
 
+def test_halfspace_radius_is_a_python_float():
+    # the half-space radius was a numpy float, so rest-check's `satisfied`
+    # was a numpy bool wherever a box cap binds
+    radius = inscribed_disc_radius(halfspace_box(), [0.5, 0.0], [1.0, 0.0])
+    assert type(radius) is float and radius == 0.5
+    report = rest_bound_check(flat_domain(), [0.0, 0.095 + 0.05j], [0.0, 1.0])
+    assert report.radius == report.d  # the cap Re z_n <= s0 binds
+    assert type(report.radius) is float and type(report.satisfied) is bool
+
+
 def test_flat_model_construction_memory_does_not_grow_with_the_square_of_dimension():
     # an n x n identity built for its last row peaked at 137 MB at this
     # dimension

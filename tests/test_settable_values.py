@@ -17,14 +17,11 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "geodisc"
 SETTABLE = {
     "cli:Opt.default",
     "cli:parse.path",
-    "cli:_cmd_mod_cont.delta",
-    "cli:_cmd_mod_cont.deltas",
     "cli:main.argv",
     "convex_geometry:x0_cap.scan_n",
     "convex_geometry:DiscConstraint.center",
     "convex_geometry:HalfspaceIntersection.interior_point",
     "convex_geometry:FlatModelDomain.dimension",
-    "convex_geometry:rest_bound_check.tol",
     "disc_analysis:UnitDiscFunction.derivative",
     "disc_analysis:scalar_function.df",
     "disc_analysis:vector_function.derivatives",
@@ -37,9 +34,7 @@ SETTABLE = {
     "kobayashi:boundary_extension_probe.n_theta",
     "kobayashi:boundary_extension_probe.tol_ext",
     "kobayashi:mercer_fit.theta",
-    "kobayashi:theorem_pipeline.properness_threshold",
     "kobayashi:theorem_pipeline.majorant_alpha_override",
-    "kobayashi:theorem_pipeline.probe_n_theta",
     "numerics:gauss_panel.order",
     "numerics:log_scale.power",
 }

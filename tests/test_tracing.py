@@ -38,6 +38,7 @@ RULE_BUILT_OPS = {
                         "convex_geometry.boundary_distance"),
     "domain-radius": (ON_FLAT, "convex_geometry.inscribed_disc_radius"),
     "flat-x0": ({"C": 1.0, "alpha": 0.5}, "convex_geometry.x0_cap"),
+    "rest-check": (ON_FLAT, "convex_geometry.rest_bound_check"),
     "graham": (ON_FLAT, "kobayashi.graham_bounds"),
     "geodesic-defect": ({"candidate": {"kind": "map", "map": {"kind": "pair_identity_zero"},
                                        "domain": SQUARE},
@@ -79,8 +80,9 @@ def test_tracer_counts_cli_ops_and_restores_every_patch(monkeypatch, tmp_path):
 
     metrics = tracer.layer_metrics()
     assert metrics["cli.run.calls"] == len(ops)
-    # domain-radius (twice) and graham are its only callers among these ops
-    assert metrics["convex_geometry.inscribed_disc_radius.calls"] == 3
+    # domain-radius (twice), rest-check and graham are its only callers
+    # among these ops
+    assert metrics["convex_geometry.inscribed_disc_radius.calls"] == 4
     assert metrics["numerics.minimize_on_circle.calls"] >= 1
     assert metrics["numerics.minimize_on_circle.objective_evals"] > 0
     assert metrics["convex_geometry.signed_gap.flat_model.calls"] >= 1
