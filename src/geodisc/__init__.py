@@ -56,7 +56,6 @@ from .kobayashi import (
     mercer_fit,
     nonextending_geodesic,
     poincare_distance,
-    polydisc_distance,
     theorem_pipeline,
 )
 from .numerics import (

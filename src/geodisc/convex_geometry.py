@@ -101,9 +101,22 @@ def rho_triangle(d: float, slope: float, C: float, alpha: float) -> float:
 #
 # Each constraint is a closed convex set and answers: gap(z), negative
 # inside; exit(z, u), the last t >= 0 with z + t u in it (unit u), or inf
-# when the ray never leaves; distance(z) to its boundary from inside; and
+# when the ray never leaves; distance(z) to its boundary from inside;
 # disc_radius(z, v), the largest rho with z + rho e^{i theta} v in it for
-# every theta.
+# every theta; and kobayashi(z, w), its exact Kobayashi distance, or None
+# (a piece that answers constrains only its block of coordinates, coords).
+
+def ball_distance(a, b) -> float:
+    """Kobayashi distance of the unit ball, artanh rho = log1p(2 rho (1 + rho)
+    / s) / 2, from |1 - <a, b>|^2 rho^2 = (1 - |a|^2) ||d||^2 + |<d, a>|^2
+    (d = b - a) and s = 1 - rho^2 = (1 - |a|^2)(1 - |b|^2) / |1 - <a, b>|^2."""
+    a, b = _as_point(a), _as_point(b)
+    d = b - a
+    ka, kb = ((1.0 - n) * (1.0 + n) for n in map(np.linalg.norm, (a, b)))  # 1 - |.|^2
+    den = abs(1.0 - complex(np.vdot(b, a)))
+    rho = math.sqrt(ka * float(np.vdot(d, d).real) + abs(complex(np.vdot(d, a))) ** 2) / den
+    return 0.5 * math.log1p(2.0 * rho * (1.0 + rho) * den**2 / (ka * kb))
+
 
 def _disc_exit(norm: float, dot: float, ww: float, radius: float) -> float:
     """The last t >= 0 with ||p + t w|| <= radius, for ||p|| = norm,
@@ -133,6 +146,10 @@ class DiscConstraint:
 
     def disc_radius(self, z: np.ndarray, v: np.ndarray) -> float:
         return self._exit(z, v, worst_phase=True)
+
+    def kobayashi(self, z: np.ndarray, w: np.ndarray) -> float:
+        return ball_distance((z[self.coords] - self.center) / self.radius,
+                             (w[self.coords] - self.center) / self.radius)
 
     def _exit(self, z: np.ndarray, u: np.ndarray, worst_phase: bool) -> float:
         """The exit along u, or along the e^{i theta} u that leaves first."""
@@ -167,6 +184,9 @@ class HalfspaceConstraint:
         # Re<a, e^{i theta} v> peaks at |<a, v>|
         rate = abs(complex(np.vdot(self.normal, v)))
         return -self.gap(z) / rate if rate > 0.0 else math.inf
+
+    def kobayashi(self, z: np.ndarray, w: np.ndarray) -> None:
+        return None
 
 
 @dataclass(frozen=True)
@@ -268,6 +288,9 @@ class GraphConstraint:
             return self._exit(pp, (pv * turn).real, ww, y, (vn * turn).imag)
 
         return minimize_on_circle(objective)
+
+    def kobayashi(self, z: np.ndarray, w: np.ndarray) -> None:
+        return None
 
 
 # --- domain models -----------------------------------------------------------
@@ -465,6 +488,12 @@ class FlatModelDomain(ConvexDomainModel):
             GraphConstraint(s),
         ))
 
+    def zone_depth(self, z: np.ndarray) -> float | None:
+        """The distance d to the graph piece if z is in its boundary zone, where
+        the flatness lemma speaks: no cap is nearer and 0 < d < zone."""
+        *caps, graph = (piece.distance(z) for piece in self.pieces)
+        return graph if graph <= min(caps) and 0.0 < graph < self.support.zone else None
+
     def graph_distance(self, z: np.ndarray) -> float:
         """Distance to the boundary of the graph piece over its cylinder."""
         return self.pieces[-1].distance(z)
@@ -574,12 +603,12 @@ _REST_TOL = 1e-6
 
 def rest_bound_check(domain: FlatModelDomain, point, direction) -> RestBoundReport:
     """Check r_Omega(z; v) <= 2 [log(C/d)]^{-1/alpha} + 1e-6 at z = ``point``,
-    v = ``direction`` in the boundary zone 0 < d < ``FlatSupport.zone``; the
+    v = ``direction``, d = ``domain.zone_depth(z)`` (the graph's zone only); the
     1e-6 is a fixed rule, and ``margin`` is the slack in the inequality."""
     s = domain.support
-    d = boundary_distance(domain, point)
-    if not 0.0 < d < s.zone:
-        raise ValueError("point not in the boundary zone")
+    d = domain.zone_depth(_check_base(domain, point))
+    if d is None:
+        raise ValueError("point not in the boundary zone of the flat graph")
     radius = inscribed_disc_radius(domain, point, direction)
     bound = 2.0 * phi_alpha_inv(d, s.C, s.alpha)
     return RestBoundReport(

@@ -1,9 +1,9 @@
 """Geodesic candidates, metric bounds, and the boundary-extension pipeline.
 
 Poincare geometry on the disc, two-sided Kobayashi metric bounds from
-inscribed disc radii, exact polydisc oracles, the explicit non-extending
-geodesic of the bidisc, empirical boundary-extension probes, distance decay
-fits along candidates, and the staged pipeline that chains properness, the
+inscribed disc radii, geodesic defects, the explicit non-extending geodesic
+of the bidisc, empirical boundary-extension probes, distance decay fits
+along candidates, and the staged pipeline that chains properness, the
 flatness bound, the fitted derivative majorant, its integrability, and the
 extension probe.
 """
@@ -13,7 +13,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import islice
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from .convex_geometry import (
     Polydisc,
     _check_vector,
     _scaled_norm,
+    ball_distance,
     boundary_distance,
     inscribed_disc_radius,
     rest_bound_check,
@@ -46,12 +47,6 @@ _DEFECT_ORDER = 8
 
 # --- Poincare geometry -------------------------------------------------------
 
-def _require_in_disc(*points: complex) -> None:
-    for p in points:
-        if abs(p) >= 1.0:
-            raise ValueError("point outside unit disc")
-
-
 def _image_distances(domain: ConvexDomainModel, images) -> list[float]:
     """Boundary distances of a candidate map's image points.  The map has the
     domain's dimension, so the only image ``boundary_distance`` rejects is
@@ -63,9 +58,10 @@ def _image_distances(domain: ConvexDomainModel, images) -> list[float]:
 
 
 def poincare_distance(z1: complex, z2: complex) -> float:
-    """artanh of the Mobius pseudodistance |(z1 - z2) / (1 - conj(z2) z1)|."""
-    _require_in_disc(z1, z2)
-    return math.atanh(abs((z1 - z2) / (1.0 - z2.conjugate() * z1)))
+    """The Poincare distance: the unit ball's Kobayashi distance in C^1."""
+    if abs(z1) >= 1.0 or abs(z2) >= 1.0:
+        raise ValueError("point outside unit disc")
+    return ball_distance(z1, z2)
 
 
 def disc_automorphism(a: complex, phi: float = 0.0) -> UnitDiscFunction:
@@ -79,22 +75,6 @@ def disc_automorphism(a: complex, phi: float = 0.0) -> UnitDiscFunction:
         lambda z: stack_components(z, rot * (z - a) / (1.0 - abar * z)),
         1,
         lambda z: stack_components(z, scale / (1.0 - abar * z) ** 2),
-    )
-
-
-def polydisc_distance(z, w, radii: Sequence[float]) -> float:
-    """Kobayashi distance of a polydisc: max over coordinates of the
-    Poincare distance of the rescaled entries."""
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
-    w = np.atleast_1d(np.asarray(w, dtype=complex))
-    radii = np.asarray(radii, dtype=float)
-    if not z.shape == w.shape == radii.shape:
-        raise ValueError("z, w and radii differ in length")
-    if np.any(np.abs(z) >= radii) or np.any(np.abs(w) >= radii):
-        raise ValueError("point outside polydisc")
-    return max(
-        poincare_distance(complex(zi / r), complex(wi / r))
-        for zi, wi, r in zip(z, w, radii)
     )
 
 
@@ -184,29 +164,33 @@ def geodesic_defect(candidate: GeodesicCandidate, zeta1: complex,
                     zeta2: complex) -> float:
     """Deviation of the candidate from the isometry identity.
 
-    On a polydisc this is |p(zeta1, zeta2) - K(f(zeta1), f(zeta2))| with the
-    exact product distance.  On other convex models it is the distance from
+    When every piece of the domain knows its Kobayashi distance and their
+    blocks are disjoint (polydiscs and balls), the domain is their product,
+    whose distance K is the largest of theirs, and this is |p(zeta1, zeta2)
+    - K(f(zeta1), f(zeta2))|.  On other convex models it is the distance from
     p to [L, 2L] (zero when p lies inside), where L integrates the lower
     metric ||v|| / (2 r) along the straight image segment.  Only 2L, the
     upper metric integrated along a curve, bounds K.  L does not: K is an
     infimum over curves, and near the boundary the chord is much longer
-    than the geodesic, so a true geodesic can show a positive defect (the
-    identity into the unit ball of C^1 does at points near the circle).
+    than the geodesic, so a true geodesic can show a positive defect.  An
+    image on the boundary, where K is infinite, is rejected.
     """
-    _require_in_disc(zeta1, zeta2)
+    p = poincare_distance(zeta1, zeta2)
     f = candidate.map
     z1, z2 = f(zeta1), f(zeta2)
     for z in (z1, z2):
-        if candidate.domain.membership(z) == "outside":
+        where = candidate.domain.membership(z)
+        if where == "outside":
             raise ValueError("image point outside domain")
-    p = poincare_distance(zeta1, zeta2)
-    if isinstance(candidate.domain, Polydisc):
-        return abs(p - polydisc_distance(z1, z2, candidate.domain.radii))
+        if where == "boundary":
+            raise ValueError("image point on the boundary, where K is infinite")
+    answers = [piece.kobayashi(z1, z2) for piece in candidate.domain.pieces]
+    if None not in answers:
+        blocks = [range(len(z1))[piece.coords] for piece in candidate.domain.pieces]
+        if sum(map(len, blocks)) == len(set().union(*blocks)):
+            return abs(p - max(answers))
 
     direction = z2 - z1
-    length = float(np.linalg.norm(direction))
-    if length == 0.0:
-        return p
     lower_metric = lambda t: np.array([
         graham_bounds(candidate.domain, z1 + s * direction, direction).lower
         for s in t.tolist()
@@ -216,9 +200,7 @@ def geodesic_defect(candidate: GeodesicCandidate, zeta1: complex,
         lower_metric, panels / _DEFECT_PANELS, (panels + 1) / _DEFECT_PANELS, _DEFECT_ORDER
     ).tolist())
     upper = 2.0 * lower  # each upper bound is exactly twice its lower bound
-    if lower <= p <= upper:
-        return 0.0
-    return min(abs(p - lower), abs(p - upper))
+    return max(lower - p, p - upper, 0.0)
 
 
 # --- boundary-extension probe ------------------------------------------------
@@ -402,10 +384,10 @@ def theorem_pipeline(
         stages.extend(PipelineStage(name, "skipped", {}) for name in skipped)
         return PipelineReport(tuple(stages))
 
-    # (ii) inscribed-radius bound at the deepest boundary-zone samples
-    zone = s.zone
+    # (ii) inscribed-radius bound at the deepest samples in the graph's zone
     order = np.argsort(ds)
-    deepest = [i for i in order if 0.0 < ds[i] < zone][:_REST_POINTS]
+    zoned = (i for i in order if domain.zone_depth(images[i]) is not None)
+    deepest = list(islice(zoned, _REST_POINTS))
     checks = [rest_bound_check(domain, images[i], derivative_at(f, ring[i])) for i in deepest]
     rows = [{"d": c.d, "radius": c.radius, "bound": c.bound} for c in checks]
     status = "pass" if checks and all(c.satisfied for c in checks) else "fail"

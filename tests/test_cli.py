@@ -377,15 +377,15 @@ PINNED_REPORTS = {
         '              "bound": 0.019502936932521975,\n'
         '              "d": 3.999999999999837e-05,\n'
         '              "radius": 3.999999999999837e-05\n            },\n            {\n'
-        '              "bound": 0.019502936932521975,\n'
-        '              "d": 3.999999999999837e-05,\n'
-        '              "radius": 3.999999999999837e-05\n            },\n            {\n'
-        '              "bound": 0.028568891906741348,\n'
-        '              "d": 0.00023241832217900382,\n'
-        '              "radius": 0.00023241832217900382\n            },\n            {\n'
-        '              "bound": 0.028568891906741348,\n'
-        '              "d": 0.00023241832217900382,\n'
-        '              "radius": 0.00023241832217900382\n            }\n          ]\n'
+        '              "bound": 0.028568891906741542,\n'
+        '              "d": 0.00023241832217901076,\n'
+        '              "radius": 0.00023241832217901076\n            },\n            {\n'
+        '              "bound": 0.028568891906741542,\n'
+        '              "d": 0.00023241832217901076,\n'
+        '              "radius": 0.00023241832217901076\n            },\n            {\n'
+        '              "bound": 0.039439114896020554,\n'
+        '              "d": 0.0008078201950869127,\n'
+        '              "radius": 0.0008078201950869127\n            }\n          ]\n'
         '        },\n        "name": "rest_bound",\n        "status": "pass"\n      },\n'
         '      {\n        "details": {\n          "C1": 0.03999999999167333,\n'
         '          "C2": 0.04000000000105926,\n          "K1": 4.0,\n'
@@ -772,6 +772,18 @@ BAD_CONFIGS = {
         "pipeline",
         {"domain": FLAT, "candidate": dict(FLAT_SLICE, radius=0.5)},
         "image point outside domain",
+    ),
+    "rest-check nearest a box cap": (
+        "rest-check",
+        {"domain": FLAT, "point": [0, [0.075, 0.04]], "direction": [1, 0]},
+        "point not in the boundary zone of the flat graph",
+    ),
+    "geodesic-defect image on the boundary": (
+        "geodesic-defect",
+        {"candidate": {"kind": "map", "map": {"kind": "constant", "values": [1.0]},
+                       "domain": {"kind": "ball", "center": [0], "radius": 1}},
+         "zeta1": 0.0, "zeta2": 0.5},
+        "image point on the boundary",
     ),
 }
 

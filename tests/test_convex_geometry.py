@@ -19,6 +19,7 @@ from geodisc.convex_geometry import (
     FlatSupport,
     HalfspaceIntersection,
     Polydisc,
+    ball_distance,
     boundary_distance,
     exit_time,
     inscribed_disc_radius,
@@ -897,6 +898,48 @@ def test_inscribed_radius_halfspace_global_minimum():
     assert abs(r - closed_form) < 1e-12
 
 
+# --- the ball's Kobayashi distance -------------------------------------------
+
+def mp_ball_distance(mp, a, b):
+    """artanh sqrt(1 - (1 - |a|^2)(1 - |b|^2) / |1 - <a, b>|^2), in mpmath."""
+    a, b = [mp.mpc(complex(x)) for x in a], [mp.mpc(complex(x)) for x in b]
+    norm2 = lambda z: mp.fsum(abs(x) ** 2 for x in z)
+    inner = mp.fsum(x * mp.conj(y) for x, y in zip(a, b))
+    return mp.atanh(mp.sqrt(1 - (1 - norm2(a)) * (1 - norm2(b)) / abs(1 - inner) ** 2))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_ball_distance_matches_mpmath(n):
+    # a third of the pairs 1e-9 apart, and 1 - |a| log-uniform down to
+    # 2.5e-4, so many points lie within 3e-4 of the sphere
+    mp = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(40 + n)
+
+    def direction():
+        u = rng.normal(size=n) + 1j * rng.normal(size=n)
+        return u / np.linalg.norm(u)
+
+    def point():
+        return direction() * (1.0 - 10.0 ** rng.uniform(math.log10(2.5e-4), 0.0))
+
+    with mp.workdps(50):
+        for k in range(400):
+            a = point()
+            b = a + 1e-9 * direction() if k % 3 == 0 else point()
+            exact = mp_ball_distance(mp, a, b)
+            assert abs(ball_distance(a, b) / exact - 1) < 1e-12, (a, b)
+
+
+def test_ball_distance_basics():
+    assert ball_distance(0.3j, 0.3j) == 0.0
+    a, b = np.array([0.3, 0.2j]), np.array([-0.1j, 0.6])
+    assert ball_distance(a, b) == pytest.approx(ball_distance(b, a), rel=1e-15)
+    # unitary invariance: swapping coordinates and turning phases
+    turn = np.exp(1j * np.array([0.4, -1.1]))
+    assert ball_distance(turn * a[::-1], turn * b[::-1]) == pytest.approx(
+        ball_distance(a, b), rel=1e-14)
+
+
 # --- symmetry properties -----------------------------------------------------
 #
 # A linear map that carries a domain onto itself preserves exit times,
@@ -1033,8 +1076,12 @@ def test_halfspace_radius_is_a_python_float():
     # was a numpy bool wherever a box cap binds
     radius = inscribed_disc_radius(halfspace_box(), [0.5, 0.0], [1.0, 0.0])
     assert type(radius) is float and radius == 0.5
-    report = rest_bound_check(flat_domain(), [0.0, 0.095 + 0.05j], [0.0, 1.0])
-    assert report.radius == report.d  # the cap Re z_n <= s0 binds
+    # the cylinder wall, 0.011 away, is the nearest boundary, so the point is
+    # in the zone, and the cap Re z_n <= s0, 0.015 away, binds the radius
+    domain, z, v = flat_domain(), np.array([0.1, 0.085 + 0.07j]), np.array([0.0, 1.0])
+    report = rest_bound_check(domain, z, v)
+    cap, graph = domain.pieces[0].disc_radius(z, v), domain.pieces[-1].disc_radius(z, v)
+    assert report.radius == cap < graph
     assert type(report.radius) is float and type(report.satisfied) is bool
 
 
@@ -1059,3 +1106,12 @@ def test_rest_bound_rejects_point_outside_zone():
     )
     with pytest.raises(ValueError, match="point not in the boundary zone"):
         rest_bound_check(domain, [0.0, 5e-5j], [1.0, 0.0])
+
+
+def test_rest_bound_rejects_a_point_nearest_a_box_cap():
+    # 0.005 from the cap Re z_n <= s0 and 0.04 from the graph: the flatness
+    # lemma speaks of the graph alone, yet the check ran here and found the
+    # radius 0.0965 over the bound 0.0712 for d = 0.005
+    domain = FlatModelDomain(FlatSupport(1.0, 0.5, 0.111, 0.08))
+    with pytest.raises(ValueError, match="boundary zone of the flat graph"):
+        rest_bound_check(domain, [0.0, 0.075 + 0.04j], [1.0, 0.0])

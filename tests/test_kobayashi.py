@@ -36,7 +36,6 @@ from geodisc.kobayashi import (
     mercer_fit,
     nonextending_geodesic,
     poincare_distance,
-    polydisc_distance,
     theorem_pipeline,
 )
 
@@ -108,32 +107,56 @@ def test_automorphism_is_poincare_isometry():
     ) < 1e-12
 
 
-# --- polydisc distance -------------------------------------------------------
+# --- exact distances through the pieces ---------------------------------------
 
 def test_polydisc_distance_basics():
-    unit = (1.0, 1.0)
-    assert polydisc_distance([0.1, 0.2j], [0.1, 0.2j], unit) == 0.0
-    assert abs(polydisc_distance([0.0, 0.0], [0.5, 0.0], unit) - 0.5 * math.log(3.0)) < 1e-15
+    # zeta -> (zeta, 0) is a geodesic, so its defect is |p - K| = 0 with
+    # K((0, 0), (0.5, 0)) = p(0, 0.5) = log(3) / 2
+    candidate = GeodesicCandidate(vector_function([lambda z: z, lambda z: 0.0 * z]),
+                                  Polydisc((1.0, 1.0)))
+    assert geodesic_defect(candidate, 0.1 + 0.2j, 0.1 + 0.2j) == 0.0
+    assert geodesic_defect(candidate, 0.0, 0.5) <= 1e-15
 
 
-def test_polydisc_distance_coordinate_max():
-    z = np.array([0.5, 0.3])
-    w = np.array([0.5, 0.3j])
-    per_coord = [poincare_distance(a, b) for a, b in zip(z, w)]
-    assert abs(polydisc_distance(z, w, (1.0, 1.0)) - max(per_coord)) < 1e-15
+@pytest.mark.parametrize("zeta1, zeta2", [(0.1, 0.3j), (0.8, -0.7j), (0.5j, 0.9)])
+def test_polydisc_distance_coordinate_max(zeta1, zeta2):
+    # K is the larger of the coordinates' Poincare distances, after each
+    # coordinate is rescaled by its radius (exactly, by powers of two)
+    square = lambda z: z * z
+    for radii in ((1.0, 1.0), (2.0, 0.5)):
+        mapping = vector_function([lambda z: radii[0] * square(z), lambda z: radii[1] * 0.5 * z])
+        candidate = GeodesicCandidate(mapping, Polydisc(radii))
+        per_coord = [poincare_distance(square(zeta1), square(zeta2)),
+                     poincare_distance(0.5 * zeta1, 0.5 * zeta2)]
+        expected = abs(poincare_distance(zeta1, zeta2) - max(per_coord))
+        assert abs(geodesic_defect(candidate, zeta1, zeta2) - expected) < 1e-15
 
 
 def test_polydisc_distance_rejects_outside():
-    with pytest.raises(ValueError, match="outside polydisc"):
-        polydisc_distance([1.5, 0.0], [0.0, 0.0], (1.0, 1.0))
+    # a constant image outside the polydisc; the distance is read only
+    # between interior points
+    candidate = GeodesicCandidate(constant_map([1.5, 0.0]), Polydisc((1.0, 1.0)))
+    with pytest.raises(ValueError, match="image point outside domain"):
+        geodesic_defect(candidate, 0.0, 0.5)
 
 
 def test_polydisc_distance_rejects_mismatched_lengths():
-    # numpy broadcast the one-entry argument and zip dropped the rest, so
-    # both read 0.0
-    for z, w, radii in (([0.1], [0.1, 0.5], (1.0, 1.0)), ([0.1, 0.2], [0.1, 0.5], (1.0,))):
-        with pytest.raises(ValueError, match="differ in length"):
-            polydisc_distance(z, w, radii)
+    # a one-coordinate map cannot pair with a bidisc, so the pieces never
+    # read points of the wrong length
+    with pytest.raises(ValueError, match="map dimension does not match domain"):
+        GeodesicCandidate(identity_map(), Polydisc((1.0, 1.0)))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: GeodesicCandidate(constant_map([1.0, 0.2]), Polydisc((1.0, 1.0))),
+    lambda: GeodesicCandidate(constant_map([1.0]), Ball(np.zeros(1), 1.0)),
+    lambda: flat_slice_candidate(pipeline_domain(), 0.0, 0.0),
+], ids=["polydisc", "ball", "flat_model"])
+def test_defect_rejects_an_image_on_the_boundary(make):
+    # K is infinite there: the polydisc said "point outside polydisc", the
+    # ball reported a defect of 0.549 and the flat model returned p
+    with pytest.raises(ValueError, match="image point on the boundary"):
+        geodesic_defect(make(), 0.0, 0.5)
 
 
 # --- Graham bounds -----------------------------------------------------------
@@ -273,25 +296,29 @@ def test_defect_positive_for_non_geodesic():
     assert abs(expected - 0.29389) < 1e-4
 
 
-def test_defect_interval_route_on_the_disc_as_ball():
-    # f = id into the unit ball of C^1: near the centre the Poincare
-    # distance lands inside the chord-integrated interval [L, 2L]
-    ball = Ball(np.zeros(1), 1.0)
-    candidate = GeodesicCandidate(scalar_function(lambda z: z), ball)
-    assert geodesic_defect(candidate, 0.0, 0.5) == 0.0
-    assert geodesic_defect(candidate, 0.2j, -0.4) == 0.0
+def test_defect_exact_route_on_the_disc_as_ball():
+    # an affine map of the disc onto a ball of C^1 is an isometry, and the
+    # ball's own distance gives its defect
+    for center, radius in ((0.0, 1.0), (0.3 - 0.1j, 2.0)):
+        ball = Ball(np.array([center]), radius)
+        candidate = GeodesicCandidate(scalar_function(lambda z: center + radius * z), ball)
+        assert geodesic_defect(candidate, 0.0, 0.5) <= 1e-15
+        assert geodesic_defect(candidate, 0.2j, -0.4) <= 1e-15
 
 
-@pytest.mark.xfail(strict=True, reason="the integrated lower metric along the "
-                   "chord is no lower bound on K; near the circle it exceeds p")
 @pytest.mark.parametrize("r, angle", [(0.9, 0.5), (0.99, 0.05), (0.999, 0.01)])
 def test_defect_vanishes_for_the_disc_as_ball_near_the_circle(r, angle):
-    # the identity into the unit ball of C^1 is an isometry, so its true
-    # defect is 0; the chord-integrated interval reports 0.396, 2.269 and
-    # 6.672 at these pairs
-    candidate = GeodesicCandidate(identity_map(), Ball(np.zeros(1), 1.0))
+    # the identity into the unit ball of C^1 is an isometry, and zeta ->
+    # (zeta, 0) a complex geodesic of the unit ball of C^2, so their true
+    # defect is 0; the chord-integrated interval reported 0.396, 2.269 and
+    # 6.672 at these pairs for both
     zeta1, zeta2 = r * cmath.exp(1j * angle), r * cmath.exp(-1j * angle)
-    assert geodesic_defect(candidate, zeta1, zeta2) <= 1e-10
+    for candidate in (
+        GeodesicCandidate(identity_map(), Ball(np.zeros(1), 1.0)),
+        GeodesicCandidate(vector_function([lambda z: z, lambda z: 0.0 * z]),
+                          Ball(np.zeros(2), 1.0)),
+    ):
+        assert geodesic_defect(candidate, zeta1, zeta2) <= 1e-12
 
 
 def test_kappa_along_polydisc_geodesic_matches_disc_metric():
