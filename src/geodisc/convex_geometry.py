@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations, islice
 
 import numpy as np
@@ -248,18 +249,22 @@ class GraphConstraint:
         """Distance to the cylinder wall or to the surface {Im z_n = C
         phi_alpha(||z'||), ||z'|| <= R0}, whichever is nearer.
 
-        By rotation invariance the surface distance is a 1-d problem in the
-        radial profile t.  Searching t in [rho, R0], rho = ||z'||, is exact:
-        the profile rises and Im z_n >= C phi_alpha(rho) inside, so t < rho
-        is farther than t = rho in both terms.  ``minimize_on_circle`` takes
-        t = rho + (R0 - rho) sin^2(psi/2).  The squared distance is not
-        unimodal (near the axis the flat vertex makes a second basin), so
-        the grid picks the basin; it picked the farther one at 4 of 5511
-        seeded points with alpha >= 0.3, by up to 4.3%.
+        On the axis z' = 0 at 0 < y < ``vertex_reach`` it is min(R0, y): t^2 +
+        (y - h)^2 - y^2 = h (t^2 / h - 2 y) + h^2 > 0 for h = C phi_alpha(t),
+        so the vertex is the nearest surface point.  Elsewhere, by rotation
+        invariance, it is a 1-d problem in the radial profile t.  Searching t
+        in [rho, R0], rho = ||z'||, is exact: the profile rises and Im z_n >=
+        C phi_alpha(rho) inside, so t < rho is farther than t = rho in both
+        terms.  ``minimize_on_circle`` takes t = rho + (R0 - rho)
+        sin^2(psi/2).  The squared distance is not unimodal (the flat vertex
+        makes a second basin), so the grid picks the basin; it picked the
+        farther one at 4 of 5511 seeded points, alpha >= 0.3, by up to 4.3%.
         """
         R0 = self.support.R0
         rho = float(np.linalg.norm(z[:-1]))
         y = float(z[-1].imag)
+        if rho == 0.0 and 0.0 < y < self.support.vertex_reach:
+            return min(R0, y)
 
         def dist2(psi: float) -> float:
             t = rho + (R0 - rho) * math.sin(0.5 * psi) ** 2
@@ -452,11 +457,22 @@ class FlatSupport:
     def convexity_cap(alpha: float) -> float:
         return (alpha / (alpha + 1.0)) ** (1.0 / alpha)
 
-    @property
+    @cached_property
     def zone(self) -> float:
         """Depth of the boundary zone, min(s0, x0_cap(C, alpha)): the
         compact-set condition under which the flatness estimate applies."""
         return min(self.s0, x0_cap(self.C, self.alpha))
+
+    @cached_property
+    def vertex_reach(self) -> float:
+        """inf of t^2 / (2 h(t)) over (0, R0], h = C phi_alpha, in log space at
+        t = min(R0, (alpha/2)^{1/alpha}), where 2 log t + t^-alpha is least;
+        +inf on overflow.  Below it t^2 + (y - h)^2 > y^2: see ``distance``."""
+        t = min(self.R0, (0.5 * self.alpha) ** (1.0 / self.alpha))
+        try:
+            return math.exp(2.0 * math.log(t) + t**-self.alpha - math.log(2.0 * self.C))
+        except OverflowError:
+            return math.inf
 
 
 @dataclass(frozen=True)
@@ -582,7 +598,11 @@ def inscribed_disc_radius(domain: ConvexDomainModel, point, direction) -> float:
     in each, so the radius is the smallest constraint radius; it is 0 at a
     boundary point outside by up to the membership tolerance.
     """
-    z, v = _check_ray(domain, point, direction)
+    return _disc_radius(domain, *_check_ray(domain, point, direction))
+
+
+def _disc_radius(domain: ConvexDomainModel, z: np.ndarray, v: np.ndarray) -> float:
+    """The smallest constraint radius at z along the unit v, floored at 0."""
     return max(min(piece.disc_radius(z, v) for piece in domain.pieces), 0.0)
 
 

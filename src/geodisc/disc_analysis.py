@@ -24,6 +24,8 @@ _RADIAL_TOL = 1e-6
 # Nodes of the centred Cauchy circle; their count does not grow toward the
 # boundary because the circle shrinks with the distance to it.
 _CAUCHY_NODES = 64
+# Lags per block of the modulus sweep: max(1, min(max_lag, _LAG_BLOCK // n)).
+_LAG_BLOCK = 2**14
 
 
 @dataclass(frozen=True)
@@ -226,9 +228,11 @@ def _log_modulus(omega) -> Callable[[np.ndarray], np.ndarray]:
 
 
 def row_norms(values: np.ndarray) -> np.ndarray:
-    """Euclidean norms over the last axis, summed as ``np.linalg.norm``
-    sums a single complex vector."""
-    return np.sqrt(np.sum(values.real**2, axis=-1) + np.sum(values.imag**2, axis=-1))
+    """Euclidean norms over the last axis: squared real parts, then squared
+    imaginary parts, added in order, as ``np.sum`` adds below 8 terms."""
+    re, im = (sum((p[..., k] ** 2 for k in range(1, p.shape[-1])), p[..., 0] ** 2)
+              for p in (values.real, values.imag))
+    return np.sqrt(re + im)
 
 
 def derivative_centered(f: UnitDiscFunction, zeta) -> np.ndarray:
@@ -267,7 +271,7 @@ def _radial_tails(f: UnitDiscFunction, thetas: np.ndarray) -> tuple[np.ndarray, 
     zeta.real = np.multiply.outer(np.cos(thetas), RADIAL_TAIL)
     zeta.imag = np.multiply.outer(np.sin(thetas), RADIAL_TAIL)
     tails = f.values(zeta)
-    moves = row_norms(np.diff(tails, axis=1))
+    moves = row_norms(tails[:, 1:] - tails[:, :-1])
     return tails[:, -1], np.all(moves < _RADIAL_TOL, axis=1)
 
 
@@ -293,26 +297,29 @@ def _lag_maxima(samples: BoundarySamples, max_lag: int) -> np.ndarray:
     """lag_maxima[l] = max_k ||g(theta_{k+l}) - g(theta_k)|| for l = 0..max_lag.
 
     A column sweep: the real and imaginary part of each component is one
-    contiguous column, extended circularly by max_lag entries, and each lag
-    sums the squared column differences into a preallocated buffer.  Every
-    pair (k, k + l) is visited once per lag, in O(n) memory.
+    contiguous column, extended circularly by max_lag entries, and each block
+    of lags sums the squared differences of its shifted windows, column by
+    column, into a preallocated (lags, n) buffer, then takes each row's
+    maximum.  Every pair (k, k + l) is visited once per lag, in O(n) memory.
     """
     n = samples.n
-    columns = [
-        np.concatenate([part, part[:max_lag]])
+    windows = [
+        np.lib.stride_tricks.sliding_window_view(np.concatenate([part, part[:max_lag]]), n)
         for component in samples.values.T
         for part in (component.real, component.imag)
     ]
-    total, term = _aligned_empty(n), _aligned_empty(n)
+    rows = max(1, min(max_lag, _LAG_BLOCK // n))
+    total, term = (_aligned_empty(rows * n).reshape(rows, n) for _ in range(2))
     squares = np.zeros(max_lag + 1)
-    for lag in range(1, max_lag + 1):
-        for j, column in enumerate(columns):
-            out = term if j else total
-            np.subtract(column[lag:lag + n], column[:n], out=out)
+    for start in range(1, max_lag + 1, rows):
+        block_total, block_term = total[:max_lag + 1 - start], term[:max_lag + 1 - start]
+        for j, window in enumerate(windows):
+            out = block_term if j else block_total
+            np.subtract(window[start:start + rows], window[0], out=out)
             np.multiply(out, out, out=out)
             if j:
-                np.add(total, term, out=total)
-        squares[lag] = total.max()
+                np.add(block_total, block_term, out=block_total)
+        squares[start:start + rows] = np.maximum.reduce(block_total, axis=1)
     return np.sqrt(squares)
 
 

@@ -22,6 +22,7 @@ from .convex_geometry import (
     FlatModelDomain,
     Polydisc,
     _check_vector,
+    _disc_radius,
     _scaled_norm,
     ball_distance,
     boundary_distance,
@@ -190,11 +191,18 @@ def geodesic_defect(candidate: GeodesicCandidate, zeta1: complex,
         if sum(map(len, blocks)) == len(set().union(*blocks)):
             return abs(p - max(answers))
 
-    direction = z2 - z1
-    lower_metric = lambda t: np.array([
-        graham_bounds(candidate.domain, z1 + s * direction, direction).lower
-        for s in t.tolist()
-    ])
+    direction = z2 - z1  # the nodes lie inside with the ends: no base check
+    w, norm, e = _scaled_norm(direction)
+    if norm == 0.0:
+        return p  # a constant map: L = 0
+    unit, length = w / norm, math.ldexp(norm, e)
+
+    def lower_metric(t: np.ndarray) -> np.ndarray:
+        radii = [_disc_radius(candidate.domain, z1 + s * direction, unit) for s in t.tolist()]
+        if 0.0 in radii:
+            raise ValueError("point on the boundary: the inscribed disc radius is 0")
+        return np.array([length / (2.0 * r) for r in radii])
+
     panels = np.arange(_DEFECT_PANELS)
     lower = sum(gauss_panel(
         lower_metric, panels / _DEFECT_PANELS, (panels + 1) / _DEFECT_PANELS, _DEFECT_ORDER

@@ -17,6 +17,7 @@ from geodisc.convex_geometry import (
     Ball,
     FlatModelDomain,
     FlatSupport,
+    GraphConstraint,
     HalfspaceIntersection,
     Polydisc,
     ball_distance,
@@ -29,6 +30,7 @@ from geodisc.convex_geometry import (
     rho_triangle,
     x0_cap,
 )
+from geodisc.numerics import minimize_on_circle
 
 
 def flat_domain(C=1.0, alpha=0.5, s0=0.1, dimension=2) -> FlatModelDomain:
@@ -440,12 +442,17 @@ def flat_axis_draw(rng: np.random.Generator):
     C = math.exp(rng.uniform(math.log(0.5), math.log(2.0)))
     R0 = FlatSupport.convexity_cap(alpha) * rng.uniform(0.5, 1.0)
     s0 = rng.uniform(0.05, 0.1)
-    ts = np.geomspace(1e-3 * R0, R0, 512)
-    with np.errstate(over="ignore"):
-        vertex_nearest = float(np.min(ts**2 * np.exp(ts**-alpha) / (2.0 * C)))
-    top = 0.9 * min(0.5 * s0, R0, x0_cap(C, alpha), 0.5 * vertex_nearest)
+    top = 0.9 * min(0.5 * s0, R0, x0_cap(C, alpha), 0.5 * grid_vertex_nearest(C, alpha, R0))
     d = math.exp(rng.uniform(math.log(1e-6), math.log(top)))
     return FlatModelDomain(FlatSupport(C, alpha, R0, s0)), d
+
+
+def grid_vertex_nearest(C: float, alpha: float, R0: float) -> float:
+    """t^2 / (2 C phi_alpha(t)) at its least on 512 geometric radii from
+    1e-3 R0 to R0."""
+    ts = np.geomspace(1e-3 * R0, R0, 512)
+    with np.errstate(over="ignore"):
+        return float(np.min(ts**2 * np.exp(ts**-alpha) / (2.0 * C)))
 
 
 def test_flat_axis_distance_is_the_depth_where_the_vertex_is_nearest():
@@ -455,6 +462,92 @@ def test_flat_axis_distance_is_the_depth_where_the_vertex_is_nearest():
     for _ in range(60):
         domain, d = flat_axis_draw(rng)
         assert boundary_distance(domain, np.array([0.0, 1j * d])) == d
+
+
+def axis_search_distance(support: FlatSupport, y: float) -> float:
+    """The graph distance at (0', i y) by the off-axis route: the circle
+    search over the distance's own dist2 at rho = 0, against the wall."""
+    R0, height, rho = support.R0, GraphConstraint(support).height, 0.0
+
+    def dist2(psi: float) -> float:
+        t = rho + (R0 - rho) * math.sin(0.5 * psi) ** 2
+        return (t - rho) ** 2 + (y - height(t)) ** 2
+
+    return min(R0 - rho, math.sqrt(minimize_on_circle(dist2)))
+
+
+def random_support(rng: np.random.Generator) -> FlatSupport:
+    """alpha in [0.05, 0.95], C log-uniform in [0.1, 10], R0 from 1% to all
+    of the convexity cap."""
+    alpha = rng.uniform(0.05, 0.95)
+    C = math.exp(rng.uniform(math.log(0.1), math.log(10.0)))
+    R0 = FlatSupport.convexity_cap(alpha) * 10.0 ** rng.uniform(-2.0, 0.0)
+    return FlatSupport(C, alpha, R0, 0.05)
+
+
+def test_flat_axis_distance_below_the_reach_is_the_search_value():
+    # the closed form min(R0, y) is bitwise what the search returns, as the
+    # search reads y^2 at the vertex and every other value it reads is larger
+    rng = np.random.default_rng(25)
+    for _ in range(400):
+        support = random_support(rng)
+        top = min(support.vertex_reach, 10.0)
+        for y in top * 10.0 ** -rng.uniform(0.0, 12.0, size=5):
+            z = np.array([0.0, 1j * y])
+            assert GraphConstraint(support).distance(z) == axis_search_distance(support, y)
+
+
+def test_vertex_reach_is_at_most_the_grid_value():
+    # the infimum over (0, R0] is below the minimum over any grid in it, up
+    # to the rounding of the two formulas
+    rng = np.random.default_rng(26)
+    for _ in range(300):
+        support = random_support(rng)
+        grid = grid_vertex_nearest(support.C, support.alpha, support.R0)
+        assert support.vertex_reach <= grid * (1.0 + 1e-13)
+
+
+def test_vertex_reach_overflows_to_infinity():
+    # at alpha = 0.05 and R0 = 1e-40 the exponent R0^-alpha is 1e2, so the
+    # reach is finite; at R0 = 1e-300 it is e^{1e15}
+    assert math.isfinite(FlatSupport(1.0, 0.05, 1e-40, 0.05).vertex_reach)
+    assert FlatSupport(1.0, 0.05, 1e-300, 0.05).vertex_reach == math.inf
+
+
+def test_flat_distance_searches_above_the_reach_and_off_the_axis(monkeypatch):
+    calls = []
+    search = convex_geometry.minimize_on_circle
+
+    def counted(h):
+        calls.append(h)
+        return search(h)
+
+    monkeypatch.setattr(convex_geometry, "minimize_on_circle", counted)
+    support = FlatSupport(1.0, 0.5, FlatSupport.convexity_cap(0.5), 0.1)
+    graph = GraphConstraint(support)
+    reach = support.vertex_reach
+    graph.distance(np.array([0.0, 1j * reach * (1.0 - 1e-9)]))
+    assert len(calls) == 0
+    graph.distance(np.array([0.0, 1j * reach * (1.0 + 1e-9)]))
+    assert len(calls) == 1
+    graph.distance(np.array([1e-9, 0.5j * reach]))
+    assert len(calls) == 2
+    graph.distance(np.array([0.0, 0.0]))  # the vertex itself
+    assert len(calls) == 3
+
+
+def test_flat_support_solves_x0_cap_once(monkeypatch):
+    calls = []
+    solve = convex_geometry.x0_cap
+    monkeypatch.setattr(convex_geometry, "x0_cap",
+                        lambda C, alpha: calls.append((C, alpha)) or solve(C, alpha))
+    domain = flat_domain(C=1.0, alpha=0.5, s0=0.1)
+    for _ in range(3):
+        assert domain.support.zone == min(0.1, solve(1.0, 0.5))
+        domain.zone_depth(np.array([0.0, 0.01j]))
+    assert len(calls) == 1
+    flat_domain(C=2.0).support.zone
+    assert len(calls) == 2
 
 
 def dense_graph_distance(support, rho, y) -> float:

@@ -18,7 +18,9 @@ from geodisc.disc_analysis import (
     BoundarySamples,
     ModulusFamily,
     UnitDiscFunction,
+    _LAG_BLOCK,
     _aligned_empty,
+    _lag_maxima,
     boundary_samples,
     conjugate_function,
     constant_map,
@@ -29,6 +31,7 @@ from geodisc.disc_analysis import (
     modulus_of_continuity,
     modulus_profile,
     pz_bound,
+    row_norms,
     scalar_function,
     vector_function,
 )
@@ -287,6 +290,57 @@ def test_sweep_buffers_start_on_a_cache_line():
         buf = _aligned_empty(n)
         assert buf.shape == (n,) and buf.dtype == np.float64
         assert buf.ctypes.data % 64 == 0
+
+
+def per_lag_maxima(samples: BoundarySamples, max_lag: int) -> np.ndarray:
+    """The lag sweep one lag at a time, in the same summation order: the
+    squared difference of each column in turn, real part before imaginary
+    part, component by component."""
+    n = samples.n
+    columns = [
+        np.concatenate([part, part[:max_lag]])
+        for component in samples.values.T
+        for part in (component.real, component.imag)
+    ]
+    squares = np.zeros(max_lag + 1)
+    for lag in range(1, max_lag + 1):
+        total = (columns[0][lag:lag + n] - columns[0][:n]) ** 2
+        for column in columns[1:]:
+            total += (column[lag:lag + n] - column[:n]) ** 2
+        squares[lag] = total.max()
+    return np.sqrt(squares)
+
+
+@pytest.mark.parametrize("n", [8, 1000, 1024, 8193])
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+def test_lag_sweep_in_blocks_matches_the_per_lag_sweep(n, dimension):
+    rows = _LAG_BLOCK // n
+    rng = np.random.default_rng(n + dimension)
+    values = rng.normal(size=(n, dimension)) + 1j * rng.normal(size=(n, dimension))
+    samples = BoundarySamples(n, values, 1.0)
+    for max_lag in sorted({1, rows - 1, rows, rows + 1, n // 2}):
+        if 0 <= max_lag <= n // 2:
+            expected = per_lag_maxima(samples, max_lag)
+            assert np.array_equal(_lag_maxima(samples, max_lag), expected), max_lag
+
+
+def old_row_norms(values: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.sum(values.real**2, axis=-1) + np.sum(values.imag**2, axis=-1))
+
+
+@pytest.mark.parametrize("m", range(1, 10))
+def test_row_norms_match_the_vector_norm(m):
+    rng = np.random.default_rng(m)
+    scales = 10.0 ** rng.uniform(-3.0, 3.0, size=(2, 200, 3, m))
+    values = scales[0] * rng.normal(size=(200, 3, m)) + 1j * scales[1] * rng.normal(
+        size=(200, 3, m))
+    norms = row_norms(values)
+    assert norms.shape == (200, 3)
+    expected = np.array([[np.linalg.norm(v) for v in row] for row in values])
+    assert np.all(np.abs(norms - expected) <= 1e-15 * expected)
+    if m <= 7:
+        # the order np.sum takes below 8 terms
+        assert np.array_equal(norms, old_row_norms(values))
 
 
 def test_modulus_constant_is_zero():

@@ -12,6 +12,7 @@ from geodisc.convex_geometry import (
     Ball,
     FlatModelDomain,
     FlatSupport,
+    HalfspaceIntersection,
     Polydisc,
     boundary_distance,
 )
@@ -25,6 +26,7 @@ from geodisc.disc_analysis import (
     vector_function,
 )
 from geodisc.hardy_littlewood import DerivMajorantFamily
+from geodisc.numerics import gauss_panel
 from geodisc.kobayashi import (
     _PROBE_DELTAS,
     GeodesicCandidate,
@@ -294,6 +296,52 @@ def test_defect_positive_for_non_geodesic():
     expected = math.atanh(0.5) - math.atanh(0.25)  # p(0, 1/2) - p(0, 1/4)
     assert abs(defect - expected) < 1e-12
     assert abs(expected - 0.29389) < 1e-4
+
+
+def graham_interval_defect(candidate: GeodesicCandidate, zeta1: complex,
+                           zeta2: complex) -> float:
+    """The interval route with each Gauss node's lower metric from
+    ``graham_bounds``: the distance from p to [L, 2L]."""
+    p = poincare_distance(zeta1, zeta2)
+    z1, z2 = candidate.map(zeta1), candidate.map(zeta2)
+    direction = z2 - z1
+    metric = lambda t: np.array([
+        graham_bounds(candidate.domain, z1 + s * direction, direction).lower
+        for s in t.tolist()
+    ])
+    panels = np.arange(4)
+    lower = sum(gauss_panel(metric, panels / 4, (panels + 1) / 4, 8).tolist())
+    return max(lower - p, p - 2.0 * lower, 0.0)
+
+
+def test_defect_interval_route_matches_graham_bounds_at_each_node():
+    # the nodes skip the base check and normalise the direction once, but
+    # read the same radii: equal to the last bit
+    rng = np.random.default_rng(24)
+    domain = pipeline_domain()
+    square = HalfspaceIntersection([([1.0], 1.0), ([-1.0], 1.0), ([1j], 1.0), ([-1j], 1.0)])
+    for _ in range(40):
+        y0 = rng.uniform(0.01, 0.04)
+        radius = 0.9 * min(y0 - 1e-3, 0.08 - y0)
+        offset = rng.uniform(0.0, 0.02)
+        candidates = [
+            flat_slice_candidate(domain, 1j * y0, radius),
+            GeodesicCandidate(vector_function(
+                [lambda z, a=offset: a + 0.0 * z,
+                 lambda z, c=1j * y0, r=radius: c + r * z]), domain),
+            GeodesicCandidate(scalar_function(
+                lambda z, c=complex(*rng.uniform(-0.3, 0.3, 2)): c + 0.6 * z), square),
+        ]
+        zeta1, zeta2 = (0.9 * cmath.rect(rng.random(), rng.uniform(0.0, 2.0 * math.pi))
+                        for _ in range(2))
+        for candidate in candidates:
+            expected = graham_interval_defect(candidate, zeta1, zeta2)
+            assert geodesic_defect(candidate, zeta1, zeta2) == expected
+
+
+def test_defect_of_a_constant_flat_map_is_p():
+    candidate = flat_slice_candidate(pipeline_domain(), 0.03j, 0.0)
+    assert geodesic_defect(candidate, 0.1, 0.5) == poincare_distance(0.1, 0.5)
 
 
 def test_defect_exact_route_on_the_disc_as_ball():
