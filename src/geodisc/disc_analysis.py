@@ -229,10 +229,22 @@ def _log_modulus(omega) -> Callable[[np.ndarray], np.ndarray]:
 
 def row_norms(values: np.ndarray) -> np.ndarray:
     """Euclidean norms over the last axis: squared real parts, then squared
-    imaginary parts, added in order, as ``np.sum`` adds below 8 terms."""
-    re, im = (sum((p[..., k] ** 2 for k in range(1, p.shape[-1])), p[..., 0] ** 2)
-              for p in (values.real, values.imag))
-    return np.sqrt(re + im)
+    imaginary parts, added in order, as ``np.sum`` adds below 8 terms.  A
+    row whose sum of squares is no normal double is scaled by a power of
+    two first, as ``convex_geometry._scaled_norm`` scales one vector."""
+    def squares(parts):
+        re, im = (sum((p[..., k] ** 2 for k in range(1, p.shape[-1])), p[..., 0] ** 2)
+                  for p in parts)
+        return re + im
+
+    with np.errstate(over="ignore", under="ignore"):
+        norms = np.sqrt(sq := squares((values.real, values.imag)))
+        rescale = (sq == math.inf) | (sq < np.finfo(float).tiny)  # a 0 row stays 0
+        if rescale.any():
+            e = np.frexp(np.max(np.abs(values[rescale]), axis=-1))[1][:, None]
+            scaled = (np.ldexp(p[rescale], -e) for p in (values.real, values.imag))
+            norms[rescale] = np.ldexp(np.sqrt(squares(scaled)), e[:, 0])
+    return norms
 
 
 def derivative_centered(f: UnitDiscFunction, zeta) -> np.ndarray:
@@ -401,7 +413,7 @@ def pz_bound(omega, delta: float, K: float) -> float:
     on_arrays = ModulusFamily(log_omega)
     far_density = lambda x: on_arrays(x) / (x * x)
     # int_0^min(delta, 1) omega(x)/x dx = int_{log(1/min(delta, 1))}^inf omega(e^-u) du
-    near = [integrate_log_moment(log_omega, 0, math.log(1.0 / min(delta, 1.0)))]
+    near = integrate_log_moment(log_omega, [0], math.log(1.0 / min(delta, 1.0)))
     if delta > 1.0:
         near.append(integrate_endpoint(lambda x: on_arrays(x) / x, 1.0, delta))
     if delta < 1.0:
@@ -446,10 +458,10 @@ def log_dini_test(omega, n_max: int = 6) -> LogDiniReport:
     """Classify int_0^1 (log(1/x))^n omega(x)/x dx for n = 0..n_max.
 
     Computed on the log scale, where the integral is int_0^inf u^n
-    omega(e^-u) du and geometric refinement reaches the far tail.
+    omega(e^-u) du, all orders in one pass that reaches the far tail.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     log_omega = _log_modulus(omega)
-    results = tuple(integrate_log_moment(log_omega, n, 0.0) for n in range(n_max + 1))
+    results = tuple(integrate_log_moment(log_omega, range(n_max + 1), 0.0))
     return LogDiniReport(n_max, results)

@@ -147,7 +147,7 @@ def phi_log_l1(phi, n: int) -> QuadratureResult:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return integrate_log_moment(phi.log_form, n, math.log(1.0 / phi.r0))
+    return integrate_log_moment(phi.log_form, [n], math.log(1.0 / phi.r0))[0]
 
 
 def omega_bound(majorant, delta: float) -> float:
@@ -156,7 +156,7 @@ def omega_bound(majorant, delta: float) -> float:
         raise ValueError("delta must lie in [0, r0)")
     if delta == 0.0:
         return 0.0
-    res = integrate_log_moment(majorant.log_form, 0, math.log(1.0 / delta))
+    (res,) = integrate_log_moment(majorant.log_form, [0], math.log(1.0 / delta))
     return 3.0 * res.value if res.converged else math.inf
 
 

@@ -1,11 +1,11 @@
 """Shared numeric kernels.
 
 The primitives used everywhere else in the package: composite quadrature
-with divergence detection near an endpoint singularity, the same on the
-log scale u = log(1/x) for radial integrals near 0, bracketed false
-position for monotone root problems, and the one minimiser: a grid scan
-and golden-section search for a periodic objective over the circle
-parameter, to which interval problems are mapped.
+with divergence detection near an endpoint singularity, for many
+integrands on shared nodes at once, and on the log scale u = log(1/x) for
+every order of a radial moment in one pass; bracketed false position for
+monotone root problems; and the one minimiser, a grid scan refined by
+golden-section search on the circle, onto which interval problems map.
 """
 
 from __future__ import annotations
@@ -54,6 +54,9 @@ _MAX_LEVELS = 400
 # budget in six calls.
 _LEVEL_BLOCKS = (16, 32, 64, 128)
 
+# integrate_log_moment's orders per pass: a block holds 128 x 2048 doubles
+_ORDERS_PER_PASS = 128
+
 
 @dataclass(frozen=True)
 class QuadratureResult:
@@ -84,11 +87,12 @@ def gauss_panel(
 
     ``lo`` and ``hi`` are floats or 1-d arrays of panel ends.  ``f`` is
     called once, on the nodes of every panel as one 1-d float array, and
-    returns their values as an array of the same shape; nodes are strictly
-    interior.  Each panel adds its weighted values in node order, as a
-    scalar loop over the nodes adds them, so a panel's sum does not depend
-    on how many panels share the call.  Returns one sum per panel; a
-    non-finite value is the caller's to judge.
+    returns their values, an array of that shape or a row of it per
+    integrand; nodes are strictly interior.  Each row's panel adds its
+    weighted values in node order, as a scalar loop over the nodes adds
+    them, so a sum does not depend on how many panels or rows share the
+    call.  Returns one sum per (row and) panel; a non-finite value is the
+    caller's to judge.
     """
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
     hi = np.atleast_1d(np.asarray(hi, dtype=float))
@@ -97,49 +101,71 @@ def gauss_panel(
     half = 0.5 * (hi - lo)
     x = (mid[:, None] + half[:, None] * nodes).ravel()
     y = np.asarray(f(x), dtype=float)
-    if y.shape != x.shape:
+    if y.ndim > 2 or y.shape[-1:] != x.shape:
         raise ValueError("integrand must return one value per node")
-    # add.accumulate runs along each row in order: the scalar loop's sum
-    return half * np.add.accumulate(weights * y.reshape(-1, order), axis=1)[:, -1]
+    # add.accumulate runs along each panel in order: the scalar loop's sum
+    return half * np.add.accumulate(weights * y.reshape(*y.shape[:-1], -1, order), -1)[..., -1]
 
 
-def _level_increments(f: Callable[[np.ndarray], np.ndarray], a: float, b: float):
-    """The panel integral of each halving level in turn, at most 400.
-
-    Level k covers (a + (b - a) 2^-(k+1), a + (b - a) 2^-k], level 0 up to
-    ``b``; the levels end early where the cutoff reaches floating-point
-    resolution above ``a``.  They are evaluated a block at a time, one call
-    of ``f`` per block, so the levels of a block beyond the one the caller
-    stops at are never read: they are computed with every floating-point
-    error ignored.  A level that is read and is not finite raises, an
-    overflow in it as ``FloatingPointError`` (an ``ArithmeticError``) and
-    anything else as "integrand not finite".
-    """
-    span = b - a
-    hi = b
-    done = 0
+def _integrate_rows(f: Callable[[np.ndarray, np.ndarray], np.ndarray], rows: int,
+                    a: float, b: float) -> tuple[list, list]:
+    """The results and the errors (or None) of ``rows`` integrals over
+    (a, b], by the rule of :func:`integrate_endpoint`, kept here only.
+    ``f(x, rows)`` gives the integrands numbered ``rows`` at the nodes x,
+    shape (len(rows), x.size).  One call evaluates a block of levels for
+    every row still open; each row reads its levels in order until it
+    stops, or until one is not finite or ``f`` raises: that is its error."""
+    lows = a + np.ldexp(b - a, -np.arange(1, _MAX_LEVELS + 1))
+    highs = np.concatenate(([b], lows[:-1]))
+    inside = (a < lows) & (lows < highs)  # false from where the cutoff reaches resolution
+    levels = len(lows) if inside.all() else int(np.argmin(inside))
+    panel = lambda rows, k: gauss_panel(lambda x: f(x, np.array(rows)), lows[k], highs[k])
+    open_rows, done = list(range(rows)), 0
+    results, errors = [None] * rows, [None] * rows
+    states = [(0.0, 0, math.inf)] * rows  # running value, small run, last increment
     for block in itertools.chain(_LEVEL_BLOCKS, itertools.repeat(_LEVEL_BLOCKS[-1])):
-        count = min(block, _MAX_LEVELS - done)
-        if count <= 0:
-            return
-        lows = a + np.ldexp(span, -np.arange(done + 1, done + count + 1))
-        highs = np.concatenate(([hi], lows[:-1]))
-        inside = (a < lows) & (lows < highs)
-        usable = count if inside.all() else int(np.argmin(inside))
-        if usable == 0:
-            return  # the cutoff is at floating-point resolution
-        with np.errstate(all="ignore"):
-            sums = gauss_panel(f, lows[:usable], highs[:usable])
-        for k, inc in enumerate(sums.tolist()):
-            if not math.isfinite(inc):
-                with np.errstate(all="ignore", over="raise"):
-                    gauss_panel(f, lows[k], highs[k])
-                raise ValueError("integrand not finite")
-            yield inc
-        if usable < count:
-            return
-        done += count
-        hi = float(lows[-1])
+        if not open_rows or done == levels:
+            break
+        end = min(done + block, levels)
+        try:
+            with np.errstate(all="ignore"):
+                sums = panel(open_rows, slice(done, end)).reshape(len(open_rows), end - done)
+        except Exception as exc:  # as each open row alone would raise
+            errors = [exc if row in open_rows else err for row, err in enumerate(errors)]
+            return results, errors
+        for row, incs in zip(open_rows, sums.tolist()):
+            total, small_run, last_inc = states[row]
+            for k, inc in enumerate(incs):
+                if not math.isfinite(inc):  # an overflow raises FloatingPointError
+                    try:
+                        with np.errstate(all="ignore", over="raise"):
+                            panel([row], done + k)
+                        errors[row] = ValueError("integrand not finite")
+                    except Exception as exc:
+                        errors[row] = exc
+                    break
+                total += inc
+                if abs(inc) <= _QUAD_TOL * abs(total):
+                    small_run += 1
+                    if small_run >= _CONVERGENCE_RUN:
+                        ratio = inc / last_inc if last_inc else 0.0
+                        if 0.0 < ratio < 1.0:
+                            total += inc * ratio / (1.0 - ratio)  # the geometric tail
+                        tail = _tail_estimate(inc, last_inc)
+                        results[row] = QuadratureResult(total, True, done + k + 1, tail)
+                        break
+                else:
+                    small_run = 0
+                last_inc = inc
+                if abs(total) > _VALUE_CAP:  # divergence settled; stop before overflow
+                    results[row] = QuadratureResult(total, False, done + k + 1, abs(inc))
+                    break
+            states[row] = (total, small_run, last_inc)
+        open_rows = [row for row in open_rows if results[row] is None and errors[row] is None]
+        done = end
+    for row in open_rows:
+        results[row] = QuadratureResult(states[row][0], False, done, abs(states[row][2]))
+    return results, errors
 
 
 def integrate_endpoint(
@@ -167,35 +193,17 @@ def integrate_endpoint(
     another; halvings evaluated past the one it stops at are never read,
     and no floating-point error in them raises or warns.  A non-finite
     value in a halving that is read raises: an overflow as
-    ``FloatingPointError``, anything else as "integrand not finite".
+    ``FloatingPointError``, anything else as "integrand not finite".  It
+    is the one-row case of :func:`integrate_log_moment`'s kernel.
     """
     if not (b > a):
         raise ValueError("empty interval")
     if a < 0:
         raise ValueError("lower endpoint must be nonnegative")
-
-    total = 0.0
-    small_run = 0
-    last_inc = math.inf
-    levels = 0
-    for inc in _level_increments(f, a, b):
-        total += inc
-        levels += 1
-
-        if abs(inc) <= _QUAD_TOL * abs(total):
-            small_run += 1
-            if small_run >= _CONVERGENCE_RUN:
-                ratio = inc / last_inc if last_inc else 0.0
-                if 0.0 < ratio < 1.0:
-                    total += inc * ratio / (1.0 - ratio)  # the geometric tail
-                return QuadratureResult(total, True, levels, _tail_estimate(inc, last_inc))
-        else:
-            small_run = 0
-        last_inc = inc
-        if abs(total) > _VALUE_CAP:
-            break  # divergence settled; stop before overflow
-
-    return QuadratureResult(total, False, levels, abs(last_inc))
+    (result,), (error,) = _integrate_rows(lambda x, _: np.asarray(f(x), float)[None], 1, a, b)
+    if error is not None:
+        raise error
+    return result
 
 
 def _tail_estimate(inc: float, prev_inc: float) -> float:
@@ -210,33 +218,43 @@ def _tail_estimate(inc: float, prev_inc: float) -> float:
 
 def integrate_log_moment(
     log_f: Callable[[np.ndarray], np.ndarray],
-    n: int,
+    orders,
     lower: float,
-) -> QuadratureResult:
-    """int_lower^inf u^n e^{log_f(u)} du for a log density ``log_f``.
+) -> list[QuadratureResult]:
+    """int_lower^inf u^n e^{log_f(u)} du for each integer n in ``orders``.
 
     ``log_f`` takes a 1-d float array of u and returns an array of the same
     shape, as the integrand of :func:`integrate_endpoint` does.  The head
     piece handles a possible blow-up at ``lower``; the tail is mapped onto
     a lower-endpoint singularity by u -> 1/t, so each cutoff halving
     doubles the reach toward infinity.  Both integrands are built in log
-    space, so a tiny density cannot underflow against a huge u^n.
-    Each piece stops by the rule of :func:`integrate_endpoint`, relative
-    to its own value; the result converges when both pieces do.
+    space, so a tiny density cannot underflow against a huge u^n.  Each
+    piece runs up to 128 orders in one pass, calling ``log_f`` once per
+    block for every order still open, and stops each by the rule of
+    :func:`integrate_endpoint`; an order converges when both pieces do.
+    Results are those of each order alone; the error of the lowest failing
+    order, head before tail, is raised.
     """
     if lower < 0:
         raise ValueError("lower endpoint must be nonnegative")
     split = max(2.0 * lower, lower + 1.0)
-    head = integrate_endpoint(lambda u: np.exp(n * np.log(u) + log_f(u)), lower, split)
-    tail = integrate_endpoint(
-        lambda t: np.exp(log_f(1.0 / t) - (n + 2) * np.log(t)), 0.0, 1.0 / split
-    )
-    return QuadratureResult(
-        head.value + tail.value,
-        head.converged and tail.converged,
-        max(head.refinement_levels, tail.refinement_levels),
-        head.estimated_error + tail.estimated_error,
-    )
+    orders = np.asarray(orders, dtype=float)
+    results = []
+    for start in range(0, len(orders), _ORDERS_PER_PASS):
+        n = orders[start:start + _ORDERS_PER_PASS]
+        heads, head_errors = _integrate_rows(
+            lambda u, rows: np.exp(np.multiply.outer(n[rows], np.log(u)) + log_f(u)),
+            len(n), lower, split)
+        tails, tail_errors = _integrate_rows(
+            lambda t, rows: np.exp(log_f(1.0 / t) - np.multiply.outer(n[rows] + 2.0, np.log(t))),
+            len(n), 0.0, 1.0 / split)
+        for error in filter(None, itertools.chain(*zip(head_errors, tail_errors))):
+            raise error  # the lowest order's, head before tail
+        results += [QuadratureResult(h.value + t.value, h.converged and t.converged,
+                                     max(h.refinement_levels, t.refinement_levels),
+                                     h.estimated_error + t.estimated_error)
+                    for h, t in zip(heads, tails)]
+    return results
 
 
 def log_scale(

@@ -141,6 +141,16 @@ def test_log_dini_divergent_exit_two(tmp_path):
     assert code == 2
 
 
+def test_log_dini_past_the_double_range_exits_one(tmp_path, capsys):
+    # from n of about 1020 the tail's first level overflows; the orders
+    # before it run 128 to a pass, so memory stays bounded
+    cfg = {"modulus": {"kind": "log_reciprocal"}, "n_max": 20000}
+    code, out = run_cli(tmp_path, "log-dini", cfg)
+    assert code == 1
+    assert capsys.readouterr().err == "geodisc: error: numeric overflow (overflow encountered in exp)\n"
+    assert not out.exists()
+
+
 def test_pz_bound_delta_above_one(tmp_path):
     cfg = {"modulus": {"kind": "holder", "a": 1.0}, "delta": 1.5}
     code, out = run_cli(tmp_path, "pz-bound", cfg)

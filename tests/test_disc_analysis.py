@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import cmath
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -36,6 +37,7 @@ from geodisc.disc_analysis import (
     vector_function,
 )
 from geodisc.hardy_littlewood import Majorant, verify_majorant
+from geodisc.numerics import integrate_endpoint
 from geodisc.kobayashi import GeodesicCandidate, flat_slice_candidate, mercer_fit
 
 
@@ -343,6 +345,32 @@ def test_row_norms_match_the_vector_norm(m):
         assert np.array_equal(norms, old_row_norms(values))
 
 
+def test_row_norms_rescale_rows_whose_squares_leave_the_double_range():
+    # squared, 1e200 overflowed to a norm of inf and 1e-200 underflowed to 0
+    values = np.array([[1e200, 1e200], [1e-200, -1e-200j], [1e-310, 0.0], [3.0, 4.0j], [0.0, 0.0]])
+    norms = row_norms(values)
+    expected = [math.hypot(abs(a), abs(b)) for a, b in values]
+    assert expected[:3] == pytest.approx([2**0.5 * 1e200, 2**0.5 * 1e-200, 1e-310], rel=1e-15)
+    assert norms.tolist() == pytest.approx(expected, rel=1e-15)
+    assert norms[3:].tolist() == [5.0, 0.0]
+
+
+def test_hl_verify_of_a_huge_monomial_finds_the_worst_point(tmp_path):
+    # |f'| = 2e300 r is finite on the whole grid: the worst point is the
+    # outermost radius, not the first grid point read as inf
+    cfg = {"function": {"kind": "monomial", "degree": 2, "coefficient": 1e300},
+           "majorant": {"kind": "power", "r0": 0.5, "coefficient": 2.0}}
+    out = tmp_path / "report.json"
+    assert cli.run("hl-verify", dict(cfg, out=str(out))) == 2
+
+    def not_json(token):
+        raise ValueError(f"{token} is not JSON")
+
+    result = json.loads(out.read_text(), parse_constant=not_json)["result"]
+    assert result["max_violation"] == pytest.approx(2e300 * 0.99995, rel=1e-12)
+    assert (result["worst_r"], result["worst_theta"]) == (0.99995, 0.0)
+
+
 def test_modulus_constant_is_zero():
     samples = boundary_samples(constant_map([1.0j]), 32)
     assert modulus_of_continuity(samples, math.pi / 2) == 0.0
@@ -569,6 +597,31 @@ def test_log_dini_plain_callable_keeps_divergence():
     assert omega(1e-320) > 0.0
     report = log_dini_test(lambda x: omega(x), n_max=1)
     assert report.verdicts == ("diverged", "diverged")
+
+
+# the levels each block of an endpoint integral adds: 16, 32, 64, 128, 128, 32
+BLOCK_ENDS = (16, 48, 112, 240, 368, 400)
+
+
+@pytest.mark.parametrize("omega", [
+    ModulusFamily.holder(0.5),
+    ModulusFamily.stretched_exponential(1.0, 0.5),
+    ModulusFamily.log_reciprocal(),
+])
+def test_log_dini_calls_the_log_form_once_per_block_for_all_orders(omega):
+    # each piece evaluates the blocks up to the farthest level any order
+    # reads, every open order in the same call of the log form
+    calls = []
+    counting = ModulusFamily(lambda u: calls.append(u.size) or omega.log_modulus(u))
+    report = log_dini_test(counting, n_max=6)
+    assert report.results == log_dini_test(omega, n_max=6).results
+    head = [integrate_endpoint(lambda u: np.exp(n * np.log(u) + omega.log_modulus(u)), 0.0, 1.0)
+            for n in range(7)]
+    tail = [integrate_endpoint(lambda t: np.exp(omega.log_modulus(1.0 / t) - (n + 2) * np.log(t)),
+                               0.0, 1.0) for n in range(7)]
+    blocks = [1 + sum(end < max(res.refinement_levels for res in piece) for end in BLOCK_ENDS)
+              for piece in (head, tail)]
+    assert len(calls) == sum(blocks)
 
 
 def test_majorant_log_form_on_a_modulus_is_not_read():

@@ -173,18 +173,138 @@ LOG_FORMS = {
 }
 
 
+def log_moment_by_pieces(integrate, log_form, n: int, lower: float) -> QuadratureResult:
+    """One order of integrate_log_moment with each piece run through
+    ``integrate``: its own head and tail integrands, one order at a time."""
+    split = max(2.0 * lower, lower + 1.0)
+    head = integrate(lambda u: np.exp(n * np.log(u) + log_form(u)), lower, split)
+    tail = integrate(lambda t: np.exp(log_form(1.0 / t) - (n + 2) * np.log(t)), 0.0, 1.0 / split)
+    return QuadratureResult(
+        head.value + tail.value,
+        head.converged and tail.converged,
+        max(head.refinement_levels, tail.refinement_levels),
+        head.estimated_error + tail.estimated_error,
+    )
+
+
 @pytest.mark.parametrize("name", sorted(LOG_FORMS))
 @given(data=st.data())
 @settings(max_examples=12, deadline=None)
 def test_blocked_levels_match_level_by_level_on_log_forms(name, data):
     log_form = data.draw(LOG_FORMS[name])
-    n = data.draw(st.integers(min_value=0, max_value=3))
     lower = data.draw(st.sampled_from([0.0, math.log(2.0), math.log(100.0)]))
-    res = integrate_log_moment(log_form, n, lower)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(numerics, "integrate_endpoint", level_by_level)
-        oracle = integrate_log_moment(log_form, n, lower)
-    assert_matches_oracle(res, oracle)
+    results = integrate_log_moment(log_form, range(7), lower)
+    assert len(results) == 7
+    for n, res in enumerate(results):
+        assert_matches_oracle(res, log_moment_by_pieces(level_by_level, log_form, n, lower))
+
+
+ROW_FORMS = {
+    "holder": ModulusFamily.holder(0.4).log_modulus,
+    "stretched exponential": ModulusFamily.stretched_exponential(1.5, 0.3).log_modulus,
+    "log reciprocal": ModulusFamily.log_reciprocal().log_modulus,
+    "plain callable": numerics.log_scale(lambda x: x**0.75),
+    "family majorant": DerivMajorantFamily(1.3, math.e, 0.7, 0.5).log_form,
+}
+
+
+def outcome(call):
+    """What ``call`` returns, or the type and message of the error it raises."""
+    try:
+        return call()
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def per_order_loop(moment, log_form, n_max: int, lower: float):
+    """The orders 0..n_max one call at a time, stopping at the first error."""
+    results = []
+    for n in range(n_max + 1):
+        res = outcome(lambda: moment(log_form, n, lower))
+        if not isinstance(res, QuadratureResult):
+            return res
+        results.append(res)
+    return results
+
+
+@pytest.mark.parametrize("n_max", [0, 6, 80, 200])  # 200 spans two passes of 128
+@pytest.mark.parametrize("name", sorted(ROW_FORMS))
+def test_all_orders_in_one_pass_equal_the_one_order_calls(name, n_max):
+    log_form = ROW_FORMS[name]
+    for lower in (0.0, math.log(2.0), 3.0):
+        together = outcome(lambda: integrate_log_moment(log_form, range(n_max + 1), lower))
+        one_order = per_order_loop(
+            lambda f, n, low: integrate_log_moment(f, [n], low)[0], log_form, n_max, lower)
+        by_pieces = per_order_loop(
+            lambda f, n, low: log_moment_by_pieces(integrate_endpoint, f, n, low),
+            log_form, n_max, lower)
+        assert together == one_order == by_pieces
+
+
+NAN = math.nan
+
+
+def raising_above(bound: float, log_form):
+    """``log_form``, but raising ZeroDivisionError for any u above ``bound``."""
+    def raising(u):
+        if np.any(u > bound):
+            raise ZeroDivisionError("log form read past its bound")
+        return log_form(u)
+    return raising
+
+
+# log forms that fail at chosen orders, and the lower ends to integrate from:
+# low orders read the head farthest toward u = 0, high orders the tail
+# farthest out, unless the running value passes 1e50 first; 800 overflows
+# e^, and so does 700 + n log u from n = 5 on the head (4, 8]
+FAILING_LOG_FORMS = {
+    "nan tails at orders 5..41": (lambda u: np.where(u > 300.0, NAN, -u), 0.0),
+    "overflowing tails at orders 5..41": (lambda u: np.where(u > 300.0, 800.0, -u), 0.0),
+    "nan head at order 0 before the overflowing tails": (
+        lambda u: np.where(u < 1e-9, NAN, np.where(u > 300.0, 800.0, -u)), 0.0),
+    "order 0 fails in both pieces": (
+        lambda u: np.where(u < 1e-9, NAN, np.where(u > 40.0, 800.0, -u)), 0.0),
+    "overflowing tails at orders 66..190": (
+        lambda u: np.where(u > 1100.0, 800.0, -u - 700.0), 0.0),
+    "nan tails in the second pass only": (lambda u: np.where(u > 2100.0, NAN, -u - 700.0), 0.0),
+    "nan tail at order 0 before overflowing heads": (
+        lambda u: np.where(u > 100.0, NAN, np.where(u <= 8.0, 700.0, -u)), 4.0),
+    "a log form raising in the tail": (raising_above(500.0, lambda u: -u), 0.0),
+    "nan head at order 0 before a raising tail": (
+        raising_above(500.0, lambda u: np.where(u < 1e-9, NAN, -u)), 0.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAILING_LOG_FORMS))
+def test_failing_orders_raise_the_error_of_the_lowest(name):
+    log_form, lower = FAILING_LOG_FORMS[name]
+    together = outcome(lambda: integrate_log_moment(log_form, range(201), lower))
+    by_pieces = per_order_loop(
+        lambda f, n, low: log_moment_by_pieces(integrate_endpoint, f, n, low), log_form, 200, lower)
+    assert isinstance(by_pieces, tuple)
+    assert together == by_pieces
+
+
+def test_one_pass_holds_at_most_128_orders_of_2048_nodes(monkeypatch):
+    blocks = []
+    panel = numerics.gauss_panel
+
+    def recording_panel(f, lo, hi, *args):
+        def recorded(x):
+            values = f(x)
+            blocks.append(values.shape)
+            return values
+        return panel(recorded, lo, hi, *args)
+
+    monkeypatch.setattr(numerics, "gauss_panel", recording_panel)
+    seen = []
+    # u^(n - 1.5) e^(-1000 u): order 0 diverges at u = 0 through 128-level
+    # blocks, and no tail overflows up to n = 2000
+    log_form = lambda u: seen.append(u.size) or -1e3 * u - 1.5 * np.log(u)
+    results = integrate_log_moment(log_form, range(2001), 0.0)
+    assert [res.converged for res in results] == [False] + [True] * 2000
+    assert max(rows for rows, _ in blocks) == 128
+    assert max(nodes for _, nodes in blocks) == max(seen) == 128 * 16
 
 
 def poisoned_below(f, cutoff: float, poison):
@@ -231,14 +351,14 @@ def test_nan_on_a_read_level_is_rejected():
 
 def test_log_moment_gamma_values():
     # int_0^inf u^n e^-u du = n!
-    for n in (0, 1, 3, 6):
-        res = integrate_log_moment(lambda u: -u, n, 0.0)
+    orders = (0, 1, 3, 6)
+    for n, res in zip(orders, integrate_log_moment(lambda u: -u, orders, 0.0), strict=True):
         assert res.converged
         assert abs(res.value - math.factorial(n)) < 1e-7 * math.factorial(n)
 
 
 def test_log_moment_harmonic_diverges():
-    res = integrate_log_moment(lambda u: -np.log(1.0 + u), 0, 0.0)
+    (res,) = integrate_log_moment(lambda u: -np.log(1.0 + u), [0], 0.0)
     assert not res.converged
 
 
