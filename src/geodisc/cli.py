@@ -375,8 +375,8 @@ def _cmd_geodesic_probe(candidate, **options):
     return payload, rows, report.verdict != "fails"
 
 
-def _cmd_pipeline(domain, candidate, **options):
-    report = kb.theorem_pipeline(domain, candidate, **options)
+def _cmd_pipeline(domain, candidate):
+    report = kb.theorem_pipeline(domain, candidate)
     stages = [
         {"name": s.name, "status": s.status, "details": s.details} for s in report.stages
     ]
@@ -418,9 +418,7 @@ COMMANDS: dict[str, tuple[Callable, dict]] = {
     }),
     "mercer-fit": (_record(kb, "mercer_fit", None),
                    {"candidate": CANDIDATE, "theta": Opt(NUMBER)}),
-    "pipeline": (_cmd_pipeline, {
-        "domain": FLAT_MODEL, "candidate": CANDIDATE, "majorant_alpha_override": Opt(NUMBER),
-    }),
+    "pipeline": (_cmd_pipeline, {"domain": FLAT_MODEL, "candidate": CANDIDATE}),
 }
 
 _GLOBAL_FIELDS = {"command": Opt(TEXT), "format": Opt(FORMAT, "json"), "out": Opt(TEXT)}

@@ -158,24 +158,12 @@ class BoundarySamples:
 
 @dataclass(frozen=True)
 class ModulusProfile:
-    """Empirical modulus of continuity on an increasing delta grid."""
+    """Empirical modulus of continuity on an increasing delta grid, as
+    ``modulus_profile`` builds it: the omegas are nonnegative and never
+    decrease."""
 
     deltas: np.ndarray
     omegas: np.ndarray
-
-    def __post_init__(self):
-        deltas = np.asarray(self.deltas, dtype=float)
-        omegas = np.asarray(self.omegas, dtype=float)
-        if deltas.shape != omegas.shape or deltas.ndim != 1:
-            raise ValueError("deltas and omegas must be 1-d and match")
-        if np.any(np.diff(deltas) <= 0):
-            raise ValueError("deltas must be increasing")
-        if np.any(omegas < 0):
-            raise ValueError("omegas must be nonnegative")
-        if np.any(np.diff(omegas) < -1e-12):
-            raise ValueError("omegas must be nondecreasing in delta")
-        object.__setattr__(self, "deltas", deltas)
-        object.__setattr__(self, "omegas", omegas)
 
 
 @dataclass(frozen=True)

@@ -88,10 +88,6 @@ class MetricBounds:
     lower: float
     upper: float
 
-    def __post_init__(self):
-        if self.lower < 0.0 or self.upper < self.lower:
-            raise ValueError("bounds must satisfy 0 <= lower <= upper")
-
 
 def graham_bounds(domain: ConvexDomainModel, point, direction) -> MetricBounds:
     """||v|| / (2 r) <= kappa(z; v) <= ||v|| / r at z = ``point``, v =
@@ -165,9 +161,8 @@ def geodesic_defect(candidate: GeodesicCandidate, zeta1: complex,
                     zeta2: complex) -> float:
     """Deviation of the candidate from the isometry identity.
 
-    When every piece of the domain knows its Kobayashi distance and their
-    blocks are disjoint (polydiscs and balls), the domain is their product,
-    whose distance K is the largest of theirs, and this is |p(zeta1, zeta2)
+    When the domain answers its exact Kobayashi distance K (polydiscs and
+    balls, see ``ConvexDomainModel.kobayashi``), this is |p(zeta1, zeta2)
     - K(f(zeta1), f(zeta2))|.  On other convex models it is the distance from
     p to [L, 2L] (zero when p lies inside), where L integrates the lower
     metric ||v|| / (2 r) along the straight image segment.  Only 2L, the
@@ -185,11 +180,9 @@ def geodesic_defect(candidate: GeodesicCandidate, zeta1: complex,
             raise ValueError("image point outside domain")
         if where == "boundary":
             raise ValueError("image point on the boundary, where K is infinite")
-    answers = [piece.kobayashi(z1, z2) for piece in candidate.domain.pieces]
-    if None not in answers:
-        blocks = [range(len(z1))[piece.coords] for piece in candidate.domain.pieces]
-        if sum(map(len, blocks)) == len(set().union(*blocks)):
-            return abs(p - max(answers))
+    exact = candidate.domain.kobayashi(z1, z2)
+    if exact is not None:
+        return abs(p - exact)
 
     direction = z2 - z1  # the nodes lie inside with the ends: no base check
     w, norm, e = _scaled_norm(direction)
@@ -286,6 +279,7 @@ def mercer_fit(candidate: GeodesicCandidate, theta: float = 0.0) -> MercerFit:
     falls outside (0, 1]); C2 is then the smallest constant making the upper
     constraint hold on the whole grid, so the reported residual is the
     violation of the fitted constraints, zero by construction up to rounding.
+    A constant past the largest double raises ``FloatingPointError``.
     """
     rs = _MERCER_RADII
     ds = np.array(_image_distances(candidate.domain,
@@ -294,23 +288,24 @@ def mercer_fit(candidate: GeodesicCandidate, theta: float = 0.0) -> MercerFit:
         raise ValueError("image touches boundary")
     one_minus = 1.0 - rs
 
-    C1 = float(np.min(ds / one_minus))
-    x = np.log(one_minus)
-    y = np.log(ds)
-    slope = float(np.cov(x, y, bias=True)[0, 1] / np.var(x))
-    clamped = False
-    if not math.isfinite(slope) or slope <= 0.0 or slope > 1.0:
-        # beta = 1/slope below 1 (or a degenerate non-decaying fit) is
-        # outside the model; clamp and flag
-        clamped = True
-        beta = 1.0
-    else:
-        beta = 1.0 / slope
-    C2 = float(np.max(ds / one_minus ** (1.0 / beta)))
-    residual = max(
-        float(np.max(C1 * one_minus - ds, initial=0.0)),
-        float(np.max(ds - C2 * one_minus ** (1.0 / beta), initial=0.0)),
-    )
+    with np.errstate(over="raise"):
+        C1 = float(np.min(ds / one_minus))
+        x = np.log(one_minus)
+        y = np.log(ds)
+        slope = float(np.cov(x, y, bias=True)[0, 1] / np.var(x))
+        clamped = False
+        if not math.isfinite(slope) or slope <= 0.0 or slope > 1.0:
+            # beta = 1/slope below 1 (or a degenerate non-decaying fit) is
+            # outside the model; clamp and flag
+            clamped = True
+            beta = 1.0
+        else:
+            beta = 1.0 / slope
+        C2 = float(np.max(ds / one_minus ** (1.0 / beta)))
+        residual = max(
+            float(np.max(C1 * one_minus - ds, initial=0.0)),
+            float(np.max(ds - C2 * one_minus ** (1.0 / beta), initial=0.0)),
+        )
     return MercerFit(C1, C2, beta, residual, clamped)
 
 
@@ -344,12 +339,7 @@ _MAJORANT_R0 = 0.25
 _PROBE_N_THETA = 4096
 
 
-def theorem_pipeline(
-    domain: FlatModelDomain,
-    candidate: GeodesicCandidate,
-    *,
-    majorant_alpha_override: float | None = None,
-) -> PipelineReport:
+def theorem_pipeline(domain: FlatModelDomain, candidate: GeodesicCandidate) -> PipelineReport:
     """Chain the stages of the continuous-extension argument on a flat model.
 
     (i) properness diagnostic: the images of the 64 points on the circle of
@@ -357,15 +347,13 @@ def theorem_pipeline(
     inscribed-radius bound at the 4 of them nearest the boundary in its
     zone; (iii) a derivative majorant (K1/x)(log(K2/x))^{-1/alpha} with
     K1 = 4 beta^{1/alpha} and K2 = (C/C2)^beta from the distance-decay
-    fit; (iv) integrability of the majorant; (v) the boundary-extension
-    probe on 4096 nodes.  These counts and the 0.05 are fixed rules (the
-    constants above), not options.  A properness failure aborts the
-    remaining stages; a divergent majorant is reported and the probe still
-    runs.  ``candidate`` must map into ``domain`` itself.
-    ``majorant_alpha_override`` replaces the model's alpha in the majorant.
+    fit and alpha the model's own flatness exponent; (iv) integrability of
+    the majorant; (v) the boundary-extension probe on 4096 nodes.  These
+    counts and the 0.05 are fixed rules (the constants above), not options.
+    A properness failure aborts the remaining stages; a divergent majorant
+    is reported and the probe still runs.  ``candidate`` must map into
+    ``domain`` itself.
     """
-    if majorant_alpha_override is not None and not majorant_alpha_override > 0.0:
-        raise ValueError("majorant_alpha_override must be positive")
     if candidate.domain != domain:
         raise ValueError("candidate domain does not match the pipeline domain")
     s = domain.support
@@ -407,11 +395,10 @@ def theorem_pipeline(
     # ray where the image actually approaches the boundary
     theta_star = 2.0 * math.pi * int(order[0]) / _PROPERNESS_N_THETA
     fit = mercer_fit(candidate, theta=theta_star)
-    alpha = s.alpha if majorant_alpha_override is None else majorant_alpha_override
-    K1 = 4.0 * fit.beta ** (1.0 / alpha)
+    K1 = 4.0 * fit.beta ** (1.0 / s.alpha)
     K2 = (s.C / fit.C2) ** fit.beta
     r0 = min(_MAJORANT_R0, 0.9 * K2)
-    family = DerivMajorantFamily(K1=K1, K2=K2, alpha=alpha, r0=r0)
+    family = DerivMajorantFamily(K1=K1, K2=K2, alpha=s.alpha, r0=r0)
     stages.append(
         PipelineStage(
             "majorant_fit",
@@ -422,7 +409,7 @@ def theorem_pipeline(
                 "beta": fit.beta,
                 "K1": K1,
                 "K2": K2,
-                "alpha": alpha,
+                "alpha": s.alpha,
                 "r0": r0,
             },
         )

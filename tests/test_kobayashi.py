@@ -16,7 +16,7 @@ from geodisc.convex_geometry import (
     Polydisc,
     boundary_distance,
 )
-from geodisc import disc_analysis
+from geodisc import disc_analysis, kobayashi
 from geodisc.disc_analysis import (
     boundary_samples,
     constant_map,
@@ -26,7 +26,7 @@ from geodisc.disc_analysis import (
     vector_function,
 )
 from geodisc.hardy_littlewood import DerivMajorantFamily
-from geodisc.numerics import gauss_panel
+from geodisc.numerics import QuadratureResult, gauss_panel
 from geodisc.kobayashi import (
     _PROBE_DELTAS,
     GeodesicCandidate,
@@ -339,6 +339,39 @@ def test_defect_interval_route_matches_graham_bounds_at_each_node():
             assert geodesic_defect(candidate, zeta1, zeta2) == expected
 
 
+def test_domain_kobayashi_is_exact_on_polydiscs_and_balls_only():
+    # a polydisc's distance is the largest of its coordinate discs'; a
+    # ball's is artanh rho with 1 - rho^2 = (1 - |a|^2)(1 - |b|^2) /
+    # |1 - <a, b>|^2 for the rescaled points a and b
+    rng = np.random.default_rng(31)
+
+    def draw(radius, dim):
+        u = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        return radius * rng.uniform(0.0, 0.9) * u / np.linalg.norm(u)
+
+    radii = (0.5, 2.0, 1.0)
+    polydisc = Polydisc(radii)
+    center = np.array([0.1 + 0.2j, -0.3j])
+    ball = Ball(center, 1.5)
+    for _ in range(20):
+        z = np.array([draw(r, 1)[0] for r in radii])
+        w = np.array([draw(r, 1)[0] for r in radii])
+        exact = max(math.atanh(abs((zk - wk) * r / (r * r - wk.conjugate() * zk)))
+                    for zk, wk, r in zip(z, w, radii))
+        assert polydisc.kobayashi(z, w) == pytest.approx(exact, rel=1e-12)
+
+        a, b = draw(1.0, 2), draw(1.0, 2)
+        s = (1.0 - np.vdot(a, a).real) * (1.0 - np.vdot(b, b).real)
+        exact = math.atanh(math.sqrt(1.0 - s / abs(1.0 - np.vdot(b, a)) ** 2))
+        K = ball.kobayashi(center + 1.5 * a, center + 1.5 * b)
+        assert K == pytest.approx(exact, rel=1e-12)
+
+    square = HalfspaceIntersection([([1.0], 1.0), ([-1.0], 1.0), ([1j], 1.0), ([-1j], 1.0)])
+    assert square.kobayashi(np.array([0.1j]), np.array([0.5])) is None
+    flat = pipeline_domain()
+    assert flat.kobayashi(np.array([0.0, 0.03j]), np.array([0.0, 0.05j])) is None
+
+
 def test_defect_of_a_constant_flat_map_is_p():
     candidate = flat_slice_candidate(pipeline_domain(), 0.03j, 0.0)
     assert geodesic_defect(candidate, 0.1, 0.5) == poincare_distance(0.1, 0.5)
@@ -520,10 +553,14 @@ def test_pipeline_end_to_end_flat_slice():
     assert verify_majorant(candidate.map, family).verified()
 
 
-def test_pipeline_flags_noninteg_majorant_at_alpha_one():
+def test_pipeline_flags_noninteg_majorant_at_alpha_one(monkeypatch):
+    # FlatSupport admits alpha < 1 only, where the majorant is integrable;
+    # an unconverged integral stands in for the majorant at alpha = 1
+    diverged = QuadratureResult(math.inf, False, 400, math.inf)
+    monkeypatch.setattr(kobayashi, "phi_log_l1", lambda family, n: diverged)
     domain = pipeline_domain()
     candidate = flat_slice_candidate(domain, 0.04j, 0.04)
-    report = theorem_pipeline(domain, candidate, majorant_alpha_override=1.0)
+    report = theorem_pipeline(domain, candidate)
     stages = {stage.name: stage for stage in report.stages}
     assert stages["majorant_integrable"].status == "fail"
     assert stages["majorant_integrable"].details["note"] == "majorant not integrable"

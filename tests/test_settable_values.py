@@ -19,7 +19,6 @@ SETTABLE = {
     "cli:parse.path",
     "cli:main.argv",
     "convex_geometry:x0_cap.scan_n",
-    "convex_geometry:DiscConstraint.center",
     "convex_geometry:HalfspaceIntersection.interior_point",
     "convex_geometry:FlatModelDomain.dimension",
     "disc_analysis:UnitDiscFunction.derivative",
@@ -34,7 +33,6 @@ SETTABLE = {
     "kobayashi:boundary_extension_probe.n_theta",
     "kobayashi:boundary_extension_probe.tol_ext",
     "kobayashi:mercer_fit.theta",
-    "kobayashi:theorem_pipeline.majorant_alpha_override",
     "numerics:gauss_panel.order",
     "numerics:log_scale.power",
 }
