@@ -18,7 +18,7 @@ from itertools import combinations, islice
 
 import numpy as np
 
-from .numerics import minimize_on_circle, solve_monotone
+from .numerics import minimize_on_circle, power_of_two_scaled, solve_monotone
 
 MEMBERSHIP_TOL = 1e-12
 
@@ -547,42 +547,21 @@ def _check_vector(domain: ConvexDomainModel, z, u) -> tuple[np.ndarray, np.ndarr
     return z, u
 
 
-# A norm in this range lost nothing to squares that under- or overflowed.
-_NORM_SAFE = (2.0**-480, 2.0**480)
-
-
-def _scaled_norm(u: np.ndarray) -> tuple[np.ndarray, float, int]:
-    """(w, ||w||, e) with u = w 2^e exactly: w = u where ||u|| is in the
-    safe range (or u is 0 or not finite), else u scaled by the exact power
-    of two that brings its largest entry into [1/2, 1), whose squares then
-    neither underflow nor overflow.  The scaling takes two steps, as 2^-e
-    alone overflows for a subnormal entry 2^e."""
-    with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(u))
-    if _NORM_SAFE[0] <= norm <= _NORM_SAFE[1]:
-        return u, norm, 0
-    top = float(np.abs(u).max(initial=0.0))
-    if not 0.0 < top < math.inf:
-        return u, norm, 0
-    e = math.frexp(top)[1]
-    half = e // 2
-    w = u * 2.0**-half * 2.0 ** (half - e)
-    return w, float(np.linalg.norm(w)), e
-
-
 def _unit_halfspace(a: np.ndarray, b: float) -> HalfspaceConstraint:
     """Re<a, z> <= b with its normal scaled to unit length; the norm of a is
-    taken through :func:`_scaled_norm`, so tiny and huge normals neither
-    under- nor overflow."""
-    w, norm, e = _scaled_norm(a)
+    taken of a scaled by :func:`numerics.power_of_two_scaled`, so tiny and
+    huge normals neither under- nor overflow."""
+    w, e = power_of_two_scaled(a)
+    norm = np.linalg.norm(w)
     if norm == 0.0:
         raise ValueError("halfspace normal must be nonzero")
-    return HalfspaceConstraint(w / norm, math.ldexp(b / norm, -e))
+    return HalfspaceConstraint(w / norm, math.ldexp(b / norm, -int(e)))
 
 
 def _check_ray(domain: ConvexDomainModel, z, u) -> tuple[np.ndarray, np.ndarray]:
     z, u = _check_vector(domain, z, u)
-    w, norm, _ = _scaled_norm(u)
+    w = power_of_two_scaled(u)[0]
+    norm = np.linalg.norm(w)
     if norm == 0.0:
         raise ValueError("direction must be nonzero")
     return z, w / norm

@@ -14,7 +14,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .numerics import QuadratureResult, integrate_endpoint, integrate_log_moment, log_scale
+from .numerics import (QuadratureResult, integrate_endpoint, integrate_log_moment, log_scale,
+                       power_of_two_scaled)
 
 # The radii a radial limit reads: the end of the geometric approach
 # r = 1 - 2^-j, which resolves exponential behaviour at the boundary.
@@ -218,20 +219,19 @@ def _log_modulus(omega) -> Callable[[np.ndarray], np.ndarray]:
 def row_norms(values: np.ndarray) -> np.ndarray:
     """Euclidean norms over the last axis: squared real parts, then squared
     imaginary parts, added in order, as ``np.sum`` adds below 8 terms.  A
-    row whose sum of squares is no normal double is scaled by a power of
-    two first, as ``convex_geometry._scaled_norm`` scales one vector."""
-    def squares(parts):
+    row whose sum of squares is no normal double is scaled first, by
+    :func:`numerics.power_of_two_scaled`."""
+    def squares(rows):
         re, im = (sum((p[..., k] ** 2 for k in range(1, p.shape[-1])), p[..., 0] ** 2)
-                  for p in parts)
+                  for p in (rows.real, rows.imag))
         return re + im
 
     with np.errstate(over="ignore", under="ignore"):
-        norms = np.sqrt(sq := squares((values.real, values.imag)))
+        norms = np.sqrt(sq := squares(values))
         rescale = (sq == math.inf) | (sq < np.finfo(float).tiny)  # a 0 row stays 0
         if rescale.any():
-            e = np.frexp(np.max(np.abs(values[rescale]), axis=-1))[1][:, None]
-            scaled = (np.ldexp(p[rescale], -e) for p in (values.real, values.imag))
-            norms[rescale] = np.ldexp(np.sqrt(squares(scaled)), e[:, 0])
+            scaled, e = power_of_two_scaled(values[rescale])
+            norms[rescale] = np.ldexp(np.sqrt(squares(scaled)), e)
     return norms
 
 
@@ -296,16 +296,18 @@ def _aligned_empty(n: int) -> np.ndarray:
 def _lag_maxima(samples: BoundarySamples, max_lag: int) -> np.ndarray:
     """lag_maxima[l] = max_k ||g(theta_{k+l}) - g(theta_k)|| for l = 0..max_lag.
 
-    A column sweep: the real and imaginary part of each component is one
-    contiguous column, extended circularly by max_lag entries, and each block
-    of lags sums the squared differences of its shifted windows, column by
-    column, into a preallocated (lags, n) buffer, then takes each row's
-    maximum.  Every pair (k, k + l) is visited once per lag, in O(n) memory.
+    A column sweep of the samples, scaled as one vector by
+    :func:`numerics.power_of_two_scaled` and unscaled on the maxima: each
+    part of each component is one contiguous column, extended circularly by
+    max_lag entries, and each block of lags sums the squared differences of
+    its shifted windows, column by column, into a (lags, n) buffer, then
+    takes each row's maximum: each pair (k, k + l) once per lag, O(n) memory.
     """
     n = samples.n
+    scaled, e = power_of_two_scaled(samples.values.reshape(-1))
     windows = [
         np.lib.stride_tricks.sliding_window_view(np.concatenate([part, part[:max_lag]]), n)
-        for component in samples.values.T
+        for component in scaled.reshape(n, -1).T
         for part in (component.real, component.imag)
     ]
     rows = max(1, min(max_lag, _LAG_BLOCK // n))
@@ -320,7 +322,7 @@ def _lag_maxima(samples: BoundarySamples, max_lag: int) -> np.ndarray:
             if j:
                 np.add(block_total, block_term, out=block_total)
         squares[start:start + rows] = np.maximum.reduce(block_total, axis=1)
-    return np.sqrt(squares)
+    return np.ldexp(np.sqrt(squares), e)
 
 
 def _lag(delta: float, n: int) -> int:

@@ -20,7 +20,7 @@ from .numerics import QuadratureResult, integrate_log_moment, log_scale
 # verify_majorant's angles; its radii depend on the majorant window r0.
 _VERIFY_THETAS = 2.0 * math.pi * np.arange(32) / 32
 # verify_majorant's worst point is the first one this close, relative to
-# max(1, |max violation|), to the max violation.
+# the largest finite |f'| on the grid, to the max violation.
 _TIE_TOL = 1e-12
 
 
@@ -121,7 +121,7 @@ def verify_majorant(f: UnitDiscFunction, phi) -> MajorantReport:
         raise ValueError(f"majorant window r0 = {r0!r} is too narrow to sample below 1")
     caps = np.repeat([phi.evaluate(1.0 - float(r)) for r in radii], len(_VERIFY_THETAS))
     zeta = np.multiply.outer(radii, np.cos(_VERIFY_THETAS) + 1j * np.sin(_VERIFY_THETAS))
-    violations = row_norms(derivative_at(f, zeta.ravel())) - caps
+    violations = (norms := row_norms(derivative_at(f, zeta.ravel()))) - caps
     with np.errstate(divide="ignore", invalid="ignore"):  # Phi 0 or inf
         scaled = violations / caps
     # a nan is no violation; there are none when all are -inf or nan
@@ -129,9 +129,9 @@ def verify_majorant(f: UnitDiscFunction, phi) -> MajorantReport:
     largest = float(np.max(violations))
     if not largest > -math.inf:
         return MajorantReport(-math.inf, 0.0, 0.0, -math.inf)
-    # the first grid point within a rounding tie of the largest, so that
-    # last-bit noise on a circle where |f'| is constant cannot move it
-    floor = largest - _TIE_TOL * max(1.0, abs(largest)) if largest < math.inf else largest
+    # the first grid point within a rounding tie of the largest on the scale
+    # of |f'|, so that last-bit noise cannot move it; inf is its own floor
+    floor = largest - _TIE_TOL * np.max(norms, initial=0.0, where=np.isfinite(norms))
     worst = int(np.argmax(violations >= floor))
     r, theta = divmod(worst, len(_VERIFY_THETAS))
     return MajorantReport(
@@ -151,13 +151,19 @@ def phi_log_l1(phi, n: int) -> QuadratureResult:
 
 
 def omega_bound(majorant, delta: float) -> float:
-    """The modulus bound 3 * int_0^delta Phi(x) dx; inf when divergent."""
+    """The modulus bound 3 * int_0^delta Phi(x) dx; inf when divergent.  A
+    density Phi(x) x that is subnormal at delta, whose quadrature nodes
+    would underflow, is integrated times 2^-k, which lifts it into [1, 2)
+    there, and the bound is 2^k times that."""
     if not 0.0 <= delta < majorant.r0:
         raise ValueError("delta must lie in [0, r0)")
     if delta == 0.0:
         return 0.0
-    (res,) = integrate_log_moment(majorant.log_form, [0], math.log(1.0 / delta))
-    return 3.0 * res.value if res.converged else math.inf
+    u = math.log(1.0 / delta)
+    level = float(majorant.log_form(np.array([u]))[0]) / math.log(2.0)
+    k = math.floor(level) if -math.inf < level < -1022.0 else 0
+    (res,) = integrate_log_moment(lambda v: majorant.log_form(v) - k * math.log(2.0), [0], u)
+    return math.ldexp(3.0 * res.value, k) if res.converged else math.inf
 
 
 def kernel_bound_check(r: float, tau: float) -> bool:

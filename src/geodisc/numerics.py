@@ -4,8 +4,8 @@ The primitives used everywhere else in the package: composite quadrature
 with divergence detection near an endpoint singularity, for many
 integrands on shared nodes at once, and on the log scale u = log(1/x) for
 every order of a radial moment in one pass; bracketed false position for
-monotone root problems; and the one minimiser, a grid scan refined by
-golden-section search on the circle, onto which interval problems map.
+monotone root problems; the one minimiser, a grid scan refined by
+golden-section search on the circle; and the one power-of-two scaling rule.
 """
 
 from __future__ import annotations
@@ -395,3 +395,21 @@ def minimize_on_circle(h: Callable[[float], float]) -> float:
             d = lo + _INVPHI * (hi - lo)
             fd = f(d)
     return min(values[best], fc, fd, f(0.5 * (lo + hi)))
+
+
+def power_of_two_scaled(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(w, e) with values = w 2^e, one exponent per vector along the last
+    axis: the one rule for scaling before squaring (Blue, ACM TOMS 4(1),
+    1978).  A vector whose largest |real or imaginary part| is 0, not
+    finite or in [2^-480, 2^480] stays as it is, with e = 0; any other is
+    scaled to bring that part into [1/2, 1), in two steps, as 2^-e alone
+    overflows for a subnormal part.  Exact while every scaled entry stays
+    normal: entries more than about 2^1022 below the largest underflow."""
+    top = np.maximum(np.abs(values.real), np.abs(values.imag)).max(axis=-1, initial=0.0)
+    inside = (2.0**-480 <= top) & (top <= 2.0**480)
+    if inside.all():
+        return values, np.zeros(top.shape, int)
+    e = np.where(inside, 0, np.frexp(top)[1])  # frexp gives 0, inf and nan the exponent 0
+    half = (e // 2)[..., None]  # scale the real and imaginary parts alike
+    parts = np.array(values).view(float) * np.ldexp(1.0, -half)
+    return (parts * np.ldexp(1.0, half - e[..., None])).view(values.dtype), e

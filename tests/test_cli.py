@@ -255,6 +255,21 @@ def test_mod_cont_profile_csv(tmp_path):
     assert len(lines) == 4
 
 
+@pytest.mark.parametrize("coefficient", [1e200, 1e-170])
+def test_mod_cont_scales_with_the_function(tmp_path, coefficient):
+    # the sweep squared raw differences: 1e200 z overflowed to Infinity and
+    # 1e-170 z underflowed to an omega of 0
+    def omegas(c):
+        function = {"kind": "monomial", "degree": 1, "coefficient": c}
+        cfg = {"function": function, "n": 1024, "deltas": [0.0062, 0.098]}
+        code, out = run_cli(tmp_path, "mod-cont", cfg)
+        assert code == 0
+        return np.array(json.loads(out.read_text())["result"]["omegas"])
+
+    unit = omegas(1.0)
+    assert np.all(np.abs(omegas(coefficient) - coefficient * unit) <= 1e-13 * coefficient * unit)
+
+
 FLAT = {"kind": "flat_model", "C": 1.0, "alpha": 0.5, "R0": 0.111, "s0": 0.08}
 FLAT_SLICE = {"kind": "flat_slice", "domain": FLAT, "center": [0.0, 0.04], "radius": 0.04}
 

@@ -143,6 +143,21 @@ def test_verify_majorant_accepts_a_subnormal_majorant_rounded_up():
     assert verify_majorant(f, Majorant.power(0.5, 29 * unit, 0.0)).verified()
 
 
+def test_verify_majorant_reports_the_point_of_its_max_violation():
+    # the subnormal case above: every grid point lay within the tie floor
+    # 1e-12 max(1, |largest|) of the largest, so the first one, r = 0.5005,
+    # theta = 0, was reported, where the violation is about -15 units
+    unit = math.ldexp(1.0, -1074)
+    c = complex(-11 * unit, 9 * unit)
+    f = scalar_function(lambda z: c * z * z, lambda z: 2.0 * c * z)
+    phi = Majorant.power(0.5, 29 * unit, 0.0)
+    report = verify_majorant(f, phi)
+    r, theta = report.worst_r, report.worst_theta
+    zeta = r * complex(math.cos(theta), math.sin(theta))
+    assert abs(2.0 * c * zeta) - phi.evaluate(1.0 - r) == report.max_violation
+    assert (r, theta) == (pytest.approx(0.99726, abs=1e-5), math.pi / 16)
+
+
 def test_verify_majorant_worst_point_survives_last_bit_noise(monkeypatch):
     # |f'| = 2r on each circle, so the 32 angles of the worst radius tie up
     # to rounding; the first of them is reported however the noise falls
@@ -345,6 +360,16 @@ def test_omega_bound_families_match_closed_form():
 def test_omega_bound_divergent_family_is_infinite():
     fam = DerivMajorantFamily(K1=1.0, K2=math.e, alpha=1.5, r0=0.5)
     assert omega_bound(fam, 0.1) == math.inf
+
+
+@pytest.mark.parametrize("units, delta", [(3, 0.2454), (334, 0.006), (2**40, 0.006)])
+def test_omega_bound_of_a_subnormal_majorant(units, delta):
+    # Phi(x) x = c x is subnormal on (0, delta]: the quadrature's nodes
+    # underflowed, and the bounds read 0, 0 and 5 units low
+    unit = math.ldexp(1.0, -1074)
+    bound = omega_bound(Majorant.power(0.5, units * unit, 0.0), delta)
+    exact = 3.0 * units * delta
+    assert abs(bound / unit - exact) <= 1e-12 * exact + 1.0
 
 
 # --- kernel inequality ------------------------------------------------------
