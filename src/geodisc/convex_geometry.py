@@ -547,21 +547,25 @@ def _check_vector(domain: ConvexDomainModel, z, u) -> tuple[np.ndarray, np.ndarr
     return z, u
 
 
+def _scaled_norm(u: np.ndarray) -> tuple[np.ndarray, float, int]:
+    """(w, ||w||, e) with u = w 2^e, w by :func:`numerics.power_of_two_scaled`."""
+    w, e = power_of_two_scaled(u)
+    return w, float(np.linalg.norm(w)), int(e)
+
+
 def _unit_halfspace(a: np.ndarray, b: float) -> HalfspaceConstraint:
     """Re<a, z> <= b with its normal scaled to unit length; the norm of a is
-    taken of a scaled by :func:`numerics.power_of_two_scaled`, so tiny and
-    huge normals neither under- nor overflow."""
-    w, e = power_of_two_scaled(a)
-    norm = np.linalg.norm(w)
+    taken through :func:`_scaled_norm`, so tiny and huge normals neither
+    under- nor overflow."""
+    w, norm, e = _scaled_norm(a)
     if norm == 0.0:
         raise ValueError("halfspace normal must be nonzero")
-    return HalfspaceConstraint(w / norm, math.ldexp(b / norm, -int(e)))
+    return HalfspaceConstraint(w / norm, math.ldexp(b / norm, -e))
 
 
 def _check_ray(domain: ConvexDomainModel, z, u) -> tuple[np.ndarray, np.ndarray]:
     z, u = _check_vector(domain, z, u)
-    w = power_of_two_scaled(u)[0]
-    norm = np.linalg.norm(w)
+    w, norm, _ = _scaled_norm(u)
     if norm == 0.0:
         raise ValueError("direction must be nonzero")
     return z, w / norm

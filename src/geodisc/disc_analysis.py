@@ -296,12 +296,11 @@ def _aligned_empty(n: int) -> np.ndarray:
 def _lag_maxima(samples: BoundarySamples, max_lag: int) -> np.ndarray:
     """lag_maxima[l] = max_k ||g(theta_{k+l}) - g(theta_k)|| for l = 0..max_lag.
 
-    A column sweep of the samples, scaled as one vector by
-    :func:`numerics.power_of_two_scaled` and unscaled on the maxima: each
-    part of each component is one contiguous column, extended circularly by
-    max_lag entries, and each block of lags sums the squared differences of
-    its shifted windows, column by column, into a (lags, n) buffer, then
-    takes each row's maximum: each pair (k, k + l) once per lag, O(n) memory.
+    A column sweep of the samples scaled by :func:`numerics.power_of_two_scaled`
+    as one vector: each part of each component is one contiguous column,
+    extended circularly by max_lag entries, and each block of lags sums the
+    squared differences of its shifted windows, column by column, into a
+    (lags, n) buffer, then takes each row's maximum, unscaled: O(n) memory.
     """
     n = samples.n
     scaled, e = power_of_two_scaled(samples.values.reshape(-1))

@@ -15,12 +15,12 @@ from typing import Callable
 import numpy as np
 
 from .disc_analysis import UnitDiscFunction, derivative_at, row_norms
-from .numerics import QuadratureResult, integrate_log_moment, log_scale
+from .numerics import QuadratureResult, integrate_log_density, integrate_log_moment, log_scale
 
 # verify_majorant's angles; its radii depend on the majorant window r0.
 _VERIFY_THETAS = 2.0 * math.pi * np.arange(32) / 32
-# verify_majorant's worst point is the first one this close, relative to
-# the largest finite |f'| on the grid, to the max violation.
+# verify_majorant's worst point is the first one this close to the max
+# violation, relative to the larger of it and the largest finite |f'|.
 _TIE_TOL = 1e-12
 
 
@@ -129,9 +129,10 @@ def verify_majorant(f: UnitDiscFunction, phi) -> MajorantReport:
     largest = float(np.max(violations))
     if not largest > -math.inf:
         return MajorantReport(-math.inf, 0.0, 0.0, -math.inf)
-    # the first grid point within a rounding tie of the largest on the scale
-    # of |f'|, so that last-bit noise cannot move it; inf is its own floor
-    floor = largest - _TIE_TOL * np.max(norms, initial=0.0, where=np.isfinite(norms))
+    # the first grid point within a rounding tie of the largest, on its scale
+    # and on that of |f'|, so that last-bit noise cannot move it
+    scale = max(abs(largest), np.max(norms, initial=0.0, where=np.isfinite(norms)))
+    floor = largest - _TIE_TOL * scale if largest < math.inf else largest
     worst = int(np.argmax(violations >= floor))
     r, theta = divmod(worst, len(_VERIFY_THETAS))
     return MajorantReport(
@@ -151,19 +152,13 @@ def phi_log_l1(phi, n: int) -> QuadratureResult:
 
 
 def omega_bound(majorant, delta: float) -> float:
-    """The modulus bound 3 * int_0^delta Phi(x) dx; inf when divergent.  A
-    density Phi(x) x that is subnormal at delta, whose quadrature nodes
-    would underflow, is integrated times 2^-k, which lifts it into [1, 2)
-    there, and the bound is 2^k times that."""
+    """The modulus bound 3 * int_0^delta Phi(x) dx; inf when divergent."""
     if not 0.0 <= delta < majorant.r0:
         raise ValueError("delta must lie in [0, r0)")
     if delta == 0.0:
         return 0.0
-    u = math.log(1.0 / delta)
-    level = float(majorant.log_form(np.array([u]))[0]) / math.log(2.0)
-    k = math.floor(level) if -math.inf < level < -1022.0 else 0
-    (res,) = integrate_log_moment(lambda v: majorant.log_form(v) - k * math.log(2.0), [0], u)
-    return math.ldexp(3.0 * res.value, k) if res.converged else math.inf
+    res = integrate_log_density(majorant.log_form, math.log(1.0 / delta))
+    return 3.0 * res.value if res.converged else math.inf
 
 
 def kernel_bound_check(r: float, tau: float) -> bool:

@@ -23,6 +23,7 @@ from .convex_geometry import (
     Polydisc,
     _check_vector,
     _disc_radius,
+    _scaled_norm,
     ball_distance,
     boundary_distance,
     inscribed_disc_radius,
@@ -38,7 +39,7 @@ from .disc_analysis import (
     stack_components,
 )
 from .hardy_littlewood import DerivMajorantFamily, phi_log_l1
-from .numerics import QuadratureResult, gauss_panel, power_of_two_scaled
+from .numerics import QuadratureResult, gauss_panel
 
 # geodesic_defect integrates the metric bounds with 4 panels of GL-8.
 _DEFECT_PANELS = 4
@@ -95,8 +96,8 @@ def graham_bounds(domain: ConvexDomainModel, point, direction) -> MetricBounds:
     length.  A boundary point (r = 0) has no finite bounds and is rejected;
     a v longer than the largest double raises ``OverflowError``."""
     v = np.atleast_1d(np.asarray(direction, dtype=complex))
-    w, e = power_of_two_scaled(v)
-    norm = math.ldexp(np.linalg.norm(w), int(e))
+    _, norm, e = _scaled_norm(v)
+    norm = math.ldexp(norm, e)
     if norm == 0.0:
         _check_vector(domain, point, v)
         return MetricBounds(0.0, 0.0)
@@ -184,11 +185,10 @@ def geodesic_defect(candidate: GeodesicCandidate, zeta1: complex,
         return abs(p - exact)
 
     direction = z2 - z1  # the nodes lie inside with the ends: no base check
-    w, e = power_of_two_scaled(direction)
-    norm = np.linalg.norm(w)
+    w, norm, e = _scaled_norm(direction)
     if norm == 0.0:
         return p  # a constant map: L = 0
-    unit, length = w / norm, math.ldexp(norm, int(e))
+    unit, length = w / norm, math.ldexp(norm, e)
 
     def lower_metric(t: np.ndarray) -> np.ndarray:
         radii = [_disc_radius(candidate.domain, z1 + s * direction, unit) for s in t.tolist()]

@@ -257,6 +257,18 @@ def integrate_log_moment(
     return results
 
 
+def integrate_log_density(log_f: Callable[[np.ndarray], np.ndarray],
+                          lower: float) -> QuadratureResult:
+    """Order 0 of :func:`integrate_log_moment`.  A density below the normal
+    range at ``lower``, whose nodes would round to units 2^-1074, is lifted
+    into [1, 2) there by a power of two 2^-k, and the result scaled back."""
+    level = float(log_f(np.array([lower]))[0]) / math.log(2.0)
+    k = math.floor(level) if -math.inf < level < -1022.0 else 0
+    (r,) = integrate_log_moment(lambda u: log_f(u) - k * math.log(2.0), [0], lower)
+    return QuadratureResult(math.ldexp(r.value, k), r.converged, r.refinement_levels,
+                            math.ldexp(r.estimated_error, k))
+
+
 def log_scale(
     f: Callable[[float], float], power: int = 0
 ) -> Callable[[np.ndarray], np.ndarray]:
@@ -399,17 +411,17 @@ def minimize_on_circle(h: Callable[[float], float]) -> float:
 
 def power_of_two_scaled(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(w, e) with values = w 2^e, one exponent per vector along the last
-    axis: the one rule for scaling before squaring (Blue, ACM TOMS 4(1),
-    1978).  A vector whose largest |real or imaginary part| is 0, not
-    finite or in [2^-480, 2^480] stays as it is, with e = 0; any other is
-    scaled to bring that part into [1/2, 1), in two steps, as 2^-e alone
-    overflows for a subnormal part.  Exact while every scaled entry stays
-    normal: entries more than about 2^1022 below the largest underflow."""
+    axis, by the one rule for scaling before squaring (Blue, ACM TOMS 4(1),
+    1978): a vector whose largest |real or imaginary part| is 0, not finite
+    or in [2^-480, 2^480] stays as it is (e = 0); any other is scaled to put
+    that part in [1/2, 1), in two steps, as 2^-e overflows for a subnormal
+    part.  Exact while every scaled entry stays normal; those more than
+    about 2^1022 below the largest still underflow."""
     top = np.maximum(np.abs(values.real), np.abs(values.imag)).max(axis=-1, initial=0.0)
     inside = (2.0**-480 <= top) & (top <= 2.0**480)
     if inside.all():
         return values, np.zeros(top.shape, int)
     e = np.where(inside, 0, np.frexp(top)[1])  # frexp gives 0, inf and nan the exponent 0
-    half = (e // 2)[..., None]  # scale the real and imaginary parts alike
-    parts = np.array(values).view(float) * np.ldexp(1.0, -half)
-    return (parts * np.ldexp(1.0, half - e[..., None])).view(values.dtype), e
+    half = e[..., None] // 2  # the real and imaginary parts alike, in two steps
+    w = np.array(values).view(float) * np.ldexp(1.0, -half) * np.ldexp(1.0, half - e[..., None])
+    return w.view(values.dtype), e

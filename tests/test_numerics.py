@@ -16,6 +16,7 @@ from geodisc.hardy_littlewood import DerivMajorantFamily, Majorant
 from geodisc.numerics import (
     QuadratureResult,
     integrate_endpoint,
+    integrate_log_density,
     integrate_log_moment,
     minimize_on_circle,
     solve_monotone,
@@ -360,6 +361,18 @@ def test_log_moment_gamma_values():
 def test_log_moment_harmonic_diverges():
     (res,) = integrate_log_moment(lambda u: -np.log(1.0 + u), [0], 0.0)
     assert not res.converged
+
+
+def test_log_density_lifts_only_a_density_below_the_normal_range():
+    # int_5^inf c e^(5 - u) du = c.  While the density is normal at the
+    # lower end the call is the order-0 log moment, to the last bit; at
+    # c = 3 units 2^-1074 that one reads 0, and the lifted one reads c
+    unit = math.ldexp(1.0, -1074)
+    for c in (1.0, 1e-300, 3 * unit):
+        form = lambda u, c=c: math.log(c) + 5.0 - u
+        res, (plain,) = integrate_log_density(form, 5.0), integrate_log_moment(form, [0], 5.0)
+        assert res.converged and abs(res.value - c) <= 1e-13 * c
+        assert res == plain if c >= 1e-300 else plain.value == 0.0
 
 
 def test_root_square_root_calls_and_steps_inside_the_bracket():

@@ -6,7 +6,10 @@ divided by before its entries are squared: for the Euclidean norms of
 for the modulus sweep.  A power of two scales exactly while every entry
 stays normal, so each of them obeys the law norm(2^k x) = 2^k norm(x) to
 the last bit wherever every squared entry stays normal.  The guard keeps
-the rule in one place: the source is parsed, not imported.
+every choice of a power of two in ``numerics``: that rule, and the lift
+of a density below the normal range in ``numerics.integrate_log_density``,
+which ``hardy_littlewood.omega_bound`` calls.  The source is parsed, not
+imported.
 """
 
 from __future__ import annotations
@@ -37,21 +40,32 @@ TINY = np.finfo(float).tiny
 BALL = Ball(np.zeros(2), 1.0)
 
 
-def frexp_calls() -> list[str]:
+def _name(node: ast.AST) -> str | None:
+    return getattr(node, "attr", getattr(node, "id", None))
+
+
+def _is_log_of_two(node: ast.AST) -> bool:
+    return (isinstance(node, ast.Call) and _name(node.func) == "log" and len(node.args) == 1
+            and isinstance(node.args[0], ast.Constant) and node.args[0].value == 2)
+
+
+def power_of_two_choices() -> list[str]:
+    """Where a module outside numerics picks an exponent: a call of frexp
+    or log2, or a division by log 2 (an exponent read off a log)."""
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name == "numerics.py":
             continue
         for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Call):
-                name = getattr(node.func, "attr", getattr(node.func, "id", None))
-                if name == "frexp":
-                    found.append(f"{path.name}:{node.lineno}")
+            if (isinstance(node, ast.Call) and _name(node.func) in ("frexp", "log2")
+                    or isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
+                    and _is_log_of_two(node.right)):
+                found.append(f"{path.name}:{node.lineno}")
     return found
 
 
-def test_frexp_is_called_only_in_numerics():
-    assert frexp_calls() == []
+def test_powers_of_two_are_chosen_only_in_numerics():
+    assert power_of_two_choices() == []
 
 
 def _monomial_samples(degree: int, modulus: float, angle: float, n: int) -> np.ndarray:
