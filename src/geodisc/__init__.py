@@ -37,7 +37,6 @@ from .disc_analysis import (
     vector_function,
 )
 from .hardy_littlewood import (
-    DerivMajorantFamily,
     Majorant,
     kernel_bound_check,
     omega_bound,

@@ -218,7 +218,7 @@ FUNCTION = Kinds("function", {
     "nonextending": (lambda: kb.nonextending_geodesic().map, {}),
 })
 MAJORANT = Kinds("majorant", {
-    "family": (hl.DerivMajorantFamily,
+    "family": (hl.Majorant.family,
                {"K1": NUMBER, "K2": NUMBER, "alpha": NUMBER, "r0": NUMBER}),
     "power": (hl.Majorant.power,
               {"r0": NUMBER, "coefficient": Opt(NUMBER, 1.0), "exponent": Opt(NUMBER, 0.0)}),

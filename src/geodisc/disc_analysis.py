@@ -178,7 +178,8 @@ class ModulusFamily:
     tends to 0 at 0+; on (1, pi] the Hoelder model stays x^a and the others
     are capped at 1, so that integrals against them over (delta, pi] make
     sense.  The classmethods check their parameters;
-    ``ModulusFamily(log_modulus)`` takes any closed form as given.
+    ``ModulusFamily(log_modulus)`` takes any closed form as given, and
+    :meth:`of` adapts a plain function of x.
     """
 
     log_modulus: Callable[[np.ndarray], np.ndarray]
@@ -199,6 +200,12 @@ class ModulusFamily:
             raise ValueError("need coeff > 0 and eps in (0, 1)")
         return cls(lambda u: -coeff * np.maximum(u, 0.0) ** (1.0 - eps))
 
+    @classmethod
+    def of(cls, omega: Callable[[float], float]) -> "ModulusFamily":
+        """A plain function of x, read on the log scale one point at a time
+        by the per-point adapter of :func:`numerics.log_scale`."""
+        return cls(log_scale(omega))
+
     def __call__(self, x):
         """omega at x, one float or an array of them; 0 where x <= 0."""
         x = np.asarray(x, dtype=float)
@@ -206,14 +213,6 @@ class ModulusFamily:
         positive = flat > 0.0
         values = np.exp(self.log_modulus(-np.log(np.where(positive, flat, 1.0))))
         return np.where(positive, values, 0.0).reshape(x.shape)[()]
-
-
-def _log_modulus(omega) -> Callable[[np.ndarray], np.ndarray]:
-    """u -> log omega(e^-u) on arrays: omega's own ``log_modulus`` when it
-    has one, else read off omega, one point at a time, by the per-point
-    adapter of :func:`log_scale`."""
-    own = getattr(omega, "log_modulus", None)
-    return own if own is not None else log_scale(omega)
 
 
 def row_norms(values: np.ndarray) -> np.ndarray:
@@ -265,13 +264,14 @@ def derivative_at(f: UnitDiscFunction, zeta) -> np.ndarray:
 def _radial_tails(f: UnitDiscFunction, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """f at the last radius of ``RADIAL_TAIL`` on each ray e^{i theta},
     shape (n, m), and the Cauchy flags, shape (n,): true where each step of
-    the tail moved the value by less than 1e-6.  One evaluation of f on the
-    whole (n, 4) grid of rays and radii."""
+    the tail moved by less than 1e-6, all tails scaled as one vector by
+    :func:`numerics.power_of_two_scaled`.  One evaluation of f on the (n, 4) grid."""
     zeta = np.empty((len(thetas), len(RADIAL_TAIL)), dtype=complex)
     zeta.real = np.multiply.outer(np.cos(thetas), RADIAL_TAIL)
     zeta.imag = np.multiply.outer(np.sin(thetas), RADIAL_TAIL)
     tails = f.values(zeta)
-    moves = row_norms(tails[:, 1:] - tails[:, :-1])
+    scaled = power_of_two_scaled(tails.reshape(-1))[0].reshape(tails.shape)
+    moves = row_norms(scaled[:, 1:] - scaled[:, :-1])
     return tails[:, -1], np.all(moves < _RADIAL_TOL, axis=1)
 
 
@@ -321,7 +321,8 @@ def _lag_maxima(samples: BoundarySamples, max_lag: int) -> np.ndarray:
             if j:
                 np.add(block_total, block_term, out=block_total)
         squares[start:start + rows] = np.maximum.reduce(block_total, axis=1)
-    return np.ldexp(np.sqrt(squares), e)
+    with np.errstate(over="raise"):  # an omega past the double range
+        return np.ldexp(np.sqrt(squares), e)
 
 
 def _lag(delta: float, n: int) -> int:
@@ -380,7 +381,7 @@ def conjugate_function(samples: BoundarySamples) -> BoundarySamples:
                            samples.cauchy_fraction)
 
 
-def pz_bound(omega, delta: float, K: float) -> float:
+def pz_bound(omega: ModulusFamily, delta: float, K: float) -> float:
     """Conjugate-function modulus bound
 
         K * [ int_0^delta omega(x)/x dx + delta * int_delta^pi omega(x)/x^2 dx ].
@@ -388,23 +389,20 @@ def pz_bound(omega, delta: float, K: float) -> float:
     The first integral runs on the log scale below min(delta, 1).  The
     rest is split at x = 1, where the capped models have a cusp, and each
     piece is refined toward delta and toward 1.  Every piece reads omega
-    on arrays through its log form, as :func:`log_dini_test` does.  Returns
-    +inf when any piece does not converge, and raises ``OverflowError``
-    when every piece converges but the bound exceeds the double range.
+    on arrays.  Returns +inf when any piece does not converge, and raises
+    ``OverflowError`` when every piece converges but the bound exceeds the
+    double range.
     """
     if not 0.0 < delta < math.pi:
         raise ValueError("delta out of range")
     if K <= 0.0:
         raise ValueError("K must be positive")
 
-    log_omega = _log_modulus(omega)
-    # omega on arrays, read off its log form
-    on_arrays = ModulusFamily(log_omega)
-    far_density = lambda x: on_arrays(x) / (x * x)
+    far_density = lambda x: omega(x) / (x * x)
     # int_0^min(delta, 1) omega(x)/x dx = int_{log(1/min(delta, 1))}^inf omega(e^-u) du
-    near = integrate_log_moment(log_omega, [0], math.log(1.0 / min(delta, 1.0)))
+    near = integrate_log_moment(omega.log_modulus, [0], math.log(1.0 / min(delta, 1.0)))
     if delta > 1.0:
-        near.append(integrate_endpoint(lambda x: on_arrays(x) / x, 1.0, delta))
+        near.append(integrate_endpoint(lambda x: omega(x) / x, 1.0, delta))
     if delta < 1.0:
         mid = 0.5 * (delta + 1.0)
         far = [
@@ -443,7 +441,7 @@ class LogDiniReport:
         return all(r.converged for r in self.results)
 
 
-def log_dini_test(omega, n_max: int = 6) -> LogDiniReport:
+def log_dini_test(omega: ModulusFamily, n_max: int = 6) -> LogDiniReport:
     """Classify int_0^1 (log(1/x))^n omega(x)/x dx for n = 0..n_max.
 
     Computed on the log scale, where the integral is int_0^inf u^n
@@ -451,6 +449,5 @@ def log_dini_test(omega, n_max: int = 6) -> LogDiniReport:
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    log_omega = _log_modulus(omega)
-    results = tuple(integrate_log_moment(log_omega, range(n_max + 1), 0.0))
+    results = tuple(integrate_log_moment(omega.log_modulus, range(n_max + 1), 0.0))
     return LogDiniReport(n_max, results)

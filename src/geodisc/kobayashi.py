@@ -38,7 +38,7 @@ from .disc_analysis import (
     modulus_profile,
     stack_components,
 )
-from .hardy_littlewood import DerivMajorantFamily, phi_log_l1
+from .hardy_littlewood import Majorant, phi_log_l1, verify_majorant
 from .numerics import QuadratureResult, gauss_panel
 
 # geodesic_defect integrates the metric bounds with 4 panels of GL-8.
@@ -347,11 +347,12 @@ def theorem_pipeline(domain: FlatModelDomain, candidate: GeodesicCandidate) -> P
     inscribed-radius bound at the 4 of them nearest the boundary in its
     zone; (iii) a derivative majorant (K1/x)(log(K2/x))^{-1/alpha} with
     K1 = 4 beta^{1/alpha} and K2 = (C/C2)^beta from the distance-decay
-    fit and alpha the model's own flatness exponent; (iv) integrability of
-    the majorant; (v) the boundary-extension probe on 4096 nodes.  These
-    counts and the 0.05 are fixed rules (the constants above), not options.
-    A properness failure aborts the remaining stages; a divergent majorant
-    is reported and the probe still runs.  ``candidate`` must map into
+    fit and alpha the model's own flatness exponent, verified against |f'|
+    by :func:`verify_majorant`; (iv) integrability of the majorant; (v) the
+    boundary-extension probe on 4096 nodes.  These counts and the 0.05 are
+    fixed rules (the constants above), not options.  A properness failure
+    aborts the remaining stages; an unverified or divergent majorant is
+    reported and the probe still runs.  ``candidate`` must map into
     ``domain`` itself.
     """
     if candidate.domain != domain:
@@ -398,11 +399,12 @@ def theorem_pipeline(domain: FlatModelDomain, candidate: GeodesicCandidate) -> P
     K1 = 4.0 * fit.beta ** (1.0 / s.alpha)
     K2 = (s.C / fit.C2) ** fit.beta
     r0 = min(_MAJORANT_R0, 0.9 * K2)
-    family = DerivMajorantFamily(K1=K1, K2=K2, alpha=s.alpha, r0=r0)
+    family = Majorant.family(K1=K1, K2=K2, alpha=s.alpha, r0=r0)
+    fitted = verify_majorant(f, family)
     stages.append(
         PipelineStage(
             "majorant_fit",
-            "pass",
+            "pass" if fitted.verified() else "fail",
             {
                 "C1": fit.C1,
                 "C2": fit.C2,
@@ -411,6 +413,7 @@ def theorem_pipeline(domain: FlatModelDomain, candidate: GeodesicCandidate) -> P
                 "K2": K2,
                 "alpha": s.alpha,
                 "r0": r0,
+                "max_violation": fitted.max_violation,
             },
         )
     )

@@ -417,7 +417,8 @@ def power_of_two_scaled(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     that part in [1/2, 1), in two steps, as 2^-e overflows for a subnormal
     part.  Exact while every scaled entry stays normal; those more than
     about 2^1022 below the largest still underflow."""
-    top = np.maximum(np.abs(values.real), np.abs(values.imag)).max(axis=-1, initial=0.0)
+    parts = np.ascontiguousarray(values, dtype=complex).view(float)  # re, im in one pass
+    top = np.abs(parts).max(axis=-1, initial=0.0)
     inside = (2.0**-480 <= top) & (top <= 2.0**480)
     if inside.all():
         return values, np.zeros(top.shape, int)

@@ -427,7 +427,8 @@ PINNED_REPORTS = {
         '      {\n        "details": {\n          "C1": 0.03999999999167333,\n'
         '          "C2": 0.04000000000105926,\n          "K1": 4.0,\n'
         '          "K2": 24.999999999337962,\n          "alpha": 0.5,\n'
-        '          "beta": 1.0,\n          "r0": 0.25\n        },\n'
+        '          "beta": 1.0,\n          "max_violation": -0.7148739527946454,\n'
+        '          "r0": 0.25\n        },\n'
         '        "name": "majorant_fit",\n        "status": "pass"\n      },\n      {\n'
         '        "details": {\n          "converged": true,\n          "note": null,\n'
         '          "value": 0.868588963811499\n        },\n'
@@ -742,6 +743,13 @@ BAD_CONFIGS = {
     "overflowing pz bound": (
         "pz-bound",
         {"modulus": {"kind": "holder", "a": 1.0}, "delta": 3.0, "K": 1e308},
+        "numeric overflow",
+    ),
+    "overflowing modulus of continuity": (
+        # the true omega near delta 2.95 is about 2e308; it was written as Infinity
+        "mod-cont",
+        {"function": {"kind": "monomial", "degree": 1, "coefficient": 1e308},
+         "n": 64, "deltas": [0.5, 3.0]},
         "numeric overflow",
     ),
     "overflowing flatness exponent": (

@@ -491,7 +491,7 @@ def test_pz_bound_holder_closed_form_to_rounding():
 
 
 def test_pz_bound_zero_modulus():
-    assert pz_bound(lambda x: 0.0, 0.1, 1.0) == 0.0
+    assert pz_bound(ModulusFamily.of(lambda x: 0.0), 0.1, 1.0) == 0.0
 
 
 def test_pz_bound_stretched_exponential_finite_and_dominated():
@@ -540,7 +540,7 @@ def test_pz_bound_overflow_of_convergent_integrals_raises():
 def test_pz_bound_divergent_far_integral_is_infinite():
     # the near integral is 0, but int_delta (x - delta)^-1.5 / x^2 dx diverges
     omega = lambda x: 0.0 if x <= 0.1 else (x - 0.1) ** -1.5
-    assert pz_bound(omega, 0.1, 1.0) == math.inf
+    assert pz_bound(ModulusFamily.of(omega), 0.1, 1.0) == math.inf
 
 
 # --- log-Dini classification -----------------------------------------------
@@ -585,7 +585,7 @@ def test_log_dini_log_reciprocal_diverges_at_zero():
 
 
 def test_log_dini_accepts_plain_callable():
-    report = log_dini_test(lambda x: x, n_max=3)
+    report = log_dini_test(ModulusFamily.of(lambda x: x), n_max=3)
     assert report.log_dini
 
 
@@ -595,7 +595,7 @@ def test_log_dini_plain_callable_keeps_divergence():
     # x would end the divergent tail and report a converged partial sum
     omega = ModulusFamily.log_reciprocal()
     assert omega(1e-320) > 0.0
-    report = log_dini_test(lambda x: omega(x), n_max=1)
+    report = log_dini_test(ModulusFamily.of(lambda x: omega(x)), n_max=1)
     assert report.verdicts == ("diverged", "diverged")
 
 
@@ -629,11 +629,12 @@ def test_majorant_log_form_on_a_modulus_is_not_read():
     # of int Phi dx, must not stand in for log omega(e^-u)
     maj = lambda x: math.sqrt(x)
     maj.log_form = Majorant(maj, 0.5).log_form
-    report = log_dini_test(maj, n_max=3)
+    report = log_dini_test(ModulusFamily.of(maj), n_max=3)
     for n, res in enumerate(report.results):
         # int_0^inf u^n e^{-u/2} du
         assert res.value == pytest.approx(math.factorial(n) * 2 ** (n + 1), rel=1e-8)
-    assert pz_bound(maj, 0.1, 1.0) == pz_bound(lambda x: math.sqrt(x), 0.1, 1.0)
+    plain = ModulusFamily.of(lambda x: math.sqrt(x))
+    assert pz_bound(ModulusFamily.of(maj), 0.1, 1.0) == pz_bound(plain, 0.1, 1.0)
 
 
 def test_modulus_families_nondecreasing_and_vanishing_at_zero():

@@ -19,7 +19,6 @@ from geodisc.disc_analysis import (
     stack_components,
 )
 from geodisc.hardy_littlewood import (
-    DerivMajorantFamily,
     Majorant,
     kernel_bound_check,
     omega_bound,
@@ -29,16 +28,16 @@ from geodisc.hardy_littlewood import (
 from geodisc.kobayashi import disc_automorphism
 
 
-def family_integral_oracle(fam: DerivMajorantFamily) -> float:
+def family_integral_oracle(K1: float, K2: float, alpha: float, r0: float) -> float:
     """Closed form of int_0^{r0} Phi for alpha < 1.
 
     With u = log(K2/x) the antiderivative of u^{-1/alpha} is
     u^{1-1/alpha} / (1 - 1/alpha), so the integral telescopes to
     K1 (log(K2/r0))^{1 - 1/alpha} / (1/alpha - 1).
     """
-    assert fam.alpha < 1.0
-    p = 1.0 / fam.alpha - 1.0
-    return fam.K1 * math.log(fam.K2 / fam.r0) ** (-p) / p
+    assert alpha < 1.0
+    p = 1.0 / alpha - 1.0
+    return K1 * math.log(K2 / r0) ** (-p) / p
 
 
 # --- verify_majorant --------------------------------------------------------
@@ -223,10 +222,10 @@ def test_tiny_divergent_majorant_diverges():
 
 
 def test_family_l1_value_matches_antiderivative():
-    fam = DerivMajorantFamily(K1=1.0, K2=math.e, alpha=0.5, r0=0.5)
-    res = phi_log_l1(fam, 0)
+    params = dict(K1=1.0, K2=math.e, alpha=0.5, r0=0.5)
+    res = phi_log_l1(Majorant.family(**params), 0)
     assert res.converged
-    oracle = family_integral_oracle(fam)  # = 1 / (1 + log 2)
+    oracle = family_integral_oracle(**params)  # = 1 / (1 + log 2)
     assert abs(oracle - 1.0 / (1.0 + math.log(2.0))) < 1e-15
     assert abs(res.value - oracle) < 1e-8
 
@@ -234,7 +233,7 @@ def test_family_l1_value_matches_antiderivative():
 def test_family_l1_near_alpha_one_includes_the_tail():
     # int_0^(1/2) (1/x) (log(e/x))^(-1/0.9) dx = 9 (1 + log 2)^(-1/9); the
     # partial sum without its geometric tail reads 1e-8 low
-    res = phi_log_l1(DerivMajorantFamily(K1=1.0, K2=math.e, alpha=0.9, r0=0.5), 0)
+    res = phi_log_l1(Majorant.family(K1=1.0, K2=math.e, alpha=0.9, r0=0.5), 0)
     assert res.converged
     oracle = 9.0 * (1.0 + math.log(2.0)) ** (-1.0 / 9.0)
     assert abs(res.value - oracle) <= 1e-13 * oracle
@@ -246,14 +245,14 @@ def test_family_l1_converges_just_below_alpha_one():
     # the pipeline's majorant at alpha = 0.95: the increments fall by a
     # ratio 2^(1 - 1/0.95) ~ 0.964 per halving, and the partial sum after
     # the budget, 70.1303037, is not the closed form 70.1303368
-    fam = DerivMajorantFamily(K1=4.0, K2=25.0, alpha=0.95, r0=0.25)
-    res = phi_log_l1(fam, 0)
+    params = dict(K1=4.0, K2=25.0, alpha=0.95, r0=0.25)
+    res = phi_log_l1(Majorant.family(**params), 0)
     assert res.converged
-    assert abs(res.value - family_integral_oracle(fam)) <= 1e-9 * res.value
+    assert abs(res.value - family_integral_oracle(**params)) <= 1e-9 * res.value
 
 
 def test_family_l1_diverges_at_alpha_one():
-    fam = DerivMajorantFamily(K1=1.0, K2=math.e, alpha=1.0, r0=0.5)
+    fam = Majorant.family(K1=1.0, K2=math.e, alpha=1.0, r0=0.5)
     assert not phi_log_l1(fam, 0).converged
 
 
@@ -263,7 +262,7 @@ def test_family_log_weighted_classification(alpha, n):
     # In u = log(K2/x) the integrand is u^n (log K2 + u)^{-1/alpha} du, a
     # power law with net exponent n - 1/alpha at infinity: it is integrable
     # exactly when n + 1 < 1/alpha.
-    fam = DerivMajorantFamily(K1=1.0, K2=math.e, alpha=alpha, r0=0.5)
+    fam = Majorant.family(K1=1.0, K2=math.e, alpha=alpha, r0=0.5)
     expected = n + 1.0 < 1.0 / alpha
     assert phi_log_l1(fam, n).converged == expected
 
@@ -275,7 +274,7 @@ def test_family_l1_on_both_sides_of_the_threshold(n, eta):
     # over (1 + log 2, inf), finite iff p > n + 1, and binomial expansion
     # gives its closed form
     p = n + 1 + eta
-    res = phi_log_l1(DerivMajorantFamily(K1=1.0, K2=math.e, alpha=1.0 / p, r0=0.5), n)
+    res = phi_log_l1(Majorant.family(K1=1.0, K2=math.e, alpha=1.0 / p, r0=0.5), n)
     if eta < 0.0:
         assert not res.converged
         return
@@ -341,7 +340,7 @@ def test_omega_bound_linear_phi():
 
 
 def test_omega_bound_family_antiderivative():
-    fam = DerivMajorantFamily(K1=1.0, K2=math.e, alpha=0.5, r0=0.5)
+    fam = Majorant.family(K1=1.0, K2=math.e, alpha=0.5, r0=0.5)
     expected = 3.0 / (1.0 + math.log(10.0))  # 3 (log(e/0.1))^{-1}
     assert abs(omega_bound(fam, 0.1) - expected) < 1e-8
 
@@ -377,12 +376,12 @@ def test_omega_bound_families_match_closed_form():
         delta = float(r0 * rng.uniform(0.01, 0.99))
         p = 1.0 / alpha - 1.0
         expected = 3.0 * K1 * math.log(K2 / delta) ** (-p) / p
-        value = omega_bound(DerivMajorantFamily(K1, K2, alpha, r0), delta)
+        value = omega_bound(Majorant.family(K1, K2, alpha, r0), delta)
         assert abs(value - expected) <= 1e-14 * expected, (K1, K2, alpha, r0, delta)
 
 
 def test_omega_bound_divergent_family_is_infinite():
-    fam = DerivMajorantFamily(K1=1.0, K2=math.e, alpha=1.5, r0=0.5)
+    fam = Majorant.family(K1=1.0, K2=math.e, alpha=1.5, r0=0.5)
     assert omega_bound(fam, 0.1) == math.inf
 
 

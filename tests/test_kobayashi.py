@@ -18,6 +18,7 @@ from geodisc.convex_geometry import (
 )
 from geodisc import disc_analysis, kobayashi
 from geodisc.disc_analysis import (
+    UnitDiscFunction,
     boundary_samples,
     constant_map,
     identity_map,
@@ -25,7 +26,7 @@ from geodisc.disc_analysis import (
     scalar_function,
     vector_function,
 )
-from geodisc.hardy_littlewood import DerivMajorantFamily
+from geodisc.hardy_littlewood import Majorant
 from geodisc.numerics import QuadratureResult, gauss_panel
 from geodisc.kobayashi import (
     _PROBE_DELTAS,
@@ -547,10 +548,29 @@ def test_pipeline_end_to_end_flat_slice():
     # the fitted family majorizes the candidate derivative near the boundary
     from geodisc.hardy_littlewood import verify_majorant
 
-    family = DerivMajorantFamily(
+    family = Majorant.family(
         K1=fit["K1"], K2=fit["K2"], alpha=fit["alpha"], r0=fit["r0"]
     )
     assert verify_majorant(candidate.map, family).verified()
+
+
+@pytest.mark.parametrize("factor, verified", [(10.0, True), (100.0, False)])
+def test_pipeline_majorant_fit_verifies_the_fitted_majorant(factor, verified):
+    # the flat-slice map with its supplied derivative scaled: the fit reads
+    # only the map's values, so the same majorant is fitted, and stage (iii)
+    # alone sees |f'| exceed it (max violation -0.355 and +3.245); it read
+    # "pass" whatever the derivative
+    domain = pipeline_domain()
+    flat = flat_slice_candidate(domain, 0.04j, 0.04).map
+    scaled = UnitDiscFunction(flat.evaluate, flat.dimension,
+                              lambda z: factor * flat.derivative(z))
+    report = theorem_pipeline(domain, GeodesicCandidate(scaled, domain))
+    statuses = {stage.name: stage.status for stage in report.stages}
+    fit = report.stages[2].details
+    assert (fit["max_violation"] <= 0.0) is verified
+    assert statuses.pop("majorant_fit") == ("pass" if verified else "fail")
+    assert set(statuses.values()) == {"pass"}
+    assert report.ok is verified
 
 
 def test_pipeline_flags_noninteg_majorant_at_alpha_one(monkeypatch):

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from geodisc.disc_analysis import ModulusFamily, log_dini_test, pz_bound
-from geodisc.hardy_littlewood import DerivMajorantFamily, phi_log_l1
+from geodisc.hardy_littlewood import Majorant, phi_log_l1
 
 mp = pytest.importorskip("mpmath")
 mp.mp.dps = 30
@@ -31,13 +31,13 @@ def log_moment(log_f, n: int, lower: float) -> float:
 
 @pytest.mark.parametrize("n, alpha", [(0, 0.25), (0, 0.5), (1, 0.2), (1, 0.25), (2, 0.15)])
 def test_phi_log_l1_matches_mpmath(n, alpha):
-    fam = DerivMajorantFamily(K1=1.3, K2=math.e, alpha=alpha, r0=0.5)
+    K1, K2, r0 = 1.3, math.e, 0.5
     expected = log_moment(
-        lambda u: mp.log(fam.K1) - mp.log(mp.log(fam.K2) + u) / fam.alpha,
+        lambda u: mp.log(K1) - mp.log(mp.log(K2) + u) / alpha,
         n,
-        mp.log(1 / mp.mpf(fam.r0)),
+        mp.log(1 / mp.mpf(r0)),
     )
-    res = phi_log_l1(fam, n)
+    res = phi_log_l1(Majorant.family(K1=K1, K2=K2, alpha=alpha, r0=r0), n)
     assert res.converged
     assert res.value == pytest.approx(expected, rel=REL)
 
@@ -63,7 +63,7 @@ def test_log_dini_values_match_mpmath(name):
 
 
 def test_log_dini_plain_callable_matches_mpmath():
-    report = log_dini_test(lambda x: math.sqrt(x), n_max=3)
+    report = log_dini_test(ModulusFamily.of(lambda x: math.sqrt(x)), n_max=3)
     for n, res in enumerate(report.results):
         assert res.value == pytest.approx(log_moment(lambda u: -u / 2, n, 0), rel=REL), n
 

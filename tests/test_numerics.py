@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from geodisc import numerics
 from geodisc.disc_analysis import ModulusFamily
-from geodisc.hardy_littlewood import DerivMajorantFamily, Majorant
+from geodisc.hardy_littlewood import Majorant
 from geodisc.numerics import (
     QuadratureResult,
     integrate_endpoint,
@@ -161,7 +161,7 @@ LOG_FORMS = {
         lambda e: Majorant.power(0.5, 1.5, e).log_form, st.floats(min_value=-1.5, max_value=1.0)
     ),
     "family majorant": st.builds(
-        lambda alpha: DerivMajorantFamily(1.3, math.e, alpha, 0.5).log_form,
+        lambda alpha: Majorant.family(1.3, math.e, alpha, 0.5).log_form,
         st.floats(min_value=0.1, max_value=2.0),
     ),
     "holder": st.builds(lambda a: ModulusFamily.holder(a).log_modulus,
@@ -205,7 +205,7 @@ ROW_FORMS = {
     "stretched exponential": ModulusFamily.stretched_exponential(1.5, 0.3).log_modulus,
     "log reciprocal": ModulusFamily.log_reciprocal().log_modulus,
     "plain callable": numerics.log_scale(lambda x: x**0.75),
-    "family majorant": DerivMajorantFamily(1.3, math.e, 0.7, 0.5).log_form,
+    "family majorant": Majorant.family(1.3, math.e, 0.7, 0.5).log_form,
 }
 
 

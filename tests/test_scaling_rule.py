@@ -2,10 +2,11 @@
 
 ``numerics.power_of_two_scaled`` decides which power of two a vector is
 divided by before its entries are squared: for the Euclidean norms of
-``convex_geometry`` and ``kobayashi``, for ``disc_analysis.row_norms`` and
-for the modulus sweep.  A power of two scales exactly while every entry
-stays normal, so each of them obeys the law norm(2^k x) = 2^k norm(x) to
-the last bit wherever every squared entry stays normal.  The guard keeps
+``convex_geometry`` and ``kobayashi``, for ``disc_analysis.row_norms``, for
+the modulus sweep and for the radial tails of ``boundary_samples``.  A power
+of two scales exactly while every entry stays normal, so each of them obeys
+the law norm(2^k x) = 2^k norm(x) to the last bit wherever every squared
+entry stays normal, and the Cauchy flags of the tails do not move.  The guard keeps
 every choice of a power of two in ``numerics``: that rule, and the lift
 of a density below the normal range in ``numerics.integrate_log_density``,
 which ``hardy_littlewood.omega_bound`` calls.  The source is parsed, not
@@ -20,6 +21,7 @@ import math
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -32,7 +34,7 @@ from geodisc.disc_analysis import (
     row_norms,
     stack_components,
 )
-from geodisc.kobayashi import MetricBounds, graham_bounds
+from geodisc.kobayashi import MetricBounds, graham_bounds, nonextending_geodesic
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "geodisc"
 TINY = np.finfo(float).tiny
@@ -131,3 +133,16 @@ def test_modulus_profile_scales_by_powers_of_two(degree, modulus, angle, half_n,
     scaled = modulus_profile(BoundarySamples(n, _scaled(values, k), 1.0), deltas)
     assert np.array_equal(scaled.deltas, profile.deltas)
     assert np.array_equal(scaled.omegas, np.ldexp(profile.omegas, k))
+
+
+@pytest.mark.parametrize("k", [-1000, -600, 600, 1000])
+@pytest.mark.parametrize("f", [
+    UnitDiscFunction(lambda z: stack_components(z, (0.7 + 0.2j) * z**3), 1),
+    nonextending_geodesic().map,
+], ids=["monomial", "nonextending"])
+def test_cauchy_fraction_does_not_depend_on_scale(f, k):
+    # the radial tails are compared after scaling by the one rule; with the
+    # absolute tolerance 1e-6 alone, 2^600 f read 0.0
+    scaled = UnitDiscFunction(lambda z: _scaled(f.evaluate(z), k), f.dimension)
+    fraction = boundary_samples(f, 256).cauchy_fraction
+    assert boundary_samples(scaled, 256).cauchy_fraction == fraction

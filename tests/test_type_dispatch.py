@@ -1,9 +1,11 @@
-"""Guard on type dispatch in the package.
+"""Guards on type dispatch and attribute probing in the package.
 
 Domains and their constraint pieces answer every geometric question through
-one protocol, so no library module asks a value for its type.  The CLI,
-which checks the types of config values, is the one exception.  The source
-is parsed, not imported.
+one protocol, so no library module asks a value for its type.  Majorants and
+moduli have one type each, so no library module asks a value whether it has
+an attribute either.  The CLI is the one exception: it checks the types of
+config values, and its two report rules look their operation up by name when
+a command runs.  The source is parsed, not imported.
 """
 
 from __future__ import annotations
@@ -14,16 +16,21 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "geodisc"
 
 
-def isinstance_calls() -> list[str]:
+def calls_outside_the_cli(*names: str) -> list[str]:
+    """Each call of a builtin in ``names`` in a library module but ``cli.py``."""
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name == "cli.py":
             continue
         for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) in names:
                 found.append(f"{path.name}:{node.lineno}")
     return found
 
 
 def test_no_isinstance_outside_the_cli():
-    assert isinstance_calls() == []
+    assert calls_outside_the_cli("isinstance") == []
+
+
+def test_no_attribute_probing_outside_the_cli():
+    assert calls_outside_the_cli("getattr", "hasattr") == []
