@@ -24,7 +24,7 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -324,12 +324,7 @@ def _cmd_mod_cont(function, n, deltas):
 def _cmd_conjugate(function, n, real_part):
     samples = da.boundary_samples(function, n)
     if real_part:
-        samples = da.BoundarySamples(
-            samples.n,
-            samples.values[:, 0].real.astype(complex),
-            samples.radius_used,
-            samples.cauchy_fraction,
-        )
+        samples = replace(samples, values=samples.values[:, 0].real.astype(complex))
     conjugated = da.conjugate_function(samples)
     rows = [
         {"theta": t, "re": v.real, "im": v.imag}

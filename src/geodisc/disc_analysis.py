@@ -9,7 +9,7 @@ continuity classes built from log-weighted Dini integrals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -377,8 +377,7 @@ def conjugate_function(samples: BoundarySamples) -> BoundarySamples:
     multiplier[0] = 0.0
     multiplier[n // 2] = 0.0  # Nyquist
     out = np.fft.ifft(coeffs * multiplier)
-    return BoundarySamples(n, out.real.astype(complex), samples.radius_used,
-                           samples.cauchy_fraction)
+    return replace(samples, values=out.real.astype(complex))
 
 
 def pz_bound(omega: ModulusFamily, delta: float, K: float) -> float:

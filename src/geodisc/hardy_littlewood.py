@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .disc_analysis import UnitDiscFunction, derivative_at, row_norms
-from .numerics import QuadratureResult, integrate_log_density, integrate_log_moment, log_scale
+from .numerics import QuadratureResult, integrate_log_moment, log_scale
 
 # verify_majorant's angles; its radii depend on the majorant window r0.
 _VERIFY_THETAS = 2.0 * math.pi * np.arange(32) / 32
@@ -117,7 +117,7 @@ def verify_majorant(f: UnitDiscFunction, phi: Majorant) -> MajorantReport:
     caps = np.repeat([phi.evaluate(1.0 - float(r)) for r in radii], len(_VERIFY_THETAS))
     zeta = np.multiply.outer(radii, np.cos(_VERIFY_THETAS) + 1j * np.sin(_VERIFY_THETAS))
     violations = (norms := row_norms(derivative_at(f, zeta.ravel()))) - caps
-    with np.errstate(divide="ignore", invalid="ignore"):  # Phi 0 or inf
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # Phi 0, inf or subnormal
         scaled = violations / caps
     # a nan is no violation; there are none when all are -inf or nan
     violations, scaled = (np.where(np.isnan(v), -np.inf, v) for v in (violations, scaled))
@@ -152,7 +152,7 @@ def omega_bound(majorant: Majorant, delta: float) -> float:
         raise ValueError("delta must lie in [0, r0)")
     if delta == 0.0:
         return 0.0
-    res = integrate_log_density(majorant.log_form, math.log(1.0 / delta))
+    (res,) = integrate_log_moment(majorant.log_form, [0], math.log(1.0 / delta))
     return 3.0 * res.value if res.converged else math.inf
 
 

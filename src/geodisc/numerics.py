@@ -14,7 +14,7 @@ import functools
 import itertools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -216,29 +216,9 @@ def _tail_estimate(inc: float, prev_inc: float) -> float:
     return 2.0 * inc
 
 
-def integrate_log_moment(
-    log_f: Callable[[np.ndarray], np.ndarray],
-    orders,
-    lower: float,
-) -> list[QuadratureResult]:
-    """int_lower^inf u^n e^{log_f(u)} du for each integer n in ``orders``.
-
-    ``log_f`` takes a 1-d float array of u and returns an array of the same
-    shape, as the integrand of :func:`integrate_endpoint` does.  The head
-    piece handles a possible blow-up at ``lower``; the tail is mapped onto
-    a lower-endpoint singularity by u -> 1/t, so each cutoff halving
-    doubles the reach toward infinity.  Both integrands are built in log
-    space, so a tiny density cannot underflow against a huge u^n.  Each
-    piece runs up to 128 orders in one pass, calling ``log_f`` once per
-    block for every order still open, and stops each by the rule of
-    :func:`integrate_endpoint`; an order converges when both pieces do.
-    Results are those of each order alone; the error of the lowest failing
-    order, head before tail, is raised.
-    """
-    if lower < 0:
-        raise ValueError("lower endpoint must be nonnegative")
+def _log_moments(log_f, orders: np.ndarray, lower: float) -> list[QuadratureResult]:
+    """One pass of :func:`integrate_log_moment`, on ``log_f`` as it is."""
     split = max(2.0 * lower, lower + 1.0)
-    orders = np.asarray(orders, dtype=float)
     results = []
     for start in range(0, len(orders), _ORDERS_PER_PASS):
         n = orders[start:start + _ORDERS_PER_PASS]
@@ -257,16 +237,39 @@ def integrate_log_moment(
     return results
 
 
-def integrate_log_density(log_f: Callable[[np.ndarray], np.ndarray],
-                          lower: float) -> QuadratureResult:
-    """Order 0 of :func:`integrate_log_moment`.  A density below the normal
-    range at ``lower``, whose nodes would round to units 2^-1074, is lifted
-    into [1, 2) there by a power of two 2^-k, and the result scaled back."""
-    level = float(log_f(np.array([lower]))[0]) / math.log(2.0)
-    k = math.floor(level) if -math.inf < level < -1022.0 else 0
-    (r,) = integrate_log_moment(lambda u: log_f(u) - k * math.log(2.0), [0], lower)
-    return QuadratureResult(math.ldexp(r.value, k), r.converged, r.refinement_levels,
-                            math.ldexp(r.estimated_error, k))
+def integrate_log_moment(
+    log_f: Callable[[np.ndarray], np.ndarray],
+    orders,
+    lower: float,
+) -> list[QuadratureResult]:
+    """int_lower^inf u^n e^{log_f(u)} du for each integer n in ``orders``.
+
+    ``log_f`` takes a 1-d float array of u and returns an array of the same
+    shape, as the integrand of :func:`integrate_endpoint` does.  The head
+    piece handles a possible blow-up at ``lower``; the tail is mapped onto
+    a lower-endpoint singularity by u -> 1/t, so each cutoff halving
+    doubles the reach toward infinity.  Both integrands are built in log
+    space, so a tiny density cannot underflow against a huge u^n.  Each
+    piece runs up to 128 orders in one pass, calling ``log_f`` once per
+    block for every order still open, and stops each by the rule of
+    :func:`integrate_endpoint`; an order converges when both pieces do.
+    Results are those of each order alone; the error of the lowest failing
+    order, head before tail, is raised.  An order whose |value| falls below
+    the normal range, where nodes round to units 2^-1074, reruns on
+    ``log_f + 1022 log 2`` and is scaled back by 2^-1022; the rest keep the
+    first pass's results to the last bit.  Its first pass summed its nodes
+    below 2^-1022, so, lifted, each stays below 1/(weight x panel width); a
+    rerun that reads further, or raises, does so as any pass does.
+    """
+    if lower < 0:
+        raise ValueError("lower endpoint must be nonnegative")
+    results = _log_moments(log_f, orders := np.asarray(orders, dtype=float), lower)
+    low = [i for i, r in enumerate(results) if abs(r.value) < sys.float_info.min]
+    lift = lambda u: log_f(u) + 1022 * math.log(2.0)
+    for i, r in zip(low, _log_moments(lift, orders[low], lower)):
+        results[i] = replace(r, value=math.ldexp(r.value, -1022),
+                             estimated_error=math.ldexp(r.estimated_error, -1022))
+    return results
 
 
 def log_scale(

@@ -58,6 +58,34 @@ def test_hl_l1_divergent_family_exit_code(tmp_path):
     assert json.loads(out.read_text())["result"]["verdict"] == "diverged"
 
 
+
+def test_hl_l1_of_a_subnormal_family_reads_the_closed_form(tmp_path):
+    # int_0^(1/4) Phi = K1 / log 100 = 439.5 units 2^-1074; with the nodes
+    # left to underflow the report read 2.18e-321, 441 units
+    cfg = {"majorant": {"kind": "family", "K1": 1e-320, "K2": 25.0, "alpha": 0.5, "r0": 0.25}}
+    code, out = run_cli(tmp_path, "hl-l1", cfg)
+    assert code == 0
+    result = json.loads(out.read_text())["result"]
+    assert result["verdict"] == "converged" and result["value"] == 2.174e-321
+    assert abs(result["value"] - 1e-320 / math.log(100.0)) <= math.ldexp(1.0, -1074)
+
+
+def test_hl_bound_of_a_vanishing_power_majorant(tmp_path):
+    # Phi = x^1.7e308 reads 0 at every node; a probe of the density outside
+    # the quadrature's error state warned of the overflow of its exponent
+    cfg = {"majorant": {"kind": "power", "r0": 0.5, "exponent": 1.7e308}, "delta": 0.1}
+    assert cli.run("hl-bound", dict(cfg, out=str(tmp_path / "report.json"))) == 0
+    assert json.loads((tmp_path / "report.json").read_text())["result"]["omega_bound"] == 0.0
+
+
+@pytest.mark.parametrize("coefficient", [5e-324, 1e-310])
+def test_hl_verify_of_a_subnormal_majorant_fails_without_a_warning(tmp_path, coefficient):
+    # |f'| = 1 over a subnormal Phi: the scaled violation overflows to inf
+    cfg = {"function": {"kind": "identity"},
+           "majorant": {"kind": "power", "r0": 0.5, "coefficient": coefficient}}
+    assert cli.run("hl-verify", dict(cfg, out=str(tmp_path / "report.json"))) == 2
+    assert json.loads((tmp_path / "report.json").read_text())["result"]["verified"] is False
+
 @pytest.mark.xfail(strict=True, reason="an absolute cap of 1e50 on the value reads "
                    "growth as divergence (ROADMAP item 4)")
 def test_hl_l1_large_convergent_power_majorant(tmp_path):

@@ -221,6 +221,18 @@ def test_tiny_divergent_majorant_diverges():
     assert not phi_log_l1(Majorant.power(0.5, 1e-20, -1.5), 0).converged
 
 
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_phi_log_l1_of_a_subnormal_majorant(n):
+    # int_0^r0 log(1/x)^n c dx = c r0 (1 + log(1/r0))^n for n <= 1; with
+    # c = 334 units 2^-1074 and r0 = 1/20 the nodes underflowed, and the
+    # integrals read 13 and 65 units for 16.7 and 66.7
+    unit = math.ldexp(1.0, -1074)
+    res = phi_log_l1(Majorant.power(0.05, 334 * unit, 0.0), n)
+    exact = 334 * 0.05 * (1.0 + math.log(20.0)) ** n
+    assert res.converged
+    assert abs(res.value / unit - exact) <= 1e-12 * exact + 1.0
+
 def test_family_l1_value_matches_antiderivative():
     params = dict(K1=1.0, K2=math.e, alpha=0.5, r0=0.5)
     res = phi_log_l1(Majorant.family(**params), 0)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -16,7 +17,6 @@ from geodisc.hardy_littlewood import Majorant
 from geodisc.numerics import (
     QuadratureResult,
     integrate_endpoint,
-    integrate_log_density,
     integrate_log_moment,
     minimize_on_circle,
     solve_monotone,
@@ -363,16 +363,20 @@ def test_log_moment_harmonic_diverges():
     assert not res.converged
 
 
-def test_log_density_lifts_only_a_density_below_the_normal_range():
-    # int_5^inf c e^(5 - u) du = c.  While the density is normal at the
-    # lower end the call is the order-0 log moment, to the last bit; at
-    # c = 3 units 2^-1074 that one reads 0, and the lifted one reads c
+def test_log_moment_reruns_only_the_orders_below_the_normal_range():
+    # int_5^inf c e^(5 - u) du = c.  A normal result is that of one pass on
+    # the density as it is, to the last bit; below the normal range that
+    # pass rounds its nodes to units 2^-1074 (at c = 3 units it reads 0),
+    # and the rerun on the lifted density reads c.  Order 30, about c e^5 30!,
+    # stays normal and keeps its first pass beside a rerun order 0
     unit = math.ldexp(1.0, -1074)
-    for c in (1.0, 1e-300, 3 * unit):
+    for c in (1.0, 1e-300, 1e-310, 3 * unit):
         form = lambda u, c=c: math.log(c) + 5.0 - u
-        res, (plain,) = integrate_log_density(form, 5.0), integrate_log_moment(form, [0], 5.0)
-        assert res.converged and abs(res.value - c) <= 1e-13 * c
-        assert res == plain if c >= 1e-300 else plain.value == 0.0
+        res, thirty = integrate_log_moment(form, [0, 30], 5.0)
+        plain, plain_thirty = numerics._log_moments(form, np.array([0.0, 30.0]), 5.0)
+        assert res.converged and abs(res.value - c) <= 1e-13 * c + unit
+        assert thirty == plain_thirty and thirty.converged
+        assert res == plain if c >= 1e-300 else plain.value < sys.float_info.min
 
 
 def test_root_square_root_calls_and_steps_inside_the_bracket():

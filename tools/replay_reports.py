@@ -1,0 +1,115 @@
+"""Replay the benchmark workloads' reports on two source trees and compare them.
+
+    python3 tools/replay_reports.py OLD_TREE NEW_TREE
+
+Each tree is a checkout with its package under ``src/geodisc``.  Every
+operation of probe (6 rounds), flat_geometry (5 rounds) and quick_verdicts
+(20 rounds), seeds 1-3, runs once with a JSON report and once with a CSV
+report, through ``geodisc.cli.main`` of each tree in its own interpreter
+under ``-W error::RuntimeWarning``.  The operations come from
+``benchmarks/workloads.build`` of the checkout holding this script, so both
+trees run the same configs.  The reports that differ are printed by
+command: exit code, standard error and text, old then new.  Exits 0 when
+every report matches byte for byte, 1 when one differs.
+
+It is not a test: a change may move reports on purpose.  It takes about
+12 s per tree on a 2-vCPU virtual machine.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import difflib
+import io
+import json
+import subprocess
+import sys
+import tempfile
+from collections import defaultdict
+from pathlib import Path
+
+BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
+ROUNDS = {"probe": 6, "flat_geometry": 5, "quick_verdicts": 20}
+SEEDS = (1, 2, 3)
+FORMATS = ("json", "csv")
+
+
+def replay(tree: Path) -> list[dict]:
+    """Every report of the replay through the ``geodisc`` of ``tree``."""
+    sys.path[:0] = [str(tree / "src"), str(BENCHMARKS)]
+    from geodisc import cli
+    import workloads
+
+    if not Path(cli.__file__).resolve().is_relative_to(tree / "src"):
+        raise SystemExit(f"imported geodisc from {cli.__file__}, not {tree / 'src'}")
+    reports = []
+    with tempfile.TemporaryDirectory() as scratch:
+        config, out = Path(scratch) / "config.json", Path(scratch) / "report"
+        for workload, rounds in ROUNDS.items():
+            for seed in SEEDS:
+                for i, op in enumerate(workloads.build(workload, seed, rounds)):
+                    config.write_text(json.dumps(op.cfg))
+                    for fmt in FORMATS:
+                        out.unlink(missing_ok=True)
+                        stderr = io.StringIO()
+                        argv = [op.command, "--config", str(config), "--out", str(out),
+                                "--format", fmt]
+                        with contextlib.redirect_stderr(stderr):
+                            try:
+                                code = cli.main(argv)
+                            except Exception as exc:  # a warning turned error, or a crash
+                                code = f"raised {type(exc).__name__}: {exc}"
+                        reports.append({
+                            "op": f"{workload} seed {seed} op {i} ({fmt})",
+                            "command": op.command,
+                            "code": code,
+                            "stderr": stderr.getvalue(),
+                            "text": out.read_text() if out.exists() else None,
+                        })
+    return reports
+
+
+def run_tree(tree: Path) -> list[dict]:
+    """:func:`replay` of ``tree`` in a fresh interpreter."""
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", __file__, "--worker", str(tree)],
+        stdout=subprocess.PIPE, text=True, check=True)
+    return json.loads(proc.stdout)
+
+
+def show(old: dict, new: dict) -> None:
+    print(f"  {old['op']}")
+    for key in ("code", "stderr"):
+        if old[key] != new[key]:
+            print(f"    {key}: {old[key]!r} -> {new[key]!r}")
+    if old["text"] != new["text"]:
+        diff = difflib.unified_diff((old["text"] or "").splitlines(),
+                                    (new["text"] or "").splitlines(), "old", "new", lineterm="")
+        print("\n".join("    " + line for line in diff))
+
+
+def main(argv: list[str]) -> int:
+    if argv[:1] == ["--worker"]:
+        json.dump(replay(Path(argv[1]).resolve()), sys.stdout)
+        return 0
+    if len(argv) != 2:
+        print(__doc__, file=sys.stderr)
+        return 2
+    old, new = (run_tree(Path(tree).resolve()) for tree in argv)
+    if [r["op"] for r in old] != [r["op"] for r in new]:
+        raise SystemExit("the trees replayed different operations")
+    differing = defaultdict(list)
+    for a, b in zip(old, new):
+        if a != b:
+            differing[a["command"]].append((a, b))
+    for command, pairs in sorted(differing.items()):
+        print(f"{command}: {len(pairs)} differ")
+        for a, b in pairs:
+            show(a, b)
+    count = sum(len(pairs) for pairs in differing.values())
+    print(f"{len(old)} reports, {count} differ")
+    return 1 if count else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
