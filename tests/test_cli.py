@@ -58,7 +58,6 @@ def test_hl_l1_divergent_family_exit_code(tmp_path):
     assert json.loads(out.read_text())["result"]["verdict"] == "diverged"
 
 
-
 def test_hl_l1_of_a_subnormal_family_reads_the_closed_form(tmp_path):
     # int_0^(1/4) Phi = K1 / log 100 = 439.5 units 2^-1074; with the nodes
     # left to underflow the report read 2.18e-321, 441 units
@@ -85,6 +84,7 @@ def test_hl_verify_of_a_subnormal_majorant_fails_without_a_warning(tmp_path, coe
            "majorant": {"kind": "power", "r0": 0.5, "coefficient": coefficient}}
     assert cli.run("hl-verify", dict(cfg, out=str(tmp_path / "report.json"))) == 2
     assert json.loads((tmp_path / "report.json").read_text())["result"]["verified"] is False
+
 
 @pytest.mark.xfail(strict=True, reason="an absolute cap of 1e50 on the value reads "
                    "growth as divergence (ROADMAP item 4)")

@@ -479,7 +479,6 @@ def test_pz_bound_linear_modulus_closed_form():
         assert abs(pz_bound(omega, delta, 1.0) - expected) < 1e-8
 
 
-
 def test_pz_bound_near_piece_of_a_subnormal_modulus():
     # omega(x) = c x with c = 334 units 2^-1074: K delta (1 + log(pi/delta))
     # = 85.85 units, which read 82 while the near piece's nodes underflowed;
@@ -488,6 +487,7 @@ def test_pz_bound_near_piece_of_a_subnormal_modulus():
     bound = pz_bound(ModulusFamily(lambda u: math.log(334 * unit) - u), 0.05, 1.0)
     exact = 334 * 0.05 * (1.0 + math.log(math.pi / 0.05))
     assert abs(bound / unit - exact) <= 1e-12 * exact + 1.0
+
 
 def test_pz_bound_holder_closed_form_to_rounding():
     # K [delta^a / a + delta (pi^(a-1) - delta^(a-1)) / (a-1)]; converged
@@ -563,7 +563,6 @@ def test_log_dini_linear_modulus():
         assert abs(res.value - math.factorial(n)) < 1e-6 * math.factorial(n)
 
 
-
 def test_log_dini_of_a_subnormal_modulus():
     # int_0^inf u^n c e^-u du = c n! with c = 334 units 2^-1074, a whole
     # number of units, so the rounded result is exact; while the nodes
@@ -572,6 +571,7 @@ def test_log_dini_of_a_subnormal_modulus():
     report = log_dini_test(ModulusFamily(lambda u: math.log(334 * unit) - u), n_max=3)
     for n, res in enumerate(report.results):
         assert res.converged and res.value == 334 * math.factorial(n) * unit
+
 
 @pytest.mark.parametrize("c, eps", [(1.0, 0.5), (2.0, 0.3), (0.5, 0.8)])
 def test_log_dini_stretched_exponential(c, eps):

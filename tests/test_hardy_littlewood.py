@@ -221,7 +221,6 @@ def test_tiny_divergent_majorant_diverges():
     assert not phi_log_l1(Majorant.power(0.5, 1e-20, -1.5), 0).converged
 
 
-
 @pytest.mark.parametrize("n", [0, 1])
 def test_phi_log_l1_of_a_subnormal_majorant(n):
     # int_0^r0 log(1/x)^n c dx = c r0 (1 + log(1/r0))^n for n <= 1; with
@@ -232,6 +231,7 @@ def test_phi_log_l1_of_a_subnormal_majorant(n):
     exact = 334 * 0.05 * (1.0 + math.log(20.0)) ** n
     assert res.converged
     assert abs(res.value / unit - exact) <= 1e-12 * exact + 1.0
+
 
 def test_family_l1_value_matches_antiderivative():
     params = dict(K1=1.0, K2=math.e, alpha=0.5, r0=0.5)
