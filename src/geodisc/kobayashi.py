@@ -22,7 +22,6 @@ from .convex_geometry import (
     FlatModelDomain,
     Polydisc,
     _check_vector,
-    _disc_radius,
     _scaled_norm,
     ball_distance,
     boundary_distance,
@@ -39,11 +38,7 @@ from .disc_analysis import (
     stack_components,
 )
 from .hardy_littlewood import Majorant, phi_log_l1, verify_majorant
-from .numerics import QuadratureResult, gauss_panel
-
-# geodesic_defect integrates the metric bounds with 4 panels of GL-8.
-_DEFECT_PANELS = 4
-_DEFECT_ORDER = 8
+from .numerics import QuadratureResult
 
 
 # --- Poincare geometry -------------------------------------------------------
@@ -159,17 +154,13 @@ def flat_slice_candidate(domain: FlatModelDomain, center: complex,
 
 def geodesic_defect(candidate: GeodesicCandidate, zeta1: complex,
                     zeta2: complex) -> float:
-    """Deviation of the candidate from the isometry identity.
-
-    When the domain answers its exact Kobayashi distance K (polydiscs and
-    balls, see ``ConvexDomainModel.kobayashi``), this is |p(zeta1, zeta2)
-    - K(f(zeta1), f(zeta2))|.  On other convex models it is the distance from
-    p to [L, 2L] (zero when p lies inside), where L integrates the lower
-    metric ||v|| / (2 r) along the straight image segment.  Only 2L, the
-    upper metric integrated along a curve, bounds K.  L does not: K is an
-    infimum over curves, and near the boundary the chord is much longer
-    than the geodesic, so a true geodesic can show a positive defect.  An
-    image on the boundary, where K is infinite, is rejected.
+    """Deviation of the candidate from the isometry identity p(zeta1,
+    zeta2) = K(f(zeta1), f(zeta2)): the distance from p to the domain's ends
+    [lower, upper] of K (``ConvexDomainModel.kobayashi``), zero when p lies
+    between them.  Where K is exact (polydiscs and balls) it is |p - K|.
+    Elsewhere the ends are the chord's [L, 2L], and since L does not bound
+    K, a true geodesic can show a positive defect.  An image on the
+    boundary, where K is infinite, is rejected.
     """
     p = poincare_distance(zeta1, zeta2)
     f = candidate.map
@@ -180,27 +171,7 @@ def geodesic_defect(candidate: GeodesicCandidate, zeta1: complex,
             raise ValueError("image point outside domain")
         if where == "boundary":
             raise ValueError("image point on the boundary, where K is infinite")
-    exact = candidate.domain.kobayashi(z1, z2)
-    if exact is not None:
-        return abs(p - exact)
-
-    direction = z2 - z1  # the nodes lie inside with the ends: no base check
-    w, norm, e = _scaled_norm(direction)
-    if norm == 0.0:
-        return p  # a constant map: L = 0
-    unit, length = w / norm, math.ldexp(norm, e)
-
-    def lower_metric(t: np.ndarray) -> np.ndarray:
-        radii = [_disc_radius(candidate.domain, z1 + s * direction, unit) for s in t.tolist()]
-        if 0.0 in radii:
-            raise ValueError("point on the boundary: the inscribed disc radius is 0")
-        return np.array([length / (2.0 * r) for r in radii])
-
-    panels = np.arange(_DEFECT_PANELS)
-    lower = sum(gauss_panel(
-        lower_metric, panels / _DEFECT_PANELS, (panels + 1) / _DEFECT_PANELS, _DEFECT_ORDER
-    ).tolist())
-    upper = 2.0 * lower  # each upper bound is exactly twice its lower bound
+    lower, upper = candidate.domain.kobayashi(z1, z2)
     return max(lower - p, p - upper, 0.0)
 
 

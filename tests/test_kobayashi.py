@@ -299,19 +299,23 @@ def test_defect_positive_for_non_geodesic():
     assert abs(expected - 0.29389) < 1e-4
 
 
-def graham_interval_defect(candidate: GeodesicCandidate, zeta1: complex,
-                           zeta2: complex) -> float:
-    """The interval route with each Gauss node's lower metric from
-    ``graham_bounds``: the distance from p to [L, 2L]."""
-    p = poincare_distance(zeta1, zeta2)
-    z1, z2 = candidate.map(zeta1), candidate.map(zeta2)
+def graham_chord_lower(domain, z1, z2) -> float:
+    """The chord's lower end with each Gauss node's lower metric from
+    ``graham_bounds``."""
     direction = z2 - z1
     metric = lambda t: np.array([
-        graham_bounds(candidate.domain, z1 + s * direction, direction).lower
-        for s in t.tolist()
+        graham_bounds(domain, z1 + s * direction, direction).lower for s in t.tolist()
     ])
     panels = np.arange(4)
-    lower = sum(gauss_panel(metric, panels / 4, (panels + 1) / 4, 8).tolist())
+    return sum(gauss_panel(metric, panels / 4, (panels + 1) / 4, 8).tolist())
+
+
+def graham_interval_defect(candidate: GeodesicCandidate, zeta1: complex,
+                           zeta2: complex) -> float:
+    """The interval route through :func:`graham_chord_lower`: the distance
+    from p to [L, 2L]."""
+    p = poincare_distance(zeta1, zeta2)
+    lower = graham_chord_lower(candidate.domain, candidate.map(zeta1), candidate.map(zeta2))
     return max(lower - p, p - 2.0 * lower, 0.0)
 
 
@@ -343,12 +347,18 @@ def test_defect_interval_route_matches_graham_bounds_at_each_node():
 def test_domain_kobayashi_is_exact_on_polydiscs_and_balls_only():
     # a polydisc's distance is the largest of its coordinate discs'; a
     # ball's is artanh rho with 1 - rho^2 = (1 - |a|^2)(1 - |b|^2) /
-    # |1 - <a, b>|^2 for the rescaled points a and b
+    # |1 - <a, b>|^2 for the rescaled points a and b; both answer (K, K)
+    # with K the largest of their pieces' answers, to the last bit
     rng = np.random.default_rng(31)
 
     def draw(radius, dim):
         u = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         return radius * rng.uniform(0.0, 0.9) * u / np.linalg.norm(u)
+
+    def exact_ends(domain, z, w):
+        ends = domain.kobayashi(z, w)
+        assert ends == (max(piece.kobayashi(z, w) for piece in domain.pieces),) * 2
+        return ends[0]
 
     radii = (0.5, 2.0, 1.0)
     polydisc = Polydisc(radii)
@@ -359,18 +369,31 @@ def test_domain_kobayashi_is_exact_on_polydiscs_and_balls_only():
         w = np.array([draw(r, 1)[0] for r in radii])
         exact = max(math.atanh(abs((zk - wk) * r / (r * r - wk.conjugate() * zk)))
                     for zk, wk, r in zip(z, w, radii))
-        assert polydisc.kobayashi(z, w) == pytest.approx(exact, rel=1e-12)
+        assert exact_ends(polydisc, z, w) == pytest.approx(exact, rel=1e-12)
 
         a, b = draw(1.0, 2), draw(1.0, 2)
         s = (1.0 - np.vdot(a, a).real) * (1.0 - np.vdot(b, b).real)
         exact = math.atanh(math.sqrt(1.0 - s / abs(1.0 - np.vdot(b, a)) ** 2))
-        K = ball.kobayashi(center + 1.5 * a, center + 1.5 * b)
+        K = exact_ends(ball, center + 1.5 * a, center + 1.5 * b)
         assert K == pytest.approx(exact, rel=1e-12)
 
+
+def test_domain_kobayashi_is_the_chord_elsewhere():
+    # half-space intersections and the flat model answer (L, 2L), with L
+    # the graham_bounds route at each node to the last bit
     square = HalfspaceIntersection([([1.0], 1.0), ([-1.0], 1.0), ([1j], 1.0), ([-1j], 1.0)])
-    assert square.kobayashi(np.array([0.1j]), np.array([0.5])) is None
     flat = pipeline_domain()
-    assert flat.kobayashi(np.array([0.0, 0.03j]), np.array([0.0, 0.05j])) is None
+    rng = np.random.default_rng(33)
+    in_square = lambda: np.array([complex(*rng.uniform(-0.9, 0.9, 2))])
+    in_flat = lambda: np.array([0.01 * complex(*rng.uniform(-1.0, 1.0, 2)),
+                                1j * rng.uniform(0.02, 0.06)])
+    for domain, draw in ((square, in_square), (flat, in_flat)):
+        for _ in range(10):
+            z, w = draw(), draw()
+            lower, upper = domain.kobayashi(z, w)
+            assert lower == graham_chord_lower(domain, z, w)
+            assert upper == 2.0 * lower > 0.0
+    assert square.kobayashi(np.array([0.1j]), np.array([0.1j])) == (0.0, 0.0)
 
 
 def test_defect_of_a_constant_flat_map_is_p():

@@ -5,7 +5,8 @@ rename in the package would break ``--trace 1`` without failing any other
 test.  Here a 64-node ``geodesic-probe`` op and one op of each command
 whose handler a report rule builds around a spanned function run through
 ``cli.run`` inside a ``Tracer``, with an off-axis tilted ``domain-radius``
-op for the circle-minimum kernel: every traced name must exist, the spans and
+op for the circle-minimum kernel and a flat-model ``geodesic-defect`` op
+for the chord's work: every traced name must exist, the spans and
 work counts must be recorded, each rule-built command must call its
 operation exactly once through the tracer's wrapper (the rules look it up
 when the command runs), and every patched
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import importlib.util
 import sys
+from collections import Counter
 from pathlib import Path
 
 import geodisc
@@ -29,6 +31,9 @@ ON_FLAT = {"domain": FLAT, "point": [[0.0, 0.0], [0.0, 0.01]],
 # off the axis <z', v'> != 0, so the tilted radius takes the circle search
 OFF_AXIS = dict(ON_FLAT, point=[[0.03, 0.0], [0.0, 0.03]])
 SQUARE = {"kind": "polydisc", "radii": [1.0, 1.0]}
+FLAT_DEFECT = {"candidate": {"kind": "flat_slice", "domain": FLAT, "center": [0.001, 0.04],
+                             "radius": 0.035},
+               "zeta1": [0.1, 0.2], "zeta2": [-0.3, 0.4]}
 
 # rule-built command -> (config, the span of the operation it calls)
 RULE_BUILT_OPS = {
@@ -63,15 +68,23 @@ def test_tracer_counts_cli_ops_and_restores_every_patch(monkeypatch, tmp_path):
         ("geodesic-probe", {"candidate": {"kind": "nonextending"}, "n_theta": 64}, None),
         *((command, cfg, span) for command, (cfg, span) in RULE_BUILT_OPS.items()),
         ("domain-radius", OFF_AXIS, "convex_geometry.inscribed_disc_radius"),
+        ("geodesic-defect", FLAT_DEFECT, "kobayashi.geodesic_defect"),
     ]
     with tracing.Tracer() as tracer:
         patches = list(tracer._patches)
         for command, cfg, span in ops:
-            calls = tracer.layer_metrics().get(f"{span}.calls", 0)
+            before_op = tracer.layer_metrics()
             assert cli.run(command, dict(cfg, out=str(tmp_path / "report.json"))) in (0, 2)
+            moved = Counter(tracer.layer_metrics())
+            moved.subtract(before_op)
             if span is not None:
                 # the op called its operation once, through the wrapper
-                assert tracer.layer_metrics()[f"{span}.calls"] == calls + 1, command
+                assert moved[f"{span}.calls"] == 1, command
+            if cfg is FLAT_DEFECT:
+                # the chord reads 32 node radii with no base check: the
+                # op's only membership tests are the two image checks
+                assert moved["convex_geometry.signed_gap.flat_model.calls"] == 2
+                assert moved["convex_geometry.inscribed_disc_radius.calls"] == 0
 
     assert patches
     for owner, attr, original in patches:
