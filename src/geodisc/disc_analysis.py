@@ -399,7 +399,7 @@ def pz_bound(omega: ModulusFamily, delta: float, K: float) -> float:
 
     far_density = lambda x: omega(x) / (x * x)
     # int_0^min(delta, 1) omega(x)/x dx = int_{log(1/min(delta, 1))}^inf omega(e^-u) du
-    near = integrate_log_moment(omega.log_modulus, [0], math.log(1.0 / min(delta, 1.0)))
+    near = integrate_log_moment(omega.log_modulus, [0], -math.log(min(delta, 1.0)))
     if delta > 1.0:
         near.append(integrate_endpoint(lambda x: omega(x) / x, 1.0, delta))
     if delta < 1.0:

@@ -143,7 +143,7 @@ def phi_log_l1(phi: Majorant, n: int) -> QuadratureResult:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return integrate_log_moment(phi.log_form, [n], math.log(1.0 / phi.r0))[0]
+    return integrate_log_moment(phi.log_form, [n], -math.log(phi.r0))[0]
 
 
 def omega_bound(majorant: Majorant, delta: float) -> float:
@@ -152,7 +152,7 @@ def omega_bound(majorant: Majorant, delta: float) -> float:
         raise ValueError("delta must lie in [0, r0)")
     if delta == 0.0:
         return 0.0
-    (res,) = integrate_log_moment(majorant.log_form, [0], math.log(1.0 / delta))
+    (res,) = integrate_log_moment(majorant.log_form, [0], -math.log(delta))
     return 3.0 * res.value if res.converged else math.inf
 
 

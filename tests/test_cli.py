@@ -69,6 +69,20 @@ def test_hl_l1_of_a_subnormal_family_reads_the_closed_form(tmp_path):
     assert abs(result["value"] - 1e-320 / math.log(100.0)) <= math.ldexp(1.0, -1074)
 
 
+def test_hl_l1_at_the_least_subnormal_r0(tmp_path):
+    # int_0^r0 1 dx = r0 = 5e-324; the lower end log(1 / r0) overflowed, and
+    # the report read "diverged" with the non-JSON "estimated_error": Infinity
+    cfg = {"majorant": {"kind": "power", "r0": 5e-324}}
+    code, out = run_cli(tmp_path, "hl-l1", cfg)
+    assert code == 0
+
+    def not_json(token):
+        raise ValueError(f"non-JSON token {token}")
+
+    result = json.loads(out.read_text(), parse_constant=not_json)["result"]
+    assert result["verdict"] == "converged" and result["value"] == 5e-324
+
+
 def test_hl_bound_of_a_vanishing_power_majorant(tmp_path):
     # Phi = x^1.7e308 reads 0 at every node; a probe of the density outside
     # the quadrature's error state warned of the overflow of its exponent

@@ -346,6 +346,15 @@ def test_omega_bound_constant():
     assert abs(omega_bound(Majorant.power(0.5, 1.0, 0.0), 0.1) - 0.3) < 1e-10
 
 
+def test_lower_end_at_the_least_subnormal():
+    # int_0^delta 1 dx = delta = 5e-324: log(1 / delta) overflowed to a lower
+    # end of inf, so phi_log_l1 read "diverged" and omega_bound inf
+    tiny = math.ldexp(1.0, -1074)
+    res = phi_log_l1(Majorant.power(tiny, 1.0, 0.0), 0)
+    assert res.converged and res.value == tiny
+    assert omega_bound(Majorant.power(0.5, 1.0, 0.0), tiny) == 3.0 * tiny
+
+
 def test_omega_bound_linear_phi():
     phi = Majorant(lambda x: x, 0.5)  # not monotone; the bound still works
     assert abs(omega_bound(phi, 0.2) - 0.06) < 1e-9
