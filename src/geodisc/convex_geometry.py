@@ -250,10 +250,13 @@ class GraphConstraint:
         return solve_monotone(gap, 0.0, within, level)
 
     def distance(self, z: np.ndarray) -> float:
-        """Distance to the cylinder wall or to the surface {Im z_n = C
-        phi_alpha(||z'||), ||z'|| <= R0}, whichever is nearer.
+        """Distance to the cylinder wall or to the surface, whichever is nearer."""
+        return min(self.support.R0 - float(np.linalg.norm(z[:-1])), self.surface_distance(z))
 
-        On the axis z' = 0 at 0 < y < ``vertex_reach`` it is min(R0, y): t^2 +
+    def surface_distance(self, z: np.ndarray) -> float:
+        """Distance to the surface {Im z_n = C phi_alpha(||z'||), ||z'|| <= R0}.
+
+        On the axis z' = 0 at 0 < y < ``vertex_reach`` it is y: t^2 +
         (y - h)^2 - y^2 = h (t^2 / h - 2 y) + h^2 > 0 for h = C phi_alpha(t),
         so the vertex is the nearest surface point.  Elsewhere, by rotation
         invariance, it is a 1-d problem in the radial profile t.  Searching t
@@ -268,13 +271,13 @@ class GraphConstraint:
         rho = float(np.linalg.norm(z[:-1]))
         y = float(z[-1].imag)
         if rho == 0.0 and 0.0 < y < self.support.vertex_reach:
-            return min(R0, y)
+            return y
 
         def dist2(psi: float) -> float:
             t = rho + (R0 - rho) * math.sin(0.5 * psi) ** 2
             return (t - rho) ** 2 + (y - self.height(t)) ** 2
 
-        return min(R0 - rho, math.sqrt(minimize_on_circle(dist2)))
+        return math.sqrt(minimize_on_circle(dist2))
 
     def disc_radius(self, z: np.ndarray, v: np.ndarray) -> float:
         """The largest rho with z + rho e^{i theta} v in the graph piece for
@@ -548,10 +551,15 @@ class FlatModelDomain(ConvexDomainModel):
         ))
 
     def zone_depth(self, z: np.ndarray) -> float | None:
-        """The distance d to the graph piece if z is in its boundary zone, where
-        the flatness lemma speaks: no cap is nearer and 0 < d < zone."""
-        *caps, graph = (piece.distance(z) for piece in self.pieces)
-        return graph if graph <= min(caps) and 0.0 < graph < self.support.zone else None
+        """The distance d to the graph's surface if z is in its boundary zone,
+        where the flatness lemma speaks: no cap is nearer, nor the cylinder
+        wall ||z'|| <= R0, an edge of the local model rather than the flat
+        boundary, and 0 < d < zone."""
+        *caps, graph = self.pieces
+        d = graph.surface_distance(z)
+        wall = self.support.R0 - float(np.linalg.norm(z[:-1]))
+        nearest = min(wall, *(cap.distance(z) for cap in caps))
+        return d if d <= nearest and 0.0 < d < self.support.zone else None
 
     def graph_distance(self, z: np.ndarray) -> float:
         """Distance to the boundary of the graph piece over its cylinder."""

@@ -866,6 +866,12 @@ BAD_CONFIGS = {
         {"domain": FLAT, "point": [0, [0.075, 0.04]], "direction": [1, 0]},
         "point not in the boundary zone of the flat graph",
     ),
+    "rest-check nearest the cylinder wall": (
+        "rest-check",
+        {"domain": dict(FLAT, R0=1 / 9, s0=0.1), "point": [0.1, [0.085, 0.07]],
+         "direction": [0, 1]},
+        "point not in the boundary zone of the flat graph",
+    ),
     "geodesic-defect image on the boundary": (
         "geodesic-defect",
         {"candidate": {"kind": "map", "map": {"kind": "constant", "values": [1.0]},

@@ -1169,10 +1169,12 @@ def test_halfspace_radius_is_a_python_float():
     # was a numpy bool wherever a box cap binds
     radius = inscribed_disc_radius(halfspace_box(), [0.5, 0.0], [1.0, 0.0])
     assert type(radius) is float and radius == 0.5
-    # the cylinder wall, 0.011 away, is the nearest boundary, so the point is
-    # in the zone, and the cap Re z_n <= s0, 0.015 away, binds the radius
-    domain, z, v = flat_domain(), np.array([0.1, 0.085 + 0.07j]), np.array([0.0, 1.0])
+    # the surface, 0.029 away, is nearer than the cap Re z_n <= s0 (0.03)
+    # and the cylinder wall (0.061), so the point is in the zone, and that
+    # cap binds the radius
+    domain, z, v = flat_domain(), np.array([0.05, 0.07 + 0.045j]), np.array([0.0, 1.0])
     report = rest_bound_check(domain, z, v)
+    assert report.d == domain.pieces[-1].surface_distance(z) < 0.03
     cap, graph = domain.pieces[0].disc_radius(z, v), domain.pieces[-1].disc_radius(z, v)
     assert report.radius == cap < graph
     assert type(report.radius) is float and type(report.satisfied) is bool
@@ -1189,6 +1191,19 @@ def test_flat_model_construction_memory_does_not_grow_with_the_square_of_dimensi
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_zone_depth_counts_the_cylinder_wall_as_a_cap():
+    # the wall ||z'|| <= R0 is 0.011 away and the surface 0.023: the wall is
+    # an edge of the local model, not the flat boundary, so the point is not
+    # in the zone; the graph piece's distance is still the nearer of the two
+    domain, z = flat_domain(), np.array([0.1, 0.085 + 0.07j])
+    graph = domain.pieces[-1]
+    wall = graph.support.R0 - 0.1
+    assert graph.distance(z) == min(wall, graph.surface_distance(z)) == wall
+    assert domain.zone_depth(z) is None
+    with pytest.raises(ValueError, match="not in the boundary zone"):
+        rest_bound_check(domain, z, [0.0, 1.0])
 
 
 def test_rest_bound_rejects_point_outside_zone():
