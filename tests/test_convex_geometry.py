@@ -703,15 +703,62 @@ def test_inscribed_radius_dominates_boundary_distance_and_phase_invariant():
         assert abs(inscribed_disc_radius(domain, z, phase * v) - r) < 1e-9
 
 
+def flat_gaps(domain, points: np.ndarray) -> np.ndarray:
+    """The flat model's signed gap at each row of ``points``, the array form
+    of ``domain.signed_gap``: the largest of the three caps' gaps and the
+    graph's ||z'|| - R0 and C phi_alpha(||z'||) - Im z_n."""
+    s = domain.support
+    p, zn = points[:, :-1], points[:, -1]
+    rho = np.sqrt((p.real**2).sum(axis=1) + (p.imag**2).sum(axis=1))
+    with np.errstate(divide="ignore"):  # rho = 0 gives 0^-alpha = inf, height 0
+        height = s.C * np.exp(-(rho**-s.alpha))
+    return np.max([zn.real - s.s0, -zn.real - s.s0, zn.imag - s.s0,
+                   rho - s.R0, height - zn.imag], axis=0)
+
+
+def flat_bisection(domain, z, directions: np.ndarray) -> np.ndarray:
+    """:func:`membership_bisection` along every row of ``directions`` at
+    once, with membership read from :func:`flat_gaps`."""
+    lo, hi = np.zeros(len(directions)), np.full(len(directions), 8.0)
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        kept = flat_gaps(domain, z + mid[:, None] * directions) <= MEMBERSHIP_TOL  # not outside
+        lo, hi = np.where(kept, mid, lo), np.where(kept, hi, mid)
+    return 0.5 * (lo + hi)
+
+
 def grid_radius(domain, z, v, n=64) -> float:
-    """The smallest membership-bisection exit over n circle angles, then
-    over n + 1 angles across the best one's two neighbouring cells: an upper
+    """The smallest membership-bisection exit on the flat model over n
+    circle angles, then over n + 1 angles across the best one's two
+    neighbouring cells, each pass bisecting all its angles at once: an upper
     bound on the inscribed radius, within about 1e-6 of it here."""
     v = v / np.linalg.norm(v)
-    exit_at = lambda t: membership_bisection(domain, z, complex(math.cos(t), math.sin(t)) * v)
+    turns = lambda ts: np.array([complex(math.cos(t), math.sin(t)) for t in ts])
+    exits = lambda ts: flat_bisection(domain, z, turns(ts)[:, None] * v)
     step = 2.0 * math.pi / n
-    best = min(step * np.arange(n), key=exit_at)
-    return min(exit_at(t) for t in best + step * np.linspace(-1.0, 1.0, n + 1))
+    angles = step * np.arange(n)
+    best = angles[np.argmin(exits(angles))]
+    return float(np.min(exits(best + step * np.linspace(-1.0, 1.0, n + 1))))
+
+
+@pytest.mark.parametrize("dimension", [2, 3])
+def test_flat_gaps_match_membership(dimension):
+    # the grid oracle's array membership against the domain's own, on seeded
+    # points in and around the model, a quarter of them on the axis z' = 0
+    rng = np.random.default_rng(43 + dimension)
+    for alpha in (0.3, 0.5, 0.8):
+        domain = flat_domain(alpha=alpha, dimension=dimension)
+        s = domain.support
+        shape = (400, dimension - 1)
+        prime = 1.2 * s.R0 * (rng.uniform(-1.0, 1.0, shape) + 1j * rng.uniform(-1.0, 1.0, shape))
+        prime[:100] = 0.0
+        last = s.s0 * (rng.uniform(-1.2, 1.2, 400) + 1j * rng.uniform(-0.2, 1.2, 400))
+        points = np.column_stack([prime, last])
+        gaps = flat_gaps(domain, points)
+        assert np.all(np.abs(gaps - [domain.signed_gap(z) for z in points]) <= 1e-15)
+        kept = [g <= MEMBERSHIP_TOL for g in gaps]
+        assert kept == [domain.membership(z) != "outside" for z in points]
+        assert 0 < sum(kept) < len(kept)
 
 
 def unit_vector(rng, n: int) -> np.ndarray:
