@@ -1,6 +1,7 @@
 """Replay the benchmark workloads' reports on two source trees and compare them.
 
     python3 tools/replay_reports.py OLD_TREE NEW_TREE
+    python3 tools/replay_reports.py --digest TREE
 
 Each tree is a checkout with its package under ``src/geodisc``.  Every
 operation of probe (6 rounds), flat_geometry (5 rounds) and quick_verdicts
@@ -12,6 +13,12 @@ trees run the same configs.  The reports that differ are printed by
 command: exit code, standard error and text, old then new.  Exits 0 when
 every report matches byte for byte, 1 when one differs.
 
+``--digest`` replays one tree and prints, per workload and seed, a sha256
+over that run's reports (exit code, standard error and text, in op order)
+and the number of ops per command.  Equal digests mean equal reports, but
+only between runs on one machine: numpy picks its SIMD loops by CPU, so
+the last bits of array math may differ between machines.
+
 It is not a test: a change may move reports on purpose.  It takes about
 12 s per tree on a 2-vCPU virtual machine.
 """
@@ -20,12 +27,13 @@ from __future__ import annotations
 
 import contextlib
 import difflib
+import hashlib
 import io
 import json
 import subprocess
 import sys
 import tempfile
-from collections import defaultdict
+from collections import Counter, defaultdict
 from pathlib import Path
 
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
@@ -60,7 +68,9 @@ def replay(tree: Path) -> list[dict]:
                             except Exception as exc:  # a warning turned error, or a crash
                                 code = f"raised {type(exc).__name__}: {exc}"
                         reports.append({
+                            "run": f"{workload} seed {seed}",
                             "op": f"{workload} seed {seed} op {i} ({fmt})",
+                            "format": fmt,
                             "command": op.command,
                             "code": code,
                             "stderr": stderr.getvalue(),
@@ -88,9 +98,25 @@ def show(old: dict, new: dict) -> None:
         print("\n".join("    " + line for line in diff))
 
 
+def print_digests(reports: list[dict]) -> None:
+    """One line per workload and seed: the sha256 of its reports and its
+    op count per command."""
+    runs: dict[str, tuple] = {}
+    for r in reports:
+        sha, ops = runs.setdefault(r["run"], (hashlib.sha256(), Counter()))
+        sha.update(json.dumps([r["code"], r["stderr"], r["text"]]).encode())
+        ops[r["command"]] += r["format"] == FORMATS[0]
+    for run, (sha, ops) in runs.items():
+        counts = ", ".join(f"{command} {n}" for command, n in sorted(ops.items()))
+        print(f"{run}: {sha.hexdigest()} ({counts})")
+
+
 def main(argv: list[str]) -> int:
     if argv[:1] == ["--worker"]:
         json.dump(replay(Path(argv[1]).resolve()), sys.stdout)
+        return 0
+    if argv[:1] == ["--digest"] and len(argv) == 2:
+        print_digests(run_tree(Path(argv[1]).resolve()))
         return 0
     if len(argv) != 2:
         print(__doc__, file=sys.stderr)
