@@ -251,7 +251,10 @@ class GraphConstraint:
 
     def distance(self, z: np.ndarray) -> float:
         """Distance to the cylinder wall or to the surface, whichever is nearer."""
-        return min(self.support.R0 - float(np.linalg.norm(z[:-1])), self.surface_distance(z))
+        return min(self.wall_distance(z), self.surface_distance(z))
+
+    def wall_distance(self, z: np.ndarray) -> float:
+        return self.support.R0 - float(np.linalg.norm(z[:-1]))
 
     def surface_distance(self, z: np.ndarray) -> float:
         """Distance to the surface {Im z_n = C phi_alpha(||z'||), ||z'|| <= R0}.
@@ -353,7 +356,8 @@ class ConvexDomainModel:
         if None not in answers:
             blocks = [range(self.dimension)[piece.coords] for piece in self.pieces]
             if sum(map(len, blocks)) == len(set().union(*blocks)):
-                return max(answers), max(answers)
+                K = max(answers)
+                return K, K
         direction = w - z
         v, norm, e = _scaled_norm(direction)
         if norm == 0.0:
@@ -557,8 +561,7 @@ class FlatModelDomain(ConvexDomainModel):
         boundary, and 0 < d < zone."""
         *caps, graph = self.pieces
         d = graph.surface_distance(z)
-        wall = self.support.R0 - float(np.linalg.norm(z[:-1]))
-        nearest = min(wall, *(cap.distance(z) for cap in caps))
+        nearest = min(graph.wall_distance(z), *(cap.distance(z) for cap in caps))
         return d if d <= nearest and 0.0 < d < self.support.zone else None
 
     def graph_distance(self, z: np.ndarray) -> float:
