@@ -344,9 +344,9 @@ class ConvexDomainModel:
         domain is the product of the pieces, the distance of a product is
         the largest of its factors' (Jarnicki & Pflug, Invariant Distances
         and Metrics in Complex Analysis, 2nd ed., 2013), and the ends are
-        (K, K).  Elsewhere they are the chord's (L, 2L): L integrates the
-        lower metric ||v|| / (2 r) along the straight segment from z to w
-        with 4 panels of GL-8, and 2L the upper metric ||v|| / r.  Only 2L,
+        (K, K).  Elsewhere they are the chord's (L, 2L): L integrates
+        Graham's lower end ||v|| / (2 r) (``_graham_ends``) along the segment
+        from z to w with 4 panels of GL-8, and 2L the upper end ||v|| / r.  Only 2L,
         the upper metric integrated along a curve, bounds K.  L does not: K
         is an infimum over curves, and near the boundary the chord is much
         longer than the geodesic.  The nodes lie inside with the ends, so
@@ -365,10 +365,8 @@ class ConvexDomainModel:
         unit, length = v / norm, math.ldexp(norm, e)
 
         def lower_metric(t: np.ndarray) -> np.ndarray:
-            radii = [_disc_radius(self, z + s * direction, unit) for s in t.tolist()]
-            if 0.0 in radii:
-                raise ValueError("point on the boundary: the inscribed disc radius is 0")
-            return np.array([length / (2.0 * r) for r in radii])
+            return np.array([_graham_ends(self, z + s * direction, unit, length)[0]
+                             for s in t.tolist()])
 
         panels = np.arange(_CHORD_PANELS)
         lower = sum(gauss_panel(
@@ -643,6 +641,17 @@ def _disc_radius(domain: ConvexDomainModel, z: np.ndarray, v: np.ndarray) -> flo
     return max(min(piece.disc_radius(z, v) for piece in domain.pieces), 0.0)
 
 
+def _graham_ends(domain: ConvexDomainModel, z: np.ndarray, unit: np.ndarray,
+                 length: float) -> tuple[float, float]:
+    """Graham's ends (length / (2 r), length / r) of the Kobayashi metric at
+    z for a vector of that length along the unit direction, r its inscribed
+    disc radius; z is not checked.  A boundary point (r = 0) is rejected."""
+    r = _disc_radius(domain, z, unit)
+    if r == 0.0:
+        raise ValueError("point on the boundary: the inscribed disc radius is 0")
+    return length / (2.0 * r), length / r
+
+
 # --- the inscribed-radius bound of the flatness lemma ------------------------
 
 @dataclass(frozen=True)
@@ -660,13 +669,14 @@ _REST_TOL = 1e-6
 
 def rest_bound_check(domain: FlatModelDomain, point, direction) -> RestBoundReport:
     """Check r_Omega(z; v) <= 2 [log(C/d)]^{-1/alpha} + 1e-6 at z = ``point``,
-    v = ``direction``, d = ``domain.zone_depth(z)`` (the graph's zone only); the
-    1e-6 is a fixed rule, and ``margin`` is the slack in the inequality."""
+    v = ``direction`` (checked once, before the zone), d = ``domain.zone_depth(z)``
+    (the graph's zone only); the 1e-6 is fixed, ``margin`` the inequality's slack."""
     s = domain.support
-    d = domain.zone_depth(_check_base(domain, point))
+    z, u = _check_ray(domain, point, direction)
+    d = domain.zone_depth(z)
     if d is None:
         raise ValueError("point not in the boundary zone of the flat graph")
-    radius = inscribed_disc_radius(domain, point, direction)
+    radius = _disc_radius(domain, z, u)
     bound = 2.0 * phi_alpha_inv(d, s.C, s.alpha)
     return RestBoundReport(
         d=d,

@@ -22,10 +22,10 @@ from .convex_geometry import (
     FlatModelDomain,
     Polydisc,
     _check_vector,
+    _graham_ends,
     _scaled_norm,
     ball_distance,
     boundary_distance,
-    inscribed_disc_radius,
     rest_bound_check,
 )
 from .disc_analysis import (
@@ -78,7 +78,7 @@ def disc_automorphism(a: complex, phi: float = 0.0) -> UnitDiscFunction:
 
 @dataclass(frozen=True)
 class MetricBounds:
-    """Two-sided Kobayashi metric estimate; upper is twice lower by shape."""
+    """Graham's two ends of the Kobayashi metric; upper is twice lower."""
 
     lower: float
     upper: float
@@ -86,20 +86,15 @@ class MetricBounds:
 
 def graham_bounds(domain: ConvexDomainModel, point, direction) -> MetricBounds:
     """||v|| / (2 r) <= kappa(z; v) <= ||v|| / r at z = ``point``, v =
-    ``direction``, with r the inscribed disc radius; degenerate (0, 0) for
-    v = 0, after the radius's checks of the base point and the direction's
-    length.  A boundary point (r = 0) has no finite bounds and is rejected;
-    a v longer than the largest double raises ``OverflowError``."""
-    v = np.atleast_1d(np.asarray(direction, dtype=complex))
-    _, norm, e = _scaled_norm(v)
-    norm = math.ldexp(norm, e)
+    ``direction``, r the inscribed disc radius: Graham's ends by
+    ``convex_geometry._graham_ends`` after one check of z and one norm of v;
+    degenerate (0, 0) for v = 0.  A boundary point (r = 0) is rejected; a v
+    longer than the largest double raises ``OverflowError``."""
+    z, v = _check_vector(domain, point, direction)
+    w, norm, e = _scaled_norm(v)
     if norm == 0.0:
-        _check_vector(domain, point, v)
         return MetricBounds(0.0, 0.0)
-    radius = inscribed_disc_radius(domain, point, v)
-    if radius == 0.0:
-        raise ValueError("point on the boundary: the inscribed disc radius is 0")
-    return MetricBounds(norm / (2.0 * radius), norm / radius)
+    return MetricBounds(*_graham_ends(domain, z, w / norm, math.ldexp(norm, e)))
 
 
 # --- geodesic candidates -----------------------------------------------------

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -15,8 +16,9 @@ from geodisc.convex_geometry import (
     HalfspaceIntersection,
     Polydisc,
     boundary_distance,
+    rest_bound_check,
 )
-from geodisc import disc_analysis, kobayashi
+from geodisc import convex_geometry, disc_analysis, kobayashi
 from geodisc.disc_analysis import (
     UnitDiscFunction,
     boundary_samples,
@@ -244,6 +246,33 @@ def test_graham_sandwich_polydisc_random_directions():
         bounds = graham_bounds(square, [0.0, 0.0], v)
         assert bounds.lower <= exact + 1e-9
         assert exact <= bounds.upper + 1e-9
+
+
+def test_graham_and_rest_check_check_their_point_once(monkeypatch):
+    # each checked its base point, then called inscribed_disc_radius, which
+    # checked it again: graham_bounds took the norm of v twice and
+    # rest_bound_check made two membership tests
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    norm = counted("norm", convex_geometry._scaled_norm)
+    for module in (convex_geometry, kobayashi):
+        monkeypatch.setattr(module, "_scaled_norm", norm)
+    monkeypatch.setattr(FlatModelDomain, "signed_gap",
+                        counted("gap", FlatModelDomain.signed_gap))
+    domain, z, v = pipeline_domain(), [0.0, 0.01j], [0.6, 0.8j]
+    for query in (graham_bounds, rest_bound_check):
+        calls.clear()
+        query(domain, z, v)
+        assert calls == {"norm": 1, "gap": 1}, query.__name__
+    # the direction is checked before the zone: this point is nearest a cap
+    with pytest.raises(ValueError, match="direction must be nonzero"):
+        rest_bound_check(domain, [0.0, 0.075 + 0.04j], [0.0, 0.0])
 
 
 # --- the non-extending geodesic ----------------------------------------------

@@ -85,6 +85,10 @@ def test_tracer_counts_cli_ops_and_restores_every_patch(monkeypatch, tmp_path):
                 # op's only membership tests are the two image checks
                 assert moved["convex_geometry.signed_gap.flat_model.calls"] == 2
                 assert moved["convex_geometry.inscribed_disc_radius.calls"] == 0
+            if command in ("graham", "rest-check"):
+                # one check of the base point, and the radius read past it
+                assert moved["convex_geometry.signed_gap.flat_model.calls"] == 1, command
+                assert moved["convex_geometry.inscribed_disc_radius.calls"] == 0, command
 
     assert patches
     for owner, attr, original in patches:
@@ -93,9 +97,9 @@ def test_tracer_counts_cli_ops_and_restores_every_patch(monkeypatch, tmp_path):
 
     metrics = tracer.layer_metrics()
     assert metrics["cli.run.calls"] == len(ops)
-    # domain-radius (twice), rest-check and graham are its only callers
-    # among these ops
-    assert metrics["convex_geometry.inscribed_disc_radius.calls"] == 4
+    # the two domain-radius ops are its only callers: graham and rest-check
+    # read the radius past their own checks
+    assert metrics["convex_geometry.inscribed_disc_radius.calls"] == 2
     assert metrics["numerics.minimize_on_circle.calls"] >= 1
     assert metrics["numerics.minimize_on_circle.objective_evals"] > 0
     assert metrics["convex_geometry.signed_gap.flat_model.calls"] >= 1
