@@ -134,14 +134,24 @@ def _disc_exit(norm: float, dot: float, ww: float, radius: float) -> float:
 
 @dataclass(frozen=True)
 class DiscConstraint:
-    """|z[coords] - center| <= radius over a block of coordinates."""
+    """|z[coords] - center| <= radius over a block of coordinates.  Offsets
+    from the center are measured in units of 2^scale, the power of two
+    :func:`numerics.power_of_two_scaled` takes out of the radius (0 for radii
+    in [2^-480, 2^480]), so their squares neither under- nor overflow; the
+    scaling is exact."""
 
     coords: slice
     radius: float
     center: np.ndarray | complex
+    scale: int = field(init=False)
+
+    def __post_init__(self):
+        _, e = power_of_two_scaled(np.array([self.radius], dtype=complex))
+        object.__setattr__(self, "scale", int(e))
 
     def gap(self, z: np.ndarray) -> float:
-        return float(np.linalg.norm(z[self.coords] - self.center)) - self.radius
+        offset, radius = self._scaled(z)
+        return math.ldexp(float(np.linalg.norm(offset)) - radius, self.scale)
 
     def exit(self, z: np.ndarray, u: np.ndarray) -> float:
         return self._exit(z, u, worst_phase=False)
@@ -156,16 +166,24 @@ class DiscConstraint:
         return ball_distance((z[self.coords] - self.center) / self.radius,
                              (w[self.coords] - self.center) / self.radius)
 
+    def _scaled(self, z: np.ndarray) -> tuple[np.ndarray, float]:
+        """The offset z[coords] - center and the radius, in units of 2^scale."""
+        p = z[self.coords] - self.center
+        if not self.scale:
+            return p, self.radius
+        p = np.ascontiguousarray(p, dtype=complex).view(float)
+        return np.ldexp(p, -self.scale).view(complex), math.ldexp(self.radius, -self.scale)
+
     def _exit(self, z: np.ndarray, u: np.ndarray, worst_phase: bool) -> float:
         """The exit along u, or along the e^{i theta} u that leaves first."""
-        p = z[self.coords] - self.center
+        p, radius = self._scaled(z)
         w = u[self.coords]
         ww = float(np.vdot(w, w).real)
         if ww == 0.0:
             return math.inf
         inner = complex(np.vdot(p, w))
         dot = abs(inner) if worst_phase else inner.real  # max of Re e^{i theta} inner
-        return _disc_exit(float(np.linalg.norm(p)), dot, ww, self.radius)
+        return math.ldexp(_disc_exit(float(np.linalg.norm(p)), dot, ww, radius), self.scale)
 
 
 @dataclass(frozen=True)

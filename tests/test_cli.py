@@ -37,6 +37,10 @@ def run_cli(tmp_path, command, cfg, fmt="json", name="report.json"):
     return code, out
 
 
+def not_json(token):
+    raise ValueError(f"non-JSON token {token}")
+
+
 def test_hl_bound_constant_majorant(tmp_path):
     cfg = {
         "majorant": {"kind": "power", "coefficient": 1.0, "exponent": 0.0, "r0": 0.5},
@@ -75,10 +79,6 @@ def test_hl_l1_at_the_least_subnormal_r0(tmp_path):
     cfg = {"majorant": {"kind": "power", "r0": 5e-324}}
     code, out = run_cli(tmp_path, "hl-l1", cfg)
     assert code == 0
-
-    def not_json(token):
-        raise ValueError(f"non-JSON token {token}")
-
     result = json.loads(out.read_text(), parse_constant=not_json)["result"]
     assert result["verdict"] == "converged" and result["value"] == 5e-324
 
@@ -177,6 +177,58 @@ def test_domain_radius_at_a_boundary_point_outside_is_zero(tmp_path):
     code, out = run_cli(tmp_path, "domain-radius", cfg)
     assert code == 0
     assert json.loads(out.read_text())["result"]["radius"] == 0.0
+
+
+# Each disc piece squared its offset and radius unscaled (a RuntimeWarning
+# is an error here, as in CI).
+DISC_SCALES = {
+    # read "radius": Infinity, not JSON
+    "radius of a huge polydisc": (
+        "domain-radius",
+        {"domain": {"kind": "polydisc", "radii": [1e200]}, "point": [0], "direction": [1]},
+        "radius", 1e200,
+    ),
+    # read 0.0: the radius's square underflowed
+    "radius of a tiny polydisc": (
+        "domain-radius",
+        {"domain": {"kind": "polydisc", "radii": [1e-170]}, "point": [0], "direction": [1]},
+        "radius", 1e-170,
+    ),
+    "radius of a tiny ball": (
+        "domain-radius",
+        {"domain": {"kind": "ball", "center": [0, 0], "radius": 1e-200},
+         "point": [0, 0], "direction": [1, 0]},
+        "radius", 1e-200,
+    ),
+    # the gap's norm overflowed: a RuntimeWarning, or "base point outside domain"
+    "distance in a huge ball": (
+        "domain-distance",
+        {"domain": {"kind": "ball", "center": [0, 0], "radius": 1e160}, "point": [5e159, 0]},
+        "distance", 5e159,
+    ),
+    # read 1e-200: the offset's square underflowed to 0
+    "distance in a tiny ball": (
+        "domain-distance",
+        {"domain": {"kind": "ball", "center": [0, 0], "radius": 1e-200}, "point": [5e-201, 0]},
+        "distance", 5e-201,
+    ),
+    # read (0, 0): the radius was inf
+    "graham in a huge polydisc": (
+        "graham",
+        {"domain": {"kind": "polydisc", "radii": [1e200, 1e200]},
+         "point": [0, 0], "direction": [1, 0]},
+        "upper", 1e-200,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DISC_SCALES))
+def test_disc_pieces_scale_with_their_radius(tmp_path, case):
+    command, cfg, key, expected = DISC_SCALES[case]
+    code, out = run_cli(tmp_path, command, cfg)
+    assert code == 0
+    result = json.loads(out.read_text(), parse_constant=not_json)["result"]
+    assert result[key] == pytest.approx(expected, rel=1e-15, abs=0.0)
 
 
 def test_log_dini_check_and_rerun_reproducibility(tmp_path):

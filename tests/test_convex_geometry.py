@@ -213,6 +213,20 @@ def test_exit_time_ball_shifted():
     assert abs(exit_time(ball, [1.0, 0.0], [1.0, 0.0]) - 1.0) < 1e-14
 
 
+@pytest.mark.parametrize("k", [-1000, -600, -100, 100, 600, 1000])
+def test_disc_pieces_scale_exactly_with_their_radius(k):
+    # each disc piece squared its offsets unscaled: an exit from the centre
+    # of a disc of radius 1e200 read inf and one of radius 1e-200 read 0
+    c, point, u = 2.0**k, np.array([0.3, -0.1j]), np.array([0.6, 0.8j])
+    for domain, scaled in ((Ball([0.1, 0.2j], 0.75), Ball([0.1 * c, 0.2j * c], 0.75 * c)),
+                           (Polydisc((0.75, 0.5)), Polydisc((0.75 * c, 0.5 * c)))):
+        z = point * c
+        assert exit_time(scaled, z, u) == math.ldexp(exit_time(domain, point, u), k)
+        assert boundary_distance(scaled, z) == math.ldexp(boundary_distance(domain, point), k)
+        assert (inscribed_disc_radius(scaled, z, u)
+                == math.ldexp(inscribed_disc_radius(domain, point, u), k))
+
+
 def halfspace_box(extra=(), scale: float = 1.0) -> HalfspaceIntersection:
     # |Re z_k| <= 1/scale, |Im z_k| <= 1/scale in C^2 via eight halfspaces
     # with normals of length scale
