@@ -400,7 +400,9 @@ class Polydisc(ConvexDomainModel):
 
     def __post_init__(self):
         object.__setattr__(self, "radii", tuple(float(r) for r in self.radii))
-        if not self.radii or any(r <= 0.0 for r in self.radii):
+        if not self.radii:
+            raise ValueError("polydisc needs at least one radius")
+        if any(r <= 0.0 for r in self.radii):
             raise ValueError("polydisc radii must be positive")
         object.__setattr__(self, "pieces", tuple(
             DiscConstraint(slice(k, k + 1), r, 0.0)

@@ -954,6 +954,116 @@ def test_bad_config_exits_one_naming_the_key(tmp_path, capsys, case):
     assert not out.exists()
 
 
+POWER = {"kind": "power", "r0": 0.5}
+FAMILY = {"kind": "family", "K1": 1.0, "K2": math.e, "alpha": 0.5, "r0": 0.5}
+HOLDER = {"kind": "holder", "a": 0.5}
+
+
+def _distance(domain: dict, point=(0,)) -> tuple[str, dict]:
+    return "domain-distance", {"domain": domain, "point": list(point)}
+
+
+# The library's own rejections, each reached through the CLI: case ->
+# (command, config, the library's message, or the result of a row that exits 0).
+LIBRARY_REJECTIONS = {
+    "polydisc without radii": (*_distance({"kind": "polydisc", "radii": []}),
+                               "polydisc needs at least one radius"),
+    "polydisc radius 0": (*_distance({"kind": "polydisc", "radii": [1, 0]}, [0, 0]),
+                          "polydisc radii must be positive"),
+    "ball without a center": (*_distance({"kind": "ball", "center": [], "radius": 1}),
+                              "ball center must have at least one coordinate"),
+    "ball radius 0": (*_distance({"kind": "ball", "center": [0], "radius": 0}),
+                      "ball radius must be positive"),
+    "no halfspaces": (*_distance({"kind": "halfspace_intersection", "constraints": []}),
+                      "need at least one halfspace"),
+    "halfspaces of mixed dimensions": (
+        *_distance({"kind": "halfspace_intersection",
+                    "constraints": [{"a": [1], "b": 1}, {"a": [1, 0], "b": 1}]}),
+        "inconsistent constraint dimensions"),
+    "halfspace normal 0": (
+        *_distance({"kind": "halfspace_intersection", "constraints": [{"a": [0], "b": 1}]}),
+        "halfspace normal must be nonzero"),
+    "interior point outside": (
+        *_distance({"kind": "halfspace_intersection", "constraints": BOX,
+                    "interior_point": [5]}),
+        "interior point is not inside"),
+    "flat model C 0": (*_distance(dict(FLAT, C=0), [0, 0]), "C, R0, s0 must be positive"),
+    "flat model alpha 1": (*_distance(dict(FLAT, alpha=1), [0, 0]),
+                           "alpha must lie in (0, 1)"),
+    "flat model R0 past the cap": (*_distance(dict(FLAT, R0=0.2), [0, 0]),
+                                   "R0 exceeds the convexity cap of the graph"),
+    "flat model dimension 1": (*_distance(dict(FLAT, dimension=1), [0]),
+                               "flat model needs dimension at least 2"),
+    "point of the wrong dimension": (*_distance({"kind": "polydisc", "radii": [1, 1]}),
+                                     "point has wrong dimension"),
+    "spec without a kind": (*_distance({"radii": [1]}), "domain.kind: missing key"),
+    "config not an object": ("flat-x0", [1], "config must be a JSON object"),
+    "holder exponent 2": ("pz-bound", {"modulus": dict(HOLDER, a=2), "delta": 0.5},
+                          "holder exponent must lie in (0, 1]"),
+    "stretched exponential eps 1": (
+        "pz-bound", {"modulus": {"kind": "stretched_exponential", "coeff": 1, "eps": 1},
+                     "delta": 0.5},
+        "need coeff > 0 and eps in (0, 1)"),
+    "majorant r0 1": ("hl-l1", {"majorant": dict(POWER, r0=1)}, "r0 must lie in (0, 1)"),
+    "family K1 0": ("hl-l1", {"majorant": dict(FAMILY, K1=0)}, "K1, K2, alpha must be positive"),
+    "family r0 past K2": ("hl-l1", {"majorant": dict(FAMILY, K2=0.5, r0=0.6)},
+                          "need r0 in (0, min(1, K2))"),
+    "automorphism outside the disc": (
+        "mod-cont", {"function": {"kind": "automorphism", "a": 2}, "deltas": [0.1]},
+        "automorphism parameter must lie inside the disc"),
+    "monomial of negative degree": (
+        "mod-cont", {"function": {"kind": "monomial", "degree": -1}, "deltas": [0.1]},
+        "monomial degree must be nonnegative"),
+    "flat-x0 C 0": ("flat-x0", {"C": 0, "alpha": 0.5}, "C and alpha must be positive"),
+    "flat-rho d 0": ("flat-rho", {"d": 0, "slope": 1, "C": 1, "alpha": 0.5},
+                     "d must be positive"),
+    "flat-rho slope -1": ("flat-rho", {"d": 0.1, "slope": -1, "C": 1, "alpha": 0.5},
+                          "slope must be nonnegative"),
+    "flat-rho alpha 0": ("flat-rho", {"d": 0.1, "slope": 1, "C": 1, "alpha": 0},
+                         "C and alpha must be positive"),
+    "pz-bound delta 0": ("pz-bound", {"modulus": HOLDER, "delta": 0}, "delta out of range"),
+    "pz-bound K 0": ("pz-bound", {"modulus": HOLDER, "delta": 0.5, "K": 0},
+                     "K must be positive"),
+    "log-dini n_max -1": ("log-dini", {"modulus": HOLDER, "n_max": -1},
+                          "n_max must be nonnegative"),
+    "hl-l1 n -1": ("hl-l1", {"majorant": POWER, "n": -1}, "n must be nonnegative"),
+    "hl-bound delta at r0": ("hl-bound", {"majorant": POWER, "delta": 0.5},
+                             "delta must lie in [0, r0)"),
+    "mod-cont delta past pi": ("mod-cont", {"function": {"kind": "identity"}, "deltas": [4]},
+                               "delta out of range"),
+    "mod-cont deltas below the grid": (
+        "mod-cont", {"function": {"kind": "identity"}, "n": 64, "deltas": [1e-3]},
+        "all deltas below grid resolution"),
+    "conjugate of a map into C^2": (
+        "conjugate", {"function": {"kind": "pair_identity_zero"}, "n": 64},
+        "conjugate requires real samples"),
+    "mercer-fit image on the boundary": (
+        "mercer-fit",
+        {"candidate": {"kind": "map", "map": {"kind": "constant", "values": [1]},
+                       "domain": {"kind": "polydisc", "radii": [1]}}},
+        "image touches boundary"),
+    # not rejections: both ends of these are well defined
+    "hl-bound at delta 0": ("hl-bound", {"majorant": POWER, "delta": 0}, {"omega_bound": 0.0}),
+    "graham of v = 0": ("graham", {"domain": {"kind": "polydisc", "radii": [1]},
+                                   "point": [0], "direction": [0]},
+                        {"lower": 0.0, "upper": 0.0}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LIBRARY_REJECTIONS))
+def test_library_rejections_exit_one_with_one_line(tmp_path, capsys, case):
+    command, cfg, expected = LIBRARY_REJECTIONS[case]
+    code, out = run_cli(tmp_path, command, cfg)
+    err = capsys.readouterr().err
+    if isinstance(expected, dict):
+        assert (code, err) == (0, "")
+        assert json.loads(out.read_text())["result"] == expected
+        return
+    assert code == 1
+    assert len(err.splitlines()) == 1 and expected in err
+    assert not out.exists()
+
+
 def test_flat_model_fields_reject_other_domains(tmp_path, capsys):
     cfg = {
         "candidate": dict(FLAT_SLICE, domain={"kind": "polydisc", "radii": [1.0, 1.0]}),
