@@ -2,6 +2,7 @@
 
     python3 tools/replay_reports.py OLD_TREE NEW_TREE
     python3 tools/replay_reports.py --digest TREE
+    python3 tools/replay_reports.py --counts OLD_TREE NEW_TREE
 
 Each tree is a checkout with its package under ``src/geodisc``.  Every
 operation of probe (6 rounds), flat_geometry (5 rounds) and quick_verdicts
@@ -18,6 +19,12 @@ over that run's reports (exit code, standard error and text, in op order)
 and the number of ops per command.  Equal digests mean equal reports, but
 only between runs on one machine: numpy picks its SIMD loops by CPU, so
 the last bits of array math may differ between machines.
+
+``--counts`` runs the same operations, with JSON reports only, under the
+benchmark's ``tracing.Tracer`` (from the checkout holding this script), and
+prints, per workload and seed, each span call count and work count that
+differs between the trees, old then new; a name a tree lacks counts as 0,
+and self times are left out.  Exits 0 when no count moves, 1 when one does.
 
 It is not a test: a change may move reports on purpose.  It takes about
 12 s per tree on a 2-vCPU virtual machine.
@@ -42,47 +49,82 @@ SEEDS = (1, 2, 3)
 FORMATS = ("json", "csv")
 
 
-def replay(tree: Path) -> list[dict]:
-    """Every report of the replay through the ``geodisc`` of ``tree``."""
+def _import(tree: Path):
+    """The ``geodisc.cli`` of ``tree`` and the benchmark's ``workloads``."""
     sys.path[:0] = [str(tree / "src"), str(BENCHMARKS)]
     from geodisc import cli
     import workloads
 
     if not Path(cli.__file__).resolve().is_relative_to(tree / "src"):
         raise SystemExit(f"imported geodisc from {cli.__file__}, not {tree / 'src'}")
+    return cli, workloads
+
+
+def _runs(workloads):
+    """(workload, seed, its ops) of the replay, in order."""
+    for workload, rounds in ROUNDS.items():
+        for seed in SEEDS:
+            yield workload, seed, workloads.build(workload, seed, rounds)
+
+
+def _run_op(cli, op, scratch: Path, fmt: str) -> dict:
+    """One op through ``cli.main``: its exit code, standard error and report."""
+    config, out = scratch / "config.json", scratch / "report"
+    config.write_text(json.dumps(op.cfg))
+    out.unlink(missing_ok=True)
+    stderr = io.StringIO()
+    argv = [op.command, "--config", str(config), "--out", str(out), "--format", fmt]
+    with contextlib.redirect_stderr(stderr):
+        try:
+            code = cli.main(argv)
+        except Exception as exc:  # a warning turned error, or a crash
+            code = f"raised {type(exc).__name__}: {exc}"
+    return {"code": code, "stderr": stderr.getvalue(),
+            "text": out.read_text() if out.exists() else None}
+
+
+def replay(tree: Path) -> list[dict]:
+    """Every report of the replay through the ``geodisc`` of ``tree``."""
+    cli, workloads = _import(tree)
     reports = []
     with tempfile.TemporaryDirectory() as scratch:
-        config, out = Path(scratch) / "config.json", Path(scratch) / "report"
-        for workload, rounds in ROUNDS.items():
-            for seed in SEEDS:
-                for i, op in enumerate(workloads.build(workload, seed, rounds)):
-                    config.write_text(json.dumps(op.cfg))
-                    for fmt in FORMATS:
-                        out.unlink(missing_ok=True)
-                        stderr = io.StringIO()
-                        argv = [op.command, "--config", str(config), "--out", str(out),
-                                "--format", fmt]
-                        with contextlib.redirect_stderr(stderr):
-                            try:
-                                code = cli.main(argv)
-                            except Exception as exc:  # a warning turned error, or a crash
-                                code = f"raised {type(exc).__name__}: {exc}"
-                        reports.append({
-                            "run": f"{workload} seed {seed}",
-                            "op": f"{workload} seed {seed} op {i} ({fmt})",
-                            "format": fmt,
-                            "command": op.command,
-                            "code": code,
-                            "stderr": stderr.getvalue(),
-                            "text": out.read_text() if out.exists() else None,
-                        })
+        for workload, seed, ops in _runs(workloads):
+            for i, op in enumerate(ops):
+                for fmt in FORMATS:
+                    reports.append({
+                        "run": f"{workload} seed {seed}",
+                        "op": f"{workload} seed {seed} op {i} ({fmt})",
+                        "format": fmt,
+                        "command": op.command,
+                        **_run_op(cli, op, Path(scratch), fmt),
+                    })
     return reports
 
 
-def run_tree(tree: Path) -> list[dict]:
-    """:func:`replay` of ``tree`` in a fresh interpreter."""
+def traced_counts(tree: Path) -> dict[str, dict[str, float]]:
+    """Per workload and seed, the tracer's counts over the replay's ops
+    through the ``geodisc`` of ``tree``, JSON reports only, self times left
+    out."""
+    cli, workloads = _import(tree)
+    import tracing
+
+    counts = {}
+    with tempfile.TemporaryDirectory() as scratch:
+        for workload, seed, ops in _runs(workloads):
+            with tracing.Tracer() as tracer:
+                for op in ops:
+                    _run_op(cli, op, Path(scratch), "json")
+            counts[f"{workload} seed {seed}"] = {
+                name: value for name, value in tracer.layer_metrics().items()
+                if not name.endswith(".self_s")}
+    return counts
+
+
+def run_tree(tree: Path, mode: str = "replay"):
+    """:func:`replay`, or :func:`traced_counts` for ``mode`` "counts", of
+    ``tree`` in a fresh interpreter."""
     proc = subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", __file__, "--worker", str(tree)],
+        [sys.executable, "-W", "error::RuntimeWarning", __file__, "--worker", mode, str(tree)],
         stdout=subprocess.PIPE, text=True, check=True)
     return json.loads(proc.stdout)
 
@@ -111,13 +153,34 @@ def print_digests(reports: list[dict]) -> None:
         print(f"{run}: {sha.hexdigest()} ({counts})")
 
 
+def print_count_moves(old: dict, new: dict) -> int:
+    """Print each count that differs, per workload and seed; returns how
+    many do."""
+    moved = 0
+    for run in old:
+        names = sorted(old[run].keys() | new[run].keys())
+        moves = [(name, old[run].get(name, 0), new[run].get(name, 0)) for name in names]
+        moves = [(name, a, b) for name, a, b in moves if a != b]
+        if moves:
+            print(run)
+        for name, a, b in moves:
+            print(f"  {name}: {a:.17g} -> {b:.17g}")
+        moved += len(moves)
+    print(f"{len(old)} runs, {moved} counts differ")
+    return moved
+
+
 def main(argv: list[str]) -> int:
     if argv[:1] == ["--worker"]:
-        json.dump(replay(Path(argv[1]).resolve()), sys.stdout)
+        work = traced_counts if argv[1] == "counts" else replay
+        json.dump(work(Path(argv[2]).resolve()), sys.stdout)
         return 0
     if argv[:1] == ["--digest"] and len(argv) == 2:
         print_digests(run_tree(Path(argv[1]).resolve()))
         return 0
+    if argv[:1] == ["--counts"] and len(argv) == 3:
+        old, new = (run_tree(Path(tree).resolve(), "counts") for tree in argv[1:])
+        return 1 if print_count_moves(old, new) else 0
     if len(argv) != 2:
         print(__doc__, file=sys.stderr)
         return 2
