@@ -440,15 +440,32 @@ def _json_scalar(value):
 
 
 def _write_atomic(path: str, text: str) -> None:
+    """Write ``text`` to a temp file in ``path``'s directory, remove the old
+    report and rename the temp file into its place.
+
+    No reader sees a partial report: ``path`` holds the old report or the new
+    one, and is missing only between the unlink and the rename.  The rename
+    never lands on an existing file, so ext4 (``auto_da_alloc``) does not
+    flush the new data on every write; nothing is fsynced.  A failure while
+    the temp file is written leaves the old report as it was; any failure
+    removes the temp file and is raised as an ``OSError`` naming ``path``.
+    """
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
+        try:
+            os.unlink(path)
+        except FileNotFoundError:
+            pass
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.errno is not None:
+            raise OSError(exc.errno, exc.strerror, path) from None
         raise
 
 

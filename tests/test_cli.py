@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import json
 import math
 import os
@@ -587,6 +588,73 @@ def test_oversized_grid_exits_one_out_of_memory(tmp_path):
         lines = done.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("geodisc: error: out of memory ("), lines
         assert done.stdout == ""
+
+
+# --- the report writer -------------------------------------------------------
+
+X0 = {"C": 1.0, "alpha": 0.5}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_a_rerun_replaces_the_old_report(tmp_path, capsys, fmt):
+    (tmp_path / "out").mkdir()
+    name = f"out/report.{fmt}"
+    reports = []
+    for C in (1.0, 2.0):
+        code, out = run_cli(tmp_path, "flat-x0", dict(X0, C=C), fmt=fmt, name=name)
+        assert code == 0
+        reports.append(out.read_bytes())
+    assert main(["flat-x0", "--config", str(tmp_path / "config.json"), "--format", fmt]) == 0
+    assert reports[1] == capsys.readouterr().out.encode() != reports[0]
+    assert os.listdir(tmp_path / "out") == [f"report.{fmt}"]
+
+
+def test_a_failed_write_leaves_the_old_report(tmp_path, capsys, monkeypatch):
+    (tmp_path / "out").mkdir()
+    code, out = run_cli(tmp_path, "flat-x0", X0, name="out/report.json")
+    assert code == 0
+    old = out.read_bytes()
+    fdopen = os.fdopen
+
+    def no_space(text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def full_disk(fd, *args, **kwargs):
+        fh = fdopen(fd, *args, **kwargs)
+        fh.write = no_space
+        return fh
+
+    monkeypatch.setattr(cli.os, "fdopen", full_disk)
+    code, out = run_cli(tmp_path, "flat-x0", dict(X0, C=2.0), name="out/report.json")
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"geodisc: error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}: '{out}'\n")
+    assert out.read_bytes() == old
+    assert os.listdir(tmp_path / "out") == ["report.json"]
+
+
+def test_a_write_error_names_the_report_path(tmp_path, capsys):
+    # it named the temp file, whose random name changed from run to run
+    errors = []
+    for _ in range(2):
+        code, out = run_cli(tmp_path, "flat-x0", X0, name="missing/report.json")
+        assert code == 1
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] == (
+        f"geodisc: error: [Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: '{out}'\n")
+    assert os.listdir(tmp_path) == ["config.json"]
+
+
+def test_an_out_that_is_a_directory_exits_one(tmp_path, capsys):
+    target = tmp_path / "out" / "report.json"
+    target.mkdir(parents=True)
+    (target / "kept.txt").write_text("kept")
+    code, _ = run_cli(tmp_path, "flat-x0", X0, name="out/report.json")
+    err = capsys.readouterr().err
+    assert code == 1
+    assert len(err.splitlines()) == 1 and err.endswith(f": '{target}'\n"), err
+    assert os.listdir(tmp_path / "out") == ["report.json"]
+    assert os.listdir(target) == ["kept.txt"] and (target / "kept.txt").read_text() == "kept"
 
 
 # --- config schema -----------------------------------------------------------
