@@ -691,11 +691,18 @@ def rest_bound_check(domain: FlatModelDomain, point, direction) -> RestBoundRepo
     """Check r_Omega(z; v) <= 2 [log(C/d)]^{-1/alpha} + 1e-6 at z = ``point``,
     v = ``direction`` (checked once, before the zone), d = ``domain.zone_depth(z)``
     (the graph's zone only); the 1e-6 is fixed, ``margin`` the inequality's slack."""
-    s = domain.support
     z, u = _check_ray(domain, point, direction)
     d = domain.zone_depth(z)
     if d is None:
         raise ValueError("point not in the boundary zone of the flat graph")
+    return _rest_bound(domain, z, u, d)
+
+
+def _rest_bound(domain: FlatModelDomain, z: np.ndarray, u: np.ndarray,
+                d: float) -> RestBoundReport:
+    """The check of :func:`rest_bound_check` at a checked z and unit u, with
+    d = ``domain.zone_depth(z)`` already known not to be None."""
+    s = domain.support
     radius = _disc_radius(domain, z, u)
     bound = 2.0 * phi_alpha_inv(d, s.C, s.alpha)
     return RestBoundReport(

@@ -21,12 +21,13 @@ from .convex_geometry import (
     ConvexDomainModel,
     FlatModelDomain,
     Polydisc,
+    _check_ray,
     _check_vector,
     _graham_ends,
+    _rest_bound,
     _scaled_norm,
     ball_distance,
     boundary_distance,
-    rest_bound_check,
 )
 from .disc_analysis import (
     ModulusProfile,
@@ -349,9 +350,11 @@ def theorem_pipeline(domain: FlatModelDomain, candidate: GeodesicCandidate) -> P
 
     # (ii) inscribed-radius bound at the deepest samples in the graph's zone
     order = np.argsort(ds)
-    zoned = (i for i in order if domain.zone_depth(images[i]) is not None)
-    deepest = list(islice(zoned, _REST_POINTS))
-    checks = [rest_bound_check(domain, images[i], derivative_at(f, ring[i])) for i in deepest]
+    zoned = ((i, d) for i in order if (d := domain.zone_depth(images[i])) is not None)
+    checks = [
+        _rest_bound(domain, *_check_ray(domain, images[i], derivative_at(f, ring[i])), d)
+        for i, d in islice(zoned, _REST_POINTS)
+    ]
     rows = [{"d": c.d, "radius": c.radius, "bound": c.bound} for c in checks]
     status = "pass" if checks and all(c.satisfied for c in checks) else "fail"
     stages.append(

@@ -607,6 +607,24 @@ def test_pipeline_end_to_end_flat_slice():
     assert verify_majorant(candidate.map, family).verified()
 
 
+def test_pipeline_reads_each_zone_depth_once(monkeypatch):
+    # stage (ii) filtered the images by their zone depth, and then
+    # rest_bound_check computed the depth of each checked image again
+    depths = Counter()
+    zone_depth = FlatModelDomain.zone_depth
+
+    def counted(self, z):
+        depths[tuple(z)] += 1
+        return zone_depth(self, z)
+
+    monkeypatch.setattr(FlatModelDomain, "zone_depth", counted)
+    domain = pipeline_domain()
+    report = theorem_pipeline(domain, flat_slice_candidate(domain, 0.04j, 0.04))
+    rest = report.stages[1]
+    assert (rest.name, rest.status, rest.details["points"]) == ("rest_bound", "pass", 4)
+    assert depths and max(depths.values()) == 1
+
+
 @pytest.mark.parametrize("factor, verified", [(10.0, True), (100.0, False)])
 def test_pipeline_majorant_fit_verifies_the_fitted_majorant(factor, verified):
     # the flat-slice map with its supplied derivative scaled: the fit reads
