@@ -8,9 +8,11 @@ from .convex_geometry import (
     FlatModelDomain,
     FlatSupport,
     HalfspaceIntersection,
+    MetricBounds,
     Polydisc,
     boundary_distance,
     exit_time,
+    graham_bounds,
     inscribed_disc_radius,
     phi_alpha,
     phi_alpha_inv,
@@ -46,12 +48,10 @@ from .hardy_littlewood import (
 from .kobayashi import (
     GeodesicCandidate,
     MercerFit,
-    MetricBounds,
     boundary_extension_probe,
     disc_automorphism,
     flat_slice_candidate,
     geodesic_defect,
-    graham_bounds,
     mercer_fit,
     nonextending_geodesic,
     poincare_distance,

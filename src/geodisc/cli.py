@@ -109,22 +109,9 @@ COMPLEX = Scalar("a finite number or an [re, im] pair of them", _is_complex, _to
 VECTOR = [COMPLEX]
 
 
-def _grid(n: int) -> int:
-    if n < 8:
-        raise ValueError("grid size must be at least 8")
-    return n
-
-
-def _dyadic_grid(n: int) -> int:
-    n = _grid(n)
-    if n & (n - 1):
-        raise ValueError("grid size must be a power of two")
-    return n
-
-
 # sizes of uniform grids on the circle
-GRID = Scalar("an integer", _is_count, _grid)
-DYADIC_GRID = Scalar("an integer", _is_count, _dyadic_grid)
+GRID = Scalar("an integer", _is_count, da.grid_size)
+DYADIC_GRID = Scalar("an integer", _is_count, da.dyadic_grid_size)
 
 
 def parse(schema, value, path: str = ""):
@@ -255,6 +242,11 @@ def _complex_pair(z: complex) -> list[float]:
     return [z.real, z.imag]
 
 
+def _profile_rows(profile: da.ModulusProfile) -> list[dict]:
+    """One CSV row per delta of an empirical modulus profile."""
+    return [{"delta": d, "omega": w} for d, w in zip(profile.deltas, profile.omegas)]
+
+
 # --- command handlers: each returns (result_payload, csv_rows, verdict_ok) ---
 #
 # _value and _record build the handlers that report a result as it is; they
@@ -299,8 +291,8 @@ def _cmd_hl_verify(function, majorant):
 def _cmd_hl_l1(majorant, n):
     res = hl.phi_log_l1(majorant, n)
     payload = {
-        "value": res.value if res.converged else None,
-        "verdict": "converged" if res.converged else "diverged",
+        "value": res.limit,
+        "verdict": res.verdict,
         "refinement_levels": res.refinement_levels,
         "estimated_error": res.estimated_error,
     }
@@ -310,15 +302,12 @@ def _cmd_hl_l1(majorant, n):
 def _cmd_mod_cont(function, n, deltas):
     samples = da.boundary_samples(function, n)
     profile = da.modulus_profile(samples, deltas)
-    rows = [
-        {"delta": d, "omega": w} for d, w in zip(profile.deltas, profile.omegas)
-    ]
     payload = {
         "deltas": profile.deltas.tolist(),
         "omegas": profile.omegas.tolist(),
         "cauchy_fraction": samples.cauchy_fraction,
     }
-    return payload, rows, None
+    return payload, _profile_rows(profile), None
 
 
 def _cmd_conjugate(function, n, real_part):
@@ -344,8 +333,8 @@ def _cmd_pz_bound(modulus, delta, K):
 def _cmd_log_dini(modulus, **options):
     report = da.log_dini_test(modulus, **options)
     rows = [
-        {"n": n, "verdict": verdict, "value": res.value if res.converged else None}
-        for n, (verdict, res) in enumerate(zip(report.verdicts, report.results))
+        {"n": n, "verdict": res.verdict, "value": res.limit}
+        for n, res in enumerate(report.results)
     ]
     payload = {
         "log_dini": report.log_dini,
@@ -358,25 +347,18 @@ def _cmd_log_dini(modulus, **options):
 
 def _cmd_geodesic_probe(candidate, **options):
     report = kb.boundary_extension_probe(candidate, **options)
-    rows = [
-        {"delta": d, "omega": w}
-        for d, w in zip(report.profile.deltas, report.profile.omegas)
-    ]
     payload = {
         "verdict": report.verdict,
         "omega_min": report.omega_min,
         "cauchy_fraction": report.cauchy_fraction,
     }
-    return payload, rows, report.verdict != "fails"
+    return payload, _profile_rows(report.profile), report.verdict != "fails"
 
 
 def _cmd_pipeline(domain, candidate):
     report = kb.theorem_pipeline(domain, candidate)
-    stages = [
-        {"name": s.name, "status": s.status, "details": s.details} for s in report.stages
-    ]
-    rows = [{"stage": s["name"], "status": s["status"]} for s in stages]
-    return {"ok": report.ok, "stages": stages}, rows, report.ok
+    rows = [{"stage": s.name, "status": s.status} for s in report.stages]
+    return {"ok": report.ok, "stages": [asdict(s) for s in report.stages]}, rows, report.ok
 
 
 _POINT_AND_DIRECTION = {"point": VECTOR, "direction": VECTOR}
@@ -404,7 +386,7 @@ COMMANDS: dict[str, tuple[Callable, dict]] = {
                  {"d": NUMBER, "slope": NUMBER, "C": NUMBER, "alpha": NUMBER}),
     "rest-check": (_record(cg, "rest_bound_check", lambda r: r.satisfied),
                    {"domain": FLAT_MODEL, **_POINT_AND_DIRECTION}),
-    "graham": (_record(kb, "graham_bounds", None), {"domain": DOMAIN, **_POINT_AND_DIRECTION}),
+    "graham": (_record(cg, "graham_bounds", None), {"domain": DOMAIN, **_POINT_AND_DIRECTION}),
     "geodesic-defect": (_value(kb, "geodesic_defect", "defect", None), {
         "candidate": CANDIDATE, "zeta1": COMPLEX, "zeta2": COMPLEX,
     }),

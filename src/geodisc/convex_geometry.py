@@ -4,8 +4,10 @@ Domains are immutable intersections of convex constraints (discs over
 coordinate blocks, real half-spaces and the flatness graph).  Exit times
 along real rays, the Euclidean boundary distance and the radius of the
 largest complex-affine disc through a point are minima over the
-constraints.  Alongside sit the flatness functions e^{-1/x^alpha} with
-their inverses and root equations, and the inscribed-radius bound of the
+constraints.  Graham's two ends of the Kobayashi metric come from that
+radius, and the domains' chord bounds of the Kobayashi distance integrate
+them.  Alongside sit the flatness functions e^{-1/x^alpha} with their
+inverses and root equations, and the inscribed-radius bound of the
 flatness lemma.
 """
 
@@ -670,6 +672,27 @@ def _graham_ends(domain: ConvexDomainModel, z: np.ndarray, unit: np.ndarray,
     if r == 0.0:
         raise ValueError("point on the boundary: the inscribed disc radius is 0")
     return length / (2.0 * r), length / r
+
+
+@dataclass(frozen=True)
+class MetricBounds:
+    """Graham's two ends of the Kobayashi metric; upper is twice lower."""
+
+    lower: float
+    upper: float
+
+
+def graham_bounds(domain: ConvexDomainModel, point, direction) -> MetricBounds:
+    """||v|| / (2 r) <= kappa(z; v) <= ||v|| / r at z = ``point``, v =
+    ``direction``, r the inscribed disc radius: :func:`_graham_ends` after
+    one check of z and one norm of v; degenerate (0, 0) for v = 0.  A
+    boundary point (r = 0) is rejected; a v longer than the largest double
+    raises ``OverflowError``."""
+    z, v = _check_vector(domain, point, direction)
+    w, norm, e = _scaled_norm(v)
+    if norm == 0.0:
+        return MetricBounds(0.0, 0.0)
+    return MetricBounds(*_graham_ends(domain, z, w / norm, math.ldexp(norm, e)))
 
 
 # --- the inscribed-radius bound of the flatness lemma ------------------------

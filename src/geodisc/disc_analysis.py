@@ -127,6 +127,20 @@ def constant_map(values: Sequence[complex]) -> UnitDiscFunction:
     )
 
 
+def grid_size(n: int) -> int:
+    """``n`` as the size of a uniform grid on the circle: at least 8."""
+    if n < 8:
+        raise ValueError("grid size must be at least 8")
+    return n
+
+
+def dyadic_grid_size(n: int) -> int:
+    """``n`` as a grid size that is also a power of two, as the FFT needs."""
+    if grid_size(n) & (n - 1):
+        raise ValueError("grid size must be a power of two")
+    return n
+
+
 @dataclass(frozen=True)
 class BoundarySamples:
     """Values of a boundary function on the uniform grid theta_k = 2 pi k / n."""
@@ -137,8 +151,7 @@ class BoundarySamples:
     cauchy_fraction: float = 1.0
 
     def __post_init__(self):
-        if self.n < 8:
-            raise ValueError("grid size must be at least 8")
+        grid_size(self.n)
         values = np.asarray(self.values, dtype=complex)
         if values.ndim == 1:
             values = values[:, None]
@@ -278,8 +291,7 @@ def _radial_tails(f: UnitDiscFunction, thetas: np.ndarray) -> tuple[np.ndarray, 
 def boundary_samples(f: UnitDiscFunction, n: int) -> BoundarySamples:
     """Radial limits at every grid node; the Cauchy-flag fraction is the
     uniformity diagnostic."""
-    if n < 8:
-        raise ValueError("grid size must be at least 8")
+    grid_size(n)
     values, flags = _radial_tails(f, 2.0 * math.pi * np.arange(n) / n)
     return BoundarySamples(n, values, RADIAL_TAIL[-1], int(np.count_nonzero(flags)) / n)
 
@@ -363,9 +375,7 @@ def conjugate_function(samples: BoundarySamples) -> BoundarySamples:
     unpaired Nyquist coefficient are zeroed (the self-conjugate frequency
     has no consistent sign).
     """
-    n = samples.n
-    if n & (n - 1) != 0:
-        raise ValueError("grid size must be a power of two")
+    n = dyadic_grid_size(samples.n)
     if samples.dimension != 1:
         raise ValueError("conjugate requires real samples")
     values = samples.values[:, 0]
@@ -433,7 +443,7 @@ class LogDiniReport:
 
     @property
     def verdicts(self) -> tuple[str, ...]:
-        return tuple("converged" if r.converged else "diverged" for r in self.results)
+        return tuple(r.verdict for r in self.results)
 
     @property
     def log_dini(self) -> bool:

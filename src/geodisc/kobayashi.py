@@ -1,11 +1,12 @@
-"""Geodesic candidates, metric bounds, and the boundary-extension pipeline.
+"""Geodesic candidates and the boundary-extension pipeline.
 
-Poincare geometry on the disc, two-sided Kobayashi metric bounds from
-inscribed disc radii, geodesic defects, the explicit non-extending geodesic
-of the bidisc, empirical boundary-extension probes, distance decay fits
-along candidates, and the staged pipeline that chains properness, the
-flatness bound, the fitted derivative majorant, its integrability, and the
-extension probe.
+Poincare geometry on the disc, geodesic defects, the explicit
+non-extending geodesic of the bidisc, empirical boundary-extension probes,
+distance decay fits along candidates, and the staged pipeline that chains
+properness, the flatness bound, the fitted derivative majorant, its
+integrability, and the extension probe.  Graham's metric bounds
+(``graham_bounds``, ``MetricBounds``) live in ``convex_geometry`` beside
+the inscribed radius they read, and are re-exported here.
 """
 
 from __future__ import annotations
@@ -20,14 +21,13 @@ import numpy as np
 from .convex_geometry import (
     ConvexDomainModel,
     FlatModelDomain,
+    MetricBounds,
     Polydisc,
     _check_ray,
-    _check_vector,
-    _graham_ends,
     _rest_bound,
-    _scaled_norm,
     ball_distance,
     boundary_distance,
+    graham_bounds,
 )
 from .disc_analysis import (
     ModulusProfile,
@@ -39,7 +39,6 @@ from .disc_analysis import (
     stack_components,
 )
 from .hardy_littlewood import Majorant, phi_log_l1, verify_majorant
-from .numerics import QuadratureResult
 
 
 # --- Poincare geometry -------------------------------------------------------
@@ -73,29 +72,6 @@ def disc_automorphism(a: complex, phi: float = 0.0) -> UnitDiscFunction:
         1,
         lambda z: stack_components(z, scale / (1.0 - abar * z) ** 2),
     )
-
-
-# --- metric bounds -----------------------------------------------------------
-
-@dataclass(frozen=True)
-class MetricBounds:
-    """Graham's two ends of the Kobayashi metric; upper is twice lower."""
-
-    lower: float
-    upper: float
-
-
-def graham_bounds(domain: ConvexDomainModel, point, direction) -> MetricBounds:
-    """||v|| / (2 r) <= kappa(z; v) <= ||v|| / r at z = ``point``, v =
-    ``direction``, r the inscribed disc radius: Graham's ends by
-    ``convex_geometry._graham_ends`` after one check of z and one norm of v;
-    degenerate (0, 0) for v = 0.  A boundary point (r = 0) is rejected; a v
-    longer than the largest double raises ``OverflowError``."""
-    z, v = _check_vector(domain, point, direction)
-    w, norm, e = _scaled_norm(v)
-    if norm == 0.0:
-        return MetricBounds(0.0, 0.0)
-    return MetricBounds(*_graham_ends(domain, z, w / norm, math.ldexp(norm, e)))
 
 
 # --- geodesic candidates -----------------------------------------------------
@@ -281,7 +257,7 @@ def mercer_fit(candidate: GeodesicCandidate, theta: float = 0.0) -> MercerFit:
 @dataclass(frozen=True)
 class PipelineStage:
     name: str
-    status: str  # "pass" | "fail" | "skipped"
+    status: str  # pass, fail or skipped
     details: dict
 
 
@@ -294,10 +270,12 @@ class PipelineReport:
         return all(stage.status == "pass" for stage in self.stages)
 
 
-# Fixed rules of the pipeline: the properness circle, its angle grid and
-# the distance every image on it must come within, the number of
-# boundary-zone points checked against the rest bound, the majorant window
-# cap and the probe's grid.
+# Fixed rules of the pipeline: its stages in order, the properness circle,
+# its angle grid and the distance every image on it must come within, the
+# number of boundary-zone points checked against the rest bound, the
+# majorant window cap and the probe's grid.
+_STAGES = ("properness", "rest_bound", "majorant_fit", "majorant_integrable",
+           "extension_probe")
 _PROPERNESS_RADIUS = 0.999
 _PROPERNESS_N_THETA = 64
 _PROPERNESS_THRESHOLD = 0.05
@@ -318,7 +296,7 @@ def theorem_pipeline(domain: FlatModelDomain, candidate: GeodesicCandidate) -> P
     by :func:`verify_majorant`; (iv) integrability of the majorant; (v) the
     boundary-extension probe on 4096 nodes.  These counts and the 0.05 are
     fixed rules (the constants above), not options.  A properness failure
-    aborts the remaining stages; an unverified or divergent majorant is
+    skips the remaining stages; an unverified or divergent majorant is
     reported and the probe still runs.  ``candidate`` must map into
     ``domain`` itself.
     """
@@ -326,6 +304,10 @@ def theorem_pipeline(domain: FlatModelDomain, candidate: GeodesicCandidate) -> P
         raise ValueError("candidate domain does not match the pipeline domain")
     s = domain.support
     stages: list[PipelineStage] = []
+
+    def record(passed: bool, **details) -> None:
+        """The next stage of ``_STAGES``, passed or failed, with its details."""
+        stages.append(PipelineStage(_STAGES[len(stages)], "pass" if passed else "fail", details))
 
     # (i) properness
     f = candidate.map
@@ -336,16 +318,9 @@ def theorem_pipeline(domain: FlatModelDomain, candidate: GeodesicCandidate) -> P
     ds = _image_distances(domain, images)
     worst = float(np.max(ds))
     proper = worst < _PROPERNESS_THRESHOLD
-    stages.append(
-        PipelineStage(
-            "properness",
-            "pass" if proper else "fail",
-            {"max_distance": worst, "threshold": _PROPERNESS_THRESHOLD},
-        )
-    )
+    record(proper, max_distance=worst, threshold=_PROPERNESS_THRESHOLD)
     if not proper:
-        skipped = ("rest_bound", "majorant_fit", "majorant_integrable", "extension_probe")
-        stages.extend(PipelineStage(name, "skipped", {}) for name in skipped)
+        stages.extend(PipelineStage(name, "skipped", {}) for name in _STAGES[1:])
         return PipelineReport(tuple(stages))
 
     # (ii) inscribed-radius bound at the deepest samples in the graph's zone
@@ -355,11 +330,8 @@ def theorem_pipeline(domain: FlatModelDomain, candidate: GeodesicCandidate) -> P
         _rest_bound(domain, *_check_ray(domain, images[i], derivative_at(f, ring[i])), d)
         for i, d in islice(zoned, _REST_POINTS)
     ]
-    rows = [{"d": c.d, "radius": c.radius, "bound": c.bound} for c in checks]
-    status = "pass" if checks and all(c.satisfied for c in checks) else "fail"
-    stages.append(
-        PipelineStage("rest_bound", status, {"points": len(checks), "rows": rows})
-    )
+    record(bool(checks) and all(c.satisfied for c in checks), points=len(checks),
+           rows=[{"d": c.d, "radius": c.radius, "bound": c.bound} for c in checks])
 
     # (iii) majorant constants from the distance-decay fit, taken along the
     # ray where the image actually approaches the boundary
@@ -370,44 +342,16 @@ def theorem_pipeline(domain: FlatModelDomain, candidate: GeodesicCandidate) -> P
     r0 = min(_MAJORANT_R0, 0.9 * K2)
     family = Majorant.family(K1=K1, K2=K2, alpha=s.alpha, r0=r0)
     fitted = verify_majorant(f, family)
-    stages.append(
-        PipelineStage(
-            "majorant_fit",
-            "pass" if fitted.verified() else "fail",
-            {
-                "C1": fit.C1,
-                "C2": fit.C2,
-                "beta": fit.beta,
-                "K1": K1,
-                "K2": K2,
-                "alpha": s.alpha,
-                "r0": r0,
-                "max_violation": fitted.max_violation,
-            },
-        )
-    )
+    record(fitted.verified(), C1=fit.C1, C2=fit.C2, beta=fit.beta, K1=K1, K2=K2,
+           alpha=s.alpha, r0=r0, max_violation=fitted.max_violation)
 
     # (iv) integrability of the majorant
-    integral: QuadratureResult = phi_log_l1(family, 0)
-    stages.append(
-        PipelineStage(
-            "majorant_integrable",
-            "pass" if integral.converged else "fail",
-            {
-                "converged": integral.converged,
-                "value": integral.value if integral.converged else None,
-                "note": None if integral.converged else "majorant not integrable",
-            },
-        )
-    )
+    integral = phi_log_l1(family, 0)
+    record(integral.converged, converged=integral.converged, value=integral.limit,
+           note=None if integral.converged else "majorant not integrable")
 
     # (v) boundary-extension probe
     probe = boundary_extension_probe(candidate, n_theta=_PROBE_N_THETA)
-    stages.append(
-        PipelineStage(
-            "extension_probe",
-            "pass" if probe.verdict.startswith("extends") else "fail",
-            {"verdict": probe.verdict, "omega_min": probe.omega_min},
-        )
-    )
+    record(probe.verdict.startswith("extends"), verdict=probe.verdict,
+           omega_min=probe.omega_min)
     return PipelineReport(tuple(stages))

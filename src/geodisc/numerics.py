@@ -63,13 +63,21 @@ class QuadratureResult:
     """Outcome of an endpoint-refined quadrature.
 
     When ``converged`` is false, ``value`` is the last partial sum and must
-    not be used as a limit.
+    not be used as a limit: ``limit`` is then None.
     """
 
     value: float
     converged: bool
     refinement_levels: int
     estimated_error: float
+
+    @property
+    def limit(self) -> float | None:
+        return self.value if self.converged else None
+
+    @property
+    def verdict(self) -> str:
+        return "converged" if self.converged else "diverged"
 
 
 @functools.cache

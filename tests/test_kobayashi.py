@@ -260,9 +260,8 @@ def test_graham_and_rest_check_check_their_point_once(monkeypatch):
             return fn(*args)
         return wrapper
 
-    norm = counted("norm", convex_geometry._scaled_norm)
-    for module in (convex_geometry, kobayashi):
-        monkeypatch.setattr(module, "_scaled_norm", norm)
+    monkeypatch.setattr(convex_geometry, "_scaled_norm",
+                        counted("norm", convex_geometry._scaled_norm))
     monkeypatch.setattr(FlatModelDomain, "signed_gap",
                         counted("gap", FlatModelDomain.signed_gap))
     domain, z, v = pipeline_domain(), [0.0, 0.01j], [0.6, 0.8j]

@@ -10,15 +10,19 @@ operation of probe (6 rounds), flat_geometry (5 rounds) and quick_verdicts
 report, through ``geodisc.cli.main`` of each tree in its own interpreter
 under ``-W error::RuntimeWarning``.  The operations come from
 ``benchmarks/workloads.build`` of the checkout holding this script, so both
-trees run the same configs.  The reports that differ are printed by
-command: exit code, standard error and text, old then new.  Exits 0 when
-every report matches byte for byte, 1 when one differs.
+trees run the same configs.  Each op writes over a placeholder at its
+report path, as every rerun and every benchmark op writes over the last
+report; a placeholder still there afterwards reads as no report, and the
+temp files an op leaves beside it are counted.  The reports that differ
+are printed by command: exit code, standard error, temp files left and
+text, old then new.  Exits 0 when every report matches byte for byte, 1
+when one differs.
 
 ``--digest`` replays one tree and prints, per workload and seed, a sha256
-over that run's reports (exit code, standard error and text, in op order)
-and the number of ops per command.  Equal digests mean equal reports, but
-only between runs on one machine: numpy picks its SIMD loops by CPU, so
-the last bits of array math may differ between machines.
+over that run's reports (exit code, standard error, temp files left and
+text, in op order) and the number of ops per command.  Equal digests mean
+equal reports, but only between runs on one machine: numpy picks its SIMD
+loops by CPU, so the last bits of array math may differ between machines.
 
 ``--counts`` runs the same operations, with JSON reports only, under the
 benchmark's ``tracing.Tracer`` (from the checkout holding this script), and
@@ -47,6 +51,7 @@ BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 ROUNDS = {"probe": 6, "flat_geometry": 5, "quick_verdicts": 20}
 SEEDS = (1, 2, 3)
 FORMATS = ("json", "csv")
+PLACEHOLDER = "placeholder: the op wrote no report\n"
 
 
 def _import(tree: Path):
@@ -68,10 +73,13 @@ def _runs(workloads):
 
 
 def _run_op(cli, op, scratch: Path, fmt: str) -> dict:
-    """One op through ``cli.main``: its exit code, standard error and report."""
+    """One op through ``cli.main`` over a placeholder report: its exit code,
+    standard error, report (None if the placeholder is still there or the
+    path is gone) and the number of ``*.tmp`` files it left in ``scratch``,
+    which are then removed."""
     config, out = scratch / "config.json", scratch / "report"
     config.write_text(json.dumps(op.cfg))
-    out.unlink(missing_ok=True)
+    out.write_text(PLACEHOLDER)
     stderr = io.StringIO()
     argv = [op.command, "--config", str(config), "--out", str(out), "--format", fmt]
     with contextlib.redirect_stderr(stderr):
@@ -79,8 +87,12 @@ def _run_op(cli, op, scratch: Path, fmt: str) -> dict:
             code = cli.main(argv)
         except Exception as exc:  # a warning turned error, or a crash
             code = f"raised {type(exc).__name__}: {exc}"
-    return {"code": code, "stderr": stderr.getvalue(),
-            "text": out.read_text() if out.exists() else None}
+    text = out.read_text() if out.exists() else None
+    left = list(scratch.glob("*.tmp"))
+    for tmp in left:
+        tmp.unlink()
+    return {"code": code, "stderr": stderr.getvalue(), "temps_left": len(left),
+            "text": None if text == PLACEHOLDER else text}
 
 
 def replay(tree: Path) -> list[dict]:
@@ -131,7 +143,7 @@ def run_tree(tree: Path, mode: str = "replay"):
 
 def show(old: dict, new: dict) -> None:
     print(f"  {old['op']}")
-    for key in ("code", "stderr"):
+    for key in ("code", "stderr", "temps_left"):
         if old[key] != new[key]:
             print(f"    {key}: {old[key]!r} -> {new[key]!r}")
     if old["text"] != new["text"]:
@@ -146,7 +158,7 @@ def print_digests(reports: list[dict]) -> None:
     runs: dict[str, tuple] = {}
     for r in reports:
         sha, ops = runs.setdefault(r["run"], (hashlib.sha256(), Counter()))
-        sha.update(json.dumps([r["code"], r["stderr"], r["text"]]).encode())
+        sha.update(json.dumps([r["code"], r["stderr"], r["temps_left"], r["text"]]).encode())
         ops[r["command"]] += r["format"] == FORMATS[0]
     for run, (sha, ops) in runs.items():
         counts = ", ".join(f"{command} {n}" for command, n in sorted(ops.items()))
