@@ -667,11 +667,15 @@ def _graham_ends(domain: ConvexDomainModel, z: np.ndarray, unit: np.ndarray,
                  length: float) -> tuple[float, float]:
     """Graham's ends (length / (2 r), length / r) of the Kobayashi metric at
     z for a vector of that length along the unit direction, r its inscribed
-    disc radius; z is not checked.  A boundary point (r = 0) is rejected."""
+    disc radius; z is not checked.  A boundary point (r = 0) is rejected, and
+    a length / r past the largest double raises ``OverflowError``."""
     r = _disc_radius(domain, z, unit)
     if r == 0.0:
         raise ValueError("point on the boundary: the inscribed disc radius is 0")
-    return length / (2.0 * r), length / r
+    upper = length / r
+    if not math.isfinite(upper):
+        raise OverflowError("||v|| / r exceeds the largest double")
+    return length / (2.0 * r), upper
 
 
 @dataclass(frozen=True)
@@ -686,8 +690,8 @@ def graham_bounds(domain: ConvexDomainModel, point, direction) -> MetricBounds:
     """||v|| / (2 r) <= kappa(z; v) <= ||v|| / r at z = ``point``, v =
     ``direction``, r the inscribed disc radius: :func:`_graham_ends` after
     one check of z and one norm of v; degenerate (0, 0) for v = 0.  A
-    boundary point (r = 0) is rejected; a v longer than the largest double
-    raises ``OverflowError``."""
+    boundary point (r = 0) is rejected; a v longer than the largest double,
+    or an ||v|| / r past it, raises ``OverflowError``."""
     z, v = _check_vector(domain, point, direction)
     w, norm, e = _scaled_norm(v)
     if norm == 0.0:
@@ -697,6 +701,10 @@ def graham_bounds(domain: ConvexDomainModel, point, direction) -> MetricBounds:
 
 # --- the inscribed-radius bound of the flatness lemma ------------------------
 
+# how far the radius may exceed the flatness bound, absolutely
+_REST_TOL = 1e-6
+
+
 @dataclass(frozen=True)
 class RestBoundReport:
     d: float
@@ -705,33 +713,21 @@ class RestBoundReport:
     satisfied: bool
     margin: float
 
-
-# how far the radius may exceed the flatness bound, absolutely
-_REST_TOL = 1e-6
+    @classmethod
+    def of(cls, support: FlatSupport, d: float, radius: float) -> "RestBoundReport":
+        """The flatness lemma's check radius <= 2 [log(C/d)]^{-1/alpha} + 1e-6
+        at zone depth d; the 1e-6 is fixed, ``margin`` the inequality's slack."""
+        bound = 2.0 * phi_alpha_inv(d, support.C, support.alpha)
+        return cls(d=d, radius=radius, bound=bound, satisfied=radius <= bound + _REST_TOL,
+                   margin=bound + _REST_TOL - radius)
 
 
 def rest_bound_check(domain: FlatModelDomain, point, direction) -> RestBoundReport:
-    """Check r_Omega(z; v) <= 2 [log(C/d)]^{-1/alpha} + 1e-6 at z = ``point``,
-    v = ``direction`` (checked once, before the zone), d = ``domain.zone_depth(z)``
-    (the graph's zone only); the 1e-6 is fixed, ``margin`` the inequality's slack."""
+    """:meth:`RestBoundReport.of` the inscribed radius at z = ``point`` along
+    v = ``direction`` (checked once, before the zone), with d =
+    ``domain.zone_depth(z)`` (the graph's zone only)."""
     z, u = _check_ray(domain, point, direction)
     d = domain.zone_depth(z)
     if d is None:
         raise ValueError("point not in the boundary zone of the flat graph")
-    return _rest_bound(domain, z, u, d)
-
-
-def _rest_bound(domain: FlatModelDomain, z: np.ndarray, u: np.ndarray,
-                d: float) -> RestBoundReport:
-    """The check of :func:`rest_bound_check` at a checked z and unit u, with
-    d = ``domain.zone_depth(z)`` already known not to be None."""
-    s = domain.support
-    radius = _disc_radius(domain, z, u)
-    bound = 2.0 * phi_alpha_inv(d, s.C, s.alpha)
-    return RestBoundReport(
-        d=d,
-        radius=radius,
-        bound=bound,
-        satisfied=radius <= bound + _REST_TOL,
-        margin=bound + _REST_TOL - radius,
-    )
+    return RestBoundReport.of(domain.support, d, _disc_radius(domain, z, u))

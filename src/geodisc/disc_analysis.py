@@ -141,6 +141,11 @@ def dyadic_grid_size(n: int) -> int:
     return n
 
 
+def grid_lag(delta: float, n: int) -> int:
+    """Grid steps of an n-point circle within circular distance delta."""
+    return min(int(math.floor(delta * n / (2.0 * math.pi) + 1e-12)), n // 2)
+
+
 @dataclass(frozen=True)
 class BoundarySamples:
     """Values of a boundary function on the uniform grid theta_k = 2 pi k / n."""
@@ -337,17 +342,12 @@ def _lag_maxima(samples: BoundarySamples, max_lag: int) -> np.ndarray:
         return np.ldexp(np.sqrt(squares), e)
 
 
-def _lag(delta: float, n: int) -> int:
-    """Grid steps of an n-point circle within circular distance delta."""
-    return min(int(math.floor(delta * n / (2.0 * math.pi) + 1e-12)), n // 2)
-
-
 def modulus_of_continuity(samples: BoundarySamples, delta: float) -> float:
     """Sup of value differences over grid pairs at circular distance <= delta;
     0 below the grid step."""
     if delta < 0.0 or delta > math.pi:
         raise ValueError("delta out of range")
-    return float(np.max(_lag_maxima(samples, _lag(delta, samples.n))))
+    return float(np.max(_lag_maxima(samples, grid_lag(delta, samples.n))))
 
 
 def modulus_profile(
@@ -358,7 +358,7 @@ def modulus_profile(
     req = np.sort(np.asarray(list(deltas), dtype=float))
     if req.size == 0 or req[0] < 0.0 or req[-1] > math.pi:
         raise ValueError("delta out of range")
-    lags = np.array([_lag(d, samples.n) for d in req])
+    lags = np.array([grid_lag(d, samples.n) for d in req])
     lags = np.unique(lags[lags >= 1])
     if lags.size == 0:
         raise ValueError("all deltas below grid resolution")

@@ -23,18 +23,18 @@ from .convex_geometry import (
     FlatModelDomain,
     MetricBounds,
     Polydisc,
-    _check_ray,
-    _rest_bound,
+    RestBoundReport,
     ball_distance,
     boundary_distance,
     graham_bounds,
+    inscribed_disc_radius,
 )
 from .disc_analysis import (
     ModulusProfile,
     UnitDiscFunction,
-    _lag,
     boundary_samples,
     derivative_at,
+    grid_lag,
     modulus_profile,
     stack_components,
 )
@@ -183,7 +183,7 @@ def boundary_extension_probe(
         raise ValueError("tol_ext must be positive")
     samples = boundary_samples(candidate.map, n_theta)
     # _PROBE_DELTAS decreases, so the last four that resolve are the judged ones
-    judged = [d for d in _PROBE_DELTAS if _lag(d, n_theta) >= 1][-4:]
+    judged = [d for d in _PROBE_DELTAS if grid_lag(d, n_theta) >= 1][-4:]
     profile = modulus_profile(samples, judged)
     omegas = profile.omegas
     verdict = "inconclusive"
@@ -327,7 +327,8 @@ def theorem_pipeline(domain: FlatModelDomain, candidate: GeodesicCandidate) -> P
     order = np.argsort(ds)
     zoned = ((i, d) for i in order if (d := domain.zone_depth(images[i])) is not None)
     checks = [
-        _rest_bound(domain, *_check_ray(domain, images[i], derivative_at(f, ring[i])), d)
+        RestBoundReport.of(s, d, inscribed_disc_radius(domain, images[i],
+                                                       derivative_at(f, ring[i])))
         for i, d in islice(zoned, _REST_POINTS)
     ]
     record(bool(checks) and all(c.satisfied for c in checks), points=len(checks),
@@ -339,6 +340,8 @@ def theorem_pipeline(domain: FlatModelDomain, candidate: GeodesicCandidate) -> P
     fit = mercer_fit(candidate, theta=theta_star)
     K1 = 4.0 * fit.beta ** (1.0 / s.alpha)
     K2 = (s.C / fit.C2) ** fit.beta
+    if not math.isfinite(K2):
+        raise OverflowError("K2 = (C/C2)^beta exceeds the largest double")
     r0 = min(_MAJORANT_R0, 0.9 * K2)
     family = Majorant.family(K1=K1, K2=K2, alpha=s.alpha, r0=r0)
     fitted = verify_majorant(f, family)

@@ -1110,6 +1110,24 @@ LIBRARY_REJECTIONS = {
         {"candidate": {"kind": "map", "map": {"kind": "constant", "values": [1]},
                        "domain": {"kind": "polydisc", "radii": [1]}}},
         "image touches boundary"),
+    # an ||v|| / r or a K2 past the largest double wrote Infinity and exited 0 or 2
+    "graham past the double range": (
+        "graham", {"domain": FLAT, "point": [0, [0, 5e-324]], "direction": [0, 1]},
+        "numeric overflow (||v|| / r exceeds the largest double)"),
+    "geodesic-defect chord past the double range": (
+        "geodesic-defect",
+        {"candidate": {"kind": "map",
+                       "map": {"kind": "monomial", "degree": 1, "coefficient": 1e300},
+                       "domain": {"kind": "halfspace_intersection", "interior_point": [-1e299],
+                                  "constraints": [{"a": [1], "b": 0}, {"a": [-1], "b": 1e300},
+                                                  {"a": [[0, 1]], "b": 1e300},
+                                                  {"a": [[0, -1]], "b": 1e300}]}},
+         "zeta1": [-1e-311, 0.1], "zeta2": [-1e-311, 0.5]},
+        "numeric overflow (||v|| / r exceeds the largest double)"),
+    "pipeline K2 past the double range": (
+        "pipeline", {"domain": dict(FLAT, R0=5e-324),
+                     "candidate": dict(FLAT_SLICE, domain=dict(FLAT, R0=5e-324))},
+        "numeric overflow (K2 = (C/C2)^beta exceeds the largest double)"),
     # not rejections: both ends of these are well defined
     "hl-bound at delta 0": ("hl-bound", {"majorant": POWER, "delta": 0}, {"omega_bound": 0.0}),
     "graham of v = 0": ("graham", {"domain": {"kind": "polydisc", "radii": [1]},

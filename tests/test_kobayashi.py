@@ -23,6 +23,7 @@ from geodisc.disc_analysis import (
     UnitDiscFunction,
     boundary_samples,
     constant_map,
+    derivative_at,
     identity_map,
     modulus_profile,
     scalar_function,
@@ -622,6 +623,24 @@ def test_pipeline_reads_each_zone_depth_once(monkeypatch):
     rest = report.stages[1]
     assert (rest.name, rest.status, rest.details["points"]) == ("rest_bound", "pass", 4)
     assert depths and max(depths.values()) == 1
+
+
+def test_pipeline_rest_rows_are_rest_bound_check():
+    # stage (ii) and rest_bound_check read one rule, RestBoundReport.of: on
+    # the README pipeline each row is rest_bound_check at its image, along
+    # the map's derivative there
+    domain = FlatModelDomain(FlatSupport(1.0, 0.5, 0.111, 0.08))
+    candidate = flat_slice_candidate(domain, 0.04j, 0.04)
+    n = kobayashi._PROPERNESS_N_THETA
+    ring = kobayashi._PROPERNESS_RADIUS * np.exp(2j * math.pi * np.arange(n) / n)
+    images = candidate.map.values(ring)
+    order = np.argsort([boundary_distance(domain, z) for z in images])
+    zoned = [i for i in order if domain.zone_depth(images[i]) is not None]
+    expected = [rest_bound_check(domain, images[i], derivative_at(candidate.map, ring[i]))
+                for i in zoned[:kobayashi._REST_POINTS]]
+    rows = theorem_pipeline(domain, candidate).stages[1].details["rows"]
+    assert len(rows) == 4
+    assert rows == [{"d": c.d, "radius": c.radius, "bound": c.bound} for c in expected]
 
 
 @pytest.mark.parametrize("factor, verified", [(10.0, True), (100.0, False)])

@@ -1,9 +1,11 @@
-"""Guard on the private names one package module takes from another.
+"""Guard against one package module using another's private names.
 
 A private name is a module's own business; another module that imports it,
 or reads it off the module as an attribute, ties itself to that module's
-insides.  Each such use is listed here, so a new one is a decision made in
-the open.  The source is parsed, not imported.
+insides.  No package module does: a rule two modules share has a public
+owner (``RestBoundReport.of`` for the flatness bound, ``disc_analysis.grid_lag``
+for the delta-to-lag rule), so a new borrowing fails here.  The source is
+parsed, not imported.
 """
 
 from __future__ import annotations
@@ -13,14 +15,8 @@ from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "geodisc"
 
-# importer -> owner.name: the pipeline's stage (ii) reuses the checked ray and
-# the rest bound at a known zone depth, and the probe judges the deltas its
-# grid resolves by the modulus sweep's own lag rule
-BORROWED = [
-    "kobayashi -> convex_geometry._check_ray",
-    "kobayashi -> convex_geometry._rest_bound",
-    "kobayashi -> disc_analysis._lag",
-]
+# importer -> owner.name of each private name one package module takes from another
+BORROWED = []
 
 
 def _is_private(name: str) -> bool:

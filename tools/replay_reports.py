@@ -15,8 +15,10 @@ report path, as every rerun and every benchmark op writes over the last
 report; a placeholder still there afterwards reads as no report, and the
 temp files an op leaves beside it are counted.  The reports that differ
 are printed by command: exit code, standard error, temp files left and
-text, old then new.  Exits 0 when every report matches byte for byte, 1
-when one differs.
+text, old then new.  Then, per command, it prints how many JSON reports of
+each tree hold a non-JSON token (``Infinity``, ``-Infinity`` or ``NaN``),
+which a strict JSON parser rejects.  Exits 0 when every report matches
+byte for byte, 1 when one differs.
 
 ``--digest`` replays one tree and prints, per workload and seed, a sha256
 over that run's reports (exit code, standard error, temp files left and
@@ -152,6 +154,27 @@ def show(old: dict, new: dict) -> None:
         print("\n".join("    " + line for line in diff))
 
 
+def non_json_counts(reports: list[dict]) -> Counter:
+    """Per command, the JSON reports whose text holds a non-JSON token."""
+    counts = Counter()
+    for r in reports:
+        if r["format"] == "json" and r["text"] is not None:
+            tokens = []  # json.loads hands each Infinity, -Infinity and NaN here
+            json.loads(r["text"], parse_constant=tokens.append)
+            counts[r["command"]] += bool(tokens)
+    return counts
+
+
+def print_non_json(old: list[dict], new: list[dict]) -> None:
+    """Per command, how many JSON reports hold a non-JSON token, old then new."""
+    a, b = non_json_counts(old), non_json_counts(new)
+    total = Counter(r["command"] for r in new if r["format"] == "json")
+    print("JSON reports holding Infinity or NaN, old -> new:")
+    for command in sorted(total):
+        print(f"  {command}: {a[command]} -> {b[command]} of {total[command]}")
+    print(f"  all commands: {sum(a.values())} -> {sum(b.values())} of {sum(total.values())}")
+
+
 def print_digests(reports: list[dict]) -> None:
     """One line per workload and seed: the sha256 of its reports and its
     op count per command."""
@@ -207,6 +230,7 @@ def main(argv: list[str]) -> int:
         print(f"{command}: {len(pairs)} differ")
         for a, b in pairs:
             show(a, b)
+    print_non_json(old, new)
     count = sum(len(pairs) for pairs in differing.values())
     print(f"{len(old)} reports, {count} differ")
     return 1 if count else 0
