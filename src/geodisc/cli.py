@@ -3,9 +3,11 @@
 Loads a JSON run configuration, reads it through one typed schema,
 dispatches exactly one library operation, and writes a machine-readable
 report (JSON or CSV).  Exit codes: 0 on success, 2 when a check command
-reports a failing/divergent verdict, 1 on configuration or execution
-errors.  No numerics live here: every command is a thin wrapper over one
-public library operation, whose parameters are named as the config keys.
+reports a failing/divergent verdict, 1 on usage, configuration or execution
+errors, a numpy floating-point fault included (``run`` raises it whatever
+the warnings filter).  No numerics live here: every command is a thin
+wrapper over one public library operation, whose parameters are named as
+the config keys.
 
 Nine commands report that operation's result as it is, through one of two
 rules: ``_value`` writes a number as ``{key: number}`` and ``_record`` writes
@@ -19,11 +21,11 @@ reshape their results by hand.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
 import sys
-import tempfile
 from dataclasses import asdict, dataclass, replace
 from typing import Callable
 
@@ -238,10 +240,6 @@ CANDIDATE = Kinds("candidate", {
 })
 
 
-def _complex_pair(z: complex) -> list[float]:
-    return [z.real, z.imag]
-
-
 def _profile_rows(profile: da.ModulusProfile) -> list[dict]:
     """One CSV row per delta of an empirical modulus profile."""
     return [{"delta": d, "omega": w} for d, w in zip(profile.deltas, profile.omegas)]
@@ -319,7 +317,7 @@ def _cmd_conjugate(function, n, real_part):
         {"theta": t, "re": v.real, "im": v.imag}
         for t, v in zip(conjugated.thetas, conjugated.values[:, 0])
     ]
-    payload = {"n": conjugated.n, "values": [ _complex_pair(v) for v in conjugated.values[:, 0] ]}
+    payload = {"n": conjugated.n, "values": [[v.real, v.imag] for v in conjugated.values[:, 0]]}
     return payload, rows, None
 
 
@@ -421,30 +419,31 @@ def _json_scalar(value):
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
-def _write_atomic(path: str, text: str) -> None:
-    """Write ``text`` to a temp file in ``path``'s directory, remove the old
+def _write_atomic(path: str, data: bytes) -> None:
+    """Write ``data`` to the temp file ``<path>.<pid>.tmp``, remove the old
     report and rename the temp file into its place.
 
     No reader sees a partial report: ``path`` holds the old report or the new
     one, and is missing only between the unlink and the rename.  The rename
     never lands on an existing file, so ext4 (``auto_da_alloc``) does not
-    flush the new data on every write; nothing is fsynced.  A failure while
-    the temp file is written leaves the old report as it was; any failure
-    removes the temp file and is raised as an ``OSError`` naming ``path``.
+    flush the new data on every write; nothing is fsynced.  The temp file is
+    created exclusively, with the umask's mode: a file already at its name (a
+    stale temp file, or a planted link) is refused by that name and left as
+    it is.  A failure while the temp file is written leaves the old report as
+    it was; any failure after the temp file is made removes it and is raised
+    as an ``OSError`` naming ``path``.
     """
-    directory = os.path.dirname(os.path.abspath(path))
-    tmp = None
+    tmp, fh = f"{path}.{os.getpid()}.tmp", None
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        try:
+        with open(tmp, "xb") as fh:
+            fh.write(data)
+        with contextlib.suppress(FileNotFoundError):
             os.unlink(path)
-        except FileNotFoundError:
-            pass
         os.replace(tmp, path)
     except BaseException as exc:
-        if tmp is not None and os.path.exists(tmp):
+        if fh is None and isinstance(exc, FileExistsError):
+            raise  # the file at the temp name is not ours
+        if fh is not None:
             os.unlink(tmp)
         if isinstance(exc, OSError) and exc.errno is not None:
             raise OSError(exc.errno, exc.strerror, path) from None
@@ -452,24 +451,17 @@ def _write_atomic(path: str, text: str) -> None:
 
 
 def _render_csv(rows: list[dict]) -> str:
-    if not rows:
-        return "\n"
-    header = list(rows[0].keys())
-    lines = [",".join(header)]
-    for row in rows:
-        cells = []
-        for key in header:
-            value = row.get(key)
-            cells.append(float.__repr__(value) if isinstance(value, float) else str(value))
-        lines.append(",".join(cells))
+    header = list(rows[0]) if rows else []
+    lines = [",".join(header)] + [",".join(str(row.get(key)) for key in header) for row in rows]
     return "\n".join(lines) + "\n"
 
 
 def run(command: str, cfg: dict) -> int:
     """Parse, dispatch, write the report; returns the process exit code."""
-    args = parse_config(command, cfg)
-    fmt, out = args.pop("format"), args.pop("out", None)
-    payload, rows, verdict_ok = COMMANDS[command][0](**args)
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        args = parse_config(command, cfg)
+        fmt, out = args.pop("format"), args.pop("out", None)
+        payload, rows, verdict_ok = COMMANDS[command][0](**args)
     report = {"command": command, "result": payload}
     text = (
         json.dumps(report, sort_keys=True, indent=2, default=_json_scalar) + "\n"
@@ -477,26 +469,33 @@ def run(command: str, cfg: dict) -> int:
         else _render_csv(rows)
     )
     if out:
-        _write_atomic(out, text)
+        _write_atomic(out, text.encode())
     else:
         sys.stdout.write(text)
     return 0 if verdict_ok in (None, True) else 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """Collects the arguments as strings; a usage error is a ConfigError."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="geodisc",
         description="Boundary-regularity toolkit for holomorphic discs in "
         "convex domains",
     )
-    parser.add_argument("command", choices=sorted(COMMANDS))
+    parser.add_argument("command", help=f"one of {', '.join(sorted(COMMANDS))}")
     parser.add_argument("--config", help="JSON run configuration")
     parser.add_argument("--out", help="report path (stdout when omitted)")
-    parser.add_argument("--format", choices=("csv", "json"), default=None)
-    args = parser.parse_args(argv)
+    parser.add_argument("--format", help="json (the default) or csv")
 
     cfg: dict = {}
     try:
+        args = parser.parse_args(argv)
         if args.config:
             with open(args.config) as fh:
                 try:

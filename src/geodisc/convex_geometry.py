@@ -349,7 +349,12 @@ class ConvexDomainModel:
         return max(piece.gap(z) for piece in self.pieces)
 
     def membership(self, z) -> str:
-        gap = self.signed_gap(_as_point(z))
+        """Where z lies: "inside", "outside" or on the "boundary", up to
+        ``MEMBERSHIP_TOL``.  A gap that overflows is that of a point outside
+        by more than the double range (no piece's gap overflows inside it),
+        so it reads as inf."""
+        with np.errstate(over="ignore"):
+            gap = self.signed_gap(_as_point(z))
         if gap < -MEMBERSHIP_TOL:
             return "inside"
         if gap > MEMBERSHIP_TOL:
@@ -456,8 +461,11 @@ def _is_bounded(normals: np.ndarray) -> bool:
     while batch := list(islice(row_sets, 4096)):
         rows = A[np.array(batch)]
         # the generalized cross product of the rows spans their null line;
-        # its norm is the volume they span
-        minors = np.linalg.det(np.moveaxis(rows[:, :, minor_cols], 2, 1))
+        # its norm is the volume they span.  Where a subnormal pivot is due,
+        # det can read it as 0 and divide by zero in its log; the 0 it then
+        # returns is off by far less than _RANK_TOL (the rows are unit normals)
+        with np.errstate(divide="ignore"):
+            minors = np.linalg.det(np.moveaxis(rows[:, :, minor_cols], 2, 1))
         rays = minors * (-1.0) ** np.arange(dim)
         volumes = np.linalg.norm(rays, axis=1)
         keep = volumes > _RANK_TOL

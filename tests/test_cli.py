@@ -8,8 +8,10 @@ import math
 import os
 import re
 import resource
+import stat
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -614,17 +616,17 @@ def test_a_failed_write_leaves_the_old_report(tmp_path, capsys, monkeypatch):
     code, out = run_cli(tmp_path, "flat-x0", X0, name="out/report.json")
     assert code == 0
     old = out.read_bytes()
-    fdopen = os.fdopen
 
-    def no_space(text):
+    def no_space(data):
         raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
-    def full_disk(fd, *args, **kwargs):
-        fh = fdopen(fd, *args, **kwargs)
-        fh.write = no_space
+    def full_disk(file, mode="r", *args, **kwargs):
+        fh = open(file, mode, *args, **kwargs)
+        if "x" in mode:  # the temp file of the report
+            fh.write = no_space
         return fh
 
-    monkeypatch.setattr(cli.os, "fdopen", full_disk)
+    monkeypatch.setattr(cli, "open", full_disk, raising=False)
     code, out = run_cli(tmp_path, "flat-x0", dict(X0, C=2.0), name="out/report.json")
     assert code == 1
     assert capsys.readouterr().err == (
@@ -655,6 +657,73 @@ def test_an_out_that_is_a_directory_exits_one(tmp_path, capsys):
     assert len(err.splitlines()) == 1 and err.endswith(f": '{target}'\n"), err
     assert os.listdir(tmp_path / "out") == ["report.json"]
     assert os.listdir(target) == ["kept.txt"] and (target / "kept.txt").read_text() == "kept"
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_a_report_takes_the_umask_mode(tmp_path, umask, mode):
+    # every report was written 0o600, whatever the umask
+    old = os.umask(umask)
+    try:
+        code, out = run_cli(tmp_path, "flat-x0", X0)
+    finally:
+        os.umask(old)
+    assert code == 0
+    assert stat.S_IMODE(out.stat().st_mode) == mode
+
+
+@pytest.mark.parametrize("planted", ["stale file", "link", "dangling link"])
+def test_a_file_at_the_temp_name_is_refused_by_that_name(tmp_path, capsys, planted):
+    code, out = run_cli(tmp_path, "flat-x0", X0)
+    assert code == 0
+    config, tmp = tmp_path / "config.json", tmp_path / f"report.json.{os.getpid()}.tmp"
+    config.write_text(json.dumps(dict(X0, C=2.0)))
+    target = tmp_path / "target.txt"
+    if planted == "stale file":
+        tmp.write_text("stale")
+    else:
+        tmp.symlink_to(target)
+        if planted == "link":
+            target.write_text("kept")
+
+    def snapshot():
+        return {p.name: os.readlink(p) if p.is_symlink() else p.read_bytes()
+                for p in tmp_path.iterdir()}
+
+    before = snapshot()
+    assert main(["flat-x0", "--config", str(config), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"geodisc: error: [Errno {errno.EEXIST}] {os.strerror(errno.EEXIST)}: '{tmp}'\n")
+    assert snapshot() == before
+
+
+# --- usage -------------------------------------------------------------------
+
+# Each exited 2 from argparse with a usage block, as a failed verdict does.
+USAGE_ERRORS = {
+    "unknown command": (["nosuch"], "unknown command 'nosuch'"),
+    "no command": ([], "the following arguments are required: command"),
+    "unknown option": (["flat-x0", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+    "unknown format": (["flat-x0", "--config", "{config}", "--format", "xml"],
+                       "format: expected 'json' or 'csv', got 'xml'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(USAGE_ERRORS))
+def test_a_usage_error_exits_one_with_one_line(tmp_path, capsys, case):
+    argv, message = USAGE_ERRORS[case]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(X0))
+    assert main([arg.format(config=config) for arg in argv]) == 1
+    assert capsys.readouterr() == ("", f"geodisc: error: {message}\n")
+
+
+def test_help_exits_zero_and_lists_the_commands(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "400")  # no command name is wrapped at its hyphen
+    with pytest.raises(SystemExit) as done:
+        main(["--help"])
+    assert done.value.code == 0
+    out = capsys.readouterr().out
+    assert all(command in out for command in cli.COMMANDS)
 
 
 # --- config schema -----------------------------------------------------------
@@ -1031,6 +1100,23 @@ def _distance(domain: dict, point=(0,)) -> tuple[str, dict]:
     return "domain-distance", {"domain": domain, "point": list(point)}
 
 
+# f' = 5 * 1.7e308 z^4 is past the double range: hl-verify warned and wrote
+# "max_violation": Infinity with exit 2
+HL_VERIFY_OVERFLOW = {
+    "function": {"kind": "monomial", "degree": 5, "coefficient": [1.7e308, 0.1]},
+    "majorant": {"kind": "power", "coefficient": 4.0, "exponent": 0.0, "r0": 0.377},
+}
+# the box |Re z_k|, |Im z_k| <= 1 in C^2, the first normal 1 + 5e-324 i, cut
+# by Re(0.6 z_1 + 0.8 z_2) <= 0.545
+SUBNORMAL_BOX = [
+    {"a": [[1, 5e-324], 0], "b": 1}, {"a": [-1, 0], "b": 1},
+    {"a": [[0, 1], 0], "b": 1}, {"a": [[0, -1], 0], "b": 1},
+    {"a": [0, 1], "b": 1}, {"a": [0, -1], "b": 1},
+    {"a": [0, [0, 1]], "b": 1}, {"a": [0, [0, -1]], "b": 1},
+    {"a": [0.6, 0.8], "b": 0.545},
+]
+
+
 # The library's own rejections, each reached through the CLI: case ->
 # (command, config, the library's message, or the result of a row that exits 0).
 LIBRARY_REJECTIONS = {
@@ -1128,7 +1214,24 @@ LIBRARY_REJECTIONS = {
         "pipeline", {"domain": dict(FLAT, R0=5e-324),
                      "candidate": dict(FLAT_SLICE, domain=dict(FLAT, R0=5e-324))},
         "numeric overflow (K2 = (C/C2)^beta exceeds the largest double)"),
+    "hl-verify derivative past the double range": ("hl-verify", HL_VERIFY_OVERFLOW,
+                                                   "numeric overflow ("),
+    # a point many radii outside a disc or the graph's cylinder overflowed
+    # its gap, or its scaled offset, with a warning before it was rejected
+    "polydisc radius 1e-300 at 0.5": (
+        *_distance({"kind": "polydisc", "radii": [1e-300, 1]}, [0.5, 0.5]),
+        "base point outside domain"),
+    "polydisc radius 5e-324 at 0.5": (
+        *_distance({"kind": "polydisc", "radii": [5e-324, 1]}, [0.5, 0.5]),
+        "base point outside domain"),
+    "unit bidisc at 1e300": (*_distance({"kind": "polydisc", "radii": [1, 1]}, [1e300, 0.5]),
+                             "base point outside domain"),
+    "flat model at 1e300": (*_distance(FLAT, [1e300, [0, 0.01]]), "base point outside domain"),
     # not rejections: both ends of these are well defined
+    # the boundedness check divided by zero in det on its subnormal entry
+    "box with a subnormal normal entry": (
+        *_distance({"kind": "halfspace_intersection", "constraints": SUBNORMAL_BOX}, [0, 0]),
+        {"distance": 0.545}),
     "hl-bound at delta 0": ("hl-bound", {"majorant": POWER, "delta": 0}, {"omega_bound": 0.0}),
     "graham of v = 0": ("graham", {"domain": {"kind": "polydisc", "radii": [1]},
                                    "point": [0], "direction": [0]},
@@ -1147,6 +1250,17 @@ def test_library_rejections_exit_one_with_one_line(tmp_path, capsys, case):
         return
     assert code == 1
     assert len(err.splitlines()) == 1 and expected in err
+    assert not out.exists()
+
+
+def test_a_numeric_fault_exits_one_whatever_the_warnings_filter(tmp_path, capsys):
+    # its LIBRARY_REJECTIONS row runs under the suite's error::RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("default", RuntimeWarning)
+        code, out = run_cli(tmp_path, "hl-verify", HL_VERIFY_OVERFLOW)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert len(err.splitlines()) == 1 and err.startswith("geodisc: error: numeric overflow ("), err
     assert not out.exists()
 
 

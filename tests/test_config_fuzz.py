@@ -1,0 +1,131 @@
+"""Float-leaf fuzz of the CLI: bad numbers fail by name, never as a warning.
+
+Each float leaf of one workload-style config per command is set in turn to
+each of ``EXTREMES``, and every config runs through ``cli.main`` in-process
+with its JSON report written to a temp dir.  Every run exits 0, 1 or 2;
+an exit 1 writes one stderr line and no report; no ``RuntimeWarning`` is
+raised; and a report is strict JSON.  ``hl-bound`` is left out: its
+divergent verdict is written as ``Infinity``, which the benchmark's check
+pins.  The enumeration is exhaustive and deterministic, so no seed is
+needed; it runs 576 configs in about 2 s.
+"""
+
+from __future__ import annotations
+
+import io
+import json
+import warnings
+from contextlib import redirect_stderr
+
+import pytest
+
+from geodisc import cli
+
+EXTREMES = (5e-324, 1e-300, 1e300, 1.7e308)
+
+FLAT = {"kind": "flat_model", "C": 1.0, "alpha": 0.5, "R0": 0.111, "s0": 0.08}
+FLAT_SLICE = {"kind": "flat_slice", "domain": FLAT, "center": [0.0, 0.04], "radius": 0.04}
+# the workloads' half-space box: the faces Re z_k, Im z_k = +-b, each normal
+# an [re, im] pair per coordinate, and two oblique faces
+BOX = {"kind": "halfspace_intersection", "constraints": [
+    {"a": [[1.0, 0.0], [0.0, 0.0]], "b": 0.9}, {"a": [[-1.0, 0.0], [0.0, 0.0]], "b": 1.1},
+    {"a": [[0.0, 1.0], [0.0, 0.0]], "b": 0.7}, {"a": [[0.0, -1.0], [0.0, 0.0]], "b": 1.3},
+    {"a": [[0.0, 0.0], [1.0, 0.0]], "b": 0.9}, {"a": [[0.0, 0.0], [-1.0, 0.0]], "b": 1.1},
+    {"a": [[0.0, 0.0], [0.0, 1.0]], "b": 0.7}, {"a": [[0.0, 0.0], [0.0, -1.0]], "b": 1.3},
+    {"a": [[0.6, 0.0], [0.0, 0.8]], "b": 0.8}, {"a": [[-0.48, 0.6], [0.64, 0.0]], "b": 1.2},
+]}
+
+CONFIGS = {
+    "hl-verify": {"function": {"kind": "monomial", "degree": 5, "coefficient": [0.3, 0.1]},
+                  "majorant": {"kind": "power", "coefficient": 4.0, "exponent": 0.0,
+                               "r0": 0.377}},
+    "hl-l1": {"majorant": {"kind": "family", "K1": 1.0, "K2": 2.5, "alpha": 0.5, "r0": 0.5}},
+    "mod-cont": {"function": {"kind": "automorphism", "a": [0.3, 0.2], "phi": 0.5},
+                 "n": 64, "deltas": [0.1, 0.5]},
+    "conjugate": {"function": {"kind": "monomial", "degree": 2, "coefficient": [0.5, 0.25]},
+                  "n": 64, "real_part": True},
+    "pz-bound": {"modulus": {"kind": "stretched_exponential", "coeff": 1.0, "eps": 0.5},
+                 "delta": 0.1, "K": 2.0},
+    "log-dini": {"modulus": {"kind": "holder", "a": 0.5}, "n_max": 3},
+    "domain-distance": {"domain": BOX, "point": [[0.1, -0.05], [0.2, 0.1]]},
+    "domain-radius": {"domain": {"kind": "ball", "center": [[0.1, 0.0], [0.0, -0.2]],
+                                 "radius": 1.2},
+                      "point": [[0.2, 0.1], [0.0, 0.3]], "direction": [[0.6, 0.0], [0.0, 0.8]]},
+    "graham": {"domain": {"kind": "polydisc", "radii": [1.0, 0.5]},
+               "point": [[0.25, 0.0], [0.0, 0.125]], "direction": [[1.0, 0.0], [0.5, 0.5]]},
+    "flat-x0": {"C": 1.0, "alpha": 0.5},
+    "flat-rho": {"d": 0.05, "slope": 0.5, "C": 1.0, "alpha": 0.5},
+    "rest-check": {"domain": FLAT, "point": [0.0, [0.0, 0.04]], "direction": [0.0, 1.0]},
+    "geodesic-defect": {"candidate": FLAT_SLICE, "zeta1": [0.0, 0.0], "zeta2": [0.5, 0.0]},
+    "geodesic-probe": {"candidate": {"kind": "map",
+                                     "map": {"kind": "automorphism", "a": [0.2, 0.1]},
+                                     "domain": {"kind": "polydisc", "radii": [1.5]}},
+                       "n_theta": 64},
+    "mercer-fit": {"candidate": {"kind": "map",
+                                 "map": {"kind": "monomial", "degree": 1,
+                                         "coefficient": [0.5, 0.0]},
+                                 "domain": {"kind": "ball", "center": [[0.0, 0.0]],
+                                            "radius": 1.0}},
+                   "theta": 0.5},
+    "pipeline": {"domain": FLAT, "candidate": FLAT_SLICE},
+}
+
+
+def float_leaves(value, path=()):
+    """The paths to the float leaves of a JSON value, in document order."""
+    if isinstance(value, float):
+        yield path
+    elif isinstance(value, (dict, list)):
+        items = value.items() if isinstance(value, dict) else enumerate(value)
+        for key, item in items:
+            yield from float_leaves(item, (*path, key))
+
+
+def with_leaf(value, path, leaf):
+    """A copy of ``value`` with the leaf at ``path`` replaced."""
+    if not path:
+        return leaf
+    copy = dict(value) if isinstance(value, dict) else list(value)
+    copy[path[0]] = with_leaf(value[path[0]], path[1:], leaf)
+    return copy
+
+
+def not_json(token):
+    raise ValueError(f"non-JSON token {token}")
+
+
+def test_every_command_but_hl_bound_is_fuzzed():
+    assert sorted(CONFIGS) == sorted(set(cli.COMMANDS) - {"hl-bound"})
+
+
+@pytest.mark.parametrize("command", sorted(CONFIGS))
+def test_extreme_float_leaves_fail_by_name(tmp_path, command):
+    base = CONFIGS[command]
+    config, out = tmp_path / "config.json", tmp_path / "report.json"
+    failures = []
+    for path in float_leaves(base):
+        for leaf in EXTREMES:
+            config.write_text(json.dumps(with_leaf(base, path, leaf)))
+            stderr = io.StringIO()
+            with warnings.catch_warnings(record=True) as caught, redirect_stderr(stderr):
+                warnings.simplefilter("always")
+                code = cli.main([command, "--config", str(config), "--out", str(out)])
+            where = f"{'.'.join(map(str, path))} = {leaf!r}"
+            problems = [f"{w.category.__name__}: {w.message}" for w in caught
+                        if issubclass(w.category, RuntimeWarning)]
+            if code not in (0, 1, 2):
+                problems.append(f"exit {code!r}")
+            if code == 1:
+                lines = stderr.getvalue().splitlines()
+                if len(lines) != 1 or not lines[0].startswith("geodisc: error: "):
+                    problems.append(f"stderr {stderr.getvalue()!r}")
+                if out.exists():
+                    problems.append("a report after exit 1")
+            elif code in (0, 2):
+                try:
+                    json.loads(out.read_text(), parse_constant=not_json)
+                except ValueError as exc:
+                    problems.append(str(exc))
+            failures += [f"{where}: {problem}" for problem in problems]
+            out.unlink(missing_ok=True)
+    assert not failures, "\n".join(failures[:10])

@@ -12,17 +12,18 @@ under ``-W error::RuntimeWarning``.  The operations come from
 ``benchmarks/workloads.build`` of the checkout holding this script, so both
 trees run the same configs.  Each op writes over a placeholder at its
 report path, as every rerun and every benchmark op writes over the last
-report; a placeholder still there afterwards reads as no report, and the
-temp files an op leaves beside it are counted.  The reports that differ
-are printed by command: exit code, standard error, temp files left and
-text, old then new.  Then, per command, it prints how many JSON reports of
+report; a placeholder still there afterwards reads as no report, the
+report path's permission bits are kept as its mode, and the temp files an
+op leaves beside it are counted.  The reports that differ are printed by
+command: exit code, standard error, temp files left, mode and text, old
+then new.  Then, per command, it prints how many JSON reports of
 each tree hold a non-JSON token (``Infinity``, ``-Infinity`` or ``NaN``),
 which a strict JSON parser rejects.  Exits 0 when every report matches
 byte for byte, 1 when one differs.
 
 ``--digest`` replays one tree and prints, per workload and seed, a sha256
-over that run's reports (exit code, standard error, temp files left and
-text, in op order) and the number of ops per command.  Equal digests mean
+over that run's reports (exit code, standard error, temp files left, mode
+and text, in op order) and the number of ops per command.  Equal digests mean
 equal reports, but only between runs on one machine: numpy picks its SIMD
 loops by CPU, so the last bits of array math may differ between machines.
 
@@ -43,6 +44,7 @@ import difflib
 import hashlib
 import io
 import json
+import stat
 import subprocess
 import sys
 import tempfile
@@ -77,8 +79,9 @@ def _runs(workloads):
 def _run_op(cli, op, scratch: Path, fmt: str) -> dict:
     """One op through ``cli.main`` over a placeholder report: its exit code,
     standard error, report (None if the placeholder is still there or the
-    path is gone) and the number of ``*.tmp`` files it left in ``scratch``,
-    which are then removed."""
+    path is gone), the report path's permission bits in octal (None if it is
+    gone) and the number of ``*.tmp`` files it left in ``scratch``, which
+    are then removed."""
     config, out = scratch / "config.json", scratch / "report"
     config.write_text(json.dumps(op.cfg))
     out.write_text(PLACEHOLDER)
@@ -90,11 +93,12 @@ def _run_op(cli, op, scratch: Path, fmt: str) -> dict:
         except Exception as exc:  # a warning turned error, or a crash
             code = f"raised {type(exc).__name__}: {exc}"
     text = out.read_text() if out.exists() else None
+    mode = oct(stat.S_IMODE(out.stat().st_mode)) if out.exists() else None
     left = list(scratch.glob("*.tmp"))
     for tmp in left:
         tmp.unlink()
     return {"code": code, "stderr": stderr.getvalue(), "temps_left": len(left),
-            "text": None if text == PLACEHOLDER else text}
+            "mode": mode, "text": None if text == PLACEHOLDER else text}
 
 
 def replay(tree: Path) -> list[dict]:
@@ -145,7 +149,7 @@ def run_tree(tree: Path, mode: str = "replay"):
 
 def show(old: dict, new: dict) -> None:
     print(f"  {old['op']}")
-    for key in ("code", "stderr", "temps_left"):
+    for key in ("code", "stderr", "temps_left", "mode"):
         if old[key] != new[key]:
             print(f"    {key}: {old[key]!r} -> {new[key]!r}")
     if old["text"] != new["text"]:
@@ -181,7 +185,8 @@ def print_digests(reports: list[dict]) -> None:
     runs: dict[str, tuple] = {}
     for r in reports:
         sha, ops = runs.setdefault(r["run"], (hashlib.sha256(), Counter()))
-        sha.update(json.dumps([r["code"], r["stderr"], r["temps_left"], r["text"]]).encode())
+        sha.update(json.dumps([r["code"], r["stderr"], r["temps_left"], r["mode"],
+                               r["text"]]).encode())
         ops[r["command"]] += r["format"] == FORMATS[0]
     for run, (sha, ops) in runs.items():
         counts = ", ".join(f"{command} {n}" for command, n in sorted(ops.items()))
