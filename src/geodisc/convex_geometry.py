@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import combinations, islice
 
 import numpy as np
@@ -195,8 +195,12 @@ class HalfspaceConstraint:
     normal: np.ndarray
     offset: float
 
-    def gap(self, z: np.ndarray) -> float:
-        return float(np.vdot(self.normal, z).real) - self.offset
+    def gap(self, z: np.ndarray) -> float | np.ndarray:
+        """Re<a, z> - b; an array at a stack of points (rows), where ``vecdot``
+        reads each row to the bit as ``vdot`` does, and ``@`` does not."""
+        if z.ndim == 1:
+            return float(np.vdot(self.normal, z).real) - self.offset
+        return np.vecdot(self.normal, z).real - self.offset
 
     def exit(self, z: np.ndarray, u: np.ndarray) -> float:
         rate = float(np.vdot(self.normal, u).real)
@@ -205,8 +209,9 @@ class HalfspaceConstraint:
     def distance(self, z: np.ndarray) -> float:
         return -self.gap(z)
 
-    def disc_radius(self, z: np.ndarray, v: np.ndarray) -> float:
-        # Re<a, e^{i theta} v> peaks at |<a, v>|
+    def disc_radius(self, z: np.ndarray, v: np.ndarray) -> float | np.ndarray:
+        """-gap / |<a, v>|, since Re<a, e^{i theta} v> peaks at |<a, v>|: a
+        float at one point, an array at a stack of points."""
         rate = abs(complex(np.vdot(self.normal, v)))
         return -self.gap(z) / rate if rate > 0.0 else math.inf
 
@@ -302,7 +307,7 @@ class GraphConstraint:
 
         return math.sqrt(minimize_on_circle(dist2))
 
-    def disc_radius(self, z: np.ndarray, v: np.ndarray) -> float:
+    def disc_radius(self, z: np.ndarray, v: np.ndarray) -> float | np.ndarray:
         """The largest rho with z + rho e^{i theta} v in the graph piece for
         every theta: the smallest exit over the boundary circle.  Around it
         only Re<z', v'> e^{i theta} and Im v_n e^{i theta} change, and the
@@ -310,7 +315,16 @@ class GraphConstraint:
         = 0 (every disc centred on the axis z' = 0), v_n = 0 (tangential
         discs) or ||v'||^2 = 0 (the exit then reads only Im v_n e^{i theta}),
         the exit at |<z', v'>| and -|v_n| is the radius.  The rest take
-        ``minimize_on_circle`` over the exits."""
+        ``minimize_on_circle`` over the exits.
+
+        A stack of points (rows) gets an array: with v' = 0 each row's affine
+        exit (Im z_n - C phi_alpha(||z'||)) / |v_n|, else the rows one by one."""
+        if z.ndim > 1:
+            if v[:-1].any():
+                return np.array([self.disc_radius(row, v) for row in z])
+            heights = [self.height(math.sqrt(pp))
+                       for pp in np.vecdot(z[:, :-1], z[:, :-1]).real.tolist()]
+            return (z[:, -1].imag - heights) / abs(complex(v[-1]))
         p, w = z[:-1], v[:-1]
         pp, ww = float(np.vdot(p, p).real), float(np.vdot(w, w).real)
         pv, vn = complex(np.vdot(p, w)), complex(v[-1])
@@ -370,8 +384,9 @@ class ConvexDomainModel:
         the largest of its factors' (Jarnicki & Pflug, Invariant Distances
         and Metrics in Complex Analysis, 2nd ed., 2013), and the ends are
         (K, K).  Elsewhere they are the chord's (L, 2L): L integrates
-        Graham's lower end ||v|| / (2 r) (``_graham_ends``) along the segment
-        from z to w with 4 panels of GL-8, and 2L the upper end ||v|| / r.  Only 2L,
+        Graham's lower end ||v|| / (2 r) along the segment from z to w with 4
+        panels of GL-8, and 2L the upper end ||v|| / r.  The 32 nodes go to
+        ``_graham_ends`` as one stack, one radius call per piece.  Only 2L,
         the upper metric integrated along a curve, bounds K.  L does not: K
         is an infimum over curves, and near the boundary the chord is much
         longer than the geodesic.  The nodes lie inside with the ends, so
@@ -390,8 +405,7 @@ class ConvexDomainModel:
         unit, length = v / norm, math.ldexp(norm, e)
 
         def lower_metric(t: np.ndarray) -> np.ndarray:
-            return np.array([_graham_ends(self, z + s * direction, unit, length)[0]
-                             for s in t.tolist()])
+            return _graham_ends(self, z + t[:, None] * direction, unit, length)[0]
 
         panels = np.arange(_CHORD_PANELS)
         lower = sum(gauss_panel(
@@ -666,24 +680,35 @@ def inscribed_disc_radius(domain: ConvexDomainModel, point, direction) -> float:
     return _disc_radius(domain, *_check_ray(domain, point, direction))
 
 
-def _disc_radius(domain: ConvexDomainModel, z: np.ndarray, v: np.ndarray) -> float:
-    """The smallest constraint radius at z along the unit v, floored at 0."""
-    return max(min(piece.disc_radius(z, v) for piece in domain.pieces), 0.0)
+def _disc_radius(domain: ConvexDomainModel, z: np.ndarray, v: np.ndarray) -> float | np.ndarray:
+    """The smallest constraint radius at z along the unit v, floored at 0: a
+    float at one point, an array with one call per piece at a stack of
+    points (rows)."""
+    radii = (piece.disc_radius(z, v) for piece in domain.pieces)
+    if z.ndim == 1:
+        return max(min(radii), 0.0)
+    return np.maximum(reduce(np.minimum, radii), 0.0)
 
 
 def _graham_ends(domain: ConvexDomainModel, z: np.ndarray, unit: np.ndarray,
-                 length: float) -> tuple[float, float]:
+                 length: float) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
     """Graham's ends (length / (2 r), length / r) of the Kobayashi metric at
     z for a vector of that length along the unit direction, r its inscribed
-    disc radius; z is not checked.  A boundary point (r = 0) is rejected, and
-    a length / r past the largest double raises ``OverflowError``."""
+    disc radius; z is not checked.  z is one point, or a stack of points
+    (rows) whose ends are arrays.  A boundary point (r = 0) is rejected, and
+    a length / r past the largest double raises ``OverflowError``; at a
+    stack both are judged at the least r, whose quotient is the largest."""
     r = _disc_radius(domain, z, unit)
-    if r == 0.0:
+    stack = z.ndim > 1
+    least = float(r.min()) if stack else r
+    if least == 0.0:
         raise ValueError("point on the boundary: the inscribed disc radius is 0")
-    upper = length / r
-    if not math.isfinite(upper):
+    if not math.isfinite(length / least):
         raise OverflowError("||v|| / r exceeds the largest double")
-    return length / (2.0 * r), upper
+    if not stack:
+        return length / (2.0 * r), length / r
+    with np.errstate(over="ignore"):  # a 2 r past the largest double is inf, as for a float
+        return length / (2.0 * r), length / r
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geodisc.convex_geometry import (
     Ball,
@@ -407,23 +409,123 @@ def test_domain_kobayashi_is_exact_on_polydiscs_and_balls_only():
         assert K == pytest.approx(exact, rel=1e-12)
 
 
+def box_and_two_normals(rng, dim: int) -> list:
+    """The rows of a quick_verdicts half-space domain: the box Re, Im z_k in
+    [-b, b] (4 dim rows) and two random unit normals, each b in [0.5, 1.5].
+    Every point of norm below 0.5 is inside."""
+    rows = []
+    for k in range(dim):
+        for unit in (1.0, -1.0, 1j, -1j):
+            a = np.zeros(dim, dtype=complex)
+            a[k] = unit
+            rows.append((a, rng.uniform(0.5, 1.5)))
+    for _ in range(2):
+        a = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        rows.append((a / np.linalg.norm(a), rng.uniform(0.5, 1.5)))
+    return rows
+
+
+def in_ball(rng, dim: int, radius: float) -> np.ndarray:
+    u = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return radius * math.sqrt(rng.random()) * u / np.linalg.norm(u)
+
+
+def flat_point(rng, dim: int, z_prime=None) -> np.ndarray:
+    """A point of ``pipeline_domain`` (of that dimension) with ||z'|| <= 0.01
+    and 0.02 <= Im z_n <= 0.06, at the given z' if one is given."""
+    z_prime = in_ball(rng, dim - 1, 0.01) if z_prime is None else z_prime
+    return np.append(z_prime, complex(rng.uniform(-0.01, 0.01), rng.uniform(0.02, 0.06)))
+
+
 def test_domain_kobayashi_is_the_chord_elsewhere():
     # half-space intersections and the flat model answer (L, 2L), with L
-    # the graham_bounds route at each node to the last bit; off the axis each
-    # flat node's radius is a circle search, so the flat draws are few
+    # the graham_bounds route at each node to the last bit, though the
+    # chord reads its 32 nodes as one stack.  Flat chords with v' = 0 take
+    # the graph's stacked affine exit; off the slice each flat node's radius
+    # is a circle search, so those draws are few
     square = HalfspaceIntersection([([1.0], 1.0), ([-1.0], 1.0), ([1j], 1.0), ([-1j], 1.0)])
-    flat = pipeline_domain()
     rng = np.random.default_rng(33)
+    flat2, flat3 = pipeline_domain(), FlatModelDomain(pipeline_domain().support, dimension=3)
     in_square = lambda: np.array([complex(*rng.uniform(-0.9, 0.9, 2))])
-    in_flat = lambda: np.array([0.01 * complex(*rng.uniform(-1.0, 1.0, 2)),
-                                1j * rng.uniform(0.02, 0.06)])
-    for domain, draw, pairs in ((square, in_square, 10), (flat, in_flat, 2)):
+    cases = [(square, in_square, 10), (flat2, lambda: flat_point(rng, 2), 2),
+             (flat3, lambda: flat_point(rng, 3), 1)]
+    for dim in (2, 3):
+        for _ in range(3):
+            domain = HalfspaceIntersection(box_and_two_normals(rng, dim))
+            cases.append((domain, lambda dim=dim: in_ball(rng, dim, 0.45), 4))
+    for flat in (flat2, flat3):
+        for z_prime in (np.zeros(flat.dimension - 1), in_ball(rng, flat.dimension - 1, 0.01)):
+            cases.append((flat, lambda flat=flat, c=z_prime: flat_point(rng, flat.dimension, c), 4))
+    for domain, draw, pairs in cases:
         for _ in range(pairs):
             z, w = draw(), draw()
             lower, upper = domain.kobayashi(z, w)
             assert lower == graham_chord_lower(domain, z, w)
             assert upper == 2.0 * lower > 0.0
     assert square.kobayashi(np.array([0.1j]), np.array([0.1j])) == (0.0, 0.0)
+    # a stack whose rows have different z' takes each row's own height
+    stack = np.array([flat_point(rng, 3) for _ in range(32)])
+    v = np.array([0.0, 0.0, cmath.rect(1.0, rng.uniform(0.0, 2.0 * math.pi))])
+    for piece in flat3.pieces:
+        assert piece.disc_radius(stack, v).tolist() == [piece.disc_radius(z, v) for z in stack]
+
+
+def test_the_chord_asks_each_piece_once(monkeypatch):
+    # the chord's 32 nodes go to each piece's radius rule as one stack; only
+    # a graph piece under a tilted direction (v' != 0) reads them one by one
+    calls = Counter()
+    for piece_class in (convex_geometry.HalfspaceConstraint, convex_geometry.GraphConstraint):
+        def counted(self, z, v, rule=piece_class.disc_radius, name=piece_class.__name__):
+            calls[name] += 1
+            return rule(self, z, v)
+        monkeypatch.setattr(piece_class, "disc_radius", counted)
+    rng = np.random.default_rng(34)
+    halfspaces = HalfspaceIntersection(box_and_two_normals(rng, 2))
+    halfspaces.kobayashi(in_ball(rng, 2, 0.45), in_ball(rng, 2, 0.45))
+    assert calls == {"HalfspaceConstraint": 10}
+    flat = pipeline_domain()
+    for tilted, graph_calls in ((False, 1), (True, 1 + 32)):
+        calls.clear()
+        z = flat_point(rng, 2)
+        w = flat_point(rng, 2, None if tilted else z[:-1])
+        flat.kobayashi(z, w)
+        assert calls == {"HalfspaceConstraint": 3, "GraphConstraint": graph_calls}
+
+
+_SCALE = dict(seed=st.integers(0, 2**32 - 1), log_scale=st.floats(-150.0, 150.0),
+              angle=st.floats(0.0, 2.0 * math.pi))
+
+
+@settings(max_examples=60, deadline=None)
+@given(**_SCALE)
+def test_chord_ends_do_not_depend_on_scale(seed, log_scale, angle):
+    # z -> lambda e^{i theta} z maps {Re<a, z> <= b} onto {Re<e^{i theta} a,
+    # z> <= lambda b}, and z_n -> lambda z_n maps the flat model of (C, s0)
+    # onto that of (lambda C, lambda s0), taking each slice disc to a slice
+    # disc; the chord is the same.  A power of two with theta = 0 scales
+    # every step exactly
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(2, 4))
+    rows = box_and_two_normals(rng, dim)
+    z, w = in_ball(rng, dim, 0.45), in_ball(rng, dim, 0.45)
+    support = pipeline_domain().support
+    z_prime = in_ball(rng, dim - 1, 0.01)
+    p, q = flat_point(rng, dim, z_prime), flat_point(rng, dim, z_prime)
+    ends = HalfspaceIntersection(rows).kobayashi(z, w)
+    flat_ends = FlatModelDomain(support, dim).kobayashi(p, q)
+
+    def scaled(scale, turn):
+        domain = HalfspaceIntersection([(turn * a, scale * b) for a, b in rows])
+        flat = FlatModelDomain(FlatSupport(scale * support.C, support.alpha, support.R0,
+                                           scale * support.s0), dim)
+        on_slice = np.append(np.ones(dim - 1), scale)
+        return (domain.kobayashi(scale * turn * z, scale * turn * w),
+                flat.kobayashi(on_slice * p, on_slice * q))
+
+    general, flat_general = scaled(10.0**log_scale, cmath.exp(1j * angle))
+    assert general == pytest.approx(ends, rel=1e-12)
+    assert flat_general == pytest.approx(flat_ends, rel=1e-12)
+    assert scaled(2.0 ** round(log_scale * math.log2(10.0)), 1.0) == (ends, flat_ends)
 
 
 def test_defect_of_a_constant_flat_map_is_p():
