@@ -24,9 +24,9 @@ with sorted keys:
 Quartiles are ``statistics.quantiles(..., method="inclusive")``, numpy's
 linear percentiles.  Wall times come from a shared, noisy machine: the
 calibrated metrics hold still through its slow phases, raw times do not.
-Compare environment lines before comparing two files.  The runs take about
-25 s each, so they stay out of the test suite; the suite checks the schema
-of every committed ``BENCH_*.json``.
+Compare environment lines before comparing two files.  A run takes 5 to
+10 s on a 2-vCPU VM, so the runs stay out of the test suite; the suite
+checks the schema of every committed ``BENCH_*.json``.
 """
 
 from __future__ import annotations
