@@ -695,20 +695,23 @@ def _graham_ends(domain: ConvexDomainModel, z: np.ndarray, unit: np.ndarray,
     """Graham's ends (length / (2 r), length / r) of the Kobayashi metric at
     z for a vector of that length along the unit direction, r its inscribed
     disc radius; z is not checked.  z is one point, or a stack of points
-    (rows) whose ends are arrays.  A boundary point (r = 0) is rejected, and
-    a length / r past the largest double raises ``OverflowError``; at a
-    stack both are judged at the least r, whose quotient is the largest."""
-    r = _disc_radius(domain, z, unit)
-    stack = z.ndim > 1
-    least = float(r.min()) if stack else r
-    if least == 0.0:
+    (rows) whose ends are arrays, read inf past the largest double as a
+    float's are.  A boundary point (r = 0) is rejected, and a length / r past
+    the largest double raises ``OverflowError``; at a stack both are judged
+    at the least r, whose quotient is the largest."""
+    if z.ndim > 1:
+        with np.errstate(over="ignore", divide="ignore"):
+            radii = _disc_radius(domain, z, unit)
+            ends = length / (2.0 * radii), length / radii
+        r = float(radii.min())
+    else:
+        r, ends = _disc_radius(domain, z, unit), None
+    if r == 0.0:
         raise ValueError("point on the boundary: the inscribed disc radius is 0")
-    if not math.isfinite(length / least):
+    upper = length / r
+    if not math.isfinite(upper):
         raise OverflowError("||v|| / r exceeds the largest double")
-    if not stack:
-        return length / (2.0 * r), length / r
-    with np.errstate(over="ignore"):  # a 2 r past the largest double is inf, as for a float
-        return length / (2.0 * r), length / r
+    return ends or (length / (2.0 * r), upper)
 
 
 @dataclass(frozen=True)

@@ -4,34 +4,37 @@
 runs in a parent and a change tree, with each side's commit, environment
 line, runs and per-metric median and quartiles, and each metric's win
 count.  Reading the files costs milliseconds; the runs themselves stay out
-of the suite.  The summaries are recomputed from the runs they summarise.
+of the suite.  The summaries and win counts are recomputed from the runs
+with the script's own ``summary`` and ``wins``.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import re
-import statistics
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-END_TO_END = {m["name"]: m["better"]
-              for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
-SIDES = ("parent", "change")
+_spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+END_TO_END = bench_pairs.end_to_end(ROOT)
+SIDES = bench_pairs.SIDES
 
 
 @pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")), ids=lambda p: p.name)
 def test_bench_file_schema(path):
     bench = json.loads(path.read_text())
-    assert set(bench) == {"label", "workload", "seed", "pairs", "seconds", "first",
-                          "script_s", "wins", *SIDES}
+    assert set(bench) == {"label", "workload", "seed", "pairs", "seconds", "script_s", "wins",
+                          *SIDES}
     assert path.name == f"BENCH_{bench['label']}.json"
     assert bench["workload"] in ("probe", "flat_geometry", "quick_verdicts")
     assert bench["seconds"] == 20 and bench["script_s"] > 0.0
     pairs = bench["pairs"]
-    assert bench["first"] == [SIDES[k % 2] for k in range(pairs)]
+    assert pairs >= 2
     values = {}
     for side in SIDES:
         info = bench[side]
@@ -47,12 +50,8 @@ def test_bench_file_schema(path):
                         for name in END_TO_END}
         assert set(info["metrics"]) == set(END_TO_END)
         for name, runs in values[side].items():
-            q1, median, q3 = (statistics.quantiles(runs, n=4, method="inclusive")
-                              if pairs > 1 else runs * 3)
-            assert info["metrics"][name] == {"median": median, "q1": q1, "q3": q3}
+            assert info["metrics"][name] == bench_pairs.summary(runs)
     assert set(bench["wins"]) == set(END_TO_END)
     for name, better in END_TO_END.items():
-        sign = 1.0 if better == "higher" else -1.0
-        margins = [sign * (b - a) for a, b in zip(values["parent"][name], values["change"][name])]
-        assert bench["wins"][name] == {"parent": sum(m < 0.0 for m in margins),
-                                       "change": sum(m > 0.0 for m in margins)}
+        assert bench["wins"][name] == bench_pairs.wins(values["parent"][name],
+                                                       values["change"][name], better)

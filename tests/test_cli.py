@@ -1232,6 +1232,20 @@ LIBRARY_REJECTIONS = {
     "box with a subnormal normal entry": (
         *_distance({"kind": "halfspace_intersection", "constraints": SUBNORMAL_BOX}, [0, 0]),
         {"distance": 0.545}),
+    # a redundant row's radius quotient past the largest double reads inf
+    # and loses the minimum, whatever numpy's error state
+    "geodesic-defect with one piece's radius past the double range": (
+        "geodesic-defect",
+        {"candidate": {"kind": "map", "map": {"kind": "pair_identity_zero"},
+                       "domain": {"kind": "halfspace_intersection",
+                                  "constraints": [
+                                      {"a": [1, 0], "b": 1}, {"a": [-1, 0], "b": 1},
+                                      {"a": [[0, 1], 0], "b": 1}, {"a": [[0, -1], 0], "b": 1},
+                                      {"a": [0, 1], "b": 1}, {"a": [0, -1], "b": 1},
+                                      {"a": [0, [0, 1]], "b": 1}, {"a": [0, [0, -1]], "b": 1},
+                                      {"a": [1e-10, 1], "b": 1e300}]}},
+         "zeta1": 0, "zeta2": 0.5},
+        {"defect": 0.0}),
     "hl-bound at delta 0": ("hl-bound", {"majorant": POWER, "delta": 0}, {"omega_bound": 0.0}),
     "graham of v = 0": ("graham", {"domain": {"kind": "polydisc", "radii": [1]},
                                    "point": [0], "direction": [0]},

@@ -456,12 +456,17 @@ def test_domain_kobayashi_is_the_chord_elsewhere():
     for flat in (flat2, flat3):
         for z_prime in (np.zeros(flat.dimension - 1), in_ball(rng, flat.dimension - 1, 0.01)):
             cases.append((flat, lambda flat=flat, c=z_prime: flat_point(rng, flat.dimension, c), 4))
-    for domain, draw, pairs in cases:
-        for _ in range(pairs):
-            z, w = draw(), draw()
-            lower, upper = domain.kobayashi(z, w)
-            assert lower == graham_chord_lower(domain, z, w)
-            assert upper == 2.0 * lower > 0.0
+    # a redundant row nearly orthogonal to chords along e1, with a vast
+    # offset: its radius quotient passes the largest double and reads inf
+    vast = HalfspaceIntersection(box_and_two_normals(rng, 2) + [(np.array([1e-10, 1.0]), 1e300)])
+    cases.append((vast, lambda: np.array([complex(*rng.uniform(-0.3, 0.3, 2)), 0.0]), 3))
+    with np.errstate(over="raise"):
+        for domain, draw, pairs in cases:
+            for _ in range(pairs):
+                z, w = draw(), draw()
+                lower, upper = domain.kobayashi(z, w)
+                assert lower == graham_chord_lower(domain, z, w)
+                assert upper == 2.0 * lower > 0.0
     assert square.kobayashi(np.array([0.1j]), np.array([0.1j])) == (0.0, 0.0)
     # a stack whose rows have different z' takes each row's own height
     stack = np.array([flat_point(rng, 3) for _ in range(32)])

@@ -18,8 +18,10 @@ with sorted keys:
   run order, and each metric's median and quartiles over the runs;
 - ``wins``: per metric, the pairs each side won by the metric's declared
   direction; a tie counts for neither side;
-- ``first``: which side ran first in each pair;
 - ``script_s``: this script's own wall time.
+
+A file needs at least 2 pairs, so that it has quartiles; a claimed gain
+needs at least 10.
 
 Quartiles are ``statistics.quantiles(..., method="inclusive")``, numpy's
 linear percentiles.  Wall times come from a shared, noisy machine: the
@@ -76,8 +78,7 @@ def run_once(tree: Path, workload: str, seed: int) -> tuple[dict, str]:
 
 
 def summary(values: list[float]) -> dict[str, float]:
-    if len(values) == 1:
-        return {"median": values[0], "q1": values[0], "q3": values[0]}
+    """The median and quartiles of two or more values."""
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3}
 
@@ -102,13 +103,20 @@ def record(result: dict, metrics: dict) -> dict:
             "metrics": {name: result["metrics"][name]["value"] for name in metrics}}
 
 
+def pairs(text: str) -> int:
+    count = int(text)
+    if count < 2:
+        raise argparse.ArgumentTypeError(f"need at least 2 pairs, got {count}")
+    return count
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--pairs", type=pairs, required=True)
     parser.add_argument("--label", required=True)
     args = parser.parse_args(argv)
     start = time.perf_counter()
@@ -116,11 +124,8 @@ def main(argv: list[str] | None = None) -> int:
     metrics = end_to_end(trees["parent"])
     runs = {name: [] for name in SIDES}
     environments = {}
-    first = []
     for k in range(args.pairs):
-        order = SIDES if k % 2 == 0 else SIDES[::-1]
-        first.append(order[0])
-        for name in order:
+        for name in SIDES if k % 2 == 0 else SIDES[::-1]:
             result, environments[name] = run_once(trees[name], args.workload, args.seed)
             runs[name].append(record(result, metrics))
             print(f"pair {k + 1}/{args.pairs} {name}: "
@@ -128,7 +133,7 @@ def main(argv: list[str] | None = None) -> int:
                   file=sys.stderr)
     bench = {
         "label": args.label, "workload": args.workload, "seed": args.seed,
-        "pairs": args.pairs, "seconds": SECONDS, "first": first,
+        "pairs": args.pairs, "seconds": SECONDS,
         **{name: side(commit(trees[name]), runs[name], environments[name], metrics)
            for name in SIDES},
         "wins": {name: wins(*([run["metrics"][name] for run in runs[s]] for s in SIDES),
