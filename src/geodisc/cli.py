@@ -27,6 +27,8 @@ import math
 import os
 import sys
 from dataclasses import asdict, dataclass, replace
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 from typing import Callable
 
 import numpy as np
@@ -247,8 +249,10 @@ def _profile_rows(profile: da.ModulusProfile) -> list[dict]:
 
 # --- command handlers: each returns (result_payload, csv_rows, verdict_ok) ---
 #
-# _value and _record build the handlers that report a result as it is; they
-# bind their operation late, as the module docstring explains.
+# csv_rows is a function of no arguments that builds the CSV rows, so a JSON
+# report builds none.  _value and _record build the handlers that report a
+# result as it is; they bind their operation late, as the module docstring
+# explains.
 
 def _value(module, name: str, key: str, ok):
     """The handler reporting the number ``module.name(**args)`` as
@@ -257,7 +261,7 @@ def _value(module, name: str, key: str, ok):
     def handler(**args):
         value = getattr(module, name)(**args)
         payload = {key: value}
-        return payload, [payload], None if ok is None else ok(value)
+        return payload, lambda: [payload], None if ok is None else ok(value)
 
     return handler
 
@@ -269,7 +273,7 @@ def _record(module, name: str, ok):
     def handler(**args):
         record = getattr(module, name)(**args)
         payload = asdict(record)
-        return payload, [payload], None if ok is None else ok(record)
+        return payload, lambda: [payload], None if ok is None else ok(record)
 
     return handler
 
@@ -283,7 +287,7 @@ def _cmd_hl_verify(function, majorant):
         "worst_theta": report.worst_theta,
         "verified": ok,
     }
-    return payload, [payload], ok
+    return payload, lambda: [payload], ok
 
 
 def _cmd_hl_l1(majorant, n):
@@ -294,7 +298,7 @@ def _cmd_hl_l1(majorant, n):
         "refinement_levels": res.refinement_levels,
         "estimated_error": res.estimated_error,
     }
-    return payload, [payload], res.converged
+    return payload, lambda: [payload], res.converged
 
 
 def _cmd_mod_cont(function, n, deltas):
@@ -305,7 +309,7 @@ def _cmd_mod_cont(function, n, deltas):
         "omegas": profile.omegas.tolist(),
         "cauchy_fraction": samples.cauchy_fraction,
     }
-    return payload, _profile_rows(profile), None
+    return payload, lambda: _profile_rows(profile), None
 
 
 def _cmd_conjugate(function, n, real_part):
@@ -313,34 +317,32 @@ def _cmd_conjugate(function, n, real_part):
     if real_part:
         samples = replace(samples, values=samples.values[:, 0].real.astype(complex))
     conjugated = da.conjugate_function(samples)
-    rows = [
-        {"theta": t, "re": v.real, "im": v.imag}
-        for t, v in zip(conjugated.thetas, conjugated.values[:, 0])
-    ]
-    payload = {"n": conjugated.n, "values": [[v.real, v.imag] for v in conjugated.values[:, 0]]}
-    return payload, rows, None
+    values = conjugated.values[:, 0]
+    payload = {"n": conjugated.n, "values": np.column_stack((values.real, values.imag)).tolist()}
+    return payload, lambda: [
+        {"theta": t, "re": v.real, "im": v.imag} for t, v in zip(conjugated.thetas, values)
+    ], None
 
 
 def _cmd_pz_bound(modulus, delta, K):
     value = da.pz_bound(modulus, delta, K)
     payload = {"pz_bound": value if math.isfinite(value) else None,
                "finite": math.isfinite(value)}
-    return payload, [payload], math.isfinite(value)
+    return payload, lambda: [payload], math.isfinite(value)
 
 
 def _cmd_log_dini(modulus, **options):
     report = da.log_dini_test(modulus, **options)
-    rows = [
-        {"n": n, "verdict": res.verdict, "value": res.limit}
-        for n, res in enumerate(report.results)
-    ]
     payload = {
         "log_dini": report.log_dini,
         "n_max": report.n_max,
         "verdicts": list(report.verdicts),
         "note": "finite surrogate: tested n <= n_max only",
     }
-    return payload, rows, report.log_dini
+    return payload, lambda: [
+        {"n": n, "verdict": res.verdict, "value": res.limit}
+        for n, res in enumerate(report.results)
+    ], report.log_dini
 
 
 def _cmd_geodesic_probe(candidate, **options):
@@ -350,13 +352,15 @@ def _cmd_geodesic_probe(candidate, **options):
         "omega_min": report.omega_min,
         "cauchy_fraction": report.cauchy_fraction,
     }
-    return payload, _profile_rows(report.profile), report.verdict != "fails"
+    return payload, lambda: _profile_rows(report.profile), report.verdict != "fails"
 
 
 def _cmd_pipeline(domain, candidate):
     report = kb.theorem_pipeline(domain, candidate)
-    rows = [{"stage": s.name, "status": s.status} for s in report.stages]
-    return {"ok": report.ok, "stages": [asdict(s) for s in report.stages]}, rows, report.ok
+    payload = {"ok": report.ok, "stages": [asdict(s) for s in report.stages]}
+    return payload, lambda: [
+        {"stage": s.name, "status": s.status} for s in report.stages
+    ], report.ok
 
 
 _POINT_AND_DIRECTION = {"point": VECTOR, "direction": VECTOR}
@@ -419,6 +423,50 @@ def _json_scalar(value):
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
+def _json_floats(text: str) -> str:
+    """``text`` of float reprs with json's tokens for the non-finite ones (no
+    finite repr holds an "n")."""
+    return text.replace("inf", "Infinity").replace("nan", "NaN") if "n" in text else text
+
+
+def _to_json(value, indent: str) -> str:
+    """``json.dumps(value, sort_keys=True, indent=2, default=_json_scalar)``'s
+    text, byte for byte, for string keys; ``indent`` is the newline and the
+    spaces that open ``value``'s line.  A list of floats, or of equal-length
+    float lists, is written in one pass of ``float.__repr__``."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or isinstance(value, bool):
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _json_floats(float.__repr__(value))
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        try:  # TypeError for an item that is not a float; ValueError for ragged rows
+            if set(map(type, value)) <= {list, tuple}:
+                (k,) = set(map(len, value))
+                row = "[" + inner + "  " + f",{inner}  ".join(["%s"] * k) + inner + "]"
+                items = f",{inner}".join([row if k else "[]"] * len(value)) % tuple(
+                    map(float.__repr__, chain.from_iterable(value)))
+            else:
+                items = f",{inner}".join(map(float.__repr__, value))
+            items = _json_floats(items)
+        except (TypeError, ValueError):
+            items = f",{inner}".join([_to_json(item, inner) for item in value])
+        return "[" + inner + items + indent + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        return "{" + inner + f",{inner}".join([
+            f"{encode_basestring_ascii(key)}: {_to_json(item, inner)}"
+            for key, item in sorted(value.items())]) + indent + "}"
+    return _to_json(_json_scalar(value), indent)
+
+
 def _write_atomic(path: str, data: bytes) -> None:
     """Write ``data`` to the temp file ``<path>.<pid>.tmp``, remove the old
     report and rename the temp file into its place.
@@ -463,11 +511,7 @@ def run(command: str, cfg: dict) -> int:
         fmt, out = args.pop("format"), args.pop("out", None)
         payload, rows, verdict_ok = COMMANDS[command][0](**args)
     report = {"command": command, "result": payload}
-    text = (
-        json.dumps(report, sort_keys=True, indent=2, default=_json_scalar) + "\n"
-        if fmt == "json"
-        else _render_csv(rows)
-    )
+    text = _to_json(report, "\n") + "\n" if fmt == "json" else _render_csv(rows())
     if out:
         _write_atomic(out, text.encode())
     else:

@@ -2,9 +2,11 @@
 
 Each float leaf of one workload-style config per command is set in turn to
 each of ``EXTREMES``, and every config runs through ``cli.main`` in-process
-with its JSON report written to a temp dir.  Every run exits 0, 1 or 2;
-an exit 1 writes one stderr line and no report; no ``RuntimeWarning`` is
-raised; and a report is strict JSON.  ``hl-bound`` is left out: its
+with its JSON report written to a temp dir.  Every run exits with the code
+``EXIT_CODES`` pins for it; an exit 1 writes one stderr line and no report;
+no ``RuntimeWarning`` is raised; and a report is strict JSON, written as
+``json.dumps(..., sort_keys=True, indent=2)`` writes it, subnormal and
+near-overflow leaves included.  ``hl-bound`` is left out: its
 divergent verdict is written as ``Infinity``, which the benchmark's check
 pins.  The enumeration is exhaustive and deterministic, so no seed is
 needed; it runs 576 configs in about 2 s.
@@ -70,6 +72,32 @@ CONFIGS = {
     "pipeline": {"domain": FLAT, "candidate": FLAT_SLICE},
 }
 
+# each command's exit codes, one digit per fuzzed config in enumeration order
+# (float leaves in document order, each set to EXTREMES in turn), so a config
+# that moves between exit 0 and a named exit 1 fails here
+EXIT_CODES = {
+    "conjugate": "00010001",
+    "domain-distance": (
+        "1011000000110011110010110000001100110000001110000011001100000011"
+        "1111001100111100001100001011001111000011001111110011000000110000"
+        "0011101111000011001100111111000000110000001100111100001100000011"
+        "001111000011001100110011"),
+    "domain-radius": "0011001100110011110000110011001100110000000000000000",
+    "flat-rho": "1001000000011111",
+    "flat-x0": "00001000",
+    "geodesic-defect": "00001111111111000011111100110011001100110011",
+    "geodesic-probe": "001100110000",
+    "graham": "1101110100110011001100110001000100010001",
+    "hl-l1": "0022110000220011",
+    "hl-verify": "00210021220000221111",
+    "log-dini": "2211",
+    "mercer-fit": "001100110011001111010000",
+    "mod-cont": "00110011000000110011",
+    "pipeline": "11111111111111111111111111111111001111110011",
+    "pz-bound": "2200001122110001",
+    "rest-check": "111111111111110000110011001100000000",
+}
+
 
 def float_leaves(value, path=()):
     """The paths to the float leaves of a JSON value, in document order."""
@@ -96,13 +124,16 @@ def not_json(token):
 
 def test_every_command_but_hl_bound_is_fuzzed():
     assert sorted(CONFIGS) == sorted(set(cli.COMMANDS) - {"hl-bound"})
+    assert sorted(EXIT_CODES) == sorted(CONFIGS)
+    for command, codes in EXIT_CODES.items():
+        assert len(codes) == len(EXTREMES) * len(list(float_leaves(CONFIGS[command])))
 
 
 @pytest.mark.parametrize("command", sorted(CONFIGS))
 def test_extreme_float_leaves_fail_by_name(tmp_path, command):
     base = CONFIGS[command]
     config, out = tmp_path / "config.json", tmp_path / "report.json"
-    failures = []
+    failures, codes = [], iter(EXIT_CODES[command])
     for path in float_leaves(base):
         for leaf in EXTREMES:
             config.write_text(json.dumps(with_leaf(base, path, leaf)))
@@ -113,8 +144,9 @@ def test_extreme_float_leaves_fail_by_name(tmp_path, command):
             where = f"{'.'.join(map(str, path))} = {leaf!r}"
             problems = [f"{w.category.__name__}: {w.message}" for w in caught
                         if issubclass(w.category, RuntimeWarning)]
-            if code not in (0, 1, 2):
-                problems.append(f"exit {code!r}")
+            pinned = int(next(codes))
+            if code != pinned:
+                problems.append(f"exit {code!r}, pinned {pinned}")
             if code == 1:
                 lines = stderr.getvalue().splitlines()
                 if len(lines) != 1 or not lines[0].startswith("geodisc: error: "):
@@ -122,10 +154,14 @@ def test_extreme_float_leaves_fail_by_name(tmp_path, command):
                 if out.exists():
                     problems.append("a report after exit 1")
             elif code in (0, 2):
+                text = out.read_text()
                 try:
-                    json.loads(out.read_text(), parse_constant=not_json)
+                    report = json.loads(text, parse_constant=not_json)
                 except ValueError as exc:
                     problems.append(str(exc))
+                else:
+                    if text != json.dumps(report, sort_keys=True, indent=2) + "\n":
+                        problems.append("a report json.dumps would not write")
             failures += [f"{where}: {problem}" for problem in problems]
             out.unlink(missing_ok=True)
     assert not failures, "\n".join(failures[:10])

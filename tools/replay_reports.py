@@ -18,8 +18,10 @@ op leaves beside it are counted.  The reports that differ are printed by
 command: exit code, standard error, temp files left, mode and text, old
 then new.  Then, per command, it prints how many JSON reports of
 each tree hold a non-JSON token (``Infinity``, ``-Infinity`` or ``NaN``),
-which a strict JSON parser rejects.  Exits 0 when every report matches
-byte for byte, 1 when one differs.
+which a strict JSON parser rejects, and how many are not the canonical
+text ``json.dumps(json.loads(text), sort_keys=True, indent=2) + "\\n"``.
+Exits 0 when every report matches byte for byte and every JSON report of
+the new tree is canonical, 1 otherwise.
 
 ``--digest`` replays one tree and prints, per workload and seed, a sha256
 over that run's reports (exit code, standard error, temp files left, mode
@@ -158,25 +160,34 @@ def show(old: dict, new: dict) -> None:
         print("\n".join("    " + line for line in diff))
 
 
-def non_json_counts(reports: list[dict]) -> Counter:
-    """Per command, the JSON reports whose text holds a non-JSON token."""
-    counts = Counter()
+def json_counts(reports: list[dict]) -> tuple[Counter, Counter]:
+    """Per command, the JSON reports whose text holds a non-JSON token, and
+    those whose text is not ``json.dumps(json.loads(text), sort_keys=True,
+    indent=2) + "\\n"``, the canonical text."""
+    non_json, non_canonical = Counter(), Counter()
     for r in reports:
         if r["format"] == "json" and r["text"] is not None:
             tokens = []  # json.loads hands each Infinity, -Infinity and NaN here
-            json.loads(r["text"], parse_constant=tokens.append)
-            counts[r["command"]] += bool(tokens)
-    return counts
+            report = json.loads(r["text"], parse_constant=lambda t: tokens.append(t) or float(t))
+            non_json[r["command"]] += bool(tokens)
+            canonical = json.dumps(report, sort_keys=True, indent=2) + "\n"
+            non_canonical[r["command"]] += r["text"] != canonical
+    return non_json, non_canonical
 
 
-def print_non_json(old: list[dict], new: list[dict]) -> None:
-    """Per command, how many JSON reports hold a non-JSON token, old then new."""
-    a, b = non_json_counts(old), non_json_counts(new)
+def print_json_counts(old: list[dict], new: list[dict]) -> int:
+    """Per command, how many JSON reports hold a non-JSON token, and how
+    many are not the canonical text, old then new; returns the new tree's
+    count of non-canonical reports."""
     total = Counter(r["command"] for r in new if r["format"] == "json")
-    print("JSON reports holding Infinity or NaN, old -> new:")
-    for command in sorted(total):
-        print(f"  {command}: {a[command]} -> {b[command]} of {total[command]}")
-    print(f"  all commands: {sum(a.values())} -> {sum(b.values())} of {sum(total.values())}")
+    counts = list(zip(json_counts(old), json_counts(new)))
+    titles = ("holding Infinity or NaN", "not in canonical json.dumps text")
+    for title, (a, b) in zip(titles, counts):
+        print(f"JSON reports {title}, old -> new:")
+        for command in sorted(total):
+            print(f"  {command}: {a[command]} -> {b[command]} of {total[command]}")
+        print(f"  all commands: {sum(a.values())} -> {sum(b.values())} of {sum(total.values())}")
+    return sum(counts[1][1].values())
 
 
 def print_digests(reports: list[dict]) -> None:
@@ -235,10 +246,10 @@ def main(argv: list[str]) -> int:
         print(f"{command}: {len(pairs)} differ")
         for a, b in pairs:
             show(a, b)
-    print_non_json(old, new)
+    non_canonical = print_json_counts(old, new)
     count = sum(len(pairs) for pairs in differing.values())
     print(f"{len(old)} reports, {count} differ")
-    return 1 if count else 0
+    return 1 if count or non_canonical else 0
 
 
 if __name__ == "__main__":
