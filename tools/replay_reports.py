@@ -180,14 +180,14 @@ def print_json_counts(old: list[dict], new: list[dict]) -> int:
     many are not the canonical text, old then new; returns the new tree's
     count of non-canonical reports."""
     total = Counter(r["command"] for r in new if r["format"] == "json")
-    counts = list(zip(json_counts(old), json_counts(new)))
-    titles = ("holding Infinity or NaN", "not in canonical json.dumps text")
-    for title, (a, b) in zip(titles, counts):
+    (old_tokens, old_other), (new_tokens, new_other) = json_counts(old), json_counts(new)
+    for title, a, b in (("holding Infinity or NaN", old_tokens, new_tokens),
+                        ("not in canonical json.dumps text", old_other, new_other)):
         print(f"JSON reports {title}, old -> new:")
         for command in sorted(total):
             print(f"  {command}: {a[command]} -> {b[command]} of {total[command]}")
         print(f"  all commands: {sum(a.values())} -> {sum(b.values())} of {sum(total.values())}")
-    return sum(counts[1][1].values())
+    return sum(new_other.values())
 
 
 def print_digests(reports: list[dict]) -> None:
