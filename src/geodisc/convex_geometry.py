@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from itertools import combinations, islice
 
 import numpy as np
 
@@ -455,44 +454,48 @@ class Ball(ConvexDomainModel):
         return len(self.center)
 
 
-# For unit normals: rows are dependent below this volume, and a ray recedes
-# while it breaks no constraint by more than this rate.
-_RANK_TOL = _RAY_TOL = 1e-12
+# rank cut for unit normals, and the largest ||A^T y|| / sum(y) of a balancing y
+_RANK_TOL = 1e-12
 
 
 def _is_bounded(normals: np.ndarray) -> bool:
     """Whether {z : Re<a_j, z> <= b_j} is bounded, for unit normals a_j: iff
-    no real d != 0 has A d <= 0, the rows of A being (Re a_j, Im a_j).  A
-    rank deficit gives such a d; at full rank the cone {A d <= 0} is pointed
-    and nonzero iff it has an extreme ray, the null line of 2n - 1
-    independent rows on a side where A d <= 0.  Every such row set is tried."""
+    no real d != 0 has A d <= 0, rows (Re a_j, Im a_j), iff A has full rank
+    and A^T y = 0 for some y > 0 (Stiemke).  Here y = 1 + x, x >= 0 solving
+    A^T x = -A^T 1 in least squares by Lawson & Hanson's active set (Solving
+    Least Squares Problems, 1974, ch. 23) in at most 3m steps, stopped when
+    the index it last freed solves to <= 0, which only rounding allows."""
     A = np.hstack([normals.real, normals.imag])
     m, dim = A.shape
     if np.linalg.matrix_rank(A, tol=_RANK_TOL) < dim:
         return False
-    minor_cols = np.array([[c for c in range(dim) if c != j] for j in range(dim)])
-    row_sets = combinations(range(m), dim - 1)
-    while batch := list(islice(row_sets, 4096)):
-        rows = A[np.array(batch)]
-        # the generalized cross product of the rows spans their null line;
-        # its norm is the volume they span.  Where a subnormal pivot is due,
-        # det can read it as 0 and divide by zero in its log; the 0 it then
-        # returns is off by far less than _RANK_TOL (the rows are unit normals)
-        with np.errstate(divide="ignore"):
-            minors = np.linalg.det(np.moveaxis(rows[:, :, minor_cols], 2, 1))
-        rays = minors * (-1.0) ** np.arange(dim)
-        volumes = np.linalg.norm(rays, axis=1)
-        keep = volumes > _RANK_TOL
-        rates = rays[keep] @ A.T / volumes[keep, None]
-        if np.any(np.all(rates <= _RAY_TOL, axis=1) | np.all(rates >= -_RAY_TOL, axis=1)):
-            return False
-    return True
+    f, x, free = -A.sum(axis=0), np.zeros(m), np.zeros(m, bool)
+    for _ in range(3 * m):
+        z = np.zeros(m)
+        z[free] = np.linalg.lstsq(A[free].T, f)[0]
+        drop = free & (z <= 0.0)
+        if (drop & (x == 0.0)).any():  # the index last freed: its step is 0 / 0
+            break
+        if drop.any():  # step toward z until the first weight reaches 0
+            steps = x[drop] / (x[drop] - z[drop])
+            x += steps.min() * (z - x)
+            x[np.flatnonzero(drop)[steps.argmin()]] = 0.0
+            free &= x > 0.0
+            continue
+        x = z
+        gain = np.where(free, -np.inf, A @ (f - x @ A))
+        if gain.max() <= 0.0:
+            break
+        free[gain.argmax()] = True
+    return bool(np.linalg.norm((1.0 + x) @ A) <= _RANK_TOL * (m + x.sum()))
 
 
 @dataclass(frozen=True)
 class HalfspaceIntersection(ConvexDomainModel):
     """Intersection of Re<a_j, z> <= b_j; must contain the interior point and
-    be bounded (checked exactly on the recession cone)."""
+    be bounded (:func:`_is_bounded`).  The normals are made unit in one
+    :func:`numerics.power_of_two_scaled` call and one pass of row norms, each
+    ``np.linalg.norm``'s to the bit."""
 
     constraints: tuple[tuple[np.ndarray, float], ...]
     interior_point: np.ndarray = None
@@ -506,8 +509,15 @@ class HalfspaceIntersection(ConvexDomainModel):
         if any(len(a) != dim for a, _ in cons):
             raise ValueError("inconsistent constraint dimensions")
         object.__setattr__(self, "constraints", cons)
-        pieces = tuple(_unit_halfspace(a, b) for a, b in cons)
-        object.__setattr__(self, "pieces", pieces)
+        w, e = power_of_two_scaled(np.array([a for a, _ in cons]))
+        norms = np.sqrt(np.vecdot(w.real, w.real) + np.vecdot(w.imag, w.imag))
+        if not norms.all():
+            raise ValueError("halfspace normal must be nonzero")
+        normals = w / norms[:, None]
+        object.__setattr__(self, "pieces", tuple(
+            HalfspaceConstraint(a, math.ldexp(b / norm, -k))
+            for a, (_, b), norm, k in zip(normals, cons, norms.tolist(), e.tolist())
+        ))
         anchor = (
             np.zeros(dim, dtype=complex)
             if self.interior_point is None
@@ -516,7 +526,7 @@ class HalfspaceIntersection(ConvexDomainModel):
         object.__setattr__(self, "interior_point", anchor)
         if self.signed_gap(anchor) >= 0.0:
             raise ValueError("interior point is not inside")
-        if not _is_bounded(np.array([piece.normal for piece in pieces])):
+        if not _is_bounded(normals):
             raise ValueError("halfspace intersection is unbounded")
 
     @property
@@ -633,16 +643,6 @@ def _scaled_norm(u: np.ndarray) -> tuple[np.ndarray, float, int]:
     """(w, ||w||, e) with u = w 2^e, w by :func:`numerics.power_of_two_scaled`."""
     w, e = power_of_two_scaled(u)
     return w, float(np.linalg.norm(w)), int(e)
-
-
-def _unit_halfspace(a: np.ndarray, b: float) -> HalfspaceConstraint:
-    """Re<a, z> <= b with its normal scaled to unit length; the norm of a is
-    taken through :func:`_scaled_norm`, so tiny and huge normals neither
-    under- nor overflow."""
-    w, norm, e = _scaled_norm(a)
-    if norm == 0.0:
-        raise ValueError("halfspace normal must be nonzero")
-    return HalfspaceConstraint(w / norm, math.ldexp(b / norm, -e))
 
 
 def _check_ray(domain: ConvexDomainModel, z, u) -> tuple[np.ndarray, np.ndarray]:

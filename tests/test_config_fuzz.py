@@ -1,4 +1,4 @@
-"""Float-leaf fuzz of the CLI: bad numbers fail by name, never as a warning.
+"""Config fuzz of the CLI: bad numbers and shapes fail by name, never as a warning.
 
 Each float leaf of one workload-style config per command is set in turn to
 each of ``EXTREMES``, and every config runs through ``cli.main`` in-process
@@ -6,10 +6,12 @@ with its JSON report written to a temp dir.  Every run exits with the code
 ``EXIT_CODES`` pins for it; an exit 1 writes one stderr line and no report;
 no ``RuntimeWarning`` is raised; and a report is strict JSON, written as
 ``json.dumps(..., sort_keys=True, indent=2)`` writes it, subnormal and
-near-overflow leaves included.  ``hl-bound`` is left out: its
+near-overflow leaves included.  Each list and object of the same configs,
+the configs themselves included, is also set in turn to each of ``SHAPES``,
+and each of those runs exits 1 the same way.  ``hl-bound`` is left out: its
 divergent verdict is written as ``Infinity``, which the benchmark's check
 pins.  The enumeration is exhaustive and deterministic, so no seed is
-needed; it runs 576 configs in about 2 s.
+needed; it runs 576 number configs and 684 shape configs in about 3 s.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import pytest
 from geodisc import cli
 
 EXTREMES = (5e-324, 1e-300, 1e300, 1.7e308)
+SHAPES = ([], [[]], {}, "x", True, None)
 
 FLAT = {"kind": "flat_model", "C": 1.0, "alpha": 0.5, "R0": 0.111, "s0": 0.08}
 FLAT_SLICE = {"kind": "flat_slice", "domain": FLAT, "center": [0.0, 0.04], "radius": 0.04}
@@ -99,18 +102,19 @@ EXIT_CODES = {
 }
 
 
-def float_leaves(value, path=()):
-    """The paths to the float leaves of a JSON value, in document order."""
-    if isinstance(value, float):
+def nodes(value, kinds, path=()):
+    """The paths to the nodes of a JSON value that are of ``kinds``, in
+    document order."""
+    if isinstance(value, kinds):
         yield path
-    elif isinstance(value, (dict, list)):
+    if isinstance(value, (dict, list)):
         items = value.items() if isinstance(value, dict) else enumerate(value)
         for key, item in items:
-            yield from float_leaves(item, (*path, key))
+            yield from nodes(item, kinds, (*path, key))
 
 
 def with_leaf(value, path, leaf):
-    """A copy of ``value`` with the leaf at ``path`` replaced."""
+    """A copy of ``value`` with the node at ``path`` replaced by ``leaf``."""
     if not path:
         return leaf
     copy = dict(value) if isinstance(value, dict) else list(value)
@@ -122,39 +126,48 @@ def not_json(token):
     raise ValueError(f"non-JSON token {token}")
 
 
+def run(tmp_path, command, config) -> tuple[int, list[str]]:
+    """The exit code of one in-process run of ``config``, and its problems:
+    each ``RuntimeWarning``, and on exit 1 a stderr that is not one named
+    line or a report left behind.  A report is left at ``tmp_path /
+    "report.json"``."""
+    path, out = tmp_path / "config.json", tmp_path / "report.json"
+    path.write_text(json.dumps(config))
+    out.unlink(missing_ok=True)
+    stderr = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, redirect_stderr(stderr):
+        warnings.simplefilter("always")
+        code = cli.main([command, "--config", str(path), "--out", str(out)])
+    problems = [f"{w.category.__name__}: {w.message}" for w in caught
+                if issubclass(w.category, RuntimeWarning)]
+    if code == 1:
+        lines = stderr.getvalue().splitlines()
+        if len(lines) != 1 or not lines[0].startswith("geodisc: error: "):
+            problems.append(f"stderr {stderr.getvalue()!r}")
+        if out.exists():
+            problems.append("a report after exit 1")
+    return code, problems
+
+
 def test_every_command_but_hl_bound_is_fuzzed():
     assert sorted(CONFIGS) == sorted(set(cli.COMMANDS) - {"hl-bound"})
     assert sorted(EXIT_CODES) == sorted(CONFIGS)
     for command, codes in EXIT_CODES.items():
-        assert len(codes) == len(EXTREMES) * len(list(float_leaves(CONFIGS[command])))
+        assert len(codes) == len(EXTREMES) * len(list(nodes(CONFIGS[command], float)))
 
 
 @pytest.mark.parametrize("command", sorted(CONFIGS))
 def test_extreme_float_leaves_fail_by_name(tmp_path, command):
     base = CONFIGS[command]
-    config, out = tmp_path / "config.json", tmp_path / "report.json"
     failures, codes = [], iter(EXIT_CODES[command])
-    for path in float_leaves(base):
+    for path in nodes(base, float):
         for leaf in EXTREMES:
-            config.write_text(json.dumps(with_leaf(base, path, leaf)))
-            stderr = io.StringIO()
-            with warnings.catch_warnings(record=True) as caught, redirect_stderr(stderr):
-                warnings.simplefilter("always")
-                code = cli.main([command, "--config", str(config), "--out", str(out)])
-            where = f"{'.'.join(map(str, path))} = {leaf!r}"
-            problems = [f"{w.category.__name__}: {w.message}" for w in caught
-                        if issubclass(w.category, RuntimeWarning)]
+            code, problems = run(tmp_path, command, with_leaf(base, path, leaf))
             pinned = int(next(codes))
             if code != pinned:
                 problems.append(f"exit {code!r}, pinned {pinned}")
-            if code == 1:
-                lines = stderr.getvalue().splitlines()
-                if len(lines) != 1 or not lines[0].startswith("geodisc: error: "):
-                    problems.append(f"stderr {stderr.getvalue()!r}")
-                if out.exists():
-                    problems.append("a report after exit 1")
-            elif code in (0, 2):
-                text = out.read_text()
+            if code in (0, 2):
+                text = (tmp_path / "report.json").read_text()
                 try:
                     report = json.loads(text, parse_constant=not_json)
                 except ValueError as exc:
@@ -162,6 +175,22 @@ def test_extreme_float_leaves_fail_by_name(tmp_path, command):
                 else:
                     if text != json.dumps(report, sort_keys=True, indent=2) + "\n":
                         problems.append("a report json.dumps would not write")
+            where = f"{'.'.join(map(str, path))} = {leaf!r}"
             failures += [f"{where}: {problem}" for problem in problems]
-            out.unlink(missing_ok=True)
+    assert not failures, "\n".join(failures[:10])
+
+
+@pytest.mark.parametrize("command", sorted(CONFIGS))
+def test_wrong_shapes_fail_by_name(tmp_path, command):
+    # a list or object swapped for another shape is a named exit 1, never a
+    # traceback
+    base = CONFIGS[command]
+    failures = []
+    for path in nodes(base, (dict, list)):
+        for shape in SHAPES:
+            code, problems = run(tmp_path, command, with_leaf(base, path, shape))
+            if code != 1:
+                problems.append(f"exit {code!r}")
+            where = f"{'.'.join(map(str, path)) or 'the config'} = {json.dumps(shape)}"
+            failures += [f"{where}: {problem}" for problem in problems]
     assert not failures, "\n".join(failures[:10])

@@ -387,8 +387,8 @@ def test_halfspace_boundedness_matches_linear_programming():
     # has a finite max and min over it
     optimize = pytest.importorskip("scipy.optimize")
     rng = np.random.default_rng(4)
-    for trial in range(50):
-        n, m = int(rng.integers(1, 3)), int(rng.integers(1, 9))
+    for trial in range(200):
+        n, m = int(rng.integers(1, 4)), int(rng.integers(1, 13))
         normals = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
         if trial % 2:  # normals in a half-plane of the first coordinate
             normals[:, 0] = abs(normals[:, 0].real) + 1j * normals[:, 0].imag
@@ -398,12 +398,55 @@ def test_halfspace_boundedness_matches_linear_programming():
                              bounds=(None, None)).status != 3
             for k in range(2 * n) for sign in (1.0, -1.0)
         )
-        cons = tuple((a, 1.0) for a in normals)
-        if bounded:
-            HalfspaceIntersection(cons)
-        else:
-            with pytest.raises(ValueError, match="unbounded"):
-                HalfspaceIntersection(cons)
+        assert builds(normals) == bounded
+
+
+def builds(normals) -> bool:
+    """Whether {Re<a_j, z> <= 1} passes the boundedness check; it holds 0."""
+    try:
+        HalfspaceIntersection(tuple((a, 1.0) for a in normals))
+    except ValueError as exc:
+        assert "unbounded" in str(exc)
+        return False
+    return True
+
+
+def eta_family(rng, eta: float, n: int, extra: int) -> np.ndarray:
+    """Normals in C^n whose rows in R^{2n} are e_1, -e_1 + eta e_2, -e_2 and
+    +-e_k (k > 2), then ``extra`` random nonnegative combinations of them,
+    each scaled to unit length and all turned by one random rotation.  The
+    recession cone {d : A d <= 0} is the ray of e_2 for eta = 0, a wedge for
+    eta < 0 and {0} for eta > 0, where its margin is eta: the set is bounded
+    iff eta > 0."""
+    eye = np.eye(2 * n)
+    rows = [eye[0], eta * eye[1] - eye[0], -eye[1], *eye[2:], *-eye[2:]]
+    rows += list(rng.random((extra, len(rows))) @ rows)
+    rows = np.array(rows) / np.linalg.norm(rows, axis=1)[:, None]
+    rotation, _ = np.linalg.qr(rng.standard_normal((2 * n, 2 * n)))
+    rows = rows[rng.permutation(len(rows))] @ rotation.T
+    return rows[:, :n] + 1j * rows[:, n:]
+
+
+@pytest.mark.parametrize("eta, bounded", [(1e-6, True), (1e-9, True), (0.0, False),
+                                          (-1e-9, False)])
+def test_halfspace_boundedness_near_the_recession_edge(eta, bounded):
+    rng = np.random.default_rng(8)
+    for _ in range(60):
+        normals = eta_family(rng, eta, int(rng.integers(1, 4)), int(rng.integers(0, 6)))
+        assert builds(normals) == bounded
+
+
+def test_many_halfspaces_build():
+    # the box of C^4 and 24 random normals: the 40 constraints once took
+    # minutes, when every set of 7 rows was tried
+    rng = np.random.default_rng(40)
+    extra = rng.standard_normal((24, 4)) + 1j * rng.standard_normal((24, 4))
+    box = [*np.eye(4), *-np.eye(4), *1j * np.eye(4), *-1j * np.eye(4)]
+    assert builds(box + list(extra))
+    # without -Re z_1 <= 1, and with Re a_1 >= 0 in every other normal, the
+    # set recedes along -e_1
+    extra[:, 0] = abs(extra[:, 0].real) + 1j * extra[:, 0].imag
+    assert not builds(box[:4] + box[5:] + list(extra))
 
 
 def test_boundary_distance_flat_model_against_dense_sampling():
@@ -1158,6 +1201,21 @@ def test_equal_radius_polydisc_permutation_invariance(seed, n):
     u, v = _complex_gaussian(rng, n), _complex_gaussian(rng, n)
     order = rng.permutation(n)
     assert_same_geometry(Polydisc((radius,) * n), z, u, v, lambda w: w[order])
+
+
+@given(SEEDS, st.sampled_from([1, 2, 3]),
+       st.just(0.0) | st.floats(-6.0, 0.0).map(lambda k: 10.0**k)
+       | st.floats(-6.0, 0.0).map(lambda k: -(10.0**k)),
+       st.floats(-150.0, 150.0))
+@settings(max_examples=60, deadline=None)
+def test_boundedness_does_not_depend_on_scale_or_unitary_maps(seed, n, eta, k):
+    # a_j -> lambda U a_j maps the set by a biholomorphism, so its verdict
+    # stays; the squares of the scaled normals' entries under- or overflow
+    rng = np.random.default_rng(seed)
+    normals = eta_family(rng, eta, n, int(rng.integers(0, 6)))
+    unitary, _ = np.linalg.qr(_complex_gaussian(rng, n, n))
+    assert builds(normals) == (eta > 0.0)
+    assert builds(10.0**k * normals @ unitary.T) == (eta > 0.0)
 
 
 # --- convexity spot checks ---------------------------------------------------
