@@ -464,12 +464,15 @@ def _is_bounded(normals: np.ndarray) -> bool:
     and A^T y = 0 for some y > 0 (Stiemke).  Here y = 1 + x, x >= 0 solving
     A^T x = -A^T 1 in least squares by Lawson & Hanson's active set (Solving
     Least Squares Problems, 1974, ch. 23) in at most 3m steps, stopped when
-    the index it last freed solves to <= 0, which only rounding allows."""
+    the index it last freed solves to <= 0, or when a passive set it has
+    solved comes back: the steps from it then repeat, and the residual
+    ||A^T (1 + x)|| can fall no further.  Only rounding allows either."""
     A = np.hstack([normals.real, normals.imag])
     m, dim = A.shape
     if np.linalg.matrix_rank(A, tol=_RANK_TOL) < dim:
         return False
     f, x, free = -A.sum(axis=0), np.zeros(m), np.zeros(m, bool)
+    solved = set()
     for _ in range(3 * m):
         z = np.zeros(m)
         z[free] = np.linalg.lstsq(A[free].T, f)[0]
@@ -483,6 +486,9 @@ def _is_bounded(normals: np.ndarray) -> bool:
             free &= x > 0.0
             continue
         x = z
+        if free.tobytes() in solved:
+            break
+        solved.add(free.tobytes())
         gain = np.where(free, -np.inf, A @ (f - x @ A))
         if gain.max() <= 0.0:
             break

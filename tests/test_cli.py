@@ -1289,21 +1289,6 @@ def test_flat_model_fields_reject_other_domains(tmp_path, capsys):
     assert "candidate.domain.kind: unknown domain kind 'polydisc'" in capsys.readouterr().err
 
 
-def test_readme_configs_parse(tmp_path):
-    # each shell example parses and runs with the exit code its comment states
-    text = README.read_text()
-    blocks = re.findall(
-        r"cat > (\S+) <<'JSON'\n(.*?)\nJSON\n.*?geodisc (\S+) --config \1([^\n]*)", text, re.S
-    )
-    assert blocks and len(blocks) == text.count("<<'JSON'")
-    for name, body, command, rest in blocks:
-        cfg = json.loads(body)
-        cli.parse_config(command, cfg)
-        stated = re.search(r"# .*\bexits? (\d)", rest)
-        assert stated, rest
-        assert cli.run(command, dict(cfg, out=str(tmp_path / name))) == int(stated.group(1))
-
-
 def readme_key_lists() -> dict[tuple[str, str], str]:
     """(list title, name) -> text of each "- `name`: ..." item in the lists
     of the README's config conventions."""

@@ -1,25 +1,34 @@
-"""Config fuzz of the CLI: bad numbers and shapes fail by name, never as a warning.
+"""In-process runs of the CLI: bad input fails by name, never as a warning,
+and every report is the text json.dumps writes.
 
-Each float leaf of one workload-style config per command is set in turn to
-each of ``EXTREMES``, and every config runs through ``cli.main`` in-process
-with its JSON report written to a temp dir.  Every run exits with the code
-``EXIT_CODES`` pins for it; an exit 1 writes one stderr line and no report;
-no ``RuntimeWarning`` is raised; and a report is strict JSON, written as
-``json.dumps(..., sort_keys=True, indent=2)`` writes it, subnormal and
-near-overflow leaves included.  Each list and object of the same configs,
-the configs themselves included, is also set in turn to each of ``SHAPES``,
-and each of those runs exits 1 the same way.  ``hl-bound`` is left out: its
-divergent verdict is written as ``Infinity``, which the benchmark's check
-pins.  The enumeration is exhaustive and deterministic, so no seed is
-needed; it runs 576 number configs and 684 shape configs in about 3 s.
+:func:`run` judges each run.  Each float leaf of one workload-style config
+per command is set in turn to each of ``EXTREMES``, and every config runs
+through ``cli.main`` with its JSON report written to a temp dir.  Every run
+exits with the code ``EXIT_CODES`` pins for it; an exit 1 writes one stderr
+line and no report; no ``RuntimeWarning`` is raised; no temp file is left;
+and a report is strict JSON, written as ``json.dumps(..., sort_keys=True,
+indent=2)`` writes it, subnormal and near-overflow leaves included.  Each
+list and object of the same configs, the configs themselves included, is
+also set in turn to each of ``SHAPES``, and each scalar leaf (numbers, each
+``[re, im]`` part, every ``kind``) to each of ``SCALARS``; each of those
+runs exits 1 the same way.  ``hl-bound`` is left out: its divergent verdict
+is written as ``Infinity``, which the benchmark's check pins.  The
+enumeration is exhaustive and deterministic, so no seed is needed; it runs
+576 number configs, 684 shape configs and 696 scalar configs in about 4 s.
+The README's shell examples run here too, each as its shell line is
+written, and a line that writes ``--out`` runs twice.
 """
 
 from __future__ import annotations
 
+import glob
 import io
 import json
+import re
+import shlex
 import warnings
-from contextlib import redirect_stderr
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +36,8 @@ from geodisc import cli
 
 EXTREMES = (5e-324, 1e-300, 1e300, 1.7e308)
 SHAPES = ([], [[]], {}, "x", True, None)
+SCALARS = ("x", None, {}, [])
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 FLAT = {"kind": "flat_model", "C": 1.0, "alpha": 0.5, "R0": 0.111, "s0": 0.08}
 FLAT_SLICE = {"kind": "flat_slice", "domain": FLAT, "center": [0.0, 0.04], "radius": 0.04}
@@ -126,26 +137,57 @@ def not_json(token):
     raise ValueError(f"non-JSON token {token}")
 
 
-def run(tmp_path, command, config) -> tuple[int, list[str]]:
-    """The exit code of one in-process run of ``config``, and its problems:
-    each ``RuntimeWarning``, and on exit 1 a stderr that is not one named
-    line or a report left behind.  A report is left at ``tmp_path /
-    "report.json"``."""
-    path, out = tmp_path / "config.json", tmp_path / "report.json"
-    path.write_text(json.dumps(config))
-    out.unlink(missing_ok=True)
-    stderr = io.StringIO()
-    with warnings.catch_warnings(record=True) as caught, redirect_stderr(stderr):
+def run(argv: list[str]) -> tuple[int, str, list[str]]:
+    """One in-process run of ``geodisc`` with ``argv``, whose options are
+    ``--name value`` pairs, in the working directory: its exit code, its
+    report (the ``--out`` file's text, or stdout) and its problems.  These
+    are each ``RuntimeWarning``; any ``*.tmp`` file left behind; on exit 1, a
+    stderr that is not one named line or a report written; otherwise any
+    stderr, and a JSON report that is not strict JSON or not the text
+    ``json.dumps(report, sort_keys=True, indent=2)`` writes for it."""
+    options = dict(zip(argv[1::2], argv[2::2]))
+    out = Path(options["--out"]) if "--out" in options else None
+
+    def written() -> bytes | None:
+        return out.read_bytes() if out and out.is_file() else None
+
+    before = written()
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            redirect_stdout(stdout), redirect_stderr(stderr):
         warnings.simplefilter("always")
-        code = cli.main([command, "--config", str(path), "--out", str(out)])
+        code = cli.main(argv)
     problems = [f"{w.category.__name__}: {w.message}" for w in caught
                 if issubclass(w.category, RuntimeWarning)]
+    problems += [f"temp file {tmp} left" for tmp in sorted(glob.glob("*.tmp"))]
+    after = written()
+    text = stdout.getvalue() if out is None else (after or b"").decode()
     if code == 1:
         lines = stderr.getvalue().splitlines()
         if len(lines) != 1 or not lines[0].startswith("geodisc: error: "):
             problems.append(f"stderr {stderr.getvalue()!r}")
-        if out.exists():
+        if after != before or stdout.getvalue():
             problems.append("a report after exit 1")
+        return code, text, problems
+    if stderr.getvalue():
+        problems.append(f"stderr {stderr.getvalue()!r}")
+    if options.get("--format", "json") == "json":
+        try:
+            report = json.loads(text, parse_constant=not_json)
+        except ValueError as exc:
+            problems.append(f"report: {exc}")
+        else:
+            if text != json.dumps(report, sort_keys=True, indent=2) + "\n":
+                problems.append("a report json.dumps would not write")
+    return code, text, problems
+
+
+def run_config(command, config) -> tuple[int, list[str]]:
+    """:func:`run` of ``command`` on ``config``, written to ``config.json``,
+    with its report written to ``report.json``: the exit code and the
+    problems."""
+    Path("config.json").write_text(json.dumps(config))
+    code, _, problems = run([command, "--config", "config.json", "--out", "report.json"])
     return code, problems
 
 
@@ -157,40 +199,80 @@ def test_every_command_but_hl_bound_is_fuzzed():
 
 
 @pytest.mark.parametrize("command", sorted(CONFIGS))
-def test_extreme_float_leaves_fail_by_name(tmp_path, command):
+def test_extreme_float_leaves_fail_by_name(tmp_path, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
     base = CONFIGS[command]
     failures, codes = [], iter(EXIT_CODES[command])
     for path in nodes(base, float):
         for leaf in EXTREMES:
-            code, problems = run(tmp_path, command, with_leaf(base, path, leaf))
+            code, problems = run_config(command, with_leaf(base, path, leaf))
             pinned = int(next(codes))
             if code != pinned:
                 problems.append(f"exit {code!r}, pinned {pinned}")
-            if code in (0, 2):
-                text = (tmp_path / "report.json").read_text()
-                try:
-                    report = json.loads(text, parse_constant=not_json)
-                except ValueError as exc:
-                    problems.append(str(exc))
-                else:
-                    if text != json.dumps(report, sort_keys=True, indent=2) + "\n":
-                        problems.append("a report json.dumps would not write")
             where = f"{'.'.join(map(str, path))} = {leaf!r}"
             failures += [f"{where}: {problem}" for problem in problems]
     assert not failures, "\n".join(failures[:10])
 
 
-@pytest.mark.parametrize("command", sorted(CONFIGS))
-def test_wrong_shapes_fail_by_name(tmp_path, command):
-    # a list or object swapped for another shape is a named exit 1, never a
-    # traceback
-    base = CONFIGS[command]
-    failures = []
-    for path in nodes(base, (dict, list)):
-        for shape in SHAPES:
-            code, problems = run(tmp_path, command, with_leaf(base, path, shape))
+def swaps_that_fail(command, kinds, swaps) -> list[str]:
+    """The problems of each config with one node of ``kinds`` swapped for one
+    of ``swaps``, each of which must be a named exit 1."""
+    base, failures = CONFIGS[command], []
+    for path in nodes(base, kinds):
+        for swap in swaps:
+            code, problems = run_config(command, with_leaf(base, path, swap))
             if code != 1:
                 problems.append(f"exit {code!r}")
-            where = f"{'.'.join(map(str, path)) or 'the config'} = {json.dumps(shape)}"
+            where = f"{'.'.join(map(str, path)) or 'the config'} = {json.dumps(swap)}"
             failures += [f"{where}: {problem}" for problem in problems]
+    return failures
+
+
+@pytest.mark.parametrize("command", sorted(CONFIGS))
+def test_wrong_shapes_fail_by_name(tmp_path, monkeypatch, command):
+    # a list or object swapped for another shape is a named exit 1, never a
+    # traceback
+    monkeypatch.chdir(tmp_path)
+    failures = swaps_that_fail(command, (dict, list), SHAPES)
     assert not failures, "\n".join(failures[:10])
+
+
+@pytest.mark.parametrize("command", sorted(CONFIGS))
+def test_wrong_scalars_fail_by_name(tmp_path, monkeypatch, command):
+    # a number, boolean or string (each [re, im] part and every kind
+    # included) swapped for a string, null, object or list is a named exit 1
+    monkeypatch.chdir(tmp_path)
+    failures = swaps_that_fail(command, (int, float, str), SCALARS)
+    assert not failures, "\n".join(failures[:10])
+
+
+def test_readme_examples_run_as_written(tmp_path, monkeypatch):
+    # each `cat > f.json <<'JSON'` block of the README, and the geodisc line
+    # right after it, runs as its shell would run it; the line's comment
+    # states the exit code, and a line that writes --out runs again over its
+    # own report, which must come back byte-identical
+    text = README.read_text()
+    blocks = re.findall(r"cat > (\S+) <<'JSON'\n(.*?)\nJSON\n(geodisc [^\n]*)", text, re.S)
+    assert blocks and len(blocks) == text.count("<<'JSON'"), "a JSON block without its line"
+    monkeypatch.chdir(tmp_path)
+    failures = []
+    for name, body, line in blocks:
+        Path(name).write_text(body + "\n")
+        argv, stated = shlex.split(line, comments=True)[1:], re.search(r"#.*\bexits? (\d)", line)
+        if not stated or argv[1:3] != ["--config", name]:
+            failures.append(f"no stated exit code or not --config {name}: {line}")
+            continue
+        code, report, problems = run(argv)
+        if code != int(stated[1]):
+            problems.append(f"exit {code}, stated {stated[1]}")
+        if not report:
+            problems.append("no report")
+        if "--out" in argv:
+            rerun, again, more = run(argv)
+            problems += more
+            if rerun != code:
+                problems.append(f"rerun exit {rerun}")
+            if again != report:
+                problems.append("the report moved on its rerun")
+        failures += [f"{line}: {problem}" for problem in problems]
+    assert not failures, "\n".join(failures)

@@ -61,6 +61,8 @@ def test_phi_alpha_values():
     assert abs(phi_alpha(0.5, 2.0) - math.exp(-4.0)) < 1e-15
     with pytest.raises(ValueError):
         phi_alpha(-0.1, 1.0)
+    with pytest.raises(ValueError, match="alpha must be positive"):
+        phi_alpha(0.5, 0.0)
 
 
 def test_phi_alpha_inv_values_and_round_trip():
@@ -81,6 +83,9 @@ def test_phi_alpha_inv_values_and_round_trip():
     assert abs(value - 0.5 * (lo + hi)) < 1e-10
     with pytest.raises(ValueError, match="outside inverse domain"):
         phi_alpha_inv(2.5, 2.0, 0.5)
+    for C, alpha in ((0.0, 0.5), (2.0, -0.5)):
+        with pytest.raises(ValueError, match="C and alpha must be positive"):
+            phi_alpha_inv(0.1, C, alpha)
 
 
 def test_x0_cap_no_crossing_case():
@@ -436,6 +441,20 @@ def test_halfspace_boundedness_near_the_recession_edge(eta, bounded):
         assert builds(normals) == bounded
 
 
+@pytest.mark.parametrize("eta, draw, solves", [(-1e-9, 25, 7), (1e-9, 616, 9)])
+def test_halfspace_boundedness_stops_when_a_passive_set_comes_back(monkeypatch, eta, draw,
+                                                                  solves):
+    # draws of the loop above (m = 7 in C^2) on which the active set went
+    # round the same passive sets until its cap of 3m = 21 solves
+    rng = np.random.default_rng(8)
+    for _ in range(draw + 1):
+        normals = eta_family(rng, eta, int(rng.integers(1, 4)), int(rng.integers(0, 6)))
+    calls, lstsq = [], np.linalg.lstsq
+    monkeypatch.setattr(np.linalg, "lstsq", lambda *args: calls.append(1) or lstsq(*args))
+    assert builds(normals) == (eta > 0)
+    assert len(calls) == solves
+
+
 def test_many_halfspaces_build():
     # the box of C^4 and 24 random normals: the 40 constraints once took
     # minutes, when every set of 7 rows was tried
@@ -675,8 +694,10 @@ def test_flat_support_rejects_R0_past_the_convexity_cap_at_any_scale():
 
 
 def boundary_points_outside():
-    """Points half the membership tolerance outside one constraint, which
-    membership calls "boundary", each with the outward direction there."""
+    """Points at most the membership tolerance outside one constraint, which
+    membership calls "boundary", each with a direction that leaves at once:
+    the outward one, or the tangent a whole tolerance below the graph's
+    lowest point."""
     flat = flat_domain()
     s = flat.support
     rho = 0.5 * s.R0
@@ -686,12 +707,14 @@ def boundary_points_outside():
         "flat cap": (flat, [0.0, 1j * (s.s0 + 0.5 * MEMBERSHIP_TOL)], [0.0, 1.0j]),
         "flat graph": (flat, [rho, below_graph], [0.0, -1.0j]),
         "flat cylinder": (flat, [s.R0 + 0.5 * MEMBERSHIP_TOL, 0.05j], [1.0, 0.0]),
+        "flat axis tangent": (flat, [0.0, -1j * MEMBERSHIP_TOL], [1.0, 0.0]),
     }
 
 
 @pytest.mark.parametrize("case", sorted(boundary_points_outside()))
 def test_queries_at_a_boundary_point_outside_are_zero(case):
-    # the constraint's own answer there is minus its gap, about -5e-13
+    # the constraint's own answer there is minus its gap, about -5e-13, or
+    # no room at all a whole tolerance out
     domain, z, u = boundary_points_outside()[case]
     assert domain.membership(z) == "boundary"
     assert exit_time(domain, z, u) == 0.0

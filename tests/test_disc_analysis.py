@@ -451,6 +451,15 @@ def test_conjugate_requires_real_samples():
         conjugate_function(BoundarySamples(64, values, 1.0))
 
 
+@pytest.mark.parametrize("values, message", [
+    (np.zeros(63), "values do not match grid size"),
+    (np.array([math.nan] + [0.0] * 63), "boundary values must be finite"),
+], ids=["a row short", "nan"])
+def test_boundary_samples_reject_values_that_do_not_fit(values, message):
+    with pytest.raises(ValueError, match=message):
+        BoundarySamples(64, values, 1.0)
+
+
 def test_conjugate_requires_power_of_two():
     with pytest.raises(ValueError, match="power of two"):
         conjugate_function(_real_samples(np.zeros(96)))

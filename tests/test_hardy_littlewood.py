@@ -20,6 +20,7 @@ from geodisc.disc_analysis import (
 )
 from geodisc.hardy_littlewood import (
     Majorant,
+    MajorantReport,
     kernel_bound_check,
     omega_bound,
     phi_log_l1,
@@ -93,6 +94,12 @@ def test_verify_majorant_tiny_window_stays_inside_disc():
     report = verify_majorant(identity_map(), Majorant.power(1e-13, 1.0, 0.0))
     assert report.max_violation == 0.0
     assert 1.0 - 1e-13 < report.worst_r < 1.0
+
+
+def test_verify_majorant_under_an_infinite_majorant_finds_no_violation():
+    report = verify_majorant(identity_map(), Majorant(lambda x: math.inf, 0.5))
+    assert report == MajorantReport(-math.inf, 0.0, 0.0, -math.inf)
+    assert report.verified()
 
 
 def test_verify_majorant_rejects_window_below_double_resolution():
@@ -358,6 +365,14 @@ def test_lower_end_at_the_least_subnormal():
 def test_omega_bound_linear_phi():
     phi = Majorant(lambda x: x, 0.5)  # not monotone; the bound still works
     assert abs(omega_bound(phi, 0.2) - 0.06) < 1e-9
+
+
+def test_family_majorant_outside_its_domain():
+    # Phi blows up at 0 and is undefined from K2 on
+    fam = Majorant.family(K1=1.0, K2=math.e, alpha=0.5, r0=0.5)
+    assert fam.evaluate(0.0) == fam.evaluate(-1.0) == math.inf
+    with pytest.raises(ValueError, match="outside majorant domain"):
+        fam.evaluate(math.e)
 
 
 def test_omega_bound_family_antiderivative():

@@ -75,6 +75,22 @@ def test_empty_interval_rejected():
         integrate_endpoint(lambda x: np.ones_like(x), 1.0, 1.0)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: integrate_endpoint(lambda x: np.ones_like(x), -1.0, 1.0),
+    lambda: integrate_log_moment(lambda u: -u, [0], -1.0),
+], ids=["integrate_endpoint", "integrate_log_moment"])
+def test_a_negative_lower_end_is_rejected(call):
+    with pytest.raises(ValueError, match="lower endpoint must be nonnegative"):
+        call()
+
+
+@pytest.mark.parametrize("f", [lambda x: x[1:], lambda x: x[None, None]],
+                         ids=["a node short", "three axes"])
+def test_gauss_panel_rejects_an_integrand_of_the_wrong_shape(f):
+    with pytest.raises(ValueError, match="one value per node"):
+        numerics.gauss_panel(f, 0.0, 1.0, 8)
+
+
 def test_nonfinite_integrand_rejected():
     with pytest.raises(ValueError, match="integrand not finite"):
         integrate_endpoint(lambda x: np.full_like(x, math.inf), 0.0, 1.0)
@@ -420,6 +436,13 @@ def test_bisection_exp_shift():
             hi = mid
     assert abs(root - 0.5 * (lo + hi)) < 1e-10
     assert abs(root - 0.09995) < 1e-4
+
+
+@pytest.mark.parametrize("target", [0.0, 1.0])
+def test_root_at_an_end_is_that_end_after_two_calls(target):
+    calls = []
+    assert solve_monotone(lambda x: calls.append(x) or x, 0.0, 1.0, target) == target
+    assert calls == [0.0, 1.0]
 
 
 def test_bisection_requires_bracket():
