@@ -635,6 +635,28 @@ def test_a_failed_write_leaves_the_old_report(tmp_path, capsys, monkeypatch):
     assert os.listdir(tmp_path / "out") == ["report.json"]
 
 
+def test_an_interrupted_write_removes_its_temp_file(tmp_path, monkeypatch):
+    # an exception that is not an OSError passes through main as it is
+    (tmp_path / "out").mkdir()
+    code, out = run_cli(tmp_path, "flat-x0", X0, name="out/report.json")
+    old = out.read_bytes()
+
+    def interrupt(data):
+        raise KeyboardInterrupt
+
+    def interrupted(file, mode="r", *args, **kwargs):
+        fh = open(file, mode, *args, **kwargs)
+        if "x" in mode:
+            fh.write = interrupt
+        return fh
+
+    monkeypatch.setattr(cli, "open", interrupted, raising=False)
+    with pytest.raises(KeyboardInterrupt):
+        run_cli(tmp_path, "flat-x0", dict(X0, C=2.0), name="out/report.json")
+    assert out.read_bytes() == old
+    assert os.listdir(tmp_path / "out") == ["report.json"]
+
+
 def test_a_write_error_names_the_report_path(tmp_path, capsys):
     # it named the temp file, whose random name changed from run to run
     errors = []

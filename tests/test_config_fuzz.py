@@ -184,9 +184,10 @@ def run(argv: list[str]) -> tuple[int, str, list[str]]:
 
 def run_config(command, config) -> tuple[int, list[str]]:
     """:func:`run` of ``command`` on ``config``, written to ``config.json``,
-    with its report written to ``report.json``: the exit code and the
-    problems."""
+    with its report written to ``report.json``, which no earlier run has
+    left there: the exit code and the problems."""
     Path("config.json").write_text(json.dumps(config))
+    Path("report.json").unlink(missing_ok=True)
     code, _, problems = run([command, "--config", "config.json", "--out", "report.json"])
     return code, problems
 
