@@ -485,10 +485,10 @@ def _is_bounded(normals: np.ndarray) -> bool:
             x[np.flatnonzero(drop)[steps.argmin()]] = 0.0
             free &= x > 0.0
             continue
-        x = z
-        if free.tobytes() in solved:
+        x, key = z, free.tobytes()
+        if key in solved:
             break
-        solved.add(free.tobytes())
+        solved.add(key)
         gain = np.where(free, -np.inf, A @ (f - x @ A))
         if gain.max() <= 0.0:
             break
