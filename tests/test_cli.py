@@ -639,6 +639,7 @@ def test_an_interrupted_write_removes_its_temp_file(tmp_path, monkeypatch):
     # an exception that is not an OSError passes through main as it is
     (tmp_path / "out").mkdir()
     code, out = run_cli(tmp_path, "flat-x0", X0, name="out/report.json")
+    assert code == 0
     old = out.read_bytes()
 
     def interrupt(data):
