@@ -8,6 +8,7 @@ continuity classes built from log-weighted Dini integrals.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
@@ -34,7 +35,9 @@ class UnitDiscFunction:
     """A holomorphic map of the unit disc into C^m, evaluated on arrays.
 
     ``evaluate`` takes a 1-d array of points with |zeta| < 1, shape (N,),
-    and returns their values, shape (N, m) with m = ``dimension``.
+    and returns their values, shape (N, m) with m = ``dimension``.  The
+    points are read-only: :func:`boundary_samples` passes one grid shared by
+    every call of its size, and a write into it raises.
     ``derivative``, when supplied, is the analytic derivative under the same
     contract and is cross-checked against the Cauchy integral in the test
     suite.  ``values`` evaluates points of any shape S, a single point
@@ -233,22 +236,25 @@ class ModulusFamily:
         return np.where(positive, values, 0.0).reshape(x.shape)[()]
 
 
+def _row_squares(rows: np.ndarray) -> np.ndarray:
+    """Sums of squares over the last axis: squared real parts, then squared
+    imaginary parts, added in order, as ``np.sum`` adds below 8 terms.  The
+    caller sets the error state."""
+    re, im = (sum((p[..., k] ** 2 for k in range(1, p.shape[-1])), p[..., 0] ** 2)
+              for p in (rows.real, rows.imag))
+    return re + im
+
+
 def row_norms(values: np.ndarray) -> np.ndarray:
-    """Euclidean norms over the last axis: squared real parts, then squared
-    imaginary parts, added in order, as ``np.sum`` adds below 8 terms.  A
+    """Euclidean norms over the last axis, from :func:`_row_squares`.  A
     row whose sum of squares is no normal double is scaled first, by
     :func:`numerics.power_of_two_scaled`."""
-    def squares(rows):
-        re, im = (sum((p[..., k] ** 2 for k in range(1, p.shape[-1])), p[..., 0] ** 2)
-                  for p in (rows.real, rows.imag))
-        return re + im
-
     with np.errstate(over="ignore", under="ignore"):
-        norms = np.sqrt(sq := squares(values))
+        norms = np.sqrt(sq := _row_squares(values))
         rescale = (sq == math.inf) | (sq < np.finfo(float).tiny)  # a 0 row stays 0
         if rescale.any():
             scaled, e = power_of_two_scaled(values[rescale])
-            norms[rescale] = np.ldexp(np.sqrt(squares(scaled)), e)
+            norms[rescale] = np.ldexp(np.sqrt(_row_squares(scaled)), e)
     return norms
 
 
@@ -279,25 +285,41 @@ def derivative_at(f: UnitDiscFunction, zeta) -> np.ndarray:
     return _on_points(f.derivative, zeta, f.dimension)
 
 
-def _radial_tails(f: UnitDiscFunction, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """f at the last radius of ``RADIAL_TAIL`` on each ray e^{i theta},
-    shape (n, m), and the Cauchy flags, shape (n,): true where each step of
-    the tail moved by less than 1e-6, all tails scaled as one vector by
-    :func:`numerics.power_of_two_scaled`.  One evaluation of f on the (n, 4) grid."""
-    zeta = np.empty((len(thetas), len(RADIAL_TAIL)), dtype=complex)
+@functools.lru_cache(maxsize=4)
+def _tail_grid(n: int) -> np.ndarray:
+    """The points r e^{i theta_k} for every node of the n-point grid and
+    every radius of ``RADIAL_TAIL``, shape (n, 4), built once per grid size
+    and read-only: evaluators share it."""
+    thetas = 2.0 * math.pi * np.arange(n) / n
+    zeta = np.empty((n, len(RADIAL_TAIL)), dtype=complex)
     zeta.real = np.multiply.outer(np.cos(thetas), RADIAL_TAIL)
     zeta.imag = np.multiply.outer(np.sin(thetas), RADIAL_TAIL)
-    tails = f.values(zeta)
+    zeta.flags.writeable = False
+    return zeta
+
+
+def _radial_tails(f: UnitDiscFunction, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """f at the last radius of ``RADIAL_TAIL`` on each ray of the n-point
+    grid, shape (n, m) and contiguous, and the Cauchy flags, shape (n,): true
+    where each step of the tail moved by less than 1e-6, all tails scaled as
+    one vector by :func:`numerics.power_of_two_scaled`.  One evaluation of f
+    on the (n, 4) grid; the flags go step by step, each step's norm read as
+    sqrt of its :func:`_row_squares`.  That is :func:`row_norms`' flag: the
+    rows it rescales have a sum of squares below the least normal double
+    (a norm far below 1e-6) or inf (a norm not below it)."""
+    tails = f.values(_tail_grid(n))
     scaled = power_of_two_scaled(tails.reshape(-1))[0].reshape(tails.shape)
-    moves = row_norms(scaled[:, 1:] - scaled[:, :-1])
-    return tails[:, -1], np.all(moves < _RADIAL_TOL, axis=1)
+    flags = np.ones(n, dtype=bool)
+    with np.errstate(over="ignore", under="ignore"):
+        for j in range(1, len(RADIAL_TAIL)):
+            flags &= np.sqrt(_row_squares(scaled[:, j] - scaled[:, j - 1])) < _RADIAL_TOL
+    return np.ascontiguousarray(tails[:, -1]), flags
 
 
 def boundary_samples(f: UnitDiscFunction, n: int) -> BoundarySamples:
     """Radial limits at every grid node; the Cauchy-flag fraction is the
     uniformity diagnostic."""
-    grid_size(n)
-    values, flags = _radial_tails(f, 2.0 * math.pi * np.arange(n) / n)
+    values, flags = _radial_tails(f, grid_size(n))
     return BoundarySamples(n, values, RADIAL_TAIL[-1], int(np.count_nonzero(flags)) / n)
 
 

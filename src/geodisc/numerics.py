@@ -429,7 +429,7 @@ def power_of_two_scaled(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     part.  Exact while every scaled entry stays normal; those more than
     about 2^1022 below the largest still underflow."""
     parts = np.ascontiguousarray(values, dtype=complex).view(float)  # re, im in one pass
-    top = np.abs(parts).max(axis=-1, initial=0.0)
+    top = np.maximum(parts.max(axis=-1, initial=0.0), -parts.min(axis=-1, initial=0.0))
     inside = (2.0**-480 <= top) & (top <= 2.0**480)
     if inside.all():
         return values, np.zeros(top.shape, int)

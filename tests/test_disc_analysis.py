@@ -22,6 +22,8 @@ from geodisc.disc_analysis import (
     _LAG_BLOCK,
     _aligned_empty,
     _lag_maxima,
+    _radial_tails,
+    _tail_grid,
     boundary_samples,
     conjugate_function,
     constant_map,
@@ -34,10 +36,11 @@ from geodisc.disc_analysis import (
     pz_bound,
     row_norms,
     scalar_function,
+    stack_components,
     vector_function,
 )
 from geodisc.hardy_littlewood import Majorant, verify_majorant
-from geodisc.numerics import integrate_endpoint
+from geodisc.numerics import integrate_endpoint, power_of_two_scaled
 from geodisc.kobayashi import GeodesicCandidate, flat_slice_candidate, mercer_fit
 
 
@@ -226,6 +229,70 @@ def test_evaluator_of_wrong_dimension_is_rejected():
     f = UnitDiscFunction(lambda z: np.zeros((len(z), 3), dtype=complex), 2)
     with pytest.raises(ValueError, match="wrong dimension"):
         f(0.5)
+
+
+def test_an_evaluator_that_writes_into_its_points_raises_and_harms_no_later_call():
+    before = boundary_samples(identity_map(), 64)
+
+    def scribble(z):
+        z *= 0.5
+        return stack_components(z, z)
+
+    with pytest.raises(ValueError, match="read-only"):
+        boundary_samples(UnitDiscFunction(scribble, 1), 64)
+    after = boundary_samples(identity_map(), 64)
+    assert np.array_equal(after.values, before.values)
+    assert after.cauchy_fraction == before.cauchy_fraction == 1.0
+
+
+def test_an_evaluator_that_returns_its_points_samples_as_the_identity():
+    samples = boundary_samples(UnitDiscFunction(lambda z: z[:, None], 1), 64)
+    expected = boundary_samples(identity_map(), 64)
+    assert np.array_equal(samples.values, expected.values)
+    assert samples.cauchy_fraction == expected.cauchy_fraction
+    assert samples.values.flags.c_contiguous and samples.values.flags.writeable
+    assert not np.shares_memory(samples.values, _tail_grid(64))
+
+
+def row_norm_flags(f: UnitDiscFunction, n: int) -> np.ndarray:
+    """The Cauchy flags as row_norms reads them: every step of all n tails
+    at once, scaled as one vector, then each ray's three norms."""
+    thetas = 2.0 * math.pi * np.arange(n) / n
+    zeta = np.empty((n, len(RADIAL_TAIL)), dtype=complex)
+    zeta.real = np.multiply.outer(np.cos(thetas), RADIAL_TAIL)
+    zeta.imag = np.multiply.outer(np.sin(thetas), RADIAL_TAIL)
+    tails = f.values(zeta)
+    scaled = power_of_two_scaled(tails.reshape(-1))[0].reshape(tails.shape)
+    return np.all(row_norms(scaled[:, 1:] - scaled[:, :-1]) < 1e-6, axis=1)
+
+
+@given(
+    power=st.floats(-300.0, 300.0),
+    dimension=st.integers(1, 3),
+    gain=st.floats(3.0, 6.0),
+    n=st.sampled_from([8, 96, 1000]),
+)
+@settings(max_examples=40, deadline=None)
+def test_cauchy_flags_are_the_row_norm_flags(power, dimension, gain, n):
+    lam = 10.0**power
+    # |f'| = gain |1 + z| runs from 0 to 2 gain on the circle, so the first
+    # step's move, 2^-22 |f'|, runs from 0 past 1e-6
+    straddle = UnitDiscFunction(
+        lambda z: stack_components(z, *(gain * (z + 0.5 * z * z) for _ in range(dimension))),
+        dimension)
+    maps = {
+        "scaled": UnitDiscFunction(
+            lambda z: stack_components(z, *(lam * z**k for k in range(1, dimension + 1))),
+            dimension),
+        "constant": constant_map([lam * (1.0 - 0.5j)] * dimension),
+        "straddle": straddle,
+    }
+    for name, f in maps.items():
+        values, flags = _radial_tails(f, n)
+        assert np.array_equal(flags, row_norm_flags(f, n)), name
+        assert np.array_equal(values, f.values(_tail_grid(n))[:, -1]), name
+    assert np.all(_radial_tails(maps["constant"], n)[1])
+    assert 0 < np.count_nonzero(_radial_tails(straddle, n)[1]) < n
 
 
 # --- modulus of continuity -------------------------------------------------

@@ -37,7 +37,7 @@ from geodisc.disc_analysis import (
     stack_components,
 )
 from geodisc.kobayashi import MetricBounds, graham_bounds, nonextending_geodesic
-from geodisc.numerics import integrate_log_moment
+from geodisc.numerics import integrate_log_moment, power_of_two_scaled
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "geodisc"
 TINY = np.finfo(float).tiny
@@ -185,3 +185,33 @@ def test_log_moments_scale_by_powers_of_two(a, lower, k):
         want = math.ldexp(p.value, k)
         assert s.converged and p.converged
         assert abs(s.value - want) <= 1e-12 * want + unit
+
+
+def abs_scaled(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """power_of_two_scaled with its largest part read off the absolute
+    values, as the rule was first written."""
+    parts = np.ascontiguousarray(values, dtype=complex).view(float)
+    top = np.abs(parts).max(axis=-1, initial=0.0)
+    inside = (2.0**-480 <= top) & (top <= 2.0**480)
+    if inside.all():
+        return values, np.zeros(top.shape, int)
+    e = np.where(inside, 0, np.frexp(top)[1])
+    half = e[..., None] // 2
+    w = np.array(values).view(float) * np.ldexp(1.0, -half) * np.ldexp(1.0, half - e[..., None])
+    return w.view(values.dtype), e
+
+
+EDGE_PARTS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2e-308, 1e-200, 0.75, -3.0, 1e200,
+              -1.7e308, math.inf, -math.inf, math.nan]
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.integers(1, 5), width=st.integers(1, 3), data=st.data())
+def test_largest_part_from_max_and_min_keeps_the_scaling(rows, width, data):
+    parts = data.draw(st.lists(st.sampled_from(EDGE_PARTS), min_size=2 * rows * width,
+                               max_size=2 * rows * width))
+    values = np.array(parts).view(complex).reshape(rows, width)
+    w, e = power_of_two_scaled(values)
+    expected_w, expected_e = abs_scaled(values)
+    assert np.array_equal(e, expected_e)
+    assert np.array_equal(w.view(np.uint64), expected_w.view(np.uint64))
