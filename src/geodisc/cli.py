@@ -174,11 +174,13 @@ def _monomial(degree: int, coefficient: complex) -> da.UnitDiscFunction:
         raise ValueError("monomial degree must be nonnegative")
     if not _is_real(degree):
         raise ValueError("monomial degree must be finite as a double")
+    # np.multiply(c, tmp), not c * tmp: numpy computes the operator in place
+    # as tmp * c once the temporary tmp holds 256 KB, and that rounds otherwise
     return da.UnitDiscFunction(
-        lambda z: da.stack_components(z, coefficient * z**degree),
+        lambda z: da.stack_components(z, np.multiply(coefficient, z**degree)),
         1,
         lambda z: da.stack_components(
-            z, coefficient * degree * z ** (degree - 1) if degree else 0.0
+            z, np.multiply(coefficient * degree, z ** (degree - 1)) if degree else 0.0
         ),
     )
 

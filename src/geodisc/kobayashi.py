@@ -67,8 +67,10 @@ def disc_automorphism(a: complex, phi: float = 0.0) -> UnitDiscFunction:
     rot = cmath.exp(1j * phi)
     abar = complex(a).conjugate()
     scale = rot * (1.0 - abs(a) ** 2)
+    # np.multiply(rot, tmp), not rot * tmp, which numpy computes in place as
+    # tmp * rot once the temporary holds 256 KB, rounding otherwise
     return UnitDiscFunction(
-        lambda z: stack_components(z, rot * (z - a) / (1.0 - abar * z)),
+        lambda z: stack_components(z, np.multiply(rot, z - a) / (1.0 - abar * z)),
         1,
         lambda z: stack_components(z, scale / (1.0 - abar * z) ** 2),
     )
