@@ -3,15 +3,18 @@
 ``tools/bench_pairs.py`` writes one file per claim: alternating benchmark
 runs in a parent and a change tree, with each side's commit, environment
 line, runs and per-metric median and quartiles, and each metric's win
-count.  Reading the files costs milliseconds; the runs themselves stay out
-of the suite.  The summaries and win counts are recomputed from the runs
-with the script's own ``summary`` and ``wins``.
+count, and, in files written since work counts were added, each side's
+traced run with every per-layer metric.  Reading the files costs
+milliseconds; the runs themselves stay out of the suite.  The summaries and
+win counts are recomputed from the runs with the script's own ``summary``
+and ``wins``.
 """
 
 from __future__ import annotations
 
 import importlib.util
 import json
+import math
 import re
 from pathlib import Path
 
@@ -21,8 +24,22 @@ ROOT = Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
 bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
-END_TO_END = bench_pairs.end_to_end(ROOT)
+END_TO_END = bench_pairs.declared(ROOT, "end_to_end")
+PER_LAYER = bench_pairs.declared(ROOT, "per_layer")
+SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
+COUNTS = {m["name"] for m in SPEC["per_layer"] if m["unit"] in ("count", "B")}
 SIDES = bench_pairs.SIDES
+
+
+def check_trace(trace: dict) -> None:
+    """A traced run: its outcome and every per-layer metric, each count a
+    whole number and every value finite and nonnegative."""
+    assert set(trace) == {"correct", "attempted", "failed", "metrics"}
+    assert type(trace["correct"]) is bool and 0 <= trace["failed"] <= trace["attempted"]
+    assert set(trace["metrics"]) == set(PER_LAYER)
+    for name, value in trace["metrics"].items():
+        assert type(value) is float and 0.0 <= value < math.inf, name
+        assert name not in COUNTS or value == int(value), name
 
 
 @pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")), ids=lambda p: p.name)
@@ -36,9 +53,14 @@ def test_bench_file_schema(path):
     pairs = bench["pairs"]
     assert pairs >= 2
     values = {}
+    traced = {"trace" in bench[side] for side in SIDES}
+    assert len(traced) == 1  # both sides or neither
     for side in SIDES:
         info = bench[side]
-        assert set(info) == {"commit", "dirty", "environment", "runs", "metrics"}
+        assert set(info) == {"commit", "dirty", "environment", "runs", "metrics"} | (
+            {"trace"} if traced == {True} else set())
+        if "trace" in info:
+            check_trace(info["trace"])
         assert re.fullmatch("[0-9a-f]{40}", info["commit"]) and type(info["dirty"]) is bool
         assert info["environment"].startswith("environment: nproc=")
         assert len(info["runs"]) == pairs
@@ -55,3 +77,12 @@ def test_bench_file_schema(path):
     for name, better in END_TO_END.items():
         assert bench["wins"][name] == bench_pairs.wins(values["parent"][name],
                                                        values["change"][name], better)
+
+
+def test_a_trace_without_a_metric_or_with_a_fractional_count_is_refused():
+    metrics = {name: 1.0 for name in PER_LAYER}
+    check_trace({"correct": True, "attempted": 2, "failed": 0, "metrics": metrics})
+    count = sorted(COUNTS)[0]
+    for bad in ({k: v for k, v in metrics.items() if k != count}, {**metrics, count: 1.5}):
+        with pytest.raises(AssertionError):
+            check_trace({"correct": True, "attempted": 2, "failed": 0, "metrics": bad})

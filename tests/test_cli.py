@@ -26,22 +26,25 @@ from geodisc.convex_geometry import (
     Polydisc,
     boundary_distance,
 )
+from test_config_fuzz import not_json, run
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(tmp_path, command, cfg, fmt="json", name="report.json"):
+    """``command`` on ``cfg`` with its report at ``tmp_path / name``, judged
+    by the fuzz's :func:`run`: the exit code and the report path.  A problem
+    ``run`` finds fails the calling test; the run's stderr is written back
+    to ``sys.stderr``, where ``capsys`` reads it."""
     config = tmp_path / "config.json"
     config.write_text(json.dumps(cfg))
     out = tmp_path / name
-    code = main(
+    code, _, problems, err = run(
         [command, "--config", str(config), "--out", str(out), "--format", fmt]
     )
+    sys.stderr.write(err)
+    assert not problems, problems
     return code, out
-
-
-def not_json(token):
-    raise ValueError(f"non-JSON token {token}")
 
 
 def test_hl_bound_constant_majorant(tmp_path):

@@ -21,7 +21,6 @@ written, and a line that writes ``--out`` runs twice.
 
 from __future__ import annotations
 
-import glob
 import io
 import json
 import re
@@ -137,13 +136,14 @@ def not_json(token):
     raise ValueError(f"non-JSON token {token}")
 
 
-def run(argv: list[str]) -> tuple[int, str, list[str]]:
+def run(argv: list[str]) -> tuple[int, str, list[str], str]:
     """One in-process run of ``geodisc`` with ``argv``, whose options are
-    ``--name value`` pairs, in the working directory: its exit code, its
-    report (the ``--out`` file's text, or stdout) and its problems.  These
-    are each ``RuntimeWarning``; any ``*.tmp`` file left behind; on exit 1, a
-    stderr that is not one named line or a report written; otherwise any
-    stderr, and a JSON report that is not strict JSON or not the text
+    ``--name value`` pairs: its exit code, its report (the ``--out`` file's
+    text, or stdout), its problems and its stderr.  The problems are each
+    ``RuntimeWarning``; any ``*.tmp`` file left beside the report (in the
+    working directory without ``--out``); on exit 1, a stderr that is not
+    one named line or a report written; otherwise any stderr, and a JSON
+    report that is not strict JSON or not the text
     ``json.dumps(report, sort_keys=True, indent=2)`` writes for it."""
     options = dict(zip(argv[1::2], argv[2::2]))
     out = Path(options["--out"]) if "--out" in options else None
@@ -159,7 +159,8 @@ def run(argv: list[str]) -> tuple[int, str, list[str]]:
         code = cli.main(argv)
     problems = [f"{w.category.__name__}: {w.message}" for w in caught
                 if issubclass(w.category, RuntimeWarning)]
-    problems += [f"temp file {tmp} left" for tmp in sorted(glob.glob("*.tmp"))]
+    folder = out.parent if out else Path()
+    problems += [f"temp file {tmp} left" for tmp in sorted(folder.glob("*.tmp"))]
     after = written()
     text = stdout.getvalue() if out is None else (after or b"").decode()
     if code == 1:
@@ -168,7 +169,7 @@ def run(argv: list[str]) -> tuple[int, str, list[str]]:
             problems.append(f"stderr {stderr.getvalue()!r}")
         if after != before or stdout.getvalue():
             problems.append("a report after exit 1")
-        return code, text, problems
+        return code, text, problems, stderr.getvalue()
     if stderr.getvalue():
         problems.append(f"stderr {stderr.getvalue()!r}")
     if options.get("--format", "json") == "json":
@@ -179,7 +180,7 @@ def run(argv: list[str]) -> tuple[int, str, list[str]]:
         else:
             if text != json.dumps(report, sort_keys=True, indent=2) + "\n":
                 problems.append("a report json.dumps would not write")
-    return code, text, problems
+    return code, text, problems, stderr.getvalue()
 
 
 def run_config(command, config) -> tuple[int, list[str]]:
@@ -188,7 +189,7 @@ def run_config(command, config) -> tuple[int, list[str]]:
     left there: the exit code and the problems."""
     Path("config.json").write_text(json.dumps(config))
     Path("report.json").unlink(missing_ok=True)
-    code, _, problems = run([command, "--config", "config.json", "--out", "report.json"])
+    code, _, problems, _ = run([command, "--config", "config.json", "--out", "report.json"])
     return code, problems
 
 
@@ -263,13 +264,13 @@ def test_readme_examples_run_as_written(tmp_path, monkeypatch):
         if not stated or argv[1:3] != ["--config", name]:
             failures.append(f"no stated exit code or not --config {name}: {line}")
             continue
-        code, report, problems = run(argv)
+        code, report, problems, _ = run(argv)
         if code != int(stated[1]):
             problems.append(f"exit {code}, stated {stated[1]}")
         if not report:
             problems.append("no report")
         if "--out" in argv:
-            rerun, again, more = run(argv)
+            rerun, again, more, _ = run(argv)
             problems += more
             if rerun != code:
                 problems.append(f"rerun exit {rerun}")

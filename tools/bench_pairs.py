@@ -16,6 +16,12 @@ with sorted keys:
   files differ from it), the environment line ``run.py`` prints, every
   run's ``correct``, ``attempted``, ``failed`` and end-to-end metrics in
   run order, and each metric's median and quartiles over the runs;
+- ``trace`` in ``parent`` and ``change``: one more run of the same seed
+  with ``--trace 1``, after the pairs, its ``correct``, ``attempted`` and
+  ``failed`` and every per-layer metric of ``BENCHMARK.json``: each span's
+  call count and self time, each work count, and ``trace_overhead``.  The
+  counts do not depend on the machine, so a count that differs between the
+  sides is a change in the work done, whatever the wall times say;
 - ``wins``: per metric, the pairs each side won by the metric's declared
   direction; a tie counts for neither side;
 - ``script_s``: this script's own wall time.
@@ -46,11 +52,11 @@ SIDES = ("parent", "change")
 SECONDS = 20
 
 
-def end_to_end(tree: Path) -> dict[str, str]:
-    """Each end-to-end metric of ``tree``'s BENCHMARK.json and its better
-    direction, "higher" or "lower"."""
+def declared(tree: Path, kind: str) -> dict[str, str]:
+    """Each metric of ``kind`` ("end_to_end" or "per_layer") in ``tree``'s
+    BENCHMARK.json and its better direction, "higher" or "lower"."""
     spec = json.loads((tree / "BENCHMARK.json").read_text())
-    return {m["name"]: m["better"] for m in spec["end_to_end"]}
+    return {m["name"]: m["better"] for m in spec[kind]}
 
 
 def commit(tree: Path) -> dict:
@@ -62,12 +68,12 @@ def commit(tree: Path) -> dict:
             "dirty": bool(git("status", "--porcelain", "--untracked-files=no"))}
 
 
-def run_once(tree: Path, workload: str, seed: int) -> tuple[dict, str]:
-    """One untraced benchmark run in ``tree``: its JSON result and its
-    environment line."""
+def run_once(tree: Path, workload: str, seed: int, trace: int = 0) -> tuple[dict, str]:
+    """One benchmark run in ``tree``, traced when ``trace`` is 1: its JSON
+    result and its environment line."""
     proc = subprocess.run(
         [sys.executable, "benchmarks/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(SECONDS)],
+         "--seconds", str(SECONDS), "--trace", str(trace)],
         cwd=tree, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"benchmarks/run.py failed in {tree}:\n{proc.stderr}")
@@ -90,10 +96,10 @@ def wins(parent: list[float], change: list[float], better: str) -> dict[str, int
     return {"parent": sum(m < 0.0 for m in margins), "change": sum(m > 0.0 for m in margins)}
 
 
-def side(info: dict, runs: list[dict], environment: str, metrics: dict) -> dict:
+def side(info: dict, runs: list[dict], environment: str, metrics: dict, trace: dict) -> dict:
     values = {name: [run["metrics"][name] for run in runs] for name in metrics}
     return {**info, "environment": environment, "runs": runs,
-            "metrics": {name: summary(v) for name, v in values.items()}}
+            "metrics": {name: summary(v) for name, v in values.items()}, "trace": trace}
 
 
 def record(result: dict, metrics: dict) -> dict:
@@ -121,7 +127,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     start = time.perf_counter()
     trees = dict(zip(SIDES, (args.parent.resolve(), args.change.resolve())))
-    metrics = end_to_end(trees["parent"])
+    metrics = declared(trees["parent"], "end_to_end")
     runs = {name: [] for name in SIDES}
     environments = {}
     for k in range(args.pairs):
@@ -131,10 +137,14 @@ def main(argv: list[str] | None = None) -> int:
             print(f"pair {k + 1}/{args.pairs} {name}: "
                   + " ".join(f"{m}={v:.4g}" for m, v in runs[name][-1]["metrics"].items()),
                   file=sys.stderr)
+    layers = declared(trees["parent"], "per_layer")
+    traces = {name: record(run_once(trees[name], args.workload, args.seed, trace=1)[0], layers)
+              for name in SIDES}
     bench = {
         "label": args.label, "workload": args.workload, "seed": args.seed,
         "pairs": args.pairs, "seconds": SECONDS,
-        **{name: side(commit(trees[name]), runs[name], environments[name], metrics)
+        **{name: side(commit(trees[name]), runs[name], environments[name], metrics,
+                      traces[name])
            for name in SIDES},
         "wins": {name: wins(*([run["metrics"][name] for run in runs[s]] for s in SIDES),
                             better) for name, better in metrics.items()},
