@@ -11,7 +11,6 @@ from .convex_geometry import (
     MetricBounds,
     Polydisc,
     boundary_distance,
-    exit_time,
     graham_bounds,
     inscribed_disc_radius,
     phi_alpha,

@@ -358,7 +358,9 @@ def _cmd_geodesic_probe(candidate, **options):
 
 
 def _cmd_pipeline(domain, candidate):
-    report = kb.theorem_pipeline(domain, candidate)
+    if candidate.domain != domain:
+        raise ConfigError("candidate domain does not match the pipeline domain")
+    report = kb.theorem_pipeline(candidate)
     payload = {"ok": report.ok, "stages": [asdict(s) for s in report.stages]}
     return payload, lambda: [
         {"stage": s.name, "status": s.status} for s in report.stages
@@ -402,7 +404,7 @@ COMMANDS: dict[str, tuple[Callable, dict]] = {
     "pipeline": (_cmd_pipeline, {"domain": FLAT_MODEL, "candidate": CANDIDATE}),
 }
 
-_GLOBAL_FIELDS = {"command": Opt(TEXT), "format": Opt(FORMAT, "json"), "out": Opt(TEXT)}
+_GLOBAL_FIELDS = {"format": Opt(FORMAT, "json"), "out": Opt(TEXT)}
 
 
 def parse_config(command: str, cfg: dict) -> dict:
@@ -410,11 +412,7 @@ def parse_config(command: str, cfg: dict) -> dict:
     ``format`` and ``out``, read from ``cfg``."""
     if command not in COMMANDS:
         raise ConfigError(f"unknown command '{command}'")
-    args = parse({**COMMANDS[command][1], **_GLOBAL_FIELDS}, cfg)
-    named = args.pop("command", command)
-    if named != command:
-        raise ConfigError(f"command: config command '{named}' does not match '{command}'")
-    return args
+    return parse({**COMMANDS[command][1], **_GLOBAL_FIELDS}, cfg)
 
 
 def _json_scalar(value):

@@ -246,16 +246,11 @@ def _row_squares(rows: np.ndarray) -> np.ndarray:
 
 
 def row_norms(values: np.ndarray) -> np.ndarray:
-    """Euclidean norms over the last axis, from :func:`_row_squares`.  A
-    row whose sum of squares is no normal double is scaled first, by
-    :func:`numerics.power_of_two_scaled`."""
+    """Euclidean norms over the last axis: each row scaled by
+    :func:`numerics.power_of_two_scaled`, then :func:`_row_squares`."""
     with np.errstate(over="ignore", under="ignore"):
-        norms = np.sqrt(sq := _row_squares(values))
-        rescale = (sq == math.inf) | (sq < np.finfo(float).tiny)  # a 0 row stays 0
-        if rescale.any():
-            scaled, e = power_of_two_scaled(values[rescale])
-            norms[rescale] = np.ldexp(np.sqrt(_row_squares(scaled)), e)
-    return norms
+        scaled, e = power_of_two_scaled(values)
+        return np.ldexp(np.sqrt(_row_squares(scaled)), e)
 
 
 def derivative_centered(f: UnitDiscFunction, zeta) -> np.ndarray:
@@ -305,8 +300,8 @@ def _radial_tails(f: UnitDiscFunction, n: int) -> tuple[np.ndarray, np.ndarray]:
     one vector by :func:`numerics.power_of_two_scaled`.  One evaluation of f
     on the (n, 4) grid; the flags go step by step, each step's norm read as
     sqrt of its :func:`_row_squares`.  That is :func:`row_norms`' flag: the
-    rows it rescales have a sum of squares below the least normal double
-    (a norm far below 1e-6) or inf (a norm not below it)."""
+    rows it scales have a largest part below 2^-480 (a norm far below 1e-6)
+    or above 2^480 (a norm far above it)."""
     tails = f.values(_tail_grid(n))
     scaled = power_of_two_scaled(tails.reshape(-1))[0].reshape(tails.shape)
     flags = np.ones(n, dtype=bool)
@@ -460,8 +455,11 @@ class LogDiniReport:
     surrogate for the all-n condition, not a proof.
     """
 
-    n_max: int
     results: tuple[QuadratureResult, ...]
+
+    @property
+    def n_max(self) -> int:
+        return len(self.results) - 1
 
     @property
     def verdicts(self) -> tuple[str, ...]:
@@ -481,4 +479,4 @@ def log_dini_test(omega: ModulusFamily, n_max: int = 6) -> LogDiniReport:
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     results = tuple(integrate_log_moment(omega.log_modulus, range(n_max + 1), 0.0))
-    return LogDiniReport(n_max, results)
+    return LogDiniReport(results)

@@ -286,8 +286,9 @@ _MAJORANT_R0 = 0.25
 _PROBE_N_THETA = 4096
 
 
-def theorem_pipeline(domain: FlatModelDomain, candidate: GeodesicCandidate) -> PipelineReport:
-    """Chain the stages of the continuous-extension argument on a flat model.
+def theorem_pipeline(candidate: GeodesicCandidate) -> PipelineReport:
+    """Chain the stages of the continuous-extension argument on a candidate
+    in a flat model, its own ``candidate.domain``.
 
     (i) properness diagnostic: the images of the 64 points on the circle of
     radius 0.999 must all lie within 0.05 of the boundary; (ii) the
@@ -299,11 +300,9 @@ def theorem_pipeline(domain: FlatModelDomain, candidate: GeodesicCandidate) -> P
     boundary-extension probe on 4096 nodes.  These counts and the 0.05 are
     fixed rules (the constants above), not options.  A properness failure
     skips the remaining stages; an unverified or divergent majorant is
-    reported and the probe still runs.  ``candidate`` must map into
-    ``domain`` itself.
+    reported and the probe still runs.
     """
-    if candidate.domain != domain:
-        raise ValueError("candidate domain does not match the pipeline domain")
+    domain: FlatModelDomain = candidate.domain
     s = domain.support
     stages: list[PipelineStage] = []
 

@@ -4,10 +4,12 @@
 runs in a parent and a change tree, with each side's commit, environment
 line, runs and per-metric median and quartiles, and each metric's win
 count, and, in files written since work counts were added, each side's
-traced run with every per-layer metric.  Reading the files costs
-milliseconds; the runs themselves stay out of the suite.  The summaries and
-win counts are recomputed from the runs with the script's own ``summary``
-and ``wins``.
+traced runs with every per-layer metric: one run in files without
+``traced_runs``, the median of three in those with it.  Reading the files
+costs milliseconds; the runs themselves stay out of the suite.  The
+summaries and win counts are recomputed from the runs with the script's own
+``summary`` and ``wins``; the run length and the workloads are those of
+``BENCHMARK.json``.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ _spec.loader.exec_module(bench_pairs)
 END_TO_END = bench_pairs.declared(ROOT, "end_to_end")
 PER_LAYER = bench_pairs.declared(ROOT, "per_layer")
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
-COUNTS = {m["name"] for m in SPEC["per_layer"] if m["unit"] in ("count", "B")}
+WORKLOADS = {w["name"] for w in SPEC["workloads"]}
+COUNTS = bench_pairs.counted(ROOT)
 SIDES = bench_pairs.SIDES
 
 
@@ -45,16 +48,18 @@ def check_trace(trace: dict) -> None:
 @pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")), ids=lambda p: p.name)
 def test_bench_file_schema(path):
     bench = json.loads(path.read_text())
-    assert set(bench) == {"label", "workload", "seed", "pairs", "seconds", "script_s", "wins",
-                          *SIDES}
+    assert set(bench) - {"traced_runs"} == {"label", "workload", "seed", "pairs", "seconds",
+                                            "script_s", "wins", *SIDES}
     assert path.name == f"BENCH_{bench['label']}.json"
-    assert bench["workload"] in ("probe", "flat_geometry", "quick_verdicts")
-    assert bench["seconds"] == 20 and bench["script_s"] > 0.0
+    assert bench["workload"] in WORKLOADS
+    assert bench["seconds"] == SPEC["run_seconds"] and bench["script_s"] > 0.0
     pairs = bench["pairs"]
     assert pairs >= 2
     values = {}
     traced = {"trace" in bench[side] for side in SIDES}
     assert len(traced) == 1  # both sides or neither
+    if "traced_runs" in bench:  # files written before it hold one traced run per side
+        assert traced == {True} and bench["traced_runs"] == bench_pairs.TRACED_RUNS
     for side in SIDES:
         info = bench[side]
         assert set(info) == {"commit", "dirty", "environment", "runs", "metrics"} | (
@@ -86,3 +91,15 @@ def test_a_trace_without_a_metric_or_with_a_fractional_count_is_refused():
     for bad in ({k: v for k, v in metrics.items() if k != count}, {**metrics, count: 1.5}):
         with pytest.raises(AssertionError):
             check_trace({"correct": True, "attempted": 2, "failed": 0, "metrics": bad})
+
+
+def test_traced_runs_merge_to_median_times_and_refuse_a_count_that_moves():
+    counts = {"attempted", "failed", "a.calls"}
+    runs = [{"correct": True, "attempted": 2, "failed": 0,
+             "metrics": {"a.calls": 3.0, "a.self_s": t}} for t in (0.3, 0.1, 0.2)]
+    assert bench_pairs.traced("parent", runs, counts) == {
+        "correct": True, "attempted": 2, "failed": 0,
+        "metrics": {"a.calls": 3.0, "a.self_s": 0.2}}
+    runs[1]["metrics"]["a.calls"] = 4.0
+    with pytest.raises(SystemExit, match=r"^change: a\.calls differs"):
+        bench_pairs.traced("change", runs, counts)

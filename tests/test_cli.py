@@ -26,7 +26,7 @@ from geodisc.convex_geometry import (
     Polydisc,
     boundary_distance,
 )
-from test_config_fuzz import not_json, run
+from test_config_fuzz import FLAT, FLAT_SLICE, not_json, run
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -326,13 +326,6 @@ def test_missing_key_rejected(tmp_path, capsys):
     assert "alpha" in capsys.readouterr().err
 
 
-def test_mismatched_command_rejected(tmp_path, capsys):
-    cfg = {"command": "flat-rho", "C": 1.0, "alpha": 1.0}
-    code, _ = run_cli(tmp_path, "flat-x0", cfg)
-    assert code == 1
-    assert "does not match" in capsys.readouterr().err
-
-
 def test_graham_command(tmp_path):
     cfg = {
         "domain": {"kind": "ball", "center": [[0.0, 0.0], [0.0, 0.0]], "radius": 1.0},
@@ -370,8 +363,6 @@ def test_mod_cont_scales_with_the_function(tmp_path, coefficient):
     assert np.all(np.abs(omegas(coefficient) - coefficient * unit) <= 1e-13 * coefficient * unit)
 
 
-FLAT = {"kind": "flat_model", "C": 1.0, "alpha": 0.5, "R0": 0.111, "s0": 0.08}
-FLAT_SLICE = {"kind": "flat_slice", "domain": FLAT, "center": [0.0, 0.04], "radius": 0.04}
 
 # Every command with one config and its exact JSON and CSV reports.  The CSV
 # headers of `graham`, `mercer-fit` and `rest-check` follow the field order of
@@ -880,6 +871,10 @@ BAD_CONFIGS = {
         "pipeline",
         {"domain": FLAT, "candidate": FLAT_SLICE, "majorant_alpha_override": 1.0},
         "majorant_alpha_override: unknown key",
+    ),
+    "command key": (
+        # the command comes from the command line alone
+        "flat-x0", {"command": "flat-x0", "C": 1.0, "alpha": 0.5}, "command: unknown key",
     ),
     "pipeline domain mismatch": (
         "pipeline",

@@ -11,10 +11,13 @@ indent=2)`` writes it, subnormal and near-overflow leaves included.  Each
 list and object of the same configs, the configs themselves included, is
 also set in turn to each of ``SHAPES``, and each scalar leaf (numbers, each
 ``[re, im]`` part, every ``kind``) to each of ``SCALARS``; each of those
-runs exits 1 the same way.  ``hl-bound`` is left out: its divergent verdict
-is written as ``Infinity``, which the benchmark's check pins.  The
-enumeration is exhaustive and deterministic, so no seed is needed; it runs
-576 number configs, 684 shape configs and 696 scalar configs in about 4 s.
+runs exits 1 the same way.  Each count leaf (an integer, not a boolean)
+is set in turn to each of ``COUNT_EDGES``, and each run exits with the code
+``COUNT_EXIT_CODES`` pins for it, judged as the float leaves are.
+``hl-bound`` is left out: its divergent verdict is written as ``Infinity``,
+which the benchmark's check pins.  The enumeration is exhaustive and
+deterministic, so no seed is needed; it runs 576 number configs, 35 count
+configs, 684 shape configs and 696 scalar configs in about 4 s.
 The README's shell examples run here too, each as its shell line is
 written, and a line that writes ``--out`` runs twice.
 """
@@ -34,6 +37,8 @@ import pytest
 from geodisc import cli
 
 EXTREMES = (5e-324, 1e-300, 1e300, 1.7e308)
+# the edges of a count: below 0, 0, 1, and either side of the least grid
+COUNT_EDGES = (-1, 0, 1, 7, 8)
 SHAPES = ([], [[]], {}, "x", True, None)
 SCALARS = ("x", None, {}, [])
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -112,10 +117,24 @@ EXIT_CODES = {
 }
 
 
+# each command's exit codes with each count leaf (an integer, not a
+# boolean) set to COUNT_EDGES in turn, in the same order: a degree of 0 is
+# a constant map, a grid of 8 is the least, and at 8 nodes neither of
+# mod-cont's deltas resolves
+COUNT_EXIT_CODES = {
+    "conjugate": "1000011110",
+    "geodesic-probe": "11110",
+    "hl-verify": "10000",
+    "log-dini": "10000",
+    "mercer-fit": "10000",
+    "mod-cont": "11111",
+}
+
+
 def nodes(value, kinds, path=()):
     """The paths to the nodes of a JSON value that are of ``kinds``, in
-    document order."""
-    if isinstance(value, kinds):
+    document order; a boolean is no count."""
+    if isinstance(value, kinds) and not (kinds is int and isinstance(value, bool)):
         yield path
     if isinstance(value, (dict, list)):
         items = value.items() if isinstance(value, dict) else enumerate(value)
@@ -198,21 +217,41 @@ def test_every_command_but_hl_bound_is_fuzzed():
     assert sorted(EXIT_CODES) == sorted(CONFIGS)
     for command, codes in EXIT_CODES.items():
         assert len(codes) == len(EXTREMES) * len(list(nodes(CONFIGS[command], float)))
+    counted = {command: len(COUNT_EDGES) * len(list(nodes(config, int)))
+               for command, config in CONFIGS.items()}
+    assert {command: len(codes) for command, codes in COUNT_EXIT_CODES.items()} == {
+        command: n for command, n in counted.items() if n}
 
 
-@pytest.mark.parametrize("command", sorted(CONFIGS))
-def test_extreme_float_leaves_fail_by_name(tmp_path, monkeypatch, command):
-    monkeypatch.chdir(tmp_path)
-    base = CONFIGS[command]
-    failures, codes = [], iter(EXIT_CODES[command])
-    for path in nodes(base, float):
-        for leaf in EXTREMES:
+def pinned_leaves_that_fail(command, kind, leaves, pins) -> list[str]:
+    """The problems of each config with one node of ``kind`` set to each of
+    ``leaves`` in turn, each exit code checked against the next digit of
+    ``pins``."""
+    base, failures, codes = CONFIGS[command], [], iter(pins)
+    for path in nodes(base, kind):
+        for leaf in leaves:
             code, problems = run_config(command, with_leaf(base, path, leaf))
             pinned = int(next(codes))
             if code != pinned:
                 problems.append(f"exit {code!r}, pinned {pinned}")
             where = f"{'.'.join(map(str, path))} = {leaf!r}"
             failures += [f"{where}: {problem}" for problem in problems]
+    return failures
+
+
+@pytest.mark.parametrize("command", sorted(CONFIGS))
+def test_extreme_float_leaves_fail_by_name(tmp_path, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    failures = pinned_leaves_that_fail(command, float, EXTREMES, EXIT_CODES[command])
+    assert not failures, "\n".join(failures[:10])
+
+
+@pytest.mark.parametrize("command", sorted(COUNT_EXIT_CODES))
+def test_count_leaves_at_their_edges_fail_by_name(tmp_path, monkeypatch, command):
+    # no count is set above the least grid: a huge grid is a memory test,
+    # which BAD_CONFIGS covers by name
+    monkeypatch.chdir(tmp_path)
+    failures = pinned_leaves_that_fail(command, int, COUNT_EDGES, COUNT_EXIT_CODES[command])
     assert not failures, "\n".join(failures[:10])
 
 

@@ -693,7 +693,7 @@ def test_pipeline_end_to_end_flat_slice():
     candidate = flat_slice_candidate(domain, 0.04j, 0.04)
     zeta = 0.999 * np.exp(2j * math.pi * np.arange(64) / 64)
     assert all(domain.membership(z) != "outside" for z in candidate.map.values(zeta))
-    report = theorem_pipeline(domain, candidate)
+    report = theorem_pipeline(candidate)
     stages = {stage.name: stage for stage in report.stages}
     assert list(stages) == ["properness", "rest_bound", "majorant_fit",
                             "majorant_integrable", "extension_probe"]
@@ -726,7 +726,7 @@ def test_pipeline_reads_each_zone_depth_once(monkeypatch):
 
     monkeypatch.setattr(FlatModelDomain, "zone_depth", counted)
     domain = pipeline_domain()
-    report = theorem_pipeline(domain, flat_slice_candidate(domain, 0.04j, 0.04))
+    report = theorem_pipeline(flat_slice_candidate(domain, 0.04j, 0.04))
     rest = report.stages[1]
     assert (rest.name, rest.status, rest.details["points"]) == ("rest_bound", "pass", 4)
     assert depths and max(depths.values()) == 1
@@ -745,7 +745,7 @@ def test_pipeline_rest_rows_are_rest_bound_check():
     zoned = [i for i in order if domain.zone_depth(images[i]) is not None]
     expected = [rest_bound_check(domain, images[i], derivative_at(candidate.map, ring[i]))
                 for i in zoned[:kobayashi._REST_POINTS]]
-    rows = theorem_pipeline(domain, candidate).stages[1].details["rows"]
+    rows = theorem_pipeline(candidate).stages[1].details["rows"]
     assert len(rows) == 4
     assert rows == [{"d": c.d, "radius": c.radius, "bound": c.bound} for c in expected]
 
@@ -760,7 +760,7 @@ def test_pipeline_majorant_fit_verifies_the_fitted_majorant(factor, verified):
     flat = flat_slice_candidate(domain, 0.04j, 0.04).map
     scaled = UnitDiscFunction(flat.evaluate, flat.dimension,
                               lambda z: factor * flat.derivative(z))
-    report = theorem_pipeline(domain, GeodesicCandidate(scaled, domain))
+    report = theorem_pipeline(GeodesicCandidate(scaled, domain))
     statuses = {stage.name: stage.status for stage in report.stages}
     fit = report.stages[2].details
     assert (fit["max_violation"] <= 0.0) is verified
@@ -776,7 +776,7 @@ def test_pipeline_flags_noninteg_majorant_at_alpha_one(monkeypatch):
     monkeypatch.setattr(kobayashi, "phi_log_l1", lambda family, n: diverged)
     domain = pipeline_domain()
     candidate = flat_slice_candidate(domain, 0.04j, 0.04)
-    report = theorem_pipeline(domain, candidate)
+    report = theorem_pipeline(candidate)
     stages = {stage.name: stage for stage in report.stages}
     assert stages["majorant_integrable"].status == "fail"
     assert stages["majorant_integrable"].details["note"] == "majorant not integrable"
@@ -784,18 +784,11 @@ def test_pipeline_flags_noninteg_majorant_at_alpha_one(monkeypatch):
     assert not report.ok
 
 
-def test_pipeline_rejects_candidate_on_another_domain():
-    domain = pipeline_domain()
-    other = FlatModelDomain(FlatSupport(2.0, 0.5, 1.0 / 9.0, 0.08))
-    with pytest.raises(ValueError, match="candidate domain does not match"):
-        theorem_pipeline(domain, flat_slice_candidate(other, 0.04j, 0.04))
-
-
 def test_pipeline_aborts_for_constant_map():
     # a roomier model: the constant image sits 0.15 > 0.05 from the boundary
     domain = FlatModelDomain(FlatSupport(1.0, 0.5, 1.0 / 9.0, 0.3))
     candidate = flat_slice_candidate(domain, 0.15j, 0.0)
-    report = theorem_pipeline(domain, candidate)
+    report = theorem_pipeline(candidate)
     stages = {stage.name: stage for stage in report.stages}
     assert stages["properness"].status == "fail"
     assert stages["rest_bound"].status == "skipped"

@@ -22,10 +22,10 @@ from pathlib import Path
 
 import geodisc
 from geodisc import cli, convex_geometry, disc_analysis, hardy_littlewood, kobayashi, numerics
+from test_config_fuzz import FLAT
 
 TRACING = Path(__file__).resolve().parent.parent / "benchmarks" / "tracing.py"
 MODULES = (geodisc, cli, convex_geometry, disc_analysis, hardy_littlewood, kobayashi, numerics)
-FLAT = {"kind": "flat_model", "C": 1.0, "alpha": 0.5, "R0": 0.111, "s0": 0.08}
 ON_FLAT = {"domain": FLAT, "point": [[0.0, 0.0], [0.0, 0.01]],
            "direction": [[0.6, 0.0], [0.0, 0.8]]}
 # off the axis <z', v'> != 0, so the tilted radius takes the circle search

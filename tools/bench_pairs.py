@@ -4,10 +4,11 @@
 
 Each tree is a checkout with ``benchmarks/run.py`` and its package under
 ``src/geodisc``.  Pair k runs ``benchmarks/run.py --workload W --seed S
---seconds 20`` once in each tree, each in a fresh interpreter from its own
-checkout; the parent runs first in even pairs and the change in odd ones,
-so a slow phase of the machine falls on both sides alike.  The benchmark
-and ``BENCHMARK.json`` are read, not changed.
+--seconds T`` once in each tree, each in a fresh interpreter from its own
+checkout, with T the ``run_seconds`` of ``BENCHMARK.json``; the parent runs
+first in even pairs and the change in odd ones, so a slow phase of the
+machine falls on both sides alike.  The benchmark and ``BENCHMARK.json``
+are read, not changed.
 
 ``BENCH_<L>.json`` at the root of the checkout holding this script gets,
 with sorted keys:
@@ -16,12 +17,17 @@ with sorted keys:
   files differ from it), the environment line ``run.py`` prints, every
   run's ``correct``, ``attempted``, ``failed`` and end-to-end metrics in
   run order, and each metric's median and quartiles over the runs;
-- ``trace`` in ``parent`` and ``change``: one more run of the same seed
-  with ``--trace 1``, after the pairs, its ``correct``, ``attempted`` and
-  ``failed`` and every per-layer metric of ``BENCHMARK.json``: each span's
-  call count and self time, each work count, and ``trace_overhead``.  The
-  counts do not depend on the machine, so a count that differs between the
-  sides is a change in the work done, whatever the wall times say;
+- ``trace`` in ``parent`` and ``change``: three more runs of the same seed
+  per side with ``--trace 1``, after the pairs and in alternating order as
+  they are (``traced_runs``, 3, at the top level), as one record: ``correct``
+  when every run was, their ``attempted`` and ``failed``, and every
+  per-layer metric of ``BENCHMARK.json``: each span's call count and each
+  work count, and the median of each self time and of ``trace_overhead``.
+  The counts do not depend on the machine, so a count that differs between
+  the sides is a change in the work done, whatever the wall times say; one
+  that differs between one side's own runs is work that does not repeat,
+  and the script exits 1 naming it.  Files written before ``traced_runs``
+  hold one traced run per side;
 - ``wins``: per metric, the pairs each side won by the metric's declared
   direction; a tie counts for neither side;
 - ``script_s``: this script's own wall time.
@@ -49,7 +55,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
-SECONDS = 20
+SECONDS = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
+TRACED_RUNS = 3
 
 
 def declared(tree: Path, kind: str) -> dict[str, str]:
@@ -57,6 +64,13 @@ def declared(tree: Path, kind: str) -> dict[str, str]:
     BENCHMARK.json and its better direction, "higher" or "lower"."""
     spec = json.loads((tree / "BENCHMARK.json").read_text())
     return {m["name"]: m["better"] for m in spec[kind]}
+
+
+def counted(tree: Path) -> set[str]:
+    """The per-layer metrics of ``tree``'s BENCHMARK.json that count work
+    (unit "count" or "B"), and so repeat from run to run."""
+    spec = json.loads((tree / "BENCHMARK.json").read_text())
+    return {m["name"] for m in spec["per_layer"] if m["unit"] in ("count", "B")}
 
 
 def commit(tree: Path) -> dict:
@@ -109,6 +123,31 @@ def record(result: dict, metrics: dict) -> dict:
             "metrics": {name: result["metrics"][name]["value"] for name in metrics}}
 
 
+def traced(side: str, runs: list[dict], counts: set[str]) -> dict:
+    """``side``'s traced runs, each as :func:`record` keeps it, as one
+    record: ``correct`` when every run was, each of ``counts``, which must
+    repeat, and the median of each other metric."""
+    def merged(name: str, values: list[float]) -> float:
+        if name not in counts:
+            return statistics.median(values)
+        if len(set(values)) > 1:
+            raise SystemExit(f"{side}: {name} differs between its traced runs: {values}")
+        return values[0]
+
+    return {"correct": all(run["correct"] for run in runs),
+            **{name: merged(name, [run[name] for run in runs]) for name in ("attempted", "failed")},
+            "metrics": {name: merged(name, [run["metrics"][name] for run in runs])
+                        for name in runs[0]["metrics"]}}
+
+
+def alternating(rounds: int):
+    """(k, side) for each side of each round k < ``rounds``: the parent
+    first in even rounds, the change first in odd ones."""
+    for k in range(rounds):
+        for name in SIDES if k % 2 == 0 else SIDES[::-1]:
+            yield k, name
+
+
 def pairs(text: str) -> int:
     count = int(text)
     if count < 2:
@@ -130,19 +169,22 @@ def main(argv: list[str] | None = None) -> int:
     metrics = declared(trees["parent"], "end_to_end")
     runs = {name: [] for name in SIDES}
     environments = {}
-    for k in range(args.pairs):
-        for name in SIDES if k % 2 == 0 else SIDES[::-1]:
-            result, environments[name] = run_once(trees[name], args.workload, args.seed)
-            runs[name].append(record(result, metrics))
-            print(f"pair {k + 1}/{args.pairs} {name}: "
-                  + " ".join(f"{m}={v:.4g}" for m, v in runs[name][-1]["metrics"].items()),
-                  file=sys.stderr)
+    for k, name in alternating(args.pairs):
+        result, environments[name] = run_once(trees[name], args.workload, args.seed)
+        runs[name].append(record(result, metrics))
+        print(f"pair {k + 1}/{args.pairs} {name}: "
+              + " ".join(f"{m}={v:.4g}" for m, v in runs[name][-1]["metrics"].items()),
+              file=sys.stderr)
     layers = declared(trees["parent"], "per_layer")
-    traces = {name: record(run_once(trees[name], args.workload, args.seed, trace=1)[0], layers)
-              for name in SIDES}
+    traced_runs = {name: [] for name in SIDES}
+    for _, name in alternating(TRACED_RUNS):
+        result = run_once(trees[name], args.workload, args.seed, trace=1)[0]
+        traced_runs[name].append(record(result, layers))
+    counts = {"attempted", "failed"} | counted(trees["parent"])
+    traces = {name: traced(name, traced_runs[name], counts) for name in SIDES}
     bench = {
         "label": args.label, "workload": args.workload, "seed": args.seed,
-        "pairs": args.pairs, "seconds": SECONDS,
+        "pairs": args.pairs, "seconds": SECONDS, "traced_runs": TRACED_RUNS,
         **{name: side(commit(trees[name]), runs[name], environments[name], metrics,
                       traces[name])
            for name in SIDES},
