@@ -429,7 +429,11 @@ def power_of_two_scaled(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     part.  Exact while every scaled entry stays normal; those more than
     about 2^1022 below the largest still underflow."""
     parts = np.ascontiguousarray(values, dtype=complex).view(float)  # re, im in one pass
-    top = np.maximum(parts.max(axis=-1, initial=0.0), -parts.min(axis=-1, initial=0.0))
+    # reduced over the first axis of the contiguous transpose: numpy reduces
+    # a short last axis one row at a time, about 10x slower on 768 rows of
+    # 2 or 4 parts
+    columns = np.ascontiguousarray(parts.T)
+    top = np.maximum(columns.max(axis=0, initial=0.0), -columns.min(axis=0, initial=0.0)).T
     inside = (2.0**-480 <= top) & (top <= 2.0**480)
     if inside.all():
         return values, np.zeros(top.shape, int)
