@@ -363,7 +363,6 @@ def test_mod_cont_scales_with_the_function(tmp_path, coefficient):
     assert np.all(np.abs(omegas(coefficient) - coefficient * unit) <= 1e-13 * coefficient * unit)
 
 
-
 # Every command with one config and its exact JSON and CSV reports.  The CSV
 # headers of `graham`, `mercer-fit` and `rest-check` follow the field order of
 # their result dataclasses.  The `delta`, `omega` and `theta` cells of
