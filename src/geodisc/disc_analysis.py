@@ -247,10 +247,12 @@ def _row_squares(rows: np.ndarray) -> np.ndarray:
 
 def row_norms(values: np.ndarray) -> np.ndarray:
     """Euclidean norms over the last axis: each row scaled by
-    :func:`numerics.power_of_two_scaled`, then :func:`_row_squares`."""
+    :func:`numerics.power_of_two_scaled`, then :func:`_row_squares`, then
+    scaled back if any row was."""
     with np.errstate(over="ignore", under="ignore"):
         scaled, e = power_of_two_scaled(values)
-        return np.ldexp(np.sqrt(_row_squares(scaled)), e)
+        norms = np.sqrt(_row_squares(scaled))
+        return np.ldexp(norms, e) if e.any() else norms
 
 
 def derivative_centered(f: UnitDiscFunction, zeta) -> np.ndarray:

@@ -43,12 +43,12 @@ from .hardy_littlewood import Majorant, phi_log_l1, verify_majorant
 
 # --- Poincare geometry -------------------------------------------------------
 
-def _image_distances(domain: ConvexDomainModel, images) -> list[float]:
-    """Boundary distances of a candidate map's image points.  The map has the
-    domain's dimension, so the only image ``boundary_distance`` rejects is
-    one outside the domain, and it is reported as such."""
+def _image_distances(domain: ConvexDomainModel, images: np.ndarray) -> np.ndarray:
+    """Boundary distances of a candidate map's image points, one stack.  The
+    map has the domain's dimension, so the only image ``boundary_distance``
+    rejects is one outside the domain, and it is reported as such."""
     try:
-        return [boundary_distance(domain, z) for z in images]
+        return boundary_distance(domain, images)
     except ValueError:
         raise ValueError("image point outside domain") from None
 
@@ -227,8 +227,7 @@ def mercer_fit(candidate: GeodesicCandidate, theta: float = 0.0) -> MercerFit:
     A constant past the largest double raises ``FloatingPointError``.
     """
     rs = _MERCER_RADII
-    ds = np.array(_image_distances(candidate.domain,
-                                   candidate.map.values(cmath.exp(1j * theta) * rs)))
+    ds = _image_distances(candidate.domain, candidate.map.values(cmath.exp(1j * theta) * rs))
     if np.any(ds <= 0.0):
         raise ValueError("image touches boundary")
     one_minus = 1.0 - rs
@@ -300,9 +299,12 @@ def theorem_pipeline(candidate: GeodesicCandidate) -> PipelineReport:
     boundary-extension probe on 4096 nodes.  These counts and the 0.05 are
     fixed rules (the constants above), not options.  A properness failure
     skips the remaining stages; an unverified or divergent majorant is
-    reported and the probe still runs.
+    reported and the probe still runs.  A candidate in any other domain is
+    rejected before the first stage.
     """
     domain: FlatModelDomain = candidate.domain
+    if domain.kind != "flat_model":
+        raise ValueError("the pipeline needs a candidate in a flat model domain")
     s = domain.support
     stages: list[PipelineStage] = []
 

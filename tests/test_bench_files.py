@@ -18,6 +18,7 @@ import importlib.util
 import json
 import math
 import re
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -103,3 +104,25 @@ def test_traced_runs_merge_to_median_times_and_refuse_a_count_that_moves():
     runs[1]["metrics"]["a.calls"] = 4.0
     with pytest.raises(SystemExit, match=r"^change: a\.calls differs"):
         bench_pairs.traced("change", runs, counts)
+
+
+def test_sides_run_from_fresh_clones_of_committed_trees(tmp_path):
+    tree = tmp_path / "tree"
+    tree.mkdir()
+
+    def git(*args: str) -> None:
+        subprocess.run(["git", "-C", str(tree), "-c", "user.name=t", "-c", "user.email=t@t",
+                        *args], check=True, capture_output=True)
+
+    git("init", "-q")
+    (tree / "run.py").write_text("1\n")
+    git("add", "run.py")
+    git("commit", "-qm", "one")
+    (tree / "untracked.txt").write_text("kept out of the clone\n")
+    head = bench_pairs.commit(tree)
+    assert re.fullmatch("[0-9a-f]{40}", head["commit"]) and head["dirty"] is False
+    clone = bench_pairs.fresh_clone(tree, head["commit"], tmp_path / "clone")
+    assert sorted(p.name for p in clone.iterdir()) == [".git", "run.py"]
+    (tree / "run.py").write_text("2\n")
+    with pytest.raises(SystemExit, match="tree: uncommitted changes to tracked files"):
+        bench_pairs.commit(tree)

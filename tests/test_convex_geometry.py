@@ -1365,3 +1365,102 @@ def test_rest_bound_rejects_a_point_nearest_a_box_cap():
     domain = FlatModelDomain(FlatSupport(1.0, 0.5, 0.111, 0.08))
     with pytest.raises(ValueError, match="boundary zone of the flat graph"):
         rest_bound_check(domain, [0.0, 0.075 + 0.04j], [1.0, 0.0])
+
+
+# --- stacks of points ------------------------------------------------------------
+
+README_FLAT = FlatModelDomain(FlatSupport(1.0, 0.5, 0.111, 0.08))
+
+
+def bits(values) -> list[int]:
+    """The IEEE bits of each value, so that -0.0 and 0.0 differ."""
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
+def disc_rows(rng, radii, m: int) -> np.ndarray:
+    """m rows, each coordinate inside the disc of its radius."""
+    radii = np.asarray(radii)
+    size = (m, len(radii))
+    return radii * np.sqrt(rng.random(size)) * np.exp(2j * math.pi * rng.random(size))
+
+
+def flat_rows(rng, domain: FlatModelDomain, m: int) -> np.ndarray:
+    """Rows of the flat model: m / 2 on the axis z' = 0, the rest off it,
+    each with Im z_n between the graph and s0 and |Re z_n| below s0."""
+    s = domain.support
+    prime = disc_rows(rng, [0.9 * s.R0] * (domain.dimension - 1), m)
+    prime[: m // 2] = 0.0
+    floor = np.array([s.C * phi_alpha(r, s.alpha) for r in np.linalg.norm(prime, axis=1)])
+    y = floor + (s.s0 - floor) * rng.random(m)
+    x = s.s0 * (2.0 * rng.random(m) - 1.0)
+    return np.column_stack([prime, x + 1j * y])
+
+
+def stacked_cases():
+    """Each kind of domain with seeded rows inside it and one row on its
+    boundary."""
+    rng = np.random.default_rng(44)
+    ball = Ball([0.1, 0.2j, -0.3], 0.75)
+    box = halfspace_box(extra=[(np.array([0.6, 0.8j]), 0.8),
+                               (np.array([-0.48 + 0.6j, 0.64]), 1.2)])
+    box_rows = 0.9 * (2.0 * rng.random((40, 2)) - 1.0 + 2j * rng.random((40, 2)) - 1j)
+    box_rows = box_rows[[box.membership(z) == "inside" for z in box_rows]]
+    ball_rows = ball.center + disc_rows(rng, [0.75 / math.sqrt(3.0)] * 3, 40)
+    # a disc of radius 2^-600 is all within the membership tolerance of
+    # its boundary, so every row of that polydisc reads "boundary"
+    polydiscs = {f"polydisc 2^{k}": (Polydisc((1.0, 2.0**k)),
+                                     np.vstack([disc_rows(rng, (1.0, 2.0**k), 40), [[1.0, 0.0]]]))
+                 for k in (600, -600)}
+    return {
+        **polydiscs,
+        "ball": (ball, np.vstack([ball_rows, [ball.center + [0.75, 0.0, 0.0]]])),
+        "box": (box, np.vstack([box_rows, [[1.0, 0.0]]])),
+        "flat": (README_FLAT, np.vstack([flat_rows(rng, README_FLAT, 40), [[0.0, 0.0]]])),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(stacked_cases()))
+def test_a_stack_reads_as_its_points_to_the_bit(case):
+    domain, rows = stacked_cases()[case]
+    assert rows.ndim == 2 and len(rows) > 30
+    one = [domain.membership(z) for z in rows]
+    assert one[-1] == "boundary" and "outside" not in one
+    assert domain.membership(rows) == one
+    assert bits(domain.signed_gap(rows)) == bits([domain.signed_gap(z) for z in rows])
+    distances = boundary_distance(domain, rows)
+    assert bits(distances) == bits([boundary_distance(domain, z) for z in rows])
+    assert distances[-1] == 0.0 and (distances[:-1] > 0.0).all()
+    for piece in domain.pieces:
+        assert bits(piece.gap(rows)) == bits([piece.gap(z) for z in rows])
+        assert bits(piece.distance(rows)) == bits([piece.distance(z) for z in rows])
+
+
+def test_a_graph_stack_searches_the_surface_row_by_row(monkeypatch):
+    # rows on the axis below the vertex reach read their height; rows above
+    # it (inside the graph piece, above the README model's caps) and rows
+    # off the axis take one circle search each, as one point does
+    calls = []
+    search = convex_geometry.minimize_on_circle
+    monkeypatch.setattr(convex_geometry, "minimize_on_circle",
+                        lambda h: calls.append(h) or search(h))
+    graph = README_FLAT.pieces[-1]
+    reach = README_FLAT.support.vertex_reach
+    axis = np.array([[0.0, 1j * y] for y in (0.1 * reach, 0.9 * reach, 1.1 * reach, 2.0 * reach)])
+    rows = np.vstack([axis, flat_rows(np.random.default_rng(45), README_FLAT, 12)[6:]])
+    distances = graph.distance(rows)
+    assert len(calls) == 2 + 6
+    assert bits(distances) == bits([graph.distance(z) for z in rows])
+    assert bits(graph.gap(rows)) == bits([graph.gap(z) for z in rows])
+    assert distances[:2].tolist() == [0.1 * reach, 0.9 * reach]
+
+
+@pytest.mark.parametrize("case", sorted(stacked_cases()))
+def test_a_stack_with_a_row_outside_is_rejected_as_the_row_is(case):
+    domain, rows = stacked_cases()[case]
+    outside = rows[-1] * 1.5 - 0.5 * interior_anchor(domain)  # past the boundary row
+    assert domain.membership(outside) == "outside"
+    stack = np.vstack([rows[:5], [outside], rows[5:]])
+    assert domain.membership(stack)[5] == "outside"
+    for z in (outside, stack):
+        with pytest.raises(ValueError, match="^base point outside domain$"):
+            boundary_distance(domain, z)

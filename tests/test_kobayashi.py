@@ -664,6 +664,19 @@ def test_mercer_fit_identity_disc_exact():
     assert fit.residual <= 1e-12
 
 
+def test_mercer_fit_reads_its_images_as_one_stack_and_rejects_one_outside():
+    # the 25 images are one boundary_distance stack, each row its own
+    # distance; a map that leaves the disc near the boundary has rows
+    # outside, and the fit names them as one image did
+    candidate = nonextending_geodesic()
+    rows = candidate.map.values(1j * kobayashi._MERCER_RADII)
+    ds = kobayashi._image_distances(candidate.domain, rows)
+    assert ds.tolist() == [boundary_distance(candidate.domain, z) for z in rows]
+    leaving = GeodesicCandidate(scalar_function(lambda z: 1.01 * z), Polydisc((1.0,)))
+    with pytest.raises(ValueError, match="^image point outside domain$"):
+        mercer_fit(leaving)
+
+
 def test_mercer_fit_pair_identity_zero():
     mapping = vector_function([lambda z: z, lambda z: 0.0 * z])
     candidate = GeodesicCandidate(mapping, Polydisc((1.0, 1.0)))
@@ -782,6 +795,12 @@ def test_pipeline_flags_noninteg_majorant_at_alpha_one(monkeypatch):
     assert stages["majorant_integrable"].details["note"] == "majorant not integrable"
     assert stages["extension_probe"].status == "pass"  # probe still runs
     assert not report.ok
+
+
+def test_pipeline_rejects_a_candidate_outside_a_flat_model():
+    # it raised AttributeError: 'Polydisc' object has no attribute 'support'
+    with pytest.raises(ValueError, match="needs a candidate in a flat model domain"):
+        theorem_pipeline(GeodesicCandidate(identity_map(), Polydisc((1.0,))))
 
 
 def test_pipeline_aborts_for_constant_map():

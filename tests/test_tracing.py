@@ -22,7 +22,7 @@ from pathlib import Path
 
 import geodisc
 from geodisc import cli, convex_geometry, disc_analysis, hardy_littlewood, kobayashi, numerics
-from test_config_fuzz import FLAT
+from test_config_fuzz import FLAT, FLAT_SLICE
 
 TRACING = Path(__file__).resolve().parent.parent / "benchmarks" / "tracing.py"
 MODULES = (geodisc, cli, convex_geometry, disc_analysis, hardy_littlewood, kobayashi, numerics)
@@ -106,3 +106,23 @@ def test_tracer_counts_cli_ops_and_restores_every_patch(monkeypatch, tmp_path):
     assert metrics["disc_analysis.boundary_samples.nodes"] == 64
     assert metrics["disc_analysis.modulus_profile.lag_pairs"] > 0
     assert metrics["cli.report_bytes"] > 0
+
+
+def test_image_stacks_take_one_membership_read(monkeypatch, tmp_path):
+    # mercer_fit's 25 images and the pipeline's 64 properness images are one
+    # stack each: one boundary_distance call and one signed_gap read, where
+    # each image was its own call; the pipeline's other reads are the base
+    # checks of its rest points and its own mercer_fit
+    tracing = load_tracing(monkeypatch)
+    ops = {"mercer-fit": ({"candidate": {"kind": "nonextending"}}, "polydisc", 1),
+           "pipeline": ({"domain": FLAT, "candidate": FLAT_SLICE}, "flat_model", 2)}
+    with tracing.Tracer() as tracer:
+        for command, (cfg, kind, stacks) in ops.items():
+            before_op = tracer.layer_metrics()
+            assert cli.run(command, dict(cfg, out=str(tmp_path / "report.json"))) == 0
+            moved = Counter(tracer.layer_metrics())
+            moved.subtract(before_op)
+            assert moved["convex_geometry.boundary_distance.calls"] == stacks, command
+            rest = moved["convex_geometry.inscribed_disc_radius.calls"]
+            assert rest == (4 if command == "pipeline" else 0)
+            assert moved[f"convex_geometry.signed_gap.{kind}.calls"] == stacks + rest, command

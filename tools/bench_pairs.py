@@ -2,19 +2,24 @@
 
     python3 tools/bench_pairs.py PARENT CHANGE --workload W --seed S --pairs N --label L
 
-Each tree is a checkout with ``benchmarks/run.py`` and its package under
-``src/geodisc``.  Pair k runs ``benchmarks/run.py --workload W --seed S
---seconds T`` once in each tree, each in a fresh interpreter from its own
-checkout, with T the ``run_seconds`` of ``BENCHMARK.json``; the parent runs
-first in even pairs and the change in odd ones, so a slow phase of the
-machine falls on both sides alike.  The benchmark and ``BENCHMARK.json``
-are read, not changed.
+Each tree is a git checkout with ``benchmarks/run.py`` and its package
+under ``src/geodisc``, and its tracked files must be committed: the script
+exits 1, naming the tree, when they differ from its HEAD.  Each side runs
+from a fresh ``git clone`` of its tree's HEAD in a temporary directory,
+removed afterwards, since a long-used checkout can read a few percent
+slower than a new one of the same commit.  So PARENT and CHANGE may be one
+tree, for an A/A file that reads the noise floor.  Pair k runs
+``benchmarks/run.py --workload W --seed S --seconds T`` once in each clone,
+each in a fresh interpreter, with T the ``run_seconds`` of
+``BENCHMARK.json``; the parent runs first in even pairs and the change in
+odd ones, so a slow phase of the machine falls on both sides alike.  The
+benchmark and ``BENCHMARK.json`` are read, not changed.
 
 ``BENCH_<L>.json`` at the root of the checkout holding this script gets,
 with sorted keys:
 
-- ``parent`` and ``change``: the tree's commit (``dirty`` when tracked
-  files differ from it), the environment line ``run.py`` prints, every
+- ``parent`` and ``change``: the tree's commit (``dirty``, false since
+  a dirty tree is refused), the environment line ``run.py`` prints, every
   run's ``correct``, ``attempted``, ``failed`` and end-to-end metrics in
   run order, and each metric's median and quartiles over the runs;
 - ``trace`` in ``parent`` and ``change``: three more runs of the same seed
@@ -50,6 +55,7 @@ import json
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -73,13 +79,27 @@ def counted(tree: Path) -> set[str]:
     return {m["name"] for m in spec["per_layer"] if m["unit"] in ("count", "B")}
 
 
-def commit(tree: Path) -> dict:
-    def git(*args: str) -> str:
-        return subprocess.run(["git", "-C", str(tree), *args], stdout=subprocess.PIPE,
-                              text=True, check=True).stdout.strip()
+def git(tree: Path, *args: str) -> str:
+    proc = subprocess.run(["git", "-C", str(tree), *args], stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"git {' '.join(args)} failed in {tree}:\n{proc.stderr}")
+    return proc.stdout.strip()
 
-    return {"commit": git("rev-parse", "HEAD"),
-            "dirty": bool(git("status", "--porcelain", "--untracked-files=no"))}
+
+def commit(tree: Path) -> dict:
+    """``tree``'s HEAD; exits 1 naming the tree when tracked files differ from it."""
+    if git(tree, "status", "--porcelain", "--untracked-files=no"):
+        raise SystemExit(f"{tree}: uncommitted changes to tracked files")
+    return {"commit": git(tree, "rev-parse", "HEAD"), "dirty": False}
+
+
+def fresh_clone(tree: Path, head: str, into: Path) -> Path:
+    """A new clone of ``tree`` at its HEAD, ``head``, in ``into``."""
+    git(into.parent, "-c", "advice.detachedHead=false", "clone", "--quiet", str(tree), into.name)
+    if git(into, "rev-parse", "HEAD") != head:
+        raise SystemExit(f"the clone of {tree} is not at its HEAD {head}")
+    return into
 
 
 def run_once(tree: Path, workload: str, seed: int, trace: int = 0) -> tuple[dict, str]:
@@ -155,17 +175,8 @@ def pairs(text: str) -> int:
     return count
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("parent", type=Path)
-    parser.add_argument("change", type=Path)
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--pairs", type=pairs, required=True)
-    parser.add_argument("--label", required=True)
-    args = parser.parse_args(argv)
-    start = time.perf_counter()
-    trees = dict(zip(SIDES, (args.parent.resolve(), args.change.resolve())))
+def run_pairs(args: argparse.Namespace, trees: dict[str, Path], heads: dict[str, dict]) -> dict:
+    """The file's record, but ``script_s``, from runs in ``trees``."""
     metrics = declared(trees["parent"], "end_to_end")
     runs = {name: [] for name in SIDES}
     environments = {}
@@ -182,16 +193,33 @@ def main(argv: list[str] | None = None) -> int:
         traced_runs[name].append(record(result, layers))
     counts = {"attempted", "failed"} | counted(trees["parent"])
     traces = {name: traced(name, traced_runs[name], counts) for name in SIDES}
-    bench = {
+    return {
         "label": args.label, "workload": args.workload, "seed": args.seed,
         "pairs": args.pairs, "seconds": SECONDS, "traced_runs": TRACED_RUNS,
-        **{name: side(commit(trees[name]), runs[name], environments[name], metrics,
-                      traces[name])
+        **{name: side(heads[name], runs[name], environments[name], metrics, traces[name])
            for name in SIDES},
         "wins": {name: wins(*([run["metrics"][name] for run in runs[s]] for s in SIDES),
                             better) for name, better in metrics.items()},
-        "script_s": round(time.perf_counter() - start, 1),
     }
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--pairs", type=pairs, required=True)
+    parser.add_argument("--label", required=True)
+    args = parser.parse_args(argv)
+    start = time.perf_counter()
+    sources = dict(zip(SIDES, (args.parent.resolve(), args.change.resolve())))
+    heads = {name: commit(tree) for name, tree in sources.items()}
+    with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
+        trees = {name: fresh_clone(tree, heads[name]["commit"], Path(tmp) / name)
+                 for name, tree in sources.items()}
+        bench = run_pairs(args, trees, heads)
+    bench["script_s"] = round(time.perf_counter() - start, 1)
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(bench, sort_keys=True, indent=1) + "\n")
     print(path)
