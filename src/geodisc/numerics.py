@@ -104,9 +104,15 @@ def gauss_panel(
     """
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
     hi = np.atleast_1d(np.asarray(hi, dtype=float))
+    return _gauss_sums(f, 0.5 * (lo + hi), 0.5 * (hi - lo), order)
+
+
+def _gauss_sums(f: Callable[[np.ndarray], np.ndarray], mid: np.ndarray, half: np.ndarray,
+                order: int) -> np.ndarray:
+    """The rule of :func:`gauss_panel` on the panels of 1-d float arrays of
+    midpoints ``mid`` and half-widths ``half``: their nodes, one call of
+    ``f``, its shape check and the weighted sums."""
     nodes, weights = _gauss_legendre(order)
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
     x = (mid[:, None] + half[:, None] * nodes).ravel()
     y = np.asarray(f(x), dtype=float)
     if y.ndim > 2 or y.shape[-1:] != x.shape:
@@ -115,19 +121,30 @@ def gauss_panel(
     return half * np.add.accumulate(weights * y.reshape(*y.shape[:-1], -1, order), -1)[..., -1]
 
 
+# 2^-k for the halvings k = 1.._MAX_LEVELS, exact doubles: (b - a) times one
+# rounds once, as ldexp(b - a, -k) does, subnormal products included
+_HALVINGS = np.ldexp(1.0, -np.arange(1, _MAX_LEVELS + 1))
+
+
 def _integrate_rows(f: Callable[[np.ndarray, np.ndarray], np.ndarray], rows: int,
                     a: float, b: float) -> tuple[list, list]:
     """The results and the errors (or None) of ``rows`` integrals over
-    (a, b], by the rule of :func:`integrate_endpoint`, kept here only.
-    ``f(x, rows)`` gives the integrands numbered ``rows`` at the nodes x,
-    shape (len(rows), x.size).  One call evaluates a block of levels for
-    every row still open; each row reads its levels in order until it
-    stops, or until one is not finite or ``f`` raises: that is its error."""
-    lows = a + np.ldexp(b - a, -np.arange(1, _MAX_LEVELS + 1))
+    (a, b], by the rule of :func:`integrate_endpoint`, kept here only; a
+    result is the plain tuple (value, converged, refinement levels,
+    estimated error) of a :class:`QuadratureResult`.  ``f(x, rows)`` gives
+    the integrands numbered ``rows`` at the nodes x, shape (len(rows),
+    x.size).  The call computes every level's cutoff, midpoint and
+    half-width once; a block then forms only its nodes and weighted sums,
+    evaluating its levels for every row still open in one call of ``f``.
+    Each row reads its levels in order until it stops, or until one is not
+    finite or ``f`` raises: that is its error."""
+    lows = a + (b - a) * _HALVINGS[:_MAX_LEVELS]  # a budget lowered at run time holds
     highs = np.concatenate(([b], lows[:-1]))
     inside = (a < lows) & (lows < highs)  # false from where the cutoff reaches resolution
     levels = len(lows) if inside.all() else int(np.argmin(inside))
-    panel = lambda rows, k: gauss_panel(lambda x: f(x, np.array(rows)), lows[k], highs[k])
+    mids, halves = 0.5 * (lows + highs), 0.5 * (highs - lows)
+    panel = lambda rows, k: _gauss_sums(lambda x: f(x, np.array(rows)), mids[k], halves[k],
+                                        _GAUSS_ORDER)
     open_rows, done = list(range(rows)), 0
     results, errors = [None] * rows, [None] * rows
     states = [(0.0, 0, math.inf)] * rows  # running value, small run, last increment
@@ -141,16 +158,18 @@ def _integrate_rows(f: Callable[[np.ndarray, np.ndarray], np.ndarray], rows: int
         except Exception as exc:  # as each open row alone would raise
             errors = [exc if row in open_rows else err for row, err in enumerate(errors)]
             return results, errors
+        stopped = False
         for row, incs in zip(open_rows, sums.tolist()):
             total, small_run, last_inc = states[row]
             for k, inc in enumerate(incs):
                 if not math.isfinite(inc):  # an overflow raises FloatingPointError
                     try:
                         with np.errstate(all="ignore", over="raise"):
-                            panel([row], done + k)
+                            panel([row], slice(done + k, done + k + 1))
                         errors[row] = ValueError("integrand not finite")
                     except Exception as exc:
                         errors[row] = exc
+                    stopped = True
                     break
                 total += inc
                 if abs(inc) <= _QUAD_TOL * abs(total):
@@ -159,20 +178,22 @@ def _integrate_rows(f: Callable[[np.ndarray, np.ndarray], np.ndarray], rows: int
                         ratio = inc / last_inc if last_inc else 0.0
                         if 0.0 < ratio < 1.0:
                             total += inc * ratio / (1.0 - ratio)  # the geometric tail
-                        tail = _tail_estimate(inc, last_inc)
-                        results[row] = QuadratureResult(total, True, done + k + 1, tail)
+                        results[row] = (total, True, done + k + 1, _tail_estimate(inc, last_inc))
+                        stopped = True
                         break
                 else:
                     small_run = 0
                 last_inc = inc
                 if abs(total) > _VALUE_CAP:  # divergence settled; stop before overflow
-                    results[row] = QuadratureResult(total, False, done + k + 1, abs(inc))
+                    results[row] = (total, False, done + k + 1, abs(inc))
+                    stopped = True
                     break
             states[row] = (total, small_run, last_inc)
-        open_rows = [row for row in open_rows if results[row] is None and errors[row] is None]
+        if stopped:
+            open_rows = [row for row in open_rows if results[row] is None and errors[row] is None]
         done = end
     for row in open_rows:
-        results[row] = QuadratureResult(states[row][0], False, done, abs(states[row][2]))
+        results[row] = (states[row][0], False, done, abs(states[row][2]))
     return results, errors
 
 
@@ -196,10 +217,14 @@ def integrate_endpoint(
     resolution above a positive ``a``, is reported with
     ``converged=False``: the divergence verdict.
 
-    ``f`` sees the panels of 16 upcoming halvings at once, then 32, 64 and
-    128 at a time, and the stopping rule reads them one halving after
-    another; halvings evaluated past the one it stops at are never read,
-    and no floating-point error in them raises or warns.  A non-finite
+    A call computes the cutoffs a + (b - a) 2^-k of all its halvings once,
+    from one table of the powers 2^-k, with each panel's midpoint and
+    half-width; a block of halvings then forms only its nodes and weighted
+    sums, by the rule of :func:`gauss_panel`.  ``f`` sees the panels of 16
+    upcoming halvings at once, then 32, 64 and 128 at a time, and the
+    stopping rule reads them one halving after another; halvings evaluated
+    past the one it stops at are never read, and no floating-point error
+    in them raises or warns.  A non-finite
     value in a halving that is read raises: an overflow as
     ``FloatingPointError``, anything else as "integrand not finite".  It
     is the one-row case of :func:`integrate_log_moment`'s kernel.
@@ -211,7 +236,7 @@ def integrate_endpoint(
     (result,), (error,) = _integrate_rows(lambda x, _: np.asarray(f(x), float)[None], 1, a, b)
     if error is not None:
         raise error
-    return result
+    return QuadratureResult(*result)
 
 
 def _tail_estimate(inc: float, prev_inc: float) -> float:
@@ -238,10 +263,10 @@ def _log_moments(log_f, orders: np.ndarray, lower: float) -> list[QuadratureResu
             len(n), 0.0, 1.0 / split)
         for error in filter(None, itertools.chain(*zip(head_errors, tail_errors))):
             raise error  # the lowest order's, head before tail
-        results += [QuadratureResult(h.value + t.value, h.converged and t.converged,
-                                     max(h.refinement_levels, t.refinement_levels),
-                                     h.estimated_error + t.estimated_error)
-                    for h, t in zip(heads, tails)]
+        results += [QuadratureResult(h_value + t_value, h_converged and t_converged,
+                                     max(h_levels, t_levels), h_error + t_error)
+                    for (h_value, h_converged, h_levels, h_error),
+                        (t_value, t_converged, t_levels, t_error) in zip(heads, tails)]
     return results
 
 
@@ -261,8 +286,9 @@ def integrate_log_moment(
     piece runs up to 128 orders in one pass, calling ``log_f`` once per
     block for every order still open, and stops each by the rule of
     :func:`integrate_endpoint`; an order converges when both pieces do.
-    Results are those of each order alone; the error of the lowest failing
-    order, head before tail, is raised.  An order whose |value| falls below
+    Results are those of each order alone, one :class:`QuadratureResult`
+    per order for its two pieces; the error of the lowest failing order,
+    head before tail, is raised.  An order whose |value| falls below
     the normal range, where nodes round to units 2^-1074, reruns on
     ``log_f + 1022 log 2`` and is scaled back by 2^-1022; the rest keep the
     first pass's results to the last bit.  Its first pass summed its nodes

@@ -5,7 +5,9 @@ runs in a parent and a change tree, with each side's commit, environment
 line, runs and per-metric median and quartiles, and each metric's win
 count, and, in files written since work counts were added, each side's
 traced runs with every per-layer metric: one run in files without
-``traced_runs``, the median of three in those with it.  Reading the files
+``traced_runs``, the median of three in those with it; and, in files
+written since digests were added, each side's report digest line for the
+file's workload and seed.  Reading the files
 costs milliseconds; the runs themselves stay out of the suite.  The
 summaries and win counts are recomputed from the runs with the script's own
 ``summary`` and ``wins``; the run length and the workloads are those of
@@ -33,6 +35,24 @@ SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 WORKLOADS = {w["name"] for w in SPEC["workloads"]}
 COUNTS = bench_pairs.counted(ROOT)
 SIDES = bench_pairs.SIDES
+
+
+def check_digests(bench: dict) -> None:
+    """Both sides' digest lines, or neither's: each names the file's
+    workload and seed, holds a sha256 and the op count per command, and
+    the sides replayed the same ops."""
+    digests = [bench[side].get("digest") for side in SIDES]
+    if digests == [None, None]:
+        return
+    assert None not in digests, "one side has no digest"
+    ops = []
+    for line in digests:
+        match = re.fullmatch(r"(\w+) seed (\d+): [0-9a-f]{64} \(([\w-]+ \d+(?:, [\w-]+ \d+)*)\)",
+                             line)
+        assert match, line
+        assert (match[1], int(match[2])) == (bench["workload"], bench["seed"])
+        ops.append(match[3])
+    assert ops[0] == ops[1]
 
 
 def check_trace(trace: dict) -> None:
@@ -63,7 +83,7 @@ def test_bench_file_schema(path):
         assert traced == {True} and bench["traced_runs"] == bench_pairs.TRACED_RUNS
     for side in SIDES:
         info = bench[side]
-        assert set(info) == {"commit", "dirty", "environment", "runs", "metrics"} | (
+        assert set(info) - {"digest"} == {"commit", "dirty", "environment", "runs", "metrics"} | (
             {"trace"} if traced == {True} else set())
         if "trace" in info:
             check_trace(info["trace"])
@@ -79,6 +99,7 @@ def test_bench_file_schema(path):
         assert set(info["metrics"]) == set(END_TO_END)
         for name, runs in values[side].items():
             assert info["metrics"][name] == bench_pairs.summary(runs)
+    check_digests(bench)
     assert set(bench["wins"]) == set(END_TO_END)
     for name, better in END_TO_END.items():
         assert bench["wins"][name] == bench_pairs.wins(values["parent"][name],
@@ -92,6 +113,19 @@ def test_a_trace_without_a_metric_or_with_a_fractional_count_is_refused():
     for bad in ({k: v for k, v in metrics.items() if k != count}, {**metrics, count: 1.5}):
         with pytest.raises(AssertionError):
             check_trace({"correct": True, "attempted": 2, "failed": 0, "metrics": bad})
+
+
+def test_digests_name_the_run_and_match_in_their_ops():
+    line = "probe seed 1: " + "0" * 64 + " (geodesic-probe 45, mod-cont 24, pipeline 3)"
+    bench = {"workload": "probe", "seed": 1, "parent": {"digest": line}, "change": {"digest": line}}
+    check_digests(bench)
+    check_digests({"workload": "probe", "seed": 1, "parent": {}, "change": {}})
+    for parent in (line.replace("seed 1", "seed 2"), line.replace("45", "44"),
+                   line.replace(" (", "(")):
+        with pytest.raises(AssertionError):
+            check_digests({**bench, "parent": {"digest": parent}})
+    with pytest.raises(AssertionError, match="one side has no digest"):
+        check_digests({**bench, "parent": {}})
 
 
 def test_traced_runs_merge_to_median_times_and_refuse_a_count_that_moves():

@@ -293,6 +293,18 @@ def test_nonextending_component_stays_in_half_disc():
         assert candidate.domain.membership(value) != "outside"
 
 
+
+@pytest.mark.parametrize("n", [8, 2048, 8192])
+def test_nonextending_component_keeps_the_bits_of_its_expression(n):
+    # built in one buffer, f2 equals 0.5 exp((1 + z)/(z - 1)) as numpy
+    # evaluates that on the tail grid of the probe: in place as tmp * 0.5
+    # from 256 KB (the 8192-node grid), as 0.5 * tmp below it
+    z = disc_analysis._tail_grid(n).reshape(-1)
+    expected = 0.5 * np.exp((1.0 + z) / (z - 1.0))
+    values = nonextending_geodesic().map.values(z)
+    assert values[:, 0].tobytes() == z.tobytes()
+    assert values[:, 1].tobytes() == expected.tobytes()
+
 def test_nonextending_defect_vanishes():
     candidate = nonextending_geodesic()
     rng = np.random.default_rng(23)

@@ -172,6 +172,119 @@ def test_blocked_levels_match_level_by_level_on_powers(p, a, width):
     assert_matches_oracle(integrate_endpoint(f, a, b), level_by_level(f, a, b))
 
 
+
+# --- the kernel against gauss_panel, one halving at a time, to the bit --
+
+def cutoffs_by_ldexp(a: float, b: float) -> np.ndarray:
+    """The lower cutoffs a + ldexp(b - a, -k) of the halvings k = 1..400."""
+    return a + np.ldexp(b - a, -np.arange(1, numerics._MAX_LEVELS + 1))
+
+
+def test_the_halving_table_gives_the_ldexp_cutoffs_to_the_bit():
+    # widths from 1e300 down to subnormal, where (b - a) 2^-k rounds
+    rng = np.random.default_rng(7)
+    a = np.where(rng.random(20000) < 0.5, 0.0, rng.uniform(0.0, 10.0, 20000))
+    width = 10.0 ** rng.uniform(-320.0, 300.0, 20000)
+    for a_i, b_i in zip(a.tolist(), (a + width).tolist()):
+        if b_i > a_i:
+            table = a_i + (b_i - a_i) * numerics._HALVINGS
+            assert table.tobytes() == cutoffs_by_ldexp(a_i, b_i).tobytes()
+
+
+def rows_by_levels(f, rows: int, a: float, b: float) -> list:
+    """Each row of ``f(x, rows)`` integrated over (a, b] one halving at a
+    time, a ``gauss_panel`` call per halving between ldexp cutoffs, under
+    the stopping rule: its (value, converged, levels, error) tuple, or the
+    type and message of its error.  The kernel's oracle, to the bit."""
+    out = []
+    for row in range(rows):
+        g = lambda x: f(x, np.array([row]))[0]
+        total, small_run, last_inc, hi, levels = 0.0, 0, math.inf, b, 0
+        outcome = None
+        for lo in cutoffs_by_ldexp(a, b).tolist():
+            if not a < lo < hi:
+                break
+            with np.errstate(all="ignore"):
+                (inc,) = numerics.gauss_panel(g, lo, hi).tolist()
+            if not math.isfinite(inc):
+                try:
+                    with np.errstate(all="ignore", over="raise"):
+                        numerics.gauss_panel(g, lo, hi)
+                    outcome = (ValueError, "integrand not finite")
+                except FloatingPointError as exc:
+                    outcome = (FloatingPointError, str(exc))
+                break
+            total += inc
+            hi, levels = lo, levels + 1
+            if abs(inc) <= numerics._QUAD_TOL * abs(total):
+                small_run += 1
+                if small_run >= numerics._CONVERGENCE_RUN:
+                    ratio = inc / last_inc if last_inc else 0.0
+                    if 0.0 < ratio < 1.0:
+                        total += inc * ratio / (1.0 - ratio)
+                    outcome = (total, True, levels, numerics._tail_estimate(inc, last_inc))
+                    break
+            else:
+                small_run = 0
+            last_inc = inc
+            if abs(total) > numerics._VALUE_CAP:
+                outcome = (total, False, levels, abs(inc))
+                break
+        out.append(outcome or (total, False, levels, abs(last_inc)))
+    return out
+
+
+def kernel_rows(f, rows: int, a: float, b: float) -> list:
+    """The kernel's outcome per row, in the form of :func:`rows_by_levels`."""
+    results, errors = numerics._integrate_rows(f, rows, a, b)
+    return [(type(err), str(err)) if err is not None else res
+            for res, err in zip(results, errors)]
+
+
+def bits(outcomes: list) -> list:
+    """``outcomes`` with every float as its hex text, so -0.0 and nan compare."""
+    return [tuple(v.hex() if type(v) is float else v for v in o) for o in outcomes]
+
+
+@given(
+    powers=st.lists(st.floats(min_value=-3.0, max_value=2.0), min_size=1, max_size=5),
+    scale=st.sampled_from([1.0, 1e-300, 1e45]),  # 1e45 meets the value cap early
+    a=st.one_of(st.sampled_from([0.0, 0.25]), st.floats(min_value=0.0, max_value=10.0)),
+    # the last two halve into subnormals
+    width=st.one_of(st.floats(min_value=1e-3, max_value=3.0), st.sampled_from([1e-300, 2.0**-1060])),
+    poison=st.one_of(st.none(), st.floats(min_value=1e-30, max_value=0.1)),
+)
+@settings(max_examples=80, deadline=None)
+def test_kernel_rows_equal_gauss_panel_level_by_level_to_the_bit(powers, scale, a, width, poison):
+    # rows of scale (x - a)^p: converged, over the value cap, past the
+    # budget, or stopped where the cutoff reaches resolution (a > 0, or
+    # a = 0 with a subnormal cutoff rounding to 0); the last row reads nan
+    # at and below a + poison times the width
+    b = a + width
+    if not b > a:
+        return
+    p = np.array(powers)
+    rows = len(powers)
+
+    def f(x, numbers):
+        y = scale * (x - a) ** p[numbers, None]
+        if poison is not None:
+            y = np.where((numbers == rows - 1)[:, None] & (x <= a + poison * width), np.nan, y)
+        return y
+
+    assert bits(kernel_rows(f, rows, a, b)) == bits(rows_by_levels(f, rows, a, b))
+
+
+def test_a_level_that_overflows_is_the_error_of_its_row_alone():
+    # row 1 is e^(1000/x), which overflows on the first level; rows 0 and 2
+    # are 1 and converge
+    f = lambda x, numbers: np.exp(np.multiply.outer(np.where(numbers == 1, 1e3, 0.0), 1.0 / x))
+    outcomes = kernel_rows(f, 3, 0.0, 1.0)
+    assert bits(outcomes) == bits(rows_by_levels(f, 3, 0.0, 1.0))
+    assert [o[:2] for o in outcomes] == [
+        (1.0, True), (FloatingPointError, "overflow encountered in exp"), (1.0, True)]
+
+
 LOG_FORMS = {
     "power majorant": st.builds(
         lambda e: Majorant.power(0.5, 1.5, e).log_form, st.floats(min_value=-1.5, max_value=1.0)
@@ -304,16 +417,16 @@ def test_failing_orders_raise_the_error_of_the_lowest(name):
 
 def test_one_pass_holds_at_most_128_orders_of_2048_nodes(monkeypatch):
     blocks = []
-    panel = numerics.gauss_panel
+    sums = numerics._gauss_sums
 
-    def recording_panel(f, lo, hi, *args):
+    def recording_sums(f, mid, half, order):
         def recorded(x):
             values = f(x)
             blocks.append(values.shape)
             return values
-        return panel(recorded, lo, hi, *args)
+        return sums(recorded, mid, half, order)
 
-    monkeypatch.setattr(numerics, "gauss_panel", recording_panel)
+    monkeypatch.setattr(numerics, "_gauss_sums", recording_sums)
     seen = []
     # u^(n - 1.5) e^(-1000 u): order 0 diverges at u = 0 through 128-level
     # blocks, and no tail overflows up to n = 2000

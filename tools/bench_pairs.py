@@ -33,6 +33,12 @@ with sorted keys:
   that differs between one side's own runs is work that does not repeat,
   and the script exits 1 naming it.  Files written before ``traced_runs``
   hold one traced run per side;
+- ``digest`` in ``parent`` and ``change``: the line ``tools/replay_reports.py
+  --digest TREE W S`` of this checkout prints for the side's tree, its
+  workload and seed: a sha256 over the reports of the replay's ops and the
+  op count per command.  Equal digests in one file mean equal reports on
+  that machine; numpy picks its SIMD loops by CPU, so digests are not
+  compared across machines.  Files written before it have none;
 - ``wins``: per metric, the pairs each side won by the metric's declared
   direction; a tie counts for neither side;
 - ``script_s``: this script's own wall time.
@@ -130,10 +136,23 @@ def wins(parent: list[float], change: list[float], better: str) -> dict[str, int
     return {"parent": sum(m < 0.0 for m in margins), "change": sum(m > 0.0 for m in margins)}
 
 
-def side(info: dict, runs: list[dict], environment: str, metrics: dict, trace: dict) -> dict:
+def side(info: dict, runs: list[dict], environment: str, metrics: dict, trace: dict,
+         digest: str) -> dict:
     values = {name: [run["metrics"][name] for run in runs] for name in metrics}
     return {**info, "environment": environment, "runs": runs,
-            "metrics": {name: summary(v) for name, v in values.items()}, "trace": trace}
+            "metrics": {name: summary(v) for name, v in values.items()}, "trace": trace,
+            "digest": digest}
+
+
+def digest(tree: Path, workload: str, seed: int) -> str:
+    """The report digest line of ``tree`` for ``workload`` and ``seed``, by
+    this checkout's ``tools/replay_reports.py``."""
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "replay_reports.py"), "--digest", str(tree),
+         workload, str(seed)], stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"tools/replay_reports.py --digest failed in {tree}:\n{proc.stderr}")
+    return proc.stdout.strip()
 
 
 def record(result: dict, metrics: dict) -> dict:
@@ -193,11 +212,12 @@ def run_pairs(args: argparse.Namespace, trees: dict[str, Path], heads: dict[str,
         traced_runs[name].append(record(result, layers))
     counts = {"attempted", "failed"} | counted(trees["parent"])
     traces = {name: traced(name, traced_runs[name], counts) for name in SIDES}
+    digests = {name: digest(trees[name], args.workload, args.seed) for name in SIDES}
     return {
         "label": args.label, "workload": args.workload, "seed": args.seed,
         "pairs": args.pairs, "seconds": SECONDS, "traced_runs": TRACED_RUNS,
-        **{name: side(heads[name], runs[name], environments[name], metrics, traces[name])
-           for name in SIDES},
+        **{name: side(heads[name], runs[name], environments[name], metrics, traces[name],
+                      digests[name]) for name in SIDES},
         "wins": {name: wins(*([run["metrics"][name] for run in runs[s]] for s in SIDES),
                             better) for name, better in metrics.items()},
     }

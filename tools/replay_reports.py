@@ -1,7 +1,7 @@
 """Replay the benchmark workloads' reports on two source trees and compare them.
 
     python3 tools/replay_reports.py OLD_TREE NEW_TREE
-    python3 tools/replay_reports.py --digest TREE
+    python3 tools/replay_reports.py --digest TREE [WORKLOAD SEED]
     python3 tools/replay_reports.py --counts OLD_TREE NEW_TREE
 
 Each tree is a checkout with its package under ``src/geodisc``.  Every
@@ -25,9 +25,11 @@ the new tree is canonical, 1 otherwise.
 
 ``--digest`` replays one tree and prints, per workload and seed, a sha256
 over that run's reports (exit code, standard error, temp files left, mode
-and text, in op order) and the number of ops per command.  Equal digests mean
-equal reports, but only between runs on one machine: numpy picks its SIMD
-loops by CPU, so the last bits of array math may differ between machines.
+and text, in op order) and the number of ops per command.  Given a workload
+and a seed, it replays and prints that run alone, with the workload's rounds
+above, for any seed.  Equal digests mean equal reports, but only between
+runs on one machine: numpy picks its SIMD loops by CPU, so the last bits of
+array math may differ between machines.
 
 ``--counts`` runs the same operations, with JSON reports only, under the
 benchmark's ``tracing.Tracer`` (from the checkout holding this script), and
@@ -71,11 +73,12 @@ def _import(tree: Path):
     return cli, workloads
 
 
-def _runs(workloads):
-    """(workload, seed, its ops) of the replay, in order."""
-    for workload, rounds in ROUNDS.items():
-        for seed in SEEDS:
-            yield workload, seed, workloads.build(workload, seed, rounds)
+def _runs(workloads, only: tuple[str, int] | None = None):
+    """(workload, seed, its ops) of the replay, in order, or of the one
+    workload and seed ``only``."""
+    runs = [(w, seed) for w in ROUNDS for seed in SEEDS] if only is None else [only]
+    for workload, seed in runs:
+        yield workload, seed, workloads.build(workload, seed, ROUNDS[workload])
 
 
 def _run_op(cli, op, scratch: Path, fmt: str) -> dict:
@@ -103,12 +106,13 @@ def _run_op(cli, op, scratch: Path, fmt: str) -> dict:
             "mode": mode, "text": None if text == PLACEHOLDER else text}
 
 
-def replay(tree: Path) -> list[dict]:
-    """Every report of the replay through the ``geodisc`` of ``tree``."""
+def replay(tree: Path, only: tuple[str, int] | None = None) -> list[dict]:
+    """Every report of the replay, or of its run ``only``, through the
+    ``geodisc`` of ``tree``."""
     cli, workloads = _import(tree)
     reports = []
     with tempfile.TemporaryDirectory() as scratch:
-        for workload, seed, ops in _runs(workloads):
+        for workload, seed, ops in _runs(workloads, only):
             for i, op in enumerate(ops):
                 for fmt in FORMATS:
                     reports.append({
@@ -140,12 +144,14 @@ def traced_counts(tree: Path) -> dict[str, dict[str, float]]:
     return counts
 
 
-def run_tree(tree: Path, mode: str = "replay"):
-    """:func:`replay`, or :func:`traced_counts` for ``mode`` "counts", of
-    ``tree`` in a fresh interpreter."""
+def run_tree(tree: Path, mode: str = "replay", only: tuple[str, int] | None = None):
+    """:func:`replay` (of the run ``only`` when given), or
+    :func:`traced_counts` for ``mode`` "counts", of ``tree`` in a fresh
+    interpreter."""
+    run = [] if only is None else [only[0], str(only[1])]
     proc = subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", __file__, "--worker", mode, str(tree)],
-        stdout=subprocess.PIPE, text=True, check=True)
+        [sys.executable, "-W", "error::RuntimeWarning", __file__, "--worker", mode, str(tree),
+         *run], stdout=subprocess.PIPE, text=True, check=True)
     return json.loads(proc.stdout)
 
 
@@ -223,11 +229,15 @@ def print_count_moves(old: dict, new: dict) -> int:
 
 def main(argv: list[str]) -> int:
     if argv[:1] == ["--worker"]:
-        work = traced_counts if argv[1] == "counts" else replay
-        json.dump(work(Path(argv[2]).resolve()), sys.stdout)
+        tree = Path(argv[2]).resolve()
+        if argv[1] == "counts":
+            json.dump(traced_counts(tree), sys.stdout)
+        else:
+            json.dump(replay(tree, (argv[3], int(argv[4])) if len(argv) == 5 else None), sys.stdout)
         return 0
-    if argv[:1] == ["--digest"] and len(argv) == 2:
-        print_digests(run_tree(Path(argv[1]).resolve()))
+    if argv[:1] == ["--digest"] and len(argv) in (2, 4):
+        only = (argv[2], int(argv[3])) if len(argv) == 4 else None
+        print_digests(run_tree(Path(argv[1]).resolve(), only=only))
         return 0
     if argv[:1] == ["--counts"] and len(argv) == 3:
         old, new = (run_tree(Path(tree).resolve(), "counts") for tree in argv[1:])
