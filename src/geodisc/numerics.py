@@ -224,10 +224,10 @@ def integrate_endpoint(
     upcoming halvings at once, then 32, 64 and 128 at a time, and the
     stopping rule reads them one halving after another; halvings evaluated
     past the one it stops at are never read, and no floating-point error
-    in them raises or warns.  A non-finite
-    value in a halving that is read raises: an overflow as
-    ``FloatingPointError``, anything else as "integrand not finite".  It
-    is the one-row case of :func:`integrate_log_moment`'s kernel.
+    in them raises or warns.  A non-finite value in a halving that is read
+    raises: an overflow as ``FloatingPointError``, anything else as
+    "integrand not finite".  It is the one-row case of
+    :func:`integrate_log_moment`'s kernel.
     """
     if not (b > a):
         raise ValueError("empty interval")
