@@ -6,16 +6,16 @@ report (JSON or CSV).  Exit codes: 0 on success, 2 when a check command
 reports a failing/divergent verdict, 1 on usage, configuration or execution
 errors, a numpy floating-point fault included (``run`` raises it whatever
 the warnings filter).  No numerics live here: every command is a thin
-wrapper over one public library operation, whose parameters are named as
-the config keys.
+wrapper over public library operations.
 
-Nine commands report that operation's result as it is, through one of two
-rules: ``_value`` writes a number as ``{key: number}`` and ``_record`` writes
-a result dataclass's fields in their declared order.  The rules look the
-operation up on its module when the command runs, not when this module is
-imported, so a wrapper installed on the module attribute afterwards (the
-benchmark tracer patches them) still sees every call.  The other commands
-reshape their results by hand.
+Fourteen commands make one library call and report its result through one
+rule, ``_report``: it passes the config keys to the operation as keyword
+arguments and writes what the command's ``payload`` makes of the result.
+The rule looks the operation up on its module when the command runs, not
+when this module is imported, so a wrapper installed on the module attribute
+afterwards (the benchmark tracer patches them) still sees every call.  Three
+handlers are written by hand: ``mod-cont`` and ``conjugate`` chain two
+library calls, and ``pipeline`` checks that its two domains match.
 """
 
 from __future__ import annotations
@@ -252,55 +252,22 @@ def _profile_rows(profile: da.ModulusProfile) -> list[dict]:
 # --- command handlers: each returns (result_payload, csv_rows, verdict_ok) ---
 #
 # csv_rows is a function of no arguments that builds the CSV rows, so a JSON
-# report builds none.  _value and _record build the handlers that report a
-# result as it is; they bind their operation late, as the module docstring
+# report builds none.  _report builds the handler of every command that makes
+# one library call; it binds its operation late, as the module docstring
 # explains.
 
-def _value(module, name: str, key: str, ok):
-    """The handler reporting the number ``module.name(**args)`` as
-    ``{key: number}``; ``ok`` reads the verdict off the number, or is None
-    for a command without one."""
+def _report(module, name: str, payload, ok, rows):
+    """The handler reporting ``result = module.name(**args)``: ``payload(result)``
+    is the report; ``ok(result)`` is the verdict, or ``ok`` is None for a
+    command without one; ``rows(result)`` builds the CSV rows, or ``rows`` is
+    None and the payload is the one row."""
     def handler(**args):
-        value = getattr(module, name)(**args)
-        payload = {key: value}
-        return payload, lambda: [payload], None if ok is None else ok(value)
+        result = getattr(module, name)(**args)
+        report = payload(result)
+        csv_rows = (lambda: [report]) if rows is None else (lambda: rows(result))
+        return report, csv_rows, None if ok is None else ok(result)
 
     return handler
-
-
-def _record(module, name: str, ok):
-    """The handler reporting the fields of the dataclass ``module.name(**args)``;
-    ``ok`` reads the verdict off the dataclass, or is None for a command
-    without one."""
-    def handler(**args):
-        record = getattr(module, name)(**args)
-        payload = asdict(record)
-        return payload, lambda: [payload], None if ok is None else ok(record)
-
-    return handler
-
-
-def _cmd_hl_verify(function, majorant):
-    report = hl.verify_majorant(function, majorant)
-    ok = report.verified()
-    payload = {
-        "max_violation": report.max_violation,
-        "worst_r": report.worst_r,
-        "worst_theta": report.worst_theta,
-        "verified": ok,
-    }
-    return payload, lambda: [payload], ok
-
-
-def _cmd_hl_l1(majorant, n):
-    res = hl.phi_log_l1(majorant, n)
-    payload = {
-        "value": res.limit,
-        "verdict": res.verdict,
-        "refinement_levels": res.refinement_levels,
-        "estimated_error": res.estimated_error,
-    }
-    return payload, lambda: [payload], res.converged
 
 
 def _cmd_mod_cont(function, n, deltas):
@@ -326,37 +293,6 @@ def _cmd_conjugate(function, n, real_part):
     ], None
 
 
-def _cmd_pz_bound(modulus, delta, K):
-    value = da.pz_bound(modulus, delta, K)
-    payload = {"pz_bound": value if math.isfinite(value) else None,
-               "finite": math.isfinite(value)}
-    return payload, lambda: [payload], math.isfinite(value)
-
-
-def _cmd_log_dini(modulus, **options):
-    report = da.log_dini_test(modulus, **options)
-    payload = {
-        "log_dini": report.log_dini,
-        "n_max": report.n_max,
-        "verdicts": list(report.verdicts),
-        "note": "finite surrogate: tested n <= n_max only",
-    }
-    return payload, lambda: [
-        {"n": n, "verdict": res.verdict, "value": res.limit}
-        for n, res in enumerate(report.results)
-    ], report.log_dini
-
-
-def _cmd_geodesic_probe(candidate, **options):
-    report = kb.boundary_extension_probe(candidate, **options)
-    payload = {
-        "verdict": report.verdict,
-        "omega_min": report.omega_min,
-        "cauchy_fraction": report.cauchy_fraction,
-    }
-    return payload, lambda: _profile_rows(report.profile), report.verdict != "fails"
-
-
 def _cmd_pipeline(domain, candidate):
     if candidate.domain != domain:
         raise ConfigError("candidate domain does not match the pipeline domain")
@@ -371,35 +307,51 @@ _POINT_AND_DIRECTION = {"point": VECTOR, "direction": VECTOR}
 
 # name -> (handler, record of the handler's keyword arguments)
 COMMANDS: dict[str, tuple[Callable, dict]] = {
-    "hl-verify": (_cmd_hl_verify, {"function": FUNCTION, "majorant": MAJORANT}),
-    "hl-bound": (_value(hl, "omega_bound", "omega_bound", math.isfinite),
+    "hl-verify": (_report(hl, "verify_majorant", lambda r: {
+        "max_violation": r.max_violation, "worst_r": r.worst_r,
+        "worst_theta": r.worst_theta, "verified": r.verified(),
+    }, lambda r: r.verified(), None), {"function": FUNCTION, "majorant": MAJORANT}),
+    "hl-bound": (_report(hl, "omega_bound", lambda v: {"omega_bound": v}, math.isfinite, None),
                  {"majorant": MAJORANT, "delta": NUMBER}),
-    "hl-l1": (_cmd_hl_l1, {"majorant": MAJORANT, "n": Opt(COUNT, 0)}),
+    "hl-l1": (_report(hl, "phi_log_l1", lambda r: {
+        "value": r.limit, "verdict": r.verdict,
+        "refinement_levels": r.refinement_levels, "estimated_error": r.estimated_error,
+    }, lambda r: r.converged, None), {"majorant": MAJORANT, "n": Opt(COUNT, 0)}),
     "mod-cont": (_cmd_mod_cont, {
         "function": FUNCTION, "n": Opt(GRID, 512), "deltas": [NUMBER],
     }),
     "conjugate": (_cmd_conjugate, {
         "function": FUNCTION, "n": Opt(DYADIC_GRID, 512), "real_part": Opt(BOOLEAN, False),
     }),
-    "pz-bound": (_cmd_pz_bound, {"modulus": MODULUS, "delta": NUMBER, "K": Opt(NUMBER, 1.0)}),
-    "log-dini": (_cmd_log_dini, {"modulus": MODULUS, "n_max": Opt(COUNT)}),
-    "domain-distance": (_value(cg, "boundary_distance", "distance", None),
+    "pz-bound": (_report(da, "pz_bound", lambda v: {
+        "pz_bound": v if math.isfinite(v) else None, "finite": math.isfinite(v),
+    }, math.isfinite, None), {"modulus": MODULUS, "delta": NUMBER, "K": Opt(NUMBER, 1.0)}),
+    "log-dini": (_report(da, "log_dini_test", lambda r: {
+        "log_dini": r.log_dini, "n_max": r.n_max, "verdicts": list(r.verdicts),
+        "note": "finite surrogate: tested n <= n_max only",
+    }, lambda r: r.log_dini, lambda r: [
+        {"n": n, "verdict": res.verdict, "value": res.limit} for n, res in enumerate(r.results)
+    ]), {"modulus": MODULUS, "n_max": Opt(COUNT)}),
+    "domain-distance": (_report(cg, "boundary_distance", lambda v: {"distance": v}, None, None),
                         {"domain": DOMAIN, "point": VECTOR}),
-    "domain-radius": (_value(cg, "inscribed_disc_radius", "radius", None),
+    "domain-radius": (_report(cg, "inscribed_disc_radius", lambda v: {"radius": v}, None, None),
                       {"domain": DOMAIN, **_POINT_AND_DIRECTION}),
-    "flat-x0": (_value(cg, "x0_cap", "x0", None), {"C": NUMBER, "alpha": NUMBER}),
-    "flat-rho": (_value(cg, "rho_triangle", "rho", None),
+    "flat-x0": (_report(cg, "x0_cap", lambda v: {"x0": v}, None, None),
+                {"C": NUMBER, "alpha": NUMBER}),
+    "flat-rho": (_report(cg, "rho_triangle", lambda v: {"rho": v}, None, None),
                  {"d": NUMBER, "slope": NUMBER, "C": NUMBER, "alpha": NUMBER}),
-    "rest-check": (_record(cg, "rest_bound_check", lambda r: r.satisfied),
+    "rest-check": (_report(cg, "rest_bound_check", asdict, lambda r: r.satisfied, None),
                    {"domain": FLAT_MODEL, **_POINT_AND_DIRECTION}),
-    "graham": (_record(cg, "graham_bounds", None), {"domain": DOMAIN, **_POINT_AND_DIRECTION}),
-    "geodesic-defect": (_value(kb, "geodesic_defect", "defect", None), {
+    "graham": (_report(cg, "graham_bounds", asdict, None, None),
+               {"domain": DOMAIN, **_POINT_AND_DIRECTION}),
+    "geodesic-defect": (_report(kb, "geodesic_defect", lambda v: {"defect": v}, None, None), {
         "candidate": CANDIDATE, "zeta1": COMPLEX, "zeta2": COMPLEX,
     }),
-    "geodesic-probe": (_cmd_geodesic_probe, {
-        "candidate": CANDIDATE, "n_theta": Opt(GRID),
-    }),
-    "mercer-fit": (_record(kb, "mercer_fit", None),
+    "geodesic-probe": (_report(kb, "boundary_extension_probe", lambda r: {
+        "verdict": r.verdict, "omega_min": r.omega_min, "cauchy_fraction": r.cauchy_fraction,
+    }, lambda r: r.verdict != "fails", lambda r: _profile_rows(r.profile)),
+                       {"candidate": CANDIDATE, "n_theta": Opt(GRID)}),
+    "mercer-fit": (_report(kb, "mercer_fit", asdict, None, None),
                    {"candidate": CANDIDATE, "theta": Opt(NUMBER)}),
     "pipeline": (_cmd_pipeline, {"domain": FLAT_MODEL, "candidate": CANDIDATE}),
 }

@@ -810,7 +810,10 @@ class RestBoundReport:
 def rest_bound_check(domain: FlatModelDomain, point, direction) -> RestBoundReport:
     """:meth:`RestBoundReport.of` the inscribed radius at z = ``point`` along
     v = ``direction`` (checked once, before the zone), with d =
-    ``domain.zone_depth(z)`` (the graph's zone only)."""
+    ``domain.zone_depth(z)`` (the graph's zone only).  Any other domain
+    kind is rejected first."""
+    if domain.kind != "flat_model":
+        raise ValueError("the rest bound needs a flat model domain")
     z, u = _check_ray(domain, point, direction)
     d = domain.zone_depth(z)
     if d is None:

@@ -409,8 +409,8 @@ def conjugate_function(samples: BoundarySamples) -> BoundarySamples:
     return replace(samples, values=out.real.astype(complex))
 
 
-def pz_bound(omega: ModulusFamily, delta: float, K: float) -> float:
-    """Conjugate-function modulus bound
+def pz_bound(modulus: ModulusFamily, delta: float, K: float) -> float:
+    """Conjugate-function modulus bound of omega = ``modulus``
 
         K * [ int_0^delta omega(x)/x dx + delta * int_delta^pi omega(x)/x^2 dx ].
 
@@ -426,11 +426,11 @@ def pz_bound(omega: ModulusFamily, delta: float, K: float) -> float:
     if K <= 0.0:
         raise ValueError("K must be positive")
 
-    far_density = lambda x: omega(x) / (x * x)
+    far_density = lambda x: modulus(x) / (x * x)
     # int_0^min(delta, 1) omega(x)/x dx = int_{log(1/min(delta, 1))}^inf omega(e^-u) du
-    near = integrate_log_moment(omega.log_modulus, [0], -math.log(min(delta, 1.0)))
+    near = integrate_log_moment(modulus.log_modulus, [0], -math.log(min(delta, 1.0)))
     if delta > 1.0:
-        near.append(integrate_endpoint(lambda x: omega(x) / x, 1.0, delta))
+        near.append(integrate_endpoint(lambda x: modulus(x) / x, 1.0, delta))
     if delta < 1.0:
         mid = 0.5 * (delta + 1.0)
         far = [
@@ -472,13 +472,14 @@ class LogDiniReport:
         return all(r.converged for r in self.results)
 
 
-def log_dini_test(omega: ModulusFamily, n_max: int = 6) -> LogDiniReport:
-    """Classify int_0^1 (log(1/x))^n omega(x)/x dx for n = 0..n_max.
+def log_dini_test(modulus: ModulusFamily, n_max: int = 6) -> LogDiniReport:
+    """Classify int_0^1 (log(1/x))^n omega(x)/x dx for omega = ``modulus``
+    and n = 0..n_max.
 
     Computed on the log scale, where the integral is int_0^inf u^n
     omega(e^-u) du, all orders in one pass that reaches the far tail.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    results = tuple(integrate_log_moment(omega.log_modulus, range(n_max + 1), 0.0))
+    results = tuple(integrate_log_moment(modulus.log_modulus, range(n_max + 1), 0.0))
     return LogDiniReport(results)

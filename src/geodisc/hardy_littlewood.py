@@ -100,8 +100,9 @@ class MajorantReport:
         return self.scaled_violation <= slack
 
 
-def verify_majorant(f: UnitDiscFunction, phi: Majorant) -> MajorantReport:
-    """Max over the grid of ||f'(r e^{i theta})|| - Phi(1 - r).
+def verify_majorant(function: UnitDiscFunction, majorant: Majorant) -> MajorantReport:
+    """Max over the grid of ||f'(r e^{i theta})|| - Phi(1 - r), for f =
+    ``function`` and Phi = ``majorant``.
 
     The grid is 24 radii with 1 - r geometric from 0.999 r0 down to
     1e-4 r0, times 32 equispaced angles; a radius that rounds to 1 or out
@@ -109,14 +110,14 @@ def verify_majorant(f: UnitDiscFunction, phi: Majorant) -> MajorantReport:
     left is rejected.  A nonpositive ``max_violation`` means the majorant
     hypothesis holds on the grid.
     """
-    r0 = phi.r0
+    r0 = majorant.r0
     radii = 1.0 - np.geomspace(r0 * 0.999, r0 * 1e-4, 24)
     radii = radii[(1.0 - r0 < radii) & (radii < 1.0)]
     if radii.size == 0:
         raise ValueError(f"majorant window r0 = {r0!r} is too narrow to sample below 1")
-    caps = np.repeat([phi.evaluate(1.0 - float(r)) for r in radii], len(_VERIFY_THETAS))
+    caps = np.repeat([majorant.evaluate(1.0 - float(r)) for r in radii], len(_VERIFY_THETAS))
     zeta = np.multiply.outer(radii, np.cos(_VERIFY_THETAS) + 1j * np.sin(_VERIFY_THETAS))
-    violations = (norms := row_norms(derivative_at(f, zeta.ravel()))) - caps
+    violations = (norms := row_norms(derivative_at(function, zeta.ravel()))) - caps
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # Phi 0, inf or subnormal
         scaled = violations / caps
     # a nan is no violation; there are none when all are -inf or nan
@@ -135,15 +136,16 @@ def verify_majorant(f: UnitDiscFunction, phi: Majorant) -> MajorantReport:
     )
 
 
-def phi_log_l1(phi: Majorant, n: int) -> QuadratureResult:
-    """int_0^{r0} (log(1/x))^n Phi(x) dx with the divergence verdict.
+def phi_log_l1(majorant: Majorant, n: int) -> QuadratureResult:
+    """int_0^{r0} (log(1/x))^n Phi(x) dx for Phi = ``majorant``, with the
+    divergence verdict.
 
     On the log scale this is int u^n e^{log_form(u)} du over
     (log(1/r0), inf), which resolves power-law log tails.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return integrate_log_moment(phi.log_form, [n], -math.log(phi.r0))[0]
+    return integrate_log_moment(majorant.log_form, [n], -math.log(majorant.r0))[0]
 
 
 def omega_bound(majorant: Majorant, delta: float) -> float:

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import errno
+import importlib
+import inspect
 import json
 import math
 import os
@@ -1347,3 +1349,40 @@ def test_readme_python_blocks_run():
     assert blocks
     for block in blocks:
         exec(compile(block, str(README), "exec"), {})
+
+
+# commands that chain two library calls (mod-cont, conjugate) or check their
+# config before their one call (pipeline); every other command is one call
+HAND_WRITTEN = {"mod-cont", "conjugate", "pipeline"}
+
+
+def readme_library_calls() -> dict[str, str]:
+    """command -> the "library call" cell of its row in the README's table."""
+    rows = re.findall(r"^\| `([\w-]+)` \|[^|]*\| ([^|]*) \|", README.read_text(), re.M)
+    return {command: call.strip() for command, call in rows}
+
+
+@pytest.mark.parametrize("command", sorted(set(cli.COMMANDS) - HAND_WRITTEN))
+def test_a_one_call_command_passes_its_config_keys_as_the_parameters_of_its_call(
+    command, monkeypatch
+):
+    calls = readme_library_calls()
+    assert set(calls) == set(cli.COMMANDS) and HAND_WRITTEN < set(calls)
+    module_name, name = re.fullmatch(r"`(\w+)\.(\w+)`", calls[command]).groups()
+    module = importlib.import_module(f"geodisc.{module_name}")
+    handler, record = cli.COMMANDS[command]
+    parameters = inspect.signature(getattr(module, name)).parameters
+    assert set(record) <= set(parameters)
+    assert {p for p, param in parameters.items() if param.default is param.empty} <= set(record)
+
+    class Called(Exception):
+        pass
+
+    def operation(*args, **kwargs):
+        raise Called(args, kwargs)
+
+    # the command runs the operation the table names, each key by its name
+    monkeypatch.setattr(module, name, operation)
+    with pytest.raises(Called) as called:
+        handler(**{key: key for key in record})
+    assert called.value.args == ((), {key: key for key in record})

@@ -1367,6 +1367,18 @@ def test_rest_bound_rejects_a_point_nearest_a_box_cap():
         rest_bound_check(domain, [0.0, 0.075 + 0.04j], [1.0, 0.0])
 
 
+@pytest.mark.parametrize("domain", [
+    Polydisc((1.0, 1.0)),
+    Ball(np.zeros(2), 1.0),
+    halfspace_box(),
+], ids=lambda domain: domain.kind)
+def test_rest_bound_rejects_a_domain_that_is_not_a_flat_model(domain):
+    # the zone is the flat graph's alone; a polydisc raised AttributeError
+    # on its missing zone_depth
+    with pytest.raises(ValueError, match="needs a flat model domain"):
+        rest_bound_check(domain, [0, 0], [1, 0])
+
+
 # --- stacks of points ------------------------------------------------------------
 
 README_FLAT = FlatModelDomain(FlatSupport(1.0, 0.5, 0.111, 0.08))

@@ -4,8 +4,8 @@ Domains and their constraint pieces answer every geometric question through
 one protocol, so no library module asks a value for its type.  Majorants and
 moduli have one type each, so no library module asks a value whether it has
 an attribute either.  The CLI is the one exception: it checks the types of
-config values, and its two report rules look their operation up by name when
-a command runs.  The source is parsed, not imported.
+config values, and its one report rule looks its operation up by name when a
+command runs.  The source is parsed, not imported.
 """
 
 from __future__ import annotations
@@ -34,3 +34,14 @@ def test_no_isinstance_outside_the_cli():
 
 def test_no_attribute_probing_outside_the_cli():
     assert calls_outside_the_cli("getattr", "hasattr") == []
+
+
+def test_the_cli_probes_attributes_only_in_its_report_rule():
+    """One ``getattr`` call: the report rule's late lookup of its operation."""
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    probes = lambda root: [
+        node.func.id for node in ast.walk(root)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("getattr", "hasattr")
+    ]
+    (report,) = [node for node in tree.body if getattr(node, "name", None) == "_report"]
+    assert probes(tree) == probes(report) == ["getattr"]
