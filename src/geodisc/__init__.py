@@ -29,6 +29,7 @@ from .disc_analysis import (
     constant_map,
     derivative_at,
     derivative_centered,
+    disc_automorphism,
     identity_map,
     log_dini_test,
     modulus_of_continuity,
@@ -48,7 +49,6 @@ from .kobayashi import (
     GeodesicCandidate,
     MercerFit,
     boundary_extension_probe,
-    disc_automorphism,
     flat_slice_candidate,
     geodesic_defect,
     mercer_fit,

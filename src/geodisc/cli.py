@@ -6,7 +6,8 @@ report (JSON or CSV).  Exit codes: 0 on success, 2 when a check command
 reports a failing/divergent verdict, 1 on usage, configuration or execution
 errors, a numpy floating-point fault included (``run`` raises it whatever
 the warnings filter).  No numerics live here: every command is a thin
-wrapper over public library operations.
+wrapper over public library operations, and every function kind names a
+built-in map of ``disc_analysis``.
 
 Fourteen commands make one library call and report its result through one
 rule, ``_report``: it passes the config keys to the operation as keyword
@@ -169,30 +170,6 @@ def parse(schema, value, path: str = ""):
 
 # --- spec kinds --------------------------------------------------------------
 
-def _monomial(degree: int, coefficient: complex) -> da.UnitDiscFunction:
-    if degree < 0:
-        raise ValueError("monomial degree must be nonnegative")
-    if not _is_real(degree):
-        raise ValueError("monomial degree must be finite as a double")
-    # np.multiply(c, tmp), not c * tmp: numpy computes the operator in place
-    # as tmp * c once the temporary tmp holds 256 KB, and that rounds otherwise
-    return da.UnitDiscFunction(
-        lambda z: da.stack_components(z, np.multiply(coefficient, z**degree)),
-        1,
-        lambda z: da.stack_components(
-            z, np.multiply(coefficient * degree, z ** (degree - 1)) if degree else 0.0
-        ),
-    )
-
-
-def _pair_identity_zero() -> da.UnitDiscFunction:
-    return da.UnitDiscFunction(
-        lambda z: da.stack_components(z, z, 0.0),
-        2,
-        lambda z: da.stack_components(z, 1.0, 0.0),
-    )
-
-
 def _halfspace_intersection(constraints: list[dict], **options) -> cg.HalfspaceIntersection:
     pairs = tuple((c["a"], c["b"]) for c in constraints)
     return cg.HalfspaceIntersection(pairs, **options)
@@ -205,10 +182,10 @@ def _flat_model(C: float, alpha: float, R0: float, s0: float, **options) -> cg.F
 FUNCTION = Kinds("function", {
     "identity": (da.identity_map, {}),
     "constant": (da.constant_map, {"values": VECTOR}),
-    "automorphism": (kb.disc_automorphism, {"a": COMPLEX, "phi": Opt(NUMBER)}),
-    "monomial": (_monomial, {"degree": COUNT, "coefficient": Opt(COMPLEX, 1 + 0j)}),
-    "pair_identity_zero": (_pair_identity_zero, {}),
-    "nonextending": (lambda: kb.nonextending_geodesic().map, {}),
+    "automorphism": (da.disc_automorphism, {"a": COMPLEX, "phi": Opt(NUMBER)}),
+    "monomial": (da.monomial_map, {"degree": COUNT, "coefficient": Opt(COMPLEX, 1 + 0j)}),
+    "pair_identity_zero": (da.pair_identity_zero_map, {}),
+    "nonextending": (da.nonextending_map, {}),
 })
 MAJORANT = Kinds("majorant", {
     "family": (hl.Majorant.family,

@@ -1,13 +1,17 @@
 """Holomorphic-function machinery on the unit disc.
 
-Derivatives through the Cauchy integral on a circle centred at the point,
-radial boundary limits along a fixed tail of radii, uniform boundary
-sampling, moduli of continuity, the discrete conjugate function, and the
-continuity classes built from log-weighted Dini integrals.
+The disc-map type and every built-in map (identity, constant, monomial,
+the identity/zero pair, the disc automorphisms and the non-extending map
+of the bidisc geodesic), derivatives through the Cauchy integral on a
+circle centred at the point, radial boundary limits along a fixed tail of
+radii, uniform boundary sampling, moduli of continuity, the discrete
+conjugate function, and the continuity classes built from log-weighted
+Dini integrals.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass, replace
@@ -112,6 +116,14 @@ def vector_function(
     return UnitDiscFunction(_per_point(comps), len(comps), deriv)
 
 
+# The built-in maps.  Each gives a point the same bits in an array of any
+# size.  A scalar times a temporary is written np.multiply(c, tmp), not
+# c * tmp: numpy computes the operator in place as tmp * c once the temporary
+# holds 256 KB, and that rounds otherwise.  The non-extending component is
+# built in one buffer, since each fresh temporary of a large grid costs its
+# pages' faults; its bits are those of 0.5 * exp((1 + z)/(z - 1)), which
+# numpy computes in place as tmp * 0.5 from 256 KB.
+
 def identity_map() -> UnitDiscFunction:
     return UnitDiscFunction(
         lambda z: stack_components(z, z), 1, lambda z: stack_components(z, 1.0)
@@ -127,6 +139,61 @@ def constant_map(values: Sequence[complex]) -> UnitDiscFunction:
         lambda z: stack_components(z, *vals),
         len(vals),
         lambda z: stack_components(z, *zeros),
+    )
+
+
+def monomial_map(degree: int, coefficient: complex) -> UnitDiscFunction:
+    """zeta -> coefficient zeta^degree."""
+    if degree < 0:
+        raise ValueError("monomial degree must be nonnegative")
+    try:
+        float(degree)
+    except OverflowError:
+        raise ValueError("monomial degree must be finite as a double") from None
+    return UnitDiscFunction(
+        lambda z: stack_components(z, np.multiply(coefficient, z**degree)),
+        1,
+        lambda z: stack_components(
+            z, np.multiply(coefficient * degree, z ** (degree - 1)) if degree else 0.0
+        ),
+    )
+
+
+def pair_identity_zero_map() -> UnitDiscFunction:
+    """zeta -> (zeta, 0)."""
+    return UnitDiscFunction(
+        lambda z: stack_components(z, z, 0.0), 2, lambda z: stack_components(z, 1.0, 0.0)
+    )
+
+
+def disc_automorphism(a: complex, phi: float = 0.0) -> UnitDiscFunction:
+    """zeta -> e^{i phi} (zeta - a) / (1 - conj(a) zeta)."""
+    if abs(a) >= 1.0:
+        raise ValueError("automorphism parameter must lie inside the disc")
+    rot = cmath.exp(1j * phi)
+    abar = complex(a).conjugate()
+    scale = rot * (1.0 - abs(a) ** 2)
+    return UnitDiscFunction(
+        lambda z: stack_components(z, np.multiply(rot, z - a) / (1.0 - abar * z)),
+        1,
+        lambda z: stack_components(z, scale / (1.0 - abar * z) ** 2),
+    )
+
+
+def nonextending_map() -> UnitDiscFunction:
+    """zeta -> (zeta, (1/2) exp((1 + zeta)/(zeta - 1))), whose second
+    component has no continuous boundary extension at zeta = 1."""
+    def second(z):
+        w = np.array(z, dtype=complex)
+        np.add(w, 1.0, out=w)
+        np.divide(w, np.subtract(z, 1.0), out=w)
+        np.exp(w, out=w)
+        return np.multiply(w, 0.5, out=w)
+
+    return UnitDiscFunction(
+        lambda z: stack_components(z, z, second(z)),
+        2,
+        lambda z: stack_components(z, 1.0, -2.0 * second(z) / (z - 1.0) ** 2),
     )
 
 

@@ -1,10 +1,13 @@
 """Geodesic candidates and the boundary-extension pipeline.
 
-Poincare geometry on the disc, geodesic defects, the explicit
-non-extending geodesic of the bidisc, empirical boundary-extension probes,
-distance decay fits along candidates, and the staged pipeline that chains
-properness, the flatness bound, the fitted derivative majorant, its
-integrability, and the extension probe.  Graham's metric bounds
+Poincare geometry on the disc, geodesic candidates (a disc map paired
+with the domain it maps into: the explicit non-extending geodesic of the
+bidisc, whose map is ``disc_analysis.nonextending_map``, and the affine
+discs of a flat model's slice), geodesic defects, empirical
+boundary-extension probes, distance decay fits along candidates, and the
+staged pipeline that chains properness, the flatness bound, the fitted
+derivative majorant, its integrability, and the extension probe.  The
+built-in disc maps live in ``disc_analysis``.  Graham's metric bounds
 (``graham_bounds``, ``MetricBounds``) live in ``convex_geometry`` beside
 the inscribed radius they read, and are re-exported here.
 """
@@ -36,6 +39,7 @@ from .disc_analysis import (
     derivative_at,
     grid_lag,
     modulus_profile,
+    nonextending_map,
     stack_components,
 )
 from .hardy_littlewood import Majorant, phi_log_l1, verify_majorant
@@ -60,22 +64,6 @@ def poincare_distance(z1: complex, z2: complex) -> float:
     return ball_distance(z1, z2)
 
 
-def disc_automorphism(a: complex, phi: float = 0.0) -> UnitDiscFunction:
-    """zeta -> e^{i phi} (zeta - a) / (1 - conj(a) zeta)."""
-    if abs(a) >= 1.0:
-        raise ValueError("automorphism parameter must lie inside the disc")
-    rot = cmath.exp(1j * phi)
-    abar = complex(a).conjugate()
-    scale = rot * (1.0 - abs(a) ** 2)
-    # np.multiply(rot, tmp), not rot * tmp, which numpy computes in place as
-    # tmp * rot once the temporary holds 256 KB, rounding otherwise
-    return UnitDiscFunction(
-        lambda z: stack_components(z, np.multiply(rot, z - a) / (1.0 - abar * z)),
-        1,
-        lambda z: stack_components(z, scale / (1.0 - abar * z) ** 2),
-    )
-
-
 # --- geodesic candidates -----------------------------------------------------
 
 @dataclass(frozen=True)
@@ -92,8 +80,8 @@ class GeodesicCandidate:
 
 
 def nonextending_geodesic() -> GeodesicCandidate:
-    """The explicit bidisc geodesic whose second component has no continuous
-    boundary extension.
+    """The explicit bidisc geodesic ``disc_analysis.nonextending_map``, whose
+    second component has no continuous boundary extension.
 
     The first coordinate is the identity, an automorphism, so the map is a
     complex geodesic of the bidisc; the second is (1/2) exp((1+z)/(z-1)),
@@ -101,22 +89,7 @@ def nonextending_geodesic() -> GeodesicCandidate:
     limit 0 at theta = 0 but unimodular oscillation (1/2) e^{-i cot(theta/2)}
     elsewhere.
     """
-    def f2(z):
-        # 0.5 exp((1 + z)/(z - 1)) built in one buffer: each fresh temporary
-        # of a large grid costs its pages' faults.  The bits are those of the
-        # expression, which numpy computes in place as tmp * 0.5 from 256 KB
-        w = np.array(z, dtype=complex)
-        np.add(w, 1.0, out=w)
-        np.divide(w, np.subtract(z, 1.0), out=w)
-        np.exp(w, out=w)
-        return np.multiply(w, 0.5, out=w)
-
-    mapping = UnitDiscFunction(
-        lambda z: stack_components(z, z, f2(z)),
-        2,
-        lambda z: stack_components(z, 1.0, -2.0 * f2(z) / (z - 1.0) ** 2),
-    )
-    return GeodesicCandidate(mapping, Polydisc((1.0, 1.0)), "polydisc_explicit")
+    return GeodesicCandidate(nonextending_map(), Polydisc((1.0, 1.0)), "polydisc_explicit")
 
 
 def flat_slice_candidate(domain: FlatModelDomain, center: complex,

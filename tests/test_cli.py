@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import errno
 import importlib
 import inspect
@@ -781,6 +782,21 @@ def test_domain_specs_build_domains():
         parse(cli.DOMAIN, {"kind": "torus"}, "domain")
     with pytest.raises(ConfigError, match="domain.banana: unknown key"):
         parse(cli.DOMAIN, {"kind": "polydisc", "radii": [1, 1], "banana": 1}, "domain")
+
+
+def test_every_function_kind_names_a_built_in_map_of_disc_analysis():
+    # the nonextending kind was a lambda here that built a whole candidate
+    # for its map, and the monomial, the identity/zero pair and the
+    # automorphism were built in cli and kobayashi
+    for kind, (build, _) in cli.FUNCTION.kinds.items():
+        assert build.__module__ == "geodisc.disc_analysis", kind
+
+
+def test_the_cli_builds_no_map_of_its_own():
+    names = {node.attr if isinstance(node, ast.Attribute) else node.id
+             for node in ast.walk(ast.parse(Path(cli.__file__).read_text()))
+             if isinstance(node, (ast.Attribute, ast.Name))}
+    assert not names & {"UnitDiscFunction", "stack_components", "multiply"}
 
 
 # Each config was read wrongly without an error, or escaped as a traceback.

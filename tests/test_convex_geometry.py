@@ -232,6 +232,15 @@ def test_disc_pieces_scale_exactly_with_their_radius(k):
                 == math.ldexp(inscribed_disc_radius(domain, point, u), k))
 
 
+@pytest.mark.xfail(strict=True, reason="MEMBERSHIP_TOL = 1e-12 is absolute, so every point "
+                   "within 1e-12 of a tiny polydisc's boundary reads 'boundary' (ROADMAP item 7)")
+def test_membership_of_a_tiny_polydisc_is_that_of_the_unit_one():
+    # both read "boundary": (0.5e-13, 0) lies inside, (1.3e-13, 0) outside
+    tiny = Polydisc((1e-13, 1e-13))
+    assert tiny.membership([0.5e-13, 0.0]) == "inside"
+    assert tiny.membership([1.3e-13, 0.0]) == "outside"
+
+
 def halfspace_box(extra=(), scale: float = 1.0) -> HalfspaceIntersection:
     # |Re z_k| <= 1/scale, |Im z_k| <= 1/scale in C^2 via eight halfspaces
     # with normals of length scale

@@ -309,6 +309,15 @@ def test_cauchy_flags_are_the_row_norm_flags(power, dimension, gain, n):
     assert 0 < np.count_nonzero(_radial_tails(straddle, n)[1]) < n
 
 
+@pytest.mark.xfail(strict=True, reason="_RADIAL_TOL = 1e-6 compares unscaled tail moves inside "
+                   "[2^-480, 2^480] (ROADMAP item 7)")
+def test_cauchy_fraction_of_a_scaled_identity_is_that_of_the_identity():
+    # 1e10 z reads 0.0, where z reads 1.0
+    scaled = UnitDiscFunction(lambda z: stack_components(z, 1e10 * z), 1)
+    assert boundary_samples(identity_map(), 1024).cauchy_fraction == 1.0
+    assert boundary_samples(scaled, 1024).cauchy_fraction == 1.0
+
+
 # --- modulus of continuity -------------------------------------------------
 
 def _brute_force_modulus(samples: BoundarySamples, delta: float) -> float:
@@ -651,6 +660,14 @@ def test_log_dini_linear_modulus():
     # oracle: int_0^1 (log(1/x))^n dx = n!
     for n, res in enumerate(report.results):
         assert abs(res.value - math.factorial(n)) < 1e-6 * math.factorial(n)
+
+
+@pytest.mark.xfail(strict=True, reason="numerics._VALUE_CAP = 1e50 is absolute, and n! passes "
+                   "it from n = 42 (ROADMAP item 4)")
+def test_log_dini_linear_modulus_past_the_value_cap():
+    # int_0^1 (log(1/x))^n dx = n! converges for every n; it reads diverged
+    # from n = 42
+    assert log_dini_test(ModulusFamily.holder(1.0), n_max=45).log_dini
 
 
 def test_log_dini_of_a_subnormal_modulus():

@@ -26,9 +26,11 @@ from geodisc.disc_analysis import (
     boundary_samples,
     constant_map,
     derivative_at,
+    disc_automorphism,
     identity_map,
     modulus_profile,
     scalar_function,
+    stack_components,
     vector_function,
 )
 from geodisc.hardy_littlewood import Majorant
@@ -37,7 +39,6 @@ from geodisc.kobayashi import (
     _PROBE_DELTAS,
     GeodesicCandidate,
     boundary_extension_probe,
-    disc_automorphism,
     flat_slice_candidate,
     geodesic_defect,
     graham_bounds,
@@ -296,9 +297,9 @@ def test_nonextending_component_stays_in_half_disc():
 
 @pytest.mark.parametrize("n", [8, 2048, 8192])
 def test_nonextending_component_keeps_the_bits_of_its_expression(n):
-    # built in one buffer, f2 equals 0.5 exp((1 + z)/(z - 1)) as numpy
-    # evaluates that on the tail grid of the probe: in place as tmp * 0.5
-    # from 256 KB (the 8192-node grid), as 0.5 * tmp below it
+    # built in one buffer, the second component equals 0.5 exp((1 + z)/(z - 1))
+    # as numpy evaluates that on the tail grid of the probe: in place as
+    # tmp * 0.5 from 256 KB (the 8192-node grid), as 0.5 * tmp below it
     z = disc_analysis._tail_grid(n).reshape(-1)
     expected = 0.5 * np.exp((1.0 + z) / (z - 1.0))
     values = nonextending_geodesic().map.values(z)
@@ -663,6 +664,64 @@ def test_probe_oscillation_oracle_dyadic_refinement():
     assert diam >= 0.9
 
 
+# --- the probe on maps whose answer is known (ROADMAP item 18) ------------------
+#
+# The probe reads the map alone; each candidate's domain only fixes its
+# dimension.
+
+def _scaled_nonextending(lam: float) -> GeodesicCandidate:
+    """zeta -> (zeta, lam (1/2) e^{(1+zeta)/(zeta-1)}): a bidisc geodesic for
+    every lam in (0, 1], with no continuous extension at 1."""
+    return GeodesicCandidate(UnitDiscFunction(
+        lambda z: stack_components(z, z, lam * 0.5 * np.exp((1.0 + z) / (z - 1.0))), 2),
+        Polydisc((1.0, 1.0)))
+
+
+def _small_log() -> GeodesicCandidate:
+    """1e-4 log(2e/(1 - zeta)), unbounded near 1."""
+    return GeodesicCandidate(UnitDiscFunction(
+        lambda z: stack_components(z, 1e-4 * np.log(2.0 * math.e / (1.0 - z))), 1),
+        Polydisc((2.0,)))
+
+
+def _log_power(p: float) -> GeodesicCandidate:
+    """The lemma's extremal map f_p = (log(K/(1 - zeta)))^{1-p}, K = 2e^p: for
+    p > 1 it extends with f_p(1) = 0; for p <= 1 it is unbounded at 1."""
+    K = 2.0 * math.exp(p)
+    return GeodesicCandidate(UnitDiscFunction(
+        lambda z: stack_components(z, np.log(K / (1.0 - z)) ** (1.0 - p)), 1),
+        Polydisc((2.0,)))
+
+
+@pytest.mark.xfail(strict=True, reason="tol_ext is absolute: a map that moves little across "
+                   "the grid reads 'extends' whatever its continuity (ROADMAP item 18)")
+@pytest.mark.parametrize("make, n", [
+    (lambda: _scaled_nonextending(1e-4), 8192),
+    (_small_log, 8192),
+    (lambda: _log_power(0.9999), 4096),
+    (lambda: _log_power(0.9999), 8192),
+], ids=["scaled_geodesic-8192", "small_log-8192", "log_power_0.9999-4096",
+        "log_power_0.9999-8192"])
+def test_probe_never_reads_extends_for_a_map_with_no_extension(make, n):
+    # each read "extends (numerically)": omega_min 7.7e-4, 9.6e-4, 8.1e-5 and 7.3e-5
+    assert boundary_extension_probe(make(), n_theta=n).verdict != "extends (numerically)"
+
+
+@pytest.mark.parametrize("n", [4096, 8192])
+@pytest.mark.parametrize("lam", [1.0, 2.0])
+def test_probe_never_fails_a_scaled_identity_pair(lam, n):
+    # (lam zeta, 0) is a geodesic of the polydisc of radii (lam, 1) that extends
+    candidate = GeodesicCandidate(
+        UnitDiscFunction(lambda z: stack_components(z, lam * z, 0.0), 2), Polydisc((lam, 1.0)))
+    assert boundary_extension_probe(candidate, n_theta=n).verdict != "fails"
+
+
+@pytest.mark.parametrize("n", [4096, 8192])
+@pytest.mark.parametrize("p", [1.02, 1.5, 3.0])
+def test_probe_never_fails_a_log_power_that_extends(p, n):
+    assert boundary_extension_probe(_log_power(p), n_theta=n).verdict != "fails"
+
+
 # --- distance decay fit ---------------------------------------------------------
 
 def test_mercer_fit_identity_disc_exact():
@@ -807,6 +866,18 @@ def test_pipeline_flags_noninteg_majorant_at_alpha_one(monkeypatch):
     assert stages["majorant_integrable"].details["note"] == "majorant not integrable"
     assert stages["extension_probe"].status == "pass"  # probe still runs
     assert not report.ok
+
+
+@pytest.mark.xfail(strict=True, reason="stage (i)'s threshold 0.05 is absolute, so a disc "
+                   "that stays 0.03 from the boundary reads proper (ROADMAP item 5)")
+def test_pipeline_properness_fails_a_disc_that_stays_inside():
+    # on the README model the affine disc of radius 0.01 at 0.04i stays at
+    # least 0.03 from the boundary, so it is not proper; it passes all five
+    # stages, stage (i) with max_distance 0.04
+    domain = FlatModelDomain(FlatSupport(1.0, 0.5, 0.111, 0.08))
+    report = theorem_pipeline(flat_slice_candidate(domain, 0.04j, 0.01))
+    assert report.stages[0].name == "properness"
+    assert report.stages[0].status == "fail"
 
 
 def test_pipeline_rejects_a_candidate_outside_a_flat_model():

@@ -25,10 +25,10 @@ SETTABLE = {
     "disc_analysis:scalar_function.df",
     "disc_analysis:vector_function.derivatives",
     "disc_analysis:BoundarySamples.cauchy_fraction",
+    "disc_analysis:disc_automorphism.phi",
     "disc_analysis:log_dini_test.n_max",
     "hardy_littlewood:Majorant.log_form",
     "hardy_littlewood:MajorantReport.verified.slack",
-    "kobayashi:disc_automorphism.phi",
     "kobayashi:GeodesicCandidate.construction",
     "kobayashi:boundary_extension_probe.n_theta",
     "kobayashi:boundary_extension_probe.tol_ext",
