@@ -119,7 +119,7 @@ GRID = Scalar("an integer", _is_count, da.grid_size)
 DYADIC_GRID = Scalar("an integer", _is_count, da.dyadic_grid_size)
 
 
-def parse(schema, value, path: str = ""):
+def parse(schema, value, path: str):
     """``value`` checked against ``schema`` and converted.  The ConfigError
     for an unknown, missing or mistyped value, or one the library rejects,
     names its key path, e.g. ``domain.constraints[0].b``."""
@@ -341,7 +341,7 @@ def parse_config(command: str, cfg: dict) -> dict:
     ``format`` and ``out``, read from ``cfg``."""
     if command not in COMMANDS:
         raise ConfigError(f"unknown command '{command}'")
-    return parse({**COMMANDS[command][1], **_GLOBAL_FIELDS}, cfg)
+    return parse({**COMMANDS[command][1], **_GLOBAL_FIELDS}, cfg, "")
 
 
 def _json_scalar(value):

@@ -104,13 +104,18 @@ def rho_triangle(d: float, slope: float, C: float, alpha: float) -> float:
 
 # --- convex constraints --------------------------------------------------------
 #
-# Each constraint is a closed convex set and answers: gap(z), negative
-# inside; exit(z, u), the last t >= 0 with z + t u in it (unit u), or inf
-# when the ray never leaves; distance(z) to its boundary from inside;
-# disc_radius(z, v), the largest rho with z + rho e^{i theta} v in it for
-# every theta; and kobayashi(z, w), its exact Kobayashi distance, or None
-# (a piece that answers constrains only its block of coordinates, coords,
-# and the domain combines the answers in ConvexDomainModel.kobayashi).
+# Each constraint is a closed convex set and answers four questions:
+# gap(z), negative inside; exit(z, u, worst_phase=...), the last t >= 0
+# with z + t u in it (unit u), or inf when the ray never leaves, where at
+# the worst phase u is turned to the e^{i theta} u that leaves first, so
+# the exit is the largest rho with z + rho e^{i theta} u in it for every
+# theta, the radius of the inscribed disc; distance(z) to its boundary from
+# inside; and kobayashi(z, w), its exact Kobayashi distance, or None (a
+# piece that answers constrains only its block of coordinates, coords, and
+# the domain combines the answers in ConvexDomainModel.kobayashi).  gap,
+# distance and the half-space and graph exits also take a stack of points
+# (rows); the disc exit takes one point only (np.vdot would flatten a
+# stack), which no domain sends it, since product domains answer K exactly.
 
 def ball_distance(a, b) -> float:
     """Kobayashi distance of the unit ball, artanh rho = log1p(2 rho (1 + rho)
@@ -174,15 +179,20 @@ class DiscConstraint:
         offset, radius = self._scaled(z)
         return (math.ldexp if z.ndim == 1 else np.ldexp)(_norms(offset) - radius, self.scale)
 
-    def exit(self, z: np.ndarray, u: np.ndarray) -> float:
-        return self._exit(z, u, worst_phase=False)
+    def exit(self, z: np.ndarray, u: np.ndarray, *, worst_phase: bool) -> float:
+        """The exit along u, or along the e^{i theta} u that leaves first."""
+        p, radius = self._scaled(z)
+        w = u[self.coords]
+        ww = float(np.vdot(w, w).real)
+        if ww == 0.0:
+            return math.inf
+        inner = complex(np.vdot(p, w))
+        dot = abs(inner) if worst_phase else inner.real  # max of Re e^{i theta} inner
+        return math.ldexp(_disc_exit(_norms(p), dot, ww, radius), self.scale)
 
     def distance(self, z: np.ndarray) -> float | np.ndarray:
         """-gap, at one point or a stack (rows)."""
         return -self.gap(z)
-
-    def disc_radius(self, z: np.ndarray, v: np.ndarray) -> float:
-        return self._exit(z, v, worst_phase=True)
 
     def kobayashi(self, z: np.ndarray, w: np.ndarray) -> float:
         return ball_distance((z[self.coords] - self.center) / self.radius,
@@ -195,17 +205,6 @@ class DiscConstraint:
             return p, self.radius
         p = np.ascontiguousarray(p, dtype=complex).view(float)
         return np.ldexp(p, -self.scale).view(complex), math.ldexp(self.radius, -self.scale)
-
-    def _exit(self, z: np.ndarray, u: np.ndarray, worst_phase: bool) -> float:
-        """The exit along u, or along the e^{i theta} u that leaves first."""
-        p, radius = self._scaled(z)
-        w = u[self.coords]
-        ww = float(np.vdot(w, w).real)
-        if ww == 0.0:
-            return math.inf
-        inner = complex(np.vdot(p, w))
-        dot = abs(inner) if worst_phase else inner.real  # max of Re e^{i theta} inner
-        return math.ldexp(_disc_exit(_norms(p), dot, ww, radius), self.scale)
 
 
 @dataclass(frozen=True)
@@ -222,19 +221,18 @@ class HalfspaceConstraint:
             return float(np.vdot(self.normal, z).real) - self.offset
         return np.vecdot(self.normal, z).real - self.offset
 
-    def exit(self, z: np.ndarray, u: np.ndarray) -> float:
-        rate = float(np.vdot(self.normal, u).real)
+    def exit(self, z: np.ndarray, u: np.ndarray, *, worst_phase: bool) -> float | np.ndarray:
+        """-gap / Re<a, u>, or -gap / |<a, u>| at the worst phase, since
+        Re<a, e^{i theta} u> peaks there; inf when the rate is not positive.
+        A float at one point; at a stack of points (rows), an array, or inf
+        for every row."""
+        inner = complex(np.vdot(self.normal, u))
+        rate = abs(inner) if worst_phase else inner.real
         return -self.gap(z) / rate if rate > 0.0 else math.inf
 
     def distance(self, z: np.ndarray) -> float | np.ndarray:
         """-gap, at one point or a stack (rows)."""
         return -self.gap(z)
-
-    def disc_radius(self, z: np.ndarray, v: np.ndarray) -> float | np.ndarray:
-        """-gap / |<a, v>|, since Re<a, e^{i theta} v> peaks at |<a, v>|: a
-        float at one point, an array at a stack of points."""
-        rate = abs(complex(np.vdot(self.normal, v)))
-        return -self.gap(z) / rate if rate > 0.0 else math.inf
 
     def kobayashi(self, z: np.ndarray, w: np.ndarray) -> None:
         return None
@@ -259,12 +257,40 @@ class GraphConstraint:
             return _larger(rho - self.support.R0, heights - z[:, -1].imag)
         return max(rho - self.support.R0, self.height(rho) - float(z[-1].imag))
 
-    def exit(self, z: np.ndarray, u: np.ndarray) -> float:
+    def exit(self, z: np.ndarray, u: np.ndarray, *, worst_phase: bool) -> float | np.ndarray:
+        """The exit along u, from ||z'||^2, <z', u'>, ||u'||^2, Im z_n and
+        u_n, each read once.  At the worst phase it is the smallest exit over
+        the directions e^{i theta} u.  Around that circle only Re<z', u'>
+        e^{i theta} and Im u_n e^{i theta} change, and the exit falls as the
+        first grows and as the second falls.  If <z', u'> = 0 (every disc
+        centred on the axis z' = 0), u_n = 0 (tangential discs) or ||u'||^2
+        = 0 (the exit then reads only Im u_n e^{i theta}), the exit at
+        |<z', u'>| and -|u_n| is the radius.  The rest take
+        ``minimize_on_circle`` over the exits.
+
+        A stack of points (rows) gets an array: at the worst phase with u' =
+        0 each row's affine exit (Im z_n - C phi_alpha(||z'||)) / |u_n|, else
+        the rows one by one."""
+        if z.ndim > 1:
+            if not worst_phase or u[:-1].any():
+                return np.array([self.exit(row, u, worst_phase=worst_phase) for row in z])
+            heights = [self.height(math.sqrt(pp))
+                       for pp in np.vecdot(z[:, :-1], z[:, :-1]).real.tolist()]
+            return (z[:, -1].imag - heights) / abs(complex(u[-1]))
         p, w = z[:-1], u[:-1]
-        return self._exit(
-            float(np.vdot(p, p).real), float(np.vdot(p, w).real),
-            float(np.vdot(w, w).real), float(z[-1].imag), float(u[-1].imag),
-        )
+        pp, ww = float(np.vdot(p, p).real), float(np.vdot(w, w).real)
+        pw, un = complex(np.vdot(p, w)), complex(u[-1])
+        y = float(z[-1].imag)
+        if not worst_phase:
+            return self._exit(pp, pw.real, ww, y, un.imag)
+        if pw == 0.0 or un == 0.0 or ww == 0.0:
+            return self._exit(pp, abs(pw), ww, y, -abs(un))
+
+        def objective(theta: float) -> float:
+            turn = complex(math.cos(theta), math.sin(theta))
+            return self._exit(pp, (pw * turn).real, ww, y, (un * turn).imag)
+
+        return minimize_on_circle(objective)
 
     def _exit(self, pp: float, pw: float, ww: float, y: float, dy: float) -> float:
         """The exit along z + t u from ||z'||^2 = pp, Re<z', u'> = pw,
@@ -337,37 +363,6 @@ class GraphConstraint:
 
         return math.sqrt(minimize_on_circle(dist2))
 
-    def disc_radius(self, z: np.ndarray, v: np.ndarray) -> float | np.ndarray:
-        """The largest rho with z + rho e^{i theta} v in the graph piece for
-        every theta: the smallest exit over the boundary circle.  Around it
-        only Re<z', v'> e^{i theta} and Im v_n e^{i theta} change, and the
-        exit falls as the first grows and as the second falls.  If <z', v'>
-        = 0 (every disc centred on the axis z' = 0), v_n = 0 (tangential
-        discs) or ||v'||^2 = 0 (the exit then reads only Im v_n e^{i theta}),
-        the exit at |<z', v'>| and -|v_n| is the radius.  The rest take
-        ``minimize_on_circle`` over the exits.
-
-        A stack of points (rows) gets an array: with v' = 0 each row's affine
-        exit (Im z_n - C phi_alpha(||z'||)) / |v_n|, else the rows one by one."""
-        if z.ndim > 1:
-            if v[:-1].any():
-                return np.array([self.disc_radius(row, v) for row in z])
-            heights = [self.height(math.sqrt(pp))
-                       for pp in np.vecdot(z[:, :-1], z[:, :-1]).real.tolist()]
-            return (z[:, -1].imag - heights) / abs(complex(v[-1]))
-        p, w = z[:-1], v[:-1]
-        pp, ww = float(np.vdot(p, p).real), float(np.vdot(w, w).real)
-        pv, vn = complex(np.vdot(p, w)), complex(v[-1])
-        y = float(z[-1].imag)
-        if pv == 0.0 or vn == 0.0 or ww == 0.0:
-            return self._exit(pp, abs(pv), ww, y, -abs(vn))
-
-        def objective(theta: float) -> float:
-            turn = complex(math.cos(theta), math.sin(theta))
-            return self._exit(pp, (pv * turn).real, ww, y, (vn * turn).imag)
-
-        return minimize_on_circle(objective)
-
     def kobayashi(self, z: np.ndarray, w: np.ndarray) -> None:
         return None
 
@@ -421,11 +416,11 @@ class ConvexDomainModel:
         (K, K).  Elsewhere they are the chord's (L, 2L): L integrates
         Graham's lower end ||v|| / (2 r) along the segment from z to w with 4
         panels of GL-8, and 2L the upper end ||v|| / r.  The 32 nodes go to
-        ``_graham_ends`` as one stack, one radius call per piece.  Only 2L,
-        the upper metric integrated along a curve, bounds K.  L does not: K
-        is an infimum over curves, and near the boundary the chord is much
-        longer than the geodesic.  The nodes lie inside with the ends, so
-        they skip the base check; w = z gives (0, 0).
+        ``_graham_ends`` as one stack, one worst-phase exit call per piece.
+        Only 2L, the upper metric integrated along a curve, bounds K.  L
+        does not: K is an infimum over curves, and near the boundary the
+        chord is much longer than the geodesic.  The nodes lie inside with
+        the ends, so they skip the base check; w = z gives (0, 0).
         """
         answers = [piece.kobayashi(z, w) for piece in self.pieces]
         if None not in answers:
@@ -701,10 +696,9 @@ def _check_ray(domain: ConvexDomainModel, z, u) -> tuple[np.ndarray, np.ndarray]
 
 def exit_time(domain: ConvexDomainModel, z, u) -> float:
     """sup{ t >= 0 : z + t u in closure of the domain } for a unit real ray:
-    the smallest exit over the constraints, or 0 from a boundary point up
-    to the membership tolerance outside."""
-    z, u = _check_ray(domain, z, u)
-    return max(min(piece.exit(z, u) for piece in domain.pieces), 0.0)
+    :func:`_exit` at the ray phase, the smallest exit over the constraints,
+    or 0 from a boundary point up to the membership tolerance outside."""
+    return _exit(domain, *_check_ray(domain, z, u), worst_phase=False)
 
 
 def boundary_distance(domain: ConvexDomainModel, point) -> float | np.ndarray:
@@ -720,16 +714,21 @@ def inscribed_disc_radius(domain: ConvexDomainModel, point, direction) -> float:
     """Radius of the largest complex-affine closed disc centered at
     ``point``, tangent to ``direction``, inside the closure.
 
-    A closed disc lies in an intersection of closed convex sets iff it lies
-    in each, so the radius is the smallest constraint radius; it is 0 at a
-    boundary point outside by up to the membership tolerance.
+    The disc leaves a closed convex set first along the e^{i theta}
+    direction that leaves first, so its radius is the exit at the worst
+    phase, and a closed disc lies in an intersection of closed convex sets
+    iff it lies in each: :func:`_exit` at the worst phase, the smallest
+    constraint radius.  It is 0 at a boundary point outside by up to the
+    membership tolerance.
     """
-    return _disc_radius(domain, *_check_ray(domain, point, direction))
+    return _exit(domain, *_check_ray(domain, point, direction), worst_phase=True)
 
 
-def _disc_radius(domain: ConvexDomainModel, z: np.ndarray, v: np.ndarray) -> float | np.ndarray:
-    """The smallest constraint radius at z along the unit v, floored at 0."""
-    return _least(z, (piece.disc_radius(z, v) for piece in domain.pieces))
+def _exit(domain: ConvexDomainModel, z: np.ndarray, u: np.ndarray,
+          worst_phase: bool) -> float | np.ndarray:
+    """The smallest exit over the pieces at z along the unit u, at the ray
+    phase or the worst phase, floored at 0; z is one point or a stack (rows)."""
+    return _least(z, (piece.exit(z, u, worst_phase=worst_phase) for piece in domain.pieces))
 
 
 def _least(z: np.ndarray, values) -> float | np.ndarray:
@@ -750,11 +749,11 @@ def _graham_ends(domain: ConvexDomainModel, z: np.ndarray, unit: np.ndarray,
     at the least r, whose quotient is the largest."""
     if z.ndim > 1:
         with np.errstate(over="ignore", divide="ignore"):
-            radii = _disc_radius(domain, z, unit)
+            radii = _exit(domain, z, unit, worst_phase=True)
             ends = length / (2.0 * radii), length / radii
         r = float(radii.min())
     else:
-        r, ends = _disc_radius(domain, z, unit), None
+        r, ends = _exit(domain, z, unit, worst_phase=True), None
     if r == 0.0:
         raise ValueError("point on the boundary: the inscribed disc radius is 0")
     upper = length / r
@@ -818,4 +817,4 @@ def rest_bound_check(domain: FlatModelDomain, point, direction) -> RestBoundRepo
     d = domain.zone_depth(z)
     if d is None:
         raise ValueError("point not in the boundary zone of the flat graph")
-    return RestBoundReport.of(domain.support, d, _disc_radius(domain, z, u))
+    return RestBoundReport.of(domain.support, d, _exit(domain, z, u, worst_phase=True))

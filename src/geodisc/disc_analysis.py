@@ -292,7 +292,7 @@ class ModulusFamily:
     def of(cls, omega: Callable[[float], float]) -> "ModulusFamily":
         """A plain function of x, read on the log scale one point at a time
         by the per-point adapter of :func:`numerics.log_scale`."""
-        return cls(log_scale(omega))
+        return cls(log_scale(omega, 0))
 
     def __call__(self, x):
         """omega at x, one float or an array of them; 0 where x <= 0."""
@@ -463,7 +463,7 @@ def conjugate_function(samples: BoundarySamples) -> BoundarySamples:
     """
     n = dyadic_grid_size(samples.n)
     if samples.dimension != 1:
-        raise ValueError("conjugate requires real samples")
+        raise ValueError(f"conjugate requires one component, got {samples.dimension}")
     values = samples.values[:, 0]
     if np.max(np.abs(values.imag)) > 1e-9 * max(1.0, np.max(np.abs(values))):
         raise ValueError("conjugate requires real samples")

@@ -89,7 +89,7 @@ def gauss_panel(
     f: Callable[[np.ndarray], np.ndarray],
     lo: float | np.ndarray,
     hi: float | np.ndarray,
-    order: int = _GAUSS_ORDER,
+    order: int,
 ) -> np.ndarray:
     """Gauss-Legendre of the given order on each panel (lo[k], hi[k]).
 
@@ -307,7 +307,7 @@ def integrate_log_moment(
 
 
 def log_scale(
-    f: Callable[[float], float], power: int = 0
+    f: Callable[[float], float], power: int
 ) -> Callable[[np.ndarray], np.ndarray]:
     """The log form u -> log(f(x) x^power), x = e^-u, of a radial f >= 0.
 

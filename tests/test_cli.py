@@ -1228,7 +1228,7 @@ LIBRARY_REJECTIONS = {
         "all deltas below grid resolution"),
     "conjugate of a map into C^2": (
         "conjugate", {"function": {"kind": "pair_identity_zero"}, "n": 64},
-        "conjugate requires real samples"),
+        "conjugate requires one component, got 2"),
     "mercer-fit image on the boundary": (
         "mercer-fit",
         {"candidate": {"kind": "map", "map": {"kind": "constant", "values": [1]},

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import ast
 import math
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1075,6 +1077,58 @@ def test_flat_one_exit_radius_is_the_worst_phase_exit(seed, dimension, alpha, ta
     assert r == pytest.approx(worst, rel=1e-12, abs=0.0)
 
 
+def analytic_worst_phase(piece, z: np.ndarray, u: np.ndarray) -> complex:
+    """The e^{i theta} whose ray u leaves the piece first: conj<p, w> /
+    |<p, w>| for a disc (p the offset, w its block of u), conj<a, u> /
+    |<a, u>| for a half-space."""
+    if isinstance(piece, convex_geometry.DiscConstraint):
+        inner = complex(np.vdot(z[piece.coords] - piece.center, u[piece.coords]))
+    else:
+        inner = complex(np.vdot(piece.normal, u))
+    return inner.conjugate() / abs(inner)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_each_pieces_worst_phase_exit_is_its_ray_exit_at_the_worst_phase(seed):
+    # the inscribed disc radius is no second question: each piece's exit at
+    # the worst phase is its ray exit along the analytic worst phase, and no
+    # phase of a 64-point grid leaves sooner
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 4))
+    radii = rng.uniform(0.5, 2.0, n)
+    center = rng.uniform(-1.0, 1.0, n) + 1j * rng.uniform(-1.0, 1.0, n)
+    box = [(a, b) for k in range(n) for a, b in
+           ((np.eye(n)[k], 1.0), (-np.eye(n)[k], 0.5), (1j * np.eye(n)[k], 2.0),
+            (-1j * np.eye(n)[k], 1.5))]
+    turns = np.exp(2j * math.pi * rng.random(n))
+    cases = [
+        (Polydisc(tuple(radii)), radii * rng.uniform(0.0, 0.9, n) * turns),
+        (Ball(center, 1.5), center + 1.5 * rng.uniform(0.0, 0.9) * unit_vector(rng, n)),
+        (HalfspaceIntersection(box), rng.uniform(-0.4, 0.9, n) + 1j * rng.uniform(-1.4, 1.9, n)),
+    ]
+    grid = np.exp(2j * math.pi * np.arange(64) / 64)
+    for domain, z in cases:
+        assert domain.membership(z) == "inside"
+        u = unit_vector(rng, n)
+        for piece in domain.pieces:
+            worst = piece.exit(z, u, worst_phase=True)
+            phase = analytic_worst_phase(piece, z, u)
+            assert worst == pytest.approx(piece.exit(z, phase * u, worst_phase=False),
+                                          rel=1e-15, abs=0.0)
+            assert worst <= min(piece.exit(z, turn * u, worst_phase=False)
+                                for turn in grid) * (1.0 + 1e-12)
+
+
+def test_no_piece_asks_for_the_disc_radius_apart_from_its_exit():
+    # the inscribed disc radius is each piece's exit at the worst phase
+    tree = ast.parse(Path(convex_geometry.__file__).read_text())
+    defines = [(node.name, item.name) for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+               for item in node.body if isinstance(item, ast.FunctionDef)]
+    assert [pair for pair in defines if pair[1] == "disc_radius"] == []
+    assert ("DiscConstraint", "exit") in defines
+    assert not hasattr(convex_geometry, "_disc_radius")
+
+
 def test_inscribed_radius_rejects_zero_direction():
     with pytest.raises(ValueError, match="direction must be nonzero"):
         inscribed_disc_radius(Polydisc((1.0,)), [0.0], [0.0])
@@ -1326,7 +1380,7 @@ def test_halfspace_radius_is_a_python_float():
     domain, z, v = flat_domain(), np.array([0.05, 0.07 + 0.045j]), np.array([0.0, 1.0])
     report = rest_bound_check(domain, z, v)
     assert report.d == domain.pieces[-1].surface_distance(z) < 0.03
-    cap, graph = domain.pieces[0].disc_radius(z, v), domain.pieces[-1].disc_radius(z, v)
+    cap, graph = (domain.pieces[k].exit(z, v, worst_phase=True) for k in (0, -1))
     assert report.radius == cap < graph
     assert type(report.radius) is float and type(report.satisfied) is bool
 

@@ -33,6 +33,7 @@ from geodisc.disc_analysis import (
     log_dini_test,
     modulus_of_continuity,
     modulus_profile,
+    pair_identity_zero_map,
     pz_bound,
     row_norms,
     scalar_function,
@@ -121,7 +122,8 @@ def _built_in_maps():
         {"kind": "pair_identity_zero"},
         {"kind": "nonextending"},
     ]
-    maps = {f"{spec['kind']}{i}": cli.parse(cli.FUNCTION, spec) for i, spec in enumerate(specs)}
+    maps = {f"{spec['kind']}{i}": cli.parse(cli.FUNCTION, spec, "function")
+            for i, spec in enumerate(specs)}
     flat = FlatModelDomain(FlatSupport(1.0, 0.5, 0.111, 0.08))
     maps["flat_slice"] = flat_slice_candidate(flat, 0.04j, 0.04).map
     maps["cmath_callable"] = vector_function(
@@ -539,6 +541,14 @@ def test_conjugate_requires_real_samples():
     values = np.exp(2j * math.pi * np.arange(64) / 64)
     with pytest.raises(ValueError, match="conjugate requires real samples"):
         conjugate_function(BoundarySamples(64, values, 1.0))
+
+
+def test_conjugate_of_a_map_into_c2_names_its_component_count():
+    # a map with two components is not one complex component: the reason
+    # names the count, not the samples' reality
+    samples = boundary_samples(pair_identity_zero_map(), 64)
+    with pytest.raises(ValueError, match=r"^conjugate requires one component, got 2$"):
+        conjugate_function(samples)
 
 
 @pytest.mark.parametrize("values, message", [

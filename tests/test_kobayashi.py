@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from collections import Counter
 
@@ -481,22 +482,30 @@ def test_domain_kobayashi_is_the_chord_elsewhere():
                 assert lower == graham_chord_lower(domain, z, w)
                 assert upper == 2.0 * lower > 0.0
     assert square.kobayashi(np.array([0.1j]), np.array([0.1j])) == (0.0, 0.0)
-    # a stack whose rows have different z' takes each row's own height
+    # a stack whose rows have different z' takes each row's own height, at
+    # the ray phase and at the worst phase, with v' = 0 and tilted; a
+    # half-space the ray does not approach reads inf for every row
     stack = np.array([flat_point(rng, 3) for _ in range(32)])
     v = np.array([0.0, 0.0, cmath.rect(1.0, rng.uniform(0.0, 2.0 * math.pi))])
-    for piece in flat3.pieces:
-        assert piece.disc_radius(stack, v).tolist() == [piece.disc_radius(z, v) for z in stack]
+    tilted = np.array([0.6, 0.0, 0.8j])
+    for u, rows in ((v, stack), (tilted, stack[:4])):
+        for worst_phase, piece in itertools.product((False, True), flat3.pieces):
+            exits = piece.exit(rows, u, worst_phase=worst_phase)
+            assert np.broadcast_to(exits, len(rows)).tolist() == [
+                piece.exit(z, u, worst_phase=worst_phase) for z in rows]
 
 
 def test_the_chord_asks_each_piece_once(monkeypatch):
-    # the chord's 32 nodes go to each piece's radius rule as one stack; only
-    # a graph piece under a tilted direction (v' != 0) reads them one by one
+    # the chord's 32 nodes go to each piece's exit, at the worst phase, as
+    # one stack; only a graph piece under a tilted direction (v' != 0) reads
+    # them one by one
     calls = Counter()
     for piece_class in (convex_geometry.HalfspaceConstraint, convex_geometry.GraphConstraint):
-        def counted(self, z, v, rule=piece_class.disc_radius, name=piece_class.__name__):
+        def counted(self, z, v, *, worst_phase, rule=piece_class.exit, name=piece_class.__name__):
+            assert worst_phase
             calls[name] += 1
-            return rule(self, z, v)
-        monkeypatch.setattr(piece_class, "disc_radius", counted)
+            return rule(self, z, v, worst_phase=worst_phase)
+        monkeypatch.setattr(piece_class, "exit", counted)
     rng = np.random.default_rng(34)
     halfspaces = HalfspaceIntersection(box_and_two_normals(rng, 2))
     halfspaces.kobayashi(in_ball(rng, 2, 0.45), in_ball(rng, 2, 0.45))

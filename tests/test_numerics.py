@@ -204,11 +204,11 @@ def rows_by_levels(f, rows: int, a: float, b: float) -> list:
             if not a < lo < hi:
                 break
             with np.errstate(all="ignore"):
-                (inc,) = numerics.gauss_panel(g, lo, hi).tolist()
+                (inc,) = numerics.gauss_panel(g, lo, hi, numerics._GAUSS_ORDER).tolist()
             if not math.isfinite(inc):
                 try:
                     with np.errstate(all="ignore", over="raise"):
-                        numerics.gauss_panel(g, lo, hi)
+                        numerics.gauss_panel(g, lo, hi, numerics._GAUSS_ORDER)
                     outcome = (ValueError, "integrand not finite")
                 except FloatingPointError as exc:
                     outcome = (FloatingPointError, str(exc))
@@ -332,7 +332,7 @@ ROW_FORMS = {
     "holder": ModulusFamily.holder(0.4).log_modulus,
     "stretched exponential": ModulusFamily.stretched_exponential(1.5, 0.3).log_modulus,
     "log reciprocal": ModulusFamily.log_reciprocal().log_modulus,
-    "plain callable": numerics.log_scale(lambda x: x**0.75),
+    "plain callable": numerics.log_scale(lambda x: x**0.75, 0),
     "family majorant": Majorant.family(1.3, math.e, 0.7, 0.5).log_form,
 }
 

@@ -16,7 +16,6 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "geodisc"
 
 SETTABLE = {
     "cli:Opt.default",
-    "cli:parse.path",
     "cli:main.argv",
     "convex_geometry:x0_cap.scan_n",
     "convex_geometry:HalfspaceIntersection.interior_point",
@@ -33,8 +32,6 @@ SETTABLE = {
     "kobayashi:boundary_extension_probe.n_theta",
     "kobayashi:boundary_extension_probe.tol_ext",
     "kobayashi:mercer_fit.theta",
-    "numerics:gauss_panel.order",
-    "numerics:log_scale.power",
 }
 
 
